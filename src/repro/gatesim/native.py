@@ -27,6 +27,7 @@ processes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +52,23 @@ _CHUNK_LINES = 600
 
 _CDEF = ("void nat_run(uint64_t* S1, uint64_t* SX, uint64_t* R1, "
          "uint64_t* RX, uint64_t* MEM, uint64_t M, long cycles, "
-         "int NP, int settle_after);")
+         "int NP, int settle_after);\n"
+         "void nat_set_patterns(uint64_t* S1, uint64_t* SX, "
+         "uint64_t* slots, int width, uint64_t* vals, int NP);")
+
+#: transposes NP per-pattern values into ``width`` (<= 64) input
+#: bitplanes: bit i of vals[p] lands in bit p of plane S1[slots[i]]
+_SET_PATTERNS_C = """\
+void nat_set_patterns(uint64_t *S1, uint64_t *SX, uint64_t *slots,
+                      int width, uint64_t *vals, int NP) {
+  for (int i = 0; i < width; i++) {
+    uint64_t plane = 0;
+    for (int p = 0; p < NP; p++) plane |= ((vals[p] >> i) & 1ULL) << p;
+    S1[slots[i]] = plane;
+    SX[slots[i]] = 0;
+  }
+}
+"""
 
 
 @dataclass
@@ -61,6 +78,8 @@ class NativeGateProgram:
     source: str
     module: NativeModule
     run: Callable
+    #: ``set_patterns(S1, SX, slots, width, vals, NP)``
+    set_patterns: Callable
     state_uids: List[int]
     result_uids: List[int]
     #: (name, word offset within one pattern's bank, depth, width,
@@ -320,7 +339,9 @@ def _generate_c_source(netlist: Netlist):
     lines.append("  if (settle_after) "
                  "settle(S1, SX, R1, RX, MEM, M, NP);")
     lines.append("}")
-    source = "\n".join(lines) + "\n"
+    lines.append("")
+    lines.append(_SET_PATTERNS_C)
+    source = "\n".join(lines)
     return (source, state_uids, result_uids, mem_layout, mem_words,
             x_state_uids)
 
@@ -348,6 +369,7 @@ def compile_netlist_native(netlist: Netlist,
             source=source,
             module=module,
             run=module.fn("nat_run"),
+            set_patterns=module.fn("nat_set_patterns"),
             state_uids=state_uids,
             result_uids=result_uids,
             mem_layout=mem_layout,
@@ -380,7 +402,8 @@ class _NativeMemoryView:
         self.depth = depth
         self.width = width
         self.writable = writable
-        self._contents = contents
+        self._image = (array("Q", contents) if contents
+                       else array("Q", bytes(8 * depth)))
 
     def flip_bit(self, address: int, bit: int) -> None:
         if not 0 <= address < self.depth:
@@ -390,13 +413,11 @@ class _NativeMemoryView:
         if not 0 <= bit < self.width:
             raise ValueError(
                 f"{self.name}: SEU bit {bit} outside width {self.width}")
-        mem = self._sim._mem
-        mem[self._base + address] = mem[self._base + address] ^ (1 << bit)
+        self._sim._mem_v[self._base + address] ^= 1 << bit
         self._sim._dirty = True
 
     def peek(self) -> List[int]:
-        mem = self._sim._mem
-        return [mem[self._base + i] for i in range(self.depth)]
+        return self._sim._mem_v[self._base:self._base + self.depth].tolist()
 
     def read(self, address: Optional[int], enabled: bool = True,
              cycle: int = 0) -> List[int]:
@@ -404,7 +425,7 @@ class _NativeMemoryView:
             return [L.LX] * self.width
         if not 0 <= address < self.depth:
             return [L.L0] * self.width
-        value = self._sim._mem[self._base + address]
+        value = self._sim._mem_v[self._base + address]
         return [(value >> i) & 1 for i in range(self.width)]
 
     def write(self, address: Optional[int], value: int,
@@ -413,22 +434,22 @@ class _NativeMemoryView:
             raise ValueError(f"{self.name} is a ROM")
         if address is None or not 0 <= address < self.depth:
             return
-        self._sim._mem[self._base + address] = value & mask(self.width)
+        self._sim._mem_v[self._base + address] = value & mask(self.width)
         self._sim._dirty = True
 
     def reset(self) -> None:
-        mem = self._sim._mem
-        for i in range(self.depth):
-            mem[self._base + i] = (self._contents[i]
-                                   if self._contents else 0)
+        self._sim._mem_v[self._base:self._base + self.depth] = self._image
         self._sim._dirty = True
 
 
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
-#: a plane source: (True, state_slot) or (False, result_index)
-_Src = Tuple[bool, int]
+#: a plane source: (ones view, unknowns view, index into both)
+_Src = Tuple[memoryview, memoryview, int]
+
+#: one 64-bit machine word
+_WORD = (1 << WORD_PATTERNS) - 1
 
 
 class NativeGateSimulator:
@@ -440,6 +461,11 @@ class NativeGateSimulator:
     count is capped at 64 -- one machine word -- which covers the
     fault-injection batch width and the latency rows this engine
     exists for.  Use the vectorized engine past the word cap.
+
+    ``set_input_patterns`` hands the values to the kernel's
+    ``nat_set_patterns`` in one call per 64 port bits, which transposes
+    them into bitplanes in C; every other Python-side access to the
+    kernel's state goes through memoryviews of its buffers.
     """
 
     backend = "native"
@@ -464,24 +490,31 @@ class NativeGateSimulator:
         self._mask = mask(n_patterns)
         self.program = compile_netlist_native(netlist, cache=cache)
         mod = self.program.module
+        self._u64_arg = mod.u64_arg
         self._run = self.program.run
+        self._set_patterns = self.program.set_patterns
 
         self._slot = {uid: i for i, uid in
                       enumerate(self.program.state_uids)}
         self._ridx = {uid: i for i, uid in
                       enumerate(self.program.result_uids)}
 
-        # machine buffers shared with the kernel
+        # machine buffers shared with the kernel, and the memoryviews
+        # Python reads and writes them through (raw FFI element access
+        # is ~4x slower, see NativeModule.u64_view)
         self._s1 = mod.u64_buffer(len(self.program.state_uids))
         self._sx = mod.u64_buffer(len(self.program.state_uids))
         self._r1 = mod.u64_buffer(len(self.program.result_uids))
         self._rx = mod.u64_buffer(len(self.program.result_uids))
         self._mem = mod.u64_buffer(
             max(1, self.program.mem_words * n_patterns))
+        self._s1_v, self._sx_v, self._r1_v, self._rx_v, self._mem_v = (
+            mod.u64_view(buf) for buf in
+            (self._s1, self._sx, self._r1, self._rx, self._mem))
 
-        self._s1[self._slot[netlist.const1.uid]] = self._mask
+        self._s1_v[self._slot[netlist.const1.uid]] = self._mask
         for uid in self.program.x_state_uids:
-            self._sx[self._slot[uid]] = self._mask
+            self._sx_v[self._slot[uid]] = self._mask
 
         # pattern-private memory views
         self.memories: Dict[str, _NativeMemoryView] = {}
@@ -506,7 +539,18 @@ class NativeGateSimulator:
             q_slot = self._slot[flop.outputs["Q"].uid]
             init = flop.init & 1
             self._flop_slots.append((q_slot, init))
-            self._s1[q_slot] = self._mask if init else 0
+            self._s1_v[q_slot] = self._mask if init else 0
+
+        # per input: (bit offset, slot table, bits) per 64-bit chunk,
+        # the arguments of one nat_set_patterns call each
+        self._inputs: Dict[str, List[Tuple[int, object, int]]] = {}
+        for name, nets in netlist.inputs.items():
+            slots = [self._slot[n.uid] for n in nets]
+            chunks = [slots[lo:lo + WORD_PATTERNS]
+                      for lo in range(0, len(slots), WORD_PATTERNS)]
+            self._inputs[name] = [
+                (k * WORD_PATTERNS, mod.u64_buffer(chunk), len(chunk))
+                for k, chunk in enumerate(chunks)]
 
         # port lookup tables (outputs shadow inputs, like interpreted)
         self._ports: Dict[str, List[_Src]] = {}
@@ -524,14 +568,8 @@ class NativeGateSimulator:
     def _src(self, uid: int) -> _Src:
         s = self._slot.get(uid)
         if s is not None:
-            return (True, s)
-        return (False, self._ridx[uid])
-
-    def _planes(self, src: _Src) -> Tuple[int, int]:
-        state, index = src
-        if state:
-            return self._s1[index], self._sx[index]
-        return self._r1[index], self._rx[index]
+            return (self._s1_v, self._sx_v, s)
+        return (self._r1_v, self._rx_v, self._ridx[uid])
 
     def _settle(self) -> None:
         self._run(self._s1, self._sx, self._r1, self._rx, self._mem,
@@ -541,6 +579,13 @@ class NativeGateSimulator:
     def _ensure_settled(self) -> None:
         if self._dirty:
             self._settle()
+
+    def _port_srcs(self, name: str) -> List[_Src]:
+        srcs = self._ports.get(name)
+        if srcs is None:
+            raise GateSimError(f"no port named {name!r}")
+        self._ensure_settled()
+        return srcs
 
     # ------------------------------------------------------------------
     # single-value API (GateSimulator-compatible; pattern 0)
@@ -552,7 +597,7 @@ class NativeGateSimulator:
             raise GateSimError(f"no input named {name!r}")
         value &= mask(len(nets))
         M = self._mask
-        s1, sx, slot = self._s1, self._sx, self._slot
+        s1, sx, slot = self._s1_v, self._sx_v, self._slot
         for i, net in enumerate(nets):
             j = slot[net.uid]
             s1[j] = M if (value >> i) & 1 else 0
@@ -568,14 +613,15 @@ class NativeGateSimulator:
             raise GateSimError(
                 f"input {name!r} is {len(nets)} bits, got {len(values)}")
         M = self._mask
+        s1, sx = self._s1_v, self._sx_v
         for net, v in zip(nets, values):
             j = self._slot[net.uid]
             if v == L.L1:
-                self._s1[j], self._sx[j] = M, 0
+                s1[j], sx[j] = M, 0
             elif v == L.L0:
-                self._s1[j], self._sx[j] = 0, 0
+                s1[j], sx[j] = 0, 0
             else:
-                self._s1[j], self._sx[j] = 0, M
+                s1[j], sx[j] = 0, M
         self._dirty = True
 
     def get(self, name: str) -> int:
@@ -591,40 +637,40 @@ class NativeGateSimulator:
     # ------------------------------------------------------------------
     def set_input_patterns(self, name: str,
                            values: Sequence[int]) -> None:
-        """Drive one integer stimulus value per pattern on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
+        """Drive one integer stimulus value per pattern on *name*.
+
+        Values are taken modulo ``2**width`` (negative ones as two's
+        complement).  The kernel transposes them into bitplanes: one
+        ``nat_set_patterns`` call per 64 bits of port width.
+        """
+        chunks = self._inputs.get(name)
+        if chunks is None:
             raise GateSimError(f"no input named {name!r}")
         if len(values) != self.n_patterns:
             raise GateSimError(
                 f"expected {self.n_patterns} pattern values, "
                 f"got {len(values)}")
-        w_mask = mask(len(nets))
-        planes = [0] * len(nets)
-        for p, value in enumerate(values):
-            value &= w_mask
-            bit = 1 << p
-            i = 0
-            while value:
-                if value & 1:
-                    planes[i] |= bit
-                value >>= 1
-                i += 1
-        for i, net in enumerate(nets):
-            j = self._slot[net.uid]
-            self._s1[j] = planes[i]
-            self._sx[j] = 0
+        for lo, slots, width in chunks:
+            self._set_patterns(self._s1, self._sx, slots, width,
+                               self._words(values, lo), self.n_patterns)
         self._dirty = True
+
+    def _words(self, values: Sequence[int], lo: int) -> object:
+        """Bits ``lo..lo+63`` of every value as a ``uint64_t*``
+        argument; the kernel ignores the bits past the port width."""
+        if not lo:
+            try:
+                return self._u64_arg(values)
+            except OverflowError:  # negative or >= 2**64: mask once
+                pass
+        return self._u64_arg([(v >> lo) & _WORD for v in values])
 
     def get_patterns(self, name: str) -> List[int]:
         """Read a port as one integer per pattern (X/Z raise)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
+        srcs = self._port_srcs(name)
         out = [0] * self.n_patterns
-        for i, src in enumerate(srcs):
-            ones, unk = self._planes(src)
+        for i, (a, x, index) in enumerate(srcs):
+            ones, unk = a[index], x[index]
             if unk:
                 p = (unk & -unk).bit_length() - 1
                 raise GateSimError(
@@ -637,31 +683,18 @@ class NativeGateSimulator:
 
     def get_port_planes(self, name: str) -> Tuple[List[int], List[int]]:
         """Read a port as raw bitplanes: per bit, (ones, unknowns)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
-        ones: List[int] = []
-        unks: List[int] = []
-        for src in srcs:
-            a, x = self._planes(src)
-            ones.append(a)
-            unks.append(x)
-        return ones, unks
+        srcs = self._port_srcs(name)
+        return ([a[i] for a, _, i in srcs], [x[i] for _, x, i in srcs])
 
     def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
         """Read a port of one pattern as logic values (X allowed)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
+        srcs = self._port_srcs(name)
         bit = 1 << pattern
         out = []
-        for src in srcs:
-            ones, unk = self._planes(src)
-            if unk & bit:
+        for a, x, index in srcs:
+            if x[index] & bit:
                 out.append(L.LX)
-            elif ones & bit:
+            elif a[index] & bit:
                 out.append(L.L1)
             else:
                 out.append(L.L0)
@@ -699,8 +732,8 @@ class NativeGateSimulator:
         """Restore flops and memories to their initial state."""
         M = self._mask
         for q_slot, init in self._flop_slots:
-            self._s1[q_slot] = M if init else 0
-            self._sx[q_slot] = 0
+            self._s1_v[q_slot] = M if init else 0
+            self._sx_v[q_slot] = 0
         for views in self._mem_views.values():
             for view in views:
                 view.reset()
@@ -716,12 +749,11 @@ class NativeGateSimulator:
         """Pattern-0 net values indexed by uid (interpreted-compat)."""
         self._ensure_settled()
         out = [L.LX] * len(self.netlist.nets)
+        s1, sx, r1, rx = self._s1_v, self._sx_v, self._r1_v, self._rx_v
         for uid, slot in self._slot.items():
-            out[uid] = (L.LX if self._sx[slot] & 1
-                        else (self._s1[slot] & 1))
+            out[uid] = L.LX if sx[slot] & 1 else s1[slot] & 1
         for uid, index in self._ridx.items():
-            out[uid] = (L.LX if self._rx[index] & 1
-                        else (self._r1[index] & 1))
+            out[uid] = L.LX if rx[index] & 1 else r1[index] & 1
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

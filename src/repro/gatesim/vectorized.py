@@ -365,7 +365,11 @@ class VectorizedGateSimulator:
         width = len(nets)
         n_words = self._n_words
         if width <= 63:
-            vals = np.asarray(values, dtype=np.uint64)
+            try:
+                vals = np.asarray(values, dtype=np.uint64)
+            except OverflowError:  # negative or >= 2**64 Python ints
+                vals = np.asarray([int(v) & mask(width) for v in values],
+                                  dtype=np.uint64)
             vals = vals & np.uint64(mask(width))
             for i, net in enumerate(nets):
                 j = self._slot[net.uid]

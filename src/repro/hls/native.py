@@ -35,13 +35,15 @@ engine.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from ..native import NativeModule, compile_and_load
-from ..rtl.native import _PRELUDE, _CEmitter, check_native_widths
+from ..rtl.native import (_PRELUDE, _CEmitter, _NativeEnv,
+                          check_native_widths)
 from .compiled import HLS_COMPILE_CACHE
 from .ir import HlsProgram
 from .schedule import Fsm
@@ -249,45 +251,6 @@ def compile_fsm_native(fsm: Fsm,
     return cache.get_or_compile(key, factory, backend="native")
 
 
-class _SliceEnv:
-    """Dict-like view over one pattern's slice of the env array.
-
-    Fault-injection pokes (``env[name] = env[name] ^ (1 << bit)``) and
-    probe reads hit the shared-object state directly, mirroring the
-    per-pattern env dicts of the compiled batch.
-    """
-
-    __slots__ = ("_buf", "_base", "_index")
-
-    def __init__(self, buf, base: int, index: Dict[str, int]):
-        self._buf = buf
-        self._base = base
-        self._index = index
-
-    def __getitem__(self, name: str) -> int:
-        return int(self._buf[self._base + self._index[name]])
-
-    def __setitem__(self, name: str, value: int) -> None:
-        self._buf[self._base + self._index[name]] = value & mask(64)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def keys(self):
-        return self._index.keys()
-
-    def get(self, name: str, default=None):
-        if name in self._index:
-            return self[name]
-        return default
-
-
 class NativeFsmBatch:
     """N private FSM instances advanced by one native call.
 
@@ -297,6 +260,10 @@ class NativeFsmBatch:
     -- with ``envs[p]`` dict-like views over the pattern-major state
     array; faults are poked into individual patterns with plain
     ``envs[p][name] ^= 1 << bit`` or :meth:`flip_bit`.
+
+    A name's N lanes are the strided slice ``envs_v[idx::n_names]`` of
+    that array, so a port is written with one slice assignment and
+    read with one ``tolist()``.
     """
 
     backend = "native"
@@ -319,67 +286,67 @@ class NativeFsmBatch:
         mod = prog.module
         self._envs = mod.u64_buffer(prog.n_names * n_patterns)
         self._mems = mod.u64_buffer(max(prog.mem_words * n_patterns, 1))
-        self._states = mod.u64_buffer([fsm.entry] * n_patterns)
+        self._states = mod.u64_buffer(n_patterns)
         # Python-side reads/pokes go through flat memoryviews -- raw
         # FFI array indexing is ~4x slower (see NativeModule.u64_view)
         self._envs_v = mod.u64_view(self._envs)
-        self._mems_v = mod.u64_view(self._mems)
+        self._mems_v = mod.u64_view(self._mems)[
+            :prog.mem_words * n_patterns]
         self._states_v = mod.u64_view(self._states)
+        lanes = {name: self._envs_v[idx::prog.n_names]
+                 for name, idx in prog.name_index.items()}
+        #: input port -> (its lanes, its width mask); output -> lanes
+        self._inputs = {p.name: (lanes[p.name], mask(p.width))
+                        for p in self.program.ports.values()
+                        if p.direction == "in"}
+        self._outputs = {p.name: lanes[p.name]
+                         for p in self.program.ports.values()
+                         if p.direction == "out"}
+        # one pattern's power-on memory image: ROM contents, RAM zeros
+        image = [0] * prog.mem_words
+        for _, base, depth, width, contents in prog.mem_layout:
+            if contents is not None:
+                image[base:base + depth] = [contents[i] & mask(width)
+                                            for i in range(depth)]
+        self._mem_image = array("Q", image)
         self._run = prog.run
         self.envs = [
-            _SliceEnv(self._envs_v, p * prog.n_names, prog.name_index)
+            _NativeEnv(self._envs_v, prog.name_index, p * prog.n_names)
             for p in range(n_patterns)
         ]
-        self._load_rom_contents()
-
-    def _load_rom_contents(self) -> None:
-        prog = self.compiled
-        for p in range(self.n_patterns):
-            off = p * prog.mem_words
-            for name, base, depth, width, contents in prog.mem_layout:
-                if contents is not None:
-                    for i in range(depth):
-                        self._mems_v[off + base + i] = \
-                            contents[i] & mask(width)
+        self.reset()
 
     # -- the CompiledFsmBatch-compatible surface -----------------------
     def _in_port(self, name: str):
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "in":
+        entry = self._inputs.get(name)
+        if entry is None:
             raise KeyError(f"{name!r} is not an input port")
-        return port
+        return entry
 
     def set_input(self, name: str, value: int) -> None:
         """Broadcast one value to every pattern."""
-        port = self._in_port(name)
-        value &= mask(port.width)
-        idx = self.compiled.name_index[name]
-        n = self.compiled.n_names
-        envs = self._envs_v
-        for p in range(self.n_patterns):
-            envs[p * n + idx] = value
+        lanes, m = self._in_port(name)
+        lanes[:] = array("Q", [value & m]) * self.n_patterns
 
     def set_input_patterns(self, name: str,
                            values: Sequence[int]) -> None:
-        port = self._in_port(name)
+        lanes, m = self._in_port(name)
         if len(values) != self.n_patterns:
             raise ValueError(
                 f"expected {self.n_patterns} values, got {len(values)}")
-        m = mask(port.width)
-        idx = self.compiled.name_index[name]
-        n = self.compiled.n_names
-        envs = self._envs_v
-        for p, value in enumerate(values):
-            envs[p * n + idx] = value & m
+        try:
+            if max(values) <= m:
+                lanes[:] = array("Q", values)
+                return
+        except OverflowError:  # a negative value
+            pass
+        lanes[:] = array("Q", [v & m for v in values])
 
     def get_output_patterns(self, name: str) -> List[int]:
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "out":
+        lanes = self._outputs.get(name)
+        if lanes is None:
             raise KeyError(f"{name!r} is not an output port")
-        idx = self.compiled.name_index[name]
-        n = self.compiled.n_names
-        envs = self._envs_v
-        return [envs[p * n + idx] for p in range(self.n_patterns)]
+        return lanes.tolist()
 
     def write_memory(self, pattern: int, mem: str, address: int,
                      value: int) -> None:
@@ -395,9 +362,8 @@ class NativeFsmBatch:
         """One pattern's private storage as a list."""
         for name, base, depth, _, _ in self.compiled.mem_layout:
             if name == mem:
-                off = pattern * self.compiled.mem_words
-                mems = self._mems_v
-                return [mems[off + base + i] for i in range(depth)]
+                off = pattern * self.compiled.mem_words + base
+                return self._mems_v[off:off + depth].tolist()
         raise KeyError(f"no memory named {mem!r}")
 
     def flip_bit(self, pattern: int, name: str, bit: int) -> None:
@@ -407,7 +373,7 @@ class NativeFsmBatch:
 
     @property
     def states(self) -> List[int]:
-        return [self._states_v[p] for p in range(self.n_patterns)]
+        return self._states_v.tolist()
 
     def step(self, cycles: int = 1) -> None:
         self._run(self._envs, self._mems, self._states, cycles,
@@ -415,13 +381,10 @@ class NativeFsmBatch:
         self.cycles += cycles
 
     def reset(self) -> None:
-        for p in range(self.n_patterns):
-            self._states_v[p] = self.fsm.entry
-        for i in range(self.compiled.n_names * self.n_patterns):
-            self._envs_v[i] = 0
-        for i in range(self.compiled.mem_words * self.n_patterns):
-            self._mems_v[i] = 0
-        self._load_rom_contents()
+        n = self.n_patterns
+        self._states_v[:] = array("Q", [self.fsm.entry]) * n
+        self._envs_v[:] = array("Q", bytes(8 * len(self._envs_v)))
+        self._mems_v[:] = self._mem_image * n
         self.cycles = 0
 
 
@@ -448,7 +411,7 @@ class NativeFsm:
 
     @property
     def state(self) -> int:
-        return int(self._batch._states_v[0])
+        return self._batch._states_v[0]
 
     @property
     def cycles(self) -> int:

@@ -33,6 +33,7 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -123,6 +124,10 @@ def native_cflags() -> List[str]:
     return ["-O2"]
 
 
+#: (source bytes, flag) steps of :func:`adaptive_cflags`, largest first
+_CFLAGS_BY_SIZE = ((1 << 20, "-O0"), (256 << 10, "-O1"))
+
+
 def adaptive_cflags(source: str) -> List[str]:
     """Size-aware flags: big straight-line cones drop the opt level.
 
@@ -133,20 +138,30 @@ def adaptive_cflags(source: str) -> List[str]:
     """
     if os.environ.get(ENV_CFLAGS, "").strip():
         return native_cflags()
-    if len(source) > (1 << 20):
-        return ["-O0"]
-    if len(source) > (256 << 10):
-        return ["-O1"]
-    return ["-O2"]
+    for limit, flag in _CFLAGS_BY_SIZE:
+        if len(source) > limit:
+            return [flag]
+    return native_cflags()
 
 
 def toolchain_info() -> Dict[str, object]:
-    """One-line description of the toolchain (CLI / artifact metadata)."""
+    """One-line description of the toolchain (CLI / artifact metadata).
+
+    ``cflags`` states the :func:`adaptive_cflags` size policy every
+    build follows; each build is counted under the flags it used in
+    ``repro_native_builds_total{cflags=...}``.
+    """
+    cflags = " ".join(native_cflags())
+    if os.environ.get(ENV_CFLAGS, "").strip():
+        cflags += f" (${ENV_CFLAGS}, every source size)"
+    else:
+        cflags += "".join(f"; {flag} above {limit} source bytes"
+                          for limit, flag in reversed(_CFLAGS_BY_SIZE))
     return {
         "available": toolchain_available(),
         "compiler": find_compiler(),
         "loader": _loader_kind(),
-        "cflags": " ".join(native_cflags()),
+        "cflags": cflags,
         "schema_version": NATIVE_SCHEMA_VERSION,
     }
 
@@ -274,6 +289,9 @@ def build_shared_object(source: str, tag: str = "mod",
         return so_path
     _count("repro_native_disk_cache_misses_total",
            "native .so artifacts compiled from source")
+    _count("repro_native_builds_total",
+           "native .so artifacts compiled, by the flags they used",
+           cflags=" ".join(cflags))
     try:
         from .obs.metrics import REGISTRY
         REGISTRY.counter(
@@ -360,10 +378,12 @@ def _parse_cdef(cdef: str) -> Dict[str, Tuple[object, List[object]]]:
 class NativeModule:
     """A loaded shared object behind a loader-neutral facade.
 
-    ``fn(name)`` returns the exported function; ``u64_buffer`` /
-    ``i64_buffer`` allocate indexable machine arrays the functions
-    accept as pointer arguments.  Works identically over cffi ABI mode
-    and ctypes so the simulators never branch on the loader.
+    ``fn(name)`` returns the exported function; ``u64_buffer``
+    allocates an indexable machine array the functions accept as a
+    pointer argument, ``u64_view`` aliases one as a memoryview, and
+    ``u64_arg`` passes a Python int sequence as a pointer argument.
+    Works identically over cffi ABI mode and ctypes so the simulators
+    never branch on the loader.
     """
 
     def __init__(self, path: str, cdef: str):
@@ -387,19 +407,15 @@ class NativeModule:
 
     def u64_buffer(self, init) -> object:
         """A uint64 array: pass an int length or an initial sequence."""
-        if isinstance(init, int):
-            n, values = init, None
-        else:
-            values = list(init)
-            n = len(values)
-        n = max(1, n)
+        values = None if isinstance(init, int) else list(init)
+        n = max(1, init if values is None else len(values))
         if self._ffi is not None:
             buf = self._ffi.new("uint64_t[]", n)
         else:
             buf = (ctypes.c_uint64 * n)()
         if values:
-            for i, v in enumerate(values):
-                buf[i] = v & 0xFFFFFFFFFFFFFFFF
+            self.u64_view(buf)[:len(values)] = array(
+                "Q", [v & 0xFFFFFFFFFFFFFFFF for v in values])
         return buf
 
     def u64_view(self, buf) -> memoryview:
@@ -407,30 +423,27 @@ class NativeModule:
 
         Element access on raw cffi/ctypes arrays goes through the FFI
         layer (~4x a dict access); a flat memoryview over the same
-        storage indexes at plain-buffer speed.  Use the view for
+        storage indexes at plain-buffer speed and takes slice
+        assignment from an ``array('Q')``.  Use the view for
         Python-side reads/pokes and keep passing the original buffer
         to the native functions.
         """
         if self._ffi is not None:
             return memoryview(self._ffi.buffer(buf)).cast("Q")
-        return memoryview(buf)
+        # ctypes exports '<Q', which memoryviews cannot index: recast
+        return memoryview(buf).cast("B").cast("Q")
 
-    def i64_buffer(self, init) -> object:
-        """An int64 array (state words): int length or sequence."""
-        if isinstance(init, int):
-            n, values = init, None
-        else:
-            values = list(init)
-            n = len(values)
-        n = max(1, n)
+    def u64_arg(self, values: Sequence[int]) -> object:
+        """*values* as a ``uint64_t*`` argument, in one bulk copy.
+
+        Raises :class:`OverflowError` when a value lies outside
+        ``[0, 2**64)``; the caller masks and retries.  The returned
+        object keeps the copy alive for the duration of the call.
+        """
+        words = array("Q", values)
         if self._ffi is not None:
-            buf = self._ffi.new("int64_t[]", n)
-        else:
-            buf = (ctypes.c_int64 * n)()
-        if values:
-            for i, v in enumerate(values):
-                buf[i] = v
-        return buf
+            return self._ffi.from_buffer("uint64_t[]", words)
+        return (ctypes.c_uint64 * len(words)).from_buffer(words)
 
 
 def compile_and_load(source: str, cdef: str,

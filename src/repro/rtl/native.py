@@ -28,6 +28,7 @@ themselves persist in the on-disk cache of :mod:`repro.native`.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -396,24 +397,27 @@ def compile_rtl_native(module: RtlModule,
 
 
 class _NativeEnv:
-    """Dict-like view over the native state array.
+    """Dict-like view over one instance's slots of a native state array.
 
     Fault-injection pokes (``env[name] ^= 1 << bit``) and probe reads
     hit the shared-object state directly, mirroring the interpreted
-    backend's ``env`` dict.
+    backend's ``env`` dict.  *view* is a ``NativeModule.u64_view``;
+    the instance's slots start at *base* (pattern-major batches).
     """
 
-    __slots__ = ("_v", "_index")
+    __slots__ = ("_v", "_base", "_index")
 
-    def __init__(self, v, index: Dict[str, int]):
-        self._v = v
+    def __init__(self, view: memoryview, index: Dict[str, int],
+                 base: int = 0):
+        self._v = view
+        self._base = base
         self._index = index
 
     def __getitem__(self, name: str) -> int:
-        return int(self._v[self._index[name]])
+        return self._v[self._base + self._index[name]]
 
     def __setitem__(self, name: str, value: int) -> None:
-        self._v[self._index[name]] = value & mask(64)
+        self._v[self._base + self._index[name]] = value & mask(64)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -438,7 +442,8 @@ class NativeRtlSimulator:
 
     Public surface mirrors :class:`~repro.rtl.simulate.RtlSimulator`;
     ``env`` is a dict-like view over the shared-object state array so
-    per-net pokes (fault injection) work unchanged.
+    per-net pokes (fault injection) work unchanged.  Python reads and
+    writes the state through memoryviews of the kernel's buffers.
     """
 
     backend = "native"
@@ -460,32 +465,39 @@ class NativeRtlSimulator:
         mod = self.program.module
         self._v = mod.u64_buffer(self.program.n_slots)
         self._m = mod.u64_buffer(max(self.program.mem_words, 1))
-        self.env = _NativeEnv(self._v, self.program.name_index)
+        # raw FFI element access is ~4x slower (NativeModule.u64_view)
+        self._vv = mod.u64_view(self._v)
+        self._mv = mod.u64_view(self._m)
+        self.env = _NativeEnv(self._vv, self.program.name_index)
         self._in_names = set(module.input_names())
         self._init_registers()
         for name, base, depth, width, contents in self.program.mem_layout:
             if contents is not None:
-                for i in range(depth):
-                    self._m[base + i] = contents[i] & mask(width)
+                self._fill(base, [contents[i] & mask(width)
+                                  for i in range(depth)])
         self.settle()
 
     def _init_registers(self) -> None:
         index = self.program.name_index
         for reg in self.module.registers:
-            self._v[index[reg.name]] = reg.init & mask(reg.width)
+            self._vv[index[reg.name]] = reg.init & mask(reg.width)
+
+    def _fill(self, base: int, values: List[int]) -> None:
+        """Overwrite ``MEM[base:base + len(values)]``."""
+        self._mv[base:base + len(values)] = array("Q", values)
 
     # ------------------------------------------------------------------
     def set_input(self, name: str, value: int) -> None:
         if name not in self._in_names:
             raise RtlError(
                 f"{name!r} is not an input of {self.module.name!r}")
-        self._v[self.program.name_index[name]] = \
+        self._vv[self.program.name_index[name]] = \
             value & mask(self.module.net_width(name))
 
     def get(self, name: str) -> int:
         """Read any net (input, register, assign, output port)."""
         target = self.module.outputs.get(name, name)
-        return int(self._v[self.program.name_index[target]])
+        return self._vv[self.program.name_index[target]]
 
     def port_widths(self) -> Dict[str, int]:
         """Widths of all ports, inputs first (coverage sampling helper)."""
@@ -496,7 +508,7 @@ class NativeRtlSimulator:
     def peek_memory(self, name: str) -> List[int]:
         for mem_name, base, depth, _, _ in self.program.mem_layout:
             if mem_name == name:
-                return [int(self._m[base + i]) for i in range(depth)]
+                return self._mv[base:base + depth].tolist()
         raise RtlError(f"no memory named {name!r}")
 
     def load_memory(self, name: str, contents: Sequence[int]) -> None:
@@ -507,8 +519,7 @@ class NativeRtlSimulator:
                         f"memory {name!r}: {len(contents)} values for "
                         f"depth {depth}"
                     )
-                for i, v in enumerate(contents):
-                    self._m[base + i] = v & mask(width)
+                self._fill(base, [v & mask(width) for v in contents])
                 return
         raise RtlError(f"no memory named {name!r}")
 
@@ -527,7 +538,6 @@ class NativeRtlSimulator:
         self._init_registers()
         for name, base, depth, width, contents in self.program.mem_layout:
             if contents is None:
-                for i in range(depth):
-                    self._m[base + i] = 0
+                self._fill(base, [0] * depth)
         self.cycles = 0
         self.settle()

@@ -11,6 +11,7 @@ random netlists, for both generated-code engines.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import L0, L1, LX, LZ
 from repro.gatesim import (BACKENDS, COMPILE_CACHE, CompileCache,
@@ -262,24 +263,44 @@ def test_parallel_patterns_match_interpreted_runs(backend):
     """
     m = _rand_module(123)
     nl = optimize(map_to_gates(m))
-    n_patterns = 8
-    comp = GateSimulator(nl, backend=backend, n_patterns=n_patterns)
-    interps = [GateSimulator(nl) for _ in range(n_patterns)]
-    rng = random.Random(9)
     widths = {name: len(nets) for name, nets in nl.inputs.items()}
-    for cycle in range(10):
-        for name, w in widths.items():
-            vals = [rng.randrange(1 << w) for _ in range(n_patterns)]
-            comp.set_input_patterns(name, vals)
-            for sim, v in zip(interps, vals):
-                sim.set_input(name, v)
-        for port in nl.outputs:
-            for p, sim in enumerate(interps):
-                assert comp.get_logic_pattern(port, p) == \
-                    sim.get_logic(port), (port, p, cycle)
-        comp.step()
-        for sim in interps:
-            sim.step()
+    for n_patterns in (1, 3, 8, 64):
+        comp = GateSimulator(nl, backend=backend, n_patterns=n_patterns)
+        interps = [GateSimulator(nl) for _ in range(n_patterns)]
+        rng = random.Random(9 + n_patterns)
+        for cycle in range(10):
+            for name, w in widths.items():
+                # out-of-range values too: both sides mask to the port
+                vals = [rng.randrange(-(1 << 65), 1 << 65)
+                        if rng.random() < 0.2 else rng.randrange(1 << w)
+                        for _ in range(n_patterns)]
+                comp.set_input_patterns(name, tuple(vals) if cycle % 2
+                                        else vals)
+                for sim, v in zip(interps, vals):
+                    sim.set_input(name, v)
+            for port in nl.outputs:
+                for p, sim in enumerate(interps):
+                    assert comp.get_logic_pattern(port, p) == \
+                        sim.get_logic(port), (port, p, cycle, n_patterns)
+            comp.step()
+            for sim in interps:
+                sim.step()
+
+
+def _wire(width):
+    """Input ``a`` straight to output ``y``, *width* bits."""
+    nl = Netlist(f"wire{width}")
+    nl.set_output("y", nl.add_input("a", width))
+    return nl
+
+
+def _edge_values(n_patterns):
+    """Negative, wider-than-port, >= 2**63 and >= 2**64 values."""
+    pool = [0, 1, -1, -2, 5, 1 << 63, (1 << 64) - 1, 1 << 64,
+            (1 << 64) + 3, (1 << 65) + 0x1234, -(1 << 63), -(1 << 70) - 9,
+            0x9E3779B97F4A7C15]
+    return [pool[p % len(pool)] * (p // len(pool) + 1)
+            for p in range(n_patterns)]
 
 
 @pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
@@ -294,6 +315,53 @@ def test_get_patterns_round_trip(backend):
     comp = GateSimulator(nl, backend=backend, n_patterns=4)
     comp.set_input_patterns("a", [0, 3, 5, 7])
     assert comp.get_patterns("y") == [7, 4, 2, 0]
+
+    # every value is taken modulo 2**width, negative ones as two's
+    # complement, on ports narrower than, equal to and wider than the
+    # 64-bit machine word; lists and tuples alike
+    for width in (1, 63, 64, 65):
+        for n_patterns in (1, 3, 64):
+            sim = GateSimulator(_wire(width), backend=backend,
+                                n_patterns=n_patterns)
+            values = _edge_values(n_patterns)
+            want = [v % (1 << width) for v in values]
+            for kind in (list, tuple):
+                sim.set_input_patterns("a", kind(values))
+                assert sim.get_patterns("y") == want, (width, n_patterns)
+            # an X driven by set_input_logic is cleared by the next
+            # set_input_patterns
+            sim.set_input_logic("a", [LX] * width)
+            with pytest.raises(GateSimError):
+                sim.get_patterns("y")
+            sim.set_input_patterns("a", values[::-1])
+            assert sim.get_patterns("y") == want[::-1]
+            with pytest.raises(GateSimError):
+                sim.set_input_patterns("a", values + [0])  # wrong length
+            with pytest.raises(GateSimError):
+                sim.set_input_patterns("nope", values)  # unknown port
+
+
+#: port widths around the 64-bit word edge, plus a few small ones
+_PROPERTY_WIDTHS = (1, 2, 7, 32, 63, 64, 65)
+#: one netlist per width, so the engines compile each width once
+_WIRES = {}
+
+
+@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pattern_io_property(backend, data):
+    """Any width, pattern count and values: a wire returns every value
+    modulo 2**width, on every generated-code engine."""
+    width = data.draw(st.sampled_from(_PROPERTY_WIDTHS), label="width")
+    n_patterns = data.draw(st.integers(1, 64), label="n_patterns")
+    values = data.draw(st.lists(
+        st.integers(-(1 << 70), 1 << 70) | st.integers(0, (1 << width) - 1),
+        min_size=n_patterns, max_size=n_patterns), label="values")
+    sim = GateSimulator(_WIRES.setdefault(width, _wire(width)),
+                        backend=backend, n_patterns=n_patterns)
+    sim.set_input_patterns("a", values)
+    assert sim.get_patterns("y") == [v % (1 << width) for v in values]
 
 
 def test_vectorized_runs_past_the_word_cap():

@@ -10,14 +10,22 @@ bound evicts coldest-first.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compile_cache import CompileCache
-from repro.hls import memports
+from repro.hls import (HlsProgram, PortWrite, Scheduler,
+                       SchedulingConstraints, WaitCycle, memports)
 from repro.hls.compiled import (CompiledFsm, CompiledFsmBatch,
                                 HLS_COMPILE_CACHE, compile_fsm, fsm_digest)
 from repro.hls.interpreter import FsmInterpreter
+from repro.hls.native import NativeFsmBatch
+from repro.native import toolchain_available
 from repro.src_design.behavioral import build_main_fsm
 from repro.src_design.params import PAPER_PARAMS, SMALL_PARAMS
+
+#: the lane-array batch engines checked against the compiled batch
+#: (native needs a host C toolchain)
+NATIVE_BATCHES = (NativeFsmBatch,) if toolchain_available() else ()
 
 
 def _in_ports(fsm):
@@ -64,42 +72,106 @@ def test_scalar_equivalence(params, optimized):
 
 def test_batch_matches_scalars():
     """Each batch pattern is a private simulation: per-pattern stimulus
-    and per-pattern memory pokes stay fully independent."""
+    and per-pattern memory pokes stay fully independent.  The native
+    batch matches the compiled one lane for lane, outputs every cycle;
+    some stimulus values lie outside the port (negative or too wide),
+    which every engine masks to the port width."""
     fsm = build_main_fsm(SMALL_PARAMS, True)
-    n = 5
-    batch = CompiledFsmBatch(fsm, n)
-    scalars = [CompiledFsm(fsm) for _ in range(n)]
-    rng = random.Random(3)
-    for cyc in range(600):
-        for name, span in _in_ports(fsm):
-            values = [rng.randrange(span) for _ in range(n)]
-            batch.set_input_patterns(name, values)
-            for scalar, value in zip(scalars, values):
-                scalar.set_input(name, value)
-        if cyc % 29 == 0:
-            victim = rng.randrange(n)
-            addr, data = rng.randrange(16), rng.randrange(1 << 8)
-            batch.write_memory(victim, "buf_r", addr, data)
-            scalars[victim].write_memory("buf_r", addr, data)
-        width = 1 if cyc % 4 else 3
-        batch.step(width)
-        for scalar in scalars:
-            scalar.step(width)
-    for i, scalar in enumerate(scalars):
-        assert batch.envs[i] == scalar.env, f"pattern {i} env diverged"
-        assert batch.states[i] == scalar.state
-        assert batch.memories[i] == scalar.memories
+    outputs = [p.name for p in fsm.program.ports.values()
+               if p.direction == "out"]
+    for n, cycles in ((5, 600), (1, 200), (3, 200), (64, 100)):
+        batch = CompiledFsmBatch(fsm, n)
+        natives = [engine(fsm, n) for engine in NATIVE_BATCHES]
+        scalars = [CompiledFsm(fsm) for _ in range(n)]
+        rng = random.Random(3 + n)
+        for cyc in range(cycles):
+            for name, span in _in_ports(fsm):
+                values = [rng.randrange(-(1 << 64), 1 << 65)
+                          if rng.random() < 0.1 else rng.randrange(span)
+                          for _ in range(n)]
+                for b in [batch] + natives:
+                    b.set_input_patterns(name, tuple(values) if cyc % 2
+                                         else values)
+                for scalar, value in zip(scalars, values):
+                    scalar.set_input(name, value)
+            if cyc % 29 == 0:
+                victim = rng.randrange(n)
+                addr, data = rng.randrange(16), rng.randrange(1 << 8)
+                for b in [batch] + natives:
+                    b.write_memory(victim, "buf_r", addr, data)
+                scalars[victim].write_memory("buf_r", addr, data)
+            width = 1 if cyc % 4 else 3
+            for b in [batch] + natives:
+                b.step(width)
+            for scalar in scalars:
+                scalar.step(width)
+            for nat in natives:
+                for name in outputs:
+                    assert nat.get_output_patterns(name) == \
+                        batch.get_output_patterns(name), (n, cyc, name)
+        for i, scalar in enumerate(scalars):
+            assert batch.envs[i] == scalar.env, f"pattern {i} env diverged"
+            assert batch.states[i] == scalar.state
+            assert batch.memories[i] == scalar.memories
+        for nat in natives:
+            assert nat.states == batch.states
+            for i in range(n):
+                assert {k: nat.envs[i][k] for k in batch.envs[i]} \
+                    == batch.envs[i], f"native pattern {i} env diverged"
+                for mem, data in batch.memories[i].items():
+                    assert nat.peek_memory(i, mem) == data
 
 
 def test_batch_broadcast_set_input():
     fsm = build_main_fsm(SMALL_PARAMS, True)
-    batch = CompiledFsmBatch(fsm, 3)
-    batch.set_input("req", 1)
-    assert all(env["req"] == 1 for env in batch.envs)
-    with pytest.raises(ValueError):
-        batch.set_input_patterns("req", [1, 0])  # wrong width
-    with pytest.raises(KeyError):
-        batch.set_input("out_valid", 1)  # not an input
+    for engine in (CompiledFsmBatch,) + NATIVE_BATCHES:
+        batch = engine(fsm, 3)
+        batch.set_input("req", 1)
+        assert all(env["req"] == 1 for env in batch.envs)
+        batch.set_input("phase", -1)  # masked to the 4-bit port
+        assert batch.envs[2]["phase"] == 15
+        with pytest.raises(ValueError):
+            batch.set_input_patterns("req", [1, 0])  # wrong width
+        with pytest.raises(KeyError):
+            batch.set_input("out_valid", 1)  # not an input
+        with pytest.raises(KeyError):
+            batch.set_input_patterns("nope", [1, 0, 1])  # unknown port
+        with pytest.raises(KeyError):
+            batch.get_output_patterns("req")  # not an output
+
+
+def _echo_fsm(width):
+    """``y`` follows input ``a`` one cycle later, *width* bits."""
+    prog = HlsProgram(f"echo{width}")
+    a = prog.input("a", width)
+    prog.output("y", width)
+    prog.body = [PortWrite("y", a), WaitCycle()]
+    return Scheduler(prog, SchedulingConstraints(clock_ns=200.0)).run()
+
+
+#: one echo FSM per port width around the 64-bit word edge
+_ECHOES = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_pattern_io_property(data):
+    """Any width up to the native 64-bit word, pattern count and
+    values: every batch engine echoes each value modulo 2**width,
+    lists and tuples alike."""
+    width = data.draw(st.sampled_from((1, 2, 8, 63, 64)), label="width")
+    n = data.draw(st.integers(1, 64), label="n_patterns")
+    values = data.draw(st.lists(
+        st.integers(-(1 << 70), 1 << 70) | st.integers(0, (1 << width) - 1),
+        min_size=n, max_size=n), label="values")
+    kind = data.draw(st.sampled_from((list, tuple)), label="kind")
+    fsm = _ECHOES.setdefault(width, _echo_fsm(width))
+    for engine in (CompiledFsmBatch,) + NATIVE_BATCHES:
+        batch = engine(fsm, n)
+        batch.set_input_patterns("a", kind(values))
+        batch.step(2)
+        assert batch.get_output_patterns("y") == \
+            [v % (1 << width) for v in values], engine.__name__
 
 
 def test_memory_monitor_parity():

@@ -3,19 +3,25 @@
 Covers the pieces the four-engine equivalence sweeps do not: compiler
 discovery and its ``$CC`` override, digest-addressed ``.so``
 persistence across processes, schema-version invalidation, corrupt
-artifact recovery, LRU eviction, the single-warning degradation to the
-compiled backend on toolchain-less hosts, and the Prometheus schema of
-the native cache counters.
+artifact recovery, LRU eviction, size-aware compile flags and their
+build counter, the single-warning degradation to the compiled backend
+on toolchain-less hosts, the Prometheus schema of the native cache
+counters, and pattern I/O through both FFI loaders (cffi and ctypes),
+whichever of them the host would pick by itself.
 """
 
 import os
+import random
 import subprocess
 import sys
 import warnings
+from array import array
 
 import pytest
 
 import repro.native as native
+from repro.compile_cache import CompileCache
+from repro.hls.native import NativeFsmBatch
 from repro.native import (NATIVE_SCHEMA_VERSION, NativeFallbackWarning,
                           build_shared_object, compile_and_load,
                           find_compiler, resolve_backend, source_digest,
@@ -41,6 +47,23 @@ def cache_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+try:
+    import cffi  # noqa: F401
+    LOADERS = ("cffi", "ctypes")
+except ImportError:
+    LOADERS = ("ctypes",)
+
+
+@pytest.fixture(params=["cffi", "ctypes"])
+def loader(request, monkeypatch):
+    """Force one FFI loader.  Engines built with a fresh
+    ``CompileCache`` load their module again under it."""
+    if request.param not in LOADERS:
+        pytest.skip("cffi is not installed")
+    monkeypatch.setattr(native, "_loader_kind", lambda: request.param)
+    return request.param
+
+
 @pytest.fixture
 def no_toolchain(monkeypatch):
     """Hide every C compiler; restore the probe cache afterwards."""
@@ -56,12 +79,20 @@ def _counter_value(name, **labels):
 
 
 # ------------------------------------------------------------ discovery
-def test_toolchain_info_shape():
+def test_toolchain_info_shape(monkeypatch):
     info = toolchain_info()
     assert set(info) == {"available", "compiler", "loader", "cflags",
                          "schema_version"}
     assert info["schema_version"] == NATIVE_SCHEMA_VERSION
     assert info["loader"] in ("cffi", "ctypes")
+    # provenance states the size policy builds follow, not one flag
+    monkeypatch.delenv("REPRO_NATIVE_CFLAGS", raising=False)
+    assert toolchain_info()["cflags"] == (
+        "-O2; -O1 above 262144 source bytes; -O0 above 1048576 "
+        "source bytes")
+    monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O3 -g")
+    assert toolchain_info()["cflags"] == \
+        "-O3 -g ($REPRO_NATIVE_CFLAGS, every source size)"
 
 
 @needs_cc
@@ -87,6 +118,7 @@ def test_disk_cache_hit_and_counters(cache_dir):
     misses0 = _counter_value("repro_native_disk_cache_misses_total")
     hits0 = _counter_value("repro_native_disk_cache_hits_total")
     bytes0 = _counter_value("repro_native_source_bytes_total")
+    builds0 = _counter_value("repro_native_builds_total", cflags="-O1")
     path1 = build_shared_object(SOURCE, tag="t")
     path2 = build_shared_object(SOURCE, tag="t")
     assert path1 == path2
@@ -96,6 +128,9 @@ def test_disk_cache_hit_and_counters(cache_dir):
     assert _counter_value("repro_native_disk_cache_hits_total") == hits0 + 1
     assert _counter_value("repro_native_source_bytes_total") \
         == bytes0 + len(SOURCE)
+    # the build is counted under the flags it really used
+    assert _counter_value("repro_native_builds_total", cflags="-O1") \
+        == builds0 + 1
     # exactly one artifact pair on disk
     assert len([f for f in os.listdir(cache_dir)
                 if f.endswith(".so")]) == 1
@@ -159,14 +194,128 @@ def test_lru_eviction(cache_dir, monkeypatch):
 
 
 @needs_cc
-def test_u64_view_aliases_buffer(cache_dir):
-    mod = compile_and_load(SOURCE, CDEF, tag="t")
-    buf = mod.u64_buffer([1, 2, 3])
-    view = mod.u64_view(buf)
-    view[1] = 77
-    assert buf[1] == 77
-    buf[2] = 9
-    assert view[2] == 9
+def test_size_policy_picks_the_build_flags(cache_dir, monkeypatch):
+    """Sources past 256 KiB build at -O1, past 1 MiB at -O0, and each
+    build is counted under the flags it used."""
+    monkeypatch.delenv("REPRO_NATIVE_CFLAGS")
+    for size, flag in ((0, "-O2"), ((256 << 10) + 1, "-O1"),
+                       ((1 << 20) + 1, "-O0")):
+        source = SOURCE + "/*" + "x" * max(0, size - len(SOURCE) - 4) \
+            + "*/"
+        assert native.adaptive_cflags(source) == [flag]
+        builds0 = _counter_value("repro_native_builds_total", cflags=flag)
+        build_shared_object(source, tag="t")
+        assert _counter_value("repro_native_builds_total",
+                              cflags=flag) == builds0 + 1
+
+
+@needs_cc
+def test_u64_view_aliases_buffer(cache_dir, monkeypatch):
+    for kind in LOADERS:
+        monkeypatch.setattr(native, "_loader_kind", lambda: kind)
+        mod = compile_and_load(SOURCE, CDEF, tag="t")
+        assert mod.loader == kind
+        buf = mod.u64_buffer([1, 2, 3])
+        view = mod.u64_view(buf)
+        view[1] = 77
+        assert buf[1] == 77
+        buf[2] = 9
+        assert view[2] == 9
+        view[0:3:2] = array("Q", [5, 6])  # strided slice assignment
+        assert list(buf) == [5, 77, 6]
+        assert view.tolist() == [5, 77, 6]
+
+
+# ----------------------------------------------- pattern I/O per loader
+@needs_cc
+def test_gate_pattern_io_under_loader(loader):
+    from repro.gatesim.native import NativeGateSimulator
+    from tests.test_gatesim_compiled import _edge_values, _wire
+
+    cache = CompileCache()
+    for width in (1, 63, 64, 65):
+        for n in (1, 3, 64):
+            sim = NativeGateSimulator(_wire(width), n_patterns=n,
+                                      cache=cache)
+            assert sim.program.module.loader == loader
+            values = _edge_values(n)
+            want = [v % (1 << width) for v in values]
+            sim.set_input_patterns("a", tuple(values))
+            assert sim.get_patterns("y") == want
+            ones, unks = sim.get_port_planes("y")
+            assert not any(unks)
+            assert ones == [sum(((v >> i) & 1) << p
+                                for p, v in enumerate(want))
+                            for i in range(width)]
+
+
+@needs_cc
+def test_beh_pattern_io_under_loader(loader):
+    from tests.test_gatesim_compiled import _edge_values
+    from tests.test_hls_compiled import _echo_fsm
+
+    cache = CompileCache()
+    for width in (1, 63, 64):
+        fsm = _echo_fsm(width)
+        for n in (1, 3, 64):
+            batch = NativeFsmBatch(fsm, n, cache=cache)
+            assert batch.compiled.module.loader == loader
+            values = _edge_values(n)
+            batch.set_input_patterns("a", values)
+            batch.step(2)
+            assert batch.get_output_patterns("y") == \
+                [v % (1 << width) for v in values]
+            batch.reset()
+            assert batch.get_output_patterns("y") == [0] * n
+            assert batch.states == [fsm.entry] * n
+
+
+@needs_cc
+def test_random_netlist_equivalence_under_loader(loader):
+    """Gate and RTL engines against the interpreters on one random
+    module with RAM, ROM and X injection."""
+    from repro.datatypes import L0, L1, LX
+    from repro.gatesim import GateSimulator
+    from repro.gatesim.native import NativeGateSimulator
+    from repro.rtl import RtlSimulator
+    from repro.rtl.native import NativeRtlSimulator
+    from repro.synth import map_to_gates, optimize
+    from tests.test_gatesim_compiled import _rand_module
+
+    seed = 4  # a module with a RAM and a ROM
+    module = _rand_module(seed)
+    assert {m.name for m in module.memories} == {"ram", "rom"}
+    nl = optimize(map_to_gates(module))
+    interp = GateSimulator(nl)
+    gate = NativeGateSimulator(nl, cache=CompileCache())
+    rtl_ref = RtlSimulator(module)
+    rtl = NativeRtlSimulator(module, cache=CompileCache())
+    assert gate.program.module.loader == rtl.program.module.loader \
+        == loader
+    rng = random.Random(seed)
+    widths = {name: len(nets) for name, nets in nl.inputs.items()}
+    for cycle in range(16):
+        for name, w in widths.items():
+            if rng.random() < 0.25:
+                vals = [rng.choice((L0, L1, LX)) for _ in range(w)]
+                interp.set_input_logic(name, vals)
+                gate.set_input_logic(name, vals)
+            else:
+                v = rng.randrange(1 << w)
+                for sim in (interp, gate, rtl_ref, rtl):
+                    sim.set_input(name, v)
+        for port in nl.outputs:
+            assert interp.get_logic(port) == gate.get_logic(port), \
+                (port, cycle)
+            assert rtl_ref.get(port) == rtl.get(port), (port, cycle)
+        for sim in (interp, gate, rtl_ref, rtl):
+            sim.step()
+    assert rtl.peek_memory("ram") == rtl_ref.peek_memory("ram")
+    assert gate.memory_model("ram").peek() == \
+        interp.memory_model("ram").peek()
+    for sim in (interp, gate, rtl_ref, rtl):
+        sim.reset()
+    assert gate.values == interp.values
 
 
 # --------------------------------------------------------- degradation
@@ -234,4 +383,5 @@ def test_prometheus_native_cache_rows(cache_dir):
                    "repro_compile_cache_evictions_total"):
         assert f'{family}{{backend="native",cache="rtl"}}' in text, family
     assert "repro_native_disk_cache_misses_total" in text
+    assert 'repro_native_builds_total{cflags="-O1"}' in text
     assert "repro_native_source_bytes_total" in text
