@@ -24,15 +24,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..engines import engine_class
 from ..flow import Level, build_module, run_level as run_flow_level
 from ..gatesim import GateSimulator
 from ..hls.codegen import generate_rtl
-from ..hls.compiled import CompiledFsm
-from ..hls.interpreter import FsmInterpreter
 from ..hls.ir import (Assign, HlsProgram, If, MemReadStmt, MemWriteStmt,
                       PortWrite, WaitUntil)
 from ..hls.schedule import Scheduler, SchedulingConstraints
-from ..hls.vectorized import VectorizedFsm
 from ..kernel.simtime import period_ps
 from ..rtl.expr import (Add, BitAnd, BitNot, BitXor, Case, Cat, Cmp, Const,
                         Expr, Mul, Ref, Slice, Sub)
@@ -259,17 +257,7 @@ class HlsCorpusDesign:
     # -- simulation -----------------------------------------------------
     def run_level(self, level: str, backend: str = "interpreted"):
         if level == "beh":
-            fsm = self.fsm()
-            if backend == "native":
-                from ..native import resolve_backend
-                backend = resolve_backend(backend)
-            if backend == "native":
-                from ..hls.native import NativeFsm
-                sim = NativeFsm(fsm)
-            else:
-                sim = {"interpreted": FsmInterpreter,
-                       "compiled": CompiledFsm,
-                       "vectorized": VectorizedFsm}[backend](fsm)
+            sim = engine_class(backend, "fsm")(self.fsm())
             frames, _ = _run_transactions(self, sim.set_input,
                                           sim.get_output, sim.step)
             return frames

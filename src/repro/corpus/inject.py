@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..fi.campaign import _classify
+from ..fi.campaign import _classify, fi_batch_width
 from ..fi.faults import Fault, build_overlay, control_name
 from ..fi.faultload import generate_gate_faultload
 from ..gatesim import GateSimulator
 from .designs import CorpusError
 
-#: parallel-fault lanes per compiled batch (pattern 0 stays fault-free)
+#: faults per batch on an engine that does not sweep (pattern 0 stays
+#: fault-free, so a batch fills native's 64-pattern gate word)
 COMPILED_BATCH = 63
 
 
@@ -156,7 +157,7 @@ def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
                         backend: str = "compiled",
                         detect_ports: Sequence[str] = ()) -> list:
     """Run a whole faultload in batches; returns FaultRecords."""
-    batch = len(faults) if backend == "vectorized" else COMPILED_BATCH
+    batch = fi_batch_width("gate", backend, len(faults), 1, COMPILED_BATCH)
     records = []
     for lo in range(0, len(faults), batch):
         records.extend(run_waveform_batch(

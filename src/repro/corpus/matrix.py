@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .. import engines
 from ..fi.campaign import PoolInterrupted, parallel_map
 from ..fi.report import tally
 from ..obs.trace import span
@@ -29,7 +30,7 @@ from .inject import (generate_design_faultload, run_design_campaign,
 
 #: simulation engines every level is cross-checked on ("native"
 #: silently runs as "compiled" when no C toolchain is present)
-ENGINES = ("interpreted", "compiled", "vectorized", "native")
+ENGINES = tuple(engines.ENGINES)
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,13 @@ class CorpusConfig:
     strategy: str = "tmr"
     models: Tuple[str, ...] = ("seu",)
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        # the backend runs the gate-level fault batches
+        valid = engines.batch_engines("gate")
+        if self.backend not in valid:
+            raise CorpusError(f"unknown corpus backend {self.backend!r} "
+                              f"(expected one of {valid})")
 
 
 @dataclass

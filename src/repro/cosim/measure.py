@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..engines import lookup
 from ..flow.performance import SimPerfResult
 from ..gatesim import GateSimulator
 from ..rtl import RtlSimulator
@@ -86,13 +87,13 @@ def measure_gate_throughput(params: SrcParams, kind: str, cycles: int,
     where parallel patterns pay off: with ``n_patterns=N`` each
     simulated cycle evaluates N independent stimulus vectors, and
     :attr:`SimPerfResult.cycles_per_second` reports pattern-cycles per
-    second.  The compiled backend packs patterns into one machine word
-    (N <= 64); the vectorized backend packs them into numpy uint64
-    bitplane arrays with no width cap; the native backend packs them
-    into C ``uint64_t`` bitplanes compiled by the host toolchain.
+    second.  The compiled backend packs patterns into Python-int
+    bitplanes and the vectorized backend into numpy uint64 bitplane
+    arrays, neither with a width cap; the native backend packs them
+    into one C ``uint64_t`` word (N <= 64, see :mod:`repro.engines`).
     """
     netlist = _gate_netlist(params, kind)
-    if backend in ("compiled", "vectorized", "native"):
+    if lookup(backend).batches("gate"):
         sim = GateSimulator(netlist, backend=backend,
                             n_patterns=n_patterns)
     else:

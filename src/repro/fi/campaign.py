@@ -6,30 +6,19 @@ spaces, and lockstep execution of every fault against the
 schedule-matched golden model -- the dependability-assessment
 counterpart of the flow's bit-accuracy refinement checks.
 
-Execution strategies:
+Execution strategies -- which one runs is decided by the engine's
+entry in :data:`repro.engines.ENGINES` (see :func:`fi_batch_width`):
 
-* **gate level, compiled** -- parallel-fault simulation: faults are
-  batched into one saboteur overlay and run through the compiled
-  backend's pattern planes, pattern 0 carrying the fault-free run as an
-  in-flight golden cross-check.  One codegen pass and one simulation
-  sweep classify a whole batch (up to the 64-pattern machine-word cap).
-* **gate level, vectorized** -- the same parallel-fault scheme on the
-  numpy bitplane backend, whose pattern width is unbounded: the whole
-  seeded faultload becomes a single sweep instead of a queue of
-  word-sized batches, keeping the pattern-0 golden cross-check.
-* **gate level, interpreted** -- one saboteur overlay and one
-  selective-trace simulation per fault (the throughput baseline).
-* **rtl** -- register-bit flips poked straight into the simulator
-  environment.  The interpreted and compiled engines run one fault per
-  simulation; the vectorized engine sweeps the whole faultload at once,
-  one lane per fault plus the fault-free lane 0.
-* **beh** -- FSM variable-bit flips.  On the compiled behavioural
-  backend faults are batched into the pattern planes of one
-  :class:`~repro.hls.compiled.CompiledFsmBatch` (pattern 0 fault-free
-  as the in-flight golden cross-check, exactly like the gate batches);
-  the vectorized backend runs the same scheme whole-faultload-wide on
-  uint64 lane arrays; the interpreted engine runs one fault per
-  simulation.
+* **batched** -- on an engine that holds several patterns at the
+  campaign's level, faults are batched into one simulation: gate
+  faults into one saboteur overlay over the pattern planes, RTL and
+  behavioural faults as per-pattern bit flips.  Pattern 0 carries the
+  fault-free run as an in-flight golden cross-check.  A sweeping
+  engine (vectorized) takes the whole faultload, split only to feed
+  every worker; the others take ``batch_size`` faults per batch.
+* **one fault per run** -- on an engine that holds a single pattern
+  at the level (interpreted everywhere; compiled and native at RTL),
+  each fault gets its own simulation.
 
 Campaigns scale across a ``multiprocessing`` worker pool
 (:func:`parallel_map`); classification is a pure function of
@@ -49,6 +38,7 @@ from ..compile_cache import (absorb_deltas, aggregate_stats,
                              counters_delta, counters_snapshot)
 from ..datatypes import logic as L
 from ..datatypes.integers import wrap_signed
+from ..engines import ENGINES, batch_engines
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
 from ..obs.metrics import REGISTRY
@@ -93,12 +83,11 @@ class CampaignConfig:
     budget: str = "small"            # workload size, see BUDGET_FRAMES
     models: Tuple[str, ...] = FAULT_MODELS
     exhaustive: bool = False
-    #: classification engine: 'compiled' (word-width pattern batches),
-    #: 'vectorized' (whole-faultload numpy sweeps) or 'native'
-    #: (word-width C batches; degrades to 'compiled' sans toolchain)
+    #: classification engine, one of :func:`repro.engines.batch_engines`
+    #: ('native' degrades to 'compiled' sans toolchain)
     backend: str = "compiled"
-    #: faults per compiled-overlay batch (plus pattern 0 = fault-free);
-    #: the vectorized engine ignores this -- its batch is the faultload
+    #: faults per batch (plus pattern 0 = fault-free); a sweeping
+    #: engine ignores this -- its batch is the faultload
     batch_size: int = 31
     #: faults re-run on the interpreted engine for the throughput probe
     probe_faults: int = 16
@@ -107,10 +96,10 @@ class CampaignConfig:
         if self.level not in LEVELS:
             raise CampaignError(
                 f"unknown level {self.level!r} (expected one of {LEVELS})")
-        if self.backend not in ("compiled", "vectorized", "native"):
+        if self.backend not in batch_engines():
             raise CampaignError(
                 f"unknown campaign backend {self.backend!r} "
-                "(expected 'compiled', 'vectorized' or 'native')")
+                f"(expected one of {batch_engines()})")
         if self.budget not in BUDGET_FRAMES:
             raise CampaignError(
                 f"unknown budget {self.budget!r} "
@@ -119,6 +108,12 @@ class CampaignConfig:
             raise CampaignError("n_faults must be >= 1")
         if self.batch_size < 1:
             raise CampaignError("batch_size must be >= 1")
+        cap = ENGINES[self.backend].max_patterns[self.level]
+        if cap is not None and cap > 1 and self.batch_size >= cap:
+            raise CampaignError(
+                f"batch_size {self.batch_size} plus the fault-free "
+                f"pattern exceeds the {cap}-pattern {self.level} batch "
+                f"of the {self.backend!r} engine")
         return self
 
 
@@ -175,8 +170,8 @@ def build_campaign_netlist(params: SrcParams) -> "object":
     return synthesize(build_module(params, Level.GATE_RTL))
 
 
-def _drive_workload_inputs(sim, events) -> None:
-    """Drive one tick's schedule events on the DUT inputs (broadcast)."""
+def _workload_stimulus(events):
+    """Split one tick's schedule events into (frame, cfg, req)."""
     frame = None
     cfg = None
     req = False
@@ -187,6 +182,12 @@ def _drive_workload_inputs(sim, events) -> None:
             req = True
         elif ev.kind == KIND_MODE:
             cfg = ev.value
+    return frame, cfg, req
+
+
+def _drive_workload_inputs(sim, events) -> None:
+    """Drive one tick's schedule events on the DUT inputs (broadcast)."""
+    frame, cfg, req = _workload_stimulus(events)
     sim.set_input("in_valid", 1 if frame is not None else 0)
     if frame is not None:
         sim.set_input("in_l", frame[0])
@@ -242,9 +243,8 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
     The fault-free pattern doubles as an in-run sanity check: if it
     diverges from the golden model the harness itself is broken.
 
-    *backend* selects the pattern engine: ``"compiled"`` and
-    ``"native"`` cap batches at the 64-pattern machine word,
-    ``"vectorized"`` takes a whole faultload in one numpy sweep.
+    *backend* selects the pattern engine; its pattern cap is in
+    :data:`repro.engines.ENGINES` (native: one 64-pattern word).
     """
     overlay = build_overlay(netlist, faults)
     n = len(faults)
@@ -418,16 +418,7 @@ def run_rtl_fault(module, workload: Workload, fault: Fault,
                 sim.env[fault.target] = (
                     sim.env[fault.target] ^ (1 << fault.bit))
                 sim.settle()
-            frame = None
-            cfg = None
-            req = False
-            for ev in by_tick.get(tick, ()):
-                if ev.kind == KIND_IN:
-                    frame = ev.value
-                elif ev.kind == KIND_OUT:
-                    req = True
-                elif ev.kind == KIND_MODE:
-                    cfg = ev.value
+            frame, cfg, req = _workload_stimulus(by_tick.get(tick, ()))
             result = driver.cycle(frame=frame, cfg=cfg, req=req)
             if result is not None:
                 outputs.append(tuple(result))
@@ -438,7 +429,8 @@ def run_rtl_fault(module, workload: Workload, fault: Fault,
 
 
 def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
-                  params: SrcParams) -> List[FaultRecord]:
+                  params: SrcParams,
+                  backend: str = "vectorized") -> List[FaultRecord]:
     """Classify a batch of RTL faults in one vectorized sweep.
 
     One :class:`~repro.rtl.vectorized.VectorizedRtlSimulator` carries
@@ -452,7 +444,7 @@ def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
     import numpy as np
 
     n = len(faults)
-    sim = RtlSimulator(module, backend="vectorized", n_patterns=n + 1)
+    sim = RtlSimulator(module, backend=backend, n_patterns=n + 1)
     pokes: Dict[int, List[Tuple[int, Fault]]] = {}
     for b, fault in enumerate(faults):
         pokes.setdefault(fault.cycle, []).append((b + 1, fault))
@@ -495,21 +487,6 @@ def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
 # behavioural level: FSM variable-bit flips
 # ----------------------------------------------------------------------
 
-def _workload_stimulus(events):
-    """Split one tick's schedule events into (frame, cfg, req)."""
-    frame = None
-    cfg = None
-    req = False
-    for ev in events:
-        if ev.kind == KIND_IN:
-            frame = ev.value
-        elif ev.kind == KIND_OUT:
-            req = True
-        elif ev.kind == KIND_MODE:
-            cfg = ev.value
-    return frame, cfg, req
-
-
 def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
                   params: SrcParams,
                   backend: str = "compiled") -> List[FaultRecord]:
@@ -540,11 +517,7 @@ def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
     tick = 0
     while tick <= workload.cycle_budget and remaining:
         for p, fault in pokes.get(tick, ()):
-            if backend == "vectorized":
-                sim.batch.flip_bit(p, fault.target, fault.bit)
-            else:
-                env = sim.batch.envs[p]
-                env[fault.target] = env[fault.target] ^ (1 << fault.bit)
+            sim.batch.flip_bit(p, fault.target, fault.bit)
         frame, cfg, req = _workload_stimulus(by_tick.get(tick, ()))
         if frame is not None:
             sim.drive_input(frame[0], frame[1])
@@ -623,111 +596,74 @@ def _init_worker(params: SrcParams, level: str, seed: int,
     _WORKER.clear()
     _WORKER["key"] = key
     _WORKER["params"] = params
+    _WORKER["level"] = level
     _WORKER["backend"] = backend
     with span("fi.workload", seed=seed, budget=budget):
         _WORKER["workload"] = make_workload(params, seed, budget)
     with span("fi.build_dut", level=level):
         if level == "gate":
-            _WORKER["netlist"] = build_campaign_netlist(params)
+            _WORKER["dut"] = build_campaign_netlist(params)
         elif level == "beh":
-            _WORKER["fsm"] = build_main_fsm(params, True)
+            _WORKER["dut"] = build_main_fsm(params, True)
         else:
-            _WORKER["module"] = build_module(params, Level.RTL_OPT)
+            _WORKER["dut"] = build_module(params, Level.RTL_OPT)
 
 
-# The cross-process compile-cache aggregation (snapshot / delta /
-# absorb) now lives in :mod:`repro.compile_cache`, shared with the
-# parallel verification harness, the campaign service and the artifact
-# writers; the historical names are kept as aliases for existing
-# callers.
-cache_counters = counters_snapshot
-cache_delta = counters_delta
-absorb_cache_deltas = absorb_deltas
+def _runners(level: str):
+    """The (batch, one-fault) classifiers of a campaign level."""
+    # built per call, so wrappers patched onto this module's functions
+    # (the benchmark's traced run) see every call
+    return {"gate": (run_gate_batch, run_gate_fault_scalar),
+            "rtl": (run_rtl_batch, run_rtl_fault),
+            "beh": (run_beh_batch, run_beh_fault_scalar)}[level]
 
 
-def _gate_batch_task(faults: Sequence[Fault]):
-    """Pool task: classify one batch; returns records + cache deltas."""
+def fi_batch_width(level: str, backend: str, n_faults: int, workers: int,
+                   batch_size: int) -> Optional[int]:
+    """Faults per batch when *backend* classifies at *level*.
+
+    None when the engine holds one pattern at that level: each fault
+    then runs in its own simulation.  A sweeping engine takes the whole
+    faultload, split only to feed every worker; any other takes
+    *batch_size* faults (plus the fault-free pattern 0).
+    """
+    engine = ENGINES[backend]
+    if not engine.batches(level):
+        return None
+    if engine.sweeps:
+        return max(1, -(-n_faults // max(workers, 1)))
+    return batch_size
+
+
+def _fi_task(faults: Sequence[Fault]):
+    """Pool task: classify a slice of the faultload on the campaign's
+    engine; returns the records and the compile-cache deltas."""
+    level, backend = _WORKER["level"], _WORKER["backend"]
+    dut, workload = _WORKER["dut"], _WORKER["workload"]
+    params = _WORKER["params"]
+    batch, single = _runners(level)
     before = counters_snapshot()
-    with span("fi.batch", level="gate", n_faults=len(faults)):
-        try:
-            records = run_gate_batch(_WORKER["netlist"],
-                                     _WORKER["workload"],
-                                     faults, _WORKER["params"],
-                                     backend=_WORKER.get("backend",
-                                                         "compiled"))
-        except CampaignError:
-            raise
-        except Exception:
-            # a whole-batch failure cannot be attributed to one fault:
-            # isolate by re-running each fault in its own
-            # single-pattern run
-            records = [
-                run_gate_fault_scalar(_WORKER["netlist"],
-                                      _WORKER["workload"],
-                                      fault, _WORKER["params"],
-                                      backend="compiled")
-                for fault in faults
-            ]
-    after = counters_snapshot()
-    return records, counters_delta(before, after)
-
-
-def _rtl_fault_task(fault: Fault):
-    """Pool task: classify one RTL fault; returns record + cache deltas."""
-    before = counters_snapshot()
-    with span("fi.fault", level="rtl", target=fault.target):
-        record = run_rtl_fault(_WORKER["module"], _WORKER["workload"],
-                               fault, _WORKER["params"],
-                               backend=_WORKER.get("backend",
-                                                   "compiled"))
-    after = counters_snapshot()
-    return record, counters_delta(before, after)
-
-
-def _rtl_batch_task(faults: Sequence[Fault]):
-    """Pool task: classify one vectorized RTL sweep; records + deltas."""
-    before = counters_snapshot()
-    with span("fi.batch", level="rtl", n_faults=len(faults)):
-        try:
-            records = run_rtl_batch(_WORKER["module"], _WORKER["workload"],
-                                    faults, _WORKER["params"])
-        except CampaignError:
-            raise
-        except Exception:
-            # a whole-sweep failure cannot be attributed to one fault:
-            # isolate by re-running each fault in its own scalar run
-            records = [
-                run_rtl_fault(_WORKER["module"], _WORKER["workload"],
-                              fault, _WORKER["params"],
-                              backend="compiled")
-                for fault in faults
-            ]
-    after = counters_snapshot()
-    return records, counters_delta(before, after)
-
-
-def _beh_batch_task(faults: Sequence[Fault]):
-    """Pool task: classify one behavioural batch; records + deltas."""
-    before = counters_snapshot()
-    with span("fi.batch", level="beh", n_faults=len(faults)):
-        try:
-            records = run_beh_batch(_WORKER["fsm"], _WORKER["workload"],
-                                    faults, _WORKER["params"],
-                                    backend=_WORKER.get("backend",
-                                                        "compiled"))
-        except CampaignError:
-            raise
-        except Exception:
-            # a whole-batch failure cannot be attributed to one fault:
-            # isolate by re-running each fault in its own scalar run
-            records = [
-                run_beh_fault_scalar(_WORKER["fsm"], _WORKER["workload"],
-                                     fault, _WORKER["params"],
-                                     backend="compiled")
-                for fault in faults
-            ]
-    after = counters_snapshot()
-    return records, counters_delta(before, after)
+    if not ENGINES[backend].batches(level):
+        records = []
+        for fault in faults:
+            with span("fi.fault", level=level, target=fault.target):
+                records.append(single(dut, workload, fault, params,
+                                      backend=backend))
+    else:
+        with span("fi.batch", level=level, n_faults=len(faults)):
+            try:
+                records = batch(dut, workload, faults, params,
+                                backend=backend)
+            except CampaignError:
+                raise
+            except Exception:
+                # a whole-batch failure cannot be attributed to one
+                # fault: isolate by re-running each fault in its own
+                # single-pattern run
+                records = [single(dut, workload, fault, params,
+                                  backend="compiled")
+                           for fault in faults]
+    return records, counters_delta(before, counters_snapshot())
 
 
 class PoolInterrupted(KeyboardInterrupt):
@@ -804,17 +740,6 @@ def parallel_map(fn, tasks: Sequence, jobs: int,
 # campaign entry points
 # ----------------------------------------------------------------------
 
-def _vector_chunk(n_faults: int, jobs: int) -> int:
-    """Vectorized task width: the whole faultload per worker.
-
-    The vectorized engine has no machine-word pattern cap, so its
-    batches are never truncated to the compiled backend's 64-pattern
-    width -- the faultload is split only as far as needed to feed every
-    pool worker one sweep.
-    """
-    return max(1, -(-n_faults // max(jobs, 1)))
-
-
 def campaign_faultload(config: CampaignConfig) -> Tuple[List[Fault], str]:
     """The campaign's deterministic faultload and its DUT name.
 
@@ -825,32 +750,29 @@ def campaign_faultload(config: CampaignConfig) -> Tuple[List[Fault], str]:
     faultload digest and serve identical requests from its cache.
     """
     workload: Workload = _WORKER["workload"]  # type: ignore[assignment]
+    dut = _WORKER["dut"]
     if config.level == "gate":
-        netlist = _WORKER["netlist"]
         faults = generate_gate_faultload(
-            netlist, config.n_faults, config.seed, workload.cycle_budget,
+            dut, config.n_faults, config.seed, workload.cycle_budget,
             models=config.models, exhaustive=config.exhaustive)
-        return faults, netlist.name
-    if config.level == "beh":
-        fsm = _WORKER["fsm"]
+    elif config.level == "beh":
         faults = generate_beh_faultload(
-            fsm, config.n_faults, config.seed, workload.cycle_budget,
+            dut, config.n_faults, config.seed, workload.cycle_budget,
             exhaustive=config.exhaustive)
-        return faults, fsm.name
-    module = _WORKER["module"]
-    faults = generate_rtl_faultload(
-        module, config.n_faults, config.seed, workload.cycle_budget,
-        exhaustive=config.exhaustive)
-    return faults, module.name
+    else:
+        faults = generate_rtl_faultload(
+            dut, config.n_faults, config.seed, workload.cycle_budget,
+            exhaustive=config.exhaustive)
+    return faults, dut.name
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run a full fault-injection campaign per *config*.
 
-    Classifies every fault on the configured batch engine (compiled
-    word-width batches or whole-faultload vectorized sweeps), then
-    re-runs a probe slice on the remaining engines to measure every
-    engine's injection throughput -- cross-checking that the probe's
+    Classifies every fault on the configured engine (batched as
+    :func:`fi_batch_width` says), then re-runs a probe slice on the
+    compiled and interpreted engines to measure every engine's
+    injection throughput -- cross-checking that the probe's
     classifications agree exactly.
 
     An interrupt (Ctrl-C) does not lose the run: the pool is torn down
@@ -872,33 +794,15 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
         faults, design = campaign_faultload(config)
         faultload_span.note(n_faults=len(faults))
 
-    if config.level == "gate":
-        chunk = (_vector_chunk(len(faults), config.jobs)
-                 if backend == "vectorized" else config.batch_size)
-        tasks = [faults[i:i + chunk]
-                 for i in range(0, len(faults), chunk)]
-        task_fn = _gate_batch_task
-    elif config.level == "beh":
-        chunk = (_vector_chunk(len(faults), config.jobs)
-                 if backend == "vectorized" else config.batch_size)
-        tasks = [faults[i:i + chunk]
-                 for i in range(0, len(faults), chunk)]
-        task_fn = _beh_batch_task
-    else:
-        if backend == "vectorized":
-            chunk = _vector_chunk(len(faults), config.jobs)
-            tasks = [faults[i:i + chunk]
-                     for i in range(0, len(faults), chunk)]
-            task_fn = _rtl_batch_task
-        else:
-            tasks = list(faults)
-            task_fn = _rtl_fault_task
+    width = fi_batch_width(config.level, backend, len(faults),
+                           config.jobs, config.batch_size) or 1
+    tasks = [faults[i:i + width] for i in range(0, len(faults), width)]
 
     interrupted = False
     t0 = time.perf_counter()
     try:
         results = parallel_map(
-            task_fn, tasks, config.jobs, initializer=_init_worker,
+            _fi_task, tasks, config.jobs, initializer=_init_worker,
             initargs=(config.params, config.level, config.seed,
                       config.budget, config.backend))
     except PoolInterrupted as stop:
@@ -908,11 +812,8 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     if config.jobs > 1 and len(tasks) > 1:
         # pool runs hit worker-local caches; in-process runs already
         # counted against the parent's, so absorbing would double-count
-        absorb_cache_deltas([r[1] for r in results])
-    if task_fn is _rtl_fault_task:
-        records = [rec for rec, _ in results]
-    else:
-        records = [rec for batch, _ in results for rec in batch]
+        absorb_deltas([r[1] for r in results])
+    records = [rec for batch, _ in results for rec in batch]
     for outcome, count in tally(records).items():
         if count:
             REGISTRY.counter(
@@ -934,68 +835,35 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
             interrupted=True)
     probe = faults[:min(config.probe_faults, len(faults))]
 
-    if backend in ("vectorized", "native") and probe:
-        # compiled-engine probe: the word-width batch baseline the
-        # vectorized sweep (or native C batch) replaces, on the same
-        # leading faults
+    # cross-engine probes: the same leading faults on the compiled
+    # batch baseline the campaign's engine replaces, then on the
+    # interpreted reference; classifications must agree exactly
+    batch, single = _runners(config.level)
+    dut = _WORKER["dut"]
+    for engine in [e for e in ("compiled", "interpreted") if e != backend]:
         probe_wall0 = time.time()
         t0 = time.perf_counter()
-        compiled_records: List[FaultRecord] = []
-        if config.level == "gate":
-            for i in range(0, len(probe), config.batch_size):
-                compiled_records += run_gate_batch(
-                    _WORKER["netlist"], workload,
-                    probe[i:i + config.batch_size], config.params,
-                    backend="compiled")
-        elif config.level == "beh":
-            for i in range(0, len(probe), config.batch_size):
-                compiled_records += run_beh_batch(
-                    _WORKER["fsm"], workload,
-                    probe[i:i + config.batch_size], config.params,
-                    backend="compiled")
+        width = fi_batch_width(config.level, engine, len(probe), 1,
+                               config.batch_size)
+        if width is None:
+            probe_records = [single(dut, workload, fault, config.params,
+                                    backend=engine) for fault in probe]
         else:
-            compiled_records = [
-                run_rtl_fault(_WORKER["module"], workload, fault,
-                              config.params, backend="compiled")
-                for fault in probe]
-        compiled_wall = time.perf_counter() - t0
-        for fault, main_record, comp in zip(probe, records,
-                                            compiled_records):
-            if comp.outcome != main_record.outcome:
+            probe_records = []
+            for i in range(0, len(probe), width):
+                probe_records += batch(dut, workload, probe[i:i + width],
+                                       config.params, backend=engine)
+        probe_wall = time.perf_counter() - t0
+        for fault, main_record, other in zip(probe, records,
+                                             probe_records):
+            if other.outcome != main_record.outcome:
                 raise CampaignError(
-                    f"engines disagree on {fault.format()}: compiled "
-                    f"says {comp.outcome}, {backend} says "
+                    f"engines disagree on {fault.format()}: {engine} "
+                    f"says {other.outcome}, {backend} says "
                     f"{main_record.outcome}")
-        throughput.append(
-            Throughput("compiled", len(probe), compiled_wall))
+        throughput.append(Throughput(engine, len(probe), probe_wall))
         record_span("fi.probe", probe_wall0, time.time(),
-                    engine="compiled", n_faults=len(probe))
-
-    # interpreted-engine probe: same faults, same classifications
-    probe_wall0 = time.time()
-    t0 = time.perf_counter()
-    for fault, main_record in zip(probe, records):
-        if config.level == "gate":
-            interp = run_gate_fault_scalar(
-                _WORKER["netlist"], workload, fault, config.params,
-                backend="interpreted")
-        elif config.level == "beh":
-            interp = run_beh_fault_scalar(
-                _WORKER["fsm"], workload, fault, config.params,
-                backend="interpreted")
-        else:
-            interp = run_rtl_fault(
-                _WORKER["module"], workload, fault, config.params,
-                backend="interpreted")
-        if interp.outcome != main_record.outcome:
-            raise CampaignError(
-                f"engines disagree on {fault.format()}: interpreted says "
-                f"{interp.outcome}, {backend} says "
-                f"{main_record.outcome}")
-    interp_wall = time.perf_counter() - t0
-    throughput.append(Throughput("interpreted", len(probe), interp_wall))
-    record_span("fi.probe", probe_wall0, time.time(),
-                engine="interpreted", n_faults=len(probe))
+                    engine=engine, n_faults=len(probe))
 
     cache_stats = aggregate_stats()
 
@@ -1023,7 +891,7 @@ def run_fi_self_check(config: CampaignConfig) -> SelfCheckResult:
     """
     config = config.validated()
     _init_worker(config.params, "gate", config.seed, config.budget)
-    netlist = _WORKER["netlist"]
+    netlist = _WORKER["dut"]
     workload: Workload = _WORKER["workload"]  # type: ignore[assignment]
     if not workload.golden:
         raise CampaignError("self-check needs a non-empty golden stream")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..compile_cache import CacheStats, CompileCache, format_cache_report
+from ..engines import ENGINES
 from ..gatesim import COMPILE_CACHE, GateSimulator, GateVcdTracer
 from ..obs.trace import format_stage_table, trace_events, tracing_enabled
 from ..rtl import RTL_COMPILE_CACHE, emit_verilog, format_lint, lint
@@ -60,7 +61,7 @@ def write_artifacts(params: SrcParams, directory: str,
     """Generate all flow artefacts for *params* into *directory*.
 
     *backend* selects the gate-level simulation engine for the waveform
-    run; ``"compiled"`` and ``"vectorized"`` additionally leave a
+    run; an engine that generates code additionally leaves a
     ``compile_cache.txt`` report of the in-process compile-cache
     counters, broken down per owning backend.
     """
@@ -134,7 +135,7 @@ def write_artifacts(params: SrcParams, directory: str,
     tracer.write(wave_path)
     index.add(wave_path)
 
-    if backend in ("compiled", "vectorized"):
+    if ENGINES[backend].compiles:
         cache_path = os.path.join(directory, "compile_cache.txt")
         with open(cache_path, "w", encoding="utf-8") as fh:
             fh.write(format_cache_report() + "\n")

@@ -19,10 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..engines import ENGINES, engine_class, resolve
 from ..gatesim import GateSimulator
-from ..hls.compiled import CompiledFsmBatch
-from ..hls.interpreter import FsmInterpreter
-from ..hls.vectorized import VectorizedFsmBatch
 from ..kernel import Clock, Module, Simulation
 from ..rtl import RtlSimulator
 from ..src_design.behavioral import BehavioralSimulation, build_main_fsm
@@ -242,27 +240,19 @@ def measure_beh_throughput(params: SrcParams, cycles: int,
                 for p in fsm.program.ports.values() if p.direction == "in"]
     out_name = next(p.name for p in fsm.program.ports.values()
                     if p.direction == "out")
-    if backend == "native":
-        from ..native import resolve_backend
-        backend = resolve_backend(backend)
-    if backend == "native":
-        from ..hls.native import NativeFsmBatch
-        sim = NativeFsmBatch(fsm, n_patterns)
-    elif backend == "compiled":
-        sim = CompiledFsmBatch(fsm, n_patterns)
-    elif backend == "vectorized":
-        sim = VectorizedFsmBatch(fsm, n_patterns)
-    elif backend == "interpreted":
-        if n_patterns != 1:
-            raise ValueError("parallel patterns need a batch backend")
-        sim = FsmInterpreter(fsm)
+    backend = resolve(backend)
+    batched = ENGINES[backend].batches("beh")
+    if batched:
+        sim = engine_class(backend, "fsm_batch")(fsm, n_patterns)
+    elif n_patterns != 1:
+        raise ValueError("parallel patterns need a batch backend")
     else:
-        raise ValueError(f"unknown behavioural backend {backend!r}")
+        sim = engine_class(backend, "fsm")(fsm)
     rng = random.Random(seed)
     # Stimulus is pre-generated so the timed region measures the FSM
     # engine, not the random-number generator (whose cost would grow
     # with n_patterns and flatten the batch advantage).
-    if backend in ("compiled", "vectorized", "native"):
+    if batched:
         stim = [[(name, [rng.randrange(span) for _ in range(n_patterns)])
                  for name, span in in_ports] for _ in range(cycles)]
         start = time.perf_counter()

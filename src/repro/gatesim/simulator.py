@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
+from ..engines import ENGINES, engine_class
 from ..synth.library import EVAL
 from ..synth.netlist import CellInstance, MemoryMacro, Net, Netlist
 from .memory import CheckingMemoryModel, MemoryModel
@@ -24,7 +25,7 @@ class GateSimError(RuntimeError):
 
 
 #: valid values for the ``backend=`` argument of :class:`GateSimulator`
-BACKENDS = ("interpreted", "compiled", "vectorized", "native")
+BACKENDS = tuple(ENGINES)
 
 
 class _Unit:
@@ -42,45 +43,27 @@ class _Unit:
 class GateSimulator:
     """Cycle-oriented 4-valued simulator for a :class:`Netlist`.
 
-    ``backend`` selects the engine: ``"interpreted"`` (this class,
-    selective trace, the default), ``"compiled"`` -- a
+    ``backend`` selects the engine (see :mod:`repro.engines`):
+    ``"interpreted"`` (this class, selective trace, the default),
+    ``"compiled"`` -- a
     :class:`~repro.gatesim.compiled.CompiledGateSimulator`, same public
-    API, whole-cone codegen plus parallel-pattern evaluation -- or
+    API, whole-cone codegen plus parallel-pattern evaluation --
     ``"vectorized"``, a
     :class:`~repro.gatesim.vectorized.VectorizedGateSimulator` running
     the same generated code over numpy uint64 bitplanes for wide-word
-    pattern counts.
+    pattern counts, or ``"native"``, the same over C ``uint64_t``
+    bitplanes.
     """
 
     backend = "interpreted"
 
     def __new__(cls, netlist: Netlist = None, checking_memories: bool = False,
                 reporter=None, backend: str = "interpreted", **kwargs):
-        if cls is GateSimulator and backend != "interpreted":
-            if backend == "native":
-                from ..native import resolve_backend
-                backend = resolve_backend(backend)
-            if backend == "native":
-                from .native import NativeGateSimulator
-                return NativeGateSimulator(
-                    netlist, checking_memories=checking_memories,
-                    reporter=reporter, **kwargs,
-                )
-            if backend == "compiled":
-                from .compiled import CompiledGateSimulator
-                return CompiledGateSimulator(
-                    netlist, checking_memories=checking_memories,
-                    reporter=reporter, **kwargs,
-                )
-            if backend == "vectorized":
-                from .vectorized import VectorizedGateSimulator
-                return VectorizedGateSimulator(
-                    netlist, checking_memories=checking_memories,
-                    reporter=reporter, **kwargs,
-                )
-            raise GateSimError(
-                f"unknown backend {backend!r} (expected one of {BACKENDS})"
-            )
+        if cls is GateSimulator:
+            impl = engine_class(backend, "gate", GateSimError)
+            if impl is not GateSimulator:
+                return impl(netlist, checking_memories=checking_memories,
+                            reporter=reporter, **kwargs)
         return object.__new__(cls)
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,

@@ -421,6 +421,11 @@ class CompiledFsmBatch:
         memports.write_mem(self.memories[pattern][mem], address,
                            spec.depth, value, mask(spec.width))
 
+    def flip_bit(self, pattern: int, name: str, bit: int) -> None:
+        """XOR one bit of one pattern's environment entry (fault pokes)."""
+        env = self.envs[pattern]
+        env[name] = env[name] ^ (1 << bit)
+
     def step(self, cycles: int = 1) -> None:
         if cycles == 1:
             self.compiled.fn_batch1(self.envs, self.memories, self.states,

@@ -26,6 +26,7 @@ Nothing here imports numpy or the simulators; it is a leaf module.
 from __future__ import annotations
 
 import ctypes
+import errno
 import hashlib
 import os
 import re
@@ -181,14 +182,19 @@ def _count(name: str, help_text: str = "", **labels) -> None:
 
 
 def resolve_backend(backend: str) -> str:
-    """Map ``native`` to ``compiled`` when no C toolchain is present.
+    """Map an engine that needs a C toolchain to its fallback engine
+    (``native`` to ``compiled``, per :data:`repro.engines.ENGINES`) when
+    no C toolchain is present.
 
     Emits one :class:`NativeFallbackWarning` per process and counts the
     degradation in ``repro_native_fallback_total`` so dashboards see
     hosts that silently lost the native tier.  Every other backend name
     passes through unchanged.
     """
-    if backend != "native" or toolchain_available():
+    from .engines import ENGINES
+
+    engine = ENGINES.get(backend)
+    if engine is None or engine.fallback is None or toolchain_available():
         return backend
     _count("repro_native_fallback_total",
            "native backend degraded to compiled (no C toolchain)")
@@ -196,9 +202,9 @@ def resolve_backend(backend: str) -> str:
         _WARNED_FALLBACK[0] = True
         warnings.warn(
             "no C compiler found (tried $CC, cc, gcc, clang): "
-            "backend=\"native\" falling back to \"compiled\"",
+            f"backend=\"{backend}\" falling back to \"{engine.fallback}\"",
             NativeFallbackWarning, stacklevel=2)
-    return "compiled"
+    return engine.fallback
 
 
 # ----------------------------------------------------------------------
@@ -453,16 +459,22 @@ def compile_and_load(source: str, cdef: str,
     A corrupt or stale on-disk artifact -- truncated file, ABI drift
     that slipped past the digest -- is deleted and rebuilt once rather
     than crashing; two consecutive failures raise
-    :class:`NativeToolchainError`.
+    :class:`NativeToolchainError`.  An artifact that vanished before
+    it was loaded was evicted by a process sharing the cache: it is
+    rebuilt, and neither counted nor held against the load.
     """
     last_error: Optional[Exception] = None
-    for attempt in range(2):
+    failures = 0
+    while failures < 2:
         so_path = build_shared_object(source, tag=tag)
         try:
             return NativeModule(so_path, cdef)
         except NativeToolchainError:
             raise
         except Exception as exc:  # OSError from dlopen, cffi errors
+            if os.strerror(errno.ENOENT) in str(exc):
+                continue  # a peer's LRU eviction won the race
+            failures += 1
             last_error = exc
             _count("repro_native_disk_cache_errors_total",
                    "native toolchain compile/load failures")

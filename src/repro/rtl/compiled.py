@@ -58,6 +58,7 @@ from .expr import (
     Sub,
 )
 from .ir import RtlError, RtlModule
+from .simulate import RtlSimulator
 
 #: process-wide cache of compiled RTL programs
 RTL_COMPILE_CACHE = CompileCache()
@@ -285,3 +286,12 @@ def compile_rtl(module: RtlModule,
         )
 
     return cache.get_or_compile(key, factory)
+
+
+class CompiledRtlSimulator(RtlSimulator):
+    """:class:`RtlSimulator` stepping :func:`compile_rtl`'s function."""
+
+    backend = "compiled"
+
+    def _compile(self, module: RtlModule):
+        return compile_rtl(module).fn

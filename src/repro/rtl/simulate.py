@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes.bits import mask
+from ..engines import engine_class, lookup
 from .ir import RtlError, RtlModule
 
 #: monitor signature: (memory name, address, depth, "read"/"write")
@@ -24,66 +25,47 @@ MemMonitor = Callable[[str, int, int, str], None]
 class RtlSimulator:
     """Compiled cycle-based simulator for one :class:`RtlModule`.
 
-    ``backend="interpreted"`` (default) evaluates per-expression Python
-    closures; ``backend="compiled"`` emits the whole module -- settle,
-    register updates, memory writes and the cycle loop -- as one
-    generated function (see :mod:`repro.rtl.compiled`);
-    ``backend="vectorized"`` runs the same generated statements over
-    numpy uint64 lanes, one stimulus pattern per lane (see
+    ``backend`` selects the engine (see :mod:`repro.engines`):
+    ``"interpreted"`` (default) evaluates per-expression Python
+    closures; ``"compiled"`` emits the whole module -- settle, register
+    updates, memory writes and the cycle loop -- as one generated
+    function (:class:`~repro.rtl.compiled.CompiledRtlSimulator`);
+    ``"vectorized"`` runs the same generated statements over numpy
+    uint64 lanes, one stimulus pattern per lane (see
     :class:`~repro.rtl.vectorized.VectorizedRtlSimulator`);
-    ``backend="native"`` emits the same generated structure as C,
-    compiled by the host toolchain (see
+    ``"native"`` emits the same generated structure as C, compiled by
+    the host toolchain (see
     :class:`~repro.rtl.native.NativeRtlSimulator`), degrading to
     ``"compiled"`` when no C compiler is present.  A memory monitor
     needs per-access callbacks, so it forces the interpreted engine.
     """
 
+    backend = "interpreted"
+
     def __new__(cls, module: RtlModule = None,
                 mem_monitor: Optional[MemMonitor] = None,
                 backend: str = "interpreted", **kwargs):
-        if cls is RtlSimulator and mem_monitor is None:
-            if backend == "vectorized":
-                from .vectorized import VectorizedRtlSimulator
-                return VectorizedRtlSimulator(module, **kwargs)
-            if backend == "native":
-                from ..native import resolve_backend
-                if resolve_backend(backend) == "native":
-                    from .native import NativeRtlSimulator
-                    return NativeRtlSimulator(module, **kwargs)
-                # no toolchain: fall through, __init__ resolves again
-        return object.__new__(cls)
+        if cls is not RtlSimulator:
+            return object.__new__(cls)
+        if mem_monitor is not None:
+            lookup(backend, RtlError)
+            return object.__new__(cls)
+        impl = engine_class(backend, "rtl", RtlError)
+        if issubclass(impl, RtlSimulator):
+            return object.__new__(impl)
+        return impl(module, **kwargs)
 
     def __init__(self, module: RtlModule,
                  mem_monitor: Optional[MemMonitor] = None,
                  backend: str = "interpreted", **kwargs):
-        if backend not in ("interpreted", "compiled", "vectorized",
-                           "native"):
-            raise RtlError(
-                f"unknown backend {backend!r} (expected 'interpreted', "
-                "'compiled', 'vectorized' or 'native')"
-            )
         if kwargs:
             raise RtlError(
-                f"unsupported options for the {backend!r} backend: "
+                f"unsupported options for the {self.backend!r} backend: "
                 f"{sorted(kwargs)}"
             )
-        if backend == "native":
-            if mem_monitor is not None:
-                # monitors need per-access callbacks
-                backend = "interpreted"
-            else:
-                # only reachable without a toolchain (see __new__)
-                from ..native import resolve_backend
-                backend = resolve_backend(backend)
-        if backend == "vectorized":
-            # only reachable with a memory monitor (see __new__)
-            backend = "interpreted"
         module.validate()
         self.module = module
         self.mem_monitor = mem_monitor
-        if mem_monitor is not None:
-            backend = "interpreted"
-        self.backend = backend
         self.cycles = 0
 
         # memories
@@ -135,12 +117,13 @@ class RtlSimulator:
                     self._mem_reads.append(
                         (mem.name, mem.depth, rport.addr.compile(), enable_fn)
                     )
-        self._run = None
-        if backend == "compiled":
-            from .compiled import compile_rtl
-            self._run = compile_rtl(module).fn
+        self._run = self._compile(module)
         self._in_names = set(module.input_names())
         self.settle()
+
+    def _compile(self, module: RtlModule):
+        """The generated cycle function; None evaluates the closures."""
+        return None
 
     # ------------------------------------------------------------------
     def set_input(self, name: str, value: int) -> None:

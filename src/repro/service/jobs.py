@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..engines import ENGINES, GROUPS, batch_engines
 from .cache import RESULT_SCHEMA_VERSION
 
 JOB_KINDS = ("verify", "fi", "corpus")
@@ -124,6 +125,13 @@ class JobSpec:
             raise JobError("n_designs must be >= 1")
         if options.get("chunk", 1) < 1:
             raise JobError("chunk must be >= 1")
+        valid = {"verify": tuple(ENGINES) + tuple(GROUPS),
+                 "fi": batch_engines(),
+                 "corpus": batch_engines("gate")}[kind]
+        if "backend" in options and options["backend"] not in valid:
+            raise JobError(f"unknown {kind} backend "
+                           f"{options['backend']!r} "
+                           f"(expected one of {valid})")
         return cls(kind=kind, params=params, priority=priority,
                    deadline_s=(float(deadline_s)
                                if deadline_s is not None else None),

@@ -4,8 +4,8 @@ The service decomposes every job into *tasks* -- the shard pool's unit
 of dispatch, retry and progress:
 
 * **fi**       -- one task per faultload slice, classified with the
-  campaign subsystem's batch runners (compiled word-width batches or
-  vectorized sweeps);
+  campaign subsystem's runners (batched as
+  :func:`~repro.fi.campaign.fi_batch_width` says);
 * **verify**   -- one task per stimulus case through the differential
   runner;
 * **corpus**   -- one task per corpus member through the full
@@ -45,13 +45,6 @@ from .jobs import JobError, JobSpec
 #: delta.  Attached by ``_shard_main`` only when non-empty; popped by
 #: ``CampaignService._collect`` before aggregation.
 RESERVED_RESULT_KEYS = ("_spans", "_cache", "_metrics")
-
-#: compiled batches carry the fault-free pattern too, so slices must
-#: stay under the 64-pattern machine word; the campaign's batch size
-DEFAULT_FI_CHUNK = 31
-#: maximum chunk accepted from clients (pattern-word bound minus the
-#: fault-free pattern)
-MAX_FI_CHUNK = 63
 
 
 def resolve_params(name: str):
@@ -105,20 +98,27 @@ class JobPlan:
 
 
 def _fi_config(spec: JobSpec):
-    from ..fi.campaign import CampaignConfig
+    """The campaign config of an fi job; ``chunk`` is its batch size
+    (faults per task on an engine without a batch at the level)."""
+    from ..fi.campaign import CampaignConfig, CampaignError
 
     models = spec.option("models")
     kwargs = {}
     if models:
         kwargs["models"] = tuple(models)
-    return CampaignConfig(
-        params=resolve_params(spec.params),
-        level=spec.option("level", "rtl"),
-        n_faults=spec.option("n_faults", 32),
-        seed=spec.option("seed", 0),
-        budget=spec.option("budget", "small"),
-        backend=spec.option("backend", "compiled"),
-        **kwargs).validated()
+    if spec.option("chunk") is not None:
+        kwargs["batch_size"] = spec.option("chunk")
+    try:
+        return CampaignConfig(
+            params=resolve_params(spec.params),
+            level=spec.option("level", "rtl"),
+            n_faults=spec.option("n_faults", 32),
+            seed=spec.option("seed", 0),
+            budget=spec.option("budget", "small"),
+            backend=spec.option("backend", "compiled"),
+            **kwargs).validated()
+    except CampaignError as exc:
+        raise JobError(f"bad fi options: {exc}") from None
 
 
 def plan_fi(spec: JobSpec, n_shards: int) -> JobPlan:
@@ -130,15 +130,9 @@ def plan_fi(spec: JobSpec, n_shards: int) -> JobPlan:
     faults, design = C.campaign_faultload(config)
     workload = C._WORKER["workload"]
 
-    chunk = spec.option("chunk")
-    if chunk is None:
-        if config.backend == "vectorized":
-            # one sweep per shard: the vectorized engine has no
-            # pattern-width cap, so split only to feed every shard
-            chunk = max(1, -(-len(faults) // max(n_shards, 1)))
-        else:
-            chunk = DEFAULT_FI_CHUNK
-    chunk = min(int(chunk), MAX_FI_CHUNK)
+    chunk = C.fi_batch_width(config.level, config.backend, len(faults),
+                             n_shards, config.batch_size) \
+        or config.batch_size
 
     base = {
         "op": "fi",
@@ -324,15 +318,7 @@ def _run_fi_task(payload: Dict[str, object]) -> Dict[str, object]:
     C._init_worker(config.params, config.level, config.seed,
                    config.budget, config.backend)
     faults, _ = C.campaign_faultload(config)
-    chunk = faults[payload["lo"]:payload["hi"]]
-    if config.level == "gate":
-        records, _ = C._gate_batch_task(chunk)
-    elif config.level == "beh":
-        records, _ = C._beh_batch_task(chunk)
-    elif config.backend == "vectorized":
-        records, _ = C._rtl_batch_task(chunk)
-    else:
-        records = [C._rtl_fault_task(fault)[0] for fault in chunk]
+    records, _ = C._fi_task(faults[payload["lo"]:payload["hi"]])
     return {"records": [r.as_dict() for r in records]}
 
 

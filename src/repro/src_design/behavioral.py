@@ -28,9 +28,8 @@ from typing import Dict, List, Optional, Tuple
 from ..datatypes.integers import max_signed, min_signed
 from ..hls.binding import RegisterBinding, bind_registers
 from ..hls.codegen import GeneratedFsm, generate_rtl
-from ..hls.compiled import CompiledFsm, CompiledFsmBatch
-from ..hls.interpreter import FsmInterpreter, MemMonitor
-from ..hls.vectorized import VectorizedFsm, VectorizedFsmBatch
+from ..engines import engine_class, resolve
+from ..hls.interpreter import MemMonitor
 from ..hls.ir import (Assign, For, HlsProgram, If, MemReadStmt, PortWrite,
                       WaitCycle, WaitUntil)
 from ..hls.schedule import (Fsm, Scheduler, SchedulingConstraints,
@@ -386,25 +385,11 @@ class BehavioralSimulation:
         self.options = _coerce_options(optimized)
         self.optimized = self.options == BehavioralOptions.optimized()
         self._handshake = self.options.handshake
-        if backend == "native":
-            from ..native import resolve_backend
-            backend = resolve_backend(backend)
-        self.backend = backend
+        self.backend = resolve(backend)
         if fsm is None:
             fsm = build_main_fsm(params, self.options)
-        if backend == "interpreted":
-            self.interp = FsmInterpreter(fsm, mem_monitor=mem_monitor)
-        elif backend == "compiled":
-            self.interp = CompiledFsm(fsm, mem_monitor=mem_monitor)
-        elif backend == "vectorized":
-            self.interp = VectorizedFsm(fsm, mem_monitor=mem_monitor)
-        elif backend == "native":
-            from ..hls.native import NativeFsm
-            self.interp = NativeFsm(fsm, mem_monitor=mem_monitor)
-        else:
-            raise ValueError(
-                f"unknown behavioural backend {backend!r} (expected "
-                "'interpreted', 'compiled', 'vectorized' or 'native')")
+        self.interp = engine_class(self.backend, "fsm")(
+            fsm, mem_monitor=mem_monitor)
         # front-end state
         self.mode = 0
         self.wr_ptr = params.buffer_depth - 1
@@ -474,13 +459,14 @@ class BehavioralSimulation:
 class BehavioralBatchSimulation:
     """N independent behavioural SRC instances advanced in lock-step.
 
-    Built on :class:`CompiledFsmBatch`: one compiled FSM program, N
-    private environments/memories, plus an N-wide mirror of the
-    front-end state.  Stimulus (``drive_input`` / ``drive_cfg`` /
-    ``drive_req``) is broadcast to every pattern -- the fault-injection
-    campaign uses this to run one fault-free golden pattern alongside
-    N-1 faulty patterns under a common workload, with faults poked into
-    individual patterns via ``batch.envs[i]``.
+    Built on the engine's FSM batch (``CompiledFsmBatch`` by default):
+    one generated FSM program, N private environments/memories, plus
+    an N-wide mirror of the front-end state.  Stimulus
+    (``drive_input`` / ``drive_cfg`` / ``drive_req``) is broadcast to
+    every pattern -- the fault-injection campaign uses this to run one
+    fault-free golden pattern alongside N-1 faulty patterns under a
+    common workload, with faults poked into individual patterns via
+    ``batch.flip_bit``.
 
     ``step()`` returns one ``Optional[(left, right)]`` frame per
     pattern.
@@ -492,23 +478,10 @@ class BehavioralBatchSimulation:
         self.options = _coerce_options(optimized)
         self.optimized = self.options == BehavioralOptions.optimized()
         self._handshake = self.options.handshake
-        if backend == "native":
-            from ..native import resolve_backend
-            backend = resolve_backend(backend)
-        self.backend = backend
+        self.backend = backend = resolve(backend)
         if fsm is None:
             fsm = build_main_fsm(params, self.options)
-        if backend == "compiled":
-            self.batch = CompiledFsmBatch(fsm, n_patterns)
-        elif backend == "vectorized":
-            self.batch = VectorizedFsmBatch(fsm, n_patterns)
-        elif backend == "native":
-            from ..hls.native import NativeFsmBatch
-            self.batch = NativeFsmBatch(fsm, n_patterns)
-        else:
-            raise ValueError(
-                f"unknown behavioural batch backend {backend!r} "
-                "(expected 'compiled', 'vectorized' or 'native')")
+        self.batch = engine_class(backend, "fsm_batch")(fsm, n_patterns)
         self.n_patterns = n_patterns
         n = n_patterns
         if backend == "vectorized":

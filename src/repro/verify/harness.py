@@ -15,9 +15,10 @@ netlist mutation that *must* be caught and shrunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..engines import expand
 from ..flow.refinement import Level
 from ..obs.trace import span
 from ..src_design.params import SMALL_PARAMS, SrcParams
@@ -254,11 +255,18 @@ class SelfCheckReport:
     mutations_tried: int = 0
     failure: Optional[Failure] = None
     caught: bool = False
+    #: a case the *unmutated* netlist failed: the harness is broken
+    baseline_failure: Optional[CaseReport] = None
 
     def format(self) -> str:
         lines = [f"Self-check (seed={self.config.seed}, "
                  f"budget={self.config.budget}, "
                  f"backend={self.config.backend}):"]
+        if self.baseline_failure is not None:
+            lines.append("FAIL: the unmutated netlist already diverges "
+                         "-- the harness itself is broken")
+            lines.append(self.baseline_failure.format())
+            return "\n".join(lines)
         if not self.caught:
             lines.append(
                 f"FAIL: no divergence detected across "
@@ -276,19 +284,26 @@ def run_self_check(config: VerifyConfig,
                    level: Level = Level.GATE_RTL) -> SelfCheckReport:
     """Inject seeded netlist mutations until the harness catches one.
 
-    Uses a single gate-level spec (the mutation target); each mutated
-    netlist is fuzzed with the configured budget, and the first caught
-    divergence is shrunk to a short counterexample with full
-    first-divergence localisation.
+    Runs *level* (the mutation target) on every engine the configured
+    backend names.  The unmutated netlist must pass every case first,
+    so a harness that crashes or diverges on its own is reported as
+    broken rather than as a catch.  Each mutated netlist is then fuzzed
+    with the configured budget, and the first caught divergence is
+    shrunk to a short counterexample with full first-divergence
+    localisation.
     """
     budget = config.budget_obj()
     params = config.params
-    backend = config.backend if config.backend != "both" else "compiled"
-    spec = LevelSpec(level, backend)
+    specs = [LevelSpec(level, b) for b in expand(config.backend)]
     report = SelfCheckReport(config)
     cases = generate_cases(params, config.seed, budget.n_cases,
                            budget.n_inputs)
     baseline = LevelBuilds(params)
+    for case in cases:
+        case_report = run_differential(params, specs, case, baseline)
+        if not case_report.passed:
+            report.baseline_failure = case_report
+            return report
 
     def builder():
         return synthesize(baseline.module(level))
@@ -298,13 +313,11 @@ def run_self_check(config: VerifyConfig,
         report.mutations_tried += 1
         builds = LevelBuilds(params, netlist_overrides={level: netlist})
         for case in cases:
-            case_report = run_differential(params, [spec], case, builds)
+            case_report = run_differential(params, specs, case, builds)
             if case_report.passed:
                 continue
             report.mutation = mutation
-            shrink = _shrink_failure(
-                replace(config, backend=backend), case_report, builds,
-                budget)
+            shrink = _shrink_failure(config, case_report, builds, budget)
             report.failure = Failure(case_report, shrink)
             report.caught = True
             return report

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..engines import expand
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
 from ..obs.trace import span
@@ -85,27 +86,14 @@ def parse_level_specs(text: str, backend: str = "interpreted"
                       ) -> List[LevelSpec]:
     """Parse a ``--levels`` string into level specs.
 
-    *backend* is ``interpreted``, ``compiled``, ``vectorized``,
-    ``native``, ``both`` (interpreted + compiled) or ``all`` (every
-    engine); it applies to every level with an engine choice, and
-    multi-engine selections yield one spec per engine so the engines
-    are cross-checked against each other.  ``native`` degrades to
+    *backend* is one engine of :mod:`repro.engines`, ``both``
+    (interpreted + compiled) or ``all`` (every engine); it applies to
+    every level with an engine choice, and multi-engine selections
+    yield one spec per engine so the engines are cross-checked against
+    each other.  ``native`` degrades to
     ``compiled`` when no C toolchain is present.
     """
-    groups = {
-        "interpreted": ("interpreted",),
-        "compiled": ("compiled",),
-        "vectorized": ("vectorized",),
-        "native": ("native",),
-        "both": ("interpreted", "compiled"),
-        "all": ("interpreted", "compiled", "vectorized", "native"),
-    }
-    if backend not in groups:
-        raise ValueError(
-            f"unknown backend {backend!r} "
-            "(expected 'interpreted', 'compiled', 'vectorized', "
-            "'native', 'both' or 'all')"
-        )
+    selected = expand(backend)
     specs: List[LevelSpec] = []
     for token in text.split(","):
         token = token.strip().lower()
@@ -118,7 +106,7 @@ def parse_level_specs(text: str, backend: str = "interpreted"
                 f"(known: {', '.join(sorted(LEVEL_ALIASES))})"
             )
         if level in BACKEND_LEVELS:
-            for b in groups[backend]:
+            for b in selected:
                 spec = LevelSpec(level, b)
                 if spec not in specs:
                     specs.append(spec)

@@ -12,6 +12,7 @@ name), so any divergence is reproducible from the log alone.
 
 import pytest
 
+from repro.engines import ENGINES
 from repro.flow import Level, run_level
 from repro.src_design.schedule import make_schedule
 from repro.verify import STIMULUS_KINDS, generate_cases
@@ -32,7 +33,8 @@ def cases(small_params):
 
 
 @pytest.mark.parametrize("kind", STIMULUS_KINDS)
-@pytest.mark.parametrize("backend", ["compiled", "vectorized", "native"])
+@pytest.mark.parametrize("backend", [name for name, engine
+                                     in ENGINES.items() if engine.compiles])
 @pytest.mark.parametrize("level", [Level.BEH_OPT, Level.BEH_UNOPT])
 def test_backends_frame_exact(cases, small_params, kind, backend, level):
     case = cases[kind]

@@ -68,6 +68,13 @@ def test_unknown_budget_rejected():
         run_corpus(CorpusConfig(budget="galactic"))
 
 
+def test_backend_without_gate_batch_rejected_at_config():
+    # the backend runs the fault batches: rejected before any design runs
+    for backend in ("interpreted", "bogus"):
+        with pytest.raises(CorpusError):
+            CorpusConfig(backend=backend)
+
+
 @pytest.mark.slow
 @pytest.mark.fuzz
 def test_acceptance_scale_run_improves_robustness():

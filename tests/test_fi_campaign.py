@@ -9,6 +9,7 @@ import pytest
 
 from repro.fi import (BUDGET_FRAMES, CampaignConfig, CampaignError,
                       OUTCOMES, run_campaign, run_fi_self_check)
+from repro.fi.campaign import fi_batch_width
 from repro.gatesim import COMPILE_CACHE
 from repro.src_design.params import SMALL_PARAMS
 
@@ -131,6 +132,30 @@ def test_config_validation_rejects_nonsense():
         CampaignConfig(params=SMALL_PARAMS, budget="huge").validated()
     with pytest.raises(CampaignError):
         CampaignConfig(params=SMALL_PARAMS, n_faults=0).validated()
+    with pytest.raises(CampaignError):  # FI classifies on batch engines
+        CampaignConfig(params=SMALL_PARAMS, backend="interpreted").validated()
+    # native packs gate patterns into one 64-bit word: 70 faults plus
+    # the fault-free pattern do not fit, so the batch cannot run native
+    with pytest.raises(CampaignError):
+        CampaignConfig(params=SMALL_PARAMS, level="gate", backend="native",
+                       n_faults=70, batch_size=70,
+                       budget="smoke").validated()
+
+
+def test_batch_width_follows_the_engine_table():
+    for level, backend, batch_size in (("gate", "native", 63),
+                                       ("gate", "compiled", 200),
+                                       ("rtl", "native", 70)):
+        CampaignConfig(params=SMALL_PARAMS, level=level, backend=backend,
+                       batch_size=batch_size).validated()
+    # the sweeping engine splits the faultload only to feed every worker
+    assert fi_batch_width("gate", "vectorized", 200, 2, 31) == 100
+    assert fi_batch_width("rtl", "vectorized", 200, 3, 31) == 67
+    assert fi_batch_width("beh", "native", 200, 2, 31) == 31
+    assert fi_batch_width("gate", "compiled", 200, 2, 31) == 31
+    # no RTL batch on compiled or native: one fault per simulation
+    assert fi_batch_width("rtl", "compiled", 200, 2, 31) is None
+    assert fi_batch_width("rtl", "native", 200, 2, 31) is None
 
 
 @pytest.mark.fuzz

@@ -64,3 +64,11 @@ def test_figure10_summary(artifacts):
     text = open(os.path.join(directory, "figure10.txt")).read()
     assert "100.0" in text
     assert "VHDL-Ref" in text
+
+
+def test_code_generating_engine_leaves_compile_cache_report(small_params,
+                                                            tmp_path):
+    index = write_artifacts(small_params, str(tmp_path), wave_cycles=16,
+                            backend="native")
+    names = {os.path.basename(f) for f in index.files}
+    assert "compile_cache.txt" in names

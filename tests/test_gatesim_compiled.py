@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import L0, L1, LX, LZ
+from repro.engines import ENGINES
 from repro.gatesim import (BACKENDS, COMPILE_CACHE, CompileCache,
                            CompiledGateSimulator, GateSimError,
                            GateSimulator, VectorizedGateSimulator,
@@ -30,7 +31,8 @@ LOGIC = (L0, L1, LX, LZ)
 #: the generated-code engines checked against the interpreter
 #: ("native" transparently runs as "compiled" when no C toolchain is
 #: present, so the equivalence sweep stays valid either way)
-CODEGEN_BACKENDS = ("compiled", "vectorized", "native")
+CODEGEN_BACKENDS = tuple(name for name, engine in ENGINES.items()
+                         if engine.compiles)
 
 
 def both_backends(netlist, backend="compiled", **kw):

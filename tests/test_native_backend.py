@@ -3,13 +3,15 @@
 Covers the pieces the four-engine equivalence sweeps do not: compiler
 discovery and its ``$CC`` override, digest-addressed ``.so``
 persistence across processes, schema-version invalidation, corrupt
-artifact recovery, LRU eviction, size-aware compile flags and their
+artifact recovery, LRU eviction, processes sharing the cache at one
+moment, size-aware compile flags and their
 build counter, the single-warning degradation to the compiled backend
 on toolchain-less hosts, the Prometheus schema of the native cache
 counters, and pattern I/O through both FFI loaders (cffi and ctypes),
 whichever of them the host would pick by itself.
 """
 
+import multiprocessing
 import os
 import random
 import subprocess
@@ -191,6 +193,88 @@ def test_lru_eviction(cache_dir, monkeypatch):
                 if f.endswith(".so")]) == 2
     assert _counter_value("repro_native_disk_cache_evictions_total") \
         > evict0
+
+
+def _variants(n):
+    """*n* distinct sources; variant k's ``triple(1)`` returns k + 5."""
+    return [SOURCE.replace("3 * x", f"{k + 5} * x") for k in range(n)]
+
+
+def _load_in_lockstep(barrier, results, sources, rounds, offset):
+    """Child process: after a common start, load *sources* round-robin
+    from the shared cache; report failures and error-counter ticks."""
+    errors0 = _counter_value("repro_native_disk_cache_errors_total")
+    failures = []
+    barrier.wait(timeout=60)
+    for i in range(rounds):
+        k = (i + offset) % len(sources)
+        try:
+            mod = compile_and_load(sources[k], CDEF, tag="t")
+            if mod.fn("triple")(1) != k + 5:
+                failures.append(f"variant {k} computed the wrong value")
+        except Exception as exc:
+            failures.append(repr(exc))
+    results.put((failures, _counter_value(
+        "repro_native_disk_cache_errors_total") - errors0))
+
+
+def _run_lockstep(sources, rounds, n_procs=6):
+    """Start *n_procs* loaders at one barrier; their (failures, error
+    ticks) reports."""
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(n_procs)
+    results = ctx.Queue()
+    procs = [ctx.Process(target=_load_in_lockstep,
+                         args=(barrier, results, sources, rounds, i))
+             for i in range(n_procs)]
+    for proc in procs:
+        proc.start()
+    reports = [results.get(timeout=180) for _ in procs]
+    for proc in procs:
+        proc.join(timeout=30)
+        assert not proc.is_alive() and proc.exitcode == 0
+    return reports
+
+
+@needs_cc
+def test_processes_compiling_one_key_at_once_share_one_artifact(
+        cache_dir):
+    assert _run_lockstep(_variants(1), rounds=1) == [([], 0)] * 6
+    names = os.listdir(cache_dir)
+    assert len([n for n in names if n.endswith(".so")]) == 1
+    assert len([n for n in names if n.endswith(".c")]) == 1
+    assert not [n for n in names if ".tmp" in n]
+
+
+@needs_cc
+def test_peer_eviction_racing_loads_is_not_a_load_error(cache_dir,
+                                                        monkeypatch):
+    # one cache slot for three sources: every build evicts a peer's
+    monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
+    assert _run_lockstep(_variants(3), rounds=10) == [([], 0)] * 6
+
+
+@needs_cc
+def test_artifact_evicted_before_dlopen_is_rebuilt(cache_dir,
+                                                   monkeypatch):
+    """A peer's eviction landing between build and load -- twice in a
+    row -- costs rebuilds, never an error tick or a failed load."""
+    real_init = native.NativeModule.__init__
+    evicted = []
+
+    def evict_first(self, path, cdef):
+        if len(evicted) < 2:
+            evicted.append(path)
+            os.unlink(path)
+        real_init(self, path, cdef)
+
+    monkeypatch.setattr(native.NativeModule, "__init__", evict_first)
+    errors0 = _counter_value("repro_native_disk_cache_errors_total")
+    mod = compile_and_load(SOURCE, CDEF, tag="t")
+    assert mod.fn("triple")(14) == 42
+    assert len(evicted) == 2
+    assert _counter_value("repro_native_disk_cache_errors_total") \
+        == errors0
 
 
 @needs_cc

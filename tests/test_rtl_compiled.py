@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.engines import ENGINES
 from repro.rtl import (Add, BitAnd, BitNot, BitOr, BitXor, Case, Cat, Cmp,
                        Const, Ext, Mux, Mul, Reduce, Ref, RtlError,
                        RtlModule, RtlSimulator, Shl, Shr, Slice, SMul, Sra,
@@ -24,7 +25,8 @@ from repro.rtl.compiled import CompileCache
 #: the generated-code engines checked against the interpreter
 #: ("native" transparently runs as "compiled" when no C toolchain is
 #: present, so the equivalence sweep stays valid either way)
-CODEGEN_BACKENDS = ("compiled", "vectorized", "native")
+CODEGEN_BACKENDS = tuple(name for name, engine in ENGINES.items()
+                         if engine.compiles)
 
 
 def both(module, backend="compiled"):

@@ -17,6 +17,7 @@ from repro.service.core import CampaignService, LatencyHistogram, \
     ServiceConfig
 from repro.service.jobs import Job, JobError, JobQueue, JobSpec
 from repro.service.shards import ShardPool, TaskRef
+from repro.service.tasks import plan_job
 
 
 def _drain(pool, want, timeout=30.0):
@@ -44,9 +45,30 @@ def test_spec_rejects_malformed_submissions():
                 {"kind": "fi", "options": {"levels": "beh"}},
                 {"kind": "fi", "options": {"budget": "galactic"}},
                 {"kind": "fi", "options": {"n_faults": 0}},
-                {"kind": "verify", "options": {"n_faults": 8}}):
+                {"kind": "verify", "options": {"n_faults": 8}},
+                {"kind": "verify", "options": {"backend": "bogus"}},
+                {"kind": "fi", "options": {"backend": "interpreted"}},
+                {"kind": "corpus", "options": {"backend": "bogus"}},
+                {"kind": "corpus", "options": {"backend": "interpreted"}}):
         with pytest.raises(JobError):
             JobSpec.parse(doc)
+
+
+def test_fi_plan_batches_by_the_engine_table():
+    def tasks(**options):
+        spec = JobSpec.parse({"kind": "fi",
+                              "options": dict(budget="smoke", **options)})
+        return [(t.payload["lo"], t.payload["hi"])
+                for t in plan_job(spec, 2).tasks]
+
+    # one vectorized sweep per shard, not native's 64-pattern word
+    assert tasks(backend="vectorized", n_faults=200) == [(0, 100),
+                                                         (100, 200)]
+    # compiled bigint planes take any width
+    assert tasks(backend="compiled", level="gate", n_faults=100,
+                 chunk=100) == [(0, 100)]
+    with pytest.raises(JobError):
+        tasks(backend="native", level="gate", n_faults=100, chunk=100)
 
 
 def test_spec_roundtrips_options():

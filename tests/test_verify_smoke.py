@@ -47,6 +47,30 @@ def test_verify_smoke_self_check_catches_mutation():
     assert divergence.cycle is not None
 
 
+def test_self_check_runs_every_engine_of_a_group():
+    report = run_self_check(VerifyConfig(backend="both", seed=0,
+                                         budget="smoke"))
+    assert report.caught, report.format()
+    diffs = report.failure.case_report.diffs
+    assert {d.spec.key for d in diffs} == {"gate_rtl/interpreted",
+                                           "gate_rtl/compiled"}
+    assert all(d.error is None for d in diffs), report.format()
+
+
+def test_self_check_crashing_harness_is_not_a_catch(monkeypatch):
+    from repro.gatesim.compiled import CompiledGateSimulator
+
+    def broken_step(self, cycles=1):
+        raise RuntimeError("harness bug")
+
+    monkeypatch.setattr(CompiledGateSimulator, "step", broken_step)
+    report = run_self_check(VerifyConfig(backend="compiled", seed=0,
+                                         budget="smoke"))
+    assert not report.caught
+    assert report.baseline_failure is not None
+    assert "harness itself is broken" in report.format()
+
+
 def test_verify_artifacts_written(tmp_path):
     config = VerifyConfig(levels="rtl", backend="compiled", seed=1,
                           budget="smoke")
