@@ -52,21 +52,21 @@ word-width C batches compiled by the host toolchain), ``--model
 stuck0,stuck1,pulse,seu`` (default: all), ``--n-faults N``, ``--jobs
 N``, ``--seed N``, ``--budget smoke|small|medium|large`` (workload
 length), ``--out DIR`` (write the campaign report and
-``BENCH_fi.json``), ``--self-check`` (additionally classify a
-known-SDC and a known-masked fault, and fail unless both land where
-they must).
+``BENCH_fi.json``; without it nothing is written), ``--self-check``
+(additionally classify a known-SDC and a known-masked fault, and fail
+unless both land where they must).
 
 ``corpus`` generates a seeded multi-design corpus (SRC variants plus
 counter/ALU/register-file members) and pushes every member through
 refine -> differential verify (all levels x all engines) -> synthesize
 -> fault injection -> selective hardening (TMR or parity on the
-highest-SDC registers) -> re-synthesis -> re-injection, writing
-``BENCH_corpus.json``.  Options: ``--n-designs N``, ``--seed N``,
-``--budget smoke|small|medium|large``, ``--backend
-compiled|vectorized|native`` (FI engine), ``--strategy tmr|parity``,
-``--model seu,...`` (corpus default: seu), ``--jobs N`` (one design
-per worker), ``--out DIR``.  Exits non-zero on any refine or
-cross-engine equivalence failure.
+highest-SDC registers) -> re-synthesis -> re-injection.  Options:
+``--n-designs N``, ``--seed N``, ``--budget smoke|small|medium|large``,
+``--backend compiled|vectorized|native`` (FI engine), ``--strategy
+tmr|parity``, ``--model seu,...`` (corpus default: seu), ``--jobs N``
+(one design per worker), ``--out DIR`` (write ``BENCH_corpus.json``
+there; without it nothing is written).  Exits non-zero on any refine
+or cross-engine equivalence failure.
 
 ``serve`` starts the persistent campaign service: an HTTP/JSON API
 accepting verify/fi/corpus jobs with a priority queue, sharded worker
@@ -249,7 +249,6 @@ def cmd_fi(args) -> None:
     from .fi import FAULT_MODELS, CampaignConfig, run_campaign, \
         run_fi_self_check
     from .flow import write_fi_artifacts
-    from .flow.artifacts import write_fi_bench_json
 
     models = _option(args, "--model", ",".join(FAULT_MODELS))
     config = CampaignConfig(
@@ -276,8 +275,6 @@ def cmd_fi(args) -> None:
     if out_dir:
         index = write_fi_artifacts(report, out_dir)
         print(index.format())
-    else:
-        print(f"wrote {write_fi_bench_json(report)}")
     if report.self_check is not None and not report.self_check.passed:
         raise SystemExit(1)
 
@@ -307,9 +304,7 @@ def cmd_corpus(args) -> None:
         os.makedirs(out_dir, exist_ok=True)
         path = write_corpus_bench_json(
             report, os.path.join(out_dir, "BENCH_corpus.json"))
-    else:
-        path = write_corpus_bench_json(report)
-    print(f"wrote {path}")
+        print(f"wrote {path}")
     if not report.passed:
         raise SystemExit(1)
 

@@ -37,7 +37,9 @@ from ..rtl.expr import (Add, BitAnd, BitNot, BitXor, Case, Cat, Cmp, Const,
 from ..rtl.ir import RtlModule
 from ..rtl.simulate import RtlSimulator
 from ..src_design.params import SrcMode, SrcParams
-from ..src_design.schedule import KIND_IN, KIND_MODE, KIND_OUT, make_schedule
+from ..src_design.schedule import (IDLE, CycleStimulus, clocked_stimulus,
+                                   make_schedule)
+from ..src_design.testbench import src_port_waveform
 from ..synth import synthesize
 from ..verify import generate_cases, golden_outputs
 
@@ -578,8 +580,8 @@ class SrcCorpusDesign:
         self._case = None
         self._module: Optional[RtlModule] = None
         self._netlist = None
+        self._stimulus: Optional[List[CycleStimulus]] = None
         self._waveform: Optional[List[Dict[str, int]]] = None
-        self._last_tick = 0
 
     def case(self):
         if self._case is None:
@@ -621,43 +623,29 @@ class SrcCorpusDesign:
                                 case.inputs, backend=backend)
         return self._mask(frames)
 
-    def waveform(self) -> List[Dict[str, int]]:
-        """Open-loop per-cycle input record over the case's schedule."""
-        if self._waveform is None:
+    def _clocked_stimulus(self) -> List[CycleStimulus]:
+        """The case's clocked run, drain included."""
+        if self._stimulus is None:
             case = self.case()
             schedule = make_schedule(self.params, case.mode, case.n_inputs,
                                      quantized=True,
                                      mode_changes=case.mode_changes)
-            clk = self.params.clock_period_ps
-            dmask = (1 << self.params.data_width) - 1
-            by_tick: Dict[int, List[object]] = {}
-            last = 0
-            for ev in schedule:
-                tick = int(ev.time_ps // clk)
-                by_tick.setdefault(tick, []).append(ev)
-                last = max(last, tick)
-            self._last_tick = last
-            wave = []
-            for tick in range(last + 1):
-                drive = {"in_valid": 0, "cfg_valid": 0, "out_req": 0}
-                for ev in by_tick.get(tick, ()):
-                    if ev.kind == KIND_IN:
-                        frame = case.inputs[ev.value]
-                        drive["in_valid"] = 1
-                        drive["in_l"] = frame[0] & dmask
-                        drive["in_r"] = frame[1] & dmask
-                    elif ev.kind == KIND_MODE:
-                        drive["cfg_valid"] = 1
-                        drive["cfg_mode"] = ev.value
-                    elif ev.kind == KIND_OUT:
-                        drive["out_req"] = 1
-                wave.append(drive)
-            self._waveform = wave
+            self._stimulus = clocked_stimulus(self.params, schedule,
+                                              case.inputs)
+        return self._stimulus
+
+    def waveform(self) -> List[Dict[str, int]]:
+        """Open-loop per-cycle input record up to the case's last
+        scheduled event."""
+        if self._waveform is None:
+            stimulus = self._clocked_stimulus()
+            last = max(tick for tick, cycle in enumerate(stimulus)
+                       if cycle is not IDLE)
+            self._waveform = src_port_waveform(stimulus[:last + 1])
         return self._waveform
 
     def cycle_budget(self) -> int:
-        wave = self.waveform()
-        return len(wave) + self.params.max_latency_cycles + 8
+        return len(self._clocked_stimulus())
 
 
 # ----------------------------------------------------------------------

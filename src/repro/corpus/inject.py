@@ -1,25 +1,25 @@
-"""Generic gate-level fault injection for corpus designs.
+"""Gate-level fault injection for corpus designs.
 
-The existing campaign runner (:mod:`repro.fi.campaign`) drives the SRC
-design's schedule; corpus members have arbitrary port sets, so this
-engine replays a *recorded waveform* instead: the per-cycle input record
-of a fault-free run (see ``CorpusDesign.waveform``) is broadcast
-open-loop to every fault lane.  Everything else mirrors the campaign
-runner -- saboteur overlays, parallel-fault pattern batches, the
-pattern-0 fault-free golden cross-check, and the masked/sdc/detected/
-hang taxonomy -- so corpus FI rates are directly comparable to
-BENCH_fi.json.
+Corpus members have arbitrary port sets, so their campaigns replay a
+*recorded waveform*: the per-cycle input record of a fault-free run
+(see ``CorpusDesign.waveform``), broadcast open-loop to every fault
+lane.  The simulation is the SRC campaign's own gate driver,
+:func:`repro.fi.campaign.run_gate_batch`, fed a waveform
+:class:`~repro.fi.campaign.Workload` -- the same saboteur overlays,
+parallel-fault pattern batches, pattern-0 fault-free golden
+cross-check and masked/sdc/detected/hang taxonomy -- so corpus FI rates
+are directly comparable to BENCH_fi.json.  This module adds the
+corpus's faultload, its batching and the attribution of SDCs to RTL
+registers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..fi.campaign import _classify, fi_batch_width
-from ..fi.faults import Fault, build_overlay, control_name
+from ..fi.campaign import Workload, fi_batch_width, run_gate_batch
+from ..fi.faults import Fault
 from ..fi.faultload import generate_gate_faultload
-from ..gatesim import GateSimulator
-from .designs import CorpusError
 
 #: faults per batch on an engine that does not sweep (pattern 0 stays
 #: fault-free, so a batch fills native's 64-pattern gate word)
@@ -41,113 +41,6 @@ def generate_design_faultload(netlist, n_faults: int, seed: int,
                                    models=tuple(models))
 
 
-def _decode_frame(planes, pattern: int) -> Optional[Tuple[int, ...]]:
-    """One pattern's output frame from per-port bit planes; None on X."""
-    frame = []
-    bit = 1 << pattern
-    for ones, unks in planes:
-        value = 0
-        for i in range(len(ones)):
-            if unks[i] & bit:
-                return None
-            if ones[i] & bit:
-                value |= 1 << i
-        frame.append(value)
-    return tuple(frame)
-
-
-def run_waveform_batch(netlist, waveform: Sequence[Dict[str, int]],
-                       golden: Sequence[Tuple[int, ...]],
-                       valid_port: str,
-                       frame_ports: Sequence[str],
-                       faults: Sequence[Fault],
-                       cycle_budget: int,
-                       backend: str = "compiled",
-                       detect_ports: Sequence[str] = ()) -> list:
-    """Inject one batch of faults in parallel bit-plane lanes."""
-    n = len(faults)
-    overlay = build_overlay(netlist, faults)
-    sim = GateSimulator(overlay.netlist, backend=backend, n_patterns=n + 1)
-    pattern_of = {fault.index: p + 1 for p, fault in enumerate(faults)}
-
-    toggles: Dict[int, List[Tuple[Fault, int]]] = {}
-    mem_pokes: Dict[int, List[Fault]] = {}
-    for fault in faults:
-        ctrl = overlay.controls.get(fault.index)
-        if fault.permanent:
-            values = [0] * (n + 1)
-            values[pattern_of[fault.index]] = 1
-            sim.set_input_patterns(ctrl, values)
-        elif fault.structural:
-            toggles.setdefault(fault.cycle, []).append((fault, 1))
-            toggles.setdefault(fault.cycle + fault.duration,
-                               []).append((fault, 0))
-        else:  # memory-bit SEU
-            mem_pokes.setdefault(fault.cycle, []).append(fault)
-
-    idle = {name: 0 for name in waveform[0]}
-    expected = len(golden)
-    outputs: List[List[Tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    detected: List[Optional[Tuple[int, str]]] = [None] * (n + 1)
-    live = set(range(n + 1))
-
-    for tick in range(cycle_budget):
-        drive = waveform[tick] if tick < len(waveform) else idle
-        for name, value in drive.items():
-            sim.set_input(name, value)
-        for fault, value in toggles.get(tick, ()):
-            values = [0] * (n + 1)
-            values[pattern_of[fault.index]] = value
-            sim.set_input_patterns(control_name(fault), values)
-        for fault in mem_pokes.get(tick, ()):
-            model = sim.privatize_memory(fault.target,
-                                         pattern_of[fault.index])
-            model.flip_bit(fault.address, fault.bit)
-        sim.step()
-
-        d_planes = [sim.get_port_planes(p) for p in detect_ports]
-        v_ones, v_unks = sim.get_port_planes(valid_port)
-        valid_ones, valid_unk = v_ones[0], v_unks[0]
-        f_planes = None
-        if valid_ones or valid_unk:
-            f_planes = [sim.get_port_planes(p) for p in frame_ports]
-        still_live = []
-        for p in live:
-            bit = 1 << p
-            flagged = False
-            for port, (ones, unks) in zip(detect_ports, d_planes):
-                if any(o & bit or u & bit for o, u in zip(ones, unks)):
-                    detected[p] = (tick, f"{port} asserted")
-                    flagged = True
-                    break
-            if flagged:
-                continue
-            if valid_unk & bit:
-                detected[p] = (tick, f"{valid_port} is X")
-                continue
-            if valid_ones & bit:
-                frame = _decode_frame(f_planes, p)
-                if frame is None:
-                    detected[p] = (tick, "output frame is X")
-                    continue
-                outputs[p].append(frame)
-                if len(outputs[p]) >= expected:
-                    continue
-            still_live.append(p)
-        live = set(still_live)
-        if not live:
-            break
-
-    if detected[0] is not None or outputs[0] != list(golden):
-        raise CorpusError(
-            f"fault-free pattern diverged from golden on "
-            f"{netlist.name}: got {len(outputs[0])} frames")
-
-    return [_classify(fault, outputs[pattern_of[fault.index]],
-                      detected[pattern_of[fault.index]], golden)
-            for fault in faults]
-
-
 def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
                         golden: Sequence[Tuple[int, ...]],
                         valid_port: str,
@@ -156,14 +49,24 @@ def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
                         cycle_budget: int,
                         backend: str = "compiled",
                         detect_ports: Sequence[str] = ()) -> list:
-    """Run a whole faultload in batches; returns FaultRecords."""
+    """Run a whole faultload in batches; returns FaultRecords.
+
+    The run lasts *cycle_budget* ticks: past the end of the recording,
+    every input the first cycle drives is held at 0.  Frames decode
+    unsigned.  A fault-free divergence raises
+    :class:`~repro.fi.campaign.CampaignError`.
+    """
+    idle = {name: 0 for name in waveform[0]}
+    drive = list(waveform[:cycle_budget])
+    drive += [idle] * (cycle_budget - len(drive))
+    workload = Workload(list(golden), drive, valid_port, tuple(frame_ports),
+                        tuple(detect_ports), signed=False)
     batch = fi_batch_width("gate", backend, len(faults), 1, COMPILED_BATCH)
     records = []
     for lo in range(0, len(faults), batch):
-        records.extend(run_waveform_batch(
-            netlist, waveform, golden, valid_port, frame_ports,
-            faults[lo:lo + batch], cycle_budget, backend=backend,
-            detect_ports=detect_ports))
+        records.extend(run_gate_batch(netlist, workload,
+                                      faults[lo:lo + batch], None,
+                                      backend=backend))
     return records
 
 

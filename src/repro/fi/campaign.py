@@ -20,6 +20,14 @@ entry in :data:`repro.engines.ENGINES` (see :func:`fi_batch_width`):
   at the level (interpreted everywhere; compiled and native at RTL),
   each fault gets its own simulation.
 
+The workload (:class:`Workload`) is built once per campaign from the
+clock-quantised schedule through
+:func:`~repro.src_design.schedule.clocked_stimulus`.  The gate driver,
+:func:`run_gate_batch`, replays its per-cycle port waveform and reads
+the ports the workload names, so the corpus
+(:mod:`repro.corpus.inject`) runs its recorded waveforms through the
+same driver.
+
 Campaigns scale across a ``multiprocessing`` worker pool
 (:func:`parallel_map`); classification is a pure function of
 ``(fault, workload)``, so any job count produces identical records,
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import (absorb_deltas, aggregate_stats,
@@ -48,8 +56,10 @@ from ..rtl import RtlSimulator
 from ..src_design.behavioral import (BehavioralBatchSimulation,
                                      BehavioralSimulation, build_main_fsm)
 from ..src_design.params import SrcParams
-from ..src_design.schedule import KIND_IN, KIND_MODE, KIND_OUT, make_schedule
-from ..src_design.testbench import BehavioralDutDriver, RtlDutDriver
+from ..src_design.schedule import (CycleStimulus, clocked_stimulus,
+                                   make_schedule)
+from ..src_design.testbench import (BehavioralDutDriver, RtlDutDriver,
+                                    drive_behavioral, src_port_waveform)
 from ..synth import synthesize
 from ..verify.runner import golden_outputs
 from ..verify.stimulus import StimulusCase, generate_cases
@@ -119,17 +129,36 @@ class CampaignConfig:
 
 @dataclass
 class Workload:
-    """One stimulus case prepared for cycle-accurate lockstep."""
+    """What a campaign replays on every fault, and what it must produce.
 
-    case: StimulusCase
+    The gate-level driver (:func:`run_gate_batch`) broadcasts
+    ``waveform`` -- one dict of input-port writes per clock tick of the
+    whole run -- and reads back ``valid_port``, ``frame_ports`` and
+    ``detect_ports``, so it serves any design: the SRC campaign below
+    and the corpus's recorded waveforms alike.  SRC workloads also carry
+    their stimulus case and its per-cycle ``(frame, cfg, req)`` form,
+    which the RTL and behavioural runners drive.
+    """
+
     golden: List[Tuple[int, ...]]
-    by_tick: Dict[int, List[object]]
-    last_tick: int
-    cycle_budget: int
+    waveform: List[Dict[str, int]]
+    valid_port: str = "out_valid"
+    frame_ports: Tuple[str, ...] = ("out_l", "out_r")
+    #: a lane with any bit of one of these ports asserted is detected
+    detect_ports: Tuple[str, ...] = ()
+    #: frames decode as two's complement (else unsigned)
+    signed: bool = True
+    case: Optional[StimulusCase] = None
+    stimulus: Sequence[CycleStimulus] = ()
 
     @property
     def expected(self) -> int:
         return len(self.golden)
+
+    @property
+    def cycle_budget(self) -> int:
+        """The last clock tick of the run."""
+        return len(self.waveform) - 1
 
 
 def make_workload(params: SrcParams, seed: int, budget: str) -> Workload:
@@ -147,15 +176,9 @@ def make_workload(params: SrcParams, seed: int, budget: str) -> Workload:
     schedule = make_schedule(params, case.mode, case.n_inputs,
                              quantized=True,
                              mode_changes=case.mode_changes)
-    clk = params.clock_period_ps
-    by_tick: Dict[int, List[object]] = {}
-    last_tick = 0
-    for ev in schedule:
-        tick = int(ev.time_ps // clk)
-        by_tick.setdefault(tick, []).append(ev)
-        last_tick = max(last_tick, tick)
-    cycle_budget = last_tick + params.max_latency_cycles + 8
-    return Workload(case, golden, by_tick, last_tick, cycle_budget)
+    stimulus = clocked_stimulus(params, schedule, case.inputs)
+    return Workload(golden, src_port_waveform(stimulus), case=case,
+                    stimulus=stimulus)
 
 
 def build_campaign_netlist(params: SrcParams) -> "object":
@@ -168,48 +191,6 @@ def build_campaign_netlist(params: SrcParams) -> "object":
     netlist is workload-equivalent to the plain one.
     """
     return synthesize(build_module(params, Level.GATE_RTL))
-
-
-def _workload_stimulus(events):
-    """Split one tick's schedule events into (frame, cfg, req)."""
-    frame = None
-    cfg = None
-    req = False
-    for ev in events:
-        if ev.kind == KIND_IN:
-            frame = ev.value
-        elif ev.kind == KIND_OUT:
-            req = True
-        elif ev.kind == KIND_MODE:
-            cfg = ev.value
-    return frame, cfg, req
-
-
-def _drive_workload_inputs(sim, events) -> None:
-    """Drive one tick's schedule events on the DUT inputs (broadcast)."""
-    frame, cfg, req = _workload_stimulus(events)
-    sim.set_input("in_valid", 1 if frame is not None else 0)
-    if frame is not None:
-        sim.set_input("in_l", frame[0])
-        sim.set_input("in_r", frame[1])
-    sim.set_input("cfg_valid", 1 if cfg is not None else 0)
-    if cfg is not None:
-        sim.set_input("cfg_mode", cfg)
-    sim.set_input("out_req", 1 if req else 0)
-
-
-def _resolve_frames(workload: Workload):
-    """Replace KIND_IN event values (input indices) with sample frames."""
-    by_tick: Dict[int, List[object]] = {}
-    inputs = workload.case.inputs
-    for tick, events in workload.by_tick.items():
-        out = []
-        for ev in events:
-            if ev.kind == KIND_IN:
-                ev = replace(ev, value=inputs[ev.value])
-            out.append(ev)
-        by_tick[tick] = out
-    return by_tick
 
 
 def _classify(fault: Fault, outputs, detected, golden) -> FaultRecord:
@@ -228,7 +209,7 @@ def _classify(fault: Fault, outputs, detected, golden) -> FaultRecord:
 
 
 # ----------------------------------------------------------------------
-# gate level: parallel-fault batches on the compiled backend
+# gate level: parallel-fault batches over the workload's port waveform
 # ----------------------------------------------------------------------
 
 def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
@@ -243,8 +224,12 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
     The fault-free pattern doubles as an in-run sanity check: if it
     diverges from the golden model the harness itself is broken.
 
-    *backend* selects the pattern engine; its pattern cap is in
-    :data:`repro.engines.ENGINES` (native: one 64-pattern word).
+    Every pattern is driven with the workload's port waveform; the
+    workload names the ports observed and how frames decode (see
+    :class:`Workload`), so the SRC campaign and the corpus share this
+    driver and *params* goes unread.  *backend* selects the pattern
+    engine; its pattern cap is in :data:`repro.engines.ENGINES`
+    (native: one 64-pattern word).
     """
     overlay = build_overlay(netlist, faults)
     n = len(faults)
@@ -266,17 +251,18 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
             toggles.setdefault(fault.cycle + fault.duration,
                                []).append((fault, 0))
 
-    by_tick = _resolve_frames(workload)
     golden = workload.golden
     expected = workload.expected
-    dw = params.data_width
-    outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
+    valid_port = workload.valid_port
+    outputs: List[List[Tuple[int, ...]]] = [[] for _ in range(n + 1)]
     detected: List[Optional[Tuple[int, str]]] = [None] * (n + 1)
     live = list(range(n + 1))
 
-    tick = 0
-    while tick <= workload.cycle_budget and live:
-        _drive_workload_inputs(sim, by_tick.get(tick, ()))
+    for tick, drive in enumerate(workload.waveform):
+        if not live:
+            break
+        for name, value in drive.items():
+            sim.set_input(name, value)
         for fault, value in toggles.get(tick, ()):
             values = [0] * (n + 1)
             values[pattern_of[fault.index]] = value
@@ -287,20 +273,31 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
             model.flip_bit(fault.address, fault.bit)
         sim.step()
 
-        v_ones, v_unks = sim.get_port_planes("out_valid")
+        # per detect port, the lanes with any bit asserted (or X)
+        alarms, alarmed = [], 0
+        for port in workload.detect_ports:
+            lanes = 0
+            for ones, unks in zip(*sim.get_port_planes(port)):
+                lanes |= ones | unks
+            alarms.append((port, lanes))
+            alarmed |= lanes
+        v_ones, v_unks = sim.get_port_planes(valid_port)
         valid_ones, valid_unk = v_ones[0], v_unks[0]
-        l_planes = r_planes = None
+        planes = None
         if valid_ones or valid_unk:
-            l_planes = sim.get_port_planes("out_l")
-            r_planes = sim.get_port_planes("out_r")
+            planes = [sim.get_port_planes(p) for p in workload.frame_ports]
         still_live = []
         for p in live:
             bit = 1 << p
+            if alarmed & bit:
+                port = next(port for port, lanes in alarms if lanes & bit)
+                detected[p] = (tick, f"{port} asserted")
+                continue
             if valid_unk & bit:
-                detected[p] = (tick, "out_valid is X")
+                detected[p] = (tick, f"{valid_port} is X")
                 continue
             if valid_ones & bit:
-                frame = _decode_pattern(l_planes, r_planes, p, dw)
+                frame = _decode_frame(planes, p, workload.signed)
                 if frame is None:
                     detected[p] = (tick, "output data is X")
                     continue
@@ -309,7 +306,6 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
                     continue  # pattern finished its stream
             still_live.append(p)
         live = still_live
-        tick += 1
 
     if detected[0] is not None or outputs[0] != golden:
         raise CampaignError(
@@ -319,21 +315,21 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
             for b, fault in enumerate(faults)]
 
 
-def _decode_pattern(l_planes, r_planes, p: int,
-                    data_width: int) -> Optional[Tuple[int, int]]:
-    """Extract pattern *p*'s (out_l, out_r) frame; None when any bit
+def _decode_frame(planes, p: int,
+                  signed: bool) -> Optional[Tuple[int, ...]]:
+    """Pattern *p*'s frame from per-port bit planes; None when any bit
     is X."""
     bit = 1 << p
     frame = []
-    for ones, unks in (l_planes, r_planes):
+    for ones, unks in planes:
         value = 0
         for i in range(len(ones)):
             if unks[i] & bit:
                 return None
             if ones[i] & bit:
                 value |= 1 << i
-        frame.append(wrap_signed(value, data_width))
-    return (frame[0], frame[1])
+        frame.append(wrap_signed(value, len(ones)) if signed else value)
+    return tuple(frame)
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +339,9 @@ def _decode_pattern(l_planes, r_planes, p: int,
 def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
                           params: SrcParams,
                           backend: str = "interpreted") -> FaultRecord:
-    """Classify one gate-level fault with a single-pattern simulation."""
+    """Classify one gate-level fault of an SRC campaign with a
+    single-pattern simulation."""
     overlay = build_overlay(netlist, [fault])
-    by_tick = _resolve_frames(workload)
     golden = workload.golden
     expected = workload.expected
     dw = params.data_width
@@ -356,8 +352,11 @@ def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
         sim = GateSimulator(overlay.netlist, backend=backend)
         ctrl = control_name(fault) if fault.structural else None
         ctrl_state = 0
-        while tick <= workload.cycle_budget and len(outputs) < expected:
-            _drive_workload_inputs(sim, by_tick.get(tick, ()))
+        for tick, drive in enumerate(workload.waveform):
+            if len(outputs) >= expected:
+                break
+            for name, value in drive.items():
+                sim.set_input(name, value)
             if ctrl is not None:
                 want = 1 if fault.active(tick) else 0
                 if want != ctrl_state:
@@ -384,7 +383,6 @@ def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
                 if detected is not None:
                     break
                 outputs.append((frame[0], frame[1]))
-            tick += 1
     except Exception as exc:  # simulator check fired: the fault was caught
         detected = (tick, f"{type(exc).__name__}: {exc}")
     return _classify(fault, outputs, detected, golden)
@@ -404,7 +402,6 @@ def run_rtl_fault(module, workload: Workload, fault: Fault,
     next-state functions -- see the upset value, matching the gate-level
     XOR saboteur's observation window.
     """
-    by_tick = _resolve_frames(workload)
     golden = workload.golden
     expected = workload.expected
     outputs: List[Tuple[int, int]] = []
@@ -413,16 +410,16 @@ def run_rtl_fault(module, workload: Workload, fault: Fault,
     try:
         sim = RtlSimulator(module, backend=backend)
         driver = RtlDutDriver(sim, params)
-        while tick <= workload.cycle_budget and len(outputs) < expected:
+        for tick, (frame, cfg, req) in enumerate(workload.stimulus):
+            if len(outputs) >= expected:
+                break
             if tick == fault.cycle:
                 sim.env[fault.target] = (
                     sim.env[fault.target] ^ (1 << fault.bit))
                 sim.settle()
-            frame, cfg, req = _workload_stimulus(by_tick.get(tick, ()))
             result = driver.cycle(frame=frame, cfg=cfg, req=req)
             if result is not None:
                 outputs.append(tuple(result))
-            tick += 1
     except Exception as exc:  # model check fired: the fault was caught
         detected = (tick, f"{type(exc).__name__}: {exc}")
     return _classify(fault, outputs, detected, golden)
@@ -449,19 +446,20 @@ def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
     for b, fault in enumerate(faults):
         pokes.setdefault(fault.cycle, []).append((b + 1, fault))
 
-    by_tick = _resolve_frames(workload)
     golden = workload.golden
     expected = workload.expected
     dw = params.data_width
     outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
     remaining = n + 1
-    tick = 0
-    while tick <= workload.cycle_budget and remaining:
+    for tick, drive in enumerate(workload.waveform):
+        if not remaining:
+            break
         if tick in pokes:
             for p, fault in pokes[tick]:
                 sim.env[fault.target][p] ^= np.uint64(1 << fault.bit)
             sim.settle()
-        _drive_workload_inputs(sim, by_tick.get(tick, ()))
+        for name, value in drive.items():
+            sim.set_input(name, value)
         sim.step()
         valid = sim.get_patterns("out_valid")
         if any(valid):
@@ -473,7 +471,6 @@ def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
                                        wrap_signed(out_r[p], dw)))
                     if len(outputs[p]) >= expected:
                         remaining -= 1
-        tick += 1
 
     if outputs[0] != golden:
         raise CampaignError(
@@ -508,23 +505,17 @@ def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
     for b, fault in enumerate(faults):
         pokes.setdefault(fault.cycle, []).append((b + 1, fault))
 
-    by_tick = _resolve_frames(workload)
     golden = workload.golden
     expected = workload.expected
     dw = params.data_width
     outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
     remaining = n + 1
-    tick = 0
-    while tick <= workload.cycle_budget and remaining:
+    for tick, (frame, cfg, req) in enumerate(workload.stimulus):
+        if not remaining:
+            break
         for p, fault in pokes.get(tick, ()):
             sim.batch.flip_bit(p, fault.target, fault.bit)
-        frame, cfg, req = _workload_stimulus(by_tick.get(tick, ()))
-        if frame is not None:
-            sim.drive_input(frame[0], frame[1])
-        if cfg is not None:
-            sim.drive_cfg(cfg)
-        if req:
-            sim.drive_req()
+        drive_behavioral(sim, frame, cfg, req)
         frames = sim.step()
         for p, result in enumerate(frames):
             if result is not None and len(outputs[p]) < expected:
@@ -532,7 +523,6 @@ def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
                                    wrap_signed(result[1], dw)))
                 if len(outputs[p]) >= expected:
                     remaining -= 1
-        tick += 1
 
     if outputs[0] != golden:
         raise CampaignError(
@@ -551,7 +541,6 @@ def run_beh_fault_scalar(fsm, workload: Workload, fault: Fault,
     injection cycle, before that cycle's evaluation -- the same
     observation window as :func:`run_rtl_fault`.
     """
-    by_tick = _resolve_frames(workload)
     golden = workload.golden
     expected = workload.expected
     outputs: List[Tuple[int, int]] = []
@@ -560,15 +549,15 @@ def run_beh_fault_scalar(fsm, workload: Workload, fault: Fault,
     try:
         sim = BehavioralSimulation(params, fsm=fsm, backend=backend)
         driver = BehavioralDutDriver(sim, params)
-        while tick <= workload.cycle_budget and len(outputs) < expected:
+        for tick, (frame, cfg, req) in enumerate(workload.stimulus):
+            if len(outputs) >= expected:
+                break
             if tick == fault.cycle:
                 env = sim.interp.env
                 env[fault.target] = env[fault.target] ^ (1 << fault.bit)
-            frame, cfg, req = _workload_stimulus(by_tick.get(tick, ()))
             result = driver.cycle(frame=frame, cfg=cfg, req=req)
             if result is not None:
                 outputs.append(tuple(result))
-            tick += 1
     except Exception as exc:  # model check fired: the fault was caught
         detected = (tick, f"{type(exc).__name__}: {exc}")
     return _classify(fault, outputs, detected, golden)

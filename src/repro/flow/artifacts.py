@@ -19,7 +19,7 @@ from ..gatesim import COMPILE_CACHE, GateSimulator, GateVcdTracer
 from ..obs.trace import format_stage_table, trace_events, tracing_enabled
 from ..rtl import RTL_COMPILE_CACHE, emit_verilog, format_lint, lint
 from ..src_design.params import SrcParams
-from ..src_design.schedule import make_schedule
+from ..src_design.schedule import IDLE, clocked_stimulus, make_schedule
 from ..src_design.testbench import RtlDutDriver
 from ..synth import emit_gate_verilog, report_area, report_timing
 from .performance import default_stimulus
@@ -113,22 +113,11 @@ def write_artifacts(params: SrcParams, directory: str,
     )
     driver = RtlDutDriver(sim, params)
     n_inputs = max(8, wave_cycles // 40)
-    schedule = make_schedule(params, 0, n_inputs, quantized=True)
-    inputs = default_stimulus(params, n_inputs)
-    clk = params.clock_period_ps
-    by_tick: Dict[int, list] = {}
-    for ev in schedule:
-        by_tick.setdefault(int(ev.time_ps // clk), []).append(ev)
-    for tick in range(wave_cycles):
-        frame = cfg = None
-        req = False
-        for ev in by_tick.get(tick, ()):
-            if ev.kind == "in":
-                frame = inputs[ev.value]
-            elif ev.kind == "out":
-                req = True
-            else:
-                cfg = ev.value
+    stimulus = clocked_stimulus(
+        params, make_schedule(params, 0, n_inputs, quantized=True),
+        default_stimulus(params, n_inputs))
+    stimulus += [IDLE] * (wave_cycles - len(stimulus))
+    for frame, cfg, req in stimulus[:wave_cycles]:
         driver.cycle(frame=frame, cfg=cfg, req=req)
         tracer.sample()
     wave_path = os.path.join(directory, "rtl_opt_gates.vcd")
@@ -215,45 +204,34 @@ def write_verify_artifacts(report, directory: str) -> ArtifactIndex:
     return index
 
 
-def write_fi_bench_json(report, path: str = "BENCH_fi.json") -> str:
+def write_fi_bench_json(report, path: str) -> str:
     """Write a campaign's dependability metrics as machine-readable JSON.
 
-    *report* is a :class:`repro.fi.CampaignReport`.  Like
-    :func:`repro.flow.performance.write_bench_json`, the target
-    directory can be redirected with ``REPRO_BENCH_DIR``; returns the
-    path written.  The payload pins the campaign identity (level, seed,
-    budget), the outcome classification (total and per fault model /
-    target kind), injection throughput of every simulation engine the
-    campaign exercised and the aggregated compile-cache counters
-    (total and per owning backend) -- enough to track
-    dependability and injection-speed trajectories across changes.
+    *report* is a :class:`repro.fi.CampaignReport`; the file goes to
+    *path* exactly, and the path is returned.  The payload pins the
+    campaign identity (level, seed, budget), the outcome classification
+    (total and per fault model / target kind), injection throughput of
+    every simulation engine the campaign exercised and the aggregated
+    compile-cache counters (total and per owning backend) -- enough to
+    track dependability and injection-speed trajectories across
+    changes.
     """
-    bench_dir = os.environ.get("REPRO_BENCH_DIR")
-    if bench_dir:
-        os.makedirs(bench_dir, exist_ok=True)
-        path = os.path.join(bench_dir, os.path.basename(path))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
-def write_corpus_bench_json(report,
-                            path: str = "BENCH_corpus.json") -> str:
+def write_corpus_bench_json(report, path: str) -> str:
     """Write a corpus matrix run as machine-readable JSON.
 
     *report* is a :class:`repro.corpus.CorpusReport`.  One row per
     generated design (digest, netlist hash, refine/verify verdicts,
     coverage, area, FI outcome rates and the harden/re-inject deltas)
     plus a corpus-wide summary -- schema-locked by
-    tests/test_bench_schema.py like the other BENCH_* artifacts.
-    ``REPRO_BENCH_DIR`` redirects the target directory; returns the
-    path written.
+    tests/test_bench_schema.py like the other BENCH_* artifacts.  The
+    file goes to *path* exactly, and the path is returned.
     """
-    bench_dir = os.environ.get("REPRO_BENCH_DIR")
-    if bench_dir:
-        os.makedirs(bench_dir, exist_ok=True)
-        path = os.path.join(bench_dir, os.path.basename(path))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

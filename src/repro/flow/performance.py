@@ -26,9 +26,10 @@ from ..rtl import RtlSimulator
 from ..src_design.behavioral import BehavioralSimulation, build_main_fsm
 from ..src_design.algorithmic import AlgorithmicSrc
 from ..src_design.params import SrcParams
-from ..src_design.schedule import (KIND_IN, KIND_MODE, KIND_OUT,
-                                   SampleEvent, make_schedule)
-from ..src_design.testbench import RtlDutDriver, run_clocked, run_tlm
+from ..src_design.schedule import (SampleEvent, clocked_stimulus,
+                                   count_outputs, make_schedule)
+from ..src_design.testbench import (BehavioralDutDriver, RtlDutDriver,
+                                    run_clocked, run_tlm)
 from ..dsp.stimulus import sine_samples
 
 
@@ -152,51 +153,35 @@ def measure_tlm(params: SrcParams, n_inputs: int,
                          _simulated_cycles(params, schedule), len(outputs))
 
 
-class _KernelBehavioralBench(Module):
-    """Kernel-hosted behavioural simulation: one FSM step per clock edge."""
+class _KernelClockedBench(Module):
+    """Kernel-hosted clocked DUT: one driver cycle per clock edge.
 
-    def __init__(self, name: str, params: SrcParams,
+    The DUT -- behavioural FSM or RTL model -- lives in the same SystemC
+    kernel as the testbench, one full design evaluation per clock edge
+    (the BEH and RTL-SystemC simulations of Figure 8).
+    """
+
+    def __init__(self, name: str, params: SrcParams, driver,
                  schedule: Sequence[SampleEvent],
-                 inputs: Sequence[Tuple[int, int]],
-                 optimized: bool = True, backend: str = "interpreted"):
+                 inputs: Sequence[Tuple[int, int]]):
         super().__init__(name)
-        self.params = params
-        self.beh = BehavioralSimulation(params, optimized, backend=backend)
+        self.driver = driver
         self.outputs: List[Tuple[int, int]] = []
-        clk_ps = params.clock_period_ps
-        self._by_tick: Dict[int, List[SampleEvent]] = {}
-        self._expected = 0
-        self._last_tick = 0
-        for ev in schedule:
-            tick = int(-(-ev.time_ps // clk_ps))
-            self._by_tick.setdefault(tick, []).append(ev)
-            self._last_tick = max(self._last_tick, tick)
-            if ev.kind == KIND_OUT:
-                self._expected += 1
-        self._inputs = inputs
-        self.clock = Clock(f"{name}.clk", clk_ps)
+        self._expected = count_outputs(schedule)
+        self._stimulus = clocked_stimulus(params, schedule, inputs)
+        self.clock = Clock(f"{name}.clk", params.clock_period_ps)
         self.add_thread(self._drive, name=f"{name}.drive")
 
     def _drive(self):
         from ..kernel import current_simulation
 
-        params = self.params
-        tick = 0
-        limit = self._last_tick + params.max_latency_cycles + 8
-        while tick <= limit and len(self.outputs) < self._expected:
+        for frame, cfg, req in self._stimulus:
+            if len(self.outputs) >= self._expected:
+                break
             yield self.clock.posedge
-            for ev in self._by_tick.get(tick, ()):
-                if ev.kind == KIND_IN:
-                    frame = self._inputs[ev.value]
-                    self.beh.drive_input(frame[0], frame[1])
-                elif ev.kind == KIND_OUT:
-                    self.beh.drive_req()
-                else:
-                    self.beh.drive_cfg(ev.value)
-            result = self.beh.step()
+            result = self.driver.cycle(frame=frame, cfg=cfg, req=req)
             if result is not None:
                 self.outputs.append(result)
-            tick += 1
         # the free-running clock would keep the kernel alive forever
         current_simulation().stop()
 
@@ -207,8 +192,10 @@ def measure_behavioral(params: SrcParams, n_inputs: int,
     """Synthesisable behavioural level, hosted in the kernel."""
     schedule = make_schedule(params, 0, n_inputs, quantized=True)
     inputs = default_stimulus(params, n_inputs)
-    bench = _KernelBehavioralBench("beh_bench", params, schedule, inputs,
-                                   optimized, backend=backend)
+    beh = BehavioralSimulation(params, optimized, backend=backend)
+    bench = _KernelClockedBench("beh_bench", params,
+                                BehavioralDutDriver(beh, params), schedule,
+                                inputs)
     start = time.perf_counter()
     with Simulation(bench) as sim:
         sim.run()
@@ -289,65 +276,14 @@ def measure_cycle_dut(params: SrcParams, sim, n_inputs: int,
                          _simulated_cycles(params, schedule), len(outputs))
 
 
-class _KernelCycleDutBench(Module):
-    """Kernel-hosted cycle DUT: the RTL-SystemC simulation of Figure 8.
-
-    The RTL model lives in the same SystemC kernel as the testbench, one
-    full design evaluation per clock edge.
-    """
-
-    def __init__(self, name: str, params: SrcParams, dut_sim,
-                 schedule: Sequence[SampleEvent],
-                 inputs: Sequence[Tuple[int, int]]):
-        super().__init__(name)
-        self.params = params
-        self.driver = RtlDutDriver(dut_sim, params)
-        self.outputs: List[Tuple[int, int]] = []
-        clk_ps = params.clock_period_ps
-        self._by_tick: Dict[int, List[SampleEvent]] = {}
-        self._expected = 0
-        self._last_tick = 0
-        for ev in schedule:
-            tick = int(-(-ev.time_ps // clk_ps))
-            self._by_tick.setdefault(tick, []).append(ev)
-            self._last_tick = max(self._last_tick, tick)
-            if ev.kind == KIND_OUT:
-                self._expected += 1
-        self._inputs = inputs
-        self.clock = Clock(f"{name}.clk", clk_ps)
-        self.add_thread(self._drive, name=f"{name}.drive")
-
-    def _drive(self):
-        from ..kernel import current_simulation
-
-        tick = 0
-        limit = self._last_tick + self.params.max_latency_cycles + 8
-        while tick <= limit and len(self.outputs) < self._expected:
-            yield self.clock.posedge
-            frame = None
-            cfg = None
-            req = False
-            for ev in self._by_tick.get(tick, ()):
-                if ev.kind == KIND_IN:
-                    frame = self._inputs[ev.value]
-                elif ev.kind == KIND_OUT:
-                    req = True
-                else:
-                    cfg = ev.value
-            result = self.driver.cycle(frame=frame, cfg=cfg, req=req)
-            if result is not None:
-                self.outputs.append(result)
-            tick += 1
-        current_simulation().stop()
-
-
 def measure_kernel_cycle_dut(params: SrcParams, dut_sim, n_inputs: int,
                              label: str) -> SimPerfResult:
     """A cycle DUT hosted inside the kernel (Figure 8's RTL point)."""
     schedule = make_schedule(params, 0, n_inputs, quantized=True)
     inputs = default_stimulus(params, n_inputs)
-    bench = _KernelCycleDutBench("dut_bench", params, dut_sim, schedule,
-                                 inputs)
+    bench = _KernelClockedBench("dut_bench", params,
+                                RtlDutDriver(dut_sim, params), schedule,
+                                inputs)
     start = time.perf_counter()
     with Simulation(bench) as sim:
         sim.run()
@@ -408,12 +344,13 @@ def profile_behavioral_split(params: SrcParams, n_inputs: int = 60,
 
     schedule = make_schedule(params, 0, n_inputs, quantized=True)
     inputs = default_stimulus(params, n_inputs)
-    bench = _KernelBehavioralBench("profile_bench", params, schedule,
-                                   inputs, optimized)
+    beh = BehavioralSimulation(params, optimized)
+    bench = _KernelClockedBench("profile_bench", params,
+                                BehavioralDutDriver(beh, params), schedule,
+                                inputs)
 
     # split the behavioural model internally: time the FSM interpreter
     # separately from the front-end mirror
-    beh = bench.beh
     interp_step = beh.interp.step
     interp_time = [0.0]
 

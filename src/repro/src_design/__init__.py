@@ -25,7 +25,7 @@ from .io_interfaces import FrontEnd, FrontEndOptions
 from .params import PAPER_PARAMS, SMALL_PARAMS, SrcMode, SrcParams
 from .rtl_design import RtlDesign, build_rtl_design
 from .schedule import (KIND_IN, KIND_MODE, KIND_OUT, SampleEvent,
-                       count_outputs, make_schedule, schedule_clock_ticks)
+                       clocked_stimulus, count_outputs, make_schedule)
 from .serial_io import (SerialLink, add_serial_receiver,
                         add_serial_transmitter,
                         build_serial_receiver_module, build_serial_src,
@@ -46,8 +46,8 @@ __all__ = [
     "SrcChannelRefined", "SrcCtrlIF", "SrcMode", "SrcParams",
     "TlmTestbench", "VhdlReferenceDesign", "build_behavioral_design",
     "build_main_program", "build_rom", "build_rtl_design",
-    "build_vhdl_reference", "coefficient", "count_outputs",
+    "build_vhdl_reference", "clocked_stimulus", "coefficient",
+    "count_outputs",
     "filter_sample", "full_prototype", "make_schedule", "rom_address",
     "round_saturate_expr", "run_clocked", "run_tlm",
-    "schedule_clock_ticks",
 ]

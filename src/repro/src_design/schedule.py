@@ -9,7 +9,8 @@ this quantisation back into the golden model; we reproduce that by
 generating the ordered event schedule once -- exact or clock-quantised --
 and feeding the *same* schedule to the untimed models, while the clocked
 models derive it independently from their producer/consumer threads (and
-are checked to agree).
+are checked to agree).  Every clocked testbench reads the quantised
+schedule through :func:`clocked_stimulus`, its per-cycle form.
 """
 
 from __future__ import annotations
@@ -164,13 +165,47 @@ def count_outputs(schedule: Iterable[SampleEvent]) -> int:
     return sum(1 for ev in schedule if ev.kind == KIND_OUT)
 
 
-def schedule_clock_ticks(params: SrcParams,
-                         schedule: Sequence[SampleEvent]) -> List[int]:
-    """Clock-tick indices of a quantised schedule (for the clocked models)."""
+#: one clock cycle of stimulus ``(frame, cfg, req)``: the input frame
+#: written (or None), the mode configured (or None) and whether an
+#: output is requested
+CycleStimulus = Tuple[Optional[Sequence[int]], Optional[int], bool]
+
+#: a cycle with no scheduled event (:func:`clocked_stimulus` fills every
+#: such cycle with this very object)
+IDLE: CycleStimulus = (None, None, False)
+
+
+def clocked_stimulus(params: SrcParams, schedule: Sequence[SampleEvent],
+                     inputs: Sequence[Sequence[int]]
+                     ) -> List[CycleStimulus]:
+    """The per-cycle stimulus of a whole clocked run over *schedule*.
+
+    Entry *t* is what the testbench drives on clock tick *t*: the frame
+    ``inputs[j]`` of input event *j*, the mode of a mode event and a
+    request for an output event.  The run covers every scheduled tick
+    plus a drain of idle ticks -- the latency bound and eight more --
+    so the slowest implementation answers the last request.
+
+    Raises ``ValueError`` unless the schedule is clock-quantised (built
+    with ``make_schedule(..., quantized=True)``).
+    """
     clk = params.clock_period_ps
     ticks = []
     for ev in schedule:
         if ev.time_ps % clk:
-            raise ValueError("schedule is not clock-quantised")
+            raise ValueError(
+                "clocked runs need a clock-quantised schedule "
+                "(make_schedule(..., quantized=True))")
         ticks.append(int(ev.time_ps // clk))
-    return ticks
+    drain = params.max_latency_cycles + 8
+    stimulus = [IDLE] * (max(ticks, default=0) + drain + 1)
+    for tick, ev in zip(ticks, schedule):
+        frame, cfg, req = stimulus[tick]
+        if ev.kind == KIND_IN:
+            frame = inputs[ev.value]
+        elif ev.kind == KIND_MODE:
+            cfg = ev.value
+        else:
+            req = True
+        stimulus[tick] = (frame, cfg, req)
+    return stimulus

@@ -16,15 +16,17 @@ larger than 1 ps).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..datatypes.integers import wrap_signed
 from ..kernel.context import current_simulation
 from ..kernel.event import Timeout
 from ..kernel.module import Module
 from ..kernel.scheduler import Simulation
 from .algorithmic import AccessMonitor
 from .params import SrcParams
-from .schedule import KIND_IN, KIND_MODE, KIND_OUT, SampleEvent
+from .schedule import (IDLE, KIND_IN, KIND_MODE, KIND_OUT, CycleStimulus,
+                       SampleEvent, clocked_stimulus, count_outputs)
 from .tlm import SrcChannelMonolithic, SrcChannelRefined
 
 
@@ -74,6 +76,53 @@ class TlmTestbench(Module):
             self.outputs.append(tuple(frame))
 
 
+def drive_src_ports(sim, frame=None, cfg=None, req=False) -> None:
+    """Write one clock cycle of stimulus onto the SRC's input ports.
+
+    The strobes (``in_valid``, ``cfg_valid``, ``out_req``) are written
+    every cycle; the data ports only with their strobe, and hold their
+    last value otherwise.
+    """
+    sim.set_input("in_valid", 0 if frame is None else 1)
+    if frame is not None:
+        sim.set_input("in_l", frame[0])
+        sim.set_input("in_r", frame[1])
+    sim.set_input("cfg_valid", 0 if cfg is None else 1)
+    if cfg is not None:
+        sim.set_input("cfg_mode", cfg)
+    sim.set_input("out_req", 1 if req else 0)
+
+
+class _PortWrites(dict):
+    """A dict that records ``set_input`` calls."""
+
+    set_input = dict.__setitem__
+
+
+def src_port_waveform(stimulus: Sequence[CycleStimulus]
+                      ) -> List[Dict[str, int]]:
+    """The :func:`drive_src_ports` writes of every cycle of *stimulus*,
+    as a recorded port waveform; idle cycles share one dict."""
+    def record(cycle: CycleStimulus) -> Dict[str, int]:
+        writes = _PortWrites()
+        drive_src_ports(writes, *cycle)
+        return dict(writes)
+
+    idle = record(IDLE)
+    return [idle if cycle is IDLE else record(cycle) for cycle in stimulus]
+
+
+def drive_behavioral(sim, frame=None, cfg=None, req=False) -> None:
+    """Drive one clock cycle of stimulus into a behavioural simulation
+    (scalar or batch), ahead of its ``step``."""
+    if frame is not None:
+        sim.drive_input(frame[0], frame[1])
+    if cfg is not None:
+        sim.drive_cfg(cfg)
+    if req:
+        sim.drive_req()
+
+
 class RtlDutDriver:
     """Drives an :class:`RtlSimulator` or :class:`GateSimulator` DUT.
 
@@ -88,19 +137,10 @@ class RtlDutDriver:
 
     def cycle(self, frame=None, cfg=None, req=False):
         sim = self.sim
-        sim.set_input("in_valid", 1 if frame is not None else 0)
-        if frame is not None:
-            sim.set_input("in_l", frame[0])
-            sim.set_input("in_r", frame[1])
-        sim.set_input("cfg_valid", 1 if cfg is not None else 0)
-        if cfg is not None:
-            sim.set_input("cfg_mode", cfg)
-        sim.set_input("out_req", 1 if req else 0)
+        drive_src_ports(sim, frame, cfg, req)
         sim.step()
         if sim.get("out_valid"):
             dw = self.params.data_width
-            from ..datatypes.integers import wrap_signed
-
             return (wrap_signed(sim.get("out_l"), dw),
                     wrap_signed(sim.get("out_r"), dw))
         return None
@@ -114,17 +154,10 @@ class BehavioralDutDriver:
         self.params = params
 
     def cycle(self, frame=None, cfg=None, req=False):
-        if frame is not None:
-            self.sim.drive_input(frame[0], frame[1])
-        if cfg is not None:
-            self.sim.drive_cfg(cfg)
-        if req:
-            self.sim.drive_req()
+        drive_behavioral(self.sim, frame, cfg, req)
         result = self.sim.step()
         if result is None:
             return None
-        from ..datatypes.integers import wrap_signed
-
         dw = self.params.data_width
         return (wrap_signed(result[0], dw), wrap_signed(result[1], dw))
 
@@ -134,7 +167,6 @@ def run_clocked(
     driver,
     schedule: Sequence[SampleEvent],
     inputs: Sequence[Sequence[int]],
-    drain_cycles: Optional[int] = None,
     on_cycle=None,
 ) -> List[Tuple[int, ...]]:
     """Run a clocked DUT over a *clock-quantised* schedule.
@@ -142,50 +174,26 @@ def run_clocked(
     The schedule's event times must be integer multiples of the clock
     period (build it with ``make_schedule(..., quantized=True)``); the
     matching golden reference is the algorithmic model run over the same
-    quantised schedule -- exactly the paper's Figure 7 methodology.
+    quantised schedule -- exactly the paper's Figure 7 methodology.  The
+    run follows :func:`~repro.src_design.schedule.clocked_stimulus` and
+    stops once every requested output has appeared.
 
     ``on_cycle(tick, result)`` is invoked after every clock cycle with
     the tick index and the output frame produced on that tick (or
     ``None``) -- the differential-verification harness uses it to record
     which cycle each output frame appeared on and to sample coverage.
     """
-    clk = params.clock_period_ps
-    by_tick = {}
-    expected = 0
-    last_tick = 0
-    for ev in schedule:
-        if ev.time_ps % clk:
-            raise ValueError(
-                "run_clocked needs a clock-quantised schedule "
-                "(make_schedule(..., quantized=True))"
-            )
-        tick = int(ev.time_ps // clk)
-        by_tick.setdefault(tick, []).append(ev)
-        last_tick = max(last_tick, tick)
-        if ev.kind == KIND_OUT:
-            expected += 1
-
+    expected = count_outputs(schedule)
     outputs: List[Tuple[int, ...]] = []
-    drain = drain_cycles if drain_cycles is not None else \
-        params.max_latency_cycles + 8
-    tick = 0
-    while tick <= last_tick + drain and len(outputs) < expected:
-        frame = None
-        cfg = None
-        req = False
-        for ev in by_tick.get(tick, ()):
-            if ev.kind == KIND_IN:
-                frame = inputs[ev.value]
-            elif ev.kind == KIND_OUT:
-                req = True
-            elif ev.kind == KIND_MODE:
-                cfg = ev.value
+    stimulus = clocked_stimulus(params, schedule, inputs)
+    for tick, (frame, cfg, req) in enumerate(stimulus):
+        if len(outputs) >= expected:
+            break
         result = driver.cycle(frame=frame, cfg=cfg, req=req)
         if result is not None:
             outputs.append(tuple(result))
         if on_cycle is not None:
             on_cycle(tick, result)
-        tick += 1
     if len(outputs) != expected:
         raise RuntimeError(
             f"clocked run produced {len(outputs)} outputs, "

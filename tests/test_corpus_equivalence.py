@@ -1,16 +1,23 @@
-"""Three-engine equivalence over a sampled corpus slice.
+"""Engine equivalence over a sampled corpus slice.
 
 The interpreted/compiled/vectorized equivalence suites previously ran
 only on the SRC design; this extends them across generated corpus
-members at every refinement level.  Failure messages carry a replay
-expression (corpus seed + member index), so any divergence is
+members at every refinement level, and to the fault records the gate
+FI driver produces on every batch engine.  Failure messages carry a
+replay expression (corpus seed + member index), so any divergence is
 reproducible from the log alone.
 """
 
 import pytest
 
-from repro.corpus import CORPUS_LEVELS, ENGINES, build_design, \
-    generate_corpus
+from repro.corpus import (CORPUS_LEVELS, DESIGN_KINDS, ENGINES, PARITY_PORT,
+                          build_design, generate_corpus,
+                          generate_design_faultload, harden_module,
+                          run_design_campaign)
+from repro.engines import batch_engines
+from repro.fi.faults import FAULT_MODELS
+from repro.gatesim import GateSimulator
+from repro.synth import synthesize
 
 CORPUS_SEED = 2026
 N_DESIGNS = 4  # one member of every kind
@@ -50,3 +57,74 @@ def test_corpus_engine_frame_exact(designs, index, level, engine):
         assert got == want, (
             f"{level}/{engine}: first divergence at frame {frame_no}: "
             f"{got} vs golden {want} -- {_replay(index)}")
+
+
+# ----------------------------------------------------------------------
+# fault injection: every batch engine classifies every fault alike
+# ----------------------------------------------------------------------
+
+#: every other gate batch engine, each checked against compiled
+FI_ENGINES = tuple(e for e in batch_engines("gate") if e != "compiled")
+
+
+def _fi_member(designs, member):
+    """(netlist, design, detect ports, replay note) of one FI member: a
+    corpus design as generated, or the regfile member parity-hardened
+    on all its registers (which exercises the detect-port path)."""
+    if member != "parity":
+        design, _ = designs[member]
+        return design.netlist(), design, (), _replay(member)
+    index = DESIGN_KINDS.index("regfile")
+    design, _ = designs[index]
+    module = design.build_rtl()
+    hardened = harden_module(module, [r.name for r in module.registers],
+                             "parity")
+    return (synthesize(hardened), design, (PARITY_PORT,),
+            f"parity on every register of {_replay(index)}")
+
+
+def _interpreted_frames(netlist, design, waveform, detect):
+    """Every frame the valid port marks in a fault-free open-loop
+    replay of *waveform* on the interpreted engine; no detect port may
+    assert."""
+    sim = GateSimulator(netlist)
+    frames = []
+    for drive in waveform:
+        for name, value in drive.items():
+            sim.set_input(name, value)
+        sim.step()
+        assert [sim.get(port) for port in detect] == [0] * len(detect)
+        if sim.get(design.valid_port) == 1:
+            frames.append(tuple(sim.get(p) for p in design.frame_ports))
+    return frames
+
+
+@pytest.mark.parametrize("member", list(range(N_DESIGNS)) + ["parity"],
+                         ids=[s.name for s in _SPECS] + ["regfile-parity"])
+def test_corpus_fi_engines_agree(designs, member):
+    netlist, design, detect, replay = _fi_member(designs, member)
+    golden = design.golden_frames()
+    waveform = design.waveform()
+    # the reference engine agrees on the (possibly hardened) netlist
+    frames = _interpreted_frames(netlist, design, waveform, detect)
+    assert frames == golden, f"interpreted -- {replay}"
+    faults = generate_design_faultload(netlist, 24, 7, len(waveform),
+                                       models=FAULT_MODELS)
+
+    def records(engine):
+        return [r.as_dict() for r in run_design_campaign(
+            netlist, waveform, golden, design.valid_port,
+            design.frame_ports, faults, design.cycle_budget(),
+            backend=engine, detect_ports=detect)]
+
+    want = records("compiled")
+    assert len(want) == len(faults)
+    if detect:
+        assert any(r["outcome"] == "detected" for r in want)
+    for engine in FI_ENGINES:
+        got = records(engine)
+        diffs = [(w["index"], w["outcome"], g["outcome"])
+                 for w, g in zip(want, got) if w != g]
+        assert got == want, (
+            f"{engine} vs compiled: {len(diffs)} fault record(s) "
+            f"differ, first {diffs[:3]} -- {replay}")

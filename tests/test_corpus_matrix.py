@@ -75,6 +75,29 @@ def test_backend_without_gate_batch_rejected_at_config():
             CorpusConfig(backend=backend)
 
 
+def test_hardened_divergence_fails_the_reverify(monkeypatch):
+    """The re-injection's fault-free pattern 0 is the hardened
+    netlist's re-verify: a divergence there is reported as such."""
+    from repro.corpus import generate_corpus, matrix, run_design
+
+    spec = generate_corpus(0, 2, n_frames=8, n_tx=5)[1]  # counter: hardened
+    real = matrix.run_design_campaign
+    calls = []
+
+    def reinject_against_a_wrong_golden(netlist, waveform, golden, *args,
+                                        **kwargs):
+        calls.append(netlist.name)
+        if len(calls) == 2:  # the re-injection into the hardened netlist
+            golden = [tuple(v ^ 1 for v in golden[0])] + list(golden[1:])
+        return real(netlist, waveform, golden, *args, **kwargs)
+
+    monkeypatch.setattr(matrix, "run_design_campaign",
+                        reinject_against_a_wrong_golden)
+    with pytest.raises(CorpusError, match="fault-free re-verify"):
+        run_design(spec, SMOKE)
+    assert len(calls) == 2
+
+
 @pytest.mark.slow
 @pytest.mark.fuzz
 def test_acceptance_scale_run_improves_robustness():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.datatypes import wrap_signed
 from repro.rtl import RtlSimulator
-from repro.src_design import AlgorithmicSrc, make_schedule
+from repro.src_design import AlgorithmicSrc, clocked_stimulus, make_schedule
 from repro.src_design.serial_io import (SerialLink, build_serial_receiver_module,
                                         build_serial_transmitter_module,
                                         build_serial_src)
@@ -106,43 +106,33 @@ def test_serial_src_end_to_end(small_params):
 
     sim = RtlSimulator(build_serial_src(p))
     link = SerialLink(p)
-    clk = p.clock_period_ps
     frame_len = 2 * p.data_width
+    stimulus = clocked_stimulus(p, schedule, stim)
 
     # stage serial bits: the frame_valid strobe fires the cycle after
     # the last bit, so bits occupy ticks [T - frame_len, T - 1]
     bits_at = {}
-    req_at = set()
-    cfg_at = {}
-    last_tick = 0
-    for ev in schedule:
-        tick = int(ev.time_ps // clk)
-        last_tick = max(last_tick, tick)
-        if ev.kind == "in":
-            frame = stim[ev.value]
+    for tick, (frame, _, _) in enumerate(stimulus):
+        if frame is not None:
             start = tick - frame_len
             assert start >= 0, "first input too early for serial framing"
             for offset, (ws, sd) in enumerate(
                     link.frame_bits(frame[0], frame[1])):
                 assert start + offset not in bits_at, "frame overlap"
                 bits_at[start + offset] = (ws, sd)
-        elif ev.kind == "out":
-            req_at.add(tick)
-        else:
-            cfg_at[tick] = ev.value
 
     outputs = []
     dw = p.data_width
-    for tick in range(0, last_tick + p.max_latency_cycles + 8):
+    for tick, (_, cfg, req) in enumerate(stimulus):
         bit = bits_at.get(tick)
         sim.set_input("rx_en", 1 if bit is not None else 0)
         if bit is not None:
             sim.set_input("rx_ws", bit[0])
             sim.set_input("rx_sd", bit[1])
-        sim.set_input("out_req", 1 if tick in req_at else 0)
-        sim.set_input("cfg_valid", 1 if tick in cfg_at else 0)
-        if tick in cfg_at:
-            sim.set_input("cfg_mode", cfg_at[tick])
+        sim.set_input("out_req", 1 if req else 0)
+        sim.set_input("cfg_valid", 0 if cfg is None else 1)
+        if cfg is not None:
+            sim.set_input("cfg_mode", cfg)
         sim.step()
         if sim.get("out_valid"):
             outputs.append((wrap_signed(sim.get("out_l"), dw),

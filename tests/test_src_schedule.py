@@ -1,12 +1,15 @@
-"""Event schedules: ordering, rates, quantisation, mode placement."""
+"""Event schedules: ordering, rates, quantisation, mode placement, and
+their per-cycle form for the clocked levels."""
 
 from fractions import Fraction
 
 import pytest
 
 from repro.src_design import (KIND_IN, KIND_MODE, KIND_OUT, SMALL_PARAMS,
-                              PAPER_PARAMS, count_outputs, make_schedule,
-                              schedule_clock_ticks)
+                              PAPER_PARAMS, clocked_stimulus, count_outputs,
+                              make_schedule)
+from repro.src_design.schedule import IDLE
+from repro.verify.stimulus import generate_cases
 
 
 def test_schedule_sorted_with_priorities():
@@ -59,8 +62,11 @@ def test_quantized_times_are_clock_multiples():
     p = SMALL_PARAMS
     sched = make_schedule(p, 0, 30, quantized=True)
     assert all(e.time_ps % p.clock_period_ps == 0 for e in sched)
-    ticks = schedule_clock_ticks(p, sched)
+    ticks = [e.time_ps // p.clock_period_ps for e in sched]
     assert ticks == sorted(ticks)
+    stimulus = clocked_stimulus(p, sched, [(j, -j) for j in range(30)])
+    frames = [frame for frame, _, _ in stimulus if frame is not None]
+    assert frames == [(j, -j) for j in range(30)]  # in schedule order
 
 
 def test_quantization_never_moves_events_earlier():
@@ -78,7 +84,57 @@ def test_unquantized_schedule_rejected_for_ticks():
     p = SMALL_PARAMS
     sched = make_schedule(p, 0, 10)
     with pytest.raises(ValueError):
-        schedule_clock_ticks(p, sched)
+        clocked_stimulus(p, sched, [(0, 0)] * 10)
+
+
+def _stimulus_cases():
+    """Fuzz cases of every stimulus kind, with and without a mode
+    change, over their quantised schedules."""
+    p = SMALL_PARAMS
+    for n_inputs in (8, 96):  # a mode change needs 96 inputs
+        for case in generate_cases(p, 11, 6, n_inputs):
+            sched = make_schedule(p, case.mode, case.n_inputs,
+                                  quantized=True,
+                                  mode_changes=case.mode_changes)
+            yield case, sched, clocked_stimulus(p, sched, case.inputs)
+
+
+def test_stimulus_cases_include_mode_changes():
+    changes = [case.mode_changes for case, _, _ in _stimulus_cases()]
+    assert any(changes) and not all(changes)
+
+
+def test_stimulus_holds_one_entry_per_event_on_its_tick():
+    clk = SMALL_PARAMS.clock_period_ps
+    for case, sched, stimulus in _stimulus_cases():
+        want = {}
+        for ev in sched:
+            want.setdefault(int(ev.time_ps // clk), []).append(ev)
+        for tick, (frame, cfg, req) in enumerate(stimulus):
+            events = want.get(tick, [])
+            ins = [ev.value for ev in events if ev.kind == KIND_IN]
+            modes = [ev.value for ev in events if ev.kind == KIND_MODE]
+            outs = [ev for ev in events if ev.kind == KIND_OUT]
+            assert len(ins) <= 1 and len(modes) <= 1 and len(outs) <= 1
+            assert frame == (case.inputs[ins[0]] if ins else None), case
+            assert cfg == (modes[0] if modes else None), case
+            assert req == bool(outs), case
+        n_frames = sum(frame is not None for frame, _, _ in stimulus)
+        n_cfgs = sum(cfg is not None for _, cfg, _ in stimulus)
+        n_reqs = sum(req for _, _, req in stimulus)
+        assert n_frames == case.n_inputs
+        assert n_cfgs == 1 + len(case.mode_changes)
+        assert n_reqs == count_outputs(sched)
+
+
+def test_stimulus_drains_past_the_last_event():
+    p = SMALL_PARAMS
+    clk = p.clock_period_ps
+    for _, sched, stimulus in _stimulus_cases():
+        last = max(int(ev.time_ps // clk) for ev in sched)
+        assert len(stimulus) == last + p.max_latency_cycles + 8 + 1
+        assert stimulus[last] != IDLE
+        assert all(cycle is IDLE for cycle in stimulus[last + 1:])
 
 
 def test_mode_change_in_idle_gap():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.gatesim import GateSimulator
 from repro.rtl import Const, Mux, Ref, RtlModule, Slice
-from repro.src_design import RtlDutDriver, make_schedule
+from repro.src_design import RtlDutDriver, clocked_stimulus, make_schedule
 from repro.synth import map_to_gates, synthesize
 from repro.synth.power import PowerReport, ToggleMonitor, estimate_power
 from tests.conftest import stereo_sine
@@ -81,20 +81,7 @@ def test_src_power_estimate(small_params, rtl_opt_netlist):
     monitor = ToggleMonitor(sim)
     driver = RtlDutDriver(sim, p)
 
-    clk = p.clock_period_ps
-    by_tick = {}
-    for ev in sched:
-        by_tick.setdefault(int(ev.time_ps // clk), []).append(ev)
-    for tick in range(max(by_tick) + p.max_latency_cycles):
-        frame = cfg = None
-        req = False
-        for ev in by_tick.get(tick, ()):
-            if ev.kind == "in":
-                frame = stim[ev.value]
-            elif ev.kind == "out":
-                req = True
-            else:
-                cfg = ev.value
+    for frame, cfg, req in clocked_stimulus(p, sched, stim):
         driver.cycle(frame=frame, cfg=cfg, req=req)
         monitor.sample()
 

@@ -43,18 +43,8 @@ def plain(src_module):
 def _run_workload(netlist, workload):
     sim = GateSimulator(netlist, backend="compiled")
     driver = RtlDutDriver(sim, SMALL_PARAMS)
-    inputs = workload.case.inputs
     outputs = []
-    for tick in range(workload.cycle_budget + 1):
-        frame = cfg = None
-        req = False
-        for ev in workload.by_tick.get(tick, ()):
-            if ev.kind == "in":
-                frame = inputs[ev.value]
-            elif ev.kind == "out":
-                req = True
-            else:
-                cfg = ev.value
+    for frame, cfg, req in workload.stimulus:
         result = driver.cycle(frame=frame, cfg=cfg, req=req)
         if result is not None:
             outputs.append(tuple(result))
