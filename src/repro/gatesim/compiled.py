@@ -116,12 +116,16 @@ class CompiledProgram:
     structural_key: str
 
 
-def _generate_source(netlist: Netlist) -> Tuple[str, List[int], List[int],
-                                                List[Tuple[str, int]],
-                                                List[int]]:
-    units = levelize(netlist, error=GateSimError)
-    lib = netlist.library
+def state_layout(netlist: Netlist, units) -> Tuple[List[int], List[int]]:
+    """The state arrays' slots: ``(state_uids, x_state_uids)``.
 
+    The slots hold the constant nets, the input nets, the flop Q nets,
+    then the nets of memory ports that nothing drives (*units* is the
+    levelised cone): ``validate()`` only checks cell pins and outputs,
+    so those are pinned at X, matching the interpreted simulator's
+    LX-initialised value array.
+    """
+    lib = netlist.library
     state_uids: List[int] = [netlist.const0.uid, netlist.const1.uid]
     for nets in netlist.inputs.values():
         state_uids.extend(n.uid for n in nets)
@@ -129,9 +133,6 @@ def _generate_source(netlist: Netlist) -> Tuple[str, List[int], List[int],
         if lib[cell.cell_type].sequential:
             state_uids.append(cell.outputs["Q"].uid)
 
-    # nets referenced by memory ports need not be driven (validate()
-    # only checks cell pins and outputs); pin the undriven ones at X,
-    # matching the interpreted simulator's LX-initialised value array
     driven = set(state_uids)
     for unit in units:
         driven.update(unit.outs)
@@ -152,6 +153,15 @@ def _generate_source(netlist: Netlist) -> Tuple[str, List[int], List[int],
             require(wp.enable)
             for n in wp.addr + wp.data:
                 require(n)
+    return state_uids, x_state_uids
+
+
+def _generate_source(netlist: Netlist) -> Tuple[str, List[int], List[int],
+                                                List[Tuple[str, int]],
+                                                List[int]]:
+    units = levelize(netlist, error=GateSimError)
+    lib = netlist.library
+    state_uids, x_state_uids = state_layout(netlist, units)
 
     lines: List[str] = ["def _settle(S1, SX, MR, M):"]
     for slot, uid in enumerate(state_uids):

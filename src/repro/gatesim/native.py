@@ -37,7 +37,7 @@ from ..datatypes.bits import mask
 from ..native import NativeModule, compile_and_load
 from ..synth.library import CODEGEN
 from ..synth.netlist import CellInstance, MemoryMacro, Netlist
-from .compiled import COMPILE_CACHE, structural_hash
+from .compiled import COMPILE_CACHE, state_layout, structural_hash
 from .levelize import levelize
 from .simulator import GateSimError
 
@@ -96,38 +96,12 @@ def _generate_c_source(netlist: Netlist):
     units = levelize(netlist, error=GateSimError)
     lib = netlist.library
 
-    state_uids: List[int] = [netlist.const0.uid, netlist.const1.uid]
-    for nets in netlist.inputs.values():
-        state_uids.extend(n.uid for n in nets)
-    for cell in netlist.cells:
-        if lib[cell.cell_type].sequential:
-            state_uids.append(cell.outputs["Q"].uid)
-
-    driven = set(state_uids)
-    for unit in units:
-        driven.update(unit.outs)
-    x_state_uids: List[int] = []
-
-    def require(net) -> None:
-        if net is not None and net.uid not in driven:
-            driven.add(net.uid)
-            state_uids.append(net.uid)
-            x_state_uids.append(net.uid)
-
     for macro in netlist.memories:
         if macro.width > WORD_PATTERNS:
             raise GateSimError(
                 f"native backend: memory {macro.name!r} width "
                 f"{macro.width} exceeds the 64-bit storage word")
-        for rp in macro.read_ports:
-            for n in rp.addr:
-                require(n)
-            require(rp.enable)
-        for wp in macro.write_ports:
-            require(wp.enable)
-            for n in wp.addr + wp.data:
-                require(n)
-
+    state_uids, x_state_uids = state_layout(netlist, units)
     slot = {uid: i for i, uid in enumerate(state_uids)}
 
     # pattern-major memory image: MEM[p * MEM_WORDS + off + addr]

@@ -22,12 +22,10 @@ equivalence tests pin this):
 * out-of-range memory accesses follow :mod:`repro.hls.memports` -- the
   one module both backends share for memory-port semantics.
 
-Expression DAGs are emitted via the RTL backend's
-:class:`~repro.rtl.compiled._Emitter` (id-memoised temp hoisting).
-Memory-read wire assignments change the environment mid-cycle, so each
-read's address gets a fresh memo and the evaluation phase (registers,
-ports, memory writes, transition guards -- all judged against one
-environment snapshot) shares one memo.
+The state bodies come from the behavioural level's one code-generation
+walk (:mod:`repro.hls.emit`: naming, temp hoisting, evaluation and
+commit order); :class:`_FsmPythonPrinter` adds the FSM statement forms
+to the RTL level's :class:`~repro.rtl.compiled.PythonPrinter`.
 
 Four entry points per compiled program:
 
@@ -51,12 +49,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
-from ..rtl.compiled import _Emitter
+from ..rtl.compiled import PythonPrinter
 from . import memports
+from .emit import fsm_names, state_bodies
 from .interpreter import MemMonitor
 from .ir import HlsProgram
 from .schedule import Fsm
@@ -82,132 +81,73 @@ class HlsCompiledProgram:
     structural_key: str
 
 
-def _emit_state_body(fsm: Fsm, st, name_of: Dict[str, str],
-                     mem_of: Dict[str, str], pulse_ports: Sequence[str],
-                     monitored: bool) -> List[str]:
-    """One state's straight-line cycle body (without the dispatch line)."""
-    program = fsm.program
-    k = st.index
+class _FsmPythonPrinter(PythonPrinter):
+    """Python FSM statement forms; *monitored* adds the memory-access
+    callbacks a :data:`~repro.hls.interpreter.MemMonitor` receives."""
+
+    def __init__(self, monitored: bool):
+        self.monitored = monitored
+
+    def mem_read(self, mem: str, addr: str, depth: int) -> str:
+        return memports.READ_EXPR.format(storage=mem, addr=addr,
+                                         depth=depth)
+
+    commit = PythonPrinter.assign
+
+    def write_data(self, data: str, m: str) -> str:
+        return f"({data}) & {m}"
+
+    def mem_write(self, mem: str, addr: str, data: str, depth: int,
+                  m: str) -> List[str]:
+        guard = memports.WRITE_GUARD.format(addr=addr, depth=depth)
+        return [f"if {guard}:", f"    {mem}[{addr}] = {data}"]
+
+    def next_state(self, guards: Sequence[Tuple[str, int]],
+                   default: int) -> List[str]:
+        if not guards:
+            return [f"state = {default}"]
+        lines = []
+        for i, (cond, target) in enumerate(guards):
+            lines += [f"{'if' if i == 0 else 'elif'} {cond}:",
+                      f"    state = {target}"]
+        return lines + ["else:", f"    state = {default}"]
+
+    def monitor(self, mem: str, addr: str, depth: int,
+                kind: str) -> List[str]:
+        if not self.monitored:
+            return []
+        return [f"monitor({mem!r}, {addr}, {depth}, {kind!r})"]
+
+
+def _dispatch(printer: _FsmPythonPrinter, fsm: Fsm, name_of: Dict[str, str],
+              mem_of: Dict[str, str]) -> List[str]:
+    """The ``if state == k`` chain over every state's cycle body."""
     lines: List[str] = []
-
-    # memory reads: each address against the env-so-far (a fresh memo
-    # per read -- earlier reads' wires are visible to later addresses)
-    for i, op in enumerate(st.mem_reads):
-        mem = program.memories[op.mem]
-        em = _Emitter(name_of, mem_of, f"r{k}_{i}_")
-        addr = em.emit(op.addr)
-        lines += em.lines
-        if monitored:
-            lines.append(
-                f"monitor({op.mem!r}, {addr}, {mem.depth}, 'read')")
-        lines.append(
-            name_of[op.wire] + " = "
-            + memports.READ_EXPR.format(storage=mem_of[op.mem],
-                                        addr=addr, depth=mem.depth))
-
-    # evaluation phase: everything judged against one env snapshot,
-    # so register/port/write/guard expressions share one memo
-    em = _Emitter(name_of, mem_of, f"e{k}_")
-    reg_tmps: List[str] = []
-    for i, op in enumerate(st.reg_writes):
-        value = em.emit(op.expr)
-        m = mask(program.variables[op.var])
-        em.lines.append(f"n{k}_{i} = ({value}) & {m}")
-        reg_tmps.append(f"n{k}_{i}")
-    port_tmps: List[str] = []
-    for i, op in enumerate(st.port_writes):
-        value = em.emit(op.expr)
-        m = mask(program.ports[op.port].width)
-        em.lines.append(f"p{k}_{i} = ({value}) & {m}")
-        port_tmps.append(f"p{k}_{i}")
-    write_tmps: List[str] = []
-    for i, op in enumerate(st.mem_writes):
-        mem = program.memories[op.mem]
-        addr = em.emit(op.addr)
-        data = em.emit(op.data)
-        em.lines.append(f"wa{k}_{i} = {addr}")
-        em.lines.append(f"wd{k}_{i} = ({data}) & {mask(mem.width)}")
-        if monitored:
-            em.lines.append(
-                f"monitor({op.mem!r}, wa{k}_{i}, {mem.depth}, 'write')")
-        write_tmps.append((f"wa{k}_{i}", f"wd{k}_{i}", op.mem,
-                           mem.depth))
-    cond_tmps: List[str] = []
-    for tr in st.transitions[:-1]:
-        cond_tmps.append(em.emit(tr.cond))
-    lines += em.lines
-
-    # next-state resolution (first true guard wins, last entry default)
-    if cond_tmps:
-        for i, (tmp, tr) in enumerate(zip(cond_tmps, st.transitions)):
-            kw = "if" if i == 0 else "elif"
-            lines.append(f"{kw} {tmp}:")
-            lines.append(f"    state = {tr.target}")
-        lines.append("else:")
-        lines.append(f"    state = {st.transitions[-1].target}")
-    else:
-        lines.append(f"state = {st.transitions[-1].target}")
-
-    # commit phase: registers, ports, pulse auto-clear, memory writes
-    for op, tmp in zip(st.reg_writes, reg_tmps):
-        lines.append(f"{name_of[op.var]} = {tmp}")
-    written = {op.port for op in st.port_writes}
-    for op, tmp in zip(st.port_writes, port_tmps):
-        lines.append(f"{name_of[op.port]} = {tmp}")
-    for port in pulse_ports:
-        if port not in written:
-            lines.append(f"{name_of[port]} = 0")
-    for addr_tmp, data_tmp, mem_name, depth in write_tmps:
-        guard = memports.WRITE_GUARD.format(addr=addr_tmp, depth=depth)
-        lines.append(f"if {guard}:")
-        lines.append(f"    {mem_of[mem_name]}[{addr_tmp}] = {data_tmp}")
+    for i, (index, body) in enumerate(
+            state_bodies(printer, fsm, name_of, mem_of)):
+        lines.append(f"{'if' if i == 0 else 'elif'} state == {index}:")
+        lines += ["    " + line for line in body] or ["    pass"]
     return lines
 
 
 def generate_source(fsm: Fsm, monitored: bool) -> str:
     """Emit the FSM as Python source (a pure function of its structure)."""
-    program = fsm.program
-    name_of: Dict[str, str] = {}
-    for var in program.variables:
-        name_of[var] = f"v{len(name_of)}"
-    for port in program.ports.values():
-        name_of[port.name] = f"v{len(name_of)}"
-    # scheduler-created memory-read wires live in the env alongside
-    # variables (the interpreter materialises them on first read)
-    for st in fsm.states:
-        for op in st.mem_reads:
-            if op.wire not in name_of:
-                name_of[op.wire] = f"v{len(name_of)}"
-    mem_of = {name: f"mem{i}" for i, name in enumerate(program.memories)}
-    pulse_ports = [p.name for p in program.ports.values()
-                   if p.direction == "out" and p.kind == "pulse"]
+    printer = _FsmPythonPrinter(monitored)
+    name_of = fsm_names(fsm)
+    mem_of = {name: f"mem{i}" for i, name in enumerate(fsm.program.memories)}
 
     load = [f"{local} = env[{name!r}]" for name, local in name_of.items()]
     load += [f"{local} = mems[{name!r}]"
              for name, local in mem_of.items()]
     store = [f"env[{name!r}] = {local}"
              for name, local in name_of.items()]
-
-    body: List[str] = []
-    for i, st in enumerate(fsm.states):
-        kw = "if" if i == 0 else "elif"
-        body.append(f"{kw} state == {st.index}:")
-        state_lines = _emit_state_body(fsm, st, name_of, mem_of,
-                                       pulse_ports, monitored)
-        body += ["    " + line for line in state_lines] or ["    pass"]
-
+    body = _dispatch(printer, fsm, name_of, mem_of)
     # single-cycle fast path: no load/store marshalling -- the state
     # body addresses the environment dict directly, so a call touches
     # only the names the dispatched state uses
-    direct_names = {name: f"env[{name!r}]" for name in name_of}
-    direct_mems = {name: f"mems[{name!r}]" for name in mem_of}
-    body1: List[str] = []
-    for i, st in enumerate(fsm.states):
-        kw = "if" if i == 0 else "elif"
-        body1.append(f"{kw} state == {st.index}:")
-        state_lines = _emit_state_body(fsm, st, direct_names, direct_mems,
-                                       pulse_ports, monitored)
-        body1 += ["    " + line for line in state_lines] or ["    pass"]
+    body1 = _dispatch(printer, fsm,
+                      {name: f"env[{name!r}]" for name in name_of},
+                      {name: f"mems[{name!r}]" for name in mem_of})
 
     lines: List[str] = ["def _step(env, mems, state, cycles, monitor):"]
     lines += ["    " + line for line in load]

@@ -20,10 +20,10 @@ Semantics are bit-identical to the interpreter and the compiled
 backend (the cross-backend equivalence tests pin this): evaluation
 against the pre-edge environment, asynchronous memory reads
 (out-of-range reads 0, matching :mod:`repro.hls.memports`),
-end-of-cycle commits, pulse auto-clears.  Expression emission reuses
-the RTL native backend's :class:`~repro.rtl.native._CEmitter` with the
-compiled backend's per-read fresh memo / shared evaluation memo
-discipline.
+end-of-cycle commits, pulse auto-clears.  The state bodies come from
+the behavioural level's one code-generation walk
+(:mod:`repro.hls.emit`); :class:`_FsmCPrinter` adds the FSM statement
+forms to the RTL level's :class:`~repro.rtl.native.CPrinter`.
 
 Programs are cached in :data:`~repro.hls.compiled.HLS_COMPILE_CACHE`
 under the ``"native"`` backend tag, keyed by the C source digest; a
@@ -42,9 +42,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from ..native import NativeModule, compile_and_load
-from ..rtl.native import (_PRELUDE, _CEmitter, _NativeEnv,
-                          check_native_widths)
+from ..rtl.native import (_PRELUDE, CPrinter, _NativeEnv, for_design,
+                          memory_layout)
 from .compiled import HLS_COMPILE_CACHE
+from .emit import fsm_names, state_bodies
 from .ir import HlsProgram
 from .schedule import Fsm
 
@@ -67,131 +68,47 @@ class HlsNativeProgram:
     run: object
     name_index: Dict[str, int]
     n_names: int
-    #: ``(name, base, depth, width, contents)`` rows of the flat image
+    #: ``(name, base, depth, width)`` rows of the flat image
     mem_layout: list
     mem_words: int
     structural_key: str
 
 
-def _render(raw_lines: Sequence[str]) -> List[str]:
-    """``name = expr`` emitter pairs -> C statements."""
-    out = []
-    for line in raw_lines:
-        target, expr = line.split(" = ", 1)
-        if target.startswith("v"):
-            out.append(f"{target} = {expr};")
-        else:
-            out.append(f"uint64_t {target} = {expr};")
-    return out
+class _FsmCPrinter(CPrinter):
+    """C FSM statement forms over one pattern's ``MEM`` image."""
 
+    commit = CPrinter.assign
 
-def _emit_state_body(fsm: Fsm, st, name_of: Dict[str, str],
-                     mem_of: Dict[str, Tuple[int, int]],
-                     pulse_ports: Sequence[str]) -> List[str]:
-    """One state's straight-line C cycle body (without the dispatch)."""
-    program = fsm.program
-    k = st.index
-    lines: List[str] = []
+    def write_data(self, data: str, m: str) -> str:
+        return f"({data}) & {m}"
 
-    # memory reads: each address against the env-so-far (a fresh memo
-    # per read -- earlier reads' wires are visible to later addresses)
-    for i, op in enumerate(st.mem_reads):
-        mem = program.memories[op.mem]
-        base, depth = mem_of[op.mem]
-        em = _CEmitter(name_of, mem_of, f"r{k}_{i}_")
-        addr = em.emit(op.addr)
-        lines += _render(em.lines)
-        lines.append(
-            f"{name_of[op.wire]} = (({addr}) < {depth}ULL) "
-            f"? MEM[{base}ULL + ({addr})] : 0ULL;")
+    def mem_write(self, mem: Tuple[int, int], addr: str, data: str,
+                  depth: int, m: str) -> List[str]:
+        base, _ = mem
+        return [f"if (({addr}) < {depth}ULL) "
+                f"{{ MEM[{base}ULL + ({addr})] = {data}; }}"]
 
-    # evaluation phase: everything judged against one env snapshot,
-    # so register/port/write/guard expressions share one memo
-    em = _CEmitter(name_of, mem_of, f"e{k}_")
-    reg_tmps: List[str] = []
-    for i, op in enumerate(st.reg_writes):
-        value = em.emit(op.expr)
-        m = mask(program.variables[op.var])
-        em.lines.append(f"n{k}_{i} = ({value}) & {m:#x}ULL")
-        reg_tmps.append(f"n{k}_{i}")
-    port_tmps: List[str] = []
-    for i, op in enumerate(st.port_writes):
-        value = em.emit(op.expr)
-        m = mask(program.ports[op.port].width)
-        em.lines.append(f"p{k}_{i} = ({value}) & {m:#x}ULL")
-        port_tmps.append(f"p{k}_{i}")
-    write_tmps = []
-    for i, op in enumerate(st.mem_writes):
-        mem = program.memories[op.mem]
-        addr = em.emit(op.addr)
-        data = em.emit(op.data)
-        em.lines.append(f"wa{k}_{i} = {addr}")
-        em.lines.append(f"wd{k}_{i} = ({data}) & {mask(mem.width):#x}ULL")
-        write_tmps.append((f"wa{k}_{i}", f"wd{k}_{i}", op.mem, mem.depth))
-    cond_tmps: List[str] = []
-    for tr in st.transitions[:-1]:
-        cond_tmps.append(em.emit(tr.cond))
-    lines += _render(em.lines)
+    def next_state(self, guards: Sequence[Tuple[str, int]],
+                   default: int) -> List[str]:
+        if not guards:
+            return [f"state = {default}ULL;"]
+        lines = [f"{'if' if i == 0 else 'else if'} ({cond}) "
+                 f"{{ state = {target}ULL; }}"
+                 for i, (cond, target) in enumerate(guards)]
+        return lines + [f"else {{ state = {default}ULL; }}"]
 
-    # next-state resolution (first true guard wins, last entry default)
-    if cond_tmps:
-        for i, (tmp, tr) in enumerate(zip(cond_tmps, st.transitions)):
-            kw = "if" if i == 0 else "else if"
-            lines.append(f"{kw} ({tmp}) {{ state = {tr.target}ULL; }}")
-        lines.append(f"else {{ state = {st.transitions[-1].target}ULL; }}")
-    else:
-        lines.append(f"state = {st.transitions[-1].target}ULL;")
-
-    # commit phase: registers, ports, pulse auto-clear, memory writes
-    for op, tmp in zip(st.reg_writes, reg_tmps):
-        lines.append(f"{name_of[op.var]} = {tmp};")
-    written = {op.port for op in st.port_writes}
-    for op, tmp in zip(st.port_writes, port_tmps):
-        lines.append(f"{name_of[op.port]} = {tmp};")
-    for port in pulse_ports:
-        if port not in written:
-            lines.append(f"{name_of[port]} = 0ULL;")
-    for addr_tmp, data_tmp, mem_name, depth in write_tmps:
-        base, _ = mem_of[mem_name]
-        lines.append(
-            f"if (({addr_tmp}) < {depth}ULL) "
-            f"{{ MEM[{base}ULL + ({addr_tmp})] = {data_tmp}; }}")
-    return lines
+    def monitor(self, mem: str, addr: str, depth: int,
+                kind: str) -> List[str]:
+        return []
 
 
 def generate_native_source(fsm: Fsm):
     """Emit the FSM as C; returns ``(source, name_index, mem_layout)``."""
-    program = fsm.program
-    for st in fsm.states:
-        check_native_widths(fsm.all_exprs(st), fsm.name)
-    name_of: Dict[str, str] = {}
-    name_index: Dict[str, int] = {}
-
-    def add_name(name: str) -> None:
-        if name not in name_of:
-            name_index[name] = len(name_of)
-            name_of[name] = f"v{len(name_of)}"
-
-    for var in program.variables:
-        add_name(var)
-    for port in program.ports.values():
-        add_name(port.name)
-    for st in fsm.states:
-        for op in st.mem_reads:
-            add_name(op.wire)
-
-    mem_of: Dict[str, Tuple[int, int]] = {}
-    mem_layout = []
-    base = 0
-    for mem in program.memories.values():
-        mem_of[mem.name] = (base, mem.depth)
-        mem_layout.append((mem.name, base, mem.depth, mem.width,
-                           tuple(mem.contents) if mem.contents is not None
-                           else None))
-        base += mem.depth
-    mem_words = base
-    pulse_ports = [p.name for p in program.ports.values()
-                   if p.direction == "out" and p.kind == "pulse"]
+    name_of = fsm_names(fsm)
+    name_index = {name: i for i, name in enumerate(name_of)}
+    mem_of, mem_layout = memory_layout(fsm.program.memories.values())
+    mem_words = sum(depth for _, _, depth, _ in mem_layout)
+    bodies = state_bodies(_FsmCPrinter(), fsm, name_of, mem_of)
 
     n_names = len(name_of)
     lines = [_PRELUDE,
@@ -205,10 +122,9 @@ def generate_native_source(fsm: Fsm):
     for name, idx in name_index.items():
         lines.append(f"        uint64_t {name_of[name]} = E[{idx}];")
     lines.append("        for (long c = 0; c < cycles; c++) {")
-    for i, st in enumerate(fsm.states):
+    for i, (index, body) in enumerate(bodies):
         kw = "if" if i == 0 else "else if"
-        lines.append(f"            {kw} (state == {st.index}ULL) {{")
-        body = _emit_state_body(fsm, st, name_of, mem_of, pulse_ports)
+        lines.append(f"            {kw} (state == {index}ULL) {{")
         lines += ["                " + line for line in body]
         lines.append("            }")
     lines.append("        }")
@@ -244,11 +160,12 @@ def compile_fsm_native(fsm: Fsm,
             name_index=dict(name_index),
             n_names=len(name_index),
             mem_layout=list(mem_layout),
-            mem_words=sum(d for _, _, d, _, _ in mem_layout),
+            mem_words=sum(d for _, _, d, _ in mem_layout),
             structural_key=key,
         )
 
-    return cache.get_or_compile(key, factory, backend="native")
+    return for_design(cache.get_or_compile(key, factory, backend="native"),
+                      name_index, mem_layout)
 
 
 class NativeFsmBatch:
@@ -302,12 +219,14 @@ class NativeFsmBatch:
         self._outputs = {p.name: lanes[p.name]
                          for p in self.program.ports.values()
                          if p.direction == "out"}
-        # one pattern's power-on memory image: ROM contents, RAM zeros
+        # one pattern's power-on memory image: ROM contents (from *fsm*,
+        # see memory_layout), RAM zeros
         image = [0] * prog.mem_words
-        for _, base, depth, width, contents in prog.mem_layout:
+        for name, base, depth, width in prog.mem_layout:
+            contents = self.program.memories[name].contents
             if contents is not None:
-                image[base:base + depth] = [contents[i] & mask(width)
-                                            for i in range(depth)]
+                image[base:base + depth] = [v & mask(width)
+                                            for v in contents]
         self._mem_image = array("Q", image)
         self._run = prog.run
         self.envs = [
@@ -353,14 +272,14 @@ class NativeFsmBatch:
         """External write into one pattern's private storage."""
         spec = self.program.memories[mem]
         if 0 <= address < spec.depth:
-            base = next(b for n, b, _, _, _ in self.compiled.mem_layout
+            base = next(b for n, b, _, _ in self.compiled.mem_layout
                         if n == mem)
             off = pattern * self.compiled.mem_words
             self._mems_v[off + base + address] = value & mask(spec.width)
 
     def peek_memory(self, pattern: int, mem: str) -> List[int]:
         """One pattern's private storage as a list."""
-        for name, base, depth, _, _ in self.compiled.mem_layout:
+        for name, base, depth, _ in self.compiled.mem_layout:
             if name == mem:
                 off = pattern * self.compiled.mem_words + base
                 return self._mems_v[off:off + depth].tolist()

@@ -21,11 +21,14 @@ runs fault-free as the in-flight golden cross-check.
 Semantics are bit-identical to the interpreter and the compiled
 backend (the cross-backend equivalence tests pin this): evaluation
 against the pre-edge environment, asynchronous memory reads
-(out-of-range reads 0), end-of-cycle commits, pulse auto-clears.
-Expression emission reuses the RTL backend's
-:class:`~repro.rtl.vectorized.VectorEmitter` -- FSM micro-operations
-hold :mod:`repro.rtl.expr` trees too -- with the same per-read fresh
-memo / shared evaluation memo discipline as the compiled backend.
+(out-of-range reads 0), end-of-cycle commits, pulse auto-clears.  The
+state bodies come from the behavioural level's one code-generation
+walk (:mod:`repro.hls.emit`); :class:`_FsmVectorPrinter` adds the
+predicated FSM statement forms to the RTL level's
+:class:`~repro.rtl.vectorized.VectorPrinter`.  Every body evaluates
+over the full lane arrays -- lanes outside the state compute garbage
+that every commit discards under ``mk`` -- which keeps the numpy ops
+branch-free.
 
 Programs are cached in :data:`~repro.hls.compiled.HLS_COMPILE_CACHE`
 under the ``"vectorized"`` backend tag.  A memory monitor needs
@@ -37,14 +40,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
-from ..rtl.vectorized import VectorEmitter, check_lane_widths, make_runtime
+from ..rtl.vectorized import VectorPrinter, make_runtime
 from .compiled import HLS_COMPILE_CACHE
+from .emit import fsm_names, state_bodies
 from .ir import HlsProgram
 from .schedule import Fsm
 
@@ -67,106 +71,37 @@ class HlsVectorizedProgram:
     structural_key: str
 
 
-def _emit_state_body(fsm: Fsm, st, name_of: Dict[str, str],
-                     mem_of: Dict[str, str],
-                     pulse_ports: Sequence[str]) -> List[str]:
-    """One state's lane-parallel cycle body, predicated on ``mk``.
+class _FsmVectorPrinter(VectorPrinter):
+    """Lane-parallel FSM statement forms, predicated on the lanes ``mk``
+    currently in the state."""
 
-    The body evaluates over the full lane arrays -- lanes outside the
-    state compute garbage that every commit discards under ``mk`` --
-    which keeps the numpy ops branch-free.
-    """
-    program = fsm.program
-    k = st.index
-    lines: List[str] = []
+    def commit(self, local: str, value: str) -> str:
+        return f"{local} = _wc(mk, {value}, {local})"
 
-    # memory reads: each address against the env-so-far (a fresh memo
-    # per read -- earlier reads' wires are visible to later addresses);
-    # the wire merge keeps other lanes' previous wire value
-    for i, op in enumerate(st.mem_reads):
-        mem = program.memories[op.mem]
-        em = VectorEmitter(name_of, mem_of, f"r{k}_{i}_")
-        addr = em.emit(op.addr)
-        lines += em.lines
-        wire = name_of[op.wire]
-        lines.append(
-            f"{wire} = _wc(mk, _mrd({mem_of[op.mem]}, {addr}, "
-            f"{mem.depth}), {wire})")
+    def write_data(self, data: str, m: str) -> str:
+        return data  # _mwr masks
 
-    # evaluation phase: everything judged against one env snapshot,
-    # so register/port/write/guard expressions share one memo
-    em = VectorEmitter(name_of, mem_of, f"e{k}_")
-    reg_tmps: List[str] = []
-    for i, op in enumerate(st.reg_writes):
-        value = em.emit(op.expr)
-        m = mask(program.variables[op.var])
-        em.lines.append(f"n{k}_{i} = ({value}) & {m}")
-        reg_tmps.append(f"n{k}_{i}")
-    port_tmps: List[str] = []
-    for i, op in enumerate(st.port_writes):
-        value = em.emit(op.expr)
-        m = mask(program.ports[op.port].width)
-        em.lines.append(f"p{k}_{i} = ({value}) & {m}")
-        port_tmps.append(f"p{k}_{i}")
-    write_tmps = []
-    for i, op in enumerate(st.mem_writes):
-        mem = program.memories[op.mem]
-        addr = em.emit(op.addr)
-        data = em.emit(op.data)
-        em.lines.append(f"wa{k}_{i} = {addr}")
-        em.lines.append(f"wd{k}_{i} = {data}")
-        write_tmps.append((f"wa{k}_{i}", f"wd{k}_{i}", op.mem,
-                           mem.depth, mask(mem.width)))
-    cond_tmps: List[str] = []
-    for tr in st.transitions[:-1]:
-        cond_tmps.append(em.emit(tr.cond))
-    lines += em.lines
+    def mem_write(self, mem: str, addr: str, data: str, depth: int,
+                  m: str) -> List[str]:
+        return [f"_mwr({mem}, mk, {addr}, {data}, {depth}, {m})"]
 
-    # next-state resolution: first true guard wins (reversed where
-    # fold), last entry is the default
-    tgt = str(st.transitions[-1].target)
-    for tmp, tr in zip(reversed(cond_tmps),
-                       reversed(st.transitions[:-1])):
-        tgt = f"_wc(_nz({tmp}), {tr.target}, {tgt})"
-    lines.append(f"st = _wc(mk, {tgt}, st)")
+    def next_state(self, guards: Sequence[Tuple[str, int]],
+                   default: int) -> List[str]:
+        target = str(default)
+        for cond, guard_target in reversed(guards):
+            target = f"_wc(_nz({cond}), {guard_target}, {target})"
+        return [f"st = _wc(mk, {target}, st)"]
 
-    # commit phase under mk: registers, ports, pulse auto-clear,
-    # memory scatters (out-of-range lanes dropped, like memports)
-    for op, tmp in zip(st.reg_writes, reg_tmps):
-        local = name_of[op.var]
-        lines.append(f"{local} = _wc(mk, {tmp}, {local})")
-    written = {op.port for op in st.port_writes}
-    for op, tmp in zip(st.port_writes, port_tmps):
-        local = name_of[op.port]
-        lines.append(f"{local} = _wc(mk, {tmp}, {local})")
-    for port in pulse_ports:
-        if port not in written:
-            local = name_of[port]
-            lines.append(f"{local} = _wc(mk, 0, {local})")
-    for addr_tmp, data_tmp, mem_name, depth, m in write_tmps:
-        lines.append(
-            f"_mwr({mem_of[mem_name]}, mk, {addr_tmp}, {data_tmp}, "
-            f"{depth}, {m})")
-    return lines
+    def monitor(self, mem: str, addr: str, depth: int,
+                kind: str) -> List[str]:
+        return []
 
 
 def generate_vectorized_source(fsm: Fsm) -> str:
     """Emit the FSM as lane-parallel numpy source."""
-    program = fsm.program
-    for st in fsm.states:
-        check_lane_widths(fsm.all_exprs(st), fsm.name)
-    name_of: Dict[str, str] = {}
-    for var in program.variables:
-        name_of[var] = f"v{len(name_of)}"
-    for port in program.ports.values():
-        name_of[port.name] = f"v{len(name_of)}"
-    for st in fsm.states:
-        for op in st.mem_reads:
-            if op.wire not in name_of:
-                name_of[op.wire] = f"v{len(name_of)}"
-    mem_of = {name: f"mem{i}" for i, name in enumerate(program.memories)}
-    pulse_ports = [p.name for p in program.ports.values()
-                   if p.direction == "out" and p.kind == "pulse"]
+    name_of = fsm_names(fsm)
+    mem_of = {name: f"mem{i}" for i, name in enumerate(fsm.program.memories)}
+    bodies = state_bodies(_FsmVectorPrinter(), fsm, name_of, mem_of)
 
     lines: List[str] = ["def _run(env, mems, states, cycles):"]
     for name, local in name_of.items():
@@ -176,10 +111,9 @@ def generate_vectorized_source(fsm: Fsm) -> str:
     lines.append("    st = states")
     lines.append("    for _ in range(cycles):")
     lines.append("        st0 = st")
-    for st in fsm.states:
-        lines.append(f"        mk = st0 == {st.index}")
+    for index, body in bodies:
+        lines.append(f"        mk = st0 == {index}")
         lines.append("        if mk.any():")
-        body = _emit_state_body(fsm, st, name_of, mem_of, pulse_ports)
         lines += ["            " + line for line in body] or \
             ["            pass"]
     for name, local in name_of.items():

@@ -8,16 +8,19 @@ Python interpreter from the per-cycle path entirely.  This is the
 single-pattern *latency* engine; the vectorized tier remains the wide
 sweep engine.
 
-Translation notes (every node width is checked to fit ``uint64_t``):
+The statements come from the RTL level's one code-generation walk
+(:mod:`repro.rtl.emit`); :class:`CPrinter` spells them as C over
+``uint64_t`` locals (every node width is checked to fit one):
 
+* temps are declared where the walk creates them;
 * signed interpretation via full-width two's complement:
   ``(a ^ s) - s`` wraps mod 2**64, then an ``int64_t`` cast gives
   signed compares/shifts;
 * ``Mux``/``Case`` become ternary chains;
 * memory reads are bounds-guarded loads from one flat ``MEM`` array
-  (per-memory base offsets); write ports are guarded stores emitted in
-  port order for read-after-write consistency;
-* shift amounts >= 64 fold to ``0`` (C leaves them undefined).
+  (per-memory base offsets); write ports are guarded stores;
+* a logical shift by 64 or more folds to ``0`` and an arithmetic one
+  clamps to 63 (C leaves both undefined).
 
 Programs are cached in
 :data:`~repro.rtl.compiled.RTL_COMPILE_CACHE` under the ``"native"``
@@ -29,42 +32,18 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from ..native import NativeModule, compile_and_load
 from .compiled import RTL_COMPILE_CACHE
-from .expr import (
-    Add,
-    BitAnd,
-    BitNot,
-    BitOr,
-    BitXor,
-    Case,
-    Cat,
-    Cmp,
-    Const,
-    Expr,
-    Ext,
-    MemRead,
-    Mul,
-    Mux,
-    Reduce,
-    Ref,
-    Shl,
-    Shr,
-    Slice,
-    SMul,
-    Sra,
-    Sub,
-    traverse,
-)
+from .emit import walk_module
 from .ir import RtlError, RtlModule
 
 __all__ = [
-    "NativeRtlProgram", "NativeRtlSimulator", "check_native_widths",
+    "CPrinter", "NativeRtlProgram", "NativeRtlSimulator",
     "compile_rtl_native",
 ]
 
@@ -82,177 +61,116 @@ static inline uint64_t nat_parity(uint64_t x)
 """
 
 
-def check_native_widths(exprs: Iterable[Expr], context: str) -> None:
-    """Every node of every tree must fit one ``uint64_t``."""
-    for expr in exprs:
-        for node in traverse(expr):
-            if node.width > 64:
-                raise RtlError(
-                    f"{context}: expression width {node.width} exceeds "
-                    "the 64-bit word of the native backend "
-                    "(use 'interpreted' or 'compiled')"
-                )
+class CPrinter:
+    """C spelling of the code-generation walk (``uint64_t`` locals).
 
-
-def _hex(value: int) -> str:
-    return f"{value:#x}ULL"
-
-
-class _CEmitter:
-    """Emit an expression DAG as C statements over ``uint64_t`` locals.
-
-    Same memoisation discipline as
-    :class:`repro.rtl.compiled._Emitter`; only the operator surface
-    differs.  Lines are ``name = expr`` pairs; the generator adds the
-    ``uint64_t`` declaration for temporaries when rendering.
+    The templates follow :class:`repro.rtl.compiled.PythonPrinter`'s;
+    ``mem_read`` takes a memory's ``(base, depth)`` in the flat ``MEM``
+    array.
     """
 
-    def __init__(self, name_of: Dict[str, str], mem_of: Dict[str, Tuple[int, int]],
-                 prefix: str):
-        self._name_of = name_of
-        self._mem_of = mem_of
-        self._prefix = prefix
-        self.lines: List[str] = []
-        self._memo: Dict[object, str] = {}
-        self._n = 0
+    word = "word of the native backend"
+    wide_shift = "0ULL"
+    zero = "0ULL"
 
-    def _tmp(self, expr: str) -> str:
-        self._n += 1
-        name = f"{self._prefix}{self._n}"
-        self.lines.append(f"{name} = {expr}")
-        return name
+    def lit(self, value: int) -> str:
+        return f"{value:#x}ULL"
 
-    def _signed(self, operand: str, width: int, node: Expr) -> str:
-        key = (id(node), "signed")
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        sign = 1 << (width - 1)
-        name = self._tmp(f"(({operand}) ^ {_hex(sign)}) - {_hex(sign)}")
-        self._memo[key] = name
-        return name
+    def signed(self, a: str, width: int) -> str:
+        sign = self.lit(1 << (width - 1))
+        return f"(({a}) ^ {sign}) - {sign}"
 
-    def emit(self, node: Expr) -> str:
-        """Return an operand string (temp/local name or literal)."""
-        if isinstance(node, Const):
-            return _hex(node.value & mask(node.width))
-        if isinstance(node, Ref):
-            local = self._name_of.get(node.name)
-            if local is None:
-                raise RtlError(f"reference to unknown net {node.name!r}")
-            return local
-        key = id(node)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        name = self._tmp(self._expr_of(node))
-        self._memo[key] = name
-        return name
+    # -- one template per node kind ------------------------------------
+    def arith(self, a: str, op: str, b: str, m: str) -> str:
+        # a uint64_t op wraps mod 2**64, a multiple of 2**width, so the
+        # masked residue matches Python (the signed product too)
+        return f"(({a}) {op} ({b})) & {m}"
 
-    def _expr_of(self, node: Expr) -> str:
-        m = _hex(mask(node.width))
-        if isinstance(node, Add):
-            return f"(({self.emit(node.a)}) + ({self.emit(node.b)})) & {m}"
-        if isinstance(node, Sub):
-            # uint64 wrap-around subtraction: 2**64 is a multiple of
-            # 2**width, so the masked residue matches Python exactly
-            return f"(({self.emit(node.a)}) - ({self.emit(node.b)})) & {m}"
-        if isinstance(node, Mul):
-            return f"(({self.emit(node.a)}) * ({self.emit(node.b)})) & {m}"
-        if isinstance(node, SMul):
-            sa = self._signed(self.emit(node.a), node.a.width, node.a)
-            sb = self._signed(self.emit(node.b), node.b.width, node.b)
-            # wrapped uint64 product == signed product mod 2**64
-            return f"(({sa}) * ({sb})) & {m}"
-        if isinstance(node, BitAnd):
-            return f"({self.emit(node.a)}) & ({self.emit(node.b)})"
-        if isinstance(node, BitOr):
-            return f"({self.emit(node.a)}) | ({self.emit(node.b)})"
-        if isinstance(node, BitXor):
-            return f"({self.emit(node.a)}) ^ ({self.emit(node.b)})"
-        if isinstance(node, BitNot):
-            return f"(~({self.emit(node.a)})) & {m}"
-        if isinstance(node, Shl):
-            if node.amount >= 64:
-                return "0ULL"
-            return f"({self.emit(node.a)}) << {node.amount}"
-        if isinstance(node, Shr):
-            if node.amount >= 64:
-                return "0ULL"
-            return f"({self.emit(node.a)}) >> {node.amount}"
-        if isinstance(node, Sra):
-            sa = self._signed(self.emit(node.a), node.a.width, node.a)
-            amount = min(node.amount, 63)
-            return (f"((uint64_t)(((int64_t)({sa})) >> {amount})) & {m}")
-        if isinstance(node, Cmp):
-            a, b = self.emit(node.a), self.emit(node.b)
-            rel = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
-                   "slt": "<", "sle": "<="}[node.op]
-            if node.op in ("slt", "sle"):
-                sa = self._signed(a, node.a.width, node.a)
-                sb = self._signed(b, node.b.width, node.b)
-                return (f"(((int64_t)({sa})) {rel} ((int64_t)({sb})))"
-                        " ? 1ULL : 0ULL")
-            return f"(({a}) {rel} ({b})) ? 1ULL : 0ULL"
-        if isinstance(node, Mux):
-            s = self.emit(node.sel)
-            t = self.emit(node.if_true)
-            f = self.emit(node.if_false)
-            return f"({s}) ? ({t}) : ({f})"
-        if isinstance(node, Case):
-            s = self.emit(node.sel)
-            out = self.emit(node.default)
-            for value, branch in reversed(list(node.branches.items())):
-                out = (f"(({s}) == {_hex(value)}) "
-                       f"? ({self.emit(branch)}) : ({out})")
-            return out
-        if isinstance(node, Cat):
-            out = self.emit(node.parts[0])
-            for part in node.parts[1:]:
-                out = f"(({out}) << {part.width}) | ({self.emit(part)})"
-            return out
-        if isinstance(node, Slice):
-            return f"(({self.emit(node.a)}) >> {node.lsb}) & {m}"
-        if isinstance(node, Ext):
-            a = self.emit(node.a)
-            if not node.signed or node.width == node.a.width:
-                return f"{a}"
-            sa = self._signed(a, node.a.width, node.a)
-            return f"({sa}) & {m}"
-        if isinstance(node, Reduce):
-            a = self.emit(node.a)
-            if node.op == "and":
-                return (f"(({a}) == {_hex(mask(node.a.width))})"
-                        " ? 1ULL : 0ULL")
-            if node.op == "or":
-                return f"(({a}) != 0ULL) ? 1ULL : 0ULL"
-            return f"nat_parity({a})"
-        if isinstance(node, MemRead):
-            layout = self._mem_of.get(node.mem_name)
-            if layout is None:
-                raise RtlError(
-                    f"read of unknown memory {node.mem_name!r}"
-                )
-            base, depth = layout
-            a = self.emit(node.addr)
-            return (f"(({a}) < {depth}ULL) "
-                    f"? MEM[{base}ULL + ({a})] : 0ULL")
-        raise RtlError(f"cannot emit {type(node).__name__}")
+    def smul(self, sa: str, sb: str, m: str, width: int) -> str:
+        return self.arith(sa, "*", sb, m)
+
+    def bitwise(self, a: str, op: str, b: str) -> str:
+        return f"({a}) {op} ({b})"
+
+    def bitnot(self, a: str, m: str) -> str:
+        return f"(~({a})) & {m}"
+
+    def shl(self, a: str, amount: int) -> str:
+        return f"({a}) << {amount}"
+
+    def shr(self, a: str, amount: int) -> str:
+        return f"({a}) >> {amount}"
+
+    def sra(self, sa: str, amount: int, m: str, width: int) -> str:
+        return (f"((uint64_t)(((int64_t)({sa})) >> {min(amount, 63)}))"
+                f" & {m}")
+
+    def cmp(self, a: str, rel: str, b: str, signed: bool) -> str:
+        if signed:
+            return (f"(((int64_t)({a})) {rel} ((int64_t)({b})))"
+                    " ? 1ULL : 0ULL")
+        return f"(({a}) {rel} ({b})) ? 1ULL : 0ULL"
+
+    def mux(self, s: str, t: str, f: str) -> str:
+        return f"({s}) ? ({t}) : ({f})"
+
+    def case_arm(self, s: str, value: str, t: str, f: str) -> str:
+        return f"(({s}) == {value}) ? ({t}) : ({f})"
+
+    def cat(self, hi: str, width: int, lo: str) -> str:
+        return f"(({hi}) << {width}) | ({lo})"
+
+    def slice(self, a: str, lsb: int, m: str) -> str:
+        return f"(({a}) >> {lsb}) & {m}"
+
+    def sext(self, sa: str, m: str, width: int) -> str:
+        return f"({sa}) & {m}"
+
+    _REDUCE = {"and": "(({a}) == {full}) ? 1ULL : 0ULL",
+               "or": "(({a}) != 0ULL) ? 1ULL : 0ULL",
+               "xor": "nat_parity({a})"}
+
+    def reduce(self, op: str, a: str, full: str) -> str:
+        return self._REDUCE[op].format(a=a, full=full)
+
+    def mem_read(self, mem: Tuple[int, int], addr: str, depth: int) -> str:
+        base, words = mem
+        return f"(({addr}) < {words}ULL) ? MEM[{base}ULL + ({addr})] : 0ULL"
+
+    # -- statements ----------------------------------------------------
+    def let(self, name: str, expr: str) -> str:
+        return f"uint64_t {name} = {expr};"
+
+    def assign(self, target: str, expr: str) -> str:
+        return f"{target} = {expr};"
+
+    def fresh(self, value: str) -> str:
+        return value
+
+    def port_write(self, mem: Tuple[int, int], en: str, addr: str,
+                   data: str, depth: int, m: str) -> List[str]:
+        base, words = mem
+        return [f"if (({en}) && (({addr}) < {words}ULL)) "
+                f"{{ MEM[{base}ULL + ({addr})] = ({data}) & {m}; }}"]
 
 
-def _render(raw_lines: Sequence[str]) -> List[str]:
-    """``name = expr`` pairs -> C statements (temps get declarations)."""
-    out = []
-    for line in raw_lines:
-        if line.startswith("if ("):
-            out.append(line)
-            continue
-        target, expr = line.split(" = ", 1)
-        if target.startswith("v"):
-            out.append(f"{target} = {expr};")
-        else:
-            out.append(f"uint64_t {target} = {expr};")
-    return out
+def memory_layout(memories):
+    """The flat ``MEM`` image: ``(mem_of, rows)``.
+
+    ``mem_of`` maps a memory's name to its ``(base, depth)`` and each
+    row is ``(name, base, depth, width)``.  Contents are not part of
+    the layout: a program is shared by every design with the same C
+    source (see :func:`for_design`), so simulators load contents from
+    their own design.
+    """
+    mem_of: Dict[str, Tuple[int, int]] = {}
+    rows = []
+    base = 0
+    for mem in memories:
+        mem_of[mem.name] = (base, mem.depth)
+        rows.append((mem.name, base, mem.depth, mem.width))
+        base += mem.depth
+    return mem_of, rows
 
 
 def _generate_c_source(module: RtlModule):
@@ -260,92 +178,28 @@ def _generate_c_source(module: RtlModule):
 
     ``name_index`` maps every net (in-port, register, assign) to its
     slot in the ``V`` state array; ``mem_layout`` is a list of
-    ``(name, base, depth, width, contents)`` rows describing the flat
-    ``MEM`` array.
+    ``(name, base, depth, width)`` rows describing the flat ``MEM``
+    array.
     """
-    assigns = module.topo_assign_order()
-    check_native_widths(
-        [a.expr for a in assigns] + [r.next for r in module.registers]
-        + [e for mem in module.memories for p in mem.write_ports
-           for e in (p.enable, p.addr, p.data)],
-        module.name)
-
-    name_of: Dict[str, str] = {}
-    name_index: Dict[str, int] = {}
-    for port in module.ports:
-        if port.direction == "in":
-            name_index[port.name] = len(name_of)
-            name_of[port.name] = f"v{len(name_of)}"
-    n_loaded = len(name_of)
-    for reg in module.registers:
-        name_index[reg.name] = len(name_of)
-        name_of[reg.name] = f"v{len(name_of)}"
-    n_state = len(name_of)
-    for assign in assigns:
-        name_index[assign.name] = len(name_of)
-        name_of[assign.name] = f"v{len(name_of)}"
-
-    mem_of: Dict[str, Tuple[int, int]] = {}
-    mem_layout = []
-    base = 0
-    for mem in module.memories:
-        mem_of[mem.name] = (base, mem.depth)
-        mem_layout.append((mem.name, base, mem.depth, mem.width,
-                           tuple(mem.contents) if mem.contents is not None
-                           else None))
-        base += mem.depth
-
-    # one settle: combinational assigns in topological order
-    settle = _CEmitter(name_of, mem_of, "t")
-    for assign in assigns:
-        value = settle.emit(assign.expr)
-        settle.lines.append(f"{name_of[assign.name]} = {value}")
-    settle_lines = list(settle.lines)
-
-    # per-cycle tail: register nexts, then memory writes (per-port
-    # emission order preserves read-after-write), then register commit
-    body = settle
-    commits: List[str] = []
-    for i, reg in enumerate(module.registers):
-        value = body.emit(reg.next)
-        body.lines.append(f"n{i} = ({value}) & {_hex(mask(reg.width))}")
-        commits.append(f"{name_of[reg.name]} = n{i}")
-    wp_index = 0
-    for mem in module.memories:
-        mbase, depth = mem_of[mem.name]
-        for port in mem.write_ports:
-            wemit = _CEmitter(name_of, mem_of, f"w{wp_index}_")
-            en = wemit.emit(port.enable)
-            addr = wemit.emit(port.addr)
-            data = wemit.emit(port.data)
-            body.lines.extend(wemit.lines)
-            body.lines.append(
-                f"if (({en}) && (({addr}) < {depth}ULL)) "
-                f"{{ MEM[{mbase}ULL + ({addr})] = "
-                f"({data}) & {_hex(mask(mem.width))}; }}"
-            )
-            wp_index += 1
-    body.lines.extend(commits)
+    mem_of, mem_layout = memory_layout(module.memories)
+    walk = walk_module(module, CPrinter(), mem_of)
+    name_index = {name: i for i, name in enumerate(walk.name_of)}
 
     lines = [_PRELUDE,
              "void nat_run(uint64_t* V, uint64_t* MEM, long cycles)", "{",
              "    (void)MEM;"]
-    for local, idx in ((name_of[n], i) for n, i in name_index.items()):
-        if idx < n_state:
-            lines.append(f"    uint64_t {local} = V[{idx}];")
-        else:
-            lines.append(f"    uint64_t {local} = 0ULL;")
+    for name, local in walk.name_of.items():
+        idx = name_index[name]
+        init = f"V[{idx}]" if idx < walk.n_state else "0ULL"
+        lines.append(f"    uint64_t {local} = {init};")
     lines.append("    for (long c = 0; c < cycles; c++) {")
-    for stmt in _render(body.lines):
-        lines.append("        " + stmt)
+    lines += ["        " + stmt for stmt in walk.cycle]
+    lines += ["    }", "    {"]
+    lines += ["        " + stmt for stmt in walk.settle]
     lines.append("    }")
-    lines.append("    {")
-    for stmt in _render(settle_lines):
-        lines.append("        " + stmt)
-    lines.append("    }")
-    for name, idx in name_index.items():
-        if idx >= n_loaded:  # registers and assigns flow back out
-            lines.append(f"    V[{idx}] = {name_of[name]};")
+    for name, local in walk.name_of.items():
+        if name_index[name] >= walk.n_inputs:  # registers and assigns
+            lines.append(f"    V[{name_index[name]}] = {local};")
     lines.append("}")
     return "\n".join(lines) + "\n", name_index, mem_layout
 
@@ -389,11 +243,26 @@ def compile_rtl_native(module: RtlModule,
             name_index=dict(name_index),
             n_slots=len(name_index),
             mem_layout=list(mem_layout),
-            mem_words=sum(depth for _, _, depth, _, _ in mem_layout),
+            mem_words=sum(depth for _, _, depth, _ in mem_layout),
             structural_key=key,
         )
 
-    return cache.get_or_compile(key, factory, backend="native")
+    return for_design(cache.get_or_compile(key, factory, backend="native"),
+                      name_index, mem_layout)
+
+
+def for_design(program, name_index: Dict[str, int], mem_layout: list):
+    """*program* with the name maps of the design just generated.
+
+    The C source names no net or memory, so designs that differ only in
+    names (or memory contents) share one cached program; the loaded
+    code is shared, the slot and layout tables are the design's own.
+    """
+    if program.name_index == name_index and \
+            program.mem_layout == mem_layout:
+        return program
+    return replace(program, name_index=dict(name_index),
+                   mem_layout=list(mem_layout))
 
 
 class _NativeEnv:
@@ -471,10 +340,14 @@ class NativeRtlSimulator:
         self.env = _NativeEnv(self._vv, self.program.name_index)
         self._in_names = set(module.input_names())
         self._init_registers()
-        for name, base, depth, width, contents in self.program.mem_layout:
-            if contents is not None:
-                self._fill(base, [contents[i] & mask(width)
-                                  for i in range(depth)])
+        # memory contents come from *module*, like register inits (see
+        # memory_layout)
+        self._bases = {name: base
+                       for name, base, _, _ in self.program.mem_layout}
+        for mem in module.memories:
+            if mem.contents is not None:
+                self._fill(self._bases[mem.name],
+                           [v & mask(mem.width) for v in mem.contents])
         self.settle()
 
     def _init_registers(self) -> None:
@@ -506,13 +379,13 @@ class NativeRtlSimulator:
                 for name in module.input_names() + module.output_names()}
 
     def peek_memory(self, name: str) -> List[int]:
-        for mem_name, base, depth, _, _ in self.program.mem_layout:
+        for mem_name, base, depth, _ in self.program.mem_layout:
             if mem_name == name:
                 return self._mv[base:base + depth].tolist()
         raise RtlError(f"no memory named {name!r}")
 
     def load_memory(self, name: str, contents: Sequence[int]) -> None:
-        for mem_name, base, depth, width, _ in self.program.mem_layout:
+        for mem_name, base, depth, width in self.program.mem_layout:
             if mem_name == name:
                 if len(contents) != depth:
                     raise RtlError(
@@ -536,8 +409,8 @@ class NativeRtlSimulator:
     def reset(self) -> None:
         """Restore registers (and RAM contents) to their initial state."""
         self._init_registers()
-        for name, base, depth, width, contents in self.program.mem_layout:
-            if contents is None:
-                self._fill(base, [0] * depth)
+        for mem in self.module.memories:
+            if mem.contents is None:
+                self._fill(self._bases[mem.name], [0] * mem.depth)
         self.cycles = 0
         self.settle()

@@ -5,15 +5,17 @@ generated Python function -- but every net value is a ``uint64``
 ndarray of shape ``(n_patterns,)``: one lane per stimulus pattern, so a
 single ``step`` evaluates thousands of independent vectors.
 
-The emitter keeps the compiled backend's statement structure
-(id-memoised temp hoisting, per-write-port fresh memos for
-read-after-write ordering) but replaces the data-dependent Python
-ternaries with lane-parallel numpy forms:
+The statements come from the RTL level's one code-generation walk
+(:mod:`repro.rtl.emit`); :class:`VectorPrinter` respells the Python
+printer's data-dependent forms lane-parallel:
 
 * signed interpretation via full-width two's complement:
   ``(a ^ s) - s`` wraps mod 2**64, then an ``int64`` view gives signed
   compares/shifts without ever mixing ``int64`` with ``uint64`` in an
-  arithmetic op (which numpy would promote to ``float64``);
+  arithmetic op (which numpy would promote to ``float64``); a signed
+  result goes back through ``_u``, masked below 64 bits only -- at 64
+  bits the mask is a no-op and numpy 2 rejects ``2**64 - 1`` as an
+  ``int64`` operand;
 * ``Mux``/``Case`` become ``np.where`` chains;
 * memory reads become bounds-guarded gathers from pattern-major
   ``(n_patterns, depth)`` storage; write ports become boolean scatters.
@@ -23,7 +25,7 @@ All expression widths must fit one 64-bit lane; wider nodes raise
 in :data:`~repro.rtl.compiled.RTL_COMPILE_CACHE` under the
 ``"vectorized"`` backend tag.
 
-The same emitter serves the behavioural (HLS) vectorized backend --
+The same printer serves the behavioural (HLS) vectorized backend --
 FSM micro-operations hold :mod:`repro.rtl.expr` trees too.
 """
 
@@ -31,56 +33,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
-from .compiled import RTL_COMPILE_CACHE
-from .expr import (
-    Add,
-    BitAnd,
-    BitNot,
-    BitOr,
-    BitXor,
-    Case,
-    Cat,
-    Cmp,
-    Const,
-    Expr,
-    Ext,
-    MemRead,
-    Mul,
-    Mux,
-    Reduce,
-    Ref,
-    Shl,
-    Shr,
-    Slice,
-    SMul,
-    Sra,
-    Sub,
-    traverse,
-)
+from .compiled import RTL_COMPILE_CACHE, PythonPrinter, module_source
 from .ir import RtlError, RtlModule
 
 __all__ = [
-    "RtlVectorizedProgram", "VectorEmitter", "VectorizedRtlSimulator",
-    "check_lane_widths", "compile_rtl_vectorized", "make_runtime",
+    "RtlVectorizedProgram", "VectorPrinter", "VectorizedRtlSimulator",
+    "compile_rtl_vectorized", "make_runtime",
 ]
-
-
-def check_lane_widths(exprs: Iterable[Expr], context: str) -> None:
-    """Every node of every tree must fit one uint64 lane."""
-    for expr in exprs:
-        for node in traverse(expr):
-            if node.width > 64:
-                raise RtlError(
-                    f"{context}: expression width {node.width} exceeds "
-                    "the 64-bit lane of the vectorized backend "
-                    "(use 'interpreted' or 'compiled')"
-                )
 
 
 def make_runtime(n_patterns: int) -> Dict[str, object]:
@@ -164,133 +129,55 @@ def make_runtime(n_patterns: int) -> Dict[str, object]:
     }
 
 
-class VectorEmitter:
-    """Emit an expression DAG as lane-parallel numpy statements.
+class VectorPrinter(PythonPrinter):
+    """numpy spelling of the code-generation walk (uint64 lane arrays).
 
-    Same memoisation discipline as
-    :class:`repro.rtl.compiled._Emitter`; only the operator surface
-    differs.
+    Only the forms whose Python spelling is data-dependent differ; the
+    rest apply lane-parallel as written (a uint64 ``-`` wraps, and 2**64
+    is a multiple of 2**width, so the masked residue matches Python).
     """
 
-    def __init__(self, name_of: Dict[str, str], mem_of: Dict[str, str],
-                 prefix: str):
-        self._name_of = name_of
-        self._mem_of = mem_of
-        self._prefix = prefix
-        self.lines: List[str] = []
-        self._memo: Dict[object, str] = {}
-        self._n = 0
+    word = "lane of the vectorized backend"
 
-    def _tmp(self, expr: str) -> str:
-        self._n += 1
-        name = f"{self._prefix}{self._n}"
-        self.lines.append(f"{name} = {expr}")
-        return name
+    def signed(self, a: str, width: int) -> str:
+        return f"_sgn({a}, {width})"
 
-    def _signed(self, operand: str, width: int, node: Expr) -> str:
-        key = (id(node), "signed")
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        name = self._tmp(f"_sgn({operand}, {width})")
-        self._memo[key] = name
-        return name
+    def _unsigned(self, value: str, m: str, width: int) -> str:
+        """int64 lanes back to uint64 (see the module docstring)."""
+        return f"_u({value})" if width == 64 else f"_u({value} & {m})"
 
-    def emit(self, node: Expr) -> str:
-        """Return an operand string (temp/local name or literal)."""
-        if isinstance(node, Const):
-            return str(node.value)
-        if isinstance(node, Ref):
-            local = self._name_of.get(node.name)
-            if local is None:
-                raise RtlError(f"reference to unknown net {node.name!r}")
-            return local
-        key = id(node)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        name = self._tmp(self._expr_of(node))
-        self._memo[key] = name
-        return name
+    def smul(self, sa: str, sb: str, m: str, width: int) -> str:
+        # |product| < 2**62 (lane-width check), so int64 is exact
+        return self._unsigned(f"({sa} * {sb})", m, width)
 
-    def _expr_of(self, node: Expr) -> str:
-        m = mask(node.width)
-        if isinstance(node, Add):
-            return f"({self.emit(node.a)} + {self.emit(node.b)}) & {m}"
-        if isinstance(node, Sub):
-            # uint64 wrap-around subtraction: 2**64 is a multiple of
-            # 2**width, so the masked residue matches Python exactly
-            return f"({self.emit(node.a)} - {self.emit(node.b)}) & {m}"
-        if isinstance(node, Mul):
-            return f"({self.emit(node.a)} * {self.emit(node.b)}) & {m}"
-        if isinstance(node, SMul):
-            sa = self._signed(self.emit(node.a), node.a.width, node.a)
-            sb = self._signed(self.emit(node.b), node.b.width, node.b)
-            # |product| < 2**62 (lane-width check), so int64 is exact
-            return f"_u(({sa} * {sb}) & {m})"
-        if isinstance(node, BitAnd):
-            return f"{self.emit(node.a)} & {self.emit(node.b)}"
-        if isinstance(node, BitOr):
-            return f"{self.emit(node.a)} | {self.emit(node.b)}"
-        if isinstance(node, BitXor):
-            return f"{self.emit(node.a)} ^ {self.emit(node.b)}"
-        if isinstance(node, BitNot):
-            return f"~{self.emit(node.a)} & {m}"
-        if isinstance(node, Shl):
-            return f"{self.emit(node.a)} << {node.amount}"
-        if isinstance(node, Shr):
-            return f"{self.emit(node.a)} >> {node.amount}"
-        if isinstance(node, Sra):
-            sa = self._signed(self.emit(node.a), node.a.width, node.a)
-            return f"_u(({sa} >> {node.amount}) & {m})"
-        if isinstance(node, Cmp):
-            a, b = self.emit(node.a), self.emit(node.b)
-            if node.op in ("slt", "sle"):
-                a = self._signed(a, node.a.width, node.a)
-                b = self._signed(b, node.b.width, node.b)
-            rel = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
-                   "slt": "<", "sle": "<="}[node.op]
-            return f"_b2u({a} {rel} {b})"
-        if isinstance(node, Mux):
-            s = self.emit(node.sel)
-            t = self.emit(node.if_true)
-            f = self.emit(node.if_false)
-            return f"_wc({s} != 0, {t}, {f})"
-        if isinstance(node, Case):
-            s = self.emit(node.sel)
-            out = self.emit(node.default)
-            for value, branch in reversed(list(node.branches.items())):
-                out = f"_wc({s} == {value}, {self.emit(branch)}, {out})"
-            return out
-        if isinstance(node, Cat):
-            out = self.emit(node.parts[0])
-            for part in node.parts[1:]:
-                out = f"(({out}) << {part.width} | {self.emit(part)})"
-            return out
-        if isinstance(node, Slice):
-            return f"({self.emit(node.a)} >> {node.lsb}) & {m}"
-        if isinstance(node, Ext):
-            a = self.emit(node.a)
-            if not node.signed or node.width == node.a.width:
-                return f"{a}"
-            sa = self._signed(a, node.a.width, node.a)
-            return f"_u({sa} & {m})"
-        if isinstance(node, Reduce):
-            a = self.emit(node.a)
-            if node.op == "and":
-                return f"_b2u({a} == {mask(node.a.width)})"
-            if node.op == "or":
-                return f"_b2u({a} != 0)"
-            return f"_pop({a})"
-        if isinstance(node, MemRead):
-            local = self._mem_of.get(node.mem_name)
-            if local is None:
-                raise RtlError(
-                    f"read of unknown memory {node.mem_name!r}"
-                )
-            a = self.emit(node.addr)
-            return f"_mrd({local}, {a}, {node.depth})"
-        raise RtlError(f"cannot emit {type(node).__name__}")
+    def sra(self, sa: str, amount: int, m: str, width: int) -> str:
+        return self._unsigned(f"({sa} >> {amount})", m, width)
+
+    def sext(self, sa: str, m: str, width: int) -> str:
+        return self._unsigned(sa, m, width)
+
+    def cmp(self, a: str, rel: str, b: str, signed: bool) -> str:
+        return f"_b2u({a} {rel} {b})"
+
+    def mux(self, s: str, t: str, f: str) -> str:
+        return f"_wc({s} != 0, {t}, {f})"
+
+    def case_arm(self, s: str, value: str, t: str, f: str) -> str:
+        return f"_wc({s} == {value}, {t}, {f})"
+
+    _REDUCE = {"and": "_b2u({a} == {full})", "or": "_b2u({a} != 0)",
+               "xor": "_pop({a})"}
+
+    def mem_read(self, mem: str, addr: str, depth: int) -> str:
+        return f"_mrd({mem}, {addr}, {depth})"
+
+    def fresh(self, value: str) -> str:
+        """A fresh (n,) array: env entries never alias a temp."""
+        return f"_bc({value})"
+
+    def port_write(self, mem: str, en: str, addr: str, data: str,
+                   depth: int, m: str) -> List[str]:
+        return [f"_mwr({mem}, {en}, {addr}, {data}, {depth}, {m})"]
 
 
 @dataclass
@@ -305,78 +192,6 @@ class RtlVectorizedProgram:
     structural_key: str
 
 
-def _generate_source(module: RtlModule) -> str:
-    assigns = module.topo_assign_order()
-    check_lane_widths(
-        [a.expr for a in assigns] + [r.next for r in module.registers]
-        + [e for mem in module.memories for p in mem.write_ports
-           for e in (p.enable, p.addr, p.data)],
-        module.name)
-    name_of: Dict[str, str] = {}
-    for port in module.ports:
-        if port.direction == "in":
-            name_of[port.name] = f"v{len(name_of)}"
-    for reg in module.registers:
-        name_of[reg.name] = f"v{len(name_of)}"
-    for assign in assigns:
-        name_of[assign.name] = f"v{len(name_of)}"
-    mem_of = {mem.name: f"mem{i}" for i, mem in enumerate(module.memories)}
-
-    head: List[str] = ["def _run(env, mems, cycles):"]
-    for port in module.ports:
-        if port.direction == "in":
-            head.append(f"    {name_of[port.name]} = env[{port.name!r}]")
-    for reg in module.registers:
-        head.append(f"    {name_of[reg.name]} = env[{reg.name!r}]")
-    for name, local in mem_of.items():
-        head.append(f"    {local} = mems[{name!r}]")
-
-    # one settle: combinational assigns in topological order
-    settle = VectorEmitter(name_of, mem_of, "t")
-    for assign in assigns:
-        value = settle.emit(assign.expr)
-        settle.lines.append(f"{name_of[assign.name]} = {value}")
-    settle_lines = list(settle.lines)
-
-    # per-cycle tail: register nexts, then memory writes (per-port
-    # emission order preserves read-after-write), then register commit
-    body = settle
-    commits: List[str] = []
-    for i, reg in enumerate(module.registers):
-        value = body.emit(reg.next)
-        body.lines.append(f"n{i} = _bc(({value}) & {mask(reg.width)})")
-        commits.append(f"{name_of[reg.name]} = n{i}")
-    wp_index = 0
-    for mem in module.memories:
-        for port in mem.write_ports:
-            wemit = VectorEmitter(name_of, mem_of, f"w{wp_index}_")
-            en = wemit.emit(port.enable)
-            addr = wemit.emit(port.addr)
-            data = wemit.emit(port.data)
-            body.lines.extend(wemit.lines)
-            body.lines.append(
-                f"_mwr({mem_of[mem.name]}, {en}, {addr}, {data}, "
-                f"{mem.depth}, {mask(mem.width)})"
-            )
-            wp_index += 1
-    body.lines.extend(commits)
-
-    lines = list(head)
-    lines.append("    for _ in range(cycles):")
-    for line in body.lines:
-        lines.append("        " + line)
-    if not body.lines:
-        lines.append("        pass")
-    for line in settle_lines:
-        lines.append("    " + line)
-    for reg in module.registers:
-        lines.append(f"    env[{reg.name!r}] = _bc({name_of[reg.name]})")
-    for assign in assigns:
-        lines.append(
-            f"    env[{assign.name!r}] = _bc({name_of[assign.name]})")
-    return "\n".join(lines) + "\n"
-
-
 def compile_rtl_vectorized(module: RtlModule, n_patterns: int,
                            cache: Optional[CompileCache] = None
                            ) -> RtlVectorizedProgram:
@@ -388,7 +203,7 @@ def compile_rtl_vectorized(module: RtlModule, n_patterns: int,
     """
     if cache is None:
         cache = RTL_COMPILE_CACHE
-    source = _generate_source(module)
+    source = module_source(module, VectorPrinter())
     digest = hashlib.sha256(source.encode()).hexdigest()
     key = f"{digest}:n{n_patterns}"
 

@@ -497,8 +497,7 @@ class BehavioralBatchSimulation:
             self.fill = 0
             self.pos = np.zeros(n, dtype=np.int64)
             self._gnt = np.zeros(n, dtype=np.uint64)
-            self._inc = [params.position_increment(m)
-                         for m in range(len(params.modes))]
+            self._inc = params.position_increments
             self._pos_mask = (1 << params.pos_width) - 1
             self._pos_half = 1 << (params.pos_width - 1)
         else:

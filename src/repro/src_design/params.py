@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Tuple
 
 from ..datatypes.integers import (bits_for_unsigned, saturate_signed,
@@ -150,11 +151,17 @@ class SrcParams:
         """One input-sample period in position units."""
         return self.n_phases << self.phase_frac_bits
 
+    @cached_property
+    def position_increments(self) -> Tuple[int, ...]:
+        """Position advance per output sample (full ratio, rounded), per
+        mode; computed once, since every output of every model adds it."""
+        units = self.n_phases * (1 << self.phase_frac_bits)
+        return tuple(int(mode.ratio * units + Fraction(1, 2))
+                     for mode in self.modes)
+
     def position_increment(self, mode: int) -> int:
-        """Position advance per output sample (full ratio, rounded)."""
-        ratio = self.modes[mode].ratio
-        scaled = ratio * self.n_phases * (1 << self.phase_frac_bits)
-        return int(scaled + Fraction(1, 2))
+        """Position advance per output sample in *mode*."""
+        return self.position_increments[mode]
 
     def pos_after_output(self, pos: int, mode: int) -> int:
         """Position after producing one output sample (wrapping)."""

@@ -1,16 +1,18 @@
-"""Randomised behavioural programs: interpreter == generated RTL == gates.
+"""Randomised behavioural programs: interpreter == FSM engines == RTL == gates.
 
 A small structured-program generator builds random (but valid) HLS
 programs -- assignments over a few variables, nested ifs, constant-bound
 loops, memory reads, port writes -- schedules them, and cross-checks the
-FSM interpreter against the generated RTL (and, for a subset, against
-the synthesised gates).
+FSM interpreter against every generated-code FSM engine, scalar and
+batched, against the generated RTL (and, for a subset, against the
+synthesised gates).
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.engines import ENGINES, engine_class
 from repro.gatesim import GateSimulator
 from repro.hls import (Assign, FsmInterpreter, For, HlsProgram, If,
                        MemReadStmt, PortWrite, Scheduler,
@@ -136,6 +138,25 @@ def _run(dut, get, x, y, max_cycles=200, label=""):
     raise AssertionError(f"no done pulse ({label or 'unseeded run'})")
 
 
+def _run_batch(batch, stimuli, max_cycles=200, label=""):
+    """Each pattern's first ``(o0, o1)``, one ``(x, y)`` per pattern."""
+    batch.set_input_patterns("x", [x for x, _ in stimuli])
+    batch.set_input_patterns("y", [y for _, y in stimuli])
+    batch.set_input("go", 1)
+    results = [None] * len(stimuli)
+    for _ in range(max_cycles):
+        batch.step()
+        outputs = zip(batch.get_output_patterns("done"),
+                      batch.get_output_patterns("o0"),
+                      batch.get_output_patterns("o1"))
+        for p, (done, o0, o1) in enumerate(outputs):
+            if done and results[p] is None:
+                results[p] = (o0, o1)
+        if None not in results:
+            return results
+    raise AssertionError(f"no done pulse ({label or 'unseeded run'})")
+
+
 def _build_rtl(prog, share):
     fsm = Scheduler(prog, SchedulingConstraints(clock_ns=200.0)).run()
     if share:
@@ -165,6 +186,38 @@ def test_interpreter_matches_generated_rtl(seed):
                         label=f"seed {seed}")
         got = _run(rtl, rtl.get, x, y, label=f"seed {seed}")
         assert got == expected, f"seed {seed}"
+
+
+#: the generated-code engines, each with a scalar and a batch FSM class
+CODEGEN_ENGINES = tuple(name for name, engine in ENGINES.items()
+                        if engine.compiles)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2000))
+def test_fsm_engines_match_interpreter(seed):
+    """Every engine's generated FSM code, scalar (three runs in a row)
+    and as a 3-pattern batch (one run per pattern, each with its own
+    ``x``/``y``), against the interpreter."""
+    fsm = Scheduler(_make_program(seed),
+                    SchedulingConstraints(clock_ns=200.0)).run()
+    vec = random.Random(seed + 5)
+    stimuli = [(vec.randrange(256), vec.randrange(256)) for _ in range(3)]
+    label = f"seed {seed}"
+    interp = FsmInterpreter(fsm)
+    in_a_row = [_run(interp, interp.get_output, x, y, label=label)
+                for x, y in stimuli]
+    first_runs = []
+    for x, y in stimuli:
+        fresh = FsmInterpreter(fsm)
+        first_runs.append(_run(fresh, fresh.get_output, x, y, label=label))
+    for name in CODEGEN_ENGINES:
+        dut = engine_class(name, "fsm")(fsm)
+        assert [_run(dut, dut.get_output, x, y, label=label)
+                for x, y in stimuli] == in_a_row, (name, label)
+        batch = engine_class(name, "fsm_batch")(fsm, len(stimuli))
+        assert _run_batch(batch, stimuli, label=label) == first_runs, \
+            (name, label)
 
 
 @settings(max_examples=6, deadline=None)

@@ -402,6 +402,61 @@ def test_random_netlist_equivalence_under_loader(loader):
     assert gate.values == interp.values
 
 
+@needs_cc
+def test_designs_sharing_a_native_program_stay_apart():
+    """The C source names no net or memory and holds no ROM contents,
+    so designs differing only in those share one compiled program; each
+    simulation still uses its own names (even swapped ones) and
+    contents."""
+    from repro.hls import (FsmInterpreter, HlsProgram, MemReadStmt,
+                           PortWrite, Scheduler, SchedulingConstraints,
+                           WaitCycle)
+    from repro.hls.native import NativeFsm
+    from repro.rtl import Ref, RtlModule, RtlSimulator, Sub
+    from repro.rtl.native import NativeRtlSimulator
+
+    cache = CompileCache()
+    programs = set()
+    for first, second, contents in (("a", "b", [1, 2, 3, 4]),
+                                     ("a", "b", [5, 6, 7, 8]),
+                                     ("b", "a", [5, 6, 7, 8])):
+        m = RtlModule("shared")
+        x, y = m.input(first, 2), m.input(second, 2)
+        m.output("q", m.mem_read(m.memory("rom", 4, 8, contents), x))
+        m.output("d", Sub(x, y))
+        rtl, ref = NativeRtlSimulator(m, cache=cache), RtlSimulator(m)
+
+        prog = HlsProgram("shared")
+        prog.input(first, 2)
+        prog.input(second, 2)
+        prog.output("q", 8)
+        prog.output("d", 3)
+        prog.var("v", 8)
+        prog.memory("rom", 4, 8, contents=contents)
+        prog.body = [MemReadStmt("v", "rom", Ref(first, 2)),
+                     PortWrite("q", Ref("v", 8)),
+                     PortWrite("d", Sub(Ref(first, 2), Ref(second, 2))),
+                     WaitCycle()]
+        fsm = Scheduler(prog, SchedulingConstraints()).run()
+        beh, beh_ref = NativeFsm(fsm, cache=cache), FsmInterpreter(fsm)
+
+        for sim in (rtl, ref, beh, beh_ref):
+            sim.set_input("a", 3)
+            sim.set_input("b", 1)
+        rtl.settle()
+        ref.settle()
+        beh.step(4)
+        beh_ref.step(4)
+        label = (first, contents)
+        assert [rtl.get(o) for o in ("q", "d")] == \
+            [ref.get(o) for o in ("q", "d")], label
+        assert rtl.peek_memory("rom") == contents, label
+        assert [beh.get_output(o) for o in ("q", "d")] == \
+            [beh_ref.get_output(o) for o in ("q", "d")], label
+        programs |= {rtl.program.module, beh._batch.compiled.module}
+    assert len(programs) == 2  # one RTL and one FSM program, shared
+
+
 # --------------------------------------------------------- degradation
 def test_resolve_backend_passthrough():
     assert resolve_backend("compiled") == "compiled"

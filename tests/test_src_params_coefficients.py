@@ -42,6 +42,16 @@ def test_position_increment_values():
     assert p.position_increment(0) == 3853517
     # 48/44.1 * 64 * 2^16 ~ 4565228.84 -> 4565229
     assert p.position_increment(1) == 4565229
+    custom = SrcParams(n_phases=16, taps_per_phase=4, buffer_depth=6,
+                       phase_frac_bits=10,
+                       modes=(SrcMode("32k_to_48k", 32_000, 48_000),
+                              SrcMode("96k_to_44k1", 96_000, 44_100),
+                              SrcMode("half_unit", 1, 32_768)))
+    # 2/3 * 2^14 ~ 10922.67 -> 10923; 320/147 * 2^14 ~ 35665.85 -> 35666;
+    # 2^-15 * 2^14 = 0.5 exactly rounds up to 1
+    assert [custom.position_increment(m) for m in range(3)] \
+        == [10923, 35666, 1]
+    assert custom.position_increments == (10923, 35666, 1)
 
 
 @given(st.integers(min_value=-(2 ** 25), max_value=2 ** 25),
