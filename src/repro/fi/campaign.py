@@ -233,8 +233,10 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
     """
     overlay = build_overlay(netlist, faults)
     n = len(faults)
+    # the overlay runs this one workload: its length picks the build
     sim = GateSimulator(overlay.netlist, backend=backend,
-                        n_patterns=n + 1)
+                        n_patterns=n + 1,
+                        run_cycles=len(workload.waveform))
     pattern_of = {f.index: b + 1 for b, f in enumerate(faults)}
 
     toggles: Dict[int, List[Tuple[Fault, int]]] = {}

@@ -273,13 +273,17 @@ class CompiledGateSimulator:
     drop-in, bit-exact replacement for the interpreted simulator.  The
     only representational difference: Z is stored as X (gate inputs
     already treat them identically).
+
+    *run_cycles* is accepted for the native engine's sake (it falls
+    back to this one) and unused: generated Python has no build flags.
     """
 
     backend = "compiled"
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, n_patterns: int = 1,
-                 cache: Optional[CompileCache] = None):
+                 cache: Optional[CompileCache] = None,
+                 run_cycles: Optional[int] = None):
         if n_patterns < 1:
             raise GateSimError(f"n_patterns must be >= 1, got {n_patterns}")
         netlist.validate()
@@ -315,6 +319,7 @@ class CompiledGateSimulator:
                     model = MemoryModel(
                         macro.name, macro.depth, macro.width, macro.contents
                     )
+                model.on_change = self._unsettle
                 bank.append(model)
             self._mem_banks[macro.name] = bank
             self.memories[macro.name] = bank[0]
@@ -434,6 +439,10 @@ class CompiledGateSimulator:
     def _ensure_settled(self) -> None:
         if self._dirty:
             self._settle()
+
+    def _unsettle(self) -> None:
+        """A memory poke changed storage: the next read re-settles."""
+        self._dirty = True
 
     # ------------------------------------------------------------------
     # single-value API (GateSimulator-compatible; pattern 0)
@@ -582,6 +591,7 @@ class CompiledGateSimulator:
             macro = self._macros[name]
             model = MemoryModel(macro.name, macro.depth, macro.width,
                                 macro.contents)
+            model.on_change = self._unsettle
             bank[pattern] = model
         return model
 

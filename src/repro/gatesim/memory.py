@@ -8,12 +8,15 @@ Two flavours, mirroring the paper's Section 4.7:
   model that includes a check for valid addresses": every enabled access
   is validated and violations are reported.  This is the model that made
   the golden-model bug "become obvious" during gate-level simulation.
+
+Both derive from :class:`PokeableMemory`, the surface every gate
+engine's memory offers to changes made outside its clock edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
@@ -30,7 +33,54 @@ class AccessViolation:
     cycle: int
 
 
-class MemoryModel:
+class PokeableMemory:
+    """One pattern's memory as a gate engine hands it out through
+    ``memory_model()``: changed from outside the clock edge by a
+    memory-cell SEU (:meth:`flip_bit`) or, where the engine offers it,
+    ``write``.
+
+    Every such change calls :attr:`on_change`, which the owning engine
+    sets so that its next read sees the new contents: the interpreted
+    engine re-reads its memory ports, the code-generating engines
+    re-settle.  ``reset`` belongs to the engine's own reset, which
+    re-settles anyway, so it does not notify.  Subclasses provide
+    ``name``, ``depth``, ``width`` and :meth:`_flip` over their storage.
+    """
+
+    name: str
+    depth: int
+    width: int
+    #: the owning engine's listener, called after every change
+    on_change: Optional[Callable[[], None]] = None
+
+    def flip_bit(self, address: int, bit: int) -> None:
+        """Flip one stored bit in place -- a memory-cell SEU.
+
+        Works on ROMs too (a configuration upset): bypasses the
+        ROM-write guard on purpose.  ``reset`` restores the original
+        contents either way.
+        """
+        if not 0 <= address < self.depth:
+            raise ValueError(
+                f"{self.name}: SEU address {address} outside depth "
+                f"{self.depth}"
+            )
+        if not 0 <= bit < self.width:
+            raise ValueError(
+                f"{self.name}: SEU bit {bit} outside width {self.width}"
+            )
+        self._flip(address, 1 << bit)
+        self._changed()
+
+    def _flip(self, address: int, bits: int) -> None:
+        raise NotImplementedError
+
+    def _changed(self) -> None:
+        if self.on_change is not None:
+            self.on_change()
+
+
+class MemoryModel(PokeableMemory):
     """Plain behavioural RAM/ROM: silent on invalid addresses."""
 
     def __init__(self, name: str, depth: int, width: int,
@@ -76,24 +126,10 @@ class MemoryModel:
             self._on_invalid("write", address, True, cycle)
             return
         self._data[address] = value & mask(self.width)
+        self._changed()
 
-    def flip_bit(self, address: int, bit: int) -> None:
-        """Flip one stored bit in place -- a memory-cell SEU.
-
-        Works on ROMs too (a configuration upset): bypasses the
-        ROM-write guard on purpose.  :meth:`reset` restores the
-        original contents either way.
-        """
-        if not 0 <= address < self.depth:
-            raise ValueError(
-                f"{self.name}: SEU address {address} outside depth "
-                f"{self.depth}"
-            )
-        if not 0 <= bit < self.width:
-            raise ValueError(
-                f"{self.name}: SEU bit {bit} outside width {self.width}"
-            )
-        self._data[address] ^= 1 << bit
+    def _flip(self, address: int, bits: int) -> None:
+        self._data[address] ^= bits
 
     def reset(self) -> None:
         if self._init is not None:

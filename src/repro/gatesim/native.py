@@ -39,6 +39,7 @@ from ..synth.library import CODEGEN
 from ..synth.netlist import CellInstance, MemoryMacro, Netlist
 from .compiled import COMPILE_CACHE, state_layout, structural_hash
 from .levelize import levelize
+from .memory import PokeableMemory
 from .simulator import GateSimError
 
 __all__ = ["NativeGateProgram", "NativeGateSimulator",
@@ -321,7 +322,8 @@ def _generate_c_source(netlist: Netlist):
 
 
 def compile_netlist_native(netlist: Netlist,
-                           cache: Optional[CompileCache] = None
+                           cache: Optional[CompileCache] = None,
+                           run_cycles: Optional[int] = None
                            ) -> NativeGateProgram:
     """Compile *netlist* to a loaded C kernel, via both cache layers.
 
@@ -330,6 +332,12 @@ def compile_netlist_native(netlist: Netlist,
     ``backend="native"``; the ``.so`` itself persists in the on-disk
     cache (:func:`repro.native.build_shared_object`), so a fresh
     process re-links in milliseconds instead of recompiling.
+
+    *run_cycles*, when the caller knows how long it will run, picks
+    the build flags (:func:`repro.native.build_cflags`).  The
+    in-process key stays the structural hash, so a later long run of
+    the same netlist in this process would reuse a short run's ``-O0``
+    program; no caller does that today (FI overlays run once).
     """
     if cache is None:
         cache = COMPILE_CACHE
@@ -338,7 +346,8 @@ def compile_netlist_native(netlist: Netlist,
     def factory() -> NativeGateProgram:
         (source, state_uids, result_uids, mem_layout, mem_words,
          x_state_uids) = _generate_c_source(netlist)
-        module = compile_and_load(source, _CDEF, tag="gate")
+        module = compile_and_load(source, _CDEF, tag="gate",
+                                  run_cycles=run_cycles)
         return NativeGateProgram(
             source=source,
             module=module,
@@ -358,7 +367,7 @@ def compile_netlist_native(netlist: Netlist,
 # ----------------------------------------------------------------------
 # memory views
 # ----------------------------------------------------------------------
-class _NativeMemoryView:
+class _NativeMemoryView(PokeableMemory):
     """One pattern's window into the flat native memory image.
 
     Mirrors the :class:`~repro.gatesim.memory.MemoryModel` surface the
@@ -378,17 +387,10 @@ class _NativeMemoryView:
         self.writable = writable
         self._image = (array("Q", contents) if contents
                        else array("Q", bytes(8 * depth)))
+        self.on_change = sim._unsettle
 
-    def flip_bit(self, address: int, bit: int) -> None:
-        if not 0 <= address < self.depth:
-            raise ValueError(
-                f"{self.name}: SEU address {address} outside depth "
-                f"{self.depth}")
-        if not 0 <= bit < self.width:
-            raise ValueError(
-                f"{self.name}: SEU bit {bit} outside width {self.width}")
-        self._sim._mem_v[self._base + address] ^= 1 << bit
-        self._sim._dirty = True
+    def _flip(self, address: int, bits: int) -> None:
+        self._sim._mem_v[self._base + address] ^= bits
 
     def peek(self) -> List[int]:
         return self._sim._mem_v[self._base:self._base + self.depth].tolist()
@@ -409,11 +411,10 @@ class _NativeMemoryView:
         if address is None or not 0 <= address < self.depth:
             return
         self._sim._mem_v[self._base + address] = value & mask(self.width)
-        self._sim._dirty = True
+        self._changed()
 
     def reset(self) -> None:
         self._sim._mem_v[self._base:self._base + self.depth] = self._image
-        self._sim._dirty = True
 
 
 # ----------------------------------------------------------------------
@@ -440,13 +441,17 @@ class NativeGateSimulator:
     ``nat_set_patterns`` in one call per 64 port bits, which transposes
     them into bitplanes in C; every other Python-side access to the
     kernel's state goes through memoryviews of its buffers.
+
+    *run_cycles* is how many cycles the caller will step, when it
+    knows; it picks the build flags of the kernel.
     """
 
     backend = "native"
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, n_patterns: int = 1,
-                 cache: Optional[CompileCache] = None):
+                 cache: Optional[CompileCache] = None,
+                 run_cycles: Optional[int] = None):
         if checking_memories:
             raise GateSimError(
                 "checking memories are not supported by the native "
@@ -462,7 +467,8 @@ class NativeGateSimulator:
         self.n_patterns = n_patterns
         self.cycles = 0
         self._mask = mask(n_patterns)
-        self.program = compile_netlist_native(netlist, cache=cache)
+        self.program = compile_netlist_native(netlist, cache=cache,
+                                              run_cycles=run_cycles)
         mod = self.program.module
         self._u64_arg = mod.u64_arg
         self._run = self.program.run
@@ -553,6 +559,10 @@ class NativeGateSimulator:
     def _ensure_settled(self) -> None:
         if self._dirty:
             self._settle()
+
+    def _unsettle(self) -> None:
+        """A memory poke changed storage: the next read re-settles."""
+        self._dirty = True
 
     def _port_srcs(self, name: str) -> List[_Src]:
         srcs = self._ports.get(name)

@@ -10,6 +10,7 @@ simulators.  Flops commit on an explicit :meth:`GateSimulator.step`
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes import logic as L
@@ -98,6 +99,12 @@ class GateSimulator:
             self.memories[macro.name] = model
 
         self._build_units()
+        #: True while step() commits an edge's writes (its closing
+        #: settle re-reads the ports)
+        self._in_edge = False
+        for name, model in self.memories.items():
+            model.on_change = functools.partial(
+                self._memory_changed, self._read_units.get(name, []))
 
         # flops
         lib = netlist.library
@@ -120,12 +127,17 @@ class GateSimulator:
 
         self._units: List[_Unit] = []
         self._fanout: Dict[int, List[_Unit]] = {}
+        #: memory name -> the units of its read ports
+        self._read_units: Dict[str, List[_Unit]] = {}
         for lu in levelize(self.netlist, error=GateSimError):
             if isinstance(lu.key, CellInstance):
-                fn = self._make_cell_eval(lu.key)
+                unit = _Unit(lu.level, self._make_cell_eval(lu.key),
+                             lu.outs)
             else:
-                fn = self._make_mem_read_eval(*lu.key)
-            unit = _Unit(lu.level, fn, lu.outs)
+                unit = _Unit(lu.level, self._make_mem_read_eval(*lu.key),
+                             lu.outs)
+                self._read_units.setdefault(lu.key[0].name,
+                                            []).append(unit)
             self._units.append(unit)
             # fanout: net uid -> units to mark dirty (data deps only)
             for uid in lu.deps:
@@ -186,6 +198,14 @@ class GateSimulator:
     def _mark_net_changed(self, uid: int) -> None:
         for unit in self._fanout.get(uid, ()):
             unit.dirty = True
+
+    def _memory_changed(self, read_units: List[_Unit]) -> None:
+        """A memory's storage changed: schedule its read ports and,
+        outside a clock edge, settle."""
+        for unit in read_units:
+            unit.dirty = True
+        if not self._in_edge:
+            self._settle()
 
     def _settle(self) -> None:
         values = self.values
@@ -316,24 +336,18 @@ class GateSimulator:
                         writes.append((model, addr, data))
                     else:  # X enable: the write may or may not happen
                         writes.append((model, addr, None))
-            # commit
-            for model, addr, data in writes:
-                model.write(addr, data if data is not None else 0,
-                            cycle=self.cycles)
-            mem_dirty = bool(writes)
+            # commit: each write schedules its memory's read ports
+            self._in_edge = True
+            try:  # a checking model's reporter may raise
+                for model, addr, data in writes:
+                    model.write(addr, data if data is not None else 0,
+                                cycle=self.cycles)
+            finally:
+                self._in_edge = False
             for uid, v in updates:
                 if values[uid] != v:
                     values[uid] = v
                     self._mark_net_changed(uid)
-            if mem_dirty:
-                # async read data may change after a write commits
-                for macro in self.netlist.memories:
-                    for idx, rp in enumerate(macro.read_ports):
-                        for net in rp.addr:
-                            self._mark_net_changed(net.uid)
-                        # force re-evaluation of the read unit itself
-                        for unit in self._fanout.get(rp.addr[0].uid, ()):
-                            unit.dirty = True
             self.cycles += 1
             self._settle()
 

@@ -33,6 +33,7 @@ from ..datatypes import logic as L
 from ..datatypes.bits import mask
 from ..synth.netlist import CellInstance, MemoryMacro, Netlist
 from .compiled import COMPILE_CACHE, CompileCache, compile_netlist
+from .memory import PokeableMemory
 from .simulator import GateSimError
 
 __all__ = ["VectorizedGateSimulator"]
@@ -95,28 +96,19 @@ class _VecMemory:
         self.data = self._fresh()
 
 
-class _VecMemoryView:
+class _VecMemoryView(PokeableMemory):
     """One pattern's view of a :class:`_VecMemory` (FI poke surface)."""
 
-    def __init__(self, mem: _VecMemory, pattern: int):
+    def __init__(self, mem: _VecMemory, pattern: int, on_change):
         self._mem = mem
         self._pattern = pattern
         self.name = mem.name
         self.depth = mem.depth
         self.width = mem.width
+        self.on_change = on_change
 
-    def flip_bit(self, address: int, bit: int) -> None:
-        """Flip one stored bit of this pattern -- a memory-cell SEU."""
-        if not 0 <= address < self.depth:
-            raise ValueError(
-                f"{self.name}: SEU address {address} outside depth "
-                f"{self.depth}"
-            )
-        if not 0 <= bit < self.width:
-            raise ValueError(
-                f"{self.name}: SEU bit {bit} outside width {self.width}"
-            )
-        self._mem.data[self._pattern, address] ^= np.uint64(1 << bit)
+    def _flip(self, address: int, bits: int) -> None:
+        self._mem.data[self._pattern, address] ^= np.uint64(bits)
 
     def peek(self) -> List[int]:
         return [int(v) for v in self._mem.data[self._pattern]]
@@ -129,13 +121,15 @@ class VectorizedGateSimulator:
     exactly (single-value calls broadcast writes / read pattern 0); the
     pattern count is unbounded by the machine word, so whole seeded
     faultloads or thousands of stimulus vectors evaluate per pass.
+    *run_cycles* is accepted and unused, like the compiled engine's.
     """
 
     backend = "vectorized"
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, n_patterns: int = 1,
-                 cache: Optional[CompileCache] = None):
+                 cache: Optional[CompileCache] = None,
+                 run_cycles: Optional[int] = None):
         if n_patterns < 1:
             raise GateSimError(f"n_patterns must be >= 1, got {n_patterns}")
         if checking_memories:
@@ -172,7 +166,8 @@ class VectorizedGateSimulator:
             self._macros[macro.name] = macro
             mem = _VecMemory(macro, n_patterns)
             self._vec_mems[macro.name] = mem
-            self.memories[macro.name] = _VecMemoryView(mem, 0)
+            self.memories[macro.name] = _VecMemoryView(mem, 0,
+                                                       self._unsettle)
 
         self._mem_hooks = [
             self._make_read_hook(self._macros[name], port_index)
@@ -298,6 +293,10 @@ class VectorizedGateSimulator:
     def _ensure_settled(self) -> None:
         if self._dirty:
             self._settle()
+
+    def _unsettle(self) -> None:
+        """A memory poke changed storage: the next read re-settles."""
+        self._dirty = True
 
     # ------------------------------------------------------------------
     # single-value API (GateSimulator-compatible; pattern 0)
@@ -450,7 +449,7 @@ class VectorizedGateSimulator:
             raise GateSimError(
                 f"pattern {pattern} outside 0..{self.n_patterns - 1}"
             )
-        return _VecMemoryView(mem, pattern)
+        return _VecMemoryView(mem, pattern, self._unsettle)
 
     def privatize_memory(self, name: str, pattern: int) -> _VecMemoryView:
         """Pattern-private memory view (already private here)."""

@@ -9,6 +9,8 @@ three emitters share:
 
 * **toolchain discovery** -- ``$CC`` first, then ``cc``/``gcc``/
   ``clang`` on ``$PATH``, cached per process;
+* **the build-flag policy** (:func:`build_cflags`) -- one decision,
+  from how long the program will run;
 * **an on-disk shared-object cache** keyed by a digest of (schema
   version, compiler, flags, source), so recompiles survive process
   restarts.  Corrupt or stale artifacts fall back to a recompile, the
@@ -33,16 +35,17 @@ import re
 import shutil
 import subprocess
 import tempfile
+import time
 import warnings
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "NATIVE_SCHEMA_VERSION", "NativeFallbackWarning", "NativeModule",
-    "NativeToolchainError", "build_shared_object", "compile_and_load",
-    "adaptive_cflags", "find_compiler", "native_cache_dir",
-    "native_cflags",
-    "resolve_backend", "toolchain_available", "toolchain_info",
+    "NativeToolchainError", "BREAK_EVEN_CYCLES", "build_cflags",
+    "build_shared_object", "compile_and_load", "find_compiler",
+    "native_cache_dir", "resolve_backend", "toolchain_available",
+    "toolchain_info",
 ]
 
 #: bump to invalidate every on-disk artifact (ABI or codegen changes)
@@ -117,47 +120,48 @@ def _loader_kind() -> str:
         return "ctypes"
 
 
-def native_cflags() -> List[str]:
-    """Compiler flags: ``$REPRO_NATIVE_CFLAGS`` or ``-O2``."""
+#: run length (clock cycles) below which ``-O2`` never pays back its
+#: build, so :func:`build_cflags` picks ``-O0``.  Both sides of the
+#: trade scale with source size -- ``cc`` time, and the time one step
+#: saves -- so the threshold is a cycle count on its own.  Measured on
+#: a 2-CPU x86_64 host with gcc, on a ~260 KB FI overlay and the
+#: 253 KB Gate-RTL netlist: ``cc`` takes 0.6-1.0 s at ``-O0`` and
+#: 3.6-5.2 s at ``-O2``; one 64-pattern step takes 13-19 us at ``-O0``
+#: and 4.5-9.3 us at ``-O2``.  ``-O2`` therefore repays its extra
+#: 2.6-4.6 s of build after roughly 0.3-0.8 M cycles; the threshold
+#: sits at the low end, so a run that might repay ``-O2`` still gets
+#: it.  FI overlays run 607-36,355 cycles.
+BREAK_EVEN_CYCLES = 300_000
+
+
+def build_cflags(run_cycles: Optional[int] = None) -> List[str]:
+    """The compiler flags of one build: the one flag policy.
+
+    ``$REPRO_NATIVE_CFLAGS`` wins unconditionally.  Otherwise a caller
+    that knows its program runs fewer than :data:`BREAK_EVEN_CYCLES`
+    cycles gets ``-O0``, and every other build ``-O2``.
+    """
     env = os.environ.get(ENV_CFLAGS, "").strip()
     if env:
         return env.split()
+    if run_cycles is not None and run_cycles < BREAK_EVEN_CYCLES:
+        return ["-O0"]
     return ["-O2"]
-
-
-#: (source bytes, flag) steps of :func:`adaptive_cflags`, largest first
-_CFLAGS_BY_SIZE = ((1 << 20, "-O0"), (256 << 10, "-O1"))
-
-
-def adaptive_cflags(source: str) -> List[str]:
-    """Size-aware flags: big straight-line cones drop the opt level.
-
-    C compilers are superlinear on single huge basic blocks (a large
-    gate netlist's settle function), so sources past 256 KiB fall to
-    ``-O1`` and past 1 MiB to ``-O0`` -- still far ahead of the Python
-    engines.  ``$REPRO_NATIVE_CFLAGS`` overrides unconditionally.
-    """
-    if os.environ.get(ENV_CFLAGS, "").strip():
-        return native_cflags()
-    for limit, flag in _CFLAGS_BY_SIZE:
-        if len(source) > limit:
-            return [flag]
-    return native_cflags()
 
 
 def toolchain_info() -> Dict[str, object]:
     """One-line description of the toolchain (CLI / artifact metadata).
 
-    ``cflags`` states the :func:`adaptive_cflags` size policy every
-    build follows; each build is counted under the flags it used in
+    ``cflags`` states the :func:`build_cflags` policy every build
+    follows; each build is counted under the flags it used in
     ``repro_native_builds_total{cflags=...}``.
     """
-    cflags = " ".join(native_cflags())
+    cflags = " ".join(build_cflags())
     if os.environ.get(ENV_CFLAGS, "").strip():
-        cflags += f" (${ENV_CFLAGS}, every source size)"
+        cflags += f" (${ENV_CFLAGS}, every build)"
     else:
-        cflags += "".join(f"; {flag} above {limit} source bytes"
-                          for limit, flag in reversed(_CFLAGS_BY_SIZE))
+        cflags += (f"; {' '.join(build_cflags(0))} for runs under "
+                   f"{BREAK_EVEN_CYCLES} cycles")
     return {
         "available": toolchain_available(),
         "compiler": find_compiler(),
@@ -173,12 +177,13 @@ def toolchain_info() -> Dict[str, object]:
 _WARNED_FALLBACK: List[bool] = [False]
 
 
-def _count(name: str, help_text: str = "", **labels) -> None:
+def _count(name: str, help_text: str = "", by: float = 1,
+           **labels) -> None:
     try:
         from .obs.metrics import REGISTRY
     except ImportError:  # pragma: no cover - leaf-safety guard
         return
-    REGISTRY.counter(name, help=help_text, **labels).inc()
+    REGISTRY.counter(name, help=help_text, **labels).inc(by)
 
 
 def resolve_backend(backend: str) -> str:
@@ -241,7 +246,7 @@ def source_digest(source: str,
                   cflags: Optional[Sequence[str]] = None) -> str:
     """Digest identifying one artifact: schema + toolchain + source."""
     if cflags is None:
-        cflags = adaptive_cflags(source)
+        cflags = build_cflags()
     compiler = find_compiler() or "none"
     h = hashlib.sha256()
     h.update(f"v{NATIVE_SCHEMA_VERSION}|{compiler}|"
@@ -272,16 +277,19 @@ def build_shared_object(source: str, tag: str = "mod",
                         cflags: Optional[Sequence[str]] = None) -> str:
     """Compile *source* to a cached ``.so``; return its path.
 
+    *cflags* defaults to :func:`build_cflags` with no run length.
     Cache hits are recognised by digest-addressed filenames and only
     touch the mtime (the LRU clock).  Builds are atomic (tempfile +
     ``os.replace``) so concurrent processes can share the directory.
+    A build runs ``cc`` inside a ``native.cc`` span and adds its time to
+    ``repro_native_build_seconds_total{cflags=...}``.
     """
     compiler = find_compiler()
     if compiler is None:
         raise NativeToolchainError(
             "no C compiler found (tried $CC, cc, gcc, clang)")
     if cflags is None:
-        cflags = adaptive_cflags(source)
+        cflags = build_cflags()
     directory = native_cache_dir()
     digest = source_digest(source, cflags)
     so_path = os.path.join(directory, f"{tag}-{digest}.so")
@@ -295,17 +303,12 @@ def build_shared_object(source: str, tag: str = "mod",
         return so_path
     _count("repro_native_disk_cache_misses_total",
            "native .so artifacts compiled from source")
+    flags = " ".join(cflags)
     _count("repro_native_builds_total",
            "native .so artifacts compiled, by the flags they used",
-           cflags=" ".join(cflags))
-    try:
-        from .obs.metrics import REGISTRY
-        REGISTRY.counter(
-            "repro_native_source_bytes_total",
-            help="C source bytes fed to the native toolchain",
-        ).inc(len(source))
-    except ImportError:  # pragma: no cover - leaf-safety guard
-        pass
+           cflags=flags)
+    _count("repro_native_source_bytes_total",
+           "C source bytes fed to the native toolchain", by=len(source))
     c_path = so_path[:-3] + ".c"
     tmp_c = f"{so_path[:-3]}.{os.getpid()}.tmp.c"
     tmp_so = f"{so_path}.{os.getpid()}.tmp"
@@ -313,11 +316,18 @@ def build_shared_object(source: str, tag: str = "mod",
         fh.write(source)
     cmd = [compiler, *cflags, "-shared", "-fPIC",
            "-o", tmp_so, tmp_c]
+    from .obs.trace import span
+    t0 = time.perf_counter()
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        with span("native.cc", tag=tag, cflags=flags,
+                  source_bytes=len(source)):
+            proc = subprocess.run(cmd, capture_output=True, text=True)
     except OSError as exc:
         os.unlink(tmp_c)
         raise NativeToolchainError(f"failed to run {compiler}: {exc}")
+    _count("repro_native_build_seconds_total",
+           "seconds spent in the C compiler, by the flags it used",
+           by=time.perf_counter() - t0, cflags=flags)
     if proc.returncode != 0:
         os.unlink(tmp_c)
         try:
@@ -452,9 +462,12 @@ class NativeModule:
         return (ctypes.c_uint64 * len(words)).from_buffer(words)
 
 
-def compile_and_load(source: str, cdef: str,
-                     tag: str = "mod") -> NativeModule:
+def compile_and_load(source: str, cdef: str, tag: str = "mod",
+                     run_cycles: Optional[int] = None) -> NativeModule:
     """Build (or reuse) the ``.so`` for *source* and load it.
+
+    *run_cycles* is how long the caller will run the program, when it
+    knows; :func:`build_cflags` turns it into the build flags.
 
     A corrupt or stale on-disk artifact -- truncated file, ABI drift
     that slipped past the digest -- is deleted and rebuilt once rather
@@ -463,10 +476,11 @@ def compile_and_load(source: str, cdef: str,
     it was loaded was evicted by a process sharing the cache: it is
     rebuilt, and neither counted nor held against the load.
     """
+    cflags = build_cflags(run_cycles)
     last_error: Optional[Exception] = None
     failures = 0
     while failures < 2:
-        so_path = build_shared_object(source, tag=tag)
+        so_path = build_shared_object(source, tag=tag, cflags=cflags)
         try:
             return NativeModule(so_path, cdef)
         except NativeToolchainError:

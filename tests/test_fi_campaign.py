@@ -5,12 +5,19 @@ in tier 1 (the ``fi`` marker is informational); the deep campaign at
 the bottom additionally carries ``fuzz`` and is opt-in.
 """
 
+import os
+
 import pytest
 
 from repro.fi import (BUDGET_FRAMES, CampaignConfig, CampaignError,
                       OUTCOMES, run_campaign, run_fi_self_check)
-from repro.fi.campaign import fi_batch_width
+from repro.fi.campaign import fi_batch_width, make_workload, run_gate_batch
+from repro.fi.faultload import generate_gate_faultload
 from repro.gatesim import COMPILE_CACHE
+from repro.native import build_cflags, toolchain_available
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import (disable_tracing, enable_tracing, event_mark,
+                             events_since, format_stage_table)
 from repro.src_design.params import SMALL_PARAMS
 
 pytestmark = pytest.mark.fi
@@ -156,6 +163,70 @@ def test_batch_width_follows_the_engine_table():
     # no RTL batch on compiled or native: one fault per simulation
     assert fi_batch_width("rtl", "compiled", 200, 2, 31) is None
     assert fi_batch_width("rtl", "native", 200, 2, 31) is None
+
+
+@pytest.fixture
+def cold_native(tmp_path, monkeypatch):
+    """An empty ``.so`` cache and in-process compile cache; the flags
+    an FI overlay builds with (``-O0`` unless ``$REPRO_NATIVE_CFLAGS``
+    overrides, as the sanitizer CI job does)."""
+    if not toolchain_available():
+        pytest.skip("no C toolchain")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
+    COMPILE_CACHE.clear()
+    flags = " ".join(build_cflags(len(make_workload(
+        SMALL_PARAMS, 0, "smoke").waveform)))
+    assert flags == " ".join(
+        os.environ.get("REPRO_NATIVE_CFLAGS", "-O0").split())
+    return flags
+
+
+def test_native_overlay_builds_once_for_its_run(cold_native,
+                                                rtl_opt_netlist):
+    """One native batch is one build at the short-run flags, and its
+    records equal the compiled engine's."""
+    workload = make_workload(SMALL_PARAMS, 11, "smoke")
+    faults = generate_gate_faultload(rtl_opt_netlist, 12, 11,
+                                     workload.cycle_budget)
+    builds = REGISTRY.counter("repro_native_builds_total",
+                              cflags=cold_native)
+    before = builds.value
+    native = run_gate_batch(rtl_opt_netlist, workload, faults,
+                            SMALL_PARAMS, backend="native")
+    assert builds.value == before + 1
+    compiled = run_gate_batch(rtl_opt_netlist, workload, faults,
+                              SMALL_PARAMS, backend="compiled")
+    assert [r.as_dict() for r in native] == \
+        [r.as_dict() for r in compiled]
+
+
+def test_traced_cold_native_campaign_spans_every_cc(cold_native):
+    """Each overlay batch's compile is a ``native.cc`` span under its
+    ``fi.batch``, listed in the stage table and counted in seconds."""
+    seconds = REGISTRY.counter("repro_native_build_seconds_total",
+                               cflags=cold_native)
+    before = seconds.value
+    enable_tracing()
+    try:
+        mark = event_mark()
+        run_campaign(CampaignConfig(
+            params=SMALL_PARAMS, level="gate", backend="native",
+            n_faults=8, batch_size=4, jobs=1, seed=13, budget="smoke",
+            probe_faults=2))
+        events = events_since(mark)
+    finally:
+        disable_tracing()
+    batches = {e["args"]["span_id"] for e in events
+               if e["name"] == "fi.batch"}
+    cc = [e for e in events if e["name"] == "native.cc"]
+    assert len(batches) == len(cc) == 2
+    for event in cc:
+        assert event["args"]["parent_id"] in batches
+        assert event["args"]["cflags"] == cold_native
+        assert event["args"]["tag"] == "gate"
+        assert event["args"]["source_bytes"] > 0
+    assert "native.cc" in format_stage_table(events)
+    assert seconds.value > before
 
 
 @pytest.mark.fuzz

@@ -1,8 +1,11 @@
 """Gate-level simulator: 4-valued semantics, memories, X handling."""
 
+import warnings
+
 import pytest
 
 from repro.datatypes import L0, L1, LX
+from repro.engines import ENGINES
 from repro.gatesim import (AccessViolation, CheckingMemoryModel,
                            GateSimError, GateSimulator, MemoryModel)
 from repro.kernel import Reporter, Severity
@@ -150,3 +153,39 @@ def test_rom_contents_validated():
 def test_x_address_reads_x():
     mem = MemoryModel("m", 4, 8)
     assert mem.read(None) == [LX] * 8
+
+
+def _ram_reader():
+    """A 4x4 RAM with a write port, a read port on output ``y`` and a
+    register ``r <- y`` on output ``q``."""
+    m = RtlModule("ram_reader")
+    ram = m.memory("ram", 4, 4)
+    we, a, din = m.input("we", 1), m.input("a", 2), m.input("din", 4)
+    m.mem_write(ram, we, a, din)
+    y = m.mem_read(ram, a)
+    r = m.register("r", 4)
+    m.set_next(r, y)
+    m.output("q", r)
+    m.output("y", y)
+    return map_to_gates(m)
+
+
+@pytest.mark.parametrize("backend", list(ENGINES))
+def test_memory_poke_is_seen_without_an_input_change(backend):
+    """An SEU or a write made through ``memory_model()`` reaches the
+    read port at once, on every engine, with the inputs held."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # native may fall back
+        sim = GateSimulator(_ram_reader(), backend=backend)
+    for name, value in (("a", 1), ("we", 0), ("din", 0)):
+        sim.set_input(name, value)
+    sim.step()
+    assert sim.get("y") == 0  # settled after the edge
+    sim.memory_model("ram").flip_bit(1, 2)
+    assert sim.get("y") == 4
+    sim.step()
+    assert sim.get("q") == 4
+    model = sim.memory_model("ram")
+    if hasattr(model, "write"):  # the vectorized view only flips
+        model.write(1, 9)
+        assert sim.get("y") == 9

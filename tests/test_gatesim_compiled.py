@@ -182,10 +182,29 @@ def _rand_expr(rng, refs, depth):
 
 
 def _rand_module(seed):
-    """Random module: combinational cone + flops + RAM + ROM."""
+    """Random module: combinational cone + flops + RAM + ROM.
+
+    Some seeds also get a word-edge input of 63, 64 or 65 bits, a
+    64-bit register and a 64-bit-wide RAM, each driving a full-width
+    output.  Their draws come from a second generator, so the other
+    seeds build the modules they always did.
+    """
     rng = random.Random(seed)
     m = RtlModule(f"rand{seed}")
     ins = [m.input(f"i{k}", rng.randrange(1, 6)) for k in range(3)]
+    wide = random.Random(-1 - seed)
+    if wide.random() < 0.3:
+        w = m.input("w", wide.choice((63, 64, 65)))
+        acc = m.register("acc", 64, init=wide.getrandbits(64))
+        m.set_next(acc, Slice(BitXor(Add(w, Ext(acc, w.width + 1,
+                                                     signed=False)),
+                                     Shl(acc, 1)), 63, 0))
+        wram = m.memory("wram", 2, 64)
+        m.mem_write(wram, Slice(ins[0], 0, 0), Slice(ins[1], 0, 0), acc)
+        m.output("ow", m.mem_read(wram, Slice(ins[2], 0, 0)))
+        m.output("oacc", acc)
+        m.output("ww", BitNot(w))
+        ins.append(w)
     regs = []
     for k in range(rng.randrange(1, 3)):
         w = rng.randrange(1, 6)
@@ -210,33 +229,73 @@ def _rand_module(seed):
     return m
 
 
+def _drive_random_inputs(rng, widths, sims):
+    """The same random values, a quarter of them X, on every input."""
+    for name, w in widths.items():
+        if rng.random() < 0.25:  # X-propagation: drive unknown bits
+            # no LZ here: the compiled two-bitplane encoding folds Z
+            # into X, so a direct input-to-output feedthrough would
+            # legitimately differ on Z
+            vals = [rng.choice((L0, L1, LX)) for _ in range(w)]
+            for sim in sims:
+                sim.set_input_logic(name, vals)
+        else:
+            v = rng.randrange(1 << w)
+            for sim in sims:
+                sim.set_input(name, v)
+
+
+def _assert_wide_read_is_current(sim):
+    """The reference engine's own check: the 64-bit RAM's read port
+    shows what the RAM holds now."""
+    if "ow" not in sim.netlist.outputs:
+        return
+    select = sim.get_logic("i2")[0]
+    if select not in (L0, L1):
+        return
+    word = sim.memory_model("wram").peek()[select]
+    assert sim.get_logic("ow") == [(word >> i) & 1 for i in range(64)]
+
+
 @pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
 @pytest.mark.parametrize("seed", range(50))
 def test_random_netlist_equivalence(seed, backend):
-    """Interpreted vs codegen on random netlists with X injection."""
+    """Interpreted vs codegen on random netlists with X injection and,
+    mid-run, a bit flip in every memory cell with the inputs held.
+
+    The native engine runs twice, built for a long run and for this
+    short one -- the two programs the build-flag policy picks between
+    (:func:`repro.native.build_cflags`).
+    """
     nl = optimize(map_to_gates(_rand_module(seed)))
     interp, comp = both_backends(nl, backend=backend)
+    duts = [comp]
+    if backend == "native":
+        duts.append(GateSimulator(nl, backend=backend, run_cycles=12,
+                                  cache=CompileCache()))
+    sims = [interp] + duts
     rng = random.Random(seed + 1000)
     widths = {name: len(nets) for name, nets in nl.inputs.items()}
     for cycle in range(12):
-        for name, w in widths.items():
-            if rng.random() < 0.25:  # X-propagation: drive unknown bits
-                # no LZ here: the compiled two-bitplane encoding folds
-                # Z into X, so a direct input-to-output feedthrough
-                # would legitimately differ on Z
-                vals = [rng.choice((L0, L1, LX)) for _ in range(w)]
-                interp.set_input_logic(name, vals)
-                comp.set_input_logic(name, vals)
-            else:
-                v = rng.randrange(1 << w)
-                interp.set_input(name, v)
-                comp.set_input(name, v)
-        assert_outputs_match(interp, comp, f"seed {seed} cycle {cycle}")
-        interp.step()
-        comp.step()
-    interp.reset()
-    comp.reset()
-    assert_outputs_match(interp, comp, f"seed {seed} after reset")
+        if cycle == 6:  # SEUs after a read, with the inputs held
+            for dut in duts:
+                assert_outputs_match(interp, dut, f"seed {seed} pre-SEU")
+            for macro in nl.memories:
+                for address in range(macro.depth):
+                    bit = rng.randrange(macro.width)
+                    for sim in sims:
+                        sim.memory_model(macro.name).flip_bit(address, bit)
+            _assert_wide_read_is_current(interp)
+        else:
+            _drive_random_inputs(rng, widths, sims)
+        for dut in duts:
+            assert_outputs_match(interp, dut, f"seed {seed} cycle {cycle}")
+        for sim in sims:
+            sim.step()
+    for sim in sims:
+        sim.reset()
+    for dut in duts:
+        assert_outputs_match(interp, dut, f"seed {seed} after reset")
 
 
 def test_flop_init_states_compiled():

@@ -4,8 +4,8 @@ Covers the pieces the four-engine equivalence sweeps do not: compiler
 discovery and its ``$CC`` override, digest-addressed ``.so``
 persistence across processes, schema-version invalidation, corrupt
 artifact recovery, LRU eviction, processes sharing the cache at one
-moment, size-aware compile flags and their
-build counter, the single-warning degradation to the compiled backend
+moment, run-length compile flags and their build counters, the
+single-warning degradation to the compiled backend
 on toolchain-less hosts, the Prometheus schema of the native cache
 counters, and pattern I/O through both FFI loaders (cffi and ctypes),
 whichever of them the host would pick by itself.
@@ -24,7 +24,8 @@ import pytest
 import repro.native as native
 from repro.compile_cache import CompileCache
 from repro.hls.native import NativeFsmBatch
-from repro.native import (NATIVE_SCHEMA_VERSION, NativeFallbackWarning,
+from repro.native import (BREAK_EVEN_CYCLES, NATIVE_SCHEMA_VERSION,
+                          NativeFallbackWarning, build_cflags,
                           build_shared_object, compile_and_load,
                           find_compiler, resolve_backend, source_digest,
                           toolchain_available, toolchain_info)
@@ -87,14 +88,13 @@ def test_toolchain_info_shape(monkeypatch):
                          "schema_version"}
     assert info["schema_version"] == NATIVE_SCHEMA_VERSION
     assert info["loader"] in ("cffi", "ctypes")
-    # provenance states the size policy builds follow, not one flag
+    # provenance states the run-length policy builds follow
     monkeypatch.delenv("REPRO_NATIVE_CFLAGS", raising=False)
-    assert toolchain_info()["cflags"] == (
-        "-O2; -O1 above 262144 source bytes; -O0 above 1048576 "
-        "source bytes")
+    assert toolchain_info()["cflags"] == \
+        "-O2; -O0 for runs under 300000 cycles"
     monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O3 -g")
     assert toolchain_info()["cflags"] == \
-        "-O3 -g ($REPRO_NATIVE_CFLAGS, every source size)"
+        "-O3 -g ($REPRO_NATIVE_CFLAGS, every build)"
 
 
 @needs_cc
@@ -278,19 +278,33 @@ def test_artifact_evicted_before_dlopen_is_rebuilt(cache_dir,
 
 
 @needs_cc
-def test_size_policy_picks_the_build_flags(cache_dir, monkeypatch):
-    """Sources past 256 KiB build at -O1, past 1 MiB at -O0, and each
-    build is counted under the flags it used."""
+def test_run_length_policy_picks_the_build_flags(cache_dir, monkeypatch):
+    """A build with no run length is -O2 at any source size; a run
+    shorter than the break-even builds at -O0; the env override beats
+    both; each build is counted under the flags it used."""
     monkeypatch.delenv("REPRO_NATIVE_CFLAGS")
-    for size, flag in ((0, "-O2"), ((256 << 10) + 1, "-O1"),
-                       ((1 << 20) + 1, "-O0")):
-        source = SOURCE + "/*" + "x" * max(0, size - len(SOURCE) - 4) \
-            + "*/"
-        assert native.adaptive_cflags(source) == [flag]
+    huge = SOURCE + "/*" + "x" * ((1 << 20) + 1) + "*/"
+    for k, (source, run_cycles, flag) in enumerate((
+            (SOURCE, None, "-O2"), (huge, None, "-O2"),
+            (SOURCE, 0, "-O0"), (SOURCE, 885, "-O0"),
+            (huge, BREAK_EVEN_CYCLES - 1, "-O0"),
+            (SOURCE, BREAK_EVEN_CYCLES, "-O2"),
+            (SOURCE, 10 * BREAK_EVEN_CYCLES, "-O2"))):
+        assert build_cflags(run_cycles) == [flag]
         builds0 = _counter_value("repro_native_builds_total", cflags=flag)
-        build_shared_object(source, tag="t")
+        seconds0 = _counter_value("repro_native_build_seconds_total",
+                                  cflags=flag)
+        # a distinct source per row, so every row builds
+        mod = compile_and_load(f"{source}/* row {k} */", CDEF, tag="t",
+                               run_cycles=run_cycles)
+        assert mod.fn("triple")(2) == 6
         assert _counter_value("repro_native_builds_total",
                               cflags=flag) == builds0 + 1
+        assert _counter_value("repro_native_build_seconds_total",
+                              cflags=flag) > seconds0
+    monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O1 -g")
+    for run_cycles in (None, 0, BREAK_EVEN_CYCLES):
+        assert build_cflags(run_cycles) == ["-O1", "-g"]
 
 
 @needs_cc
