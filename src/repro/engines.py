@@ -11,13 +11,16 @@ engine at a level, how many stimulus patterns one instance holds and
 what the engine degrades to on a host without a C compiler.  Every
 dispatch in the package asks it instead of comparing engine names, so
 adding or removing an engine is an edit to this table.
+:class:`PortSampler` is the one port-sampling surface every gate and
+RTL engine offers (``port_sampler(names)``).
 """
 
 from __future__ import annotations
 
 import importlib
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .native import resolve_backend
 
@@ -138,3 +141,28 @@ def batch_engines(level: Optional[str] = None) -> Tuple[str, ...]:
     return tuple(name for name, engine in ENGINES.items()
                  if any(engine.batches(lv) for lv in
                         (engine.max_patterns if level is None else (level,))))
+
+
+class PortSampler(NamedTuple):
+    """What ``port_sampler(names)`` of a gate or RTL engine returns.
+
+    ``read()`` samples pattern 0 of the named ports in one call.  On a
+    gate engine it is one int whose byte *k* holds the 4-valued code
+    (``L0``/``L1``/``LX``/``LZ``) of port bit *k*, LSB first, ports in
+    order; on an RTL engine it is the tuple of the port values.
+    ``widths`` maps every port, in that order, to its width.
+    """
+
+    read: Callable[[], Any]
+    widths: Dict[str, int]
+
+
+def gather(keys: Sequence) -> Callable[[Any], tuple]:
+    """``operator.itemgetter(*keys)``, returning a tuple for any number
+    of keys: the per-cycle read of a port sampler."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda seq: (seq[key],)
+    if not keys:
+        return lambda seq: ()
+    return operator.itemgetter(*keys)

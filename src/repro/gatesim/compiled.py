@@ -33,11 +33,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..compile_cache import CacheStats, CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
+from ..engines import PortSampler, gather
 from ..synth.library import CODEGEN
 from ..synth.netlist import CellInstance, MemoryMacro, Netlist
 from .levelize import levelize
 from .memory import CheckingMemoryModel, MemoryModel
-from .simulator import GateSimError
+from .simulator import GateSimError, check_pattern
 
 __all__ = [
     "CacheStats", "CompileCache", "COMPILE_CACHE", "CompiledGateSimulator",
@@ -258,6 +259,43 @@ def compile_netlist(netlist: Netlist,
 _Src = Tuple[bool, int]
 
 
+def plane_sampler(ports: Dict[str, List[_Src]], planes: Callable[[], tuple],
+                  n_patterns: int) -> PortSampler:
+    """A port sampler over two-bitplane storage.
+
+    *ports* gives each port bit's source; *planes()* settles the engine
+    and returns its ``(S1, SX, R1, RX)`` storage.  Each read gathers
+    every bit's ones and unknowns (one ``itemgetter`` call per array)
+    and packs pattern 0 as one 4-valued code per byte (``ones | unk <<
+    1``: the engines hold Z as X).
+    """
+    bits = [src for srcs in ports.values() for src in srcs]
+    state = [k for k, (in_state, _) in enumerate(bits) if in_state]
+    result = [k for k, (in_state, _) in enumerate(bits) if not in_state]
+    take_s = gather([bits[k][1] for k in state])
+    take_r = gather([bits[k][1] for k in result])
+    if state + result == sorted(state + result):
+        order = None  # already in port order
+    else:
+        where = {k: i for i, k in enumerate(state + result)}
+        order = gather([where[k] for k in range(len(bits))])
+
+    def pack(in_state, in_result) -> int:
+        words = take_s(in_state) + take_r(in_result)
+        if order is not None:
+            words = order(words)
+        if n_patterns > 1:
+            words = map((1).__and__, words)
+        return int.from_bytes(bytes(words), "little")
+
+    def read() -> int:
+        s1, sx, r1, rx = planes()
+        return pack(s1, r1) | pack(sx, rx) << 1
+
+    return PortSampler(read, {name: len(srcs)
+                              for name, srcs in ports.items()})
+
+
 class CompiledGateSimulator:
     """Parallel-pattern gate-level simulator over a compiled netlist.
 
@@ -444,6 +482,13 @@ class CompiledGateSimulator:
         """A memory poke changed storage: the next read re-settles."""
         self._dirty = True
 
+    def _port_srcs(self, name: str) -> List[_Src]:
+        srcs = self._ports.get(name)
+        if srcs is None:
+            raise GateSimError(f"no port named {name!r}")
+        self._ensure_settled()
+        return srcs
+
     # ------------------------------------------------------------------
     # single-value API (GateSimulator-compatible; pattern 0)
     # ------------------------------------------------------------------
@@ -489,6 +534,16 @@ class CompiledGateSimulator:
         """Read a port of pattern 0 as raw logic values (LSB first)."""
         return self.get_logic_pattern(name, 0)
 
+    def port_sampler(self, names: Sequence[str]) -> PortSampler:
+        """Pattern 0 of every bit of *names*, one gather per read (see
+        :class:`~repro.engines.PortSampler`)."""
+        def planes() -> tuple:
+            self._ensure_settled()
+            return self._s1, self._sx, self._r1, self._rx
+
+        return plane_sampler({name: self._port_srcs(name) for name in names},
+                             planes, self.n_patterns)
+
     # ------------------------------------------------------------------
     # pattern-parallel API
     # ------------------------------------------------------------------
@@ -522,10 +577,7 @@ class CompiledGateSimulator:
 
     def get_patterns(self, name: str) -> List[int]:
         """Read a port as one integer per pattern (X/Z raise)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
+        srcs = self._port_srcs(name)
         out = [0] * self.n_patterns
         for i, src in enumerate(srcs):
             ones, unk = self._planes(src)
@@ -549,10 +601,7 @@ class CompiledGateSimulator:
         plain integer ops, X included, without the per-pattern decode
         of :meth:`get_patterns` / :meth:`get_logic_pattern`.
         """
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
+        srcs = self._port_srcs(name)
         ones: List[int] = []
         unks: List[int] = []
         for src in srcs:
@@ -571,10 +620,7 @@ class CompiledGateSimulator:
         bank = self._mem_banks.get(name)
         if bank is None:
             raise GateSimError(f"no memory named {name!r}")
-        if not 0 <= pattern < self.n_patterns:
-            raise GateSimError(
-                f"pattern {pattern} outside 0..{self.n_patterns - 1}"
-            )
+        check_pattern(pattern, self.n_patterns)
         return bank[pattern]
 
     def privatize_memory(self, name: str, pattern: int) -> MemoryModel:
@@ -597,10 +643,8 @@ class CompiledGateSimulator:
 
     def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
         """Read a port of one pattern as logic values (X allowed)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
+        check_pattern(pattern, self.n_patterns)
+        srcs = self._port_srcs(name)
         bit = 1 << pattern
         out = []
         for src in srcs:

@@ -34,13 +34,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
+from ..engines import PortSampler
 from ..native import NativeModule, compile_and_load
 from ..synth.library import CODEGEN
 from ..synth.netlist import CellInstance, MemoryMacro, Netlist
-from .compiled import COMPILE_CACHE, state_layout, structural_hash
+from .compiled import (COMPILE_CACHE, plane_sampler, state_layout,
+                       structural_hash)
 from .levelize import levelize
 from .memory import PokeableMemory
-from .simulator import GateSimError
+from .simulator import GateSimError, check_pattern
 
 __all__ = ["NativeGateProgram", "NativeGateSimulator",
            "compile_netlist_native"]
@@ -616,6 +618,20 @@ class NativeGateSimulator:
         """Read a port of pattern 0 as raw logic values (LSB first)."""
         return self.get_logic_pattern(name, 0)
 
+    def port_sampler(self, names: Sequence[str]) -> PortSampler:
+        """Pattern 0 of every bit of *names*, one gather per read (see
+        :class:`~repro.engines.PortSampler`)."""
+        views = (self._s1_v, self._sx_v, self._r1_v, self._rx_v)
+
+        def planes() -> tuple:
+            self._ensure_settled()
+            return views
+
+        return plane_sampler(
+            {name: [(a is self._s1_v, index)
+                    for a, _, index in self._port_srcs(name)]
+             for name in names}, planes, self.n_patterns)
+
     # ------------------------------------------------------------------
     # pattern-parallel API
     # ------------------------------------------------------------------
@@ -672,6 +688,7 @@ class NativeGateSimulator:
 
     def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
         """Read a port of one pattern as logic values (X allowed)."""
+        check_pattern(pattern, self.n_patterns)
         srcs = self._port_srcs(name)
         bit = 1 << pattern
         out = []
@@ -689,9 +706,7 @@ class NativeGateSimulator:
         views = self._mem_views.get(name)
         if views is None:
             raise GateSimError(f"no memory named {name!r}")
-        if not 0 <= pattern < self.n_patterns:
-            raise GateSimError(
-                f"pattern {pattern} outside 0..{self.n_patterns - 1}")
+        check_pattern(pattern, self.n_patterns)
         return views[pattern]
 
     def privatize_memory(self, name: str, pattern: int):

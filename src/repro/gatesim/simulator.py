@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
-from ..engines import ENGINES, engine_class
+from ..engines import ENGINES, PortSampler, engine_class, gather
 from ..synth.library import EVAL
 from ..synth.netlist import CellInstance, MemoryMacro, Net, Netlist
 from .memory import CheckingMemoryModel, MemoryModel
@@ -23,6 +23,12 @@ from .memory import CheckingMemoryModel, MemoryModel
 
 class GateSimError(RuntimeError):
     """Raised for X-valued observations and structural problems."""
+
+
+def check_pattern(pattern: int, n_patterns: int) -> None:
+    """Reject a pattern index a multi-pattern engine does not hold."""
+    if not 0 <= pattern < n_patterns:
+        raise GateSimError(f"pattern {pattern} outside 0..{n_patterns - 1}")
 
 
 #: valid values for the ``backend=`` argument of :class:`GateSimulator`
@@ -252,11 +258,8 @@ class GateSimulator:
 
     def get(self, name: str) -> int:
         """Read an output or input port as an integer (X/Z raise)."""
-        nets = self.netlist.outputs.get(name) or self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no port named {name!r}")
         out = 0
-        for i, net in enumerate(nets):
+        for i, net in enumerate(self._port_nets(name)):
             v = self.values[net.uid]
             if v == L.L1:
                 out |= 1 << i
@@ -268,10 +271,23 @@ class GateSimulator:
 
     def get_logic(self, name: str) -> List[int]:
         """Read a port as raw logic values (LSB first; X/Z allowed)."""
+        return [self.values[n.uid] for n in self._port_nets(name)]
+
+    def _port_nets(self, name: str) -> List[Net]:
         nets = self.netlist.outputs.get(name) or self.netlist.inputs.get(name)
         if nets is None:
             raise GateSimError(f"no port named {name!r}")
-        return [self.values[n.uid] for n in nets]
+        return nets
+
+    def port_sampler(self, names: Sequence[str]) -> PortSampler:
+        """Pattern 0 of every bit of *names*, one gather per read (see
+        :class:`~repro.engines.PortSampler`)."""
+        ports = {name: self._port_nets(name) for name in names}
+        take = gather([n.uid for nets in ports.values() for n in nets])
+        values = self.values
+        return PortSampler(
+            lambda: int.from_bytes(bytes(take(values)), "little"),
+            {name: len(nets) for name, nets in ports.items()})
 
     def memory_model(self, name: str, pattern: int = 0) -> MemoryModel:
         """The behavioural model backing memory macro *name*.

@@ -15,6 +15,9 @@ from ..datatypes import logic as L
 from ..kernel.tracing import _identifier
 from .simulator import GateSimulator
 
+#: VCD spelling of each 4-valued logic code
+_VCD_CHAR = {L.L0: "0", L.L1: "1", L.LX: "x", L.LZ: "z"}
+
 
 class GateVcdTracer:
     """Samples port values each cycle and writes a VCD file."""
@@ -40,11 +43,7 @@ class GateVcdTracer:
     # ------------------------------------------------------------------
     def _render(self, name: str, width: int) -> str:
         values = self.sim.get_logic(name)
-        chars = []
-        for v in reversed(values):  # MSB first
-            chars.append({L.L0: "0", L.L1: "1",
-                          L.LX: "x", L.LZ: "z"}[v])
-        return "".join(chars)
+        return "".join(_VCD_CHAR[v] for v in reversed(values))  # MSB first
 
     def sample(self) -> None:
         """Record the current cycle's port values (call once per cycle)."""
@@ -54,39 +53,6 @@ class GateVcdTracer:
             if self._last.get(ident) != rendered:
                 self._last[ident] = rendered
                 self._changes.append((cycle, ident, rendered))
-
-    # ------------------------------------------------------------------
-    def toggle_counts(self) -> Dict[str, List[Tuple[int, int]]]:
-        """Per-bit (rise, fall) counts derived from the recorded changes.
-
-        Returns ``{port: [(rises, falls), ...]}`` with one pair per bit,
-        LSB first.  X/Z states do not count as either edge; only defined
-        0->1 / 1->0 transitions do.  The verification harness aggregates
-        these into its toggle-coverage metric.
-        """
-        counts: Dict[str, List[Tuple[int, int]]] = {}
-        by_ident: Dict[str, Tuple[str, int]] = {
-            ident: (name, width) for name, width, ident in self._ports
-        }
-        previous: Dict[str, str] = {}
-        for name, width, ident in self._ports:
-            counts[name] = [(0, 0)] * width
-        for _cycle, ident, rendered in self._changes:
-            name, width = by_ident[ident]
-            old = previous.get(ident)
-            if old is not None:
-                per_bit = counts[name]
-                # rendered strings are MSB first; bit i is index -1-i
-                for bit in range(width):
-                    a, b = old[-1 - bit], rendered[-1 - bit]
-                    if a == "0" and b == "1":
-                        r, f = per_bit[bit]
-                        per_bit[bit] = (r + 1, f)
-                    elif a == "1" and b == "0":
-                        r, f = per_bit[bit]
-                        per_bit[bit] = (r, f + 1)
-            previous[ident] = rendered
-        return counts
 
     # ------------------------------------------------------------------
     def dumps(self) -> str:

@@ -25,16 +25,18 @@ artifacts of one structural digest never collide.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
+from ..engines import PortSampler
 from ..synth.netlist import CellInstance, MemoryMacro, Netlist
 from .compiled import COMPILE_CACHE, CompileCache, compile_netlist
 from .memory import PokeableMemory
-from .simulator import GateSimError
+from .simulator import GateSimError, check_pattern
 
 __all__ = ["VectorizedGateSimulator"]
 
@@ -343,6 +345,16 @@ class VectorizedGateSimulator:
         """Read a port of pattern 0 as raw logic values (LSB first)."""
         return self.get_logic_pattern(name, 0)
 
+    def port_sampler(self, names: Sequence[str]) -> PortSampler:
+        """Pattern 0 of every bit of *names* (see
+        :class:`~repro.engines.PortSampler`), read port by port."""
+        widths = {name: len(self.get_logic(name)) for name in names}
+        return PortSampler(
+            lambda: int.from_bytes(
+                bytes(chain.from_iterable(map(self.get_logic, widths))),
+                "little"),
+            widths)
+
     # ------------------------------------------------------------------
     # pattern-parallel API
     # ------------------------------------------------------------------
@@ -445,10 +457,7 @@ class VectorizedGateSimulator:
         mem = self._vec_mems.get(name)
         if mem is None:
             raise GateSimError(f"no memory named {name!r}")
-        if not 0 <= pattern < self.n_patterns:
-            raise GateSimError(
-                f"pattern {pattern} outside 0..{self.n_patterns - 1}"
-            )
+        check_pattern(pattern, self.n_patterns)
         return _VecMemoryView(mem, pattern, self._unsettle)
 
     def privatize_memory(self, name: str, pattern: int) -> _VecMemoryView:
@@ -457,6 +466,7 @@ class VectorizedGateSimulator:
 
     def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
         """Read a port of one pattern as logic values (X allowed)."""
+        check_pattern(pattern, self.n_patterns)
         srcs = self._ports.get(name)
         if srcs is None:
             raise GateSimError(f"no port named {name!r}")

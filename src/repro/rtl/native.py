@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
+from ..engines import PortSampler, gather
 from ..native import NativeModule, compile_and_load
 from .compiled import RTL_COMPILE_CACHE
 from .emit import walk_module
@@ -372,11 +373,15 @@ class NativeRtlSimulator:
         target = self.module.outputs.get(name, name)
         return self._vv[self.program.name_index[target]]
 
-    def port_widths(self) -> Dict[str, int]:
-        """Widths of all ports, inputs first (coverage sampling helper)."""
+    def port_sampler(self, names: Sequence[str]) -> PortSampler:
+        """The values of *names*, one gather per read (see
+        :class:`~repro.engines.PortSampler`)."""
         module = self.module
-        return {name: module.net_width(name)
-                for name in module.input_names() + module.output_names()}
+        widths = {name: module.net_width(name) for name in names}
+        take = gather([self.program.name_index[module.outputs.get(name, name)]
+                       for name in widths])
+        view = self._vv
+        return PortSampler(lambda: take(view), widths)
 
     def peek_memory(self, name: str) -> List[int]:
         for mem_name, base, depth, _ in self.program.mem_layout:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes.bits import mask
-from ..engines import engine_class, lookup
+from ..engines import PortSampler, engine_class, gather, lookup
 from .ir import RtlError, RtlModule
 
 #: monitor signature: (memory name, address, depth, "read"/"write")
@@ -136,11 +136,14 @@ class RtlSimulator:
         target = self.module.outputs.get(name, name)
         return self.env[target]  # type: ignore[return-value]
 
-    def port_widths(self) -> Dict[str, int]:
-        """Widths of all ports, inputs first (coverage sampling helper)."""
+    def port_sampler(self, names: Sequence[str]) -> PortSampler:
+        """The values of *names*, one gather per read (see
+        :class:`~repro.engines.PortSampler`)."""
         module = self.module
-        return {name: module.net_width(name)
-                for name in module.input_names() + module.output_names()}
+        widths = {name: module.net_width(name) for name in names}
+        take = gather([module.outputs.get(name, name) for name in widths])
+        env = self.env
+        return PortSampler(lambda: take(env), widths)
 
     def peek_memory(self, name: str) -> List[int]:
         return list(self._memories[name])

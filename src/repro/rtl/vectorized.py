@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
+from ..engines import PortSampler
 from .compiled import RTL_COMPILE_CACHE, PythonPrinter, module_source
 from .ir import RtlError, RtlModule
 
@@ -300,11 +301,11 @@ class VectorizedRtlSimulator:
         target = self.module.outputs.get(name, name)
         return [int(v) for v in self.env[target]]
 
-    def port_widths(self) -> Dict[str, int]:
-        """Widths of all ports, inputs first (coverage sampling helper)."""
-        module = self.module
-        return {name: module.net_width(name)
-                for name in module.input_names() + module.output_names()}
+    def port_sampler(self, names: Sequence[str]) -> PortSampler:
+        """The lane-0 values of *names* (see
+        :class:`~repro.engines.PortSampler`), read port by port."""
+        widths = {name: self.module.net_width(name) for name in names}
+        return PortSampler(lambda: tuple(map(self.get, widths)), widths)
 
     def peek_memory(self, name: str, pattern: int = 0):
         return [int(v) for v in self._memories[name][pattern]]

@@ -7,9 +7,8 @@ design":
   frames (uniform buckets across the signed range plus the three
   corner values min/zero/max per channel);
 * :class:`ToggleCoverage` -- per-port-bit 0->1/1->0 activity of the
-  clocked DUTs, harvested from :class:`~repro.gatesim.trace.GateVcdTracer`
-  samples for gate-level simulators and from integer port sampling for
-  RTL simulators.
+  clocked DUTs, folded from one packed read of all port bits per cycle
+  (the engines' ``port_sampler``).
 
 Both aggregate across all cases of a run and serialise to plain dicts
 so :func:`repro.flow.artifacts.write_verify_artifacts` can emit them as
@@ -18,12 +17,11 @@ JSON next to the other flow artefacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes.integers import max_signed, min_signed
-from ..gatesim import GateSimulator, GateVcdTracer
-from ..rtl import RtlSimulator
 
 #: uniform value buckets per channel (plus min/zero/max specials)
 N_BUCKETS = 16
@@ -95,51 +93,104 @@ class InputCoverage:
                 f"bins hit over {self.n_frames} frames")
 
 
-class _GateHandle:
-    """Per-run toggle sampling of a gate-level DUT via the VCD tracer."""
+def _add(planes: List[int], bits: int) -> None:
+    """Count one at every set bit of *bits*.  The counters are bit
+    sliced: ``planes[j]`` holds bit *j* of every position's count, so
+    an add is a carry ripple over a few integers (about two steps on
+    average), however many positions there are."""
+    j = 0
+    while bits:
+        if j == len(planes):
+            planes.append(bits)
+            return
+        plane = planes[j]
+        planes[j] = plane ^ bits
+        bits &= plane
+        j += 1
 
-    def __init__(self, key: str, sim: GateSimulator):
+
+def _count(planes: List[int], position: int) -> int:
+    """The count at *position* of bit-sliced counters."""
+    return sum((plane >> position & 1) << j for j, plane in enumerate(planes))
+
+
+class _Handle:
+    """Per-run toggle counts of one DUT's port bits, folded from the
+    packed samples of its engine's ``port_sampler``.
+
+    Bit *k* of the sampled ports (in order, LSB first) sits at
+    position ``k * stride`` of one integer of known-1 bits and one of
+    unknown (X or Z) bits.  A rise or fall is a defined 0->1 or 1->0
+    step between consecutive samples; an unknown on either side is
+    neither.  Per-bit counts are expanded once, in :meth:`counts`.
+    """
+
+    def __init__(self, key: str, sampler, stride: int):
         self.key = key
-        self.tracer = GateVcdTracer(sim)
+        self.widths = sampler.widths
+        self.stride = stride
+        self._read = sampler.read
+        self._last = None
+        self._rises: List[int] = []
+        self._falls: List[int] = []
+        # before the first sample every bit is unknown: no edge
+        self._ones, self._unk = 0, -1
 
-    def sample(self) -> None:
-        self.tracer.sample()
+    def _fold(self, ones: int, unk: int) -> None:
+        changed = (ones ^ self._ones) & ~(unk | self._unk)
+        if changed:
+            _add(self._rises, changed & ones)
+            _add(self._falls, changed & self._ones)
+        self._ones, self._unk = ones, unk
 
     def counts(self) -> Dict[str, List[Tuple[int, int]]]:
-        return self.tracer.toggle_counts()
+        out: Dict[str, List[Tuple[int, int]]] = {}
+        position, stride = 0, self.stride
+        for name, width in self.widths.items():
+            end = position + width * stride
+            out[name] = [(_count(self._rises, p), _count(self._falls, p))
+                         for p in range(position, end, stride)]
+            position = end
+        return out
 
 
-class _RtlHandle:
-    """Per-run toggle sampling of an RTL DUT via integer port reads."""
+class _GateHandle(_Handle):
+    """Toggle sampling of a gate-level DUT: one 4-valued code per port
+    bit and byte."""
 
-    def __init__(self, key: str, sim: RtlSimulator):
-        self.key = key
-        self.sim = sim
-        self.widths = sim.port_widths()
-        self._last: Dict[str, int] = {}
-        self._counts: Dict[str, List[Tuple[int, int]]] = {
-            name: [(0, 0)] * width for name, width in self.widths.items()
-        }
+    def __init__(self, key: str, sim):
+        ports = [*sim.netlist.inputs, *sim.netlist.outputs]
+        super().__init__(key, sim.port_sampler(ports), 8)
+        #: bit 0 of every byte; L1 and LZ set it, LX and LZ set bit 1
+        self._low = int.from_bytes(bytes([1]) * sum(self.widths.values()),
+                                   "little")
         self.sample()
 
     def sample(self) -> None:
-        for name, width in self.widths.items():
-            value = self.sim.get(name)
-            last = self._last.get(name)
-            if last is not None and last != value:
-                per_bit = self._counts[name]
-                changed = last ^ value
-                for bit in range(width):
-                    if changed >> bit & 1:
-                        r, f = per_bit[bit]
-                        if value >> bit & 1:
-                            per_bit[bit] = (r + 1, f)
-                        else:
-                            per_bit[bit] = (r, f + 1)
-            self._last[name] = value
+        codes = self._read()
+        if codes == self._last:
+            return
+        self._last = codes
+        unk = (codes >> 1) & self._low
+        self._fold(codes & self._low & ~unk, unk)
 
-    def counts(self) -> Dict[str, List[Tuple[int, int]]]:
-        return self._counts
+
+class _RtlHandle(_Handle):
+    """Toggle sampling of an RTL DUT: the port values, packed one bit
+    per position."""
+
+    def __init__(self, key: str, sim):
+        ports = sim.module.input_names() + sim.module.output_names()
+        super().__init__(key, sim.port_sampler(ports), 1)
+        self._shifts = list(accumulate([0, *self.widths.values()]))[:-1]
+        self.sample()
+
+    def sample(self) -> None:
+        values = self._read()
+        if values == self._last:
+            return
+        self._last = values
+        self._fold(sum(map(lshift, values, self._shifts)), 0)
 
 
 class ToggleCoverage:
@@ -156,13 +207,11 @@ class ToggleCoverage:
         self.counts: Dict[str, Dict[str, List[Tuple[int, int]]]] = {}
 
     def begin(self, spec, sim):
-        if isinstance(sim, RtlSimulator) or hasattr(sim, "port_widths"):
-            # the vectorized RTL simulator is not an RtlSimulator
-            # subclass but shares the integer port-read surface
-            return _RtlHandle(spec.key, sim)
-        if hasattr(sim, "netlist") and hasattr(sim, "get_logic"):
+        if not hasattr(sim, "port_sampler"):
+            return None
+        if hasattr(sim, "netlist"):
             return _GateHandle(spec.key, sim)
-        return None
+        return _RtlHandle(spec.key, sim)
 
     def end(self, handle) -> None:
         self.absorb({handle.key: handle.counts()})

@@ -220,10 +220,9 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
                 initializer=_init_verify_worker,
                 initargs=(params, config.levels, config.backend))
             absorb_deltas([r[2] for r in results])
-            for case, (case_report, toggle_counts, _) in zip(cases,
-                                                             results):
+            for case, (case_report, toggles, _) in zip(cases, results):
                 report.input_coverage.record_case(case.inputs)
-                report.toggle_coverage.absorb(toggle_counts)
+                report.toggle_coverage.absorb(toggles)
                 report.case_reports.append(case_report)
                 if not case_report.passed:
                     shrink = _shrink_failure(config, case_report, builds,

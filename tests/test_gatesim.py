@@ -1,5 +1,6 @@
 """Gate-level simulator: 4-valued semantics, memories, X handling."""
 
+import importlib
 import warnings
 
 import pytest
@@ -189,3 +190,32 @@ def test_memory_poke_is_seen_without_an_input_change(backend):
     if hasattr(model, "write"):  # the vectorized view only flips
         model.write(1, 9)
         assert sim.get("y") == 9
+
+
+def _gate_class(name):
+    module, _, attr = ENGINES[name].gate.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("backend", [
+    name for name in ENGINES
+    if hasattr(_gate_class(name), "get_logic_pattern")])
+def test_get_logic_pattern_rejects_missing_patterns(backend):
+    """Patterns 0..n-1 read their own values; any other index raises,
+    as ``memory_model`` does."""
+    from tests.test_equivalence_gatetrace import alu
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # native may fall back
+        sim = GateSimulator(map_to_gates(alu()), backend=backend,
+                            n_patterns=4)
+    sim.set_input_patterns("a", [1, 2, 3, 4])
+    sim.set_input_patterns("b", [5, 6, 7, 8])
+    sim.set_input_patterns("op", [0, 0, 0, 0])
+    sim.step()
+    for pattern, total in enumerate((6, 8, 10, 12)):
+        assert sim.get_logic_pattern("y", pattern) \
+            == [total >> bit & 1 for bit in range(16)]
+    for pattern in (4, 70, -1):
+        with pytest.raises(GateSimError, match="outside 0..3"):
+            sim.get_logic_pattern("y", pattern)
