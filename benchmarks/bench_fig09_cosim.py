@@ -3,9 +3,10 @@
 Regenerates the paper's Figure 9: cycles/second for the paper's three
 DUTs (intermediate RTL Verilog from RTL-SystemC synthesis, gates from
 the behavioural flow, gates from the RTL flow) plus the behavioural
-model behind a pin adapter, each simulated once in the VHDL testbench
-(native, fully interpreted) and once in the SystemC testbench
-(compiled testbench through the co-simulation bridge).
+model, whose FSM program runs its RT-level front end and so takes the
+same pins, each simulated once in the VHDL testbench (native, fully
+interpreted) and once in the SystemC testbench (compiled testbench
+through the co-simulation bridge).
 
 Asserts the paper's observation: "the co-simulation of the DUT in the
 SystemC testbench is slightly faster than a native HDL simulation".

@@ -16,54 +16,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..datatypes.integers import wrap_signed
 from ..rtl import RtlSimulator
-from ..src_design.behavioral import BehavioralSimulation
 from ..src_design.params import SrcParams
 from .testbench import PythonTestbench, build_hdl_testbench
 
 #: DUT input pins marshalled each cycle
 DUT_PINS = ("in_valid", "in_l", "in_r", "cfg_valid", "cfg_mode", "out_req")
-
-
-class BehavioralPinAdapter:
-    """Pin-level view of a :class:`BehavioralSimulation`.
-
-    Exposes the ``set_input`` / ``step`` / ``get`` surface the
-    testbench harnesses marshal against (the same protocol as
-    :class:`~repro.rtl.RtlSimulator` and the gate simulator), so the
-    behavioural model -- on either FSM engine -- can sit in Figure 9's
-    DUT socket.
-    """
-
-    def __init__(self, params: SrcParams, optimized=True,
-                 backend: str = "interpreted"):
-        self.sim = BehavioralSimulation(params, optimized, backend=backend)
-        self.backend = backend
-        self._pins: Dict[str, int] = {name: 0 for name in DUT_PINS}
-        self._frame: Optional[Tuple[int, int]] = None
-
-    def set_input(self, name: str, value: int) -> None:
-        if name not in self._pins:
-            raise KeyError(f"{name!r} is not a DUT input pin")
-        self._pins[name] = value
-
-    def step(self) -> None:
-        pins = self._pins
-        if pins["in_valid"]:
-            self.sim.drive_input(pins["in_l"], pins["in_r"])
-        if pins["cfg_valid"]:
-            self.sim.drive_cfg(pins["cfg_mode"])
-        if pins["out_req"]:
-            self.sim.drive_req()
-        self._frame = self.sim.step()
-
-    def get(self, name: str) -> int:
-        if name == "out_valid":
-            return 1 if self._frame is not None else 0
-        if name in ("out_l", "out_r"):
-            if self._frame is None:
-                return 0
-            return self._frame[0] if name == "out_l" else self._frame[1]
-        raise KeyError(f"{name!r} is not a DUT output")
 
 
 class CosimBridge:

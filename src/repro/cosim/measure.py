@@ -11,12 +11,12 @@ from ..engines import lookup
 from ..flow.performance import SimPerfResult
 from ..gatesim import GateSimulator
 from ..rtl import RtlSimulator
-from ..src_design.behavioral import build_behavioral_design
+from ..src_design.behavioral import (BehavioralSimulation,
+                                     build_behavioral_design)
 from ..src_design.params import SrcParams
 from ..src_design.rtl_design import build_rtl_design
 from ..synth import synthesize
-from .bridge import (BehavioralPinAdapter, CosimSimulation,
-                     NativeHdlSimulation)
+from .bridge import CosimSimulation, NativeHdlSimulation
 
 #: Figure 9's three DUTs, in plot order
 FIG9_DUTS = ("RTL", "Gate-BEH", "Gate-RTL")
@@ -36,7 +36,8 @@ def build_dut(params: SrcParams, kind: str,
               backend: str = "interpreted", **backend_opts):
     """Build one of Figure 9's DUT simulators.
 
-    * ``BEH`` -- the behavioural model behind a pin-level adapter;
+    * ``BEH`` -- the behavioural model, main process and front end as
+      one FSM program;
     * ``RTL`` -- the intermediate RTL Verilog from RTL-SystemC synthesis
       (cycle simulation of the RTL netlist);
     * ``Gate-BEH`` -- the gate-level design from the behavioural flow;
@@ -47,7 +48,7 @@ def build_dut(params: SrcParams, kind: str,
     (e.g. ``n_patterns``) go to the batch gate-level simulators.
     """
     if kind == "BEH":
-        return BehavioralPinAdapter(params, True, backend=backend)
+        return BehavioralSimulation(params, True, backend=backend)
     if kind == "RTL":
         return RtlSimulator(build_rtl_design(params, True).module,
                             backend=backend)

@@ -22,11 +22,12 @@ entry in :data:`repro.engines.ENGINES` (see :func:`fi_batch_width`):
 
 The workload (:class:`Workload`) is built once per campaign from the
 clock-quantised schedule through
-:func:`~repro.src_design.schedule.clocked_stimulus`.  The gate driver,
-:func:`run_gate_batch`, replays its per-cycle port waveform and reads
-the ports the workload names, so the corpus
-(:mod:`repro.corpus.inject`) runs its recorded waveforms through the
-same driver.
+:func:`~repro.src_design.schedule.clocked_stimulus`.  Every runner, at
+every level, replays its per-cycle port waveform: the RTL and
+behavioural DUTs take the same pins as the gates.  The gate driver,
+:func:`run_gate_batch`, also reads the ports the workload names, so the
+corpus (:mod:`repro.corpus.inject`) runs its recorded waveforms through
+the same driver.
 
 Campaigns scale across a ``multiprocessing`` worker pool
 (:func:`parallel_map`); classification is a pure function of
@@ -46,20 +47,18 @@ from ..compile_cache import (absorb_deltas, aggregate_stats,
                              counters_delta, counters_snapshot)
 from ..datatypes import logic as L
 from ..datatypes.integers import wrap_signed
-from ..engines import ENGINES, batch_engines
+from ..engines import ENGINES, batch_engines, engine_class
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
 from ..obs.metrics import REGISTRY
 from ..obs.trace import (TracedTask, absorb_events, current_context,
                          record_span, span)
 from ..rtl import RtlSimulator
-from ..src_design.behavioral import (BehavioralBatchSimulation,
-                                     BehavioralSimulation, build_main_fsm)
+from ..src_design.behavioral import (BehavioralSimulation,
+                                     build_behavioral_fsm)
 from ..src_design.params import SrcParams
-from ..src_design.schedule import (CycleStimulus, clocked_stimulus,
-                                   make_schedule)
-from ..src_design.testbench import (BehavioralDutDriver, RtlDutDriver,
-                                    drive_behavioral, src_port_waveform)
+from ..src_design.schedule import clocked_stimulus, make_schedule
+from ..src_design.testbench import src_port_waveform
 from ..synth import synthesize
 from ..verify.runner import golden_outputs
 from ..verify.stimulus import StimulusCase, generate_cases
@@ -131,13 +130,12 @@ class CampaignConfig:
 class Workload:
     """What a campaign replays on every fault, and what it must produce.
 
-    The gate-level driver (:func:`run_gate_batch`) broadcasts
-    ``waveform`` -- one dict of input-port writes per clock tick of the
-    whole run -- and reads back ``valid_port``, ``frame_ports`` and
-    ``detect_ports``, so it serves any design: the SRC campaign below
-    and the corpus's recorded waveforms alike.  SRC workloads also carry
-    their stimulus case and its per-cycle ``(frame, cfg, req)`` form,
-    which the RTL and behavioural runners drive.
+    Every runner broadcasts ``waveform`` -- one dict of input-port
+    writes per clock tick of the whole run.  The gate-level driver
+    (:func:`run_gate_batch`) reads back ``valid_port``, ``frame_ports``
+    and ``detect_ports``, so it serves any design: the SRC campaign
+    below and the corpus's recorded waveforms alike.  SRC workloads
+    also carry their stimulus case.
     """
 
     golden: List[Tuple[int, ...]]
@@ -149,7 +147,6 @@ class Workload:
     #: frames decode as two's complement (else unsigned)
     signed: bool = True
     case: Optional[StimulusCase] = None
-    stimulus: Sequence[CycleStimulus] = ()
 
     @property
     def expected(self) -> int:
@@ -177,8 +174,7 @@ def make_workload(params: SrcParams, seed: int, budget: str) -> Workload:
                              quantized=True,
                              mode_changes=case.mode_changes)
     stimulus = clocked_stimulus(params, schedule, case.inputs)
-    return Workload(golden, src_port_waveform(stimulus), case=case,
-                    stimulus=stimulus)
+    return Workload(golden, src_port_waveform(stimulus), case=case)
 
 
 def build_campaign_netlist(params: SrcParams) -> "object":
@@ -391,40 +387,105 @@ def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
 
 
 # ----------------------------------------------------------------------
-# rtl level: register-bit flips poked into the simulator environment
+# rtl and behavioural levels: bit flips poked into the environment
 # ----------------------------------------------------------------------
 
-def run_rtl_fault(module, workload: Workload, fault: Fault,
-                  params: SrcParams,
-                  backend: str = "interpreted") -> FaultRecord:
-    """Classify one RTL register SEU on either RTL engine.
+def _replay_one(make_sim, poke, workload: Workload, fault: Fault,
+                params: SrcParams) -> FaultRecord:
+    """Classify one RTL or behavioural fault on a single-pattern DUT.
 
-    The flip is applied to the simulator environment at the start of
-    the injection cycle, so all logic evaluated on that cycle -- and the
-    next-state functions -- see the upset value, matching the gate-level
-    XOR saboteur's observation window.
+    ``make_sim()`` builds the DUT (``set_input`` / ``step`` / ``get``);
+    ``poke(sim)`` flips the fault's bit at the start of the injection
+    cycle, before that cycle's evaluation -- the gate-level XOR
+    saboteur's observation window.
     """
     golden = workload.golden
     expected = workload.expected
+    dw = params.data_width
     outputs: List[Tuple[int, int]] = []
     detected: Optional[Tuple[int, str]] = None
     tick = 0
     try:
-        sim = RtlSimulator(module, backend=backend)
-        driver = RtlDutDriver(sim, params)
-        for tick, (frame, cfg, req) in enumerate(workload.stimulus):
+        sim = make_sim()
+        for tick, drive in enumerate(workload.waveform):
             if len(outputs) >= expected:
                 break
             if tick == fault.cycle:
-                sim.env[fault.target] = (
-                    sim.env[fault.target] ^ (1 << fault.bit))
-                sim.settle()
-            result = driver.cycle(frame=frame, cfg=cfg, req=req)
-            if result is not None:
-                outputs.append(tuple(result))
+                poke(sim)
+            for name, value in drive.items():
+                sim.set_input(name, value)
+            sim.step()
+            if sim.get("out_valid"):
+                outputs.append((wrap_signed(sim.get("out_l"), dw),
+                                wrap_signed(sim.get("out_r"), dw)))
     except Exception as exc:  # model check fired: the fault was caught
         detected = (tick, f"{type(exc).__name__}: {exc}")
     return _classify(fault, outputs, detected, golden)
+
+
+def _run_batch(sim, read, poke, workload: Workload,
+               faults: Sequence[Fault], params: SrcParams,
+               design: str) -> List[FaultRecord]:
+    """Classify *faults* on a ``len(faults) + 1``-pattern DUT replaying
+    the workload: pattern 0 runs fault-free as the in-flight golden
+    cross-check, pattern ``b + 1`` takes fault ``b``.
+
+    ``poke(tick)`` injects that tick's faults and ``read(port)`` returns
+    a port's per-pattern values.
+    """
+    golden = workload.golden
+    expected = workload.expected
+    dw = params.data_width
+    n = len(faults) + 1
+    outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    remaining = n
+    for tick, drive in enumerate(workload.waveform):
+        if not remaining:
+            break
+        poke(tick)
+        for name, value in drive.items():
+            sim.set_input(name, value)
+        sim.step()
+        valid = read("out_valid")
+        if any(valid):
+            out_l = read("out_l")
+            out_r = read("out_r")
+            for p in range(n):
+                if valid[p] and len(outputs[p]) < expected:
+                    outputs[p].append((wrap_signed(out_l[p], dw),
+                                       wrap_signed(out_r[p], dw)))
+                    if len(outputs[p]) >= expected:
+                        remaining -= 1
+    if outputs[0] != golden:
+        raise CampaignError(
+            f"fault-free pattern diverged from the golden model on "
+            f"{design} -- campaign harness bug")
+    return [_classify(fault, outputs[b + 1], None, golden)
+            for b, fault in enumerate(faults)]
+
+
+def _pokes(faults: Sequence[Fault]) -> Dict[int, List[Tuple[int, Fault]]]:
+    """Tick -> ``(pattern, fault)`` of a batch; pattern 0 is fault-free."""
+    pokes: Dict[int, List[Tuple[int, Fault]]] = {}
+    for b, fault in enumerate(faults):
+        pokes.setdefault(fault.cycle, []).append((b + 1, fault))
+    return pokes
+
+
+def run_rtl_fault(module, workload: Workload, fault: Fault,
+                  params: SrcParams,
+                  backend: str = "interpreted") -> FaultRecord:
+    """Classify one RTL register SEU on any RTL engine.
+
+    All logic evaluated on the injection cycle -- and the next-state
+    functions -- see the upset value.
+    """
+    def poke(sim) -> None:
+        sim.env[fault.target] = sim.env[fault.target] ^ (1 << fault.bit)
+        sim.settle()
+
+    return _replay_one(lambda: RtlSimulator(module, backend=backend),
+                       poke, workload, fault, params)
 
 
 def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
@@ -444,125 +505,56 @@ def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
 
     n = len(faults)
     sim = RtlSimulator(module, backend=backend, n_patterns=n + 1)
-    pokes: Dict[int, List[Tuple[int, Fault]]] = {}
-    for b, fault in enumerate(faults):
-        pokes.setdefault(fault.cycle, []).append((b + 1, fault))
+    pokes = _pokes(faults)
 
-    golden = workload.golden
-    expected = workload.expected
-    dw = params.data_width
-    outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
-    remaining = n + 1
-    for tick, drive in enumerate(workload.waveform):
-        if not remaining:
-            break
+    def poke(tick: int) -> None:
         if tick in pokes:
             for p, fault in pokes[tick]:
                 sim.env[fault.target][p] ^= np.uint64(1 << fault.bit)
             sim.settle()
-        for name, value in drive.items():
-            sim.set_input(name, value)
-        sim.step()
-        valid = sim.get_patterns("out_valid")
-        if any(valid):
-            out_l = sim.get_patterns("out_l")
-            out_r = sim.get_patterns("out_r")
-            for p in range(n + 1):
-                if valid[p] and len(outputs[p]) < expected:
-                    outputs[p].append((wrap_signed(out_l[p], dw),
-                                       wrap_signed(out_r[p], dw)))
-                    if len(outputs[p]) >= expected:
-                        remaining -= 1
 
-    if outputs[0] != golden:
-        raise CampaignError(
-            f"fault-free pattern diverged from the golden model on "
-            f"module {module.name!r} -- campaign harness bug")
-    return [_classify(fault, outputs[b + 1], None, golden)
-            for b, fault in enumerate(faults)]
+    return _run_batch(sim, sim.get_patterns, poke, workload, faults,
+                      params, f"module {module.name!r}")
 
-
-# ----------------------------------------------------------------------
-# behavioural level: FSM variable-bit flips
-# ----------------------------------------------------------------------
 
 def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
                   params: SrcParams,
                   backend: str = "compiled") -> List[FaultRecord]:
     """Classify a batch of behavioural faults in one batched sweep.
 
-    One :class:`BehavioralBatchSimulation` carries ``len(faults) + 1``
-    private FSM instances under the common workload: pattern 0 runs
-    fault-free as the in-flight golden cross-check, pattern ``b + 1``
-    takes fault ``b``'s variable-bit flip at its injection cycle --
-    the behavioural mirror of the gate level's parallel-fault batches.
-    *backend* picks the batch engine (``"compiled"`` per-pattern
+    One FSM batch of *backend* (``"compiled"`` per-pattern
     environments, ``"vectorized"`` uint64 lane arrays, ``"native"``
-    pattern-major C buffers).
+    pattern-major C buffers) carries ``len(faults) + 1`` private copies
+    of *fsm* and its front end under the common workload: pattern 0
+    runs fault-free as the in-flight golden cross-check, pattern
+    ``b + 1`` takes fault ``b``'s variable-bit flip at its injection
+    cycle -- the behavioural mirror of the gate level's parallel-fault
+    batches.
     """
     n = len(faults)
-    sim = BehavioralBatchSimulation(params, n + 1, fsm=fsm,
-                                    backend=backend)
-    pokes: Dict[int, List[Tuple[int, Fault]]] = {}
-    for b, fault in enumerate(faults):
-        pokes.setdefault(fault.cycle, []).append((b + 1, fault))
+    sim = engine_class(backend, "fsm_batch")(fsm, n + 1)
+    pokes = _pokes(faults)
 
-    golden = workload.golden
-    expected = workload.expected
-    dw = params.data_width
-    outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
-    remaining = n + 1
-    for tick, (frame, cfg, req) in enumerate(workload.stimulus):
-        if not remaining:
-            break
+    def poke(tick: int) -> None:
         for p, fault in pokes.get(tick, ()):
-            sim.batch.flip_bit(p, fault.target, fault.bit)
-        drive_behavioral(sim, frame, cfg, req)
-        frames = sim.step()
-        for p, result in enumerate(frames):
-            if result is not None and len(outputs[p]) < expected:
-                outputs[p].append((wrap_signed(result[0], dw),
-                                   wrap_signed(result[1], dw)))
-                if len(outputs[p]) >= expected:
-                    remaining -= 1
+            sim.flip_bit(p, fault.target, fault.bit)
 
-    if outputs[0] != golden:
-        raise CampaignError(
-            f"fault-free pattern diverged from the golden model on "
-            f"FSM {fsm.name!r} -- campaign harness bug")
-    return [_classify(fault, outputs[b + 1], None, golden)
-            for b, fault in enumerate(faults)]
+    return _run_batch(sim, sim.get_output_patterns, poke, workload, faults,
+                      params, f"FSM {fsm.name!r}")
 
 
 def run_beh_fault_scalar(fsm, workload: Workload, fault: Fault,
                          params: SrcParams,
                          backend: str = "interpreted") -> FaultRecord:
-    """Classify one behavioural fault on either FSM engine.
+    """Classify one behavioural fault on any FSM engine, with the same
+    observation window as :func:`run_rtl_fault`."""
+    def poke(sim) -> None:
+        env = sim.interp.env
+        env[fault.target] = env[fault.target] ^ (1 << fault.bit)
 
-    The flip is applied to the FSM environment at the start of the
-    injection cycle, before that cycle's evaluation -- the same
-    observation window as :func:`run_rtl_fault`.
-    """
-    golden = workload.golden
-    expected = workload.expected
-    outputs: List[Tuple[int, int]] = []
-    detected: Optional[Tuple[int, str]] = None
-    tick = 0
-    try:
-        sim = BehavioralSimulation(params, fsm=fsm, backend=backend)
-        driver = BehavioralDutDriver(sim, params)
-        for tick, (frame, cfg, req) in enumerate(workload.stimulus):
-            if len(outputs) >= expected:
-                break
-            if tick == fault.cycle:
-                env = sim.interp.env
-                env[fault.target] = env[fault.target] ^ (1 << fault.bit)
-            result = driver.cycle(frame=frame, cfg=cfg, req=req)
-            if result is not None:
-                outputs.append(tuple(result))
-    except Exception as exc:  # model check fired: the fault was caught
-        detected = (tick, f"{type(exc).__name__}: {exc}")
-    return _classify(fault, outputs, detected, golden)
+    return _replay_one(
+        lambda: BehavioralSimulation(params, fsm=fsm, backend=backend),
+        poke, workload, fault, params)
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +587,7 @@ def _init_worker(params: SrcParams, level: str, seed: int,
         if level == "gate":
             _WORKER["dut"] = build_campaign_netlist(params)
         elif level == "beh":
-            _WORKER["dut"] = build_main_fsm(params, True)
+            _WORKER["dut"] = build_behavioral_fsm(params, True)
         else:
             _WORKER["dut"] = build_module(params, Level.RTL_OPT)
 

@@ -331,8 +331,9 @@ def profile_behavioral_split(params: SrcParams, n_inputs: int = 60,
     the overall simulation" -- so we built the profiler.  Runs the
     kernel-hosted behavioural simulation with per-process wall-time
     accounting plus an internal split of the behavioural model into its
-    main FSM process vs. the RT-level front end, and returns the time
-    shares::
+    main FSM process (the state bodies) vs. the RT-level front end (its
+    evaluation plus the rest of the drive process), and returns the
+    time shares::
 
         {"main_process": ..., "rtl_front_end": ..., "kernel": ...}
 
@@ -349,19 +350,24 @@ def profile_behavioral_split(params: SrcParams, n_inputs: int = 60,
                                 BehavioralDutDriver(beh, params), schedule,
                                 inputs)
 
-    # split the behavioural model internally: time the FSM interpreter
-    # separately from the front-end mirror
-    interp_step = beh.interp.step
-    interp_time = [0.0]
+    # split the behavioural model internally: time the interpreter's
+    # step, and inside it the front end's own evaluation methods
+    interp = beh.interp
+    seconds = {"step": 0.0, "front_end": 0.0}
 
-    def timed_step(cycles: int = 1):
-        t0 = _time.perf_counter()
-        try:
-            return interp_step(cycles)
-        finally:
-            interp_time[0] += _time.perf_counter() - t0
+    def timed(fn, key):
+        def wrapper(*args):
+            t0 = _time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                seconds[key] += _time.perf_counter() - t0
+        return wrapper
 
-    beh.interp.step = timed_step  # type: ignore[method-assign]
+    # instance attributes shadow the methods step() calls
+    interp.step = timed(interp.step, "step")
+    interp.settle_front_end = timed(interp.settle_front_end, "front_end")
+    interp.commit_front_end = timed(interp.commit_front_end, "front_end")
 
     start = _time.perf_counter()
     with Simulation(bench) as sim:
@@ -374,7 +380,7 @@ def profile_behavioral_split(params: SrcParams, n_inputs: int = 60,
                 if "drive" in p.name)
     clock = sum(p.wall_seconds for p in report.profiles
                 if "clk" in p.name)
-    main = min(interp_time[0], drive)
+    main = min(seconds["step"] - seconds["front_end"], drive)
     front_end = max(0.0, drive - main)
     kernel = max(0.0, total - drive - clock) + clock
     return {

@@ -11,15 +11,16 @@ from .ir import (Assign, For, HlsError, HlsMemory, HlsPort, HlsProgram, If,
                  WaitUntil)
 from .native import (HlsNativeProgram, NativeFsm, NativeFsmBatch,
                      compile_fsm_native)
-from .schedule import (Fsm, FsmState, MemReadOp, MemWriteOp, PortWriteOp,
-                       RegWriteOp, Scheduler, SchedulingConstraints,
-                       Transition, prune_dead_reg_writes)
+from .schedule import (Fsm, FrontEndBlock, FsmState, MemReadOp, MemWriteOp,
+                       PortWriteOp, RegWriteOp, Scheduler,
+                       SchedulingConstraints, Transition,
+                       prune_dead_reg_writes)
 from .vectorized import (HlsVectorizedProgram, VectorizedFsm,
                          VectorizedFsmBatch, compile_fsm_vectorized)
 
 __all__ = [
-    "Assign", "CompiledFsm", "CompiledFsmBatch", "For", "Fsm",
-    "FsmInterpreter", "FsmState", "GeneratedFsm", "HLS_COMPILE_CACHE",
+    "Assign", "CompiledFsm", "CompiledFsmBatch", "For", "FrontEndBlock",
+    "Fsm", "FsmInterpreter", "FsmState", "GeneratedFsm", "HLS_COMPILE_CACHE",
     "HlsCompiledProgram", "HlsError", "HlsMemory", "HlsNativeProgram",
     "HlsPort", "HlsProgram",
     "HlsVectorizedProgram", "If", "MemReadOp", "MemReadStmt", "MemWriteOp",

@@ -55,7 +55,7 @@ from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from ..rtl.compiled import PythonPrinter
 from . import memports
-from .emit import fsm_names, state_bodies
+from .emit import front_end_cycle, fsm_names, state_bodies
 from .interpreter import MemMonitor
 from .ir import HlsProgram
 from .schedule import Fsm
@@ -119,15 +119,17 @@ class _FsmPythonPrinter(PythonPrinter):
         return [f"monitor({mem!r}, {addr}, {depth}, {kind!r})"]
 
 
-def _dispatch(printer: _FsmPythonPrinter, fsm: Fsm, name_of: Dict[str, str],
-              mem_of: Dict[str, str]) -> List[str]:
-    """The ``if state == k`` chain over every state's cycle body."""
-    lines: List[str] = []
+def _cycle(printer: _FsmPythonPrinter, fsm: Fsm, name_of: Dict[str, str],
+           mem_of: Dict[str, str]) -> List[str]:
+    """One cycle: the ``if state == k`` chain over every state's body,
+    inside the front end's two parts."""
+    before, after = front_end_cycle(printer, fsm, name_of, mem_of)
+    lines: List[str] = list(before)
     for i, (index, body) in enumerate(
             state_bodies(printer, fsm, name_of, mem_of)):
         lines.append(f"{'if' if i == 0 else 'elif'} state == {index}:")
         lines += ["    " + line for line in body] or ["    pass"]
-    return lines
+    return lines + after
 
 
 def generate_source(fsm: Fsm, monitored: bool) -> str:
@@ -141,13 +143,13 @@ def generate_source(fsm: Fsm, monitored: bool) -> str:
              for name, local in mem_of.items()]
     store = [f"env[{name!r}] = {local}"
              for name, local in name_of.items()]
-    body = _dispatch(printer, fsm, name_of, mem_of)
+    body = _cycle(printer, fsm, name_of, mem_of)
     # single-cycle fast path: no load/store marshalling -- the state
     # body addresses the environment dict directly, so a call touches
     # only the names the dispatched state uses
-    body1 = _dispatch(printer, fsm,
-                      {name: f"env[{name!r}]" for name in name_of},
-                      {name: f"mems[{name!r}]" for name in mem_of})
+    body1 = _cycle(printer, fsm,
+                   {name: f"env[{name!r}]" for name in name_of},
+                   {name: f"mems[{name!r}]" for name in mem_of})
 
     lines: List[str] = ["def _step(env, mems, state, cycles, monitor):"]
     lines += ["    " + line for line in load]
@@ -217,19 +219,6 @@ def compile_fsm(fsm: Fsm, monitored: bool = False,
     return cache.get_or_compile(key, factory)
 
 
-def _fresh_env(fsm: Fsm) -> Dict[str, int]:
-    program = fsm.program
-    env: Dict[str, int] = {}
-    for var in program.variables:
-        env[var] = 0
-    for port in program.ports.values():
-        env[port.name] = 0
-    for st in fsm.states:
-        for op in st.mem_reads:
-            env.setdefault(op.wire, 0)
-    return env
-
-
 def _fresh_memories(program: HlsProgram) -> Dict[str, List[int]]:
     return {
         mem.name: memports.init_storage(mem.depth, mem.width, mem.contents)
@@ -255,15 +244,13 @@ class CompiledFsm:
                                     cache=cache)
         self.state = fsm.entry
         self.cycles = 0
-        self.env = _fresh_env(fsm)
+        self.env = fsm.initial_env()
         self.memories = _fresh_memories(self.program)
+        self._inputs = fsm.input_masks()
 
     # -- the FsmInterpreter-compatible surface -------------------------
     def set_input(self, name: str, value: int) -> None:
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "in":
-            raise KeyError(f"{name!r} is not an input port")
-        self.env[name] = value & mask(port.width)
+        self.env[name] = value & self._inputs[name]
 
     def get_output(self, name: str) -> int:
         port = self.program.ports.get(name)
@@ -289,8 +276,7 @@ class CompiledFsm:
 
     def reset(self) -> None:
         self.state = self.fsm.entry
-        for name in self.env:
-            self.env[name] = 0
+        self.env.update(self.fsm.initial_env())
         for mem in self.program.memories.values():
             memports.reset_storage(self.memories[mem.name], mem.depth,
                                    mem.width, mem.contents)
@@ -321,30 +307,23 @@ class CompiledFsmBatch:
                                     cache=cache)
         self.states = [fsm.entry] * n_patterns
         self.cycles = 0
-        self.envs = [_fresh_env(fsm) for _ in range(n_patterns)]
+        self.envs = [fsm.initial_env() for _ in range(n_patterns)]
         self.memories = [_fresh_memories(self.program)
                          for _ in range(n_patterns)]
-
-    def _in_port(self, name: str):
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "in":
-            raise KeyError(f"{name!r} is not an input port")
-        return port
+        self._inputs = fsm.input_masks()
 
     def set_input(self, name: str, value: int) -> None:
         """Broadcast one value to every pattern."""
-        port = self._in_port(name)
-        value &= mask(port.width)
+        value &= self._inputs[name]
         for env in self.envs:
             env[name] = value
 
     def set_input_patterns(self, name: str,
                            values: Sequence[int]) -> None:
-        port = self._in_port(name)
+        m = self._inputs[name]
         if len(values) != self.n_patterns:
             raise ValueError(
                 f"expected {self.n_patterns} values, got {len(values)}")
-        m = mask(port.width)
         for env, value in zip(self.envs, values):
             env[name] = value & m
 

@@ -20,6 +20,13 @@ One state's cycle body, in order:
   transition is the default;
 * commits: registers, ports, pulse-port auto-clears, memory writes.
 
+An FSM with a front end (:class:`~repro.hls.schedule.FrontEndBlock`)
+wraps the state dispatch in :func:`front_end_cycle`'s two parts: the
+front end's module, walked by :func:`repro.rtl.emit.walk_module` under
+the FSM's own names, settles, drives the FSM's input ports and
+evaluates its edge before the dispatch, and stores its memory writes
+and commits its registers after it.
+
 What the walk asks of a printer beyond :mod:`repro.rtl.emit`'s:
 ``zero`` (the literal a pulse port clears to) and the statement forms
 ``commit`` (a value landing in an environment local), ``write_data``,
@@ -32,22 +39,32 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..datatypes.bits import mask
-from ..rtl.emit import Emitter, check_widths
+from ..rtl.emit import Emitter, check_widths, walk_module
 from .schedule import Fsm, FsmState
 
-__all__ = ["fsm_names", "state_bodies"]
+__all__ = ["front_end_cycle", "fsm_names", "state_bodies"]
 
 
 def fsm_names(fsm: Fsm) -> Dict[str, str]:
-    """Environment entry -> local: variables, ports, then the
-    scheduler-created memory-read wires (``v0``, ``v1``, ...)."""
-    program = fsm.program
-    name_of: Dict[str, str] = {}
-    for name in [*program.variables, *program.ports,
-                 *(op.wire for st in fsm.states for op in st.mem_reads)]:
-        if name not in name_of:
-            name_of[name] = f"v{len(name_of)}"
-    return name_of
+    """Environment entry -> local (``v0``, ``v1``, ...), in the order
+    of :meth:`~repro.hls.schedule.Fsm.initial_env`."""
+    return {name: f"v{i}" for i, name in enumerate(fsm.initial_env())}
+
+
+def front_end_cycle(printer, fsm: Fsm, name_of: Dict[str, str],
+                    mem_of: Dict[str, object]
+                    ) -> Tuple[List[str], List[str]]:
+    """The statements before and after the state dispatch that run
+    *fsm*'s front end (both empty without one)."""
+    fe = fsm.front_end
+    if fe is None:
+        return [], []
+    walk = walk_module(fe.module, printer, mem_of, name_of, split=True)
+    settled = len(walk.settle)
+    drive = [printer.assign(name_of[port], name_of[net])
+             for port, net in fe.drives.items()]
+    return (walk.cycle[:settled] + drive + walk.cycle[settled:walk.edge],
+            walk.cycle[walk.edge:])
 
 
 def state_bodies(printer, fsm: Fsm, name_of: Dict[str, str],

@@ -11,6 +11,11 @@ Semantics are identical to the RTL generated by
 cycle, memory reads are asynchronous (out-of-range addresses read 0,
 like the plain array model), pulse outputs auto-clear.  The equivalence
 tests verify behavioural-vs-RTL bit-exactness.
+
+An FSM's front end (:class:`~repro.hls.schedule.FrontEndBlock`) runs
+from :meth:`FsmInterpreter.settle_front_end` and
+:meth:`FsmInterpreter.commit_front_end` around the state body, as
+``Expr.compile()`` closures like :class:`~repro.rtl.RtlSimulator`'s.
 """
 
 from __future__ import annotations
@@ -36,11 +41,8 @@ class FsmInterpreter:
         self.state = fsm.entry
         self.cycles = 0
 
-        self.env: Dict[str, int] = {}
-        for var, width in self.program.variables.items():
-            self.env[var] = 0
-        for port in self.program.ports.values():
-            self.env[port.name] = 0
+        self.env: Dict[str, int] = fsm.initial_env()
+        self._inputs = fsm.input_masks()
 
         self.memories: Dict[str, List[int]] = {
             mem.name: memports.init_storage(mem.depth, mem.width,
@@ -51,6 +53,7 @@ class FsmInterpreter:
         self._out_ports = [p for p in self.program.ports.values()
                            if p.direction == "out"]
         self._compile_states()
+        self._compile_front_end()
 
     # ------------------------------------------------------------------
     def _compile_states(self) -> None:
@@ -85,12 +88,25 @@ class FsmInterpreter:
             ]
             self._compiled.append((reads, regs, ports, writes, trans))
 
+    def _compile_front_end(self) -> None:
+        fe = self.fsm.front_end
+        self._fe = fe is not None
+        if fe is None:
+            return
+        module = fe.module
+        self._fe_comb = [(a.name, a.expr.compile())
+                         for a in module.topo_assign_order()]
+        self._fe_drives = list(fe.drives.items())
+        self._fe_regs = [(r.name, r.next.compile(), mask(r.width))
+                         for r in module.registers]
+        self._fe_writes = [
+            (mem.name, mem.depth, mask(mem.width), port.enable.compile(),
+             port.addr.compile(), port.data.compile())
+            for mem in module.memories for port in mem.write_ports]
+
     # ------------------------------------------------------------------
     def set_input(self, name: str, value: int) -> None:
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "in":
-            raise KeyError(f"{name!r} is not an input port")
-        self.env[name] = value & mask(port.width)
+        self.env[name] = value & self._inputs[name]
 
     def get_output(self, name: str) -> int:
         port = self.program.ports.get(name)
@@ -104,9 +120,34 @@ class FsmInterpreter:
         memports.write_mem(self.memories[mem], address, spec.depth,
                            value, mask(spec.width))
 
+    def settle_front_end(self):
+        """Settle the front end, drive the ports it drives, and return
+        its register nexts and memory writes, judged pre-edge."""
+        env = self.env
+        for name, fn in self._fe_comb:
+            env[name] = fn(env)
+        for port, net in self._fe_drives:
+            env[port] = env[net]
+        regs = [(name, fn(env) & m) for name, fn, m in self._fe_regs]
+        writes = []
+        for mem, depth, m, en_fn, addr_fn, data_fn in self._fe_writes:
+            if en_fn(env):
+                addr = addr_fn(env)
+                if 0 <= addr < depth:
+                    writes.append((mem, addr, data_fn(env) & m))
+        return regs, writes
+
+    def commit_front_end(self, edge) -> None:
+        """Store the front end's memory writes, commit its registers."""
+        regs, writes = edge
+        for mem, addr, value in writes:
+            self.memories[mem][addr] = value
+        self.env.update(regs)
+
     def step(self, cycles: int = 1) -> None:
         env = self.env
         for _ in range(cycles):
+            edge = self.settle_front_end() if self._fe else None
             reads, regs, ports, writes, trans = self._compiled[self.state]
             for mem, addr_fn, wire, depth, _m in reads:
                 addr = addr_fn(env)
@@ -140,15 +181,14 @@ class FsmInterpreter:
                     env[p.name] = 0
             for mem, addr, value in mem_updates:
                 self.memories[mem][addr] = value
+            if edge is not None:
+                self.commit_front_end(edge)
             self.state = next_state
             self.cycles += 1
 
     def reset(self) -> None:
         self.state = self.fsm.entry
-        for var in self.program.variables:
-            self.env[var] = 0
-        for port in self.program.ports.values():
-            self.env[port.name] = 0
+        self.env.update(self.fsm.initial_env())
         for mem in self.program.memories.values():
             memports.reset_storage(self.memories[mem.name], mem.depth,
                                    mem.width, mem.contents)

@@ -45,7 +45,7 @@ from ..native import NativeModule, compile_and_load
 from ..rtl.native import (_PRELUDE, CPrinter, _NativeEnv, for_design,
                           memory_layout)
 from .compiled import HLS_COMPILE_CACHE
-from .emit import fsm_names, state_bodies
+from .emit import front_end_cycle, fsm_names, state_bodies
 from .ir import HlsProgram
 from .schedule import Fsm
 
@@ -108,7 +108,9 @@ def generate_native_source(fsm: Fsm):
     name_index = {name: i for i, name in enumerate(name_of)}
     mem_of, mem_layout = memory_layout(fsm.program.memories.values())
     mem_words = sum(depth for _, _, depth, _ in mem_layout)
-    bodies = state_bodies(_FsmCPrinter(), fsm, name_of, mem_of)
+    printer = _FsmCPrinter()
+    bodies = state_bodies(printer, fsm, name_of, mem_of)
+    before, after = front_end_cycle(printer, fsm, name_of, mem_of)
 
     n_names = len(name_of)
     lines = [_PRELUDE,
@@ -122,11 +124,13 @@ def generate_native_source(fsm: Fsm):
     for name, idx in name_index.items():
         lines.append(f"        uint64_t {name_of[name]} = E[{idx}];")
     lines.append("        for (long c = 0; c < cycles; c++) {")
+    lines += ["            " + line for line in before]
     for i, (index, body) in enumerate(bodies):
         kw = "if" if i == 0 else "else if"
         lines.append(f"            {kw} (state == {index}ULL) {{")
         lines += ["                " + line for line in body]
         lines.append("            }")
+    lines += ["            " + line for line in after]
     lines.append("        }")
     for name, idx in name_index.items():
         lines.append(f"        E[{idx}] = {name_of[name]};")
@@ -212,13 +216,14 @@ class NativeFsmBatch:
         self._states_v = mod.u64_view(self._states)
         lanes = {name: self._envs_v[idx::prog.n_names]
                  for name, idx in prog.name_index.items()}
-        #: input port -> (its lanes, its width mask); output -> lanes
-        self._inputs = {p.name: (lanes[p.name], mask(p.width))
-                        for p in self.program.ports.values()
-                        if p.direction == "in"}
+        #: input -> (its lanes, its width mask); output port -> lanes
+        self._inputs = {name: (lanes[name], m)
+                        for name, m in fsm.input_masks().items()}
         self._outputs = {p.name: lanes[p.name]
                          for p in self.program.ports.values()
                          if p.direction == "out"}
+        # one pattern's power-on environment (front-end register inits)
+        self._env_image = array("Q", fsm.initial_env().values())
         # one pattern's power-on memory image: ROM contents (from *fsm*,
         # see memory_layout), RAM zeros
         image = [0] * prog.mem_words
@@ -302,7 +307,7 @@ class NativeFsmBatch:
     def reset(self) -> None:
         n = self.n_patterns
         self._states_v[:] = array("Q", [self.fsm.entry]) * n
-        self._envs_v[:] = array("Q", bytes(8 * len(self._envs_v)))
+        self._envs_v[:] = self._env_image * n
         self._mems_v[:] = self._mem_image * n
         self.cycles = 0
 
@@ -337,10 +342,8 @@ class NativeFsm:
         return self._batch.cycles
 
     def set_input(self, name: str, value: int) -> None:
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "in":
-            raise KeyError(f"{name!r} is not an input port")
-        self.env[name] = value & mask(port.width)
+        lanes, m = self._batch._in_port(name)
+        lanes[0] = value & m
 
     def get_output(self, name: str) -> int:
         port = self.program.ports.get(name)

@@ -12,7 +12,9 @@ SystemC Compiler's behavioural scheduling:
   get an implicit counter register and a back edge.
 
 The result is an :class:`Fsm`: states with micro-operations (register
-writes, memory reads/writes, port writes) and guarded transitions.  A
+writes, memory reads/writes, port writes) and guarded transitions,
+optionally carrying an RT-level :class:`FrontEndBlock` the FSM engines
+run inside every cycle (:meth:`Fsm.with_front_end`).  A
 subsequent liveness pass (``prune_dead_reg_writes``) removes register
 writes of values never needed later -- the *cleanup* the paper's
 optimised behavioural model received; the unoptimised model keeps every
@@ -21,10 +23,12 @@ write ("code proliferation", conservative cut-and-paste refinement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..datatypes.bits import mask
 from ..rtl.expr import Const, Expr, Ref, substitute, traverse, Mul, SMul
+from ..rtl.ir import RtlModule
 from .delay import estimate_delay
 from .ir import (Assign, For, HlsError, HlsProgram, If, MemReadStmt,
                  MemWriteStmt, PortWrite, Stmt, WaitCycle, WaitUntil)
@@ -73,6 +77,34 @@ class FsmState:
     transitions: List[Transition] = field(default_factory=list)
 
 
+class InputMasks(dict):
+    """Input name -> width mask (:meth:`Fsm.input_masks`); looking up
+    any other name raises :class:`KeyError`."""
+
+    def __missing__(self, name: str) -> int:
+        raise KeyError(f"{name!r} is not an input port")
+
+
+@dataclass
+class FrontEndBlock:
+    """An RT-level block an FSM's engines run inside its every cycle.
+
+    ``module``'s in-ports named after the program's output ports read
+    those registered outputs; its other in-ports are pins the engines'
+    ``set_input`` takes.  ``drives`` maps program input ports to the
+    module nets driving them.  The module writes program memories
+    declared ``external_write``, and nothing else of the program.
+
+    Each cycle the engines settle the block, drive the ports, evaluate
+    its register nexts and write ports, run the state body (whose reads
+    see the memories before this cycle's writes), then store the writes
+    and commit the registers.
+    """
+
+    module: RtlModule
+    drives: Dict[str, str]
+
+
 @dataclass
 class Fsm:
     """The scheduled design: states plus the source program context."""
@@ -81,6 +113,7 @@ class Fsm:
     program: HlsProgram
     states: List[FsmState]
     entry: int = 0
+    front_end: Optional[FrontEndBlock] = None
 
     @property
     def state_bits(self) -> int:
@@ -94,6 +127,81 @@ class Fsm:
         exprs += [op.expr for op in state.port_writes]
         exprs += [t.cond for t in state.transitions if t.cond is not None]
         return exprs
+
+    def with_front_end(self, module: RtlModule,
+                       inputs: Dict[str, Ref]) -> "Fsm":
+        """This FSM with *module* as its front end; *inputs* maps
+        program input ports to the module nets driving them (as
+        :func:`~repro.hls.codegen.generate_rtl` takes them)."""
+        module.validate()
+        program = self.program
+        ports = program.ports
+        outputs = {p.name for p in ports.values() if p.direction == "out"}
+        taken = set(self.initial_env()) - outputs
+        own = [r.name for r in module.registers] + \
+            [a.name for a in module.assigns]
+        for name in module.input_names():
+            if name in taken or (name in outputs and
+                                 ports[name].width != module.net_width(name)):
+                raise HlsError(
+                    f"front-end input {name!r} clashes with {self.name!r}")
+        for name in own:
+            if name in taken or name in outputs:
+                raise HlsError(
+                    f"front-end net {name!r} clashes with {self.name!r}")
+        nets = set(module.input_names()) | set(own)
+        for port_name, net in inputs.items():
+            port = ports.get(port_name)
+            if port is None or port.direction != "in" or \
+                    net.name not in nets or \
+                    port.width != module.net_width(net.name):
+                raise HlsError(
+                    f"front end drives {port_name!r}, not an input port "
+                    f"of that width")
+        for mem in module.memories:
+            spec = program.memories.get(mem.name)
+            if spec is None or not spec.external_write or \
+                    (spec.depth, spec.width) != (mem.depth, mem.width):
+                raise HlsError(
+                    f"front end writes {mem.name!r}, not an "
+                    f"external_write memory of that shape")
+        block = FrontEndBlock(module, {port: net.name
+                                       for port, net in inputs.items()})
+        return replace(self, front_end=block)
+
+    def initial_env(self) -> Dict[str, int]:
+        """Every environment entry at power-on, in naming order:
+        variables, ports, the memory-read wires, then the front end's
+        pins, registers (at their init) and assigns."""
+        program = self.program
+        env = dict.fromkeys([*program.variables, *program.ports,
+                             *(op.wire for st in self.states
+                               for op in st.mem_reads)], 0)
+        if self.front_end is not None:
+            module = self.front_end.module
+            for name in module.input_names():
+                env.setdefault(name, 0)
+            for reg in module.registers:
+                env[reg.name] = reg.init & mask(reg.width)
+            for assign in module.assigns:
+                env[assign.name] = 0
+        return env
+
+    def input_masks(self) -> InputMasks:
+        """What ``set_input`` takes, with each value's width mask: the
+        program's input ports, and a front end's pins in place of the
+        ports it drives."""
+        masks = InputMasks((p.name, mask(p.width))
+                           for p in self.program.ports.values()
+                           if p.direction == "in")
+        if self.front_end is not None:
+            module = self.front_end.module
+            for name in self.front_end.drives:
+                del masks[name]
+            masks.update((name, mask(module.net_width(name)))
+                         for name in module.input_names()
+                         if name not in self.program.ports)
+        return masks
 
 
 @dataclass

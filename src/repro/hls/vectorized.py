@@ -48,7 +48,7 @@ from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from ..rtl.vectorized import VectorPrinter, make_runtime
 from .compiled import HLS_COMPILE_CACHE
-from .emit import fsm_names, state_bodies
+from .emit import front_end_cycle, fsm_names, state_bodies
 from .ir import HlsProgram
 from .schedule import Fsm
 
@@ -101,7 +101,9 @@ def generate_vectorized_source(fsm: Fsm) -> str:
     """Emit the FSM as lane-parallel numpy source."""
     name_of = fsm_names(fsm)
     mem_of = {name: f"mem{i}" for i, name in enumerate(fsm.program.memories)}
-    bodies = state_bodies(_FsmVectorPrinter(), fsm, name_of, mem_of)
+    printer = _FsmVectorPrinter()
+    bodies = state_bodies(printer, fsm, name_of, mem_of)
+    before, after = front_end_cycle(printer, fsm, name_of, mem_of)
 
     lines: List[str] = ["def _run(env, mems, states, cycles):"]
     for name, local in name_of.items():
@@ -110,12 +112,14 @@ def generate_vectorized_source(fsm: Fsm) -> str:
         lines.append(f"    {local} = mems[{name!r}]")
     lines.append("    st = states")
     lines.append("    for _ in range(cycles):")
+    lines += ["        " + line for line in before]
     lines.append("        st0 = st")
     for index, body in bodies:
         lines.append(f"        mk = st0 == {index}")
         lines.append("        if mk.any():")
         lines += ["            " + line for line in body] or \
             ["            pass"]
+    lines += ["        " + line for line in after]
     for name, local in name_of.items():
         lines.append(f"    env[{name!r}] = _bc({local})")
     lines.append("    return _bc(st)")
@@ -180,14 +184,10 @@ class VectorizedFsmBatch:
         self.cycles = 0
         n = n_patterns
         self.states = np.full(n, np.uint64(fsm.entry), dtype=np.uint64)
-        self.env: Dict[str, np.ndarray] = {}
-        for var in self.program.variables:
-            self.env[var] = np.zeros(n, dtype=np.uint64)
-        for port in self.program.ports.values():
-            self.env[port.name] = np.zeros(n, dtype=np.uint64)
-        for st in fsm.states:
-            for op in st.mem_reads:
-                self.env.setdefault(op.wire, np.zeros(n, dtype=np.uint64))
+        self.env: Dict[str, np.ndarray] = {
+            name: np.full(n, np.uint64(value), dtype=np.uint64)
+            for name, value in fsm.initial_env().items()}
+        self._inputs = fsm.input_masks()
         self.memories: Dict[str, np.ndarray] = {}
         for mem in self.program.memories.values():
             if mem.contents is not None:
@@ -199,26 +199,19 @@ class VectorizedFsmBatch:
                                                    dtype=np.uint64)
 
     # -- the CompiledFsmBatch-compatible surface -----------------------
-    def _in_port(self, name: str):
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "in":
-            raise KeyError(f"{name!r} is not an input port")
-        return port
-
     def set_input(self, name: str, value: int) -> None:
         """Broadcast one value to every lane."""
-        port = self._in_port(name)
         self.env[name] = np.full(
-            self.n_patterns, np.uint64(value & mask(port.width)),
+            self.n_patterns, np.uint64(value & self._inputs[name]),
             dtype=np.uint64)
 
     def set_input_patterns(self, name: str, values) -> None:
-        port = self._in_port(name)
+        m = self._inputs[name]
         if len(values) != self.n_patterns:
             raise ValueError(
                 f"expected {self.n_patterns} values, got {len(values)}")
         vals = np.asarray(values, dtype=np.uint64)
-        self.env[name] = vals & np.uint64(mask(port.width))
+        self.env[name] = vals & np.uint64(m)
 
     def output_array(self, name: str) -> np.ndarray:
         """The raw (n,) lane array of output port *name*."""
@@ -238,14 +231,6 @@ class VectorizedFsmBatch:
             self.memories[mem][pattern, address] = \
                 np.uint64(value & mask(spec.width))
 
-    def write_memory_all(self, mem: str, address: int,
-                         value: int) -> None:
-        """External write broadcast to every lane's storage."""
-        spec = self.program.memories[mem]
-        if 0 <= address < spec.depth:
-            self.memories[mem][:, address] = \
-                np.uint64(value & mask(spec.width))
-
     def flip_bit(self, pattern: int, name: str, bit: int) -> None:
         """XOR one bit of one lane's environment entry (fault pokes)."""
         self.env[name][pattern] ^= np.uint64(1 << bit)
@@ -258,8 +243,9 @@ class VectorizedFsmBatch:
     def reset(self) -> None:
         self.states = np.full(self.n_patterns, np.uint64(self.fsm.entry),
                               dtype=np.uint64)
-        for name in self.env:
-            self.env[name] = np.zeros(self.n_patterns, dtype=np.uint64)
+        for name, value in self.fsm.initial_env().items():
+            self.env[name] = np.full(self.n_patterns, np.uint64(value),
+                                     dtype=np.uint64)
         for mem in self.program.memories.values():
             storage = self.memories[mem.name]
             if mem.contents is not None:
@@ -302,10 +288,7 @@ class VectorizedFsm:
         return self._batch.cycles
 
     def set_input(self, name: str, value: int) -> None:
-        port = self.program.ports.get(name)
-        if port is None or port.direction != "in":
-            raise KeyError(f"{name!r} is not an input port")
-        self.env[name][0] = np.uint64(value & mask(port.width))
+        self.env[name][0] = np.uint64(value & self._batch._inputs[name])
 
     def get_output(self, name: str) -> int:
         port = self.program.ports.get(name)

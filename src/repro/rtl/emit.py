@@ -28,12 +28,17 @@ is the reference):
 * the statement forms ``let`` (a new temp), ``assign`` (an existing
   local), ``fresh`` (a value that outlives the cycle) and
   ``port_write`` (one RTL memory write port).
+
+The behavioural level runs an RT-level front end inside an FSM's cycle
+(:mod:`repro.hls.emit`): it walks the front end's module under its own
+net names with ``split=True`` and puts the state dispatch between the
+two parts of the cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from ..datatypes.bits import mask
 from .expr import (Add, BitAnd, BitNot, BitOr, BitXor, Case, Cat, Cmp,
@@ -190,7 +195,8 @@ class ModuleWalk:
     """One RTL module walked for a printer."""
 
     #: net -> local: in-ports, then registers, then the assigns in
-    #: topological order (``v0``, ``v1``, ...)
+    #: topological order (``v0``, ``v1``, ...), unless the caller named
+    #: the nets
     name_of: Dict[str, str]
     #: the first ``n_inputs`` names are in-ports, the first ``n_state``
     #: in-ports and registers (the values a call loads)
@@ -202,11 +208,22 @@ class ModuleWalk:
     #: (each with a fresh memo, emitted after the previous port's write
     #: so a later port reads an earlier port's data), register commits
     cycle: List[str]
+    #: with ``split``, ``cycle[:edge]`` settles and evaluates every
+    #: register next and write port (enable, address, data) against the
+    #: pre-edge values, and ``cycle[edge:]`` stores and commits them
+    edge: int
 
 
-def walk_module(module: RtlModule, printer,
-                mem_of: Dict[str, object]) -> ModuleWalk:
-    """Walk *module* into *printer*'s statements."""
+def walk_module(module: RtlModule, printer, mem_of: Dict[str, object],
+                name_of: Optional[Dict[str, str]] = None,
+                split: bool = False) -> ModuleWalk:
+    """Walk *module* into *printer*'s statements.
+
+    *name_of* names every net when the module's values live among a
+    caller's locals.  With *split*, every write port's operands are
+    held in temps before the first store, so code placed between
+    ``cycle[:edge]`` and ``cycle[edge:]`` may reassign any local.
+    """
     assigns = module.topo_assign_order()
     if printer.word is not None:
         check_widths(
@@ -214,16 +231,12 @@ def walk_module(module: RtlModule, printer,
             + [e for mem in module.memories for p in mem.write_ports
                for e in (p.enable, p.addr, p.data)],
             module.name, printer.word)
-    name_of: Dict[str, str] = {}
-    for port in module.ports:
-        if port.direction == "in":
-            name_of[port.name] = f"v{len(name_of)}"
-    n_inputs = len(name_of)
-    for reg in module.registers:
-        name_of[reg.name] = f"v{len(name_of)}"
-    n_state = len(name_of)
-    for assign in assigns:
-        name_of[assign.name] = f"v{len(name_of)}"
+    n_inputs = len(module.input_names())
+    n_state = n_inputs + len(module.registers)
+    if name_of is None:
+        nets = [*module.input_names(), *(r.name for r in module.registers),
+                *(a.name for a in assigns)]
+        name_of = {net: f"v{i}" for i, net in enumerate(nets)}
 
     body = Emitter(printer, name_of, mem_of, "t")
     for assign in assigns:
@@ -238,17 +251,24 @@ def walk_module(module: RtlModule, printer,
         body.lines.append(printer.let(f"n{i}",
                                       printer.fresh(f"({value}) & {m}")))
         commits.append(printer.assign(name_of[reg.name], f"n{i}"))
+    stores: List[str] = []
     wp_index = 0
     for mem in module.memories:
         for port in mem.write_ports:
-            wemit = Emitter(printer, name_of, mem_of, f"w{wp_index}_")
-            en = wemit.emit(port.enable)
-            addr = wemit.emit(port.addr)
-            data = wemit.emit(port.data)
+            prefix = f"w{wp_index}_"
+            wemit = Emitter(printer, name_of, mem_of, prefix)
+            operands = [wemit.emit(e)
+                        for e in (port.enable, port.addr, port.data)]
             body.lines += wemit.lines
-            body.lines += printer.port_write(
-                mem_of[mem.name], en, addr, data, mem.depth,
-                printer.lit(mask(mem.width)))
+            if split:
+                held = [f"{prefix}{kind}" for kind in ("en", "a", "d")]
+                body.lines += [printer.let(h, x)
+                               for h, x in zip(held, operands)]
+                operands = held
+            (stores if split else body.lines).extend(printer.port_write(
+                mem_of[mem.name], *operands, mem.depth,
+                printer.lit(mask(mem.width))))
             wp_index += 1
-    body.lines += commits
-    return ModuleWalk(name_of, n_inputs, n_state, settle, body.lines)
+    edge = len(body.lines)
+    body.lines += stores + commits
+    return ModuleWalk(name_of, n_inputs, n_state, settle, body.lines, edge)

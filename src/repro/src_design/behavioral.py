@@ -18,12 +18,18 @@ while no sample has arrived since the flush, a leftover prefetch reads
 the *invalid* buffer address ``buffer_depth`` before the silence
 early-out -- functionally invisible, flagged only by a checking memory
 model at gate level.
+
+The main process reads its samples through an RT-level front end (the
+I/O interfaces the paper's behavioural design already contained).  One
+wiring puts that front end into the flat RTL module that synthesis
+gets (:func:`build_behavioral_design`) and attaches it to the scheduled
+FSM that the behavioural engines run (:func:`build_behavioral_fsm`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..datatypes.integers import max_signed, min_signed
 from ..hls.binding import RegisterBinding, bind_registers
@@ -36,7 +42,7 @@ from ..hls.schedule import (Fsm, Scheduler, SchedulingConstraints,
                             prune_dead_reg_writes)
 from ..rtl.expr import (Add, Case, Cat, Const, Expr, Mux, Ref, Slice, SMul,
                         Sra, Sub)
-from ..rtl.ir import RtlModule
+from ..rtl.ir import RtlMemory, RtlModule
 from .coefficients import build_rom
 from .io_interfaces import FrontEnd, FrontEndOptions
 from .params import SrcParams
@@ -285,8 +291,8 @@ def build_main_program(params: SrcParams, optimized) -> HlsProgram:
 
 
 def build_main_fsm(params: SrcParams, optimized=True) -> Fsm:
-    """Build and schedule the main process FSM (shared by both the
-    interpreted and compiled behavioural backends)."""
+    """Build and schedule the main process FSM alone, without the
+    front end that feeds it (see :func:`build_behavioral_fsm`)."""
     options = _coerce_options(optimized)
     program = build_main_program(params, options)
     constraints = SchedulingConstraints(
@@ -297,6 +303,62 @@ def build_main_fsm(params: SrcParams, optimized=True) -> Fsm:
     if options.prune_dead_writes:
         prune_dead_reg_writes(fsm)
     return fsm
+
+
+def _wire_front_end(module: RtlModule, params: SrcParams,
+                    options: BehavioralOptions):
+    """Declare the main process's RT-level front end in *module*.
+
+    The front end is :class:`~repro.src_design.io_interfaces.FrontEnd`
+    plus, with handshaking, the buffer arbiter's grant register
+    ``fe_gnt``.  Returns the :class:`FrontEnd`, the main-process input
+    ports it drives (as :func:`~repro.hls.codegen.generate_rtl` takes
+    them) and ``finish(outputs, buf_l, buf_r)``, which closes it over
+    the main process's ``take`` / ``buf_req`` nets and sample buffers.
+    """
+    fe = FrontEnd(module, params, FrontEndOptions(
+        generic_modes=options.generic_modes or len(params.modes)))
+    fe.declare()
+    inputs: Dict[str, Ref] = {
+        "req": fe.out_req,
+        "phase": fe.phase,
+        "wr_ptr": fe.wr_ptr,
+        "fill": fe.fill,
+    }
+    if options.handshake:
+        inputs["gnt"] = module.register("fe_gnt", 1, init=0)
+
+    def finish(outputs: Dict[str, Ref], buf_l: RtlMemory,
+               buf_r: RtlMemory) -> None:
+        if options.handshake:
+            # buffer arbiter: grant one cycle after the request pulse
+            module.set_next(inputs["gnt"], outputs["buf_req"])
+        fe.finish(take=outputs["take"], buf_l=buf_l, buf_r=buf_r)
+
+    return fe, inputs, finish
+
+
+def build_behavioral_fsm(params: SrcParams, optimized=True) -> Fsm:
+    """The behavioural DUT as one program: the main process FSM with
+    its front end attached, taking the RTL DUT's six pins.
+
+    The FSM engines run the front end inside every cycle (see
+    :class:`~repro.hls.schedule.FrontEndBlock`), so this simulates what
+    :func:`build_behavioral_design` synthesises.
+    """
+    options = _coerce_options(optimized)
+    fsm = build_main_fsm(params, options)
+    program = fsm.program
+    module = RtlModule(f"{program.name}_front_end")
+    _, inputs, finish = _wire_front_end(module, params, options)
+    # the main process's registered outputs the front end reads
+    outputs = {name: module.input(name, program.ports[name].width)
+               for name in ("take", "buf_req") if name in program.ports}
+    buffers = [module.memory(name, program.memories[name].depth,
+                             program.memories[name].width)
+               for name in ("buf_l", "buf_r")]
+    finish(outputs, *buffers)
+    return fsm.with_front_end(module, inputs)
 
 
 @dataclass
@@ -326,38 +388,14 @@ def build_behavioral_design(params: SrcParams, optimized,
     module = RtlModule(
         name or ("src_beh_opt" if is_opt_preset else "src_beh")
     )
-    fe_opts = FrontEndOptions(
-        generic_modes=options.generic_modes or len(p.modes)
-    )
-    fe = FrontEnd(module, p, fe_opts)
-    fe.declare()
+    fe, inputs, finish = _wire_front_end(module, p, options)
 
     fsm = build_main_fsm(p, options)
     program = fsm.program
     binding = bind_registers(fsm, share=options.share_registers)
-
-    inputs: Dict[str, Ref] = {
-        "req": fe.out_req,
-        "phase": fe.phase,
-        "wr_ptr": fe.wr_ptr,
-        "fill": fe.fill,
-    }
-    gnt_reg = None
-    if options.handshake:
-        gnt_reg = module.register("fe_gnt", 1, init=0)
-        inputs["gnt"] = gnt_reg
-
     generated = generate_rtl(fsm, module, inputs, binding, prefix="main")
-
-    if gnt_reg is not None:
-        # buffer arbiter: grant one cycle after the request pulse
-        module.set_next(gnt_reg, generated.outputs["buf_req"])
-
-    fe.finish(
-        take=generated.outputs["take"],
-        buf_l=generated.memories["buf_l"],
-        buf_r=generated.memories["buf_r"],
-    )
+    finish(generated.outputs, generated.memories["buf_l"],
+           generated.memories["buf_r"])
     module.output("out_l", generated.outputs["out_l"])
     module.output("out_r", generated.outputs["out_r"])
     module.output("out_valid", generated.outputs["out_valid"])
@@ -370,255 +408,32 @@ def build_behavioral_design(params: SrcParams, optimized,
 
 
 class BehavioralSimulation:
-    """Behavioural simulation: FSM interpreter + front-end model.
+    """The behavioural SRC DUT on one FSM engine.
 
     This is the "synthesisable behavioural SystemC" simulation of paper
-    Figure 8: the main process executes its schedule state by state; the
-    RTL front end (an I/O interface block) is mirrored behaviourally
-    using the parameter helpers.  Bit-exact against the generated RTL.
+    Figure 8: the main process executes its schedule state by state,
+    and the engine runs the RT-level front end (an I/O interface block)
+    inside every cycle -- one generated program from
+    :func:`build_behavioral_fsm`.  It takes the same pins as the RTL
+    and gate DUTs (``set_input`` / ``step`` / ``get``), so the same
+    drivers serve all three.
     """
 
     def __init__(self, params: SrcParams, optimized=True,
                  mem_monitor: Optional[MemMonitor] = None,
                  fsm: Optional[Fsm] = None, backend: str = "interpreted"):
-        self.params = params
-        self.options = _coerce_options(optimized)
-        self.optimized = self.options == BehavioralOptions.optimized()
-        self._handshake = self.options.handshake
         self.backend = resolve(backend)
         if fsm is None:
-            fsm = build_main_fsm(params, self.options)
+            fsm = build_behavioral_fsm(params, optimized)
         self.interp = engine_class(self.backend, "fsm")(
             fsm, mem_monitor=mem_monitor)
-        # front-end state
-        self.mode = 0
-        self.wr_ptr = params.buffer_depth - 1
-        self.fill = 0
-        self.pos = 0
-        self._gnt = 0
-        # pending per-cycle stimulus
-        self._in_frame: Optional[Tuple[int, int]] = None
-        self._cfg: Optional[int] = None
-        self._req = 0
 
-    # -- stimulus ----------------------------------------------------------
-    def drive_input(self, left: int, right: int) -> None:
-        self._in_frame = (left, right)
+    def set_input(self, name: str, value: int) -> None:
+        self.interp.set_input(name, value)
 
-    def drive_cfg(self, mode: int) -> None:
-        self._cfg = mode
+    def step(self) -> None:
+        """Advance one clock cycle."""
+        self.interp.step()
 
-    def drive_req(self) -> None:
-        self._req = 1
-
-    # -- one clock cycle -----------------------------------------------------
-    def step(self) -> Optional[Tuple[int, int]]:
-        """Advance one cycle; returns an output frame when valid pulses."""
-        p = self.params
-        interp = self.interp
-        # combinational phase preview for the main process
-        pos_after = p.pos_after_output(self.pos, self.mode)
-        interp.set_input("req", self._req)
-        interp.set_input("phase", p.phase_from_pos(pos_after))
-        interp.set_input("wr_ptr", self.wr_ptr)
-        interp.set_input("fill", self.fill)
-        if self._handshake:
-            interp.set_input("gnt", self._gnt)
-        # register values *during* this cycle (pre-edge), as the RTL
-        # front end samples them
-        take = interp.get_output("take")
-        buf_req_now = (interp.get_output("buf_req")
-                       if self._handshake else 0)
-        interp.step()
-        # front-end sequential update (mirrors FrontEnd.finish)
-        if self._cfg is not None:
-            self.mode = self._cfg
-            self.wr_ptr = p.buffer_depth - 1
-            self.fill = 0
-            self.pos = 0
-        else:
-            if take:
-                self.pos = p.pos_after_output(self.pos, self.mode)
-            if self._in_frame is not None:
-                self.wr_ptr = (self.wr_ptr + 1) % p.buffer_depth
-                left, right = self._in_frame
-                interp.write_memory("buf_l", self.wr_ptr, left)
-                interp.write_memory("buf_r", self.wr_ptr, right)
-                self.fill = min(self.fill + 1, p.taps_per_phase)
-                self.pos = p.pos_after_input(self.pos)
-        if self._handshake:
-            self._gnt = buf_req_now
-        self._in_frame = None
-        self._cfg = None
-        self._req = 0
-        if interp.get_output("out_valid"):
-            return (interp.get_output("out_l"), interp.get_output("out_r"))
-        return None
-
-
-class BehavioralBatchSimulation:
-    """N independent behavioural SRC instances advanced in lock-step.
-
-    Built on the engine's FSM batch (``CompiledFsmBatch`` by default):
-    one generated FSM program, N private environments/memories, plus
-    an N-wide mirror of the front-end state.  Stimulus
-    (``drive_input`` / ``drive_cfg`` / ``drive_req``) is broadcast to
-    every pattern -- the fault-injection campaign uses this to run one
-    fault-free golden pattern alongside N-1 faulty patterns under a
-    common workload, with faults poked into individual patterns via
-    ``batch.flip_bit``.
-
-    ``step()`` returns one ``Optional[(left, right)]`` frame per
-    pattern.
-    """
-
-    def __init__(self, params: SrcParams, n_patterns: int, optimized=True,
-                 fsm: Optional[Fsm] = None, backend: str = "compiled"):
-        self.params = params
-        self.options = _coerce_options(optimized)
-        self.optimized = self.options == BehavioralOptions.optimized()
-        self._handshake = self.options.handshake
-        self.backend = backend = resolve(backend)
-        if fsm is None:
-            fsm = build_main_fsm(params, self.options)
-        self.batch = engine_class(backend, "fsm_batch")(fsm, n_patterns)
-        self.n_patterns = n_patterns
-        n = n_patterns
-        if backend == "vectorized":
-            import numpy as np
-
-            # lane-parallel front-end mirror.  mode / wr_ptr / fill stay
-            # scalars: every update that touches them is broadcast
-            # (drive_cfg / drive_input), so they can never diverge
-            # across lanes; only pos (via the FSM's take pulse) and the
-            # handshake grant are fed back from per-lane FSM outputs.
-            self.mode = 0
-            self.wr_ptr = params.buffer_depth - 1
-            self.fill = 0
-            self.pos = np.zeros(n, dtype=np.int64)
-            self._gnt = np.zeros(n, dtype=np.uint64)
-            self._inc = params.position_increments
-            self._pos_mask = (1 << params.pos_width) - 1
-            self._pos_half = 1 << (params.pos_width - 1)
-        else:
-            # per-pattern front-end mirror (faults make patterns diverge)
-            self.mode = [0] * n
-            self.wr_ptr = [params.buffer_depth - 1] * n
-            self.fill = [0] * n
-            self.pos = [0] * n
-            self._gnt = [0] * n
-        # pending broadcast stimulus
-        self._in_frame: Optional[Tuple[int, int]] = None
-        self._cfg: Optional[int] = None
-        self._req = 0
-
-    # -- stimulus (broadcast to every pattern) -------------------------
-    def drive_input(self, left: int, right: int) -> None:
-        self._in_frame = (left, right)
-
-    def drive_cfg(self, mode: int) -> None:
-        self._cfg = mode
-
-    def drive_req(self) -> None:
-        self._req = 1
-
-    # -- one clock cycle ----------------------------------------------
-    def step(self) -> List[Optional[Tuple[int, int]]]:
-        """Advance all patterns one cycle; per-pattern output frames."""
-        if self.backend == "vectorized":
-            return self._step_vectorized()
-        p = self.params
-        batch = self.batch
-        n = self.n_patterns
-        pos_after = [p.pos_after_output(self.pos[i], self.mode[i])
-                     for i in range(n)]
-        batch.set_input("req", self._req)
-        batch.set_input_patterns(
-            "phase", [p.phase_from_pos(pa) for pa in pos_after])
-        batch.set_input_patterns("wr_ptr", self.wr_ptr)
-        batch.set_input_patterns("fill", self.fill)
-        if self._handshake:
-            batch.set_input_patterns("gnt", self._gnt)
-        take = batch.get_output_patterns("take")
-        buf_req_now = (batch.get_output_patterns("buf_req")
-                       if self._handshake else None)
-        batch.step()
-        # front-end sequential update (mirrors BehavioralSimulation.step)
-        for i in range(n):
-            if self._cfg is not None:
-                self.mode[i] = self._cfg
-                self.wr_ptr[i] = p.buffer_depth - 1
-                self.fill[i] = 0
-                self.pos[i] = 0
-            else:
-                if take[i]:
-                    self.pos[i] = p.pos_after_output(self.pos[i],
-                                                     self.mode[i])
-                if self._in_frame is not None:
-                    self.wr_ptr[i] = (self.wr_ptr[i] + 1) % p.buffer_depth
-                    left, right = self._in_frame
-                    batch.write_memory(i, "buf_l", self.wr_ptr[i], left)
-                    batch.write_memory(i, "buf_r", self.wr_ptr[i], right)
-                    self.fill[i] = min(self.fill[i] + 1, p.taps_per_phase)
-                    self.pos[i] = p.pos_after_input(self.pos[i])
-            if self._handshake:
-                self._gnt[i] = buf_req_now[i]
-        self._in_frame = None
-        self._cfg = None
-        self._req = 0
-        out_valid = batch.get_output_patterns("out_valid")
-        out_l = batch.get_output_patterns("out_l")
-        out_r = batch.get_output_patterns("out_r")
-        return [(out_l[i], out_r[i]) if out_valid[i] else None
-                for i in range(n)]
-
-    def _step_vectorized(self) -> List[Optional[Tuple[int, int]]]:
-        """Lane-parallel mirror of :meth:`step` (same semantics)."""
-        import numpy as np
-
-        p = self.params
-        batch = self.batch
-        n = self.n_patterns
-        half, m = self._pos_half, self._pos_mask
-        # combinational phase preview (wrapping two's-complement add)
-        pos_after = ((self.pos + self._inc[self.mode] + half) & m) - half
-        clamped = np.clip(pos_after, 0, p.one_sample_units - 1)
-        batch.set_input("req", self._req)
-        batch.set_input_patterns(
-            "phase", (clamped >> p.phase_frac_bits).astype(np.uint64))
-        batch.set_input("wr_ptr", self.wr_ptr)
-        batch.set_input("fill", self.fill)
-        if self._handshake:
-            batch.set_input_patterns("gnt", self._gnt)
-        take = batch.output_array("take").copy()
-        buf_req_now = (batch.output_array("buf_req").copy()
-                       if self._handshake else None)
-        batch.step()
-        # front-end sequential update (mirrors BehavioralSimulation.step)
-        if self._cfg is not None:
-            self.mode = self._cfg
-            self.wr_ptr = p.buffer_depth - 1
-            self.fill = 0
-            self.pos = np.zeros(n, dtype=np.int64)
-        else:
-            self.pos = np.where(take != 0, pos_after, self.pos)
-            if self._in_frame is not None:
-                self.wr_ptr = (self.wr_ptr + 1) % p.buffer_depth
-                left, right = self._in_frame
-                batch.write_memory_all("buf_l", self.wr_ptr, left)
-                batch.write_memory_all("buf_r", self.wr_ptr, right)
-                self.fill = min(self.fill + 1, p.taps_per_phase)
-                self.pos = ((self.pos - p.one_sample_units + half) & m) \
-                    - half
-        if self._handshake:
-            self._gnt = buf_req_now
-        self._in_frame = None
-        self._cfg = None
-        self._req = 0
-        valid = batch.output_array("out_valid")
-        if not valid.any():
-            return [None] * n
-        out_l = batch.output_array("out_l")
-        out_r = batch.output_array("out_r")
-        return [(int(out_l[i]), int(out_r[i])) if valid[i] else None
-                for i in range(n)]
+    def get(self, name: str) -> int:
+        return self.interp.get_output(name)

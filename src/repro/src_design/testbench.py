@@ -112,21 +112,11 @@ def src_port_waveform(stimulus: Sequence[CycleStimulus]
     return [idle if cycle is IDLE else record(cycle) for cycle in stimulus]
 
 
-def drive_behavioral(sim, frame=None, cfg=None, req=False) -> None:
-    """Drive one clock cycle of stimulus into a behavioural simulation
-    (scalar or batch), ahead of its ``step``."""
-    if frame is not None:
-        sim.drive_input(frame[0], frame[1])
-    if cfg is not None:
-        sim.drive_cfg(cfg)
-    if req:
-        sim.drive_req()
-
-
 class RtlDutDriver:
-    """Drives an :class:`RtlSimulator` or :class:`GateSimulator` DUT.
+    """Drives an :class:`RtlSimulator`, :class:`GateSimulator` or
+    behavioural DUT.
 
-    Both simulators share the ``set_input`` / ``step`` / ``get`` API; the
+    The simulators share the ``set_input`` / ``step`` / ``get`` API; the
     driver converts stimulus frames to port values and output ports back
     to signed samples.
     """
@@ -146,20 +136,14 @@ class RtlDutDriver:
         return None
 
 
-class BehavioralDutDriver:
-    """Drives a :class:`~repro.src_design.behavioral.BehavioralSimulation`."""
-
-    def __init__(self, sim, params: SrcParams):
-        self.sim = sim
-        self.params = params
+class BehavioralDutDriver(RtlDutDriver):
+    """Drives a :class:`~repro.src_design.behavioral.BehavioralSimulation`,
+    which takes the same pins as the RTL and gate DUTs."""
 
     def cycle(self, frame=None, cfg=None, req=False):
-        drive_behavioral(self.sim, frame, cfg, req)
-        result = self.sim.step()
-        if result is None:
-            return None
-        dw = self.params.data_width
-        return (wrap_signed(result[0], dw), wrap_signed(result[1], dw))
+        # Defined here, not inherited: the benchmark's per-layer tracer
+        # (perfbench/layers.py) wraps this class's own ``cycle``.
+        return super().cycle(frame, cfg, req)
 
 
 def run_clocked(

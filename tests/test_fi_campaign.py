@@ -5,6 +5,7 @@ in tier 1 (the ``fi`` marker is informational); the deep campaign at
 the bottom additionally carries ``fuzz`` and is opt-in.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.fi import (BUDGET_FRAMES, CampaignConfig, CampaignError,
                       OUTCOMES, run_campaign, run_fi_self_check)
 from repro.fi.campaign import fi_batch_width, make_workload, run_gate_batch
+from repro.engines import batch_engines
 from repro.fi.faultload import generate_gate_faultload
 from repro.gatesim import COMPILE_CACHE
 from repro.native import build_cflags, toolchain_available
@@ -122,6 +124,31 @@ def test_beh_campaign_deterministic_across_jobs():
     solo = run_campaign(CampaignConfig(jobs=1, **kwargs))
     pooled = run_campaign(CampaignConfig(jobs=2, **kwargs))
     assert _classifications(solo) == _classifications(pooled)
+
+
+#: record digests of two campaigns; the RTL and behavioural runners
+#: replay the workload's port waveform, and the behavioural DUT runs
+#: its front end inside the generated FSM program
+PINNED_RECORDS = {
+    ("beh", 3, 200):
+        "e20f6197555626fb7a9b839cf6e8947df204d5c6b6f84a330d98ab3db759091c",
+    ("rtl", 7, 64):
+        "c12ac18abc373c2e0e0f743aa606fd19b4f493b0203b5833afed10c904a8d55c",
+}
+
+
+@pytest.mark.parametrize("backend", batch_engines())
+@pytest.mark.parametrize("campaign", PINNED_RECORDS,
+                         ids=lambda c: f"{c[0]}-seed{c[1]}")
+def test_records_are_pinned_on_every_batch_engine(campaign, backend):
+    level, seed, n_faults = campaign
+    report = run_campaign(CampaignConfig(
+        SMALL_PARAMS, level=level, n_faults=n_faults, seed=seed,
+        budget="small", backend=backend, probe_faults=2))
+    rows = [(r.fault.index, r.outcome, r.first_frame, r.detected_cycle,
+             r.n_outputs) for r in report.records]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        PINNED_RECORDS[campaign]
 
 
 def test_self_check_classifies_known_faults(smoke_report):

@@ -16,12 +16,12 @@ import random
 
 import pytest
 
+from repro.datatypes.integers import wrap_signed
 from repro.fi.campaign import make_workload
 from repro.fi.targets import flop_targets
 from repro.flow import Level, build_module
 from repro.gatesim import GateSimulator
 from repro.src_design.params import SMALL_PARAMS
-from repro.src_design.testbench import RtlDutDriver
 from repro.synth import synthesize
 
 
@@ -42,12 +42,15 @@ def plain(src_module):
 
 def _run_workload(netlist, workload):
     sim = GateSimulator(netlist, backend="compiled")
-    driver = RtlDutDriver(sim, SMALL_PARAMS)
+    dw = SMALL_PARAMS.data_width
     outputs = []
-    for frame, cfg, req in workload.stimulus:
-        result = driver.cycle(frame=frame, cfg=cfg, req=req)
-        if result is not None:
-            outputs.append(tuple(result))
+    for drive in workload.waveform:
+        for name, value in drive.items():
+            sim.set_input(name, value)
+        sim.step()
+        if sim.get("out_valid"):
+            outputs.append((wrap_signed(sim.get("out_l"), dw),
+                            wrap_signed(sim.get("out_r"), dw)))
         if len(outputs) >= workload.expected:
             break
     return outputs
