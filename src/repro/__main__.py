@@ -20,23 +20,22 @@ spans -- including spans from worker processes -- and writes one
 Chrome trace-event JSON loadable in chrome://tracing or Perfetto,
 plus a per-stage wall-time table on stdout.  Defaults: paper scale for synthesis/performance,
 reduced for anything gate-level.  ``--backend
-interpreted|compiled|vectorized|native`` selects the simulation engine
-for ``fig8`` and ``fig9`` at every clocked level -- behavioural FSM,
-RTL and gate (compiled = specialised codegen with parallel-pattern
-packing into one machine word; vectorized = the same codegen over
-numpy uint64 bitplane/lane arrays with no pattern-width cap; native =
-the same codegen emitted as C and compiled by the host toolchain,
-falling back to compiled when no C compiler is found; at the
-behavioural level each scheduled FSM is flattened into straight-line
-code).
+interpreted|compiled|native`` selects the simulation engine for
+``fig8`` and ``fig9`` at every clocked level -- behavioural FSM, RTL
+and gate (compiled = specialised codegen with parallel-pattern packing
+into Python-int bitplanes; native = the same codegen emitted as C and
+compiled by the host toolchain, falling back to compiled when no C
+compiler is found; at the behavioural level each scheduled FSM is
+flattened into straight-line code).  A ``--backend`` that names no
+engine or group, or has no value, is a usage error for every command.
 
 ``verify`` runs the differential verification harness: seeded stimulus
 fuzzing of all levels against the golden model with counterexample
 shrinking and coverage.  Options: ``--levels alg,tlm,beh,rtl,gate``
 (also: tlm-mono, beh-unopt, rtl-unopt, vhdl, gate-beh), ``--seed N``,
 ``--budget smoke|small|medium|large``, ``--backend
-interpreted|compiled|vectorized|native|both|all`` (``both`` =
-interpreted + compiled, ``all`` = every engine, cross-checked),
+interpreted|compiled|native|both|all`` (``both`` = interpreted +
+compiled, ``all`` = all three engines, cross-checked),
 ``--jobs N`` (fan
 the cases out over a worker pool), ``--out DIR`` (write coverage and
 counterexample artefacts), ``--self-check`` (inject a netlist mutation
@@ -46,9 +45,9 @@ that must be caught and shrunk).
 classifies every fault as masked, sdc, detected or hang.  Options:
 ``--level rtl|beh|gate`` (``beh`` = SEUs in the scheduled-FSM state,
 simulated parallel-fault on the batch behavioural backends),
-``--backend compiled|vectorized|native`` (classification engine:
-word-width pattern batches, one whole-faultload numpy sweep, or
-word-width C batches compiled by the host toolchain), ``--model
+``--backend compiled|native`` (classification engine: Python or C
+pattern batches at the gate and behavioural levels, one fault per
+simulation at RTL), ``--model
 stuck0,stuck1,pulse,seu`` (default: all), ``--n-faults N``, ``--jobs
 N``, ``--seed N``, ``--budget smoke|small|medium|large`` (workload
 length), ``--out DIR`` (write the campaign report and
@@ -62,7 +61,7 @@ refine -> differential verify (all levels x all engines) -> synthesize
 -> fault injection -> selective hardening (TMR or parity on the
 highest-SDC registers) -> re-synthesis -> re-injection.  Options:
 ``--n-designs N``, ``--seed N``, ``--budget smoke|small|medium|large``,
-``--backend compiled|vectorized|native`` (FI engine), ``--strategy
+``--backend compiled|native`` (FI engine), ``--strategy
 tmr|parity``, ``--model seu,...`` (corpus default: seu), ``--jobs N``
 (one design per worker), ``--out DIR`` (write ``BENCH_corpus.json``
 there; without it nothing is written).  Exits non-zero on any refine
@@ -102,23 +101,14 @@ def _params(args, default):
     return default
 
 
-def _backend(args) -> str:
-    for i, arg in enumerate(args):
-        if arg == "--backend" and i + 1 < len(args):
-            return args[i + 1]
-        if arg.startswith("--backend="):
-            return arg.split("=", 1)[1]
-    return "interpreted"
-
-
 def cmd_fig8(args) -> None:
     from .flow import format_results, measure_figure8
 
     from .flow import render_figure8
 
     params = _params(args, PAPER_PARAMS)
-    print(render_figure8(measure_figure8(params, 300,
-                                         backend=_backend(args))))
+    print(render_figure8(measure_figure8(
+        params, 300, backend=_option(args, "--backend", "interpreted"))))
 
 
 def cmd_fig9(args) -> None:
@@ -127,8 +117,9 @@ def cmd_fig9(args) -> None:
     from .flow import render_figure9
 
     params = _params(args, SMALL_PARAMS)
-    print(render_figure9(measure_figure9(params, cycles=1500,
-                                         backend=_backend(args))))
+    print(render_figure9(measure_figure9(
+        params, cycles=1500,
+        backend=_option(args, "--backend", "interpreted"))))
 
 
 def cmd_fig10(args) -> None:
@@ -214,6 +205,26 @@ def _option(args, name, default):
         if arg.startswith(name + "="):
             return arg.split("=", 1)[1]
     return default
+
+
+def _backend_error(args):
+    """The usage error of a ``--backend`` that names no engine or
+    group, or has no value; None when every ``--backend`` is valid."""
+    from .engines import ENGINES, GROUPS
+
+    choices = (*ENGINES, *GROUPS)
+    for i, arg in enumerate(args):
+        if arg == "--backend":
+            value = args[i + 1] if i + 1 < len(args) else None
+        elif arg.startswith("--backend="):
+            value = arg.split("=", 1)[1]
+        else:
+            continue
+        if value not in choices:
+            given = "no value" if value is None else repr(value)
+            return (f"error: --backend got {given}; choose one of "
+                    f"{', '.join(choices)}")
+    return None
 
 
 def cmd_verify(args) -> None:
@@ -423,6 +434,10 @@ def main(argv=None) -> int:
     names = [a for a in args if not a.startswith("-")]
     if not names or names[0] not in set(COMMANDS) | {"all"}:
         print(__doc__)
+        return 1
+    error = _backend_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 1
     trace_path = _option(args, "--trace", None)
     if trace_path:

@@ -7,8 +7,8 @@ Shared by the compiled gate-level backend
 users sit on opposite sides of the rtl <-> synth import cycle.  The
 flow layer re-exports it from :mod:`repro.flow.artifacts`.
 
-Keys are tagged with the *owning backend* ("compiled", "vectorized",
-...): two engines consuming the same structural digest would otherwise
+Keys are tagged with the *owning backend* ("compiled", "native"):
+two engines consuming the same structural digest would otherwise
 collide in one slot and hand each other the wrong program object.  The
 tag is part of the stored key, and hit/miss/eviction counters are kept
 both in total and per backend so flows can report which engine

@@ -21,8 +21,8 @@ from ..fi.campaign import Workload, fi_batch_width, run_gate_batch
 from ..fi.faults import Fault
 from ..fi.faultload import generate_gate_faultload
 
-#: faults per batch on an engine that does not sweep (pattern 0 stays
-#: fault-free, so a batch fills native's 64-pattern gate word)
+#: faults per batch (pattern 0 stays fault-free, so a batch fills
+#: native's 64-pattern gate word)
 COMPILED_BATCH = 63
 
 
@@ -61,7 +61,7 @@ def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
     drive += [idle] * (cycle_budget - len(drive))
     workload = Workload(list(golden), drive, valid_port, tuple(frame_ports),
                         tuple(detect_ports), signed=False)
-    batch = fi_batch_width("gate", backend, len(faults), 1, COMPILED_BATCH)
+    batch = fi_batch_width("gate", backend, COMPILED_BATCH)
     records = []
     for lo in range(0, len(faults), batch):
         records.extend(run_gate_batch(netlist, workload,

@@ -44,7 +44,7 @@ def build_dut(params: SrcParams, kind: str,
     * ``Gate-RTL`` -- the gate-level design from the RTL flow.
 
     *backend* selects the simulation engine ("interpreted",
-    "compiled", "vectorized" or "native"); extra keyword options
+    "compiled" or "native"); extra keyword options
     (e.g. ``n_patterns``) go to the batch gate-level simulators.
     """
     if kind == "BEH":
@@ -89,9 +89,8 @@ def measure_gate_throughput(params: SrcParams, kind: str, cycles: int,
     simulated cycle evaluates N independent stimulus vectors, and
     :attr:`SimPerfResult.cycles_per_second` reports pattern-cycles per
     second.  The compiled backend packs patterns into Python-int
-    bitplanes and the vectorized backend into numpy uint64 bitplane
-    arrays, neither with a width cap; the native backend packs them
-    into one C ``uint64_t`` word (N <= 64, see :mod:`repro.engines`).
+    bitplanes with no width cap; the native backend packs them into
+    one C ``uint64_t`` word (N <= 64, see :mod:`repro.engines`).
     """
     netlist = _gate_netlist(params, kind)
     if lookup(backend).batches("gate"):

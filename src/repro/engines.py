@@ -2,9 +2,9 @@
 
 Three abstraction levels of the flow have an engine choice: the gate
 netlist, the RTL module and the scheduled behavioural FSM.  Each runs
-on four engines -- ``interpreted`` (the reference), ``compiled``
-(generated Python), ``vectorized`` (generated numpy over uint64 lanes)
-and ``native`` (generated C built by the host toolchain).
+on three engines -- ``interpreted`` (the reference), ``compiled``
+(generated Python) and ``native`` (generated C built by the host
+toolchain).
 
 :data:`ENGINES` is the one place that says which class implements an
 engine at a level, how many stimulus patterns one instance holds and
@@ -44,9 +44,6 @@ class Engine:
     max_patterns: Dict[str, Optional[int]]
     #: generates code, so its runs leave compile-cache statistics
     compiles: bool
-    #: FI gives it the whole faultload, split only to feed every
-    #: worker, instead of ``batch_size`` slices
-    sweeps: bool = False
     #: the engine that runs instead on a host without a C toolchain
     fallback: Optional[str] = None
 
@@ -71,13 +68,6 @@ ENGINES: Dict[str, Engine] = {
         # bigint pattern planes, one environment per FSM pattern
         max_patterns={"gate": None, "rtl": 1, "beh": None},
         compiles=True),
-    "vectorized": Engine(
-        gate="repro.gatesim.vectorized:VectorizedGateSimulator",
-        rtl="repro.rtl.vectorized:VectorizedRtlSimulator",
-        fsm="repro.hls.vectorized:VectorizedFsm",
-        fsm_batch="repro.hls.vectorized:VectorizedFsmBatch",
-        max_patterns={"gate": None, "rtl": None, "beh": None},
-        compiles=True, sweeps=True),
     "native": Engine(
         gate="repro.gatesim.native:NativeGateSimulator",
         rtl="repro.rtl.native:NativeRtlSimulator",

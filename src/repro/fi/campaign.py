@@ -10,15 +10,13 @@ Execution strategies -- which one runs is decided by the engine's
 entry in :data:`repro.engines.ENGINES` (see :func:`fi_batch_width`):
 
 * **batched** -- on an engine that holds several patterns at the
-  campaign's level, faults are batched into one simulation: gate
-  faults into one saboteur overlay over the pattern planes, RTL and
-  behavioural faults as per-pattern bit flips.  Pattern 0 carries the
-  fault-free run as an in-flight golden cross-check.  A sweeping
-  engine (vectorized) takes the whole faultload, split only to feed
-  every worker; the others take ``batch_size`` faults per batch.
+  campaign's level, ``batch_size`` faults are batched into one
+  simulation: gate faults into one saboteur overlay over the pattern
+  planes, behavioural faults as per-pattern bit flips.  Pattern 0
+  carries the fault-free run as an in-flight golden cross-check.
 * **one fault per run** -- on an engine that holds a single pattern
-  at the level (interpreted everywhere; compiled and native at RTL),
-  each fault gets its own simulation.
+  at the level (interpreted everywhere, every engine at RTL), each
+  fault gets its own simulation.
 
 The workload (:class:`Workload`) is built once per campaign from the
 clock-quantised schedule through
@@ -95,8 +93,7 @@ class CampaignConfig:
     #: classification engine, one of :func:`repro.engines.batch_engines`
     #: ('native' degrades to 'compiled' sans toolchain)
     backend: str = "compiled"
-    #: faults per batch (plus pattern 0 = fault-free); a sweeping
-    #: engine ignores this -- its batch is the faultload
+    #: faults per batch (plus pattern 0 = fault-free)
     batch_size: int = 31
     #: faults re-run on the interpreted engine for the throughput probe
     probe_faults: int = 16
@@ -423,55 +420,6 @@ def _replay_one(make_sim, poke, workload: Workload, fault: Fault,
     return _classify(fault, outputs, detected, golden)
 
 
-def _run_batch(sim, read, poke, workload: Workload,
-               faults: Sequence[Fault], params: SrcParams,
-               design: str) -> List[FaultRecord]:
-    """Classify *faults* on a ``len(faults) + 1``-pattern DUT replaying
-    the workload: pattern 0 runs fault-free as the in-flight golden
-    cross-check, pattern ``b + 1`` takes fault ``b``.
-
-    ``poke(tick)`` injects that tick's faults and ``read(port)`` returns
-    a port's per-pattern values.
-    """
-    golden = workload.golden
-    expected = workload.expected
-    dw = params.data_width
-    n = len(faults) + 1
-    outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    remaining = n
-    for tick, drive in enumerate(workload.waveform):
-        if not remaining:
-            break
-        poke(tick)
-        for name, value in drive.items():
-            sim.set_input(name, value)
-        sim.step()
-        valid = read("out_valid")
-        if any(valid):
-            out_l = read("out_l")
-            out_r = read("out_r")
-            for p in range(n):
-                if valid[p] and len(outputs[p]) < expected:
-                    outputs[p].append((wrap_signed(out_l[p], dw),
-                                       wrap_signed(out_r[p], dw)))
-                    if len(outputs[p]) >= expected:
-                        remaining -= 1
-    if outputs[0] != golden:
-        raise CampaignError(
-            f"fault-free pattern diverged from the golden model on "
-            f"{design} -- campaign harness bug")
-    return [_classify(fault, outputs[b + 1], None, golden)
-            for b, fault in enumerate(faults)]
-
-
-def _pokes(faults: Sequence[Fault]) -> Dict[int, List[Tuple[int, Fault]]]:
-    """Tick -> ``(pattern, fault)`` of a batch; pattern 0 is fault-free."""
-    pokes: Dict[int, List[Tuple[int, Fault]]] = {}
-    for b, fault in enumerate(faults):
-        pokes.setdefault(fault.cycle, []).append((b + 1, fault))
-    return pokes
-
-
 def run_rtl_fault(module, workload: Workload, fault: Fault,
                   params: SrcParams,
                   backend: str = "interpreted") -> FaultRecord:
@@ -488,59 +436,54 @@ def run_rtl_fault(module, workload: Workload, fault: Fault,
                        poke, workload, fault, params)
 
 
-def run_rtl_batch(module, workload: Workload, faults: Sequence[Fault],
-                  params: SrcParams,
-                  backend: str = "vectorized") -> List[FaultRecord]:
-    """Classify a batch of RTL faults in one vectorized sweep.
-
-    One :class:`~repro.rtl.vectorized.VectorizedRtlSimulator` carries
-    ``len(faults) + 1`` lanes under the common workload: lane 0 runs
-    fault-free as the in-flight golden cross-check, lane ``b + 1``
-    takes fault ``b``'s register-bit flip at its injection cycle --
-    the RTL mirror of the gate level's parallel-fault batches.
-    Register state is held per lane, so a single settle/step pass per
-    cycle classifies the whole faultload.
-    """
-    import numpy as np
-
-    n = len(faults)
-    sim = RtlSimulator(module, backend=backend, n_patterns=n + 1)
-    pokes = _pokes(faults)
-
-    def poke(tick: int) -> None:
-        if tick in pokes:
-            for p, fault in pokes[tick]:
-                sim.env[fault.target][p] ^= np.uint64(1 << fault.bit)
-            sim.settle()
-
-    return _run_batch(sim, sim.get_patterns, poke, workload, faults,
-                      params, f"module {module.name!r}")
-
-
 def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
                   params: SrcParams,
                   backend: str = "compiled") -> List[FaultRecord]:
     """Classify a batch of behavioural faults in one batched sweep.
 
     One FSM batch of *backend* (``"compiled"`` per-pattern
-    environments, ``"vectorized"`` uint64 lane arrays, ``"native"``
-    pattern-major C buffers) carries ``len(faults) + 1`` private copies
-    of *fsm* and its front end under the common workload: pattern 0
-    runs fault-free as the in-flight golden cross-check, pattern
-    ``b + 1`` takes fault ``b``'s variable-bit flip at its injection
-    cycle -- the behavioural mirror of the gate level's parallel-fault
-    batches.
+    environments, ``"native"`` pattern-major C buffers) carries
+    ``len(faults) + 1`` private copies of *fsm* and its front end
+    under the common workload: pattern 0 runs fault-free as the
+    in-flight golden cross-check, pattern ``b + 1`` takes fault
+    ``b``'s variable-bit flip at its injection cycle -- the
+    behavioural mirror of the gate level's parallel-fault batches.
     """
-    n = len(faults)
-    sim = engine_class(backend, "fsm_batch")(fsm, n + 1)
-    pokes = _pokes(faults)
-
-    def poke(tick: int) -> None:
+    golden = workload.golden
+    expected = workload.expected
+    dw = params.data_width
+    n = len(faults) + 1
+    sim = engine_class(backend, "fsm_batch")(fsm, n)
+    pokes: Dict[int, List[Tuple[int, Fault]]] = {}
+    for b, fault in enumerate(faults):
+        pokes.setdefault(fault.cycle, []).append((b + 1, fault))
+    read = sim.get_output_patterns
+    outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    remaining = n
+    for tick, drive in enumerate(workload.waveform):
+        if not remaining:
+            break
         for p, fault in pokes.get(tick, ()):
             sim.flip_bit(p, fault.target, fault.bit)
-
-    return _run_batch(sim, sim.get_output_patterns, poke, workload, faults,
-                      params, f"FSM {fsm.name!r}")
+        for name, value in drive.items():
+            sim.set_input(name, value)
+        sim.step()
+        valid = read("out_valid")
+        if any(valid):
+            out_l = read("out_l")
+            out_r = read("out_r")
+            for p in range(n):
+                if valid[p] and len(outputs[p]) < expected:
+                    outputs[p].append((wrap_signed(out_l[p], dw),
+                                       wrap_signed(out_r[p], dw)))
+                    if len(outputs[p]) >= expected:
+                        remaining -= 1
+    if outputs[0] != golden:
+        raise CampaignError(
+            f"fault-free pattern diverged from the golden model on "
+            f"FSM {fsm.name!r} -- campaign harness bug")
+    return [_classify(fault, outputs[b + 1], None, golden)
+            for b, fault in enumerate(faults)]
 
 
 def run_beh_fault_scalar(fsm, workload: Workload, fault: Fault,
@@ -593,28 +536,25 @@ def _init_worker(params: SrcParams, level: str, seed: int,
 
 
 def _runners(level: str):
-    """The (batch, one-fault) classifiers of a campaign level."""
+    """The (batch, one-fault) classifiers of a campaign level; no
+    engine holds several RTL patterns, so RTL has no batch runner."""
     # built per call, so wrappers patched onto this module's functions
     # (the benchmark's traced run) see every call
     return {"gate": (run_gate_batch, run_gate_fault_scalar),
-            "rtl": (run_rtl_batch, run_rtl_fault),
+            "rtl": (None, run_rtl_fault),
             "beh": (run_beh_batch, run_beh_fault_scalar)}[level]
 
 
-def fi_batch_width(level: str, backend: str, n_faults: int, workers: int,
+def fi_batch_width(level: str, backend: str,
                    batch_size: int) -> Optional[int]:
     """Faults per batch when *backend* classifies at *level*.
 
     None when the engine holds one pattern at that level: each fault
-    then runs in its own simulation.  A sweeping engine takes the whole
-    faultload, split only to feed every worker; any other takes
-    *batch_size* faults (plus the fault-free pattern 0).
+    then runs in its own simulation.  Otherwise *batch_size* faults
+    (plus the fault-free pattern 0).
     """
-    engine = ENGINES[backend]
-    if not engine.batches(level):
+    if not ENGINES[backend].batches(level):
         return None
-    if engine.sweeps:
-        return max(1, -(-n_faults // max(workers, 1)))
     return batch_size
 
 
@@ -777,8 +717,7 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
         faults, design = campaign_faultload(config)
         faultload_span.note(n_faults=len(faults))
 
-    width = fi_batch_width(config.level, backend, len(faults),
-                           config.jobs, config.batch_size) or 1
+    width = fi_batch_width(config.level, backend, config.batch_size) or 1
     tasks = [faults[i:i + width] for i in range(0, len(faults), width)]
 
     interrupted = False
@@ -826,8 +765,7 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     for engine in [e for e in ("compiled", "interpreted") if e != backend]:
         probe_wall0 = time.time()
         t0 = time.perf_counter()
-        width = fi_batch_width(config.level, engine, len(probe), 1,
-                               config.batch_size)
+        width = fi_batch_width(config.level, engine, config.batch_size)
         if width is None:
             probe_records = [single(dut, workload, fault, config.params,
                                     backend=engine) for fault in probe]

@@ -16,13 +16,14 @@ from typing import Dict, List, Optional
 from ..compile_cache import CacheStats, CompileCache, format_cache_report
 from ..engines import ENGINES
 from ..gatesim import COMPILE_CACHE, GateSimulator, GateVcdTracer
+from ..native import toolchain_info
 from ..obs.trace import format_stage_table, trace_events, tracing_enabled
 from ..rtl import RTL_COMPILE_CACHE, emit_verilog, format_lint, lint
 from ..src_design.params import SrcParams
 from ..src_design.schedule import IDLE, clocked_stimulus, make_schedule
 from ..src_design.testbench import RtlDutDriver
 from ..synth import emit_gate_verilog, report_area, report_timing
-from .performance import default_stimulus
+from .performance import default_stimulus, host_info
 from .synthesis_flow import SynthesisFlowResults, run_synthesis_flow
 
 
@@ -216,10 +217,7 @@ def write_fi_bench_json(report, path: str) -> str:
     track dependability and injection-speed trajectories across
     changes.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write_bench_record(report, path)
 
 
 def write_corpus_bench_json(report, path: str) -> str:
@@ -232,8 +230,19 @@ def write_corpus_bench_json(report, path: str) -> str:
     tests/test_bench_schema.py like the other BENCH_* artifacts.  The
     file goes to *path* exactly, and the path is returned.
     """
+    return _write_bench_record(report, path)
+
+
+def _write_bench_record(report, path: str) -> str:
+    """``report.as_dict()`` at *path*, plus the ``host``
+    (:func:`~repro.flow.performance.host_info`) and ``toolchain``
+    (:func:`repro.native.toolchain_info`) blocks the figure benches
+    record, so a throughput row names the machine and compiler that
+    produced it."""
+    doc = dict(report.as_dict(), host=host_info(),
+               toolchain=toolchain_info())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

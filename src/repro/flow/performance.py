@@ -215,12 +215,12 @@ def measure_beh_throughput(params: SrcParams, cycles: int,
     vectors each cycle -- the access pattern of batch regression and
     fault simulation, mirroring
     :func:`repro.cosim.measure.measure_gate_throughput`.  With the
-    compiled or vectorized backend and ``n_patterns=N`` each simulated
+    compiled or native backend and ``n_patterns=N`` each simulated
     cycle evaluates N independent stimulus vectors in one
     generated-code call, and :attr:`SimPerfResult.cycles_per_second`
     reports pattern-cycles per second.  The compiled batch holds one
-    Python environment per pattern; the vectorized batch holds uint64
-    lane arrays, so wide widths (>= 1024 patterns) are its territory.
+    Python environment per pattern; the native batch holds one
+    pattern-major C buffer.
     """
     fsm = build_main_fsm(params, optimized)
     in_ports = [(p.name, 1 << p.width)

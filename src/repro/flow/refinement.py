@@ -101,8 +101,8 @@ def run_level(
 
     Clocked levels require a clock-quantised schedule.  *backend*
     selects the simulation engine for the behavioural, RTL and
-    gate-level points ("interpreted"/"compiled"/"vectorized"/
-    "native"); the untimed levels ignore it.
+    gate-level points ("interpreted"/"compiled"/"native"); the untimed
+    levels ignore it.
     """
     if level is Level.ALGORITHMIC:
         src = AlgorithmicSrc(params, mode=0, monitor=None,

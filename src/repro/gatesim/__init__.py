@@ -15,13 +15,11 @@ from .memory import AccessViolation, CheckingMemoryModel, MemoryModel
 from .native import NativeGateSimulator, compile_netlist_native
 from .simulator import BACKENDS, GateSimError, GateSimulator
 from .trace import GateVcdTracer
-from .vectorized import VectorizedGateSimulator
 
 __all__ = [
     "AccessViolation", "BACKENDS", "COMPILE_CACHE", "CacheStats",
     "CheckingMemoryModel", "CompileCache", "CompiledGateSimulator",
     "CompiledProgram", "GateSimError", "GateSimulator", "GateVcdTracer",
-    "LevelUnit", "MemoryModel", "NativeGateSimulator",
-    "VectorizedGateSimulator", "compile_netlist",
+    "LevelUnit", "MemoryModel", "NativeGateSimulator", "compile_netlist",
     "compile_netlist_native", "levelize", "structural_hash",
 ]

@@ -220,14 +220,13 @@ def _generate_source(netlist: Netlist) -> Tuple[str, List[int], List[int],
 
 
 def compile_netlist(netlist: Netlist,
-                    cache: Optional[CompileCache] = None,
-                    backend: str = "compiled") -> CompiledProgram:
+                    cache: Optional[CompileCache] = None) -> CompiledProgram:
     """Compile *netlist*'s combinational cone into a settle function.
 
     Consults (and fills) *cache* -- the module-level :data:`COMPILE_CACHE`
     by default -- keyed by :func:`structural_hash` tagged with the
-    owning *backend* ("compiled" / "vectorized"), so engines sharing
-    one structural digest keep separate cache slots and stats.
+    ``"compiled"`` backend, so the native engine, which shares the
+    structural digest, keeps its own cache slots and stats.
     """
     if cache is None:
         cache = COMPILE_CACHE
@@ -249,7 +248,7 @@ def compile_netlist(netlist: Netlist,
             structural_key=key,
         )
 
-    return cache.get_or_compile(key, factory, backend=backend)
+    return cache.get_or_compile(key, factory)
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,7 @@ class AccessViolation:
 class PokeableMemory:
     """One pattern's memory as a gate engine hands it out through
     ``memory_model()``: changed from outside the clock edge by a
-    memory-cell SEU (:meth:`flip_bit`) or, where the engine offers it,
-    ``write``.
+    memory-cell SEU (:meth:`flip_bit`) or a ``write``.
 
     Every such change calls :attr:`on_change`, which the owning engine
     sets so that its next read sees the new contents: the interpreted

@@ -8,13 +8,11 @@ host toolchain (:mod:`repro.native`) and driven through cffi/ctypes.
 The whole clock edge lives in C: one ``nat_run`` call settles the
 cone, samples flops (including the SDFF scan mux), performs memory
 writes and commits, for any number of cycles.  That removes the
-per-cycle Python bytecode walk entirely, which is exactly the
-single-pattern latency case the vectorized numpy tier cannot help
-with.
+per-cycle Python bytecode walk entirely.
 
 Memories are flat per-pattern ``uint64_t`` word arrays inside C
-(pattern-major, matching the vectorized engine's private-per-pattern
-storage, so ``privatize_memory`` is a no-op view).  Semantics match
+(pattern-major: every pattern owns its storage, so
+``privatize_memory`` is a no-op view).  Semantics match
 the behavioural :class:`~repro.gatesim.memory.MemoryModel` exactly:
 X address bits turn a read all-X and drop a write; out-of-range reads
 return 0 and writes are dropped; X data or X enable commits 0.
@@ -436,8 +434,8 @@ class NativeGateSimulator:
     :class:`~repro.gatesim.compiled.CompiledGateSimulator` (whose
     docstring describes the pattern-parallel surface); the pattern
     count is capped at 64 -- one machine word -- which covers the
-    fault-injection batch width and the latency rows this engine
-    exists for.  Use the vectorized engine past the word cap.
+    fault-injection batch width and the throughput rows.  The compiled
+    engine has no pattern cap.
 
     ``set_input_patterns`` hands the values to the kernel's
     ``nat_set_patterns`` in one call per 64 port bits, which transposes
@@ -463,7 +461,7 @@ class NativeGateSimulator:
         if n_patterns > WORD_PATTERNS:
             raise GateSimError(
                 f"native backend packs patterns into one 64-bit word; "
-                f"got n_patterns={n_patterns} (use backend=\"vectorized\")")
+                f"got n_patterns={n_patterns} (use backend=\"compiled\")")
         netlist.validate()
         self.netlist = netlist
         self.n_patterns = n_patterns

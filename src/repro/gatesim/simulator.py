@@ -54,12 +54,8 @@ class GateSimulator:
     ``"interpreted"`` (this class, selective trace, the default),
     ``"compiled"`` -- a
     :class:`~repro.gatesim.compiled.CompiledGateSimulator`, same public
-    API, whole-cone codegen plus parallel-pattern evaluation --
-    ``"vectorized"``, a
-    :class:`~repro.gatesim.vectorized.VectorizedGateSimulator` running
-    the same generated code over numpy uint64 bitplanes for wide-word
-    pattern counts, or ``"native"``, the same over C ``uint64_t``
-    bitplanes.
+    API, whole-cone codegen plus parallel-pattern evaluation -- or
+    ``"native"``, the same over C ``uint64_t`` bitplanes.
     """
 
     backend = "interpreted"

@@ -15,21 +15,17 @@ from .schedule import (Fsm, FrontEndBlock, FsmState, MemReadOp, MemWriteOp,
                        PortWriteOp, RegWriteOp, Scheduler,
                        SchedulingConstraints, Transition,
                        prune_dead_reg_writes)
-from .vectorized import (HlsVectorizedProgram, VectorizedFsm,
-                         VectorizedFsmBatch, compile_fsm_vectorized)
 
 __all__ = [
     "Assign", "CompiledFsm", "CompiledFsmBatch", "For", "FrontEndBlock",
     "Fsm", "FsmInterpreter", "FsmState", "GeneratedFsm", "HLS_COMPILE_CACHE",
     "HlsCompiledProgram", "HlsError", "HlsMemory", "HlsNativeProgram",
-    "HlsPort", "HlsProgram",
-    "HlsVectorizedProgram", "If", "MemReadOp", "MemReadStmt", "MemWriteOp",
+    "HlsPort", "HlsProgram", "If", "MemReadOp", "MemReadStmt", "MemWriteOp",
     "MemWriteStmt", "NativeFsm", "NativeFsmBatch", "PortWrite",
     "PortWriteOp", "RegWriteOp",
     "RegisterBinding", "Scheduler", "SchedulingConstraints", "Stmt",
-    "Transition", "VectorizedFsm", "VectorizedFsmBatch", "WaitCycle",
-    "WaitUntil", "bind_registers", "compile_fsm", "compile_fsm_native",
-    "compile_fsm_vectorized",
-    "compute_liveness", "estimate_delay", "fsm_digest", "generate_rtl",
-    "node_delay", "prune_dead_reg_writes",
+    "Transition", "WaitCycle", "WaitUntil", "bind_registers",
+    "compile_fsm", "compile_fsm_native", "compute_liveness",
+    "estimate_delay", "fsm_digest", "generate_rtl", "node_delay",
+    "prune_dead_reg_writes",
 ]

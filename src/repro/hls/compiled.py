@@ -92,11 +92,6 @@ class _FsmPythonPrinter(PythonPrinter):
         return memports.READ_EXPR.format(storage=mem, addr=addr,
                                          depth=depth)
 
-    commit = PythonPrinter.assign
-
-    def write_data(self, data: str, m: str) -> str:
-        return f"({data}) & {m}"
-
     def mem_write(self, mem: str, addr: str, data: str, depth: int,
                   m: str) -> List[str]:
         guard = memports.WRITE_GUARD.format(addr=addr, depth=depth)

@@ -1,8 +1,8 @@
 """The one code-generation walk of the behavioural level.
 
-The compiled, vectorized and native behavioural engines generate
-Python, numpy and C from the same scheduled FSM.  This module owns what
-those sources share -- the environment's naming, each state's
+The compiled and native behavioural engines generate Python and C
+from the same scheduled FSM.  This module owns what those sources
+share -- the environment's naming, each state's
 evaluation and commit order, the 64-bit width check -- and reuses the
 RTL level's :class:`~repro.rtl.emit.Emitter` for the expressions (FSM
 micro-operations hold :mod:`repro.rtl.expr` trees).  An engine's
@@ -29,9 +29,9 @@ and commits its registers after it.
 
 What the walk asks of a printer beyond :mod:`repro.rtl.emit`'s:
 ``zero`` (the literal a pulse port clears to) and the statement forms
-``commit`` (a value landing in an environment local), ``write_data``,
 ``mem_write`` (one end-of-cycle memory write), ``next_state`` and
-``monitor`` (memory-access callbacks; empty where unsupported).
+``monitor`` (memory-access callbacks; empty where unsupported).  A
+value lands in an environment local through ``assign``.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _state_body(p, fsm: Fsm, st: FsmState, name_of: Dict[str, str],
         addr = em.emit(op.addr)
         lines += em.lines
         lines += p.monitor(op.mem, addr, mem.depth, "read")
-        lines.append(p.commit(name_of[op.wire],
+        lines.append(p.assign(name_of[op.wire],
                               p.mem_read(mem_of[op.mem], addr, mem.depth)))
 
     em = Emitter(p, name_of, mem_of, f"e{k}_")
@@ -118,7 +118,7 @@ def _state_body(p, fsm: Fsm, st: FsmState, name_of: Dict[str, str],
         data = em.emit(op.data)
         m = p.lit(mask(mem.width))
         em.lines.append(p.let(f"wa{k}_{i}", addr))
-        em.lines.append(p.let(f"wd{k}_{i}", p.write_data(data, m)))
+        em.lines.append(p.let(f"wd{k}_{i}", f"({data}) & {m}"))
         em.lines += p.monitor(op.mem, f"wa{k}_{i}", mem.depth, "write")
         writes.append((mem_of[op.mem], f"wa{k}_{i}", f"wd{k}_{i}",
                        mem.depth, m))
@@ -128,13 +128,13 @@ def _state_body(p, fsm: Fsm, st: FsmState, name_of: Dict[str, str],
     lines += p.next_state(guards, st.transitions[-1].target)
 
     for op, tmp in zip(st.reg_writes, reg_tmps):
-        lines.append(p.commit(name_of[op.var], tmp))
+        lines.append(p.assign(name_of[op.var], tmp))
     written = {op.port for op in st.port_writes}
     for op, tmp in zip(st.port_writes, port_tmps):
-        lines.append(p.commit(name_of[op.port], tmp))
+        lines.append(p.assign(name_of[op.port], tmp))
     for port in pulse_ports:
         if port not in written:
-            lines.append(p.commit(name_of[port], p.zero))
+            lines.append(p.assign(name_of[port], p.zero))
     for write in writes:
         lines += p.mem_write(*write)
     return lines

@@ -1,14 +1,13 @@
 """Native C-source behavioural simulation: scheduled FSMs as C.
 
-Fourth engine tier of the behavioural backend family
-(:mod:`repro.hls.interpreter` / :mod:`repro.hls.compiled` /
-:mod:`repro.hls.vectorized` / this module).  The scheduled FSM is
-emitted once as a C dispatch chain -- ``if (state == k)`` branches
-carrying each state's operations as straight-line ``uint64_t``
-statements -- compiled to a shared object by the host toolchain (see
-:mod:`repro.native`) and advanced entirely outside the Python
-interpreter.  This is the single-pattern *latency* engine; the
-vectorized tier remains the wide sweep engine.
+Third engine tier of the behavioural backend family
+(:mod:`repro.hls.interpreter` / :mod:`repro.hls.compiled` / this
+module).  The scheduled FSM is emitted once as a C dispatch chain --
+``if (state == k)`` branches carrying each state's operations as
+straight-line ``uint64_t`` statements -- compiled to a shared object
+by the host toolchain (see :mod:`repro.native`) and advanced entirely
+outside the Python interpreter, one pattern or a batch of patterns per
+call.
 
 The one exported kernel is a pattern-major batch stepper: pattern
 ``p``'s environment lives at ``ENVS[p * n_names + slot]``, its memory
@@ -76,11 +75,6 @@ class HlsNativeProgram:
 
 class _FsmCPrinter(CPrinter):
     """C FSM statement forms over one pattern's ``MEM`` image."""
-
-    commit = CPrinter.assign
-
-    def write_data(self, data: str, m: str) -> str:
-        return f"({data}) & {m}"
 
     def mem_write(self, mem: Tuple[int, int], addr: str, data: str,
                   depth: int, m: str) -> List[str]:

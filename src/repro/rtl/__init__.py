@@ -9,8 +9,6 @@ from .ir import (CombAssign, MemReadPort, MemWritePort, RtlError, RtlMemory,
                  RtlModule, RtlPort, RtlRegister)
 from .native import NativeRtlProgram, NativeRtlSimulator, compile_rtl_native
 from .simulate import RtlSimulator
-from .vectorized import (RtlVectorizedProgram, VectorizedRtlSimulator,
-                         compile_rtl_vectorized)
 from .verilog import emit_verilog
 
 __all__ = [
@@ -19,10 +17,7 @@ __all__ = [
     "MemWritePort", "Mul", "Mux", "NativeRtlProgram", "NativeRtlSimulator",
     "RTL_COMPILE_CACHE", "Reduce", "Ref",
     "RtlCompiledProgram", "RtlError", "RtlMemory", "RtlModule", "RtlPort",
-    "RtlRegister", "RtlSimulator", "RtlVectorizedProgram", "Shl", "Shr",
-    "LintWarning", "Slice", "SMul", "Sra", "Sub", "VectorizedRtlSimulator",
-    "as_expr", "compile_rtl", "compile_rtl_native",
-    "compile_rtl_vectorized",
-    "emit_verilog", "evaluate", "format_lint", "lint",
-    "traverse",
+    "RtlRegister", "RtlSimulator", "Shl", "Shr", "LintWarning", "Slice",
+    "SMul", "Sra", "Sub", "as_expr", "compile_rtl", "compile_rtl_native",
+    "emit_verilog", "evaluate", "format_lint", "lint", "traverse",
 ]

@@ -11,8 +11,7 @@ variables instead of closure trees over a dict environment.
 The statements come from the RTL level's one code-generation walk
 (:mod:`repro.rtl.emit`: naming, temp hoisting, evaluation order);
 :class:`PythonPrinter` spells them as Python over ``int`` locals and is
-the reference printer the vectorized (numpy) and native (C) printers
-follow.
+the reference printer the native (C) printer follows.
 
 Compiled programs are cached in a process-wide
 :class:`~repro.compile_cache.CompileCache` keyed by the emitted source
@@ -68,7 +67,7 @@ class PythonPrinter:
     def arith(self, a: str, op: str, b: str, m: str) -> str:
         return f"({a} {op} {b}) & {m}"
 
-    def smul(self, sa: str, sb: str, m: str, width: int) -> str:
+    def smul(self, sa: str, sb: str, m: str) -> str:
         return self.arith(sa, "*", sb, m)
 
     def bitwise(self, a: str, op: str, b: str) -> str:
@@ -83,7 +82,7 @@ class PythonPrinter:
     def shr(self, a: str, amount: int) -> str:
         return f"{a} >> {amount}"
 
-    def sra(self, sa: str, amount: int, m: str, width: int) -> str:
+    def sra(self, sa: str, amount: int, m: str) -> str:
         return f"({sa} >> {amount}) & {m}"
 
     def cmp(self, a: str, rel: str, b: str, signed: bool) -> str:
@@ -103,7 +102,7 @@ class PythonPrinter:
     def slice(self, a: str, lsb: int, m: str) -> str:
         return f"({a} >> {lsb}) & {m}"
 
-    def sext(self, sa: str, m: str, width: int) -> str:
+    def sext(self, sa: str, m: str) -> str:
         return f"{sa} & {m}"
 
     _REDUCE = {"and": "1 if {a} == {full} else 0",
@@ -122,20 +121,16 @@ class PythonPrinter:
 
     assign = let
 
-    def fresh(self, value: str) -> str:
-        """A value that outlives the cycle (ints need no copy)."""
-        return value
-
     def port_write(self, mem: str, en: str, addr: str, data: str,
                    depth: int, m: str) -> List[str]:
         return [f"if {en} and 0 <= {addr} < {depth}:",
                 f"    {mem}[{addr}] = {data} & {m}"]
 
 
-def module_source(module: RtlModule, printer: PythonPrinter) -> str:
+def module_source(module: RtlModule) -> str:
     """*module* as one Python function ``_run(env, mems, cycles)``."""
     mem_of = {mem.name: f"mem{i}" for i, mem in enumerate(module.memories)}
-    walk = walk_module(module, printer, mem_of)
+    walk = walk_module(module, PythonPrinter(), mem_of)
     names = list(walk.name_of.items())
     lines = ["def _run(env, mems, cycles):"]
     for name, local in names[:walk.n_state]:
@@ -146,7 +141,7 @@ def module_source(module: RtlModule, printer: PythonPrinter) -> str:
     lines += ["        " + line for line in walk.cycle] or ["        pass"]
     lines += ["    " + line for line in walk.settle]
     for name, local in names[walk.n_inputs:]:
-        lines.append(f"    env[{name!r}] = {printer.fresh(local)}")
+        lines.append(f"    env[{name!r}] = {local}")
     return "\n".join(lines) + "\n"
 
 
@@ -155,7 +150,7 @@ def compile_rtl(module: RtlModule,
     """Compile *module* into a single run function (cached)."""
     if cache is None:
         cache = RTL_COMPILE_CACHE
-    source = module_source(module, PythonPrinter())
+    source = module_source(module)
     key = hashlib.sha256(source.encode()).hexdigest()
 
     def factory() -> RtlCompiledProgram:

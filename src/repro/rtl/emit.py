@@ -1,7 +1,7 @@
 """The one code-generation walk of the RTL level.
 
-The compiled, vectorized and native engines generate Python, numpy and
-C from the same IR.  Everything those sources share lives here: net
+The compiled and native engines generate Python and C from the same
+IR.  Everything those sources share lives here: net
 naming, the id-memoised temp hoisting (CSE) and temp naming, the
 evaluation and commit order, and the 64-bit width check.  An engine
 supplies only a *printer* -- literals, the signed view, one template
@@ -26,8 +26,7 @@ is the reference):
 * ``signed(a, width)`` -- the signed view of a *width*-bit operand;
 * one template per node kind, over operand strings (see :data:`_WALK`);
 * the statement forms ``let`` (a new temp), ``assign`` (an existing
-  local), ``fresh`` (a value that outlives the cycle) and
-  ``port_write`` (one RTL memory write port).
+  local) and ``port_write`` (one RTL memory write port).
 
 The behavioural level runs an RT-level front end inside an FSM's cycle
 (:mod:`repro.hls.emit`): it walks the front end's module under its own
@@ -97,7 +96,7 @@ def _ext(w: "Emitter", n: Ext) -> str:
     a = w.emit(n.a)
     if not n.signed or n.width == n.a.width:
         return a
-    return w.p.sext(w.signed(n.a), w.mask(n), n.width)
+    return w.p.sext(w.signed(n.a), w.mask(n))
 
 
 def _mem_read(w: "Emitter", n: MemRead) -> str:
@@ -112,15 +111,14 @@ _WALK = {
     Add: lambda w, n: w.p.arith(w.emit(n.a), "+", w.emit(n.b), w.mask(n)),
     Sub: lambda w, n: w.p.arith(w.emit(n.a), "-", w.emit(n.b), w.mask(n)),
     Mul: lambda w, n: w.p.arith(w.emit(n.a), "*", w.emit(n.b), w.mask(n)),
-    SMul: lambda w, n: w.p.smul(w.signed(n.a), w.signed(n.b), w.mask(n),
-                                n.width),
+    SMul: lambda w, n: w.p.smul(w.signed(n.a), w.signed(n.b), w.mask(n)),
     BitAnd: lambda w, n: w.p.bitwise(w.emit(n.a), "&", w.emit(n.b)),
     BitOr: lambda w, n: w.p.bitwise(w.emit(n.a), "|", w.emit(n.b)),
     BitXor: lambda w, n: w.p.bitwise(w.emit(n.a), "^", w.emit(n.b)),
     BitNot: lambda w, n: w.p.bitnot(w.emit(n.a), w.mask(n)),
     Shl: lambda w, n: w.p.shl(w.emit(n.a), n.amount),
     Shr: _shr,
-    Sra: lambda w, n: w.p.sra(w.signed(n.a), n.amount, w.mask(n), n.width),
+    Sra: lambda w, n: w.p.sra(w.signed(n.a), n.amount, w.mask(n)),
     Cmp: _cmp,
     Mux: lambda w, n: w.p.mux(w.emit(n.sel), w.emit(n.if_true),
                               w.emit(n.if_false)),
@@ -248,8 +246,7 @@ def walk_module(module: RtlModule, printer, mem_of: Dict[str, object],
     for i, reg in enumerate(module.registers):
         value = body.emit(reg.next)
         m = printer.lit(mask(reg.width))
-        body.lines.append(printer.let(f"n{i}",
-                                      printer.fresh(f"({value}) & {m}")))
+        body.lines.append(printer.let(f"n{i}", f"({value}) & {m}"))
         commits.append(printer.assign(name_of[reg.name], f"n{i}"))
     stores: List[str] = []
     wp_index = 0

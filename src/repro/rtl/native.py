@@ -4,9 +4,8 @@ Mirrors :mod:`repro.rtl.compiled` -- the whole module becomes one
 generated function: settle, register updates, memory writes and the
 cycle loop -- but the emission target is plain C compiled to a shared
 object by the host toolchain (see :mod:`repro.native`), removing the
-Python interpreter from the per-cycle path entirely.  This is the
-single-pattern *latency* engine; the vectorized tier remains the wide
-sweep engine.
+Python interpreter from the per-cycle path entirely.  It holds one
+stimulus pattern, like the compiled engine.
 
 The statements come from the RTL level's one code-generation walk
 (:mod:`repro.rtl.emit`); :class:`CPrinter` spells them as C over
@@ -87,7 +86,7 @@ class CPrinter:
         # masked residue matches Python (the signed product too)
         return f"(({a}) {op} ({b})) & {m}"
 
-    def smul(self, sa: str, sb: str, m: str, width: int) -> str:
+    def smul(self, sa: str, sb: str, m: str) -> str:
         return self.arith(sa, "*", sb, m)
 
     def bitwise(self, a: str, op: str, b: str) -> str:
@@ -102,7 +101,7 @@ class CPrinter:
     def shr(self, a: str, amount: int) -> str:
         return f"({a}) >> {amount}"
 
-    def sra(self, sa: str, amount: int, m: str, width: int) -> str:
+    def sra(self, sa: str, amount: int, m: str) -> str:
         return (f"((uint64_t)(((int64_t)({sa})) >> {min(amount, 63)}))"
                 f" & {m}")
 
@@ -124,7 +123,7 @@ class CPrinter:
     def slice(self, a: str, lsb: int, m: str) -> str:
         return f"(({a}) >> {lsb}) & {m}"
 
-    def sext(self, sa: str, m: str, width: int) -> str:
+    def sext(self, sa: str, m: str) -> str:
         return f"({sa}) & {m}"
 
     _REDUCE = {"and": "(({a}) == {full}) ? 1ULL : 0ULL",
@@ -144,9 +143,6 @@ class CPrinter:
 
     def assign(self, target: str, expr: str) -> str:
         return f"{target} = {expr};"
-
-    def fresh(self, value: str) -> str:
-        return value
 
     def port_write(self, mem: Tuple[int, int], en: str, addr: str,
                    data: str, depth: int, m: str) -> List[str]:

@@ -30,9 +30,6 @@ class RtlSimulator:
     closures; ``"compiled"`` emits the whole module -- settle, register
     updates, memory writes and the cycle loop -- as one generated
     function (:class:`~repro.rtl.compiled.CompiledRtlSimulator`);
-    ``"vectorized"`` runs the same generated statements over numpy
-    uint64 lanes, one stimulus pattern per lane (see
-    :class:`~repro.rtl.vectorized.VectorizedRtlSimulator`);
     ``"native"`` emits the same generated structure as C, compiled by
     the host toolchain (see
     :class:`~repro.rtl.native.NativeRtlSimulator`), degrading to

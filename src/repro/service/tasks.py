@@ -130,9 +130,8 @@ def plan_fi(spec: JobSpec, n_shards: int) -> JobPlan:
     faults, design = C.campaign_faultload(config)
     workload = C._WORKER["workload"]
 
-    chunk = C.fi_batch_width(config.level, config.backend, len(faults),
-                             n_shards, config.batch_size) \
-        or config.batch_size
+    chunk = C.fi_batch_width(config.level, config.backend,
+                             config.batch_size) or config.batch_size
 
     base = {
         "op": "fi",

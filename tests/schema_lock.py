@@ -18,9 +18,9 @@ import pytest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: simulation engines a benchmark row may name
-BACKENDS = {"interpreted", "compiled", "vectorized", "native"}
+BACKENDS = {"interpreted", "compiled", "native"}
 #: backends that pack parallel patterns (n_patterns > 1 rows)
-BATCH_BACKENDS = {"compiled", "vectorized", "native"}
+BATCH_BACKENDS = {"compiled", "native"}
 
 #: the machine-identity block every BENCH document records
 HOST_KEYS = {"platform", "machine", "cpu_count", "python"}
@@ -65,8 +65,6 @@ def check_result_rows(results):
         assert row["backend"] in BACKENDS
         assert row["n_patterns"] >= 1
         assert row["n_patterns"] == 1 or row["backend"] in BATCH_BACKENDS
-        # the vectorized tier exists for wide sweeps only
-        assert row["backend"] != "vectorized" or row["n_patterns"] >= 1024
         assert row["cycles_per_second"] > 0
         assert row["simulated_cycles"] > 0
         assert row["wall_seconds"] > 0

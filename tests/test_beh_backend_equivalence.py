@@ -1,13 +1,12 @@
 """Cross-backend behavioural equivalence over the verify stimulus set.
 
 Every stimulus class of the differential-verification harness runs
-through the behavioural model on all four FSM engines -- the cycle
-interpreter, the compiled backend, the vectorized numpy-lane backend
-and the native C backend (which degrades to compiled when no host
-toolchain is present) -- and the output frame streams must match
-exactly.  A
-failure message carries the case's replay hint (master seed + case
-name), so any divergence is reproducible from the log alone.
+through the behavioural model on all three FSM engines -- the cycle
+interpreter, the compiled backend and the native C backend (which
+degrades to compiled when no host toolchain is present) -- and the
+output frame streams must match exactly.  A failure message carries
+the case's replay hint (master seed + case name), so any divergence is
+reproducible from the log alone.
 """
 
 import pytest

@@ -1,8 +1,9 @@
 """Regression lock on the checked-in benchmark JSON schema.
 
-``BENCH_fig08.json``, ``BENCH_fig09.json`` and ``BENCH_fi.json`` are
-consumed by external plotting and by later sessions -- any field rename
-or restructure is a silent breaking change.  These tests pin the shape
+``BENCH_fig08.json``, ``BENCH_fig09.json``, ``BENCH_fi.json`` and
+``BENCH_corpus.json`` are consumed by external plotting and by later
+changes -- any field rename or restructure is a silent breaking
+change.  These tests pin the shape
 (and a few semantic invariants) of the recorded data.
 """
 
@@ -19,15 +20,21 @@ TOOLCHAIN_KEYS = {"available", "compiler", "loader", "cflags",
                   "schema_version"}
 
 
-def _check_bench_meta(doc):
-    """The host/best_of/toolchain provenance block both BENCH figure
-    documents carry.  Returns whether the recording host compiled the
-    native rows (when it did not, they degrade to compiled rows)."""
+def _check_provenance(doc):
+    """The host and toolchain blocks every BENCH document records.
+    Returns whether the recording host compiled the native rows (when
+    it did not, they degrade to compiled rows)."""
     assert set(doc["host"]) == HOST_KEYS
     assert doc["host"]["cpu_count"] >= 1
-    assert doc["best_of"] >= 3
     assert set(doc["toolchain"]) == TOOLCHAIN_KEYS
     return bool(doc["toolchain"]["available"])
+
+
+def _check_bench_meta(doc):
+    """The provenance blocks plus the best-of-N count both BENCH
+    figure documents carry; returns :func:`_check_provenance`'s."""
+    assert doc["best_of"] >= 3
+    return _check_provenance(doc)
 
 
 def test_fig08_schema():
@@ -37,15 +44,13 @@ def test_fig08_schema():
     check_result_rows(doc["results"])
     levels = {r["level"] for r in doc["results"]}
     assert levels == {"C++", "SystemC", "BEH", "RTL", "BEH/latency"}
-    # the clocked levels are measured on interpreted + compiled;
-    # the behavioural level adds the vectorized sweep row
+    # the clocked levels are measured on interpreted + compiled
     for level in ("BEH", "RTL"):
         backends = {r["backend"] for r in doc["results"]
                     if r["level"] == level}
         assert {"interpreted", "compiled"} <= backends, level
     beh_backends = {r["backend"] for r in doc["results"]
                     if r["level"] == "BEH"}
-    assert "vectorized" in beh_backends
     # single-pattern latency rows: compiled always, native whenever the
     # recording host had a C toolchain (else its row degrades to a
     # second compiled sample)
@@ -74,11 +79,9 @@ def test_fig08_preserves_paper_ordering():
 
 def test_fig08_compiled_beats_interpreted_in_recorded_data():
     """Per clocked level, the generated-code engine never loses to the
-    interpreter; the batch-parallel compiled behavioural row clears
-    the compiled tentpole's headline (>= 10x the interpreted BEH row
-    at 64 patterns); and the vectorized behavioural sweep row clears
-    the vectorized tier's: >= 5x the compiled scalar BEH row at
-    >= 1024 patterns, never losing to the compiled batch row."""
+    interpreter, and the batch-parallel compiled behavioural row
+    clears the compiled tentpole's headline (>= 10x the interpreted
+    BEH row at 64 patterns)."""
     doc = load_bench("BENCH_fig08.json")
     speed = {(r["level"], r["backend"], r["n_patterns"]):
              r["cycles_per_second"] for r in doc["results"]}
@@ -87,15 +90,10 @@ def test_fig08_compiled_beats_interpreted_in_recorded_data():
             >= speed[(level, "interpreted", 1)], level
     batch = {r["backend"]: r for r in doc["results"]
              if r["level"] == "BEH" and r["n_patterns"] > 1}
-    assert {"compiled", "vectorized"} <= set(batch) <= BATCH_BACKENDS
+    assert "compiled" in batch and set(batch) <= BATCH_BACKENDS
     assert batch["compiled"]["n_patterns"] >= 64
     assert batch["compiled"]["cycles_per_second"] \
         >= 10 * speed[("BEH", "interpreted", 1)]
-    assert batch["vectorized"]["n_patterns"] >= 1024
-    assert batch["vectorized"]["cycles_per_second"] \
-        >= 5 * speed[("BEH", "compiled", 1)]
-    assert batch["vectorized"]["cycles_per_second"] \
-        >= batch["compiled"]["cycles_per_second"]
     # the native tier's recorded headline: its C batch row never loses
     # to the compiled batch row (only present when the recording host
     # had a toolchain; latency rows stay unasserted -- the FFI call
@@ -109,24 +107,19 @@ def test_fig08_compiled_beats_interpreted_in_recorded_data():
 def test_fig09_schema():
     doc = load_bench("BENCH_fig09.json")
     assert set(doc) == {"beh_speedup", "gate_speedup",
-                        "gate_speedup_vectorized", "gate_speedup_native",
-                        "n_patterns", "n_patterns_vectorized",
+                        "gate_speedup_native", "n_patterns",
                         "results", "host", "best_of", "toolchain"}
     native_recorded = _check_bench_meta(doc)
     check_result_rows(doc["results"])
     assert set(doc["gate_speedup"]) == {"Gate-BEH", "Gate-RTL"}
     for value in doc["gate_speedup"].values():
         assert value > 1.0  # compiled beat interpreted when recorded
-    assert set(doc["gate_speedup_vectorized"]) == {"Gate-BEH", "Gate-RTL"}
-    for value in doc["gate_speedup_vectorized"].values():
-        assert value >= 5.0  # the vectorized tier's recorded headline
     assert set(doc["gate_speedup_native"]) == {"Gate-BEH", "Gate-RTL"}
     if native_recorded:
         for value in doc["gate_speedup_native"].values():
             assert value >= 1.0  # native never loses to compiled batch
     assert doc["beh_speedup"] > 1.0
     assert doc["n_patterns"] >= 1
-    assert doc["n_patterns_vectorized"] >= 1024
     throughput = [r for r in doc["results"]
                   if r["level"].endswith("/throughput")]
     levels = {r["level"] for r in throughput}
@@ -139,14 +132,11 @@ def test_fig09_schema():
             assert backends == BACKENDS, level
         else:
             # the native row degrades to a second compiled sample
-            assert {"interpreted", "compiled", "vectorized"} \
-                <= backends <= BACKENDS, level
+            assert {"interpreted", "compiled"} <= backends <= BACKENDS, \
+                level
     for row in throughput:
-        if row["backend"] in ("compiled", "native"):
+        if row["backend"] in BATCH_BACKENDS:
             assert row["n_patterns"] == doc["n_patterns"]
-        elif row["backend"] == "vectorized" \
-                and row["level"].startswith("Gate-"):
-            assert row["n_patterns"] == doc["n_patterns_vectorized"]
     # single-pattern latency rows at every clocked level, compiled
     # always plus native when the recording host compiled it
     latency = [r for r in doc["results"]
@@ -172,21 +162,6 @@ def test_fig09_compiled_beats_interpreted_in_recorded_data():
         assert by_key[(level, "compiled")] > by_key[(level, "interpreted")]
 
 
-def test_fig09_vectorized_beats_compiled_in_recorded_data():
-    """The vectorized tier's recorded headline: >= 5x the compiled
-    64-pattern batch on both gate DUTs, and never losing to it at the
-    behavioural level (where per-state lane masking caps the win)."""
-    doc = load_bench("BENCH_fig09.json")
-    by_key = {(r["level"], r["backend"]): r["cycles_per_second"]
-              for r in doc["results"]}
-    for dut in ("Gate-BEH", "Gate-RTL"):
-        level = f"{dut}/throughput"
-        assert by_key[(level, "vectorized")] \
-            >= 5 * by_key[(level, "compiled")], dut
-    assert by_key[("BEH/throughput", "vectorized")] \
-        >= by_key[("BEH/throughput", "compiled")]
-
-
 def test_fig09_native_beats_compiled_in_recorded_data():
     """The native tier's recorded headline: the C batch row never
     loses to the compiled batch row at any throughput level.  Only
@@ -206,13 +181,14 @@ def test_fi_schema():
     doc = load_bench("BENCH_fi.json")
     assert set(doc) == {"campaign", "classification", "by_model",
                         "by_target_kind", "throughput", "cache",
-                        "results"}
+                        "results", "host", "toolchain"}
+    _check_provenance(doc)
     campaign = doc["campaign"]
     assert set(campaign) == {"level", "design", "backend", "seed",
                              "budget", "jobs", "n_faults",
                              "workload_frames", "cycle_budget"}
     assert campaign["level"] in {"rtl", "beh", "gate"}
-    assert campaign["backend"] in {"compiled", "vectorized", "native"}
+    assert campaign["backend"] in BATCH_BACKENDS
     assert campaign["n_faults"] >= 1
     assert campaign["cycle_budget"] > 0
 
@@ -254,7 +230,7 @@ def test_fi_compiled_beats_interpreted_in_recorded_data():
         throughput["interpreted"]["faults_per_second"]
 
 
-CORPUS_KEYS = {"corpus", "designs", "summary"}
+CORPUS_KEYS = {"corpus", "designs", "summary", "host", "toolchain"}
 CORPUS_CONFIG_KEYS = {"backend", "budget", "models", "n_designs", "seed",
                       "strategy"}
 CORPUS_SUMMARY_KEYS = {"hardened", "improved", "n_designs", "refine_pass",
@@ -272,9 +248,10 @@ CORPUS_HARDEN_KEYS = CORPUS_RATE_KEYS | {
 def test_corpus_schema():
     doc = load_bench("BENCH_corpus.json")
     assert set(doc) == CORPUS_KEYS
+    _check_provenance(doc)
     corpus = doc["corpus"]
     assert set(corpus) == CORPUS_CONFIG_KEYS
-    assert corpus["backend"] in {"compiled", "vectorized", "native"}
+    assert corpus["backend"] in BATCH_BACKENDS
     assert corpus["strategy"] in {"tmr", "parity"}
     assert corpus["n_designs"] >= 1
 
@@ -343,15 +320,3 @@ def test_corpus_recorded_run_is_healthy():
     assert summary["verify_pass"] == summary["n_designs"]
     assert summary["verify_failures"] == 0
     assert summary["improved"] >= 1
-
-
-def test_fi_vectorized_beats_compiled_in_recorded_data():
-    """The vectorized whole-faultload sweep's recorded headline: more
-    faults per second than the compiled word-packed batches on the
-    same seeded faultload."""
-    doc = load_bench("BENCH_fi.json")
-    throughput = doc["throughput"]
-    if "vectorized" not in throughput:
-        pytest.skip("recorded campaign did not run the vectorized engine")
-    assert throughput["vectorized"]["faults_per_second"] >= \
-        throughput["compiled"]["faults_per_second"]

@@ -49,18 +49,6 @@ def test_compiled_throughput_beats_interpreted(gate_points):
         (comp.cycles_per_second, interp.cycles_per_second)
 
 
-def test_vectorized_throughput_point_measures():
-    """The vectorized sweep measures at arbitrary pattern widths --
-    here one past the 64-pattern word cap -- with pattern-cycle
-    accounting identical to the compiled batch point."""
-    vec = measure_gate_throughput(SMALL_PARAMS, "Gate-RTL", CYCLES,
-                                  backend="vectorized", n_patterns=96)
-    assert vec.backend == "vectorized" and vec.n_patterns == 96
-    assert vec.simulated_cycles == CYCLES
-    assert vec.cycles_per_second == pytest.approx(
-        CYCLES * 96 / vec.wall_seconds)
-
-
 def test_interpreted_rejects_patterns():
     with pytest.raises(ValueError):
         measure_gate_throughput(SMALL_PARAMS, "Gate-RTL", 2,

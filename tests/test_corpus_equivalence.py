@@ -1,6 +1,6 @@
 """Engine equivalence over a sampled corpus slice.
 
-The interpreted/compiled/vectorized equivalence suites previously ran
+The interpreted/compiled/native equivalence suites previously ran
 only on the SRC design; this extends them across generated corpus
 members at every refinement level, and to the fault records the gate
 FI driver produces on every batch engine.  Failure messages carry a

@@ -182,14 +182,11 @@ def test_batch_width_follows_the_engine_table():
                                        ("rtl", "native", 70)):
         CampaignConfig(params=SMALL_PARAMS, level=level, backend=backend,
                        batch_size=batch_size).validated()
-    # the sweeping engine splits the faultload only to feed every worker
-    assert fi_batch_width("gate", "vectorized", 200, 2, 31) == 100
-    assert fi_batch_width("rtl", "vectorized", 200, 3, 31) == 67
-    assert fi_batch_width("beh", "native", 200, 2, 31) == 31
-    assert fi_batch_width("gate", "compiled", 200, 2, 31) == 31
-    # no RTL batch on compiled or native: one fault per simulation
-    assert fi_batch_width("rtl", "compiled", 200, 2, 31) is None
-    assert fi_batch_width("rtl", "native", 200, 2, 31) is None
+    assert fi_batch_width("beh", "native", 31) == 31
+    assert fi_batch_width("gate", "compiled", 31) == 31
+    # no RTL batch on any engine: one fault per simulation
+    assert fi_batch_width("rtl", "compiled", 31) is None
+    assert fi_batch_width("rtl", "native", 31) is None
 
 
 @pytest.fixture

@@ -186,10 +186,8 @@ def test_memory_poke_is_seen_without_an_input_change(backend):
     assert sim.get("y") == 4
     sim.step()
     assert sim.get("q") == 4
-    model = sim.memory_model("ram")
-    if hasattr(model, "write"):  # the vectorized view only flips
-        model.write(1, 9)
-        assert sim.get("y") == 9
+    sim.memory_model("ram").write(1, 9)
+    assert sim.get("y") == 9
 
 
 def _gate_class(name):

@@ -1,6 +1,6 @@
 """Compiled gate-level backends: codegen equivalence, cache, patterns.
 
-The compiled and vectorized backends must be bit-exact with the
+The compiled and native backends must be bit-exact with the
 interpreted simulator on everything the interpreter supports: 4-valued
 combinational logic, flop initial states, scan flops, memory macros
 (RAM and ROM) and X-propagation.  Equivalence is checked per-cell
@@ -17,8 +17,7 @@ from repro.datatypes import L0, L1, LX, LZ
 from repro.engines import ENGINES
 from repro.gatesim import (BACKENDS, COMPILE_CACHE, CompileCache,
                            CompiledGateSimulator, GateSimError,
-                           GateSimulator, VectorizedGateSimulator,
-                           compile_netlist, structural_hash)
+                           GateSimulator, compile_netlist, structural_hash)
 from repro.rtl import (Add, BitAnd, BitNot, BitOr, BitXor, Cmp, Const, Ext,
                        Mux, Mul, Ref, RtlModule, Shl, Shr, Slice, Sub)
 from repro.synth import map_to_gates, optimize
@@ -54,14 +53,11 @@ def test_backend_dispatch():
     nl.set_output("y", [g.outputs["Y"]])
     interp = GateSimulator(nl)
     comp = GateSimulator(nl, backend="compiled")
-    vec = GateSimulator(nl, backend="vectorized")
     nat = GateSimulator(nl, backend="native")
     assert type(interp) is GateSimulator
     assert type(comp) is CompiledGateSimulator
-    assert type(vec) is VectorizedGateSimulator
     assert interp.backend == "interpreted"
     assert comp.backend == "compiled"
-    assert vec.backend == "vectorized"
     from repro.native import toolchain_available
     if toolchain_available():
         from repro.gatesim import NativeGateSimulator
@@ -70,8 +66,7 @@ def test_backend_dispatch():
     else:
         assert type(nat) is CompiledGateSimulator
         assert nat.backend == "compiled"
-    assert set(BACKENDS) == {"interpreted", "compiled", "vectorized",
-                             "native"}
+    assert set(BACKENDS) == {"interpreted", "compiled", "native"}
 
 
 def test_unknown_backend_raises():
@@ -316,12 +311,8 @@ def test_flop_init_states_compiled():
 # --------------------------------------------------- parallel patterns
 @pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
 def test_parallel_patterns_match_interpreted_runs(backend):
-    """One batch run with N patterns == N interpreted runs.
-
-    The vectorized engine additionally runs past the 64-pattern word
-    cap in its own test below; here both engines get the same width so
-    the per-pattern comparison is shared.
-    """
+    """One batch run with N patterns == N interpreted runs, up to
+    native's 64-pattern word."""
     m = _rand_module(123)
     nl = optimize(map_to_gates(m))
     widths = {name: len(nets) for name, nets in nl.inputs.items()}
@@ -423,30 +414,6 @@ def test_pattern_io_property(backend, data):
                         backend=backend, n_patterns=n_patterns)
     sim.set_input_patterns("a", values)
     assert sim.get_patterns("y") == [v % (1 << width) for v in values]
-
-
-def test_vectorized_runs_past_the_word_cap():
-    """The vectorized engine's reason to exist: pattern counts far
-    beyond the 64 that fit one machine word, bit-exact per lane."""
-    m = _rand_module(123)
-    nl = optimize(map_to_gates(m))
-    n_patterns = 200  # > 64: four bitplane words per net
-    vec = GateSimulator(nl, backend="vectorized", n_patterns=n_patterns)
-    ref = GateSimulator(nl, backend="compiled", n_patterns=1)
-    rng = random.Random(11)
-    widths = {name: len(nets) for name, nets in nl.inputs.items()}
-    stimulus = [{name: [rng.randrange(1 << w) for _ in range(n_patterns)]
-                 for name, w in widths.items()} for _ in range(6)]
-    probe = 137  # deep in the third word
-    for cycle, frame in enumerate(stimulus):
-        for name, vals in frame.items():
-            vec.set_input_patterns(name, vals)
-            ref.set_input(name, frame[name][probe])
-        for port in nl.outputs:
-            assert vec.get_logic_pattern(port, probe) == \
-                ref.get_logic(port), (port, cycle)
-        vec.step()
-        ref.step()
 
 
 # ----------------------------------------------------------- the cache

@@ -1,6 +1,6 @@
 """Native C backend: toolchain, on-disk cache, fallback, telemetry.
 
-Covers the pieces the four-engine equivalence sweeps do not: compiler
+Covers the pieces the three-engine equivalence suites do not: compiler
 discovery and its ``$CC`` override, digest-addressed ``.so``
 persistence across processes, schema-version invalidation, corrupt
 artifact recovery, LRU eviction, processes sharing the cache at one
@@ -474,7 +474,6 @@ def test_designs_sharing_a_native_program_stay_apart():
 # --------------------------------------------------------- degradation
 def test_resolve_backend_passthrough():
     assert resolve_backend("compiled") == "compiled"
-    assert resolve_backend("vectorized") == "vectorized"
     assert resolve_backend("interpreted") == "interpreted"
 
 

@@ -2,10 +2,9 @@
 
 ``RtlSimulator(module, backend="compiled")`` generates one Python
 function for the whole multi-cycle loop;
-``RtlSimulator(module, backend="vectorized")`` generates the same
-structure over numpy uint64 lane arrays, one stimulus lane per
-pattern.  Both must match the interpreted closures on every construct
-the IR offers: arithmetic (signed and unsigned), shifts, comparisons,
+``RtlSimulator(module, backend="native")`` generates the same
+structure as C.  Both must match the interpreted closures on every
+construct the IR offers: arithmetic (signed and unsigned), shifts, comparisons,
 muxes, concatenation, reductions, registers and memories (including
 same-cycle write/read ordering across ports).
 """
@@ -92,7 +91,6 @@ def test_backend_attribute():
     m.output("y", m.input("x", 2))
     assert RtlSimulator(m).backend == "interpreted"
     assert RtlSimulator(m, backend="compiled").backend == "compiled"
-    assert RtlSimulator(m, backend="vectorized").backend == "vectorized"
     from repro.native import toolchain_available
     native = RtlSimulator(m, backend="native")
     assert native.backend == ("native" if toolchain_available()
@@ -274,35 +272,6 @@ def test_random_modules_match_interpreted(data):
     module = _random_module(data.draw)
     drive_and_compare(module, cycles=12,
                       seed=data.draw(st.integers(0, 1 << 16), label="seed"))
-
-
-# ------------------------------------------------------- parallel lanes
-def test_vectorized_lanes_match_interpreted_runs():
-    """One vectorized run with N lanes == N interpreted runs."""
-    m = RtlModule("m")
-    a = m.input("a", 4)
-    b = m.input("b", 4)
-    acc = m.register("acc", 8, init=3)
-    m.set_next(acc, Slice(Add(acc, Mul(a, b)), 7, 0))
-    m.output("acc_q", acc)
-    m.output("mix", BitXor(Cat(a, b), Ext(acc, 8, signed=False)))
-    n = 7
-    vec = RtlSimulator(m, backend="vectorized", n_patterns=n)
-    interps = [RtlSimulator(m) for _ in range(n)]
-    rng = random.Random(8)
-    for cycle in range(25):
-        for name in ("a", "b"):
-            vals = [rng.randrange(16) for _ in range(n)]
-            vec.set_input_patterns(name, vals)
-            for sim, v in zip(interps, vals):
-                sim.set_input(name, v)
-        vec.step()
-        for sim in interps:
-            sim.step()
-        for out in m.output_names():
-            got = vec.get_patterns(out)
-            for p, sim in enumerate(interps):
-                assert got[p] == sim.get(out), (out, p, cycle)
 
 
 # ----------------------------------------------------------- the cache

@@ -61,9 +61,9 @@ def test_fi_plan_batches_by_the_engine_table():
         return [(t.payload["lo"], t.payload["hi"])
                 for t in plan_job(spec, 2).tasks]
 
-    # one vectorized sweep per shard, not native's 64-pattern word
-    assert tasks(backend="vectorized", n_faults=200) == [(0, 100),
-                                                         (100, 200)]
+    # no engine batches RTL faults: a task is a chunk of single runs
+    assert tasks(backend="native", n_faults=64, chunk=32) == [(0, 32),
+                                                             (32, 64)]
     # compiled bigint planes take any width
     assert tasks(backend="compiled", level="gate", n_faults=100,
                  chunk=100) == [(0, 100)]
