@@ -49,6 +49,17 @@ def test_compiled_throughput_beats_interpreted(gate_points):
         (comp.cycles_per_second, interp.cycles_per_second)
 
 
+def test_vectorized_throughput_point_measures():
+    """The compiled batch measures past the 64-pattern word cap, with
+    the pattern-cycle accounting of the narrower batch point."""
+    wide = measure_gate_throughput(SMALL_PARAMS, "Gate-RTL", CYCLES,
+                                   backend="compiled", n_patterns=96)
+    assert wide.backend == "compiled" and wide.n_patterns == 96
+    assert wide.simulated_cycles == CYCLES
+    assert wide.cycles_per_second == pytest.approx(
+        CYCLES * 96 / wide.wall_seconds)
+
+
 def test_interpreted_rejects_patterns():
     with pytest.raises(ValueError):
         measure_gate_throughput(SMALL_PARAMS, "Gate-RTL", 2,

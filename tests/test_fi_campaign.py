@@ -21,6 +21,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import (disable_tracing, enable_tracing, event_mark,
                              events_since, format_stage_table)
 from repro.src_design.params import SMALL_PARAMS
+from tests.test_gatesim_compiled import WIDE, batch_case
 
 pytestmark = pytest.mark.fi
 
@@ -137,14 +138,23 @@ PINNED_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("backend", batch_engines())
-@pytest.mark.parametrize("campaign", PINNED_RECORDS,
-                         ids=lambda c: f"{c[0]}-seed{c[1]}")
+#: both campaigns on every batch engine, and the behavioural faultload
+#: as one batch on the compiled engine (WIDE: 201 patterns)
+PINNED_RUNS = [pytest.param(campaign, backend,
+                            id=f"{campaign[0]}-seed{campaign[1]}-{backend}")
+               for campaign in PINNED_RECORDS for backend in batch_engines()]
+PINNED_RUNS.append(pytest.param(("beh", 3, 200), WIDE,
+                                id=f"beh-seed3-{WIDE}"))
+
+
+@pytest.mark.parametrize("campaign, backend", PINNED_RUNS)
 def test_records_are_pinned_on_every_batch_engine(campaign, backend):
     level, seed, n_faults = campaign
+    engine, _ = batch_case(backend, ())
+    wide = {"batch_size": n_faults} if backend == WIDE else {}
     report = run_campaign(CampaignConfig(
         SMALL_PARAMS, level=level, n_faults=n_faults, seed=seed,
-        budget="small", backend=backend, probe_faults=2))
+        budget="small", backend=engine, probe_faults=2, **wide))
     rows = [(r.fault.index, r.outcome, r.first_frame, r.detected_cycle,
              r.n_outputs) for r in report.records]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \

@@ -13,6 +13,7 @@ from repro.kernel import Reporter, Severity
 from repro.rtl import Const, Mux, Ref, RtlModule, Slice
 from repro.synth import map_to_gates
 from repro.synth.netlist import Netlist
+from tests.test_gatesim_compiled import WIDE, batch_case
 
 
 def test_simple_gate_network():
@@ -197,23 +198,25 @@ def _gate_class(name):
 
 @pytest.mark.parametrize("backend", [
     name for name in ENGINES
-    if hasattr(_gate_class(name), "get_logic_pattern")])
+    if hasattr(_gate_class(name), "get_logic_pattern")] + [WIDE])
 def test_get_logic_pattern_rejects_missing_patterns(backend):
     """Patterns 0..n-1 read their own values; any other index raises,
     as ``memory_model`` does."""
     from tests.test_equivalence_gatetrace import alu
 
+    engine, (n,) = batch_case(backend, (4,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # native may fall back
-        sim = GateSimulator(map_to_gates(alu()), backend=backend,
-                            n_patterns=4)
-    sim.set_input_patterns("a", [1, 2, 3, 4])
-    sim.set_input_patterns("b", [5, 6, 7, 8])
-    sim.set_input_patterns("op", [0, 0, 0, 0])
+        sim = GateSimulator(map_to_gates(alu()), backend=engine,
+                            n_patterns=n)
+    sim.set_input_patterns("a", [1 + p for p in range(n)])
+    sim.set_input_patterns("b", [5 + p for p in range(n)])
+    sim.set_input_patterns("op", [0] * n)
     sim.step()
-    for pattern, total in enumerate((6, 8, 10, 12)):
+    for pattern in range(n):
+        total = 6 + 2 * pattern
         assert sim.get_logic_pattern("y", pattern) \
             == [total >> bit & 1 for bit in range(16)]
-    for pattern in (4, 70, -1):
-        with pytest.raises(GateSimError, match="outside 0..3"):
+    for pattern in (n, n + 66, -1):
+        with pytest.raises(GateSimError, match=f"outside 0..{n - 1}"):
             sim.get_logic_pattern("y", pattern)

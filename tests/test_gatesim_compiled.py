@@ -5,7 +5,8 @@ interpreted simulator on everything the interpreter supports: 4-valued
 combinational logic, flop initial states, scan flops, memory macros
 (RAM and ROM) and X-propagation.  Equivalence is checked per-cell
 exhaustively, on the synthesised SRC netlists, and on a population of
-random netlists, for both generated-code engines.
+random netlists, for both generated-code engines; the pattern-batch
+tests also drive the compiled engine past the 64-pattern word.
 """
 
 import random
@@ -33,16 +34,32 @@ LOGIC = (L0, L1, LX, LZ)
 CODEGEN_BACKENDS = tuple(name for name, engine in ENGINES.items()
                          if engine.compiles)
 
+#: the ``vectorized`` batch case: the compiled engine run with more
+#: patterns than native's 64-pattern word, so each net spans a vector
+#: of words -- the one gate batch that wide
+WIDE = "vectorized"
+#: the pattern-batch cases: every generated-code engine, and WIDE
+BATCH_CASES = CODEGEN_BACKENDS + (WIDE,)
+
+
+def batch_case(case, counts):
+    """The engine a batch case runs on and its pattern counts: *counts*
+    on an engine, each 64 patterns more on WIDE."""
+    if case == WIDE:
+        return "compiled", tuple(n + 64 for n in counts)
+    return case, counts
+
 
 def both_backends(netlist, backend="compiled", **kw):
     return (GateSimulator(netlist),
             GateSimulator(netlist, backend=backend, **kw))
 
 
-def assert_outputs_match(interp, comp, context=""):
+def assert_outputs_match(interp, comp, context="", pattern=0):
     for port in interp.netlist.outputs:
-        assert interp.get_logic(port) == comp.get_logic(port), \
-            f"{context} port {port!r}"
+        got = (comp.get_logic_pattern(port, pattern) if pattern
+               else comp.get_logic(port))
+        assert interp.get_logic(port) == got, f"{context} port {port!r}"
 
 
 # ------------------------------------------------------------- dispatch
@@ -124,20 +141,32 @@ def test_cell_exhaustive_4valued(cell, backend):
 
 
 # -------------------------------------------------------- SRC netlists
-@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+@pytest.mark.parametrize("backend", BATCH_CASES)
 @pytest.mark.parametrize("which", ["rtl", "beh"])
 def test_src_netlist_equivalence(which, backend, rtl_opt_netlist,
                                  beh_opt_netlist):
+    """The SRC netlists on every engine; on WIDE the interpreted run's
+    stimulus is the last pattern, past the 64-pattern word, and every
+    other pattern gets its own."""
     nl = rtl_opt_netlist if which == "rtl" else beh_opt_netlist
-    interp, comp = both_backends(nl, backend=backend)
+    engine, (n,) = batch_case(backend, (1,))
+    if n == 1:
+        interp, comp = both_backends(nl, backend=engine)
+    else:
+        interp, comp = both_backends(nl, backend=engine, n_patterns=n)
     rng = random.Random(7)
     spans = {name: 1 << len(nets) for name, nets in nl.inputs.items()}
     for cycle in range(40):
         for name, span in spans.items():
             v = rng.randrange(span)
             interp.set_input(name, v)
-            comp.set_input(name, v)
-        assert_outputs_match(interp, comp, f"{which} cycle {cycle}")
+            if n == 1:
+                comp.set_input(name, v)
+            else:
+                comp.set_input_patterns(
+                    name, [rng.randrange(span) for _ in range(n - 1)] + [v])
+        assert_outputs_match(interp, comp, f"{which} cycle {cycle}",
+                             pattern=n - 1)
         interp.step()
         comp.step()
     assert interp.cycles == comp.cycles == 40
@@ -309,15 +338,16 @@ def test_flop_init_states_compiled():
 
 
 # --------------------------------------------------- parallel patterns
-@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+@pytest.mark.parametrize("backend", BATCH_CASES)
 def test_parallel_patterns_match_interpreted_runs(backend):
     """One batch run with N patterns == N interpreted runs, up to
-    native's 64-pattern word."""
+    native's 64-pattern word on each engine and past it on WIDE."""
     m = _rand_module(123)
     nl = optimize(map_to_gates(m))
     widths = {name: len(nets) for name, nets in nl.inputs.items()}
-    for n_patterns in (1, 3, 8, 64):
-        comp = GateSimulator(nl, backend=backend, n_patterns=n_patterns)
+    engine, counts = batch_case(backend, (1, 3, 8, 64))
+    for n_patterns in counts:
+        comp = GateSimulator(nl, backend=engine, n_patterns=n_patterns)
         interps = [GateSimulator(nl) for _ in range(n_patterns)]
         rng = random.Random(9 + n_patterns)
         for cycle in range(10):
@@ -355,7 +385,7 @@ def _edge_values(n_patterns):
             for p in range(n_patterns)]
 
 
-@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+@pytest.mark.parametrize("backend", BATCH_CASES)
 def test_get_patterns_round_trip(backend):
     nl = Netlist("n")
     a = nl.add_input("a", 3)
@@ -364,16 +394,19 @@ def test_get_patterns_round_trip(backend):
     g2 = nl.add_cell("INV", {"A": a[2]})
     nl.set_output("y", [g0.outputs["Y"], g1.outputs["Y"],
                         g2.outputs["Y"]])
-    comp = GateSimulator(nl, backend=backend, n_patterns=4)
-    comp.set_input_patterns("a", [0, 3, 5, 7])
-    assert comp.get_patterns("y") == [7, 4, 2, 0]
+    engine, (n,) = batch_case(backend, (4,))
+    comp = GateSimulator(nl, backend=engine, n_patterns=n)
+    stimulus = [0, 3, 5, 7] * (n // 4)
+    comp.set_input_patterns("a", stimulus)
+    assert comp.get_patterns("y") == [7 - v for v in stimulus]
 
     # every value is taken modulo 2**width, negative ones as two's
     # complement, on ports narrower than, equal to and wider than the
     # 64-bit machine word; lists and tuples alike
+    engine, counts = batch_case(backend, (1, 3, 64))
     for width in (1, 63, 64, 65):
-        for n_patterns in (1, 3, 64):
-            sim = GateSimulator(_wire(width), backend=backend,
+        for n_patterns in counts:
+            sim = GateSimulator(_wire(width), backend=engine,
                                 n_patterns=n_patterns)
             values = _edge_values(n_patterns)
             want = [v % (1 << width) for v in values]
@@ -399,21 +432,46 @@ _PROPERTY_WIDTHS = (1, 2, 7, 32, 63, 64, 65)
 _WIRES = {}
 
 
-@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+@pytest.mark.parametrize("backend", BATCH_CASES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_pattern_io_property(backend, data):
     """Any width, pattern count and values: a wire returns every value
-    modulo 2**width, on every generated-code engine."""
+    modulo 2**width, on every generated-code engine and on WIDE."""
     width = data.draw(st.sampled_from(_PROPERTY_WIDTHS), label="width")
-    n_patterns = data.draw(st.integers(1, 64), label="n_patterns")
+    engine, (low, high) = batch_case(backend, (1, 64))
+    n_patterns = data.draw(st.integers(low, high), label="n_patterns")
     values = data.draw(st.lists(
         st.integers(-(1 << 70), 1 << 70) | st.integers(0, (1 << width) - 1),
         min_size=n_patterns, max_size=n_patterns), label="values")
     sim = GateSimulator(_WIRES.setdefault(width, _wire(width)),
-                        backend=backend, n_patterns=n_patterns)
+                        backend=engine, n_patterns=n_patterns)
     sim.set_input_patterns("a", values)
     assert sim.get_patterns("y") == [v % (1 << width) for v in values]
+
+
+def test_vectorized_runs_past_the_word_cap():
+    """The compiled engine's batch has no word cap: 200 patterns, four
+    words per net, each bit-exact with its own interpreted run."""
+    m = _rand_module(123)
+    nl = optimize(map_to_gates(m))
+    n_patterns = 200
+    wide = GateSimulator(nl, backend="compiled", n_patterns=n_patterns)
+    ref = GateSimulator(nl)
+    rng = random.Random(11)
+    widths = {name: len(nets) for name, nets in nl.inputs.items()}
+    stimulus = [{name: [rng.randrange(1 << w) for _ in range(n_patterns)]
+                 for name, w in widths.items()} for _ in range(6)]
+    probe = 137  # deep in the third word
+    for cycle, frame in enumerate(stimulus):
+        for name, vals in frame.items():
+            wide.set_input_patterns(name, vals)
+            ref.set_input(name, vals[probe])
+        for port in nl.outputs:
+            assert wide.get_logic_pattern(port, probe) == \
+                ref.get_logic(port), (port, cycle)
+        wide.step()
+        ref.step()
 
 
 # ----------------------------------------------------------- the cache

@@ -23,7 +23,7 @@ from repro.rtl import RtlSimulator
 from repro.synth import map_to_gates
 from repro.verify import VerifyConfig, run_verify
 from repro.verify.coverage import ToggleCoverage
-from tests.test_gatesim_compiled import _rand_module
+from tests.test_gatesim_compiled import WIDE, _rand_module, batch_case
 
 
 def reference_counts(read, widths, samples):
@@ -98,16 +98,19 @@ def test_gate_step_through_x_is_no_edge(backend):
 
 
 @pytest.mark.parametrize("backend", [
-    name for name, engine in ENGINES.items() if engine.batches("gate")])
+    name for name, engine in ENGINES.items() if engine.batches("gate")]
+    + [WIDE])
 def test_gate_sampler_reads_pattern_0(backend):
     """On a multi-pattern engine the sampler packs pattern 0 only, as
     ``get_logic`` reads it."""
     from tests.test_equivalence_gatetrace import alu
 
-    sim = _engine(GateSimulator, map_to_gates(alu()), backend=backend,
-                  n_patterns=4)
-    sim.set_input_patterns("a", [3, 255, 0, 7])
-    sim.set_input_patterns("b", [250, 1, 255, 9])
+    engine, (n,) = batch_case(backend, (4,))
+    sim = _engine(GateSimulator, map_to_gates(alu()), backend=engine,
+                  n_patterns=n)
+    pad = [0] * (n - 4)
+    sim.set_input_patterns("a", [3, 255, 0, 7] + pad)
+    sim.set_input_patterns("b", [250, 1, 255, 9] + pad)
     sim.set_input_logic("op", [LX])
     sampler = sim.port_sampler(["a", "b", "op", "y"])
     sim.step()
