@@ -1,7 +1,7 @@
 """In-process cache for compiled simulation artifacts.
 
-Shared by the compiled gate-level backend
-(:mod:`repro.gatesim.compiled`), the compiled RTL backend
+Shared by the gate-level kernels
+(:mod:`repro.gatesim.emit`), the compiled RTL backend
 (:mod:`repro.rtl.compiled`) and the compiled behavioural backend
 (:mod:`repro.hls.compiled`); lives in its own leaf module because the
 users sit on opposite sides of the rtl <-> synth import cycle.  The

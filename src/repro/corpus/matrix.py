@@ -18,7 +18,7 @@ from .. import engines
 from ..fi.campaign import CampaignError, PoolInterrupted, parallel_map
 from ..fi.report import tally
 from ..obs.trace import span
-from ..gatesim.compiled import structural_hash
+from ..gatesim import structural_hash
 from ..rtl.simulate import RtlSimulator
 from ..synth import report_area, synthesize
 from .designs import (CORPUS_LEVELS, CorpusError, build_design,

@@ -73,7 +73,8 @@ ENGINES: Dict[str, Engine] = {
         rtl="repro.rtl.native:NativeRtlSimulator",
         fsm="repro.hls.native:NativeFsm",
         fsm_batch="repro.hls.native:NativeFsmBatch",
-        # gate patterns share one uint64_t word (WORD_PATTERNS)
+        # gate patterns share one uint64_t plane word; the gate host
+        # (repro.gatesim.native) enforces the cap from this table
         max_patterns={"gate": 64, "rtl": 1, "beh": None},
         compiles=True, fallback="compiled"),
 }

@@ -41,9 +41,10 @@ class PokeableMemory:
     Every such change calls :attr:`on_change`, which the owning engine
     sets so that its next read sees the new contents: the interpreted
     engine re-reads its memory ports, the code-generating engines
-    re-settle.  ``reset`` belongs to the engine's own reset, which
-    re-settles anyway, so it does not notify.  Subclasses provide
-    ``name``, ``depth``, ``width`` and :meth:`_flip` over their storage.
+    re-settle.  Restoring the initial contents belongs to the engine's
+    own ``reset``, which re-settles anyway, so it does not notify.
+    Subclasses provide ``name``, ``depth``, ``width`` and :meth:`_flip`
+    over their storage.
     """
 
     name: str
@@ -56,8 +57,8 @@ class PokeableMemory:
         """Flip one stored bit in place -- a memory-cell SEU.
 
         Works on ROMs too (a configuration upset): bypasses the
-        ROM-write guard on purpose.  ``reset`` restores the original
-        contents either way.
+        ROM-write guard on purpose.  The engine's ``reset`` restores
+        the original contents either way.
         """
         if not 0 <= address < self.depth:
             raise ValueError(

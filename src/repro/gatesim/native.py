@@ -1,55 +1,53 @@
-"""Native (C-source) parallel-pattern gate-level simulation.
+"""Native (C-source) parallel-pattern gate-level simulation, and the
+host of both generated-code gate engines.
 
-Structurally this is :mod:`repro.gatesim.compiled` one tier down: the
-same levelised walk emits the same two-bitplane dataflow -- every net
-as ``(ones, unk)`` planes confined to the pattern mask ``M`` -- but as
-C99 over ``uint64_t`` instead of Python bigints, compiled with the
-host toolchain (:mod:`repro.native`) and driven through cffi/ctypes.
-The whole clock edge lives in C: one ``nat_run`` call settles the
-cone, samples flops (including the SDFF scan mux), performs memory
-writes and commits, for any number of cycles.  That removes the
-per-cycle Python bytecode walk entirely.
+The gate level's one code-generation walk (:mod:`repro.gatesim.emit`)
+emits the whole clock edge as one kernel; :class:`CPrinter` spells it
+as C99 over ``uint64_t`` bitplanes -- every net as ``(ones, unk)``
+planes confined to the pattern mask ``M`` -- compiled with the host
+toolchain (:mod:`repro.native`) and driven through cffi/ctypes.  One
+``nat_run`` call settles the cone, samples flops (including the SDFF
+scan mux), performs memory writes and commits, for any number of
+cycles, so no Python bytecode runs per cycle.
 
-Memories are flat per-pattern ``uint64_t`` word arrays inside C
-(pattern-major: every pattern owns its storage, so
-``privatize_memory`` is a no-op view).  Semantics match
+:class:`NativeGateSimulator` is the one gate host: the pattern-parallel
+public surface over the kernel's buffers.  The compiled engine
+(:class:`~repro.gatesim.compiled.CompiledGateSimulator`) is this class
+over the same kernel printed as Python, with lists for buffers.
+
+Memories are one flat pattern-major word image (every pattern owns its
+storage, so ``privatize_memory`` is a no-op view).  Semantics match
 the behavioural :class:`~repro.gatesim.memory.MemoryModel` exactly:
 X address bits turn a read all-X and drop a write; out-of-range reads
 return 0 and writes are dropped; X data or X enable commits 0.
+Address-checking memories run on the interpreted engine only.
 
-Artifacts are cached in the shared ``COMPILE_CACHE`` under the same
-structural digest as the other engines, tagged ``backend="native"``,
-and the underlying ``.so`` persists in the on-disk cache across
-processes.
+Artifacts are cached in the shared ``COMPILE_CACHE`` under the
+structural digest, tagged ``backend="native"``, and the underlying
+``.so`` persists in the on-disk cache across processes.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
-from ..engines import PortSampler
-from ..native import NativeModule, compile_and_load
-from ..synth.library import CODEGEN
-from ..synth.netlist import CellInstance, MemoryMacro, Netlist
-from .compiled import (COMPILE_CACHE, plane_sampler, state_layout,
-                       structural_hash)
-from .levelize import levelize
+from ..engines import ENGINES, PortSampler, gather
+from ..native import compile_and_load
+from ..synth.netlist import Netlist
+from .emit import (COMPILE_CACHE, GateProgram, Planes, emit_program,
+                   indent, structural_hash)
 from .memory import PokeableMemory
 from .simulator import GateSimError, check_pattern
 
-__all__ = ["NativeGateProgram", "NativeGateSimulator",
-           "compile_netlist_native"]
+__all__ = ["CPrinter", "NativeGateSimulator", "compile_netlist_native"]
 
-#: native planes are single machine words: one pattern per bit
-WORD_PATTERNS = 64
-
-#: settle-chunk budget (source lines per generated C function)
-_CHUNK_LINES = 600
+#: bits of one ``uint64_t`` value word: the 64-bit slices in which
+#: ``set_input_patterns`` hands port values to the kernel
+_WORD_BITS = 64
 
 _CDEF = ("void nat_run(uint64_t* S1, uint64_t* SX, uint64_t* R1, "
          "uint64_t* RX, uint64_t* MEM, uint64_t M, long cycles, "
@@ -71,263 +69,114 @@ void nat_set_patterns(uint64_t *S1, uint64_t *SX, uint64_t *slots,
 }
 """
 
-
-@dataclass
-class NativeGateProgram:
-    """A loaded native settle/step kernel plus its layout tables."""
-
-    source: str
-    module: NativeModule
-    run: Callable
-    #: ``set_patterns(S1, SX, slots, width, vals, NP)``
-    set_patterns: Callable
-    state_uids: List[int]
-    result_uids: List[int]
-    #: (name, word offset within one pattern's bank, depth, width,
-    #:  writable, initial contents) per memory macro
-    mem_layout: List[Tuple[str, int, int, int, bool, Tuple[int, ...]]]
-    #: words per pattern across all macros
-    mem_words: int
-    x_state_uids: List[int]
-    structural_key: str
+_SETTLE_ARGS = "S1, SX, R1, RX, MEM, M, NP"
 
 
-def _generate_c_source(netlist: Netlist):
-    """Emit the C kernel; returns (source, layout tables)."""
-    units = levelize(netlist, error=GateSimError)
-    lib = netlist.library
+class CPrinter:
+    """C spelling of the gate walk: ``uint64_t`` plane locals, results
+    stored to R1/RX as produced, the settle split into functions of a
+    few hundred statements so the optimizer sees many small basic
+    blocks instead of one huge one (gcc/clang are superlinear there)."""
 
-    for macro in netlist.memories:
-        if macro.width > WORD_PATTERNS:
-            raise GateSimError(
-                f"native backend: memory {macro.name!r} width "
-                f"{macro.width} exceeds the 64-bit storage word")
-    state_uids, x_state_uids = state_layout(netlist, units)
-    slot = {uid: i for i, uid in enumerate(state_uids)}
+    word = "storage word of the native backend"
+    #: 600 source lines per settle function, with its 4-line header
+    chunk_lines = 596
+    results_in_locals = False
+    sep = " "
 
-    # pattern-major memory image: MEM[p * MEM_WORDS + off + addr]
-    mem_layout: List[Tuple[str, int, int, int, bool, Tuple[int, ...]]] = []
-    off = 0
-    for macro in netlist.memories:
-        contents = tuple(v & mask(macro.width)
-                         for v in (macro.contents or ()))
-        mem_layout.append((macro.name, off, macro.depth, macro.width,
-                           macro.writable, contents))
-        off += macro.depth
-    mem_words = off
-    mem_off = {name: o for name, o, *_rest in mem_layout}
-    mem_depth = {m.name: m.depth for m in netlist.memories}
+    def let(self, stmt: str) -> str:
+        return f"uint64_t {stmt};"
 
-    # results are assigned one index per produced net, in unit order
-    result_uids: List[int] = []
-    for unit in units:
-        if isinstance(unit.key, CellInstance):
-            cell = unit.key
-            for pin in lib[cell.cell_type].outputs:
-                result_uids.append(cell.outputs[pin].uid)
-        else:
-            macro, port_index = unit.key
-            for n in macro.read_ports[port_index].data:
-                result_uids.append(n.uid)
-    ridx = {uid: i for i, uid in enumerate(result_uids)}
+    def lets(self, *stmts: str) -> str:
+        return f"uint64_t {', '.join(stmts)};"
 
-    # the settle cone is split into chunks of a few hundred units so
-    # the optimizer sees many small basic blocks instead of one huge
-    # one (gcc/clang are superlinear there); chunk-crossing values
-    # travel through the R1/RX result arrays
-    lines: List[str] = ["#include <stdint.h>", ""]
-    n_chunks = 0
-    chunk_lines: List[str] = []
-    declared: set = set()
+    def assign(self, stmt: str) -> str:
+        return f"{stmt};"
 
-    def open_chunk() -> None:
-        nonlocal chunk_lines
-        chunk_lines = [
-            f"static void settle{n_chunks}(uint64_t *S1, uint64_t *SX,",
-            "    uint64_t *R1, uint64_t *RX, uint64_t *MEM, uint64_t M,",
-            "    int NP) {",
-            "  (void)R1; (void)RX; (void)MEM; (void)M; (void)NP;",
-        ]
-        declared.clear()
+    @staticmethod
+    def _gather(planes: Sequence[Planes], flag: str, word: str,
+                pad: str) -> List[str]:
+        """Per pattern ``bit``: *flag* set by any X plane, *word*
+        packed from the ones planes."""
+        lines = []
+        for i, (ones, unks) in enumerate(planes):
+            lines.append(f"{pad}if ({unks} & bit) {flag} = 1;")
+            lines.append(f"{pad}if ({ones} & bit) {word} |= {1 << i}ULL;")
+        return lines
 
-    def close_chunk() -> None:
-        nonlocal n_chunks
-        chunk_lines.append("}")
-        lines.extend(chunk_lines)
-        lines.append("")
-        n_chunks += 1
+    def mem_read(self, data: Sequence[Planes], addr: Sequence[Planes],
+                 depth: int, off: int, words: int) -> List[str]:
+        lines = [f"{self.let(f'{a} = 0')}{self.sep}{self.let(f'{x} = 0')}"
+                 for a, x in data]
+        lines += ["for (int p = 0; p < NP; p++) {",
+                  "  uint64_t bit = 1ULL << p;",
+                  "  int axf = 0; uint64_t addr = 0;"]
+        lines += self._gather(addr, "axf", "addr", "  ")
+        lines.append("  if (axf) {")
+        lines += [f"    {x} |= bit;" for _, x in data]
+        lines.append(f"  }} else if (addr < {depth}ULL) {{")
+        lines.append(f"    uint64_t w = MEM[(uint64_t)p * {words}ULL + "
+                     f"{off}ULL + addr];")
+        lines += [f"    if (w & {1 << i}ULL) {a} |= bit;"
+                  for i, (a, _) in enumerate(data)]
+        return lines + ["  }", "}"]
 
-    def ref(uid: int) -> Tuple[str, str]:
-        """Local names for a net's planes, loading them on first use."""
-        if uid not in declared:
-            declared.add(uid)
-            s = slot.get(uid)
-            if s is not None:
-                chunk_lines.append(f"  uint64_t a{uid} = S1[{s}]; "
-                                   f"uint64_t x{uid} = SX[{s}];")
-            else:
-                i = ridx[uid]
-                chunk_lines.append(f"  uint64_t a{uid} = R1[{i}]; "
-                                   f"uint64_t x{uid} = RX[{i}];")
-        return f"a{uid}", f"x{uid}"
+    def port_write(self, en: Planes, addr: Sequence[Planes],
+                   data: Sequence[Planes], depth: int, off: int,
+                   words: int) -> List[str]:
+        lines = ["{",
+                 "  " + self.lets(f"we1 = {en[0]}", f"wex = {en[1]}"),
+                 "  uint64_t act = (we1 | wex) & M;",
+                 "  if (act) for (int p = 0; p < NP; p++) {",
+                 "    uint64_t bit = 1ULL << p;",
+                 "    if (!(act & bit)) continue;",
+                 "    int axf = 0; uint64_t addr = 0;"]
+        lines += self._gather(addr, "axf", "addr", "    ")
+        lines.append(f"    if (axf || addr >= {depth}ULL) continue;")
+        lines.append("    int dxf = 0; uint64_t data = 0;")
+        lines += self._gather(data, "dxf", "data", "    ")
+        # X data or X enable commits 0, like the interpreted engine
+        lines.append("    if (dxf || (wex & bit)) data = 0;")
+        lines.append(f"    MEM[(uint64_t)p * {words}ULL + {off}ULL + "
+                     "addr] = data;")
+        return lines + ["  }", "}"]
 
-    open_chunk()
-    for index, unit in enumerate(units):
-        if len(chunk_lines) >= _CHUNK_LINES:
-            close_chunk()
-            open_chunk()
-        if isinstance(unit.key, CellInstance):
-            cell = unit.key
-            spec = lib[cell.cell_type]
-            ins = [ref(cell.pins[pin].uid) for pin in spec.inputs]
-            for pin in spec.outputs:
-                uid = cell.outputs[pin].uid
-                template = CODEGEN.get((cell.cell_type, pin))
-                if template is None:
-                    raise GateSimError(
-                        f"no codegen template for cell "
-                        f"{cell.cell_type!r} output {pin!r}")
-                out = (f"a{uid}", f"x{uid}")
-                # the templates emit SSA `name = expr` lines over
-                # & | ^ ~ ( ) and M -- valid C once declared uint64_t
-                for line in template(out, ins, f"t{index}_"):
-                    name, expr = line.split(" = ", 1)
-                    chunk_lines.append(f"  uint64_t {name} = {expr};")
-                declared.add(uid)
-                i = ridx[uid]
-                chunk_lines.append(f"  R1[{i}] = a{uid}; "
-                                   f"RX[{i}] = x{uid};")
-        else:
-            macro, port_index = unit.key
-            rp = macro.read_ports[port_index]
-            depth = mem_depth[macro.name]
-            base = mem_off[macro.name]
-            addr_refs = [ref(n.uid) for n in rp.addr]
-            for n in rp.data:
-                chunk_lines.append(f"  uint64_t a{n.uid} = 0; "
-                                   f"uint64_t x{n.uid} = 0;")
-                declared.add(n.uid)
-            # per pattern: X on any address bit -> all-X data; in-range
-            # -> unpack the stored word; out-of-range -> known 0.  The
-            # enable is ignored for data, like MemoryModel.read.
-            chunk_lines.append("  for (int p = 0; p < NP; p++) {")
-            chunk_lines.append("    uint64_t bit = 1ULL << p;")
-            chunk_lines.append("    int axf = 0; uint64_t addr = 0;")
-            for i, (a_n, x_n) in enumerate(addr_refs):
-                chunk_lines.append(f"    if ({x_n} & bit) axf = 1;")
-                chunk_lines.append(f"    if ({a_n} & bit) "
-                                   f"addr |= {1 << i}ULL;")
-            chunk_lines.append("    if (axf) {")
-            for n in rp.data:
-                chunk_lines.append(f"      x{n.uid} |= bit;")
-            chunk_lines.append(f"    }} else if (addr < {depth}ULL) {{")
-            chunk_lines.append(f"      uint64_t w = MEM[(uint64_t)p * "
-                               f"{mem_words}ULL + {base}ULL + addr];")
-            for i, n in enumerate(rp.data):
-                chunk_lines.append(f"      if (w & {1 << i}ULL) "
-                                   f"a{n.uid} |= bit;")
-            chunk_lines.append("    }")
-            chunk_lines.append("  }")
-            for n in rp.data:
-                i = ridx[n.uid]
-                chunk_lines.append(f"  R1[{i}] = a{n.uid}; "
-                                   f"RX[{i}] = x{n.uid};")
-    close_chunk()
-
-    lines.append("static void settle(uint64_t *S1, uint64_t *SX, "
-                 "uint64_t *R1,")
-    lines.append("                   uint64_t *RX, uint64_t *MEM, "
-                 "uint64_t M, int NP) {")
-    for k in range(n_chunks):
-        lines.append(f"  settle{k}(S1, SX, R1, RX, MEM, M, NP);")
-    lines.append("}")
-    lines.append("")
-
-    def src(uid: int) -> Tuple[str, str]:
-        s = slot.get(uid)
-        if s is not None:
-            return f"S1[{s}]", f"SX[{s}]"
-        return f"R1[{ridx[uid]}]", f"RX[{ridx[uid]}]"
-
-    lines.append("void nat_run(uint64_t *S1, uint64_t *SX, uint64_t *R1,")
-    lines.append("             uint64_t *RX, uint64_t *MEM, uint64_t M,")
-    lines.append("             long cycles, int NP, int settle_after) {")
-    lines.append("  for (long c = 0; c < cycles; c++) {")
-    lines.append("    settle(S1, SX, R1, RX, MEM, M, NP);")
-
-    # sample flop inputs (post-settle, pre-commit planes)
-    flops = netlist.flops()
-    for k, flop in enumerate(flops):
-        d1, dx = src(flop.pins["D"].uid)
-        if flop.cell_type == "SDFF":
-            e1, ex = src(flop.pins["SE"].uid)
-            s1, sx = src(flop.pins["SI"].uid)
-            lines.append(f"    uint64_t e1_{k} = {e1}, ex_{k} = {ex};")
-            lines.append(f"    uint64_t e0_{k} = M & ~(e1_{k} | ex_{k});")
-            lines.append(f"    uint64_t nd_{k} = (e1_{k} & {s1}) | "
-                         f"(e0_{k} & {d1});")
-            lines.append(f"    uint64_t nx_{k} = (e1_{k} & {sx}) | "
-                         f"(e0_{k} & {dx}) | ex_{k};")
-        else:
-            lines.append(f"    uint64_t nd_{k} = {d1};")
-            lines.append(f"    uint64_t nx_{k} = {dx};")
-
-    # memory writes (pre-commit planes; per pattern, pattern-private)
-    for macro in netlist.memories:
-        depth = mem_depth[macro.name]
-        base = mem_off[macro.name]
-        for wp in macro.write_ports:
-            e1, ex = src(wp.enable.uid)
-            lines.append("    {")
-            lines.append(f"      uint64_t we1 = {e1}, wex = {ex};")
-            lines.append("      uint64_t act = (we1 | wex) & M;")
-            lines.append("      if (act) for (int p = 0; p < NP; p++) {")
-            lines.append("        uint64_t bit = 1ULL << p;")
-            lines.append("        if (!(act & bit)) continue;")
-            lines.append("        int axf = 0; uint64_t addr = 0;")
-            for i, n in enumerate(wp.addr):
-                a1, ax = src(n.uid)
-                lines.append(f"        if ({ax} & bit) axf = 1;")
-                lines.append(f"        if ({a1} & bit) "
-                             f"addr |= {1 << i}ULL;")
-            lines.append(f"        if (axf || addr >= {depth}ULL) "
-                         "continue;")
-            lines.append("        int dxf = 0; uint64_t data = 0;")
-            for i, n in enumerate(wp.data):
-                d1, dx = src(n.uid)
-                lines.append(f"        if ({dx} & bit) dxf = 1;")
-                lines.append(f"        if ({d1} & bit) "
-                             f"data |= {1 << i}ULL;")
-            # X data or X enable commits 0, like the compiled engine
-            lines.append("        if (dxf || (wex & bit)) data = 0;")
-            lines.append(f"        MEM[(uint64_t)p * {mem_words}ULL + "
-                         f"{base}ULL + addr] = data;")
-            lines.append("      }")
-            lines.append("    }")
-
-    # commit flops
-    for k, flop in enumerate(flops):
-        q_slot = slot[flop.outputs["Q"].uid]
-        lines.append(f"    S1[{q_slot}] = nd_{k}; "
-                     f"SX[{q_slot}] = nx_{k};")
-    lines.append("  }")
-    lines.append("  if (settle_after) "
-                 "settle(S1, SX, R1, RX, MEM, M, NP);")
-    lines.append("}")
-    lines.append("")
-    lines.append(_SET_PATTERNS_C)
-    source = "\n".join(lines)
-    return (source, state_uids, result_uids, mem_layout, mem_words,
-            x_state_uids)
+    def program(self, chunks: List[List[str]], edge: List[str],
+                results: List[Planes]) -> str:
+        lines = ["#include <stdint.h>", ""]
+        for k, body in enumerate(chunks):
+            lines += [
+                f"static void settle{k}(uint64_t *S1, uint64_t *SX,",
+                "    uint64_t *R1, uint64_t *RX, uint64_t *MEM, uint64_t M,",
+                "    int NP) {",
+                "  (void)R1; (void)RX; (void)MEM; (void)M; (void)NP;"]
+            lines += indent(body, 2) + ["}", ""]
+        lines += ["static void settle(uint64_t *S1, uint64_t *SX, "
+                  "uint64_t *R1,",
+                  "                   uint64_t *RX, uint64_t *MEM, "
+                  "uint64_t M, int NP) {"]
+        lines += [f"  settle{k}({_SETTLE_ARGS});"
+                  for k in range(len(chunks))]
+        lines += ["}", "",
+                  "void nat_run(uint64_t *S1, uint64_t *SX, uint64_t *R1,",
+                  "             uint64_t *RX, uint64_t *MEM, uint64_t M,",
+                  "             long cycles, int NP, int settle_after) {",
+                  "  for (long c = 0; c < cycles; c++) {",
+                  f"    settle({_SETTLE_ARGS});"]
+        lines += indent(edge, 4)
+        lines += ["  }",
+                  f"  if (settle_after) settle({_SETTLE_ARGS});",
+                  "}", "", _SET_PATTERNS_C]
+        return "\n".join(lines)
 
 
 def compile_netlist_native(netlist: Netlist,
                            cache: Optional[CompileCache] = None,
                            run_cycles: Optional[int] = None
-                           ) -> NativeGateProgram:
+                           ) -> GateProgram:
     """Compile *netlist* to a loaded C kernel, via both cache layers.
 
-    The in-process :data:`~repro.gatesim.compiled.COMPILE_CACHE` keeps
+    The in-process :data:`~repro.gatesim.emit.COMPILE_CACHE` keeps
     the loaded module under the shared structural digest tagged
     ``backend="native"``; the ``.so`` itself persists in the on-disk
     cache (:func:`repro.native.build_shared_object`), so a fresh
@@ -343,23 +192,11 @@ def compile_netlist_native(netlist: Netlist,
         cache = COMPILE_CACHE
     key = structural_hash(netlist)
 
-    def factory() -> NativeGateProgram:
-        (source, state_uids, result_uids, mem_layout, mem_words,
-         x_state_uids) = _generate_c_source(netlist)
-        module = compile_and_load(source, _CDEF, tag="gate",
+    def factory() -> GateProgram:
+        program = emit_program(netlist, CPrinter())
+        module = compile_and_load(program.source, _CDEF, tag="gate",
                                   run_cycles=run_cycles)
-        return NativeGateProgram(
-            source=source,
-            module=module,
-            run=module.fn("nat_run"),
-            set_patterns=module.fn("nat_set_patterns"),
-            state_uids=state_uids,
-            result_uids=result_uids,
-            mem_layout=mem_layout,
-            mem_words=mem_words,
-            x_state_uids=x_state_uids,
-            structural_key=key,
-        )
+        return replace(program, module=module, structural_key=key)
 
     return cache.get_or_compile(key, factory, backend="native")
 
@@ -367,42 +204,30 @@ def compile_netlist_native(netlist: Netlist,
 # ----------------------------------------------------------------------
 # memory views
 # ----------------------------------------------------------------------
-class _NativeMemoryView(PokeableMemory):
-    """One pattern's window into the flat native memory image.
+class _MemoryView(PokeableMemory):
+    """One pattern's window into the flat memory image.
 
     Mirrors the :class:`~repro.gatesim.memory.MemoryModel` surface the
-    fault-injection campaign touches (``flip_bit`` / ``peek`` /
-    ``read`` / ``write`` / ``reset``).  Storage is pattern-private by
-    construction, so no un-aliasing step is ever needed.
+    fault-injection campaign and the tests touch (``flip_bit`` /
+    ``peek`` / ``write``).  Storage is pattern-private by construction,
+    so no un-aliasing step is ever needed.
     """
 
     def __init__(self, sim: "NativeGateSimulator", name: str, base: int,
-                 depth: int, width: int, writable: bool,
-                 contents: Tuple[int, ...]):
+                 depth: int, width: int, writable: bool):
         self._sim = sim
         self.name = name
         self._base = base
         self.depth = depth
         self.width = width
         self.writable = writable
-        self._image = (array("Q", contents) if contents
-                       else array("Q", bytes(8 * depth)))
         self.on_change = sim._unsettle
 
     def _flip(self, address: int, bits: int) -> None:
         self._sim._mem_v[self._base + address] ^= bits
 
     def peek(self) -> List[int]:
-        return self._sim._mem_v[self._base:self._base + self.depth].tolist()
-
-    def read(self, address: Optional[int], enabled: bool = True,
-             cycle: int = 0) -> List[int]:
-        if address is None:
-            return [L.LX] * self.width
-        if not 0 <= address < self.depth:
-            return [L.L0] * self.width
-        value = self._sim._mem_v[self._base + address]
-        return [(value >> i) & 1 for i in range(self.width)]
+        return list(self._sim._mem_v[self._base:self._base + self.depth])
 
     def write(self, address: Optional[int], value: int,
               cycle: int = 0) -> None:
@@ -413,34 +238,87 @@ class _NativeMemoryView(PokeableMemory):
         self._sim._mem_v[self._base + address] = value & mask(self.width)
         self._changed()
 
-    def reset(self) -> None:
-        self._sim._mem_v[self._base:self._base + self.depth] = self._image
+
+# ----------------------------------------------------------------------
+# port sampling
+# ----------------------------------------------------------------------
+#: a plane source for the sampler: (True, state_slot) or
+#: (False, result_index)
+_Where = Tuple[bool, int]
+
+
+def plane_sampler(ports: Dict[str, List[_Where]],
+                  planes: Callable[[], tuple],
+                  n_patterns: int) -> PortSampler:
+    """A port sampler over two-bitplane storage.
+
+    *ports* gives each port bit's source; *planes()* settles the engine
+    and returns its ``(S1, SX, R1, RX)`` storage.  Each read gathers
+    every bit's ones and unknowns (one ``itemgetter`` call per array)
+    and packs pattern 0 as one 4-valued code per byte (``ones | unk <<
+    1``: the engines hold Z as X).
+    """
+    bits = [src for srcs in ports.values() for src in srcs]
+    state = [k for k, (in_state, _) in enumerate(bits) if in_state]
+    result = [k for k, (in_state, _) in enumerate(bits) if not in_state]
+    take_s = gather([bits[k][1] for k in state])
+    take_r = gather([bits[k][1] for k in result])
+    if state + result == sorted(state + result):
+        order = None  # already in port order
+    else:
+        where = {k: i for i, k in enumerate(state + result)}
+        order = gather([where[k] for k in range(len(bits))])
+
+    def pack(in_state, in_result) -> int:
+        words = take_s(in_state) + take_r(in_result)
+        if order is not None:
+            words = order(words)
+        if n_patterns > 1:
+            words = map((1).__and__, words)
+        return int.from_bytes(bytes(words), "little")
+
+    def read() -> int:
+        s1, sx, r1, rx = planes()
+        return pack(s1, r1) | pack(sx, rx) << 1
+
+    return PortSampler(read, {name: len(srcs)
+                              for name, srcs in ports.items()})
 
 
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
 #: a plane source: (ones view, unknowns view, index into both)
-_Src = Tuple[memoryview, memoryview, int]
+_Src = Tuple[object, object, int]
 
-#: one 64-bit machine word
-_WORD = (1 << WORD_PATTERNS) - 1
+#: one value word
+_WORD = (1 << _WORD_BITS) - 1
 
 
 class NativeGateSimulator:
-    """Parallel-pattern gate simulator over a native C kernel.
+    """Parallel-pattern gate-level simulator over a generated kernel.
 
-    API-identical to
-    :class:`~repro.gatesim.compiled.CompiledGateSimulator` (whose
-    docstring describes the pattern-parallel surface); the pattern
-    count is capped at 64 -- one machine word -- which covers the
-    fault-injection batch width and the throughput rows.  The compiled
-    engine has no pattern cap.
+    Mirrors the public API of the interpreted
+    :class:`~repro.gatesim.simulator.GateSimulator` (``set_input`` /
+    ``get`` / ``get_logic`` / ``step`` / ``reset``), and adds the
+    pattern-parallel entry points ``set_input_patterns`` /
+    ``get_patterns`` / ``get_port_planes`` / ``get_logic_pattern``:
+    with ``n_patterns=N`` a single pass evaluates N independent
+    stimulus vectors.  The single-value API broadcasts writes across
+    all patterns and reads pattern 0, so with ``n_patterns=1`` (the
+    default) the engine is a drop-in, bit-exact replacement for the
+    interpreted simulator; the one representational difference is that
+    Z is stored as X (gate inputs already treat them identically).
+
+    The pattern cap is the engine table's (:data:`repro.engines.ENGINES`):
+    native packs patterns into one 64-bit word, which covers the
+    fault-injection batch width and the throughput rows.
 
     ``set_input_patterns`` hands the values to the kernel's
     ``nat_set_patterns`` in one call per 64 port bits, which transposes
-    them into bitplanes in C; every other Python-side access to the
-    kernel's state goes through memoryviews of its buffers.
+    them into bitplanes; every other Python-side access to the kernel's
+    state goes through views of its buffers.  Subclasses change only
+    the kernel build (:meth:`_compile`).
 
     *run_cycles* is how many cycles the caller will step, when it
     knows; it picks the build flags of the kernel.
@@ -454,68 +332,67 @@ class NativeGateSimulator:
                  run_cycles: Optional[int] = None):
         if checking_memories:
             raise GateSimError(
-                "checking memories are not supported by the native "
-                "backend; use interpreted or compiled")
+                f"checking memories are not supported by the "
+                f"{self.backend} backend; use interpreted")
         if n_patterns < 1:
             raise GateSimError(f"n_patterns must be >= 1, got {n_patterns}")
-        if n_patterns > WORD_PATTERNS:
+        cap = ENGINES[self.backend].max_patterns["gate"]
+        if cap is not None and n_patterns > cap:
             raise GateSimError(
-                f"native backend packs patterns into one 64-bit word; "
-                f"got n_patterns={n_patterns} (use backend=\"compiled\")")
+                f"{self.backend} backend packs patterns into one {cap}-bit "
+                f"word; got n_patterns={n_patterns} "
+                f"(use backend=\"compiled\")")
         netlist.validate()
         self.netlist = netlist
         self.n_patterns = n_patterns
         self.cycles = 0
         self._mask = mask(n_patterns)
-        self.program = compile_netlist_native(netlist, cache=cache,
-                                              run_cycles=run_cycles)
-        mod = self.program.module
+        self.program = self._compile(netlist, cache, run_cycles)
+        prog = self.program
+        mod = prog.module
         self._u64_arg = mod.u64_arg
-        self._run = self.program.run
-        self._set_patterns = self.program.set_patterns
+        self._run = mod.fn("nat_run")
+        self._set_patterns = mod.fn("nat_set_patterns")
 
-        self._slot = {uid: i for i, uid in
-                      enumerate(self.program.state_uids)}
-        self._ridx = {uid: i for i, uid in
-                      enumerate(self.program.result_uids)}
+        self._slot = {uid: i for i, uid in enumerate(prog.state_uids)}
+        self._ridx = {uid: i for i, uid in enumerate(prog.result_uids)}
 
-        # machine buffers shared with the kernel, and the memoryviews
-        # Python reads and writes them through (raw FFI element access
-        # is ~4x slower, see NativeModule.u64_view)
-        self._s1 = mod.u64_buffer(len(self.program.state_uids))
-        self._sx = mod.u64_buffer(len(self.program.state_uids))
-        self._r1 = mod.u64_buffer(len(self.program.result_uids))
-        self._rx = mod.u64_buffer(len(self.program.result_uids))
-        self._mem = mod.u64_buffer(
-            max(1, self.program.mem_words * n_patterns))
+        # the kernel's buffers, and the views Python reads and writes
+        # them through (raw FFI element access is ~4x slower, see
+        # NativeModule.u64_view)
+        self._s1 = mod.u64_buffer(len(prog.state_uids))
+        self._sx = mod.u64_buffer(len(prog.state_uids))
+        self._r1 = mod.u64_buffer(len(prog.result_uids))
+        self._rx = mod.u64_buffer(len(prog.result_uids))
+        self._mem = mod.u64_buffer(max(1, prog.mem_words * n_patterns))
         self._s1_v, self._sx_v, self._r1_v, self._rx_v, self._mem_v = (
             mod.u64_view(buf) for buf in
             (self._s1, self._sx, self._r1, self._rx, self._mem))
 
         self._s1_v[self._slot[netlist.const1.uid]] = self._mask
-        for uid in self.program.x_state_uids:
+        for uid in prog.x_state_uids:
             self._sx_v[self._slot[uid]] = self._mask
 
-        # pattern-private memory views
-        self.memories: Dict[str, _NativeMemoryView] = {}
-        self._mem_views: Dict[str, List[_NativeMemoryView]] = {}
+        # one pattern's initial memory image, copied into every
+        # pattern's span by _load_memories, and the pattern-private views
+        image: List[int] = []
+        self.memories: Dict[str, _MemoryView] = {}
+        self._mem_views: Dict[str, List[_MemoryView]] = {}
         for name, off, depth, width, writable, contents in \
-                self.program.mem_layout:
-            views = [
-                _NativeMemoryView(
-                    self, name, p * self.program.mem_words + off,
-                    depth, width, writable, contents)
-                for p in range(n_patterns)
-            ]
+                prog.mem_layout:
+            image.extend(contents or [0] * depth)
+            views = [_MemoryView(self, name, p * prog.mem_words + off,
+                                 depth, width, writable)
+                     for p in range(n_patterns)]
             self._mem_views[name] = views
             self.memories[name] = views[0]
-            for view in views:
-                view.reset()
+        self._image_buf = mod.u64_buffer(image)
+        self._image = mod.u64_view(self._image_buf)
+        self._load_memories()
 
         # flop init states
-        self._flops: List[CellInstance] = netlist.flops()
         self._flop_slots: List[Tuple[int, int]] = []
-        for flop in self._flops:
+        for flop in netlist.flops():
             q_slot = self._slot[flop.outputs["Q"].uid]
             init = flop.init & 1
             self._flop_slots.append((q_slot, init))
@@ -526,10 +403,10 @@ class NativeGateSimulator:
         self._inputs: Dict[str, List[Tuple[int, object, int]]] = {}
         for name, nets in netlist.inputs.items():
             slots = [self._slot[n.uid] for n in nets]
-            chunks = [slots[lo:lo + WORD_PATTERNS]
-                      for lo in range(0, len(slots), WORD_PATTERNS)]
+            chunks = [slots[lo:lo + _WORD_BITS]
+                      for lo in range(0, len(slots), _WORD_BITS)]
             self._inputs[name] = [
-                (k * WORD_PATTERNS, mod.u64_buffer(chunk), len(chunk))
+                (k * _WORD_BITS, mod.u64_buffer(chunk), len(chunk))
                 for k, chunk in enumerate(chunks)]
 
         # port lookup tables (outputs shadow inputs, like interpreted)
@@ -541,6 +418,12 @@ class NativeGateSimulator:
 
         self._dirty = True
         self._settle()
+
+    def _compile(self, netlist: Netlist, cache: Optional[CompileCache],
+                 run_cycles: Optional[int]) -> GateProgram:
+        """The loaded kernel of *netlist*: C, built for *run_cycles*."""
+        return compile_netlist_native(netlist, cache=cache,
+                                      run_cycles=run_cycles)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -555,6 +438,12 @@ class NativeGateSimulator:
         self._run(self._s1, self._sx, self._r1, self._rx, self._mem,
                   self._mask, 0, self.n_patterns, 1)
         self._dirty = False
+
+    def _load_memories(self) -> None:
+        """Every pattern's memories from the initial image."""
+        words = self.program.mem_words
+        for lo in range(0, words * self.n_patterns, words or 1):
+            self._mem_v[lo:lo + words] = self._image[:words]
 
     def _ensure_settled(self) -> None:
         if self._dirty:
@@ -680,7 +569,14 @@ class NativeGateSimulator:
         return out
 
     def get_port_planes(self, name: str) -> Tuple[List[int], List[int]]:
-        """Read a port as raw bitplanes: per bit, (ones, unknowns)."""
+        """Read a port as raw bitplanes: per bit, (ones, unknowns).
+
+        Bit *p* of each returned plane belongs to pattern *p*.  This is
+        the bulk-observation entry point of the fault-injection
+        campaign: one call yields every pattern's view of the port with
+        plain integer ops, X included, without the per-pattern decode
+        of :meth:`get_patterns` / :meth:`get_logic_pattern`.
+        """
         srcs = self._port_srcs(name)
         return ([a[i] for a, _, i in srcs], [x[i] for _, x, i in srcs])
 
@@ -700,7 +596,9 @@ class NativeGateSimulator:
         return out
 
     def memory_model(self, name: str, pattern: int = 0):
-        """The pattern-private view of memory *name*."""
+        """The pattern-private view of memory *name*; the
+        fault-injection campaign pokes it to model memory-cell SEUs
+        without touching the other patterns."""
         views = self._mem_views.get(name)
         if views is None:
             raise GateSimError(f"no memory named {name!r}")
@@ -708,21 +606,22 @@ class NativeGateSimulator:
         return views[pattern]
 
     def privatize_memory(self, name: str, pattern: int):
-        """No-op: native memory storage is pattern-private already."""
+        """No-op: memory storage is pattern-private already."""
         return self.memory_model(name, pattern)
 
     # ------------------------------------------------------------------
     # clocking
     # ------------------------------------------------------------------
     def step(self, cycles: int = 1) -> None:
-        """Advance clock edges: settle, flops, memories -- all in C."""
+        """Advance clock edges: settle, flops, memories -- all in the
+        kernel."""
         if cycles < 1:
             return
         self._run(self._s1, self._sx, self._r1, self._rx, self._mem,
                   self._mask, cycles, self.n_patterns, 0)
         self.cycles += cycles
-        # settle lazily, exactly like the compiled engine: the next
-        # read (or next step) re-settles the cone once
+        # settle lazily: the next read (or next step) re-settles the
+        # cone once
         self._dirty = True
 
     def reset(self) -> None:
@@ -731,9 +630,7 @@ class NativeGateSimulator:
         for q_slot, init in self._flop_slots:
             self._s1_v[q_slot] = M if init else 0
             self._sx_v[q_slot] = 0
-        for views in self._mem_views.values():
-            for view in views:
-                view.reset()
+        self._load_memories()
         self.cycles = 0
         self._dirty = True
         self._settle()
@@ -754,5 +651,5 @@ class NativeGateSimulator:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"NativeGateSimulator({self.netlist.name!r}, "
+        return (f"{type(self).__name__}({self.netlist.name!r}, "
                 f"n_patterns={self.n_patterns})")

@@ -54,8 +54,10 @@ class GateSimulator:
     ``"interpreted"`` (this class, selective trace, the default),
     ``"compiled"`` -- a
     :class:`~repro.gatesim.compiled.CompiledGateSimulator`, same public
-    API, whole-cone codegen plus parallel-pattern evaluation -- or
-    ``"native"``, the same over C ``uint64_t`` bitplanes.
+    API, one generated whole-edge kernel plus parallel-pattern
+    evaluation -- or ``"native"``, the same kernel over C ``uint64_t``
+    bitplanes.  ``checking_memories`` (the address-checking model) is
+    this engine's alone; the generated engines reject it.
     """
 
     backend = "interpreted"

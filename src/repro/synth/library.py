@@ -110,17 +110,18 @@ EVAL: Dict[Tuple[str, str], Callable] = {
 
 
 # ----------------------------------------------------------------------
-# word-level codegen templates for the compiled parallel-pattern backend
+# word-level codegen templates for the parallel-pattern gate kernel
 # ----------------------------------------------------------------------
 #
-# The compiled gate simulator (:mod:`repro.gatesim.compiled`) encodes a
+# The gate kernel (:mod:`repro.gatesim.emit`) encodes a
 # net as two integer bitplanes: ``a`` holds the bits that are known 1,
 # ``x`` the bits that are unknown (X/Z); bit *p* of a plane belongs to
 # stimulus pattern *p*.  The planes are disjoint (``a & x == 0``) and
 # both lie inside the pattern mask ``M``.  Each template receives the
 # output plane names, the input plane-name pairs (in ``Cell.inputs``
-# order) and a unique temp-name prefix, and returns Python source lines
-# computing the cell over all patterns at once with plain int ops.
+# order) and a unique temp-name prefix, and returns SSA ``name = expr``
+# lines over ``& | ^ ~ ( )`` and ``M`` -- valid Python and, once
+# declared, valid C -- computing the cell over all patterns at once.
 
 def _cg_lines(fn):
     """Wrap an expression-pair template into a line-list template."""

@@ -187,7 +187,7 @@ class Netlist:
         """A deep structural copy, preserving net uids and cell names.
 
         With *name* unset the clone hashes identically to the original
-        (see :func:`repro.gatesim.compiled.structural_hash`); pass a new
+        (see :func:`repro.gatesim.emit.structural_hash`); pass a new
         name to key overlay variants -- e.g. fault-injection saboteur
         netlists -- distinctly in the compile cache.  Mutating the clone
         (rewiring pins, swapping cell types, inserting cells) never

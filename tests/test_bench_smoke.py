@@ -5,6 +5,7 @@ three backends and the ``BENCH_*.json`` writer -- at a scale small
 enough for tier-1: a handful of cycles on the reduced configuration.
 """
 
+import importlib
 import json
 import os
 
@@ -86,3 +87,21 @@ def test_rtl_compiled_point_measures():
     res = measure_kernel_cycle_dut(SMALL_PARAMS, sim, 12, "RTL")
     assert res.simulated_cycles > 0
     assert res.cycles_per_second > 0
+
+
+def test_perfbench_wrap_table_resolves():
+    """Every row of the benchmark's traced-run wrap table resolves the
+    way ``Tracer.install`` resolves it: a function on its module, a
+    method in its own class's ``__dict__`` -- an inherited or renamed
+    method would fail the traced run, not this suite."""
+    from perfbench.layers import targets
+
+    for module_name, attr, _layer, _items in targets():
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), \
+                f"{module_name}.{attr} is not defined on its class"
+        else:
+            assert callable(getattr(module, attr, None)), \
+                f"{module_name}.{attr} is not a function of its module"

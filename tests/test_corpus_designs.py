@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.corpus import (DESIGN_KINDS, build_design, generate_corpus,
                           module_digest)
 from repro.corpus.designs import make_spec
-from repro.gatesim.compiled import structural_hash
+from repro.gatesim import structural_hash
 
 SEEDS = st.integers(min_value=0, max_value=10 ** 6)
 

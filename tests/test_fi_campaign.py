@@ -127,24 +127,29 @@ def test_beh_campaign_deterministic_across_jobs():
     assert _classifications(solo) == _classifications(pooled)
 
 
-#: record digests of two campaigns; the RTL and behavioural runners
-#: replay the workload's port waveform, and the behavioural DUT runs
-#: its front end inside the generated FSM program
+#: record digests of three campaigns; every runner replays the
+#: workload's port waveform, and the behavioural DUT runs its front end
+#: inside the generated FSM program.  The gate faultload holds 60 net
+#: faults, 6 flop SEUs and 14 ROM and RAM SEUs (45 sdc, 35 masked).
 PINNED_RECORDS = {
     ("beh", 3, 200):
         "e20f6197555626fb7a9b839cf6e8947df204d5c6b6f84a330d98ab3db759091c",
     ("rtl", 7, 64):
         "c12ac18abc373c2e0e0f743aa606fd19b4f493b0203b5833afed10c904a8d55c",
+    ("gate", 7, 80):
+        "5bd30fccaaf712cecdf7bb046c5a9e3b45b60ff186eed2c3badcd738dccf9a4f",
 }
 
 
-#: both campaigns on every batch engine, and the behavioural faultload
-#: as one batch on the compiled engine (WIDE: 201 patterns)
+#: every campaign on every batch engine, and the behavioural and gate
+#: faultloads as one batch each on the compiled engine (WIDE: 201 and
+#: 81 patterns)
 PINNED_RUNS = [pytest.param(campaign, backend,
                             id=f"{campaign[0]}-seed{campaign[1]}-{backend}")
                for campaign in PINNED_RECORDS for backend in batch_engines()]
-PINNED_RUNS.append(pytest.param(("beh", 3, 200), WIDE,
-                                id=f"beh-seed3-{WIDE}"))
+PINNED_RUNS += [pytest.param(campaign, WIDE,
+                             id=f"{campaign[0]}-seed{campaign[1]}-{WIDE}")
+                for campaign in (("beh", 3, 200), ("gate", 7, 80))]
 
 
 @pytest.mark.parametrize("campaign, backend", PINNED_RUNS)

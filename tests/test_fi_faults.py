@@ -18,7 +18,7 @@ from repro.fi.targets import (derive_gate_swaps, flop_targets,
                               injectable_nets, memory_targets,
                               register_targets)
 from repro.gatesim import GateSimulator
-from repro.gatesim.compiled import structural_hash
+from repro.gatesim import structural_hash
 from repro.rtl import Const, RtlModule, Slice
 from repro.synth import synthesize
 from repro.synth.library import DEFAULT_LIBRARY

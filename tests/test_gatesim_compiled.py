@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import L0, L1, LX, LZ
 from repro.engines import ENGINES
-from repro.gatesim import (BACKENDS, COMPILE_CACHE, CompileCache,
-                           CompiledGateSimulator, GateSimError,
+from repro.gatesim import (BACKENDS, COMPILE_CACHE, CheckingMemoryModel,
+                           CompileCache, CompiledGateSimulator, GateSimError,
                            GateSimulator, compile_netlist, structural_hash)
 from repro.rtl import (Add, BitAnd, BitNot, BitOr, BitXor, Cmp, Const, Ext,
                        Mux, Mul, Ref, RtlModule, Shl, Shr, Slice, Sub)
@@ -102,6 +102,23 @@ def test_interpreted_rejects_pattern_kwarg():
         GateSimulator(nl, backend="interpreted", n_patterns=4)
     with pytest.raises(GateSimError):
         GateSimulator(nl, backend="compiled", n_patterns=0)
+
+
+@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+def test_checking_memories_are_interpreted_only(backend):
+    """The address-checking memory model runs on the interpreted engine;
+    the generated-code engines, whose memories live in the kernel's
+    flat image, reject it."""
+    m = RtlModule("ram")
+    ram = m.memory("ram", 4, 4)
+    a = m.input("a", 3)
+    m.mem_write(ram, Const(1, 1), a, Ext(a, 4, signed=False))
+    m.output("y", m.mem_read(ram, a))
+    nl = map_to_gates(m)
+    with pytest.raises(GateSimError, match="use interpreted"):
+        GateSimulator(nl, backend=backend, checking_memories=True)
+    interp = GateSimulator(nl, checking_memories=True)
+    assert isinstance(interp.memory_model("ram"), CheckingMemoryModel)
 
 
 # ------------------------------------------------------------- per cell
