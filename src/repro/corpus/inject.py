@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..fi.campaign import Workload, fi_batch_width, run_gate_batch
+from ..fi.campaign import Workload, run_gate_batch
 from ..fi.faults import Fault
 from ..fi.faultload import generate_gate_faultload
 
@@ -41,6 +41,20 @@ def generate_design_faultload(netlist, n_faults: int, seed: int,
                                    models=tuple(models))
 
 
+def design_workload(waveform: Sequence[Dict[str, int]],
+                    golden: Sequence[Tuple[int, ...]], valid_port: str,
+                    frame_ports: Sequence[str], cycle_budget: int,
+                    detect_ports: Sequence[str] = ()) -> Workload:
+    """The FI workload of a recorded waveform: *cycle_budget* ticks,
+    every input the first cycle drives held at 0 past the end of the
+    recording; frames decode unsigned."""
+    idle = {name: 0 for name in waveform[0]}
+    drive = list(waveform[:cycle_budget])
+    drive += [idle] * (cycle_budget - len(drive))
+    return Workload(list(golden), drive, valid_port, tuple(frame_ports),
+                    tuple(detect_ports), signed=False)
+
+
 def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
                         golden: Sequence[Tuple[int, ...]],
                         valid_port: str,
@@ -49,23 +63,16 @@ def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
                         cycle_budget: int,
                         backend: str = "compiled",
                         detect_ports: Sequence[str] = ()) -> list:
-    """Run a whole faultload in batches; returns FaultRecords.
-
-    The run lasts *cycle_budget* ticks: past the end of the recording,
-    every input the first cycle drives is held at 0.  Frames decode
-    unsigned.  A fault-free divergence raises
+    """Run a whole faultload in batches over :func:`design_workload`;
+    returns FaultRecords.  A fault-free divergence raises
     :class:`~repro.fi.campaign.CampaignError`.
     """
-    idle = {name: 0 for name in waveform[0]}
-    drive = list(waveform[:cycle_budget])
-    drive += [idle] * (cycle_budget - len(drive))
-    workload = Workload(list(golden), drive, valid_port, tuple(frame_ports),
-                        tuple(detect_ports), signed=False)
-    batch = fi_batch_width("gate", backend, COMPILED_BATCH)
+    workload = design_workload(waveform, golden, valid_port, frame_ports,
+                               cycle_budget, detect_ports)
     records = []
-    for lo in range(0, len(faults), batch):
+    for lo in range(0, len(faults), COMPILED_BATCH):
         records.extend(run_gate_batch(netlist, workload,
-                                      faults[lo:lo + batch], None,
+                                      faults[lo:lo + COMPILED_BATCH], None,
                                       backend=backend))
     return records
 

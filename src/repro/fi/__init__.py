@@ -2,9 +2,11 @@
 
 Simulation-based fault injection over the refined SRC: seeded
 faultloads across stuck-at, transient-pulse and SEU models, lockstep
-classification against the schedule-matched golden model, and
-parallel-fault execution on the compiled gate-level backend.  See
-:mod:`repro.fi.campaign` for the entry points.
+classification against the schedule-matched golden model in one replay
+loop for every level and engine, and parallel-fault batches on every
+engine that holds several patterns at the level (compiled and native
+at gate and behavioural level).  See :mod:`repro.fi.campaign` for the
+entry points.
 """
 
 from . import targets  # noqa: F401  (leaf module; import first)

@@ -7,7 +7,7 @@ schedule-matched golden model -- the dependability-assessment
 counterpart of the flow's bit-accuracy refinement checks.
 
 Execution strategies -- which one runs is decided by the engine's
-entry in :data:`repro.engines.ENGINES` (see :func:`fi_batch_width`):
+entry in :data:`repro.engines.ENGINES` (``Engine.batches(level)``):
 
 * **batched** -- on an engine that holds several patterns at the
   campaign's level, ``batch_size`` faults are batched into one
@@ -22,10 +22,12 @@ The workload (:class:`Workload`) is built once per campaign from the
 clock-quantised schedule through
 :func:`~repro.src_design.schedule.clocked_stimulus`.  Every runner, at
 every level, replays its per-cycle port waveform: the RTL and
-behavioural DUTs take the same pins as the gates.  The gate driver,
-:func:`run_gate_batch`, also reads the ports the workload names, so the
+behavioural DUTs take the same pins as the gates -- in one loop,
+:func:`_replay`, which also reads the ports the workload names, so the
 corpus (:mod:`repro.corpus.inject`) runs its recorded waveforms through
-the same driver.
+the gate driver, :func:`run_gate_batch`.  A batch and a one-fault run
+differ only in their lanes: ``[None, *faults]`` (lane 0 fault-free)
+against ``[fault]``.
 
 Campaigns scale across a ``multiprocessing`` worker pool
 (:func:`parallel_map`); classification is a pure function of
@@ -36,16 +38,17 @@ cache statistics stay correct under ``--jobs``.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..compile_cache import (absorb_deltas, aggregate_stats,
                              counters_delta, counters_snapshot)
-from ..datatypes import logic as L
 from ..datatypes.integers import wrap_signed
-from ..engines import ENGINES, batch_engines, engine_class
+from ..engines import ENGINES, batch_engines, engine_class, resolve
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
 from ..obs.metrics import REGISTRY
@@ -95,7 +98,8 @@ class CampaignConfig:
     backend: str = "compiled"
     #: faults per batch (plus pattern 0 = fault-free)
     batch_size: int = 31
-    #: faults re-run on the interpreted engine for the throughput probe
+    #: faults re-run on every other engine (compiled, interpreted) for
+    #: the cross-engine probe and its throughput rows
     probe_faults: int = 16
 
     def validated(self) -> "CampaignConfig":
@@ -202,11 +206,167 @@ def _classify(fault: Fault, outputs, detected, golden) -> FaultRecord:
 
 
 # ----------------------------------------------------------------------
-# gate level: parallel-fault batches over the workload's port waveform
+# one replay loop: every level, every engine
 # ----------------------------------------------------------------------
 
+class _Reader(NamedTuple):
+    """How :func:`_replay` reads a simulator's ports after a tick.
+
+    ``read(port)`` is the port's value in every lane, None in a lane
+    where any bit of it is X; ``width(port)`` is its width in bits.
+    """
+
+    read: Callable[[str], List[Optional[int]]]
+    width: Callable[[str], int]
+
+
+def _plane_reader(sim, netlist, n: int) -> _Reader:
+    """The *n* lanes of a gate engine, from its bit planes (bit *p* of
+    a plane is lane *p*)."""
+    def read(port: str) -> List[Optional[int]]:
+        ones, unks = sim.get_port_planes(port)
+        values: List[Optional[int]] = [0] * n
+        for i, plane in enumerate(ones):
+            while plane:
+                low = plane & -plane
+                values[low.bit_length() - 1] |= 1 << i
+                plane ^= low
+        unknown = 0
+        for plane in unks:
+            unknown |= plane
+        while unknown:
+            low = unknown & -unknown
+            values[low.bit_length() - 1] = None
+            unknown ^= low
+        return values
+
+    return _Reader(read, lambda port: len(netlist.outputs[port]))
+
+
+def _replay(sim, reader: _Reader, workload: Workload,
+            lanes: Sequence[Optional[Fault]],
+            pokes: Dict[int, List[Callable[[], None]]]
+            ) -> List[FaultRecord]:
+    """Replay the workload once on *sim*; classify every fault lane.
+
+    Lane *p* is the simulator's pattern *p*.  A None lane runs
+    fault-free and must reproduce the golden stream, else the harness
+    is broken (:class:`CampaignError`).  Every tick applies its
+    *pokes* (at the start of the cycle, before its evaluation), drives
+    the waveform's writes and clocks once; then each live lane is
+    observed: a detect port with any bit set or X, an X on the valid
+    port or X frame data detect it, and a valid frame decodes
+    (two's complement when ``workload.signed``) into its stream, which
+    ends the lane once it holds the expected frames.
+
+    An exception in a one-fault run detects that fault: a simulator or
+    model check fired.  In a batch it propagates, so :func:`_fi_task`
+    can isolate the fault behind it.
+    """
+    read, width = reader
+    golden = workload.golden
+    valid_port, signed = workload.valid_port, workload.signed
+    widths = [width(port) for port in workload.frame_ports]
+    outputs: List[List[Tuple[int, ...]]] = [[] for _ in lanes]
+    detected: List[Optional[Tuple[int, str]]] = [None] * len(lanes)
+    live = list(range(len(lanes)))
+    tick = 0
+    try:
+        for tick, drive in enumerate(workload.waveform):
+            if not live:
+                break
+            for poke in pokes.get(tick, ()):
+                poke()
+            for name, value in drive.items():
+                sim.set_input(name, value)
+            sim.step()
+
+            alarm: Dict[int, str] = {}  # lane -> first detect port set
+            for port in workload.detect_ports:
+                for p, value in enumerate(read(port)):
+                    if value != 0:
+                        alarm.setdefault(p, port)
+            valid = read(valid_port)
+            if not alarm and valid.count(0) == len(valid):
+                continue  # no lane delivered or raised anything
+            frames = None
+            still_live = []
+            for p in live:
+                if p in alarm:
+                    detected[p] = (tick, f"{alarm[p]} asserted")
+                elif valid[p] is None:
+                    detected[p] = (tick, f"{valid_port} is X")
+                elif not valid[p]:
+                    still_live.append(p)
+                else:
+                    if frames is None:
+                        frames = [read(port)
+                                  for port in workload.frame_ports]
+                    frame = [values[p] for values in frames]
+                    if None in frame:
+                        detected[p] = (tick, "output data is X")
+                        continue
+                    outputs[p].append(tuple(
+                        wrap_signed(value, w) if signed else value
+                        for value, w in zip(frame, widths)))
+                    if len(outputs[p]) < workload.expected:
+                        still_live.append(p)
+            live = still_live
+    except Exception as exc:
+        if lanes[0] is None:
+            raise
+        detected[0] = (tick, f"{type(exc).__name__}: {exc}")
+    if lanes[0] is None and (detected[0] is not None
+                             or outputs[0] != golden):
+        raise CampaignError(
+            "fault-free lane diverged from the golden model -- "
+            "campaign harness bug")
+    return [_classify(fault, outputs[p], detected[p], golden)
+            for p, fault in enumerate(lanes) if fault is not None]
+
+
+# ----------------------------------------------------------------------
+# gate level: saboteur overlays, one lane per pattern
+# ----------------------------------------------------------------------
+
+def _run_gate(netlist, workload: Workload,
+              lanes: Sequence[Optional[Fault]],
+              backend: str) -> List[FaultRecord]:
+    """Classify gate-level fault lanes on one saboteur overlay.
+
+    The overlay carries every structural fault of *lanes*; lane *p*
+    asserts its fault's control per the fault's schedule (permanent
+    ones from the first tick), and a memory SEU flips a bit of lane
+    *p*'s private memory at its cycle.
+    """
+    overlay = build_overlay(netlist, [f for f in lanes if f is not None])
+    n = len(lanes)
+    # the overlay runs this one workload: its length picks the build
+    sim = GateSimulator(overlay.netlist, backend=backend, n_patterns=n,
+                        run_cycles=len(workload.waveform))
+    pokes: Dict[int, List[Callable[[], None]]] = {}
+    for p, fault in enumerate(lanes):
+        if fault is None:
+            continue
+        if fault.target_kind == "mem":
+            pokes.setdefault(fault.cycle, []).append(
+                lambda f=fault, p=p: sim.privatize_memory(
+                    f.target, p).flip_bit(f.address, f.bit))
+            continue
+        ctrl = control_name(fault)
+        on = [0] * n
+        on[p] = 1
+        pokes.setdefault(max(fault.cycle, 0), []).append(
+            functools.partial(sim.set_input_patterns, ctrl, on))
+        if not fault.permanent:
+            pokes.setdefault(fault.cycle + fault.duration, []).append(
+                functools.partial(sim.set_input_patterns, ctrl, [0] * n))
+    return _replay(sim, _plane_reader(sim, overlay.netlist, n), workload,
+                   lanes, pokes)
+
+
 def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
-                   params: SrcParams,
+                   params: Optional[SrcParams],
                    backend: str = "compiled") -> List[FaultRecord]:
     """Classify a batch of gate-level faults in one batched sweep.
 
@@ -224,201 +384,20 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
     engine; its pattern cap is in :data:`repro.engines.ENGINES`
     (native: one 64-pattern word).
     """
-    overlay = build_overlay(netlist, faults)
-    n = len(faults)
-    # the overlay runs this one workload: its length picks the build
-    sim = GateSimulator(overlay.netlist, backend=backend,
-                        n_patterns=n + 1,
-                        run_cycles=len(workload.waveform))
-    pattern_of = {f.index: b + 1 for b, f in enumerate(faults)}
+    return _run_gate(netlist, workload, [None, *faults], backend)
 
-    toggles: Dict[int, List[Tuple[Fault, int]]] = {}
-    mem_pokes: Dict[int, List[Fault]] = {}
-    for fault in faults:
-        if fault.target_kind == "mem":
-            mem_pokes.setdefault(fault.cycle, []).append(fault)
-        elif fault.permanent:
-            values = [0] * (n + 1)
-            values[pattern_of[fault.index]] = 1
-            sim.set_input_patterns(control_name(fault), values)
-        else:
-            toggles.setdefault(fault.cycle, []).append((fault, 1))
-            toggles.setdefault(fault.cycle + fault.duration,
-                               []).append((fault, 0))
-
-    golden = workload.golden
-    expected = workload.expected
-    valid_port = workload.valid_port
-    outputs: List[List[Tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    detected: List[Optional[Tuple[int, str]]] = [None] * (n + 1)
-    live = list(range(n + 1))
-
-    for tick, drive in enumerate(workload.waveform):
-        if not live:
-            break
-        for name, value in drive.items():
-            sim.set_input(name, value)
-        for fault, value in toggles.get(tick, ()):
-            values = [0] * (n + 1)
-            values[pattern_of[fault.index]] = value
-            sim.set_input_patterns(control_name(fault), values)
-        for fault in mem_pokes.get(tick, ()):
-            model = sim.privatize_memory(fault.target,
-                                         pattern_of[fault.index])
-            model.flip_bit(fault.address, fault.bit)
-        sim.step()
-
-        # per detect port, the lanes with any bit asserted (or X)
-        alarms, alarmed = [], 0
-        for port in workload.detect_ports:
-            lanes = 0
-            for ones, unks in zip(*sim.get_port_planes(port)):
-                lanes |= ones | unks
-            alarms.append((port, lanes))
-            alarmed |= lanes
-        v_ones, v_unks = sim.get_port_planes(valid_port)
-        valid_ones, valid_unk = v_ones[0], v_unks[0]
-        planes = None
-        if valid_ones or valid_unk:
-            planes = [sim.get_port_planes(p) for p in workload.frame_ports]
-        still_live = []
-        for p in live:
-            bit = 1 << p
-            if alarmed & bit:
-                port = next(port for port, lanes in alarms if lanes & bit)
-                detected[p] = (tick, f"{port} asserted")
-                continue
-            if valid_unk & bit:
-                detected[p] = (tick, f"{valid_port} is X")
-                continue
-            if valid_ones & bit:
-                frame = _decode_frame(planes, p, workload.signed)
-                if frame is None:
-                    detected[p] = (tick, "output data is X")
-                    continue
-                outputs[p].append(frame)
-                if len(outputs[p]) >= expected:
-                    continue  # pattern finished its stream
-            still_live.append(p)
-        live = still_live
-
-    if detected[0] is not None or outputs[0] != golden:
-        raise CampaignError(
-            f"fault-free pattern diverged from the golden model on "
-            f"overlay {overlay.netlist.name!r} -- campaign harness bug")
-    return [_classify(fault, outputs[b + 1], detected[b + 1], golden)
-            for b, fault in enumerate(faults)]
-
-
-def _decode_frame(planes, p: int,
-                  signed: bool) -> Optional[Tuple[int, ...]]:
-    """Pattern *p*'s frame from per-port bit planes; None when any bit
-    is X."""
-    bit = 1 << p
-    frame = []
-    for ones, unks in planes:
-        value = 0
-        for i in range(len(ones)):
-            if unks[i] & bit:
-                return None
-            if ones[i] & bit:
-                value |= 1 << i
-        frame.append(wrap_signed(value, len(ones)) if signed else value)
-    return tuple(frame)
-
-
-# ----------------------------------------------------------------------
-# gate level: one fault per run (interpreted-engine baseline)
-# ----------------------------------------------------------------------
 
 def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
-                          params: SrcParams,
+                          params: Optional[SrcParams],
                           backend: str = "interpreted") -> FaultRecord:
-    """Classify one gate-level fault of an SRC campaign with a
-    single-pattern simulation."""
-    overlay = build_overlay(netlist, [fault])
-    golden = workload.golden
-    expected = workload.expected
-    dw = params.data_width
-    outputs: List[Tuple[int, int]] = []
-    detected: Optional[Tuple[int, str]] = None
-    tick = 0
-    try:
-        sim = GateSimulator(overlay.netlist, backend=backend)
-        ctrl = control_name(fault) if fault.structural else None
-        ctrl_state = 0
-        for tick, drive in enumerate(workload.waveform):
-            if len(outputs) >= expected:
-                break
-            for name, value in drive.items():
-                sim.set_input(name, value)
-            if ctrl is not None:
-                want = 1 if fault.active(tick) else 0
-                if want != ctrl_state:
-                    sim.set_input(ctrl, want)
-                    ctrl_state = want
-            elif fault.target_kind == "mem" and tick == fault.cycle:
-                sim.memory_model(fault.target).flip_bit(
-                    fault.address, fault.bit)
-            sim.step()
-            valid = sim.get_logic("out_valid")[0]
-            if valid not in (L.L0, L.L1):
-                detected = (tick, "out_valid is X")
-                break
-            if valid == L.L1:
-                frame = []
-                for port in ("out_l", "out_r"):
-                    bits = sim.get_logic(port)
-                    if any(b not in (L.L0, L.L1) for b in bits):
-                        detected = (tick, "output data is X")
-                        break
-                    frame.append(wrap_signed(
-                        sum(1 << i for i, b in enumerate(bits)
-                            if b == L.L1), dw))
-                if detected is not None:
-                    break
-                outputs.append((frame[0], frame[1]))
-    except Exception as exc:  # simulator check fired: the fault was caught
-        detected = (tick, f"{type(exc).__name__}: {exc}")
-    return _classify(fault, outputs, detected, golden)
+    """Classify one gate-level fault with a single-pattern simulation:
+    :func:`run_gate_batch`'s sweep with the fault's lane alone."""
+    return _run_gate(netlist, workload, [fault], backend)[0]
 
 
 # ----------------------------------------------------------------------
 # rtl and behavioural levels: bit flips poked into the environment
 # ----------------------------------------------------------------------
-
-def _replay_one(make_sim, poke, workload: Workload, fault: Fault,
-                params: SrcParams) -> FaultRecord:
-    """Classify one RTL or behavioural fault on a single-pattern DUT.
-
-    ``make_sim()`` builds the DUT (``set_input`` / ``step`` / ``get``);
-    ``poke(sim)`` flips the fault's bit at the start of the injection
-    cycle, before that cycle's evaluation -- the gate-level XOR
-    saboteur's observation window.
-    """
-    golden = workload.golden
-    expected = workload.expected
-    dw = params.data_width
-    outputs: List[Tuple[int, int]] = []
-    detected: Optional[Tuple[int, str]] = None
-    tick = 0
-    try:
-        sim = make_sim()
-        for tick, drive in enumerate(workload.waveform):
-            if len(outputs) >= expected:
-                break
-            if tick == fault.cycle:
-                poke(sim)
-            for name, value in drive.items():
-                sim.set_input(name, value)
-            sim.step()
-            if sim.get("out_valid"):
-                outputs.append((wrap_signed(sim.get("out_l"), dw),
-                                wrap_signed(sim.get("out_r"), dw)))
-    except Exception as exc:  # model check fired: the fault was caught
-        detected = (tick, f"{type(exc).__name__}: {exc}")
-    return _classify(fault, outputs, detected, golden)
-
 
 def run_rtl_fault(module, workload: Workload, fault: Fault,
                   params: SrcParams,
@@ -428,12 +407,14 @@ def run_rtl_fault(module, workload: Workload, fault: Fault,
     All logic evaluated on the injection cycle -- and the next-state
     functions -- see the upset value.
     """
-    def poke(sim) -> None:
+    sim = RtlSimulator(module, backend=backend)
+
+    def poke() -> None:
         sim.env[fault.target] = sim.env[fault.target] ^ (1 << fault.bit)
         sim.settle()
 
-    return _replay_one(lambda: RtlSimulator(module, backend=backend),
-                       poke, workload, fault, params)
+    reader = _Reader(lambda port: [sim.get(port)], module.net_width)
+    return _replay(sim, reader, workload, [fault], {fault.cycle: [poke]})[0]
 
 
 def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
@@ -449,41 +430,14 @@ def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
     ``b``'s variable-bit flip at its injection cycle -- the
     behavioural mirror of the gate level's parallel-fault batches.
     """
-    golden = workload.golden
-    expected = workload.expected
-    dw = params.data_width
-    n = len(faults) + 1
-    sim = engine_class(backend, "fsm_batch")(fsm, n)
-    pokes: Dict[int, List[Tuple[int, Fault]]] = {}
-    for b, fault in enumerate(faults):
-        pokes.setdefault(fault.cycle, []).append((b + 1, fault))
-    read = sim.get_output_patterns
-    outputs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    remaining = n
-    for tick, drive in enumerate(workload.waveform):
-        if not remaining:
-            break
-        for p, fault in pokes.get(tick, ()):
-            sim.flip_bit(p, fault.target, fault.bit)
-        for name, value in drive.items():
-            sim.set_input(name, value)
-        sim.step()
-        valid = read("out_valid")
-        if any(valid):
-            out_l = read("out_l")
-            out_r = read("out_r")
-            for p in range(n):
-                if valid[p] and len(outputs[p]) < expected:
-                    outputs[p].append((wrap_signed(out_l[p], dw),
-                                       wrap_signed(out_r[p], dw)))
-                    if len(outputs[p]) >= expected:
-                        remaining -= 1
-    if outputs[0] != golden:
-        raise CampaignError(
-            f"fault-free pattern diverged from the golden model on "
-            f"FSM {fsm.name!r} -- campaign harness bug")
-    return [_classify(fault, outputs[b + 1], None, golden)
-            for b, fault in enumerate(faults)]
+    sim = engine_class(backend, "fsm_batch")(fsm, len(faults) + 1)
+    pokes: Dict[int, List[Callable[[], None]]] = {}
+    for p, fault in enumerate(faults, 1):
+        pokes.setdefault(fault.cycle, []).append(functools.partial(
+            sim.flip_bit, p, fault.target, fault.bit))
+    reader = _Reader(sim.get_output_patterns,
+                     lambda port: fsm.program.ports[port].width)
+    return _replay(sim, reader, workload, [None, *faults], pokes)
 
 
 def run_beh_fault_scalar(fsm, workload: Workload, fault: Fault,
@@ -491,13 +445,15 @@ def run_beh_fault_scalar(fsm, workload: Workload, fault: Fault,
                          backend: str = "interpreted") -> FaultRecord:
     """Classify one behavioural fault on any FSM engine, with the same
     observation window as :func:`run_rtl_fault`."""
-    def poke(sim) -> None:
+    sim = BehavioralSimulation(params, fsm=fsm, backend=backend)
+
+    def poke() -> None:
         env = sim.interp.env
         env[fault.target] = env[fault.target] ^ (1 << fault.bit)
 
-    return _replay_one(
-        lambda: BehavioralSimulation(params, fsm=fsm, backend=backend),
-        poke, workload, fault, params)
+    reader = _Reader(lambda port: [sim.get(port)],
+                     lambda port: fsm.program.ports[port].width)
+    return _replay(sim, reader, workload, [fault], {fault.cycle: [poke]})[0]
 
 
 # ----------------------------------------------------------------------
@@ -543,19 +499,6 @@ def _runners(level: str):
     return {"gate": (run_gate_batch, run_gate_fault_scalar),
             "rtl": (None, run_rtl_fault),
             "beh": (run_beh_batch, run_beh_fault_scalar)}[level]
-
-
-def fi_batch_width(level: str, backend: str,
-                   batch_size: int) -> Optional[int]:
-    """Faults per batch when *backend* classifies at *level*.
-
-    None when the engine holds one pattern at that level: each fault
-    then runs in its own simulation.  Otherwise *batch_size* faults
-    (plus the fault-free pattern 0).
-    """
-    if not ENGINES[backend].batches(level):
-        return None
-    return batch_size
 
 
 def _fi_task(faults: Sequence[Fault]):
@@ -692,11 +635,12 @@ def campaign_faultload(config: CampaignConfig) -> Tuple[List[Fault], str]:
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run a full fault-injection campaign per *config*.
 
-    Classifies every fault on the configured engine (batched as
-    :func:`fi_batch_width` says), then re-runs a probe slice on the
-    compiled and interpreted engines to measure every engine's
-    injection throughput -- cross-checking that the probe's
-    classifications agree exactly.
+    Classifies every fault on the engine the configured one resolves
+    to on this host (``batch_size`` faults per batch where it holds
+    several patterns at the level, else one fault per run), then
+    re-runs a probe slice on the compiled and interpreted engines to
+    measure every engine's injection throughput -- cross-checking
+    that the probe's records agree field for field.
 
     An interrupt (Ctrl-C) does not lose the run: the pool is torn down
     cleanly and the report carries every fault classified so far,
@@ -709,15 +653,18 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
 
 def _run_campaign(config: CampaignConfig) -> CampaignReport:
+    # without a C toolchain native runs on its fallback: rows and
+    # probes name the engine that ran
+    backend = resolve(config.backend, CampaignError)
     _init_worker(config.params, config.level, config.seed, config.budget,
-                 config.backend)
+                 backend)
     workload: Workload = _WORKER["workload"]  # type: ignore[assignment]
-    backend = config.backend
     with span("fi.faultload", level=config.level) as faultload_span:
         faults, design = campaign_faultload(config)
         faultload_span.note(n_faults=len(faults))
 
-    width = fi_batch_width(config.level, backend, config.batch_size) or 1
+    width = (config.batch_size if ENGINES[backend].batches(config.level)
+             else 1)
     tasks = [faults[i:i + width] for i in range(0, len(faults), width)]
 
     interrupted = False
@@ -726,7 +673,7 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
         results = parallel_map(
             _fi_task, tasks, config.jobs, initializer=_init_worker,
             initargs=(config.params, config.level, config.seed,
-                      config.budget, config.backend))
+                      config.budget, backend))
     except PoolInterrupted as stop:
         results = stop.partial
         interrupted = True
@@ -759,29 +706,31 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
 
     # cross-engine probes: the same leading faults on the compiled
     # batch baseline the campaign's engine replaces, then on the
-    # interpreted reference; classifications must agree exactly
+    # interpreted reference; whole records must agree exactly
     batch, single = _runners(config.level)
     dut = _WORKER["dut"]
     for engine in [e for e in ("compiled", "interpreted") if e != backend]:
         probe_wall0 = time.time()
         t0 = time.perf_counter()
-        width = fi_batch_width(config.level, engine, config.batch_size)
-        if width is None:
+        if ENGINES[engine].batches(config.level):
+            probe_records = []
+            for i in range(0, len(probe), config.batch_size):
+                probe_records += batch(
+                    dut, workload, probe[i:i + config.batch_size],
+                    config.params, backend=engine)
+        else:
             probe_records = [single(dut, workload, fault, config.params,
                                     backend=engine) for fault in probe]
-        else:
-            probe_records = []
-            for i in range(0, len(probe), width):
-                probe_records += batch(dut, workload, probe[i:i + width],
-                                       config.params, backend=engine)
         probe_wall = time.perf_counter() - t0
         for fault, main_record, other in zip(probe, records,
                                              probe_records):
-            if other.outcome != main_record.outcome:
+            mine, theirs = main_record.as_dict(), other.as_dict()
+            field = next((k for k in mine if mine[k] != theirs[k]), None)
+            if field is not None:
                 raise CampaignError(
                     f"engines disagree on {fault.format()}: {engine} "
-                    f"says {other.outcome}, {backend} says "
-                    f"{main_record.outcome}")
+                    f"says {field}={theirs[field]!r}, {backend} says "
+                    f"{field}={mine[field]!r}")
         throughput.append(Throughput(engine, len(probe), probe_wall))
         record_span("fi.probe", probe_wall0, time.time(),
                     engine=engine, n_faults=len(probe))
@@ -807,11 +756,13 @@ def run_fi_self_check(config: CampaignConfig) -> SelfCheckResult:
     contradicts at least one golden frame, so the stream must corrupt
     silently.  The known-masked fault sticks ``scan_en`` at 0 -- the
     workload never asserts scan mode, so forcing its idle value cannot
-    change anything.  Both run through the regular batch classifier;
-    misclassification of either means the campaign machinery is broken.
+    change anything.  Both run through the regular batch classifier on
+    the campaign's engine; misclassification of either means the
+    campaign machinery is broken.
     """
     config = config.validated()
-    _init_worker(config.params, "gate", config.seed, config.budget)
+    _init_worker(config.params, "gate", config.seed, config.budget,
+                 config.backend)
     netlist = _WORKER["dut"]
     workload: Workload = _WORKER["workload"]  # type: ignore[assignment]
     if not workload.golden:
@@ -831,6 +782,7 @@ def run_fi_self_check(config: CampaignConfig) -> SelfCheckResult:
                          uid=scan_en.uid, value=0)
 
     records = run_gate_batch(netlist, workload,
-                             [sdc_fault, masked_fault], config.params)
+                             [sdc_fault, masked_fault], config.params,
+                             backend=config.backend)
     return SelfCheckResult(sdc_record=records[0],
                            masked_record=records[1])

@@ -58,6 +58,9 @@ class GateSimulator:
     evaluation -- or ``"native"``, the same kernel over C ``uint64_t``
     bitplanes.  ``checking_memories`` (the address-checking model) is
     this engine's alone; the generated engines reject it.
+    It holds one pattern and offers the pattern API at it, so a
+    one-lane FI run drives every gate engine alike; ``run_cycles`` is
+    unused (nothing is built).
     """
 
     backend = "interpreted"
@@ -72,7 +75,12 @@ class GateSimulator:
         return object.__new__(cls)
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
-                 reporter=None, backend: str = "interpreted", **kwargs):
+                 reporter=None, backend: str = "interpreted",
+                 n_patterns: int = 1, run_cycles: Optional[int] = None,
+                 **kwargs):
+        if n_patterns != 1:
+            raise GateSimError("the interpreted backend simulates a "
+                               f"single pattern, not {n_patterns}")
         if kwargs:
             raise GateSimError(
                 "unsupported options for the interpreted backend: "
@@ -286,6 +294,22 @@ class GateSimulator:
         return PortSampler(
             lambda: int.from_bytes(bytes(take(values)), "little"),
             {name: len(nets) for name, nets in ports.items()})
+
+    def set_input_patterns(self, name: str, values: Sequence[int]) -> None:
+        """Drive the one pattern's value on *name*."""
+        if len(values) != 1:
+            raise GateSimError(f"expected 1 pattern value, got {len(values)}")
+        self.set_input(name, values[0])
+
+    def get_port_planes(self, name: str) -> Tuple[List[int], List[int]]:
+        """Per bit of port *name*, the one pattern's (ones, unknowns)."""
+        bits = self.get_logic(name)
+        return ([int(v == L.L1) for v in bits],
+                [int(v not in (L.L0, L.L1)) for v in bits])
+
+    def privatize_memory(self, name: str, pattern: int) -> MemoryModel:
+        """The one pattern's memory, private already."""
+        return self.memory_model(name, pattern)
 
     def memory_model(self, name: str, pattern: int = 0) -> MemoryModel:
         """The behavioural model backing memory macro *name*.

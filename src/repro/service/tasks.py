@@ -3,9 +3,10 @@
 The service decomposes every job into *tasks* -- the shard pool's unit
 of dispatch, retry and progress:
 
-* **fi**       -- one task per faultload slice, classified with the
-  campaign subsystem's runners (batched as
-  :func:`~repro.fi.campaign.fi_batch_width` says);
+* **fi**       -- one task per faultload slice of ``batch_size``
+  faults, classified with the campaign subsystem's runners (one batch
+  where the engine holds several patterns at the level, else one run
+  per fault);
 * **verify**   -- one task per stimulus case through the differential
   runner;
 * **corpus**   -- one task per corpus member through the full
@@ -130,9 +131,7 @@ def plan_fi(spec: JobSpec, n_shards: int) -> JobPlan:
     faults, design = C.campaign_faultload(config)
     workload = C._WORKER["workload"]
 
-    chunk = C.fi_batch_width(config.level, config.backend,
-                             config.batch_size) or config.batch_size
-
+    chunk = config.batch_size
     base = {
         "op": "fi",
         "params": spec.params,

@@ -14,7 +14,9 @@ from repro.corpus import (CORPUS_LEVELS, DESIGN_KINDS, ENGINES, PARITY_PORT,
                           build_design, generate_corpus,
                           generate_design_faultload, harden_module,
                           run_design_campaign)
+from repro.corpus.inject import design_workload
 from repro.engines import batch_engines
+from repro.fi.campaign import run_gate_batch, run_gate_fault_scalar
 from repro.fi.faults import FAULT_MODELS
 from repro.gatesim import GateSimulator
 from repro.synth import synthesize
@@ -128,3 +130,23 @@ def test_corpus_fi_engines_agree(designs, member):
         assert got == want, (
             f"{engine} vs compiled: {len(diffs)} fault record(s) "
             f"differ, first {diffs[:3]} -- {replay}")
+
+
+@pytest.mark.parametrize("index", range(N_DESIGNS),
+                         ids=[s.name for s in _SPECS])
+def test_corpus_one_fault_runner_equals_the_batch(designs, index):
+    """The gate one-fault runner on the interpreted engine gives the
+    batch's records on any design: it observes the ports the workload
+    names and decodes frames as the workload says."""
+    design, golden = designs[index]
+    netlist = design.netlist()
+    waveform = design.waveform()
+    workload = design_workload(waveform, golden, design.valid_port,
+                               design.frame_ports, design.cycle_budget())
+    faults = generate_design_faultload(netlist, 6, CORPUS_SEED,
+                                       len(waveform), models=FAULT_MODELS)
+    want = [r.as_dict() for r in run_gate_batch(netlist, workload, faults,
+                                                None)]
+    got = [run_gate_fault_scalar(netlist, workload, fault, None).as_dict()
+           for fault in faults]
+    assert got == want, _replay(index)

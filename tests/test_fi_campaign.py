@@ -5,6 +5,7 @@ in tier 1 (the ``fi`` marker is informational); the deep campaign at
 the bottom additionally carries ``fuzz`` and is opt-in.
 """
 
+import dataclasses
 import hashlib
 import os
 
@@ -12,8 +13,9 @@ import pytest
 
 from repro.fi import (BUDGET_FRAMES, CampaignConfig, CampaignError,
                       OUTCOMES, run_campaign, run_fi_self_check)
-from repro.fi.campaign import fi_batch_width, make_workload, run_gate_batch
-from repro.engines import batch_engines
+from repro.fi import campaign
+from repro.fi.campaign import make_workload, run_gate_batch
+from repro.engines import ENGINES, batch_engines
 from repro.fi.faultload import generate_gate_faultload
 from repro.gatesim import COMPILE_CACHE
 from repro.native import build_cflags, toolchain_available
@@ -174,6 +176,48 @@ def test_self_check_classifies_known_faults(smoke_report):
     assert "PASS" in result.format()
 
 
+def test_probe_compares_whole_records(monkeypatch):
+    """A probe record that differs from the main run's in any field,
+    not only in its outcome, aborts the campaign and names the field."""
+    one_fault = campaign.run_gate_fault_scalar
+
+    def miscounted(*args, **kwargs):
+        record = one_fault(*args, **kwargs)
+        return dataclasses.replace(record, n_outputs=record.n_outputs + 1)
+
+    monkeypatch.setattr(campaign, "run_gate_fault_scalar", miscounted)
+    with pytest.raises(CampaignError, match="interpreted says n_outputs="):
+        run_campaign(dataclasses.replace(SMOKE, n_faults=4, probe_faults=2))
+
+
+ISOLATED = CampaignConfig(params=SMALL_PARAMS, level="gate", n_faults=6,
+                          seed=3, budget="smoke", probe_faults=0,
+                          batch_size=3)
+
+
+def _failing_batch(error):
+    def batch(*args, **kwargs):
+        raise error("the whole batch failed")
+    return batch
+
+
+def test_failed_batch_is_isolated_fault_by_fault(monkeypatch):
+    """A batch that raises is re-run one fault per simulation, with the
+    records the batch would have given."""
+    want = [r.as_dict() for r in run_campaign(ISOLATED).records]
+    monkeypatch.setattr(campaign, "run_gate_batch",
+                        _failing_batch(RuntimeError))
+    got = [r.as_dict() for r in run_campaign(ISOLATED).records]
+    assert got == want
+
+
+def test_harness_error_in_a_batch_is_not_isolated(monkeypatch):
+    monkeypatch.setattr(campaign, "run_gate_batch",
+                        _failing_batch(CampaignError))
+    with pytest.raises(CampaignError, match="the whole batch failed"):
+        run_campaign(ISOLATED)
+
+
 def test_config_validation_rejects_nonsense():
     with pytest.raises(CampaignError):
         CampaignConfig(params=SMALL_PARAMS, level="netlist").validated()
@@ -197,11 +241,11 @@ def test_batch_width_follows_the_engine_table():
                                        ("rtl", "native", 70)):
         CampaignConfig(params=SMALL_PARAMS, level=level, backend=backend,
                        batch_size=batch_size).validated()
-    assert fi_batch_width("beh", "native", 31) == 31
-    assert fi_batch_width("gate", "compiled", 31) == 31
+    assert ENGINES["native"].batches("beh")
+    assert ENGINES["compiled"].batches("gate")
     # no RTL batch on any engine: one fault per simulation
-    assert fi_batch_width("rtl", "compiled", 31) is None
-    assert fi_batch_width("rtl", "native", 31) is None
+    assert not ENGINES["compiled"].batches("rtl")
+    assert not ENGINES["native"].batches("rtl")
 
 
 @pytest.fixture
@@ -237,6 +281,17 @@ def test_native_overlay_builds_once_for_its_run(cold_native,
                               SMALL_PARAMS, backend="compiled")
     assert [r.as_dict() for r in native] == \
         [r.as_dict() for r in compiled]
+
+
+def test_native_self_check_runs_on_native(cold_native):
+    """``--self-check`` of a native campaign classifies its two faults
+    on the native engine: one overlay, one build."""
+    builds = REGISTRY.counter("repro_native_builds_total",
+                              cflags=cold_native)
+    before = builds.value
+    result = run_fi_self_check(dataclasses.replace(SMOKE, backend="native"))
+    assert result.passed
+    assert builds.value == before + 1
 
 
 def test_traced_cold_native_campaign_spans_every_cc(cold_native):

@@ -191,6 +191,36 @@ def test_memory_poke_is_seen_without_an_input_change(backend):
     assert sim.get("y") == 9
 
 
+def test_interpreted_pattern_api_at_its_one_pattern():
+    """The interpreted engine's pattern API at ``n_patterns=1`` is its
+    scalar API: the same writes, reads (X included) and memory."""
+    plain = GateSimulator(_ram_reader())
+    lane = GateSimulator(_ram_reader(), n_patterns=1, run_cycles=3)
+    for name, value in (("a", 1), ("we", 1), ("din", 6)):
+        plain.set_input(name, value)
+        lane.set_input_patterns(name, [value])
+    plain.step()
+    lane.step()
+    plain.memory_model("ram").flip_bit(1, 0)
+    lane.privatize_memory("ram", 0).flip_bit(1, 0)
+    plain.set_input_logic("a", [LX, L0])
+    lane.set_input_logic("a", [LX, L0])
+    for port in ("q", "y"):
+        bits = plain.get_logic(port)
+        assert lane.get_port_planes(port) == (
+            [int(v == L1) for v in bits],
+            [int(v not in (L0, L1)) for v in bits])
+    assert LX in plain.get_logic("y")
+    assert lane.memory_model("ram").peek() == \
+        plain.memory_model("ram").peek()
+    with pytest.raises(GateSimError, match="expected 1 pattern value"):
+        lane.set_input_patterns("a", [1, 0])
+    with pytest.raises(GateSimError):
+        lane.privatize_memory("ram", 1)
+    with pytest.raises(GateSimError, match="single pattern"):
+        GateSimulator(_ram_reader(), n_patterns=2)
+
+
 def _gate_class(name):
     module, _, attr = ENGINES[name].gate.partition(":")
     return getattr(importlib.import_module(module), attr)

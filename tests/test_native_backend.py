@@ -502,6 +502,22 @@ def test_simulators_degrade_without_toolchain(no_toolchain):
     assert sim.get("y") == 9
 
 
+def test_fallen_back_campaign_names_the_engine_that_ran(no_toolchain):
+    """Without a toolchain a native campaign runs on compiled: its
+    throughput row says so, and the probe does not re-run compiled."""
+    from repro.fi import CampaignConfig, run_campaign
+    from repro.src_design.params import SMALL_PARAMS
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NativeFallbackWarning)
+        report = run_campaign(CampaignConfig(
+            SMALL_PARAMS, level="beh", backend="native", n_faults=4,
+            seed=3, budget="smoke", probe_faults=2))
+    assert {row.backend for row in report.throughput} == \
+        {"compiled", "interpreted"}
+    assert report.throughput_of("compiled").faults == 4
+
+
 @needs_cc
 def test_gate_native_pattern_cap():
     from repro.gatesim import GateSimError, GateSimulator
