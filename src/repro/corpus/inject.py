@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..fi.campaign import Workload, run_gate_batch
+from ..fi.campaign import Workload, run_gate_batch, shared_program
 from ..fi.faults import Fault
 from ..fi.faultload import generate_gate_faultload
 
@@ -63,17 +63,22 @@ def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
                         cycle_budget: int,
                         backend: str = "compiled",
                         detect_ports: Sequence[str] = ()) -> list:
-    """Run a whole faultload in batches over :func:`design_workload`;
-    returns FaultRecords.  A fault-free divergence raises
+    """Run a whole faultload in batches over :func:`design_workload`,
+    on native every batch on one saboteur program of the faultload
+    (:func:`~repro.fi.campaign.shared_program`); returns FaultRecords.
+    A fault-free divergence raises
     :class:`~repro.fi.campaign.CampaignError`.
     """
     workload = design_workload(waveform, golden, valid_port, frame_ports,
                                cycle_budget, detect_ports)
+    program = shared_program(netlist, faults, backend,
+                             min(COMPILED_BATCH, len(faults)) + 1,
+                             len(workload.waveform))
     records = []
     for lo in range(0, len(faults), COMPILED_BATCH):
         records.extend(run_gate_batch(netlist, workload,
                                       faults[lo:lo + COMPILED_BATCH], None,
-                                      backend=backend))
+                                      backend=backend, program=program))
     return records
 
 

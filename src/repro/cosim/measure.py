@@ -7,7 +7,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..engines import lookup
 from ..flow.performance import SimPerfResult
 from ..gatesim import GateSimulator
 from ..rtl import RtlSimulator
@@ -90,18 +89,12 @@ def measure_gate_throughput(params: SrcParams, kind: str, cycles: int,
     :attr:`SimPerfResult.cycles_per_second` reports pattern-cycles per
     second.  The compiled backend packs patterns into Python-int
     bitplanes with no width cap; the native backend packs them into
-    one C ``uint64_t`` word (N <= 64, see :mod:`repro.engines`).
+    one C ``uint64_t`` word (N <= 64, see :mod:`repro.engines`).  More
+    patterns than the engine holds (interpreted: one) raise
+    :class:`~repro.gatesim.GateSimError`.
     """
     netlist = _gate_netlist(params, kind)
-    if lookup(backend).batches("gate"):
-        sim = GateSimulator(netlist, backend=backend,
-                            n_patterns=n_patterns)
-    else:
-        if n_patterns != 1:
-            raise ValueError(
-                "parallel patterns need a batch backend"
-            )
-        sim = GateSimulator(netlist)
+    sim = GateSimulator(netlist, backend=backend, n_patterns=n_patterns)
     rng = random.Random(seed)
     inputs = [(name, 1 << len(nets)) for name, nets in
               netlist.inputs.items()]

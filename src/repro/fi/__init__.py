@@ -11,10 +11,11 @@ entry points.
 
 from . import targets  # noqa: F401  (leaf module; import first)
 from .campaign import (BUDGET_FRAMES, CampaignConfig, CampaignError,
-                       LEVELS, Workload, build_campaign_netlist,
-                       make_workload, parallel_map, run_campaign,
-                       run_fi_self_check, run_gate_batch,
-                       run_gate_fault_scalar, run_rtl_fault)
+                       LEVELS, SaboteurProgram, Workload,
+                       build_campaign_netlist, make_workload,
+                       parallel_map, run_campaign, run_fi_self_check,
+                       run_gate_batch, run_gate_fault_scalar,
+                       run_rtl_fault)
 from .faultload import (PULSE_CYCLES, generate_gate_faultload,
                         generate_rtl_faultload)
 from .faults import (FAULT_MODELS, Fault, FaultError, Overlay,
@@ -29,8 +30,8 @@ __all__ = [
     "BUDGET_FRAMES", "CampaignConfig", "CampaignError", "CampaignReport",
     "FAULT_MODELS", "Fault", "FaultError", "FaultRecord", "LEVELS",
     "MemoryTarget", "NetTarget", "OUTCOMES", "Overlay", "PULSE_CYCLES",
-    "RegisterTarget", "SelfCheckResult", "Throughput", "Workload",
-    "build_campaign_netlist", "build_overlay", "control_name",
+    "RegisterTarget", "SaboteurProgram", "SelfCheckResult", "Throughput",
+    "Workload", "build_campaign_netlist", "build_overlay", "control_name",
     "derive_gate_swaps", "flop_targets", "generate_gate_faultload",
     "generate_rtl_faultload", "injectable_nets", "insert_saboteur",
     "make_workload", "memory_targets", "parallel_map", "register_targets",

@@ -11,9 +11,12 @@ entry in :data:`repro.engines.ENGINES` (``Engine.batches(level)``):
 
 * **batched** -- on an engine that holds several patterns at the
   campaign's level, ``batch_size`` faults are batched into one
-  simulation: gate faults into one saboteur overlay over the pattern
-  planes, behavioural faults as per-pattern bit flips.  Pattern 0
-  carries the fault-free run as an in-flight golden cross-check.
+  simulation: gate faults as pattern lanes of a saboteur overlay --
+  on native one program that holds the whole faultload
+  (:class:`SaboteurProgram`, built once per campaign and reset
+  between batches), on compiled one overlay per batch -- behavioural
+  faults as per-pattern bit flips.  Pattern 0 carries the fault-free
+  run as an in-flight golden cross-check.
 * **one fault per run** -- on an engine that holds a single pattern
   at the level (interpreted everywhere, every engine at RTL), each
   fault gets its own simulation.
@@ -33,7 +36,10 @@ Campaigns scale across a ``multiprocessing`` worker pool
 (:func:`parallel_map`); classification is a pure function of
 ``(fault, workload)``, so any job count produces identical records,
 and per-task compile-cache deltas are shipped back to the parent so
-cache statistics stay correct under ``--jobs``.
+cache statistics stay correct under ``--jobs``.  A native gate
+campaign starts its program's ``cc`` as a child process, runs the
+cross-engine probes while it compiles and waits for it before the
+batches -- so before any pool worker forks.
 """
 
 from __future__ import annotations
@@ -329,21 +335,83 @@ def _replay(sim, reader: _Reader, workload: Workload,
 # gate level: saboteur overlays, one lane per pattern
 # ----------------------------------------------------------------------
 
-def _run_gate(netlist, workload: Workload,
-              lanes: Sequence[Optional[Fault]],
-              backend: str) -> List[FaultRecord]:
-    """Classify gate-level fault lanes on one saboteur overlay.
+class SaboteurProgram:
+    """One saboteur overlay for a whole faultload, and its simulator.
 
-    The overlay carries every structural fault of *lanes*; lane *p*
+    The overlay carries a saboteur for every structural fault of
+    *faults*.  A saboteur whose control is 0 is transparent and a lane
+    asserts only its own fault's control, so every batch drawn from
+    *faults* runs on this one program: one build, not one per batch
+    (see :func:`shared_program` for the engines where that pays).
+
+    The simulator holds *lanes* patterns and is built on first use;
+    before every later batch it is reset to the state a new one starts
+    in -- every input, the controls included, back to 0, then flops and
+    memories.  A forked pool worker inherits its parent's program and
+    builds its own simulator.
+    """
+
+    def __init__(self, netlist, faults: Sequence[Fault], backend: str,
+                 lanes: int, run_cycles: int):
+        self.overlay = build_overlay(netlist, faults)
+        self.backend = backend
+        self.lanes = lanes
+        self.run_cycles = run_cycles
+        self._sim = None
+
+    def simulator(self):
+        """The process's simulator of the program, as a new one starts."""
+        sim = self._sim
+        if sim is None:
+            sim = self._sim = GateSimulator(
+                self.overlay.netlist, backend=self.backend,
+                n_patterns=self.lanes, run_cycles=self.run_cycles)
+            return sim
+        for name in self.overlay.netlist.inputs:
+            sim.set_input(name, 0)
+        sim.reset()
+        return sim
+
+
+def shared_program(netlist, faults: Sequence[Fault], backend: str,
+                   lanes: int, run_cycles: int
+                   ) -> Optional[SaboteurProgram]:
+    """The :class:`SaboteurProgram` every batch of *faults* shares, on
+    an engine that builds its kernel out of process (``start_build``:
+    native's ``cc``); None on one that builds in-process (compiled),
+    where a batch's own overlay costs less to build than the union's
+    bigger kernel adds to every step of every batch (EXPERIMENTS
+    PERF10)."""
+    if getattr(engine_class(backend, "gate"), "start_build", None) is None:
+        return None
+    return SaboteurProgram(netlist, faults, backend, lanes, run_cycles)
+
+
+def _run_gate(netlist, workload: Workload,
+              lanes: Sequence[Optional[Fault]], backend: str,
+              program: Optional[SaboteurProgram] = None
+              ) -> List[FaultRecord]:
+    """Classify gate-level fault lanes on one saboteur program.
+
+    Without *program*, one is built for these lanes alone.  Lane *p*
     asserts its fault's control per the fault's schedule (permanent
     ones from the first tick), and a memory SEU flips a bit of lane
-    *p*'s private memory at its cycle.
+    *p*'s private memory at its cycle; lanes past *lanes* up to the
+    program's width run fault-free.
     """
-    overlay = build_overlay(netlist, [f for f in lanes if f is not None])
-    n = len(lanes)
-    # the overlay runs this one workload: its length picks the build
-    sim = GateSimulator(overlay.netlist, backend=backend, n_patterns=n,
-                        run_cycles=len(workload.waveform))
+    if program is None:
+        program = SaboteurProgram(
+            netlist, [f for f in lanes if f is not None], backend,
+            len(lanes), len(workload.waveform))
+    n = program.lanes
+    if len(lanes) > n:
+        raise CampaignError(f"{len(lanes)} lanes on a {n}-lane program")
+    for fault in lanes:
+        if fault is not None and fault.structural and \
+                fault.index not in program.overlay.controls:
+            raise CampaignError(f"no saboteur for {fault.format()}")
+    lanes = [*lanes, *[None] * (n - len(lanes))]
+    sim = program.simulator()
     pokes: Dict[int, List[Callable[[], None]]] = {}
     for p, fault in enumerate(lanes):
         if fault is None:
@@ -361,21 +429,26 @@ def _run_gate(netlist, workload: Workload,
         if not fault.permanent:
             pokes.setdefault(fault.cycle + fault.duration, []).append(
                 functools.partial(sim.set_input_patterns, ctrl, [0] * n))
-    return _replay(sim, _plane_reader(sim, overlay.netlist, n), workload,
-                   lanes, pokes)
+    return _replay(sim, _plane_reader(sim, program.overlay.netlist, n),
+                   workload, lanes, pokes)
 
 
 def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
                    params: Optional[SrcParams],
-                   backend: str = "compiled") -> List[FaultRecord]:
+                   backend: str = "compiled",
+                   program: Optional[SaboteurProgram] = None
+                   ) -> List[FaultRecord]:
     """Classify a batch of gate-level faults in one batched sweep.
 
-    Builds a single overlay carrying every structural fault, simulates
-    ``len(faults) + 1`` patterns at once -- pattern 0 fault-free, pattern
-    ``b + 1`` with fault ``b``'s control asserted per its schedule --
-    and diffs each pattern's output stream against the golden model.
-    The fault-free pattern doubles as an in-run sanity check: if it
-    diverges from the golden model the harness itself is broken.
+    Simulates ``len(faults) + 1`` patterns at once on a saboteur
+    program -- pattern 0 fault-free, pattern ``b + 1`` with fault
+    ``b``'s control asserted per its schedule -- and diffs each
+    pattern's output stream against the golden model.  The fault-free
+    pattern doubles as an in-run sanity check: if it diverges from the
+    golden model the harness itself is broken.  *program*, built on
+    *backend* for a faultload that holds *faults*, serves every batch of
+    a campaign (:class:`SaboteurProgram`); without it the batch builds
+    an overlay of its own faults.
 
     Every pattern is driven with the workload's port waveform; the
     workload names the ports observed and how frames decode (see
@@ -384,7 +457,7 @@ def run_gate_batch(netlist, workload: Workload, faults: Sequence[Fault],
     engine; its pattern cap is in :data:`repro.engines.ENGINES`
     (native: one 64-pattern word).
     """
-    return _run_gate(netlist, workload, [None, *faults], backend)
+    return _run_gate(netlist, workload, [None, *faults], backend, program)
 
 
 def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
@@ -516,10 +589,13 @@ def _fi_task(faults: Sequence[Fault]):
                 records.append(single(dut, workload, fault, params,
                                       backend=backend))
     else:
+        # a campaign's saboteur program, when it made one
+        program = _WORKER.get("program")
+        extra = {} if program is None else {"program": program}
         with span("fi.batch", level=level, n_faults=len(faults)):
             try:
                 records = batch(dut, workload, faults, params,
-                                backend=backend)
+                                backend=backend, **extra)
             except CampaignError:
                 raise
             except Exception:
@@ -637,10 +713,15 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     Classifies every fault on the engine the configured one resolves
     to on this host (``batch_size`` faults per batch where it holds
-    several patterns at the level, else one fault per run), then
-    re-runs a probe slice on the compiled and interpreted engines to
-    measure every engine's injection throughput -- cross-checking
-    that the probe's records agree field for field.
+    several patterns at the level, else one fault per run), and re-runs
+    a probe slice on the compiled and interpreted engines to measure
+    every engine's injection throughput -- cross-checking that the
+    probe's records agree field for field.
+
+    At gate level on an engine that builds out of process (native),
+    every batch runs on one :class:`SaboteurProgram`: its build starts
+    first and the probes run while it compiles; the campaign waits for
+    it before the batches, and so before any pool worker forks.
 
     An interrupt (Ctrl-C) does not lose the run: the pool is torn down
     cleanly and the report carries every fault classified so far,
@@ -659,25 +740,54 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     _init_worker(config.params, config.level, config.seed, config.budget,
                  backend)
     workload: Workload = _WORKER["workload"]  # type: ignore[assignment]
+    dut = _WORKER["dut"]
     with span("fi.faultload", level=config.level) as faultload_span:
         faults, design = campaign_faultload(config)
         faultload_span.note(n_faults=len(faults))
 
-    width = (config.batch_size if ENGINES[backend].batches(config.level)
-             else 1)
+    batches = ENGINES[backend].batches(config.level)
+    width = config.batch_size if batches else 1
     tasks = [faults[i:i + width] for i in range(0, len(faults), width)]
 
-    interrupted = False
     t0 = time.perf_counter()
-    try:
-        results = parallel_map(
-            _fi_task, tasks, config.jobs, initializer=_init_worker,
-            initargs=(config.params, config.level, config.seed,
-                      config.budget, backend))
-    except PoolInterrupted as stop:
-        results = stop.partial
-        interrupted = True
+    program = build = None
+    if batches and config.level == "gate":
+        program = shared_program(dut, faults, backend,
+                                 min(width, len(faults)) + 1,
+                                 len(workload.waveform))
+    if program is not None:
+        # cc starts now, in a child process, and compiles while the
+        # probes run; the first simulator of the program waits for it
+        build = engine_class(backend, "gate").start_build(
+            program.overlay.netlist, program.run_cycles)
+    # the batches' own wall time: the program's set-up, its build (in
+    # CPU seconds, as it overlaps the probes) and the batch run
     main_wall = time.perf_counter() - t0
+    _WORKER["program"] = program
+    interrupted = False
+    try:
+        probes = _run_probes(config, backend, faults, workload)
+        if build is not None:
+            # before the batches, so before any worker forks; a failed
+            # build raises in the first batch, as one started there would
+            build.reap()
+            main_wall += build.cpu_s
+        t0 = time.perf_counter()
+        try:
+            results = parallel_map(
+                _fi_task, tasks, config.jobs, initializer=_init_worker,
+                initargs=(config.params, config.level, config.seed,
+                          config.budget, backend))
+        except PoolInterrupted as stop:
+            results = stop.partial
+            interrupted = True
+        main_wall += time.perf_counter() - t0
+    finally:
+        _WORKER.pop("program", None)
+        if build is not None:
+            # stops a cc still running (the probes raised) and forgets
+            # a build no batch of this process took up (a pool ran them)
+            build.cancel()
     if config.jobs > 1 and len(tasks) > 1:
         # pool runs hit worker-local caches; in-process runs already
         # counted against the parent's, so absorbing would double-count
@@ -692,61 +802,56 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
 
     throughput = [Throughput(backend, len(records) if interrupted
                              else len(faults), main_wall)]
-    if interrupted:
-        cache_stats = aggregate_stats()
-        return CampaignReport(
-            level=config.level, design=design, seed=config.seed,
-            budget=config.budget, jobs=config.jobs,
-            backend=config.backend,
-            n_workload_frames=workload.case.n_inputs,
-            cycle_budget=workload.cycle_budget, records=records,
-            throughput=throughput, cache_stats=cache_stats,
-            interrupted=True)
-    probe = faults[:min(config.probe_faults, len(faults))]
-
-    # cross-engine probes: the same leading faults on the compiled
-    # batch baseline the campaign's engine replaces, then on the
-    # interpreted reference; whole records must agree exactly
-    batch, single = _runners(config.level)
-    dut = _WORKER["dut"]
-    for engine in [e for e in ("compiled", "interpreted") if e != backend]:
-        probe_wall0 = time.time()
-        t0 = time.perf_counter()
-        if ENGINES[engine].batches(config.level):
-            probe_records = []
-            for i in range(0, len(probe), config.batch_size):
-                probe_records += batch(
-                    dut, workload, probe[i:i + config.batch_size],
-                    config.params, backend=engine)
-        else:
-            probe_records = [single(dut, workload, fault, config.params,
-                                    backend=engine) for fault in probe]
-        probe_wall = time.perf_counter() - t0
-        for fault, main_record, other in zip(probe, records,
-                                             probe_records):
-            mine, theirs = main_record.as_dict(), other.as_dict()
-            field = next((k for k in mine if mine[k] != theirs[k]), None)
-            if field is not None:
-                raise CampaignError(
-                    f"engines disagree on {fault.format()}: {engine} "
-                    f"says {field}={theirs[field]!r}, {backend} says "
-                    f"{field}={mine[field]!r}")
-        throughput.append(Throughput(engine, len(probe), probe_wall))
-        record_span("fi.probe", probe_wall0, time.time(),
-                    engine=engine, n_faults=len(probe))
-
-    cache_stats = aggregate_stats()
-
-    report = CampaignReport(
+    if not interrupted:
+        for engine, probe_records, probe_wall in probes:
+            for main_record, other in zip(records, probe_records):
+                mine, theirs = main_record.as_dict(), other.as_dict()
+                field = next((k for k in mine if mine[k] != theirs[k]),
+                             None)
+                if field is not None:
+                    raise CampaignError(
+                        f"engines disagree on {other.fault.format()}: "
+                        f"{engine} says {field}={theirs[field]!r}, "
+                        f"{backend} says {field}={mine[field]!r}")
+            throughput.append(Throughput(engine, len(probe_records),
+                                         probe_wall))
+    return CampaignReport(
         level=config.level, design=design, seed=config.seed,
         budget=config.budget, jobs=config.jobs,
         backend=config.backend,
         n_workload_frames=workload.case.n_inputs,
         cycle_budget=workload.cycle_budget, records=records,
-        throughput=throughput,
-        cache_stats=cache_stats,
-    )
-    return report
+        throughput=throughput, cache_stats=aggregate_stats(),
+        interrupted=interrupted)
+
+
+def _run_probes(config: CampaignConfig, backend: str,
+                faults: Sequence[Fault], workload: Workload
+                ) -> List[Tuple[str, List[FaultRecord], float]]:
+    """Cross-engine probes: the campaign's leading faults on the
+    compiled batch baseline the campaign's engine replaces, then on the
+    interpreted reference; ``(engine, records, wall seconds)`` each,
+    for the campaign to compare with its own records."""
+    probe = faults[:min(config.probe_faults, len(faults))]
+    batch, single = _runners(config.level)
+    dut = _WORKER["dut"]
+    probes = []
+    for engine in [e for e in ("compiled", "interpreted") if e != backend]:
+        probe_wall0 = time.time()
+        t0 = time.perf_counter()
+        if ENGINES[engine].batches(config.level):
+            records = []
+            for i in range(0, len(probe), config.batch_size):
+                records += batch(dut, workload,
+                                 probe[i:i + config.batch_size],
+                                 config.params, backend=engine)
+        else:
+            records = [single(dut, workload, fault, config.params,
+                              backend=engine) for fault in probe]
+        probes.append((engine, records, time.perf_counter() - t0))
+        record_span("fi.probe", probe_wall0, time.time(),
+                    engine=engine, n_faults=len(probe))
+    return probes
 
 
 def run_fi_self_check(config: CampaignConfig) -> SelfCheckResult:

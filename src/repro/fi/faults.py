@@ -22,9 +22,11 @@ The baseline netlist is never touched, and every overlay carries a
 name derived from its fault set, so compiled-backend artifacts key
 distinctly in the :class:`~repro.compile_cache.CompileCache` while
 timed variants of the *same* structure still share one compilation.
-Because each saboteur is gated by its own control input, many faults
-can ride in one overlay and be activated per-pattern by the compiled
-parallel-pattern backend -- classic parallel-fault simulation.
+Because each saboteur is gated by its own control input and is
+transparent while it is 0, a whole faultload rides in one overlay: a
+campaign builds it once (:class:`repro.fi.campaign.SaboteurProgram`)
+and every batch asserts its own faults' controls per pattern on it --
+classic parallel-fault simulation, one program per campaign.
 
 Memory-cell SEUs need no structure: they poke the (pattern-private)
 behavioural memory model at the injection cycle.  RTL register SEUs

@@ -202,3 +202,8 @@ class CompiledGateSimulator(NativeGateSimulator):
     def _compile(self, netlist: Netlist, cache: Optional[CompileCache],
                  run_cycles: Optional[int]) -> GateProgram:
         return compile_netlist(netlist, cache=cache)
+
+    #: nothing builds out of process: :func:`compile_netlist` runs
+    #: in-process (so FI campaigns keep one overlay per batch, see
+    #: :func:`repro.fi.campaign.shared_program`)
+    start_build = None

@@ -36,7 +36,8 @@ from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
 from ..engines import ENGINES, PortSampler, gather
-from ..native import compile_and_load
+from ..native import (Build, build_cflags, compile_and_load,
+                      start_build)
 from ..synth.netlist import Netlist
 from .emit import (COMPILE_CACHE, GateProgram, Planes, emit_program,
                    indent, structural_hash)
@@ -180,13 +181,16 @@ def compile_netlist_native(netlist: Netlist,
     the loaded module under the shared structural digest tagged
     ``backend="native"``; the ``.so`` itself persists in the on-disk
     cache (:func:`repro.native.build_shared_object`), so a fresh
-    process re-links in milliseconds instead of recompiling.
+    process re-links in milliseconds instead of recompiling, and a
+    build :meth:`NativeGateSimulator.start_build` began is waited for,
+    not started again.
 
     *run_cycles*, when the caller knows how long it will run, picks
     the build flags (:func:`repro.native.build_cflags`).  The
     in-process key stays the structural hash, so a later long run of
     the same netlist in this process would reuse a short run's ``-O0``
-    program; no caller does that today (FI overlays run once).
+    program; no caller does that today (an FI campaign's saboteur
+    program runs its own workload only, once per batch).
     """
     if cache is None:
         cache = COMPILE_CACHE
@@ -318,7 +322,7 @@ class NativeGateSimulator:
     ``nat_set_patterns`` in one call per 64 port bits, which transposes
     them into bitplanes; every other Python-side access to the kernel's
     state goes through views of its buffers.  Subclasses change only
-    the kernel build (:meth:`_compile`).
+    the kernel build (:meth:`_compile`, :meth:`start_build`).
 
     *run_cycles* is how many cycles the caller will step, when it
     knows; it picks the build flags of the kernel.
@@ -424,6 +428,22 @@ class NativeGateSimulator:
         """The loaded kernel of *netlist*: C, built for *run_cycles*."""
         return compile_netlist_native(netlist, cache=cache,
                                       run_cycles=run_cycles)
+
+    @staticmethod
+    def start_build(netlist: Netlist,
+                    run_cycles: Optional[int] = None) -> Build:
+        """Emit *netlist*'s kernel and start building it in a child
+        process (:func:`repro.native.start_build`), for a simulator of
+        it made later in this process.  An engine with nothing to build
+        out of process sets this to None.
+
+        That simulator's :func:`compile_netlist_native` emits the kernel
+        again (tens of milliseconds), finds the build by its digest and
+        waits for it; :meth:`Build.reap` first takes the wait off it.
+        """
+        source = emit_program(netlist, CPrinter()).source
+        return start_build(source, tag="gate",
+                           cflags=build_cflags(run_cycles))
 
     # ------------------------------------------------------------------
     # plumbing

@@ -17,6 +17,9 @@ three emitters share:
   directory is LRU-bounded by mtime, and hit/miss/eviction/error and
   source-byte counters flow into the :mod:`repro.obs` metrics
   registry;
+* **builds as child processes** -- :func:`start_build` starts ``cc``
+  and returns at once, so a caller can run other work while it
+  compiles; :func:`build_shared_object` starts and waits;
 * **graceful degradation** -- :func:`resolve_backend` maps ``native``
   to ``compiled`` with a single :class:`NativeFallbackWarning` and a
   ``repro_native_fallback_total`` telemetry increment when no C
@@ -45,7 +48,7 @@ __all__ = [
     "NativeToolchainError", "BREAK_EVEN_CYCLES", "build_cflags",
     "build_shared_object", "compile_and_load", "find_compiler",
     "native_cache_dir", "resolve_backend", "toolchain_available",
-    "toolchain_info",
+    "toolchain_info", "Build", "start_build",
 ]
 
 #: bump to invalidate every on-disk artifact (ABI or codegen changes)
@@ -273,16 +276,144 @@ def _evict_lru(directory: str, keep: int) -> None:
                "native .so artifacts evicted (LRU by mtime)")
 
 
-def build_shared_object(source: str, tag: str = "mod",
-                        cflags: Optional[Sequence[str]] = None) -> str:
-    """Compile *source* to a cached ``.so``; return its path.
+def _unlink_quietly(*paths: str) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
-    *cflags* defaults to :func:`build_cflags` with no run length.
-    Cache hits are recognised by digest-addressed filenames and only
-    touch the mtime (the LRU clock).  Builds are atomic (tempfile +
-    ``os.replace``) so concurrent processes can share the directory.
-    A build runs ``cc`` inside a ``native.cc`` span and adds its time to
-    ``repro_native_build_seconds_total{cflags=...}``.
+
+class Build:
+    """One ``.so`` build: a disk hit, done at once, or a ``cc`` child.
+
+    :func:`start_build` makes it; :meth:`wait` finishes it and returns
+    the artifact path.  :meth:`reap` waits for the child without
+    raising, so a caller can take the child's exit off its critical
+    path and leave a failure for the :meth:`wait` that needs the
+    artifact.  Reaping installs the artifact, adds the child's CPU
+    seconds to ``repro_native_build_seconds_total{cflags=...}`` and
+    records a ``native.cc`` span from start to reap under the span open
+    at that moment.  :meth:`cancel` stops a child that still runs.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.pid = os.getpid()
+        #: CPU seconds of the ``cc`` child and what it ran, once reaped
+        self.cpu_s = 0.0
+        self.error: Optional[NativeToolchainError] = None
+        self._proc: Optional[subprocess.Popen] = None
+        self._tmp_c = f"{path[:-3]}.{self.pid}.tmp.c"
+        self._tmp_so = f"{path}.{self.pid}.tmp"
+
+    def _launch(self, compiler: str, cflags: Sequence[str], tag: str,
+                source: str) -> None:
+        """Write *source* to a temporary file and start ``cc`` on it."""
+        self._compiler = compiler
+        self._span = dict(tag=tag, cflags=" ".join(cflags),
+                          source_bytes=len(source))
+        with open(self._tmp_c, "w") as fh:
+            fh.write(source)
+        # a file, not a pipe: a child that fills a pipe nobody reads
+        # yet would stall
+        self._log = tempfile.TemporaryFile("w+")
+        self._t0_wall = time.time()
+        try:
+            self._proc = subprocess.Popen(
+                [compiler, *cflags, "-shared", "-fPIC", "-o", self._tmp_so,
+                 self._tmp_c], stdin=subprocess.DEVNULL, stdout=self._log,
+                stderr=subprocess.STDOUT)
+        except OSError as exc:
+            self._log.close()
+            os.unlink(self._tmp_c)
+            raise NativeToolchainError(f"failed to run {compiler}: {exc}")
+
+    def reap(self) -> None:
+        """Wait for the child to exit and install its artifact; a
+        failure is kept for :meth:`wait` to raise.  An interrupt while
+        waiting cancels the build."""
+        proc = self._proc
+        if proc is None:
+            return
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            self.cancel()
+            raise
+        self._proc = None
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        self.cpu_s = usage.ru_utime + usage.ru_stime
+        _count("repro_native_build_seconds_total",
+               "CPU seconds of the C compiler, by the flags it used",
+               by=self.cpu_s, cflags=self._span["cflags"])
+        from .obs.trace import record_span
+        record_span("native.cc", self._t0_wall, time.time(),
+                    cpu_s=round(self.cpu_s, 6), **self._span)
+        self._log.seek(0)
+        output = self._log.read()
+        self._log.close()
+        if proc.returncode != 0:
+            _unlink_quietly(self._tmp_c, self._tmp_so)
+            _count("repro_native_disk_cache_errors_total",
+                   "native toolchain compile/load failures")
+            self.error = NativeToolchainError(
+                f"{self._compiler} failed ({proc.returncode}):\n"
+                f"{output[:2000]}")
+            return
+        try:
+            os.replace(self._tmp_c, self.path[:-3] + ".c")
+            os.replace(self._tmp_so, self.path)
+        except OSError as exc:
+            _unlink_quietly(self._tmp_c, self._tmp_so)
+            self.error = NativeToolchainError(
+                f"could not install {self.path}: {exc}")
+            return
+        _evict_lru(os.path.dirname(self.path), _cache_max_entries())
+
+    def wait(self) -> str:
+        """The artifact path, once built; raises a failed build's
+        :class:`NativeToolchainError`."""
+        if _STARTED.get(self.path) is self:
+            del _STARTED[self.path]
+        self.reap()
+        if self.error is not None:
+            raise self.error
+        return self.path
+
+    def cancel(self) -> None:
+        """Kill and reap a child that still runs, remove its temporary
+        files, and forget the build: the next :func:`start_build` of
+        its source starts afresh or finds the artifact on disk."""
+        if _STARTED.get(self.path) is self:
+            del _STARTED[self.path]
+        proc = self._proc
+        if proc is None:
+            return
+        self._proc = None
+        proc.kill()
+        proc.wait()
+        self._log.close()
+        _unlink_quietly(self._tmp_c, self._tmp_so)
+        self.error = NativeToolchainError(f"build of {self.path} cancelled")
+
+
+#: builds this process started and no :meth:`Build.wait` took up yet,
+#: by artifact path
+_STARTED: Dict[str, Build] = {}
+
+
+def start_build(source: str, tag: str = "mod",
+                cflags: Optional[Sequence[str]] = None) -> Build:
+    """Start compiling *source* to a cached ``.so``; see :class:`Build`.
+
+    *cflags* defaults to :func:`build_cflags` with no run length.  A
+    build of the same artifact that this process started and nothing
+    waited for yet is returned as is.  Cache hits are recognised by
+    digest-addressed filenames and only touch the mtime (the LRU
+    clock).  ``cc`` runs as a child process writing temporary files
+    that :meth:`Build.reap` renames into place (``os.replace``), so
+    concurrent processes can share the directory.
     """
     compiler = find_compiler()
     if compiler is None:
@@ -293,6 +424,9 @@ def build_shared_object(source: str, tag: str = "mod",
     directory = native_cache_dir()
     digest = source_digest(source, cflags)
     so_path = os.path.join(directory, f"{tag}-{digest}.so")
+    started = _STARTED.get(so_path)
+    if started is not None and started.pid == os.getpid():
+        return started
     if os.path.exists(so_path):
         _count("repro_native_disk_cache_hits_total",
                "native .so artifacts reused from the on-disk cache")
@@ -300,7 +434,7 @@ def build_shared_object(source: str, tag: str = "mod",
             os.utime(so_path)
         except OSError:
             pass
-        return so_path
+        return Build(so_path)
     _count("repro_native_disk_cache_misses_total",
            "native .so artifacts compiled from source")
     flags = " ".join(cflags)
@@ -309,39 +443,17 @@ def build_shared_object(source: str, tag: str = "mod",
            cflags=flags)
     _count("repro_native_source_bytes_total",
            "C source bytes fed to the native toolchain", by=len(source))
-    c_path = so_path[:-3] + ".c"
-    tmp_c = f"{so_path[:-3]}.{os.getpid()}.tmp.c"
-    tmp_so = f"{so_path}.{os.getpid()}.tmp"
-    with open(tmp_c, "w") as fh:
-        fh.write(source)
-    cmd = [compiler, *cflags, "-shared", "-fPIC",
-           "-o", tmp_so, tmp_c]
-    from .obs.trace import span
-    t0 = time.perf_counter()
-    try:
-        with span("native.cc", tag=tag, cflags=flags,
-                  source_bytes=len(source)):
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:
-        os.unlink(tmp_c)
-        raise NativeToolchainError(f"failed to run {compiler}: {exc}")
-    _count("repro_native_build_seconds_total",
-           "seconds spent in the C compiler, by the flags it used",
-           by=time.perf_counter() - t0, cflags=flags)
-    if proc.returncode != 0:
-        os.unlink(tmp_c)
-        try:
-            os.unlink(tmp_so)
-        except OSError:
-            pass
-        _count("repro_native_disk_cache_errors_total",
-               "native toolchain compile/load failures")
-        raise NativeToolchainError(
-            f"{compiler} failed ({proc.returncode}):\n{proc.stderr[:2000]}")
-    os.replace(tmp_c, c_path)
-    os.replace(tmp_so, so_path)
-    _evict_lru(directory, _cache_max_entries())
-    return so_path
+    build = Build(so_path)
+    build._launch(compiler, cflags, tag, source)
+    _STARTED[so_path] = build
+    return build
+
+
+def build_shared_object(source: str, tag: str = "mod",
+                        cflags: Optional[Sequence[str]] = None) -> str:
+    """Compile *source* to a cached ``.so``; return its path: the
+    :func:`start_build` of it, waited for."""
+    return start_build(source, tag=tag, cflags=cflags).wait()
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cosim import measure_gate_throughput
 from repro.flow import measure_kernel_cycle_dut, write_bench_json
+from repro.gatesim import GateSimError
 from repro.rtl import RtlSimulator
 from repro.src_design import build_rtl_design
 from repro.src_design.params import SMALL_PARAMS
@@ -62,7 +63,7 @@ def test_vectorized_throughput_point_measures():
 
 
 def test_interpreted_rejects_patterns():
-    with pytest.raises(ValueError):
+    with pytest.raises(GateSimError):
         measure_gate_throughput(SMALL_PARAMS, "Gate-RTL", 2,
                                 backend="interpreted", n_patterns=4)
 

@@ -159,6 +159,7 @@ def test_records_are_pinned_on_every_batch_engine(campaign, backend):
     level, seed, n_faults = campaign
     engine, _ = batch_case(backend, ())
     wide = {"batch_size": n_faults} if backend == WIDE else {}
+    COMPILE_CACHE.clear()
     report = run_campaign(CampaignConfig(
         SMALL_PARAMS, level=level, n_faults=n_faults, seed=seed,
         budget="small", backend=engine, probe_faults=2, **wide))
@@ -166,6 +167,56 @@ def test_records_are_pinned_on_every_batch_engine(campaign, backend):
              r.n_outputs) for r in report.records]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         PINNED_RECORDS[campaign]
+    if level == "gate":
+        # native runs its three batches on one saboteur program;
+        # compiled builds each batch's own overlay (shared_program)
+        ran = report.throughput[0].backend
+        batches = -(-n_faults // wide.get("batch_size", 31))
+        assert report.cache_stats[f"gate[{ran}]"].misses == \
+            (1 if ran == "native" else batches)
+
+
+@pytest.mark.parametrize("backend", batch_engines())
+def test_batches_on_one_reset_program_equal_fresh_overlays(
+        backend, rtl_opt_netlist):
+    """Batches run back to back on one saboteur program, its simulator
+    reset in between, give the records of a fresh overlay per batch:
+    after batches that end with controls still asserted (permanent
+    stuck-ats) and memory cells flipped, and for a last batch shorter
+    than the others.  Every input, each fault control included, is 0
+    on every lane when a batch starts."""
+    workload = make_workload(SMALL_PARAMS, 7, "smoke")
+    faults = generate_gate_faultload(rtl_opt_netlist, 17, 7,
+                                     workload.cycle_budget)
+    batches = [faults[i:i + 6] for i in range(0, len(faults), 6)]
+    assert [len(b) for b in batches] == [6, 6, 5]
+    early = faults[:12]
+    assert any(f.structural and f.permanent for f in early)
+    assert any(f.target_kind == "mem" for f in early)
+
+    program = campaign.SaboteurProgram(rtl_opt_netlist, faults, backend,
+                                       7, len(workload.waveform))
+    inputs = program.overlay.netlist.inputs
+    cleared = []
+    simulator = program.simulator
+
+    def checked_simulator():
+        sim = simulator()
+        cleared.append(not any(plane for name in inputs
+                               for planes in sim.get_port_planes(name)
+                               for plane in planes))
+        return sim
+
+    program.simulator = checked_simulator
+    got = [r.as_dict() for batch in batches
+           for r in run_gate_batch(rtl_opt_netlist, workload, batch,
+                                   SMALL_PARAMS, backend=backend,
+                                   program=program)]
+    want = [r.as_dict() for batch in batches
+            for r in run_gate_batch(rtl_opt_netlist, workload, batch,
+                                    SMALL_PARAMS, backend=backend)]
+    assert got == want
+    assert cleared == [True] * len(batches)
 
 
 def test_self_check_classifies_known_faults(smoke_report):
@@ -295,32 +346,44 @@ def test_native_self_check_runs_on_native(cold_native):
 
 
 def test_traced_cold_native_campaign_spans_every_cc(cold_native):
-    """Each overlay batch's compile is a ``native.cc`` span under its
-    ``fi.batch``, listed in the stage table and counted in seconds."""
+    """A campaign's one saboteur program is one ``cc``: a ``native.cc``
+    span under ``fi.campaign`` from the child's start to its reap,
+    overlapping the probes, listed in the stage table, carrying the
+    child's CPU seconds and counting them, in the counter and in the
+    native throughput row."""
     seconds = REGISTRY.counter("repro_native_build_seconds_total",
                                cflags=cold_native)
     before = seconds.value
     enable_tracing()
     try:
         mark = event_mark()
-        run_campaign(CampaignConfig(
+        report = run_campaign(CampaignConfig(
             params=SMALL_PARAMS, level="gate", backend="native",
             n_faults=8, batch_size=4, jobs=1, seed=13, budget="smoke",
             probe_faults=2))
         events = events_since(mark)
     finally:
         disable_tracing()
-    batches = {e["args"]["span_id"] for e in events
-               if e["name"] == "fi.batch"}
-    cc = [e for e in events if e["name"] == "native.cc"]
-    assert len(batches) == len(cc) == 2
-    for event in cc:
-        assert event["args"]["parent_id"] in batches
-        assert event["args"]["cflags"] == cold_native
-        assert event["args"]["tag"] == "gate"
-        assert event["args"]["source_bytes"] > 0
+    named = {}
+    for event in events:
+        named.setdefault(event["name"], []).append(event)
+    assert len(named["fi.batch"]) == 2
+    (cc,) = named["native.cc"]
+    (outer,) = named["fi.campaign"]
+    assert cc["args"]["parent_id"] == outer["args"]["span_id"]
+    assert outer["ts"] <= cc["ts"]
+    assert cc["ts"] + cc["dur"] <= outer["ts"] + outer["dur"]
+    assert any(p["ts"] < cc["ts"] + cc["dur"] and cc["ts"] < p["ts"] + p["dur"]
+               for p in named["fi.probe"])
+    assert cc["args"]["cflags"] == cold_native
+    assert cc["args"]["tag"] == "gate"
+    assert cc["args"]["source_bytes"] > 0
+    assert 0 < cc["args"]["cpu_s"]
     assert "native.cc" in format_stage_table(events)
-    assert seconds.value > before
+    assert seconds.value == pytest.approx(before + cc["args"]["cpu_s"],
+                                          abs=1e-5)
+    assert report.throughput_of("native").wall_seconds > \
+        cc["args"]["cpu_s"]
 
 
 @pytest.mark.fuzz

@@ -324,6 +324,134 @@ def test_u64_view_aliases_buffer(cache_dir, monkeypatch):
         assert view.tolist() == [5, 77, 6]
 
 
+# ---------------------------------------- builds started ahead of use
+@pytest.fixture
+def cc_children(monkeypatch):
+    """Every ``cc`` child this process starts, as its ``Popen``."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(native.subprocess, "Popen", recording)
+    return started
+
+
+@needs_cc
+def test_started_build_is_taken_up_by_the_next_build(cache_dir,
+                                                     cc_children):
+    """A build started ahead is what the next build of its source waits
+    for: one child, one miss; after it, the artifact is a disk hit."""
+    misses0 = _counter_value("repro_native_disk_cache_misses_total")
+    hits0 = _counter_value("repro_native_disk_cache_hits_total")
+    build = native.start_build(SOURCE, tag="t")
+    (child,) = cc_children
+    assert child.returncode is None  # not reaped yet
+    path = build_shared_object(SOURCE, tag="t")
+    assert path == build.path and os.path.exists(path)
+    assert child.returncode == 0 and build.cpu_s > 0
+    assert len(cc_children) == 1
+    assert build_shared_object(SOURCE, tag="t") == path
+    assert _counter_value("repro_native_disk_cache_misses_total") \
+        == misses0 + 1
+    assert _counter_value("repro_native_disk_cache_hits_total") == hits0 + 1
+
+
+def _native_campaign(**changes):
+    from repro.fi import CampaignConfig
+    from repro.src_design.params import SMALL_PARAMS
+
+    kwargs = dict(level="gate", backend="native", n_faults=6, batch_size=3,
+                  seed=3, budget="smoke", probe_faults=2)
+    kwargs.update(changes)
+    return CampaignConfig(SMALL_PARAMS, **kwargs)
+
+
+def _records(report):
+    return [record.as_dict() for record in report.records]
+
+
+@needs_cc
+def test_failed_campaign_build_raises_in_the_first_batch(cache_dir,
+                                                         monkeypatch):
+    """The saboteur program's build starts before the probes.  When its
+    ``cc`` fails, the first batch raises that failure, as a build
+    started there would, and the isolation fallback re-runs the batch's
+    faults on compiled: the compiled campaign's records."""
+    from repro.fi import campaign, run_campaign
+    from repro.gatesim import COMPILE_CACHE
+
+    want = _records(run_campaign(_native_campaign(backend="compiled")))
+    flags = "-O0 --no-such-flag"
+    monkeypatch.setenv("REPRO_NATIVE_CFLAGS", flags)
+    COMPILE_CACHE.clear()
+    builds0 = _counter_value("repro_native_builds_total", cflags=flags)
+    failed = []
+    batch = campaign.run_gate_batch
+
+    def watched(*args, **kwargs):
+        try:
+            return batch(*args, **kwargs)
+        except native.NativeToolchainError as exc:
+            assert "--no-such-flag" in str(exc)
+            failed.append(kwargs["backend"])
+            raise
+
+    monkeypatch.setattr(campaign, "run_gate_batch", watched)
+    report = run_campaign(_native_campaign())
+    # both batches failed; the first on the build started ahead, the
+    # second on one of its own
+    assert failed == ["native", "native"]
+    assert _counter_value("repro_native_builds_total", cflags=flags) \
+        == builds0 + 2
+    assert _records(report) == want
+
+
+@needs_cc
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_probe_failure_stops_the_started_build(cache_dir, cc_children,
+                                               monkeypatch, error):
+    """An exception or an interrupt in the probes kills and reaps the
+    ``cc`` child and leaves no temporary file in the cache."""
+    from repro.fi import campaign, run_campaign
+    from repro.gatesim import COMPILE_CACHE
+
+    def stopped(*args, **kwargs):  # the compiled probe's first batch
+        raise error("probe stopped")
+
+    COMPILE_CACHE.clear()
+    monkeypatch.setattr(campaign, "run_gate_batch", stopped)
+    with pytest.raises(error):
+        run_campaign(_native_campaign())
+    (child,) = cc_children
+    assert child.returncode is not None and child.returncode < 0
+    assert os.listdir(cache_dir) == []
+
+
+@needs_cc
+def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
+                                               monkeypatch):
+    """A ``jobs=2`` campaign reaps its ``cc`` child before the pool
+    forks, and classifies as the in-process campaign does."""
+    from repro.fi import campaign, run_campaign
+    from repro.gatesim import COMPILE_CACHE
+
+    pool = campaign.parallel_map
+    at_fork = []
+
+    def checked(fn, tasks, jobs, **kwargs):
+        at_fork.append([child.returncode for child in cc_children])
+        return pool(fn, tasks, jobs, **kwargs)
+
+    COMPILE_CACHE.clear()
+    monkeypatch.setattr(campaign, "parallel_map", checked)
+    pooled = run_campaign(_native_campaign(jobs=2))
+    assert at_fork == [[0]]
+    assert _records(pooled) == _records(run_campaign(_native_campaign()))
+
+
 # ----------------------------------------------- pattern I/O per loader
 @needs_cc
 def test_gate_pattern_io_under_loader(loader):
