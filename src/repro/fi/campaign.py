@@ -38,8 +38,15 @@ Campaigns scale across a ``multiprocessing`` worker pool
 and per-task compile-cache deltas are shipped back to the parent so
 cache statistics stay correct under ``--jobs``.  A native gate
 campaign starts its program's ``cc`` as a child process, runs the
-cross-engine probes while it compiles and waits for it before the
-batches -- so before any pool worker forks.
+cross-engine probe while it compiles, then loads the program before
+the batches -- so before any pool worker forks, and every worker finds
+it in its inherited compile cache.
+
+The probe re-runs the campaign's leading faults on the interpreted
+engine, the one reference independent of the generated-code engines
+(compiled and native print one code-generation walk per level, and the
+equivalence suites hold the printers equal), and every probe record
+must equal the campaign's field for field.
 """
 
 from __future__ import annotations
@@ -104,8 +111,8 @@ class CampaignConfig:
     backend: str = "compiled"
     #: faults per batch (plus pattern 0 = fault-free)
     batch_size: int = 31
-    #: faults re-run on every other engine (compiled, interpreted) for
-    #: the cross-engine probe and its throughput rows
+    #: leading faults re-run on the interpreted engine for the
+    #: cross-engine probe and its throughput row
     probe_faults: int = 16
 
     def validated(self) -> "CampaignConfig":
@@ -714,18 +721,18 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     Classifies every fault on the engine the configured one resolves
     to on this host (``batch_size`` faults per batch where it holds
     several patterns at the level, else one fault per run), and re-runs
-    a probe slice on the compiled and interpreted engines to measure
-    every engine's injection throughput -- cross-checking that the
-    probe's records agree field for field.
+    a probe slice on the interpreted engine -- cross-checking that the
+    probe's records agree field for field, and measuring both engines'
+    injection throughput.
 
     At gate level on an engine that builds out of process (native),
     every batch runs on one :class:`SaboteurProgram`: its build starts
-    first and the probes run while it compiles; the campaign waits for
-    it before the batches, and so before any pool worker forks.
+    first and the probe runs while it compiles; the campaign loads it
+    before the batches, and so before any pool worker forks.
 
     An interrupt (Ctrl-C) does not lose the run: the pool is torn down
     cleanly and the report carries every fault classified so far,
-    flagged ``interrupted`` (throughput probes are skipped).
+    flagged ``interrupted`` (without the probe comparison and row).
     """
     config = config.validated()
     with span("fi.campaign", level=config.level, backend=config.backend,
@@ -734,8 +741,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
 
 def _run_campaign(config: CampaignConfig) -> CampaignReport:
-    # without a C toolchain native runs on its fallback: rows and
-    # probes name the engine that ran
+    # without a C toolchain native runs on its fallback: the rows
+    # and the probe comparison name the engine that ran
     backend = resolve(config.backend, CampaignError)
     _init_worker(config.params, config.level, config.seed, config.budget,
                  backend)
@@ -757,21 +764,23 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
                                  len(workload.waveform))
     if program is not None:
         # cc starts now, in a child process, and compiles while the
-        # probes run; the first simulator of the program waits for it
+        # probe runs
         build = engine_class(backend, "gate").start_build(
             program.overlay.netlist, program.run_cycles)
     # the batches' own wall time: the program's set-up, its build (in
-    # CPU seconds, as it overlaps the probes) and the batch run
+    # CPU seconds, as it overlaps the probe), its load and the batch run
     main_wall = time.perf_counter() - t0
     _WORKER["program"] = program
     interrupted = False
     try:
-        probes = _run_probes(config, backend, faults, workload)
+        probe_records, probe_wall = _run_probe(config, faults, workload)
         if build is not None:
-            # before the batches, so before any worker forks; a failed
-            # build raises in the first batch, as one started there would
-            build.reap()
-            main_wall += build.cpu_s
+            main_wall += build.reap()
+            # before the batches, so before any worker forks: every
+            # simulator of the program finds it in the compile cache
+            t0 = time.perf_counter()
+            build.load()
+            main_wall += time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
             results = parallel_map(
@@ -785,8 +794,8 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     finally:
         _WORKER.pop("program", None)
         if build is not None:
-            # stops a cc still running (the probes raised) and forgets
-            # a build no batch of this process took up (a pool ran them)
+            # stops a cc still running (the probe raised) and forgets
+            # a failed build no batch of this process took up
             build.cancel()
     if config.jobs > 1 and len(tasks) > 1:
         # pool runs hit worker-local caches; in-process runs already
@@ -803,18 +812,16 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     throughput = [Throughput(backend, len(records) if interrupted
                              else len(faults), main_wall)]
     if not interrupted:
-        for engine, probe_records, probe_wall in probes:
-            for main_record, other in zip(records, probe_records):
-                mine, theirs = main_record.as_dict(), other.as_dict()
-                field = next((k for k in mine if mine[k] != theirs[k]),
-                             None)
-                if field is not None:
-                    raise CampaignError(
-                        f"engines disagree on {other.fault.format()}: "
-                        f"{engine} says {field}={theirs[field]!r}, "
-                        f"{backend} says {field}={mine[field]!r}")
-            throughput.append(Throughput(engine, len(probe_records),
-                                         probe_wall))
+        for main_record, other in zip(records, probe_records):
+            mine, theirs = main_record.as_dict(), other.as_dict()
+            field = next((k for k in mine if mine[k] != theirs[k]), None)
+            if field is not None:
+                raise CampaignError(
+                    f"engines disagree on {other.fault.format()}: "
+                    f"interpreted says {field}={theirs[field]!r}, "
+                    f"{backend} says {field}={mine[field]!r}")
+        throughput.append(Throughput("interpreted", len(probe_records),
+                                     probe_wall))
     return CampaignReport(
         level=config.level, design=design, seed=config.seed,
         budget=config.budget, jobs=config.jobs,
@@ -825,33 +832,25 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
         interrupted=interrupted)
 
 
-def _run_probes(config: CampaignConfig, backend: str,
-                faults: Sequence[Fault], workload: Workload
-                ) -> List[Tuple[str, List[FaultRecord], float]]:
-    """Cross-engine probes: the campaign's leading faults on the
-    compiled batch baseline the campaign's engine replaces, then on the
-    interpreted reference; ``(engine, records, wall seconds)`` each,
-    for the campaign to compare with its own records."""
-    probe = faults[:min(config.probe_faults, len(faults))]
-    batch, single = _runners(config.level)
+def _run_probe(config: CampaignConfig, faults: Sequence[Fault],
+               workload: Workload) -> Tuple[List[FaultRecord], float]:
+    """The cross-engine probe: the campaign's leading faults, one
+    simulation each, on the interpreted engine -- the one reference
+    independent of the generated-code engines, which print one
+    code-generation walk whose printers the equivalence suites hold
+    equal.  Returns the records and their wall seconds, for the
+    campaign to compare with its own records."""
+    probe = faults[:config.probe_faults]
+    single = _runners(config.level)[1]
     dut = _WORKER["dut"]
-    probes = []
-    for engine in [e for e in ("compiled", "interpreted") if e != backend]:
-        probe_wall0 = time.time()
-        t0 = time.perf_counter()
-        if ENGINES[engine].batches(config.level):
-            records = []
-            for i in range(0, len(probe), config.batch_size):
-                records += batch(dut, workload,
-                                 probe[i:i + config.batch_size],
-                                 config.params, backend=engine)
-        else:
-            records = [single(dut, workload, fault, config.params,
-                              backend=engine) for fault in probe]
-        probes.append((engine, records, time.perf_counter() - t0))
-        record_span("fi.probe", probe_wall0, time.time(),
-                    engine=engine, n_faults=len(probe))
-    return probes
+    probe_wall0 = time.time()
+    t0 = time.perf_counter()
+    records = [single(dut, workload, fault, config.params,
+                      backend="interpreted") for fault in probe]
+    seconds = time.perf_counter() - t0
+    record_span("fi.probe", probe_wall0, time.time(),
+                engine="interpreted", n_faults=len(probe))
+    return records, seconds
 
 
 def run_fi_self_check(config: CampaignConfig) -> SelfCheckResult:

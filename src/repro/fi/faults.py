@@ -36,7 +36,7 @@ poke the simulator's environment and re-settle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..synth.netlist import Net, Netlist
 
@@ -124,35 +124,39 @@ class Overlay:
     faults: List[Fault] = field(default_factory=list)
 
 
-def _net_by_uid(netlist: Netlist, uid: int) -> Net:
-    for net in netlist.nets:
-        if net.uid == uid:
-            return net
-    raise FaultError(f"no net with uid {uid} in {netlist.name!r}")
+#: where a net is read: ``holder[key]`` is the net -- a cell's pin map
+#: and pin, a port's net list and bit, or a memory port's ``vars()``
+#: and ``"enable"``
+_Slot = Tuple[object, object]
 
 
-def _rewire_loads(netlist: Netlist, old: Net, new: Net,
-                  skip_cell=None) -> None:
-    """Point every load of *old* (cell pins, memory-port pins, output
-    ports) at *new*; *skip_cell*'s own pins are left alone."""
+def _load_index(netlist: Netlist, uids: Iterable[int]
+                ) -> Dict[int, List[_Slot]]:
+    """Every load of the nets *uids*: cell pins, memory-port pins and
+    output-port bits, one walk over the netlist."""
+    loads: Dict[int, List[_Slot]] = {uid: [] for uid in uids}
+
+    def note(holder, key, net: Optional[Net]) -> None:
+        if net is not None and net.uid in loads:
+            loads[net.uid].append((holder, key))
+
     for cell in netlist.cells:
-        if cell is skip_cell:
-            continue
         for pin, net in cell.pins.items():
-            if net is old:
-                cell.pins[pin] = new
+            note(cell.pins, pin, net)
     for macro in netlist.memories:
         for rp in macro.read_ports:
-            rp.addr = [new if n is old else n for n in rp.addr]
-            if rp.enable is old:
-                rp.enable = new
+            for i, net in enumerate(rp.addr):
+                note(rp.addr, i, net)
+            note(vars(rp), "enable", rp.enable)
         for wp in macro.write_ports:
-            if wp.enable is old:
-                wp.enable = new
-            wp.addr = [new if n is old else n for n in wp.addr]
-            wp.data = [new if n is old else n for n in wp.data]
-    for name, nets in netlist.outputs.items():
-        netlist.outputs[name] = [new if n is old else n for n in nets]
+            note(vars(wp), "enable", wp.enable)
+            for nets in (wp.addr, wp.data):
+                for i, net in enumerate(nets):
+                    note(nets, i, net)
+    for nets in netlist.outputs.values():
+        for i, net in enumerate(nets):
+            note(nets, i, net)
+    return loads
 
 
 def control_name(fault: Fault) -> str:
@@ -171,7 +175,17 @@ def insert_saboteur(netlist: Netlist, fault: Fault) -> str:
     """
     if not fault.structural:
         raise FaultError(f"fault {fault.format()} is not structural")
-    target = _net_by_uid(netlist, fault.uid)
+    return _insert(netlist, fault, {n.uid: n for n in netlist.nets},
+                   _load_index(netlist, [fault.uid]))
+
+
+def _insert(netlist: Netlist, fault: Fault, nets: Dict[int, Net],
+            loads: Dict[int, List[_Slot]]) -> str:
+    """:func:`insert_saboteur` over a uid->net map and the
+    :func:`_load_index` of the target nets, which it keeps current."""
+    target = nets.get(fault.uid)
+    if target is None:
+        raise FaultError(f"no net with uid {fault.uid} in {netlist.name!r}")
     ctrl_name = control_name(fault)
     ctrl = netlist.add_input(ctrl_name, 1)[0]
     if fault.flip:
@@ -180,7 +194,16 @@ def insert_saboteur(netlist: Netlist, fault: Fault) -> str:
         forced = netlist.const1 if fault.value else netlist.const0
         cell = netlist.add_cell(
             "MUX2", {"S": ctrl, "A": target, "B": forced})
-    _rewire_loads(netlist, target, cell.outputs["Y"], skip_cell=cell)
+    out = cell.outputs["Y"]
+    slots = loads[target.uid]
+    for holder, key in slots:
+        holder[key] = out
+    # the saboteur's own pins are the target's loads from now on (a
+    # later saboteur on the net inserts in front of this one)
+    slots.clear()
+    for pin, net in cell.pins.items():
+        if net.uid in loads:
+            loads[net.uid].append((cell.pins, pin))
     return ctrl_name
 
 
@@ -196,8 +219,10 @@ def build_overlay(baseline: Netlist, faults: Sequence[Fault]) -> Overlay:
     suffix = "+".join(f.structure_key() for f in structural) or "baseline"
     overlay = Overlay(baseline.clone(f"{baseline.name}@{suffix}"))
     overlay.faults = list(faults)
+    netlist = overlay.netlist
+    nets = {net.uid: net for net in netlist.nets}
+    loads = _load_index(netlist, {f.uid for f in structural})
     for fault in structural:
-        overlay.controls[fault.index] = insert_saboteur(
-            overlay.netlist, fault)
-    overlay.netlist.validate()
+        overlay.controls[fault.index] = _insert(netlist, fault, nets, loads)
+    netlist.validate()
     return overlay

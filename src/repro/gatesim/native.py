@@ -36,15 +36,15 @@ from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
 from ..engines import ENGINES, PortSampler, gather
-from ..native import (Build, build_cflags, compile_and_load,
-                      start_build)
+from ..native import build_cflags, compile_and_load, start_build
 from ..synth.netlist import Netlist
 from .emit import (COMPILE_CACHE, GateProgram, Planes, emit_program,
                    indent, structural_hash)
 from .memory import PokeableMemory
 from .simulator import GateSimError, check_pattern
 
-__all__ = ["CPrinter", "NativeGateSimulator", "compile_netlist_native"]
+__all__ = ["CPrinter", "KernelBuild", "NativeGateSimulator",
+           "compile_netlist_native"]
 
 #: bits of one ``uint64_t`` value word: the 64-bit slices in which
 #: ``set_input_patterns`` hands port values to the kernel
@@ -173,7 +173,8 @@ class CPrinter:
 
 def compile_netlist_native(netlist: Netlist,
                            cache: Optional[CompileCache] = None,
-                           run_cycles: Optional[int] = None
+                           run_cycles: Optional[int] = None,
+                           program: Optional[GateProgram] = None
                            ) -> GateProgram:
     """Compile *netlist* to a loaded C kernel, via both cache layers.
 
@@ -183,7 +184,8 @@ def compile_netlist_native(netlist: Netlist,
     cache (:func:`repro.native.build_shared_object`), so a fresh
     process re-links in milliseconds instead of recompiling, and a
     build :meth:`NativeGateSimulator.start_build` began is waited for,
-    not started again.
+    not started again.  *program*, the netlist's kernel as
+    :func:`emit_program` printed it in C, spares emitting it again.
 
     *run_cycles*, when the caller knows how long it will run, picks
     the build flags (:func:`repro.native.build_cflags`).  The
@@ -197,12 +199,51 @@ def compile_netlist_native(netlist: Netlist,
     key = structural_hash(netlist)
 
     def factory() -> GateProgram:
-        program = emit_program(netlist, CPrinter())
-        module = compile_and_load(program.source, _CDEF, tag="gate",
+        emitted = program or emit_program(netlist, CPrinter())
+        module = compile_and_load(emitted.source, _CDEF, tag="gate",
                                   run_cycles=run_cycles)
-        return replace(program, module=module, structural_key=key)
+        return replace(emitted, module=module, structural_key=key)
 
     return cache.get_or_compile(key, factory, backend="native")
+
+
+class KernelBuild:
+    """A gate kernel, emitted and compiling in a ``cc`` child process:
+    what :meth:`NativeGateSimulator.start_build` returns.
+
+    :meth:`reap` waits for the child (:meth:`repro.native.Build.reap`)
+    and :meth:`load` loads the kernel it built into
+    :data:`~repro.gatesim.emit.COMPILE_CACHE`, from the source emitted
+    here, so every simulator of the netlist made later -- in this
+    process or in a child it forks -- finds it there.  A failed build
+    loads nothing: the first such simulator raises its error, as a
+    build started there would.  :meth:`cancel` stops a child that still
+    runs.
+    """
+
+    def __init__(self, netlist: Netlist, run_cycles: Optional[int]):
+        self._netlist = netlist
+        self._run_cycles = run_cycles
+        self._program = emit_program(netlist, CPrinter())
+        self._build = start_build(self._program.source, tag="gate",
+                                  cflags=build_cflags(run_cycles))
+
+    def reap(self) -> float:
+        """Wait for the child and return its CPU seconds; a failure is
+        kept for :meth:`load`."""
+        self._build.reap()
+        return self._build.cpu_s
+
+    def load(self) -> None:
+        """Load the kernel (reaping the child first if need be)."""
+        self._build.reap()
+        if self._build.error is None:
+            compile_netlist_native(self._netlist,
+                                   run_cycles=self._run_cycles,
+                                   program=self._program)
+
+    def cancel(self) -> None:
+        self._build.cancel()
 
 
 # ----------------------------------------------------------------------
@@ -431,19 +472,12 @@ class NativeGateSimulator:
 
     @staticmethod
     def start_build(netlist: Netlist,
-                    run_cycles: Optional[int] = None) -> Build:
+                    run_cycles: Optional[int] = None) -> KernelBuild:
         """Emit *netlist*'s kernel and start building it in a child
-        process (:func:`repro.native.start_build`), for a simulator of
-        it made later in this process.  An engine with nothing to build
-        out of process sets this to None.
-
-        That simulator's :func:`compile_netlist_native` emits the kernel
-        again (tens of milliseconds), finds the build by its digest and
-        waits for it; :meth:`Build.reap` first takes the wait off it.
-        """
-        source = emit_program(netlist, CPrinter()).source
-        return start_build(source, tag="gate",
-                           cflags=build_cflags(run_cycles))
+        process (:func:`repro.native.start_build`), for simulators of
+        it made later (see :class:`KernelBuild`).  An engine with
+        nothing to build out of process sets this to None."""
+        return KernelBuild(netlist, run_cycles)
 
     # ------------------------------------------------------------------
     # plumbing

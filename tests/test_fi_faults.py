@@ -13,7 +13,7 @@ import pytest
 from repro.fi.faultload import (generate_gate_faultload,
                                 generate_rtl_faultload)
 from repro.fi.faults import (FAULT_MODELS, Fault, FaultError,
-                             build_overlay, control_name)
+                             build_overlay, control_name, insert_saboteur)
 from repro.fi.targets import (derive_gate_swaps, flop_targets,
                               injectable_nets, memory_targets,
                               register_targets)
@@ -145,6 +145,32 @@ def test_overlays_key_distinctly_but_share_across_timing(toy_netlist):
         structural_hash(o_late.netlist)
 
 
+def test_overlay_equals_saboteurs_inserted_one_by_one(toy_netlist):
+    """One overlay's load index, kept current as saboteurs stack on a
+    net, wires what inserting each saboteur alone wires (every load
+    found afresh): three saboteurs on a memory address net, one on an
+    output bit, a flip on a flop."""
+    nl = toy_netlist
+    addr = nl.memories[0].read_ports[0].addr[0]
+    y0 = nl.outputs["y"][0]
+    flop = flop_targets(nl)[0]
+    faults = [
+        Fault(0, "stuck0", "gate", "net", addr.name, uid=addr.uid),
+        Fault(1, "stuck1", "gate", "net", y0.name, uid=y0.uid, value=1),
+        Fault(2, "pulse", "gate", "net", addr.name, uid=addr.uid,
+              value=1, cycle=2, duration=3),
+        Fault(3, "seu", "gate", "flop", flop.name, uid=flop.uid, cycle=4),
+        Fault(4, "stuck1", "gate", "net", addr.name, uid=addr.uid,
+              value=1)]
+    overlay = build_overlay(nl, faults)
+    alone = nl.clone(overlay.netlist.name)
+    assert [insert_saboteur(alone, fault) for fault in faults] == \
+        [overlay.controls[fault.index] for fault in faults]
+    assert structural_hash(overlay.netlist) == structural_hash(alone)
+    assert structural_hash(overlay.netlist) != \
+        structural_hash(nl.clone(overlay.netlist.name))
+
+
 def test_non_structural_fault_rejected_by_saboteur_path(toy_netlist):
     mem = memory_targets(toy_netlist)[0]
     fault = Fault(0, "seu", "gate", "mem", mem.name, address=0, bit=0,
@@ -152,7 +178,6 @@ def test_non_structural_fault_rejected_by_saboteur_path(toy_netlist):
     assert not fault.structural
     overlay = build_overlay(toy_netlist, [fault])  # rides along poke-only
     assert overlay.controls == {}
-    from repro.fi.faults import insert_saboteur
     with pytest.raises(FaultError):
         insert_saboteur(toy_netlist.clone(), fault)
 

@@ -418,11 +418,11 @@ def test_probe_failure_stops_the_started_build(cache_dir, cc_children,
     from repro.fi import campaign, run_campaign
     from repro.gatesim import COMPILE_CACHE
 
-    def stopped(*args, **kwargs):  # the compiled probe's first batch
+    def stopped(*args, **kwargs):  # the interpreted probe's first fault
         raise error("probe stopped")
 
     COMPILE_CACHE.clear()
-    monkeypatch.setattr(campaign, "run_gate_batch", stopped)
+    monkeypatch.setattr(campaign, "run_gate_fault_scalar", stopped)
     with pytest.raises(error):
         run_campaign(_native_campaign())
     (child,) = cc_children
@@ -433,8 +433,10 @@ def test_probe_failure_stops_the_started_build(cache_dir, cc_children,
 @needs_cc
 def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
                                                monkeypatch):
-    """A ``jobs=2`` campaign reaps its ``cc`` child before the pool
-    forks, and classifies as the in-process campaign does."""
+    """A ``jobs=2`` campaign reaps its ``cc`` child and loads the
+    program before the pool forks, so its workers find it in their
+    compile cache: one ``gate[native]`` miss.  It classifies as the
+    in-process campaign does."""
     from repro.fi import campaign, run_campaign
     from repro.gatesim import COMPILE_CACHE
 
@@ -449,7 +451,29 @@ def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
     monkeypatch.setattr(campaign, "parallel_map", checked)
     pooled = run_campaign(_native_campaign(jobs=2))
     assert at_fork == [[0]]
+    assert pooled.cache_stats["gate[native]"].misses == 1
     assert _records(pooled) == _records(run_campaign(_native_campaign()))
+
+
+@needs_cc
+@pytest.mark.parametrize("level", ["gate", "rtl", "beh"])
+def test_native_campaign_probes_on_interpreted_only(cache_dir, level):
+    """A native campaign at every level cross-checks on the interpreted
+    engine alone: its throughput rows are the two engines that ran, and
+    it builds no compiled engine."""
+    from repro.compile_cache import iter_caches
+    from repro.fi import run_campaign
+
+    for _, cache in iter_caches():
+        cache.clear()
+    report = run_campaign(_native_campaign(level=level))
+    assert {row.backend for row in report.throughput} == \
+        {"native", "interpreted"}
+    assert report.throughput_of("interpreted").faults == 2
+    label = "hls" if level == "beh" else level
+    assert report.cache_stats[f"{label}[native]"].misses >= 1
+    assert {key: stats.misses for key, stats in report.cache_stats.items()
+            if key.endswith("[compiled]") and stats.misses} == {}
 
 
 # ----------------------------------------------- pattern I/O per loader
