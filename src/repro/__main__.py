@@ -52,8 +52,9 @@ stuck0,stuck1,pulse,seu`` (default: all), ``--n-faults N``, ``--jobs
 N``, ``--seed N``, ``--budget smoke|small|medium|large`` (workload
 length), ``--out DIR`` (write the campaign report and
 ``BENCH_fi.json``; without it nothing is written), ``--self-check``
-(additionally classify a known-SDC and a known-masked fault, and fail
-unless both land where they must).
+(gate level only: additionally classify a known-SDC and a known-masked
+fault on the campaign's engine, and fail unless both land where they
+must).
 
 ``corpus`` generates a seeded multi-design corpus (SRC variants plus
 counter/ALU/register-file members) and pushes every member through
@@ -262,9 +263,14 @@ def cmd_fi(args) -> None:
     from .flow import write_fi_artifacts
 
     models = _option(args, "--model", ",".join(FAULT_MODELS))
+    level = _option(args, "--level", "gate")
+    if "--self-check" in args and level != "gate":
+        print(f"error: fi --self-check classifies gate-level faults; "
+              f"it does not run with --level {level}", file=sys.stderr)
+        raise SystemExit(1)
     config = CampaignConfig(
         params=_params(args, SMALL_PARAMS),
-        level=_option(args, "--level", "gate"),
+        level=level,
         n_faults=int(_option(args, "--n-faults", "100")),
         jobs=int(_option(args, "--jobs", "1")),
         seed=int(_option(args, "--seed", "0")),

@@ -1,9 +1,8 @@
 """In-process cache for compiled simulation artifacts.
 
-Shared by the gate-level kernels
-(:mod:`repro.gatesim.emit`), the compiled RTL backend
-(:mod:`repro.rtl.compiled`) and the compiled behavioural backend
-(:mod:`repro.hls.compiled`); lives in its own leaf module because the
+Shared by the kernels of the gate, RTL and behavioural levels
+(:mod:`repro.gatesim.emit`, :mod:`repro.rtl.emit`,
+:mod:`repro.hls.emit`); lives in its own leaf module because the
 users sit on opposite sides of the rtl <-> synth import cycle.  The
 flow layer re-exports it from :mod:`repro.flow.artifacts`.
 
@@ -193,8 +192,8 @@ class CompileCache:
 def iter_caches():
     """``(label, cache)`` pairs for every compile cache in the process."""
     from .gatesim import COMPILE_CACHE
-    from .hls.compiled import HLS_COMPILE_CACHE
-    from .rtl import RTL_COMPILE_CACHE
+    from .hls.emit import HLS_COMPILE_CACHE
+    from .rtl.emit import RTL_COMPILE_CACHE
     return (("gate", COMPILE_CACHE), ("rtl", RTL_COMPILE_CACHE),
             ("hls", HLS_COMPILE_CACHE))
 

@@ -65,7 +65,8 @@ ENGINES: Dict[str, Engine] = {
         rtl="repro.rtl.compiled:CompiledRtlSimulator",
         fsm="repro.hls.compiled:CompiledFsm",
         fsm_batch="repro.hls.compiled:CompiledFsmBatch",
-        # bigint pattern planes, one environment per FSM pattern
+        # native's hosts over list buffers of Python ints: gate
+        # patterns share one bigint plane
         max_patterns={"gate": None, "rtl": 1, "beh": None},
         compiles=True),
     "native": Engine(

@@ -502,8 +502,8 @@ def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
                   backend: str = "compiled") -> List[FaultRecord]:
     """Classify a batch of behavioural faults in one batched sweep.
 
-    One FSM batch of *backend* (``"compiled"`` per-pattern
-    environments, ``"native"`` pattern-major C buffers) carries
+    One FSM batch of *backend* (pattern-major lists on
+    ``"compiled"``, C buffers on ``"native"``) carries
     ``len(faults) + 1`` private copies of *fsm* and its front end
     under the common workload: pattern 0 runs fault-free as the
     in-flight golden cross-check, pattern ``b + 1`` takes fault
@@ -861,12 +861,19 @@ def run_fi_self_check(config: CampaignConfig) -> SelfCheckResult:
     silently.  The known-masked fault sticks ``scan_en`` at 0 -- the
     workload never asserts scan mode, so forcing its idle value cannot
     change anything.  Both run through the regular batch classifier on
-    the campaign's engine; misclassification of either means the
-    campaign machinery is broken.
+    the engine the campaign ran on, over its state; misclassification
+    of either means the campaign machinery is broken.  Both faults are
+    gate-level nets, so a campaign at another level has no self-check:
+    it raises :class:`CampaignError`.
     """
     config = config.validated()
-    _init_worker(config.params, "gate", config.seed, config.budget,
-                 config.backend)
+    if config.level != "gate":
+        raise CampaignError(
+            f"the FI self-check classifies gate-level faults; a "
+            f"{config.level!r} campaign has none")
+    backend = resolve(config.backend, CampaignError)
+    _init_worker(config.params, config.level, config.seed, config.budget,
+                 backend)
     netlist = _WORKER["dut"]
     workload: Workload = _WORKER["workload"]  # type: ignore[assignment]
     if not workload.golden:
@@ -887,6 +894,6 @@ def run_fi_self_check(config: CampaignConfig) -> SelfCheckResult:
 
     records = run_gate_batch(netlist, workload,
                              [sdc_fault, masked_fault], config.params,
-                             backend=config.backend)
+                             backend=backend)
     return SelfCheckResult(sdc_record=records[0],
                            masked_record=records[1])

@@ -218,9 +218,9 @@ def measure_beh_throughput(params: SrcParams, cycles: int,
     compiled or native backend and ``n_patterns=N`` each simulated
     cycle evaluates N independent stimulus vectors in one
     generated-code call, and :attr:`SimPerfResult.cycles_per_second`
-    reports pattern-cycles per second.  The compiled batch holds one
-    Python environment per pattern; the native batch holds one
-    pattern-major C buffer.
+    reports pattern-cycles per second.  Both batches hold their
+    patterns pattern-major, compiled in lists and native in C
+    buffers.
     """
     fsm = build_main_fsm(params, optimized)
     in_ports = [(p.name, 1 << p.width)

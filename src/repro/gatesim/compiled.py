@@ -21,18 +21,20 @@ bit-parallel pattern packing on top:
   number of cycles.
 
 :class:`CompiledGateSimulator` is the native engine's host
-(:class:`~repro.gatesim.native.NativeGateSimulator`) with lists for
-buffers.  Kernels are cached in-process in the shared ``COMPILE_CACHE``
-keyed by a structural hash of the netlist, so rebuilding the same
-design (e.g. across benchmark repetitions) compiles exactly once.
+(:class:`~repro.gatesim.native.NativeGateSimulator`) over a
+:class:`~repro.native.PythonKernel`, with lists for buffers.  Kernels
+are cached in-process in the shared ``COMPILE_CACHE`` keyed by a
+structural hash of the netlist, so rebuilding the same design (e.g.
+across benchmark repetitions) compiles exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..compile_cache import CompileCache
+from ..native import PythonKernel
 from ..synth.netlist import Netlist
 from .emit import (COMPILE_CACHE, GateProgram, Planes, emit_program,
                    indent, structural_hash)
@@ -140,31 +142,6 @@ def nat_set_patterns(S1, SX, slots, width, vals, NP) -> None:
         SX[slots[i]] = 0
 
 
-class PythonKernel:
-    """A loaded Python kernel behind the buffer surface of
-    :class:`repro.native.NativeModule`: lists stand in for the
-    ``uint64_t`` buffers (a list is its own view and its own argument),
-    so a plane holds any number of patterns."""
-
-    def __init__(self, namespace: Dict[str, object]):
-        self._namespace = namespace
-
-    def fn(self, name: str):
-        return self._namespace[name]
-
-    @staticmethod
-    def u64_buffer(init) -> list:
-        return [0] * init if isinstance(init, int) else list(init)
-
-    @staticmethod
-    def u64_view(buf: list) -> list:
-        return buf
-
-    @staticmethod
-    def u64_arg(values: Sequence[int]) -> Sequence[int]:
-        return values
-
-
 def compile_netlist(netlist: Netlist,
                     cache: Optional[CompileCache] = None) -> GateProgram:
     """Compile *netlist* into a loaded Python kernel.
@@ -180,12 +157,10 @@ def compile_netlist(netlist: Netlist,
 
     def factory() -> GateProgram:
         program = emit_program(netlist, PythonPrinter())
-        code = compile(program.source, f"<gatesim-compiled:{netlist.name}>",
-                       "exec")
-        namespace: Dict[str, object] = {"nat_set_patterns": nat_set_patterns}
-        exec(code, namespace)
-        return replace(program, module=PythonKernel(namespace),
-                       structural_key=key)
+        kernel = PythonKernel(program.source,
+                              f"<gatesim-compiled:{netlist.name}>",
+                              {"nat_set_patterns": nat_set_patterns})
+        return replace(program, module=kernel, structural_key=key)
 
     return cache.get_or_compile(key, factory)
 

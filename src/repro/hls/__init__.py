@@ -3,14 +3,13 @@
 from .binding import RegisterBinding, bind_registers, compute_liveness
 from .codegen import GeneratedFsm, generate_rtl
 from .compiled import (HLS_COMPILE_CACHE, CompiledFsm, CompiledFsmBatch,
-                       HlsCompiledProgram, compile_fsm, fsm_digest)
+                       compile_fsm, fsm_digest)
 from .delay import estimate_delay, node_delay
 from .interpreter import FsmInterpreter
 from .ir import (Assign, For, HlsError, HlsMemory, HlsPort, HlsProgram, If,
                  MemReadStmt, MemWriteStmt, PortWrite, Stmt, WaitCycle,
                  WaitUntil)
-from .native import (HlsNativeProgram, NativeFsm, NativeFsmBatch,
-                     compile_fsm_native)
+from .native import NativeFsm, NativeFsmBatch, compile_fsm_native
 from .schedule import (Fsm, FrontEndBlock, FsmState, MemReadOp, MemWriteOp,
                        PortWriteOp, RegWriteOp, Scheduler,
                        SchedulingConstraints, Transition,
@@ -19,8 +18,8 @@ from .schedule import (Fsm, FrontEndBlock, FsmState, MemReadOp, MemWriteOp,
 __all__ = [
     "Assign", "CompiledFsm", "CompiledFsmBatch", "For", "FrontEndBlock",
     "Fsm", "FsmInterpreter", "FsmState", "GeneratedFsm", "HLS_COMPILE_CACHE",
-    "HlsCompiledProgram", "HlsError", "HlsMemory", "HlsNativeProgram",
-    "HlsPort", "HlsProgram", "If", "MemReadOp", "MemReadStmt", "MemWriteOp",
+    "HlsError", "HlsMemory", "HlsPort", "HlsProgram", "If", "MemReadOp",
+    "MemReadStmt", "MemWriteOp",
     "MemWriteStmt", "NativeFsm", "NativeFsmBatch", "PortWrite",
     "PortWriteOp", "RegWriteOp",
     "RegisterBinding", "Scheduler", "SchedulingConstraints", "Stmt",

@@ -1,13 +1,19 @@
 """The one code-generation walk of the behavioural level.
 
-The compiled and native behavioural engines generate Python and C
-from the same scheduled FSM.  This module owns what those sources
-share -- the environment's naming, each state's
-evaluation and commit order, the 64-bit width check -- and reuses the
-RTL level's :class:`~repro.rtl.emit.Emitter` for the expressions (FSM
-micro-operations hold :mod:`repro.rtl.expr` trees).  An engine's
-printer extends its RTL printer with the FSM statement forms, and the
-engine lays the state bodies out in its own dispatch.
+The compiled and native behavioural engines run one kernel per
+scheduled FSM, ``nat_step_batch(ENVS, MEMS, STATES, cycles, NP)``,
+printed as Python and as C (:func:`emit_fsm`).  This module owns what
+those sources share -- the environment's slots, the flat memory image,
+each state's evaluation and commit order, the 64-bit width check --
+and reuses the RTL level's :class:`~repro.rtl.emit.Emitter` for the
+expressions (FSM micro-operations hold :mod:`repro.rtl.expr` trees).
+An engine's printer extends its RTL printer with the FSM statement
+forms and lays the state bodies out in its own dispatch; one host
+(:class:`~repro.hls.native.NativeFsmBatch`) runs either print.
+
+The kernel is pattern-major: pattern ``p``'s environment is
+``ENVS[p * n_slots + slot]``, its memory image ``MEMS[p * mem_words +
+base + addr]`` and its control state ``STATES[p]``.
 
 One state's cycle body, in order:
 
@@ -28,27 +34,44 @@ evaluates its edge before the dispatch, and stores its memory writes
 and commits its registers after it.
 
 What the walk asks of a printer beyond :mod:`repro.rtl.emit`'s:
-``zero`` (the literal a pulse port clears to) and the statement forms
-``mem_write`` (one end-of-cycle memory write), ``next_state`` and
-``monitor`` (memory-access callbacks; empty where unsupported).  A
-value lands in an environment local through ``assign``.
+``zero`` (the literal a pulse port clears to), ``env_entry(slot)``
+(how the kernel names an environment entry), the statement forms
+``mem_write`` (one end-of-cycle memory write) and ``next_state``, and
+``nat_step_batch`` (the kernel's source around the state bodies).  A
+value lands in an environment entry through ``assign``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
-from ..rtl.emit import Emitter, check_widths, walk_module
+from ..rtl.emit import (Emitter, KernelProgram, check_widths,
+                        memory_layout, walk_module)
 from .schedule import Fsm, FsmState
 
-__all__ = ["front_end_cycle", "fsm_names", "state_bodies"]
+__all__ = ["HLS_COMPILE_CACHE", "emit_fsm", "front_end_cycle",
+           "state_bodies"]
+
+#: the process-wide cache of loaded FSM kernels, one slot per backend
+HLS_COMPILE_CACHE = CompileCache()
 
 
-def fsm_names(fsm: Fsm) -> Dict[str, str]:
-    """Environment entry -> local (``v0``, ``v1``, ...), in the order
-    of :meth:`~repro.hls.schedule.Fsm.initial_env`."""
-    return {name: f"v{i}" for i, name in enumerate(fsm.initial_env())}
+def emit_fsm(fsm: Fsm, printer) -> KernelProgram:
+    """*fsm*'s kernel as *printer* prints it, not yet loaded: advance
+    NP patterns *cycles* cycles each, in place.  The slots follow
+    :meth:`~repro.hls.schedule.Fsm.initial_env`."""
+    name_index = {name: i for i, name in enumerate(fsm.initial_env())}
+    name_of = {name: printer.env_entry(i) for name, i in name_index.items()}
+    mem_of, layout = memory_layout(fsm.program.memories.values())
+    mem_words = sum(depth for _, _, depth, _ in layout)
+    bodies = state_bodies(printer, fsm, name_of, mem_of)
+    before, after = front_end_cycle(printer, fsm, name_of, mem_of)
+    source = printer.nat_step_batch(list(name_of.values()), mem_words,
+                                    before, bodies, after)
+    return KernelProgram(source, name_index, len(name_index), layout,
+                         mem_words)
 
 
 def front_end_cycle(printer, fsm: Fsm, name_of: Dict[str, str],
@@ -94,7 +117,6 @@ def _state_body(p, fsm: Fsm, st: FsmState, name_of: Dict[str, str],
         em = Emitter(p, name_of, mem_of, f"r{k}_{i}_")
         addr = em.emit(op.addr)
         lines += em.lines
-        lines += p.monitor(op.mem, addr, mem.depth, "read")
         lines.append(p.assign(name_of[op.wire],
                               p.mem_read(mem_of[op.mem], addr, mem.depth)))
 
@@ -119,7 +141,6 @@ def _state_body(p, fsm: Fsm, st: FsmState, name_of: Dict[str, str],
         m = p.lit(mask(mem.width))
         em.lines.append(p.let(f"wa{k}_{i}", addr))
         em.lines.append(p.let(f"wd{k}_{i}", f"({data}) & {m}"))
-        em.lines += p.monitor(op.mem, f"wa{k}_{i}", mem.depth, "write")
         writes.append((mem_of[op.mem], f"wa{k}_{i}", f"wd{k}_{i}",
                        mem.depth, m))
     guards = [(em.emit(tr.cond), tr.target) for tr in st.transitions[:-1]]

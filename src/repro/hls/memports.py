@@ -1,11 +1,11 @@
-"""Single source of truth for behavioural memory-port semantics.
+"""Behavioural memory-port semantics, as the interpreter runs them.
 
-Both FSM execution engines -- the cycle interpreter
-(:mod:`repro.hls.interpreter`) and the compiled backend
-(:mod:`repro.hls.compiled`) -- must agree bit-exactly on how memory
-ports behave, or the differential harness would chase phantom
-refinement bugs.  The rules, matching the generated RTL and the plain
-array model of :mod:`repro.gatesim.memory`:
+The cycle interpreter (:mod:`repro.hls.interpreter`) calls these
+helpers; the generated-code engines print the same rules into their
+kernel (:mod:`repro.hls.emit`), and the equivalence suites hold the
+two to bit-exact agreement, or the differential harness would chase
+phantom refinement bugs.  The rules, matching the generated RTL and
+the plain array model of :mod:`repro.gatesim.memory`:
 
 * reads are **asynchronous** and total: an out-of-range address reads 0
   (never traps);
@@ -16,12 +16,6 @@ array model of :mod:`repro.gatesim.memory`:
   write-enable decoder simply selects no word;
 * external write ports (the input interface filling the sample
   buffers) follow the same drop rule.
-
-The interpreter calls the helper *functions*; the compiled backend
-emits the corresponding source *templates* into its generated code.
-Helpers and templates are defined side by side here -- and
-``test_hls_compiled`` pins that evaluating a template equals calling
-the helper -- so the two backends cannot drift apart.
 """
 
 from __future__ import annotations
@@ -29,13 +23,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..datatypes.bits import mask
-
-#: source template of an asynchronous, bounds-total memory read; the
-#: interpreter's :func:`read_mem` must implement exactly this expression
-READ_EXPR = "{storage}[{addr}] if 0 <= {addr} < {depth} else 0"
-
-#: source template of the end-of-cycle write guard (dropped writes)
-WRITE_GUARD = "0 <= {addr} < {depth}"
 
 
 def read_mem(storage: Sequence[int], addr: int, depth: int) -> int:

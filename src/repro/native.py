@@ -23,7 +23,12 @@ three emitters share:
 * **graceful degradation** -- :func:`resolve_backend` maps ``native``
   to ``compiled`` with a single :class:`NativeFallbackWarning` and a
   ``repro_native_fallback_total`` telemetry increment when no C
-  compiler is present, so CI and bare environments keep working.
+  compiler is present, so CI and bare environments keep working;
+* **one buffer surface for both kernel languages** -- a loaded shared
+  object (:class:`NativeModule`) and a kernel printed as Python
+  (:class:`PythonKernel`, the compiled engines') offer the same
+  buffers, views and argument packing, so each level has one host
+  for both.
 
 Nothing here imports numpy or the simulators; it is a leaf module.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import errno
+import functools
 import hashlib
 import os
 import re
@@ -45,7 +51,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "NATIVE_SCHEMA_VERSION", "NativeFallbackWarning", "NativeModule",
-    "NativeToolchainError", "BREAK_EVEN_CYCLES", "build_cflags",
+    "NativeToolchainError", "BREAK_EVEN_CYCLES", "PythonKernel",
+    "build_cflags",
     "build_shared_object", "compile_and_load", "find_compiler",
     "native_cache_dir", "resolve_backend", "toolchain_available",
     "toolchain_info", "Build", "start_build",
@@ -572,6 +579,81 @@ class NativeModule:
         if self._ffi is not None:
             return self._ffi.from_buffer("uint64_t[]", words)
         return (ctypes.c_uint64 * len(words)).from_buffer(words)
+
+    #: ``u64_words(values)``: *values* as what a view's slice takes,
+    #: raising :class:`OverflowError` outside ``[0, 2**64)``
+    u64_words = functools.partial(array, "Q")
+
+    #: the mask of one stored value
+    u64_mask = (1 << 64) - 1
+
+    @staticmethod
+    def u64_lanes(view: memoryview, first: int, stride: int) -> memoryview:
+        """Every *stride*-th word of *view* from *first*, as a view: one
+        name's lanes in a pattern-major array."""
+        return view[first::stride]
+
+
+class _ListLanes:
+    """Every *stride*-th entry of a list from *first*, written through
+    to the list like the strided memoryview slice
+    :meth:`NativeModule.u64_lanes` returns: ``lanes[:] = values`` and
+    ``tolist()``.  Like a C buffer, the lanes refuse a negative word
+    with :class:`OverflowError` (the caller masks and retries)."""
+
+    __slots__ = ("_buf", "_every")
+
+    def __init__(self, buf: list, first: int, stride: int):
+        self._buf = buf
+        self._every = slice(first, None, stride)
+
+    def __setitem__(self, every: slice, values) -> None:
+        if min(values) < 0:
+            raise OverflowError("negative value for an unsigned word")
+        self._buf[self._every] = values
+
+    def tolist(self) -> list:
+        return self._buf[self._every]
+
+
+class PythonKernel:
+    """A kernel printed as Python, loaded with ``compile()``/``exec``
+    behind :class:`NativeModule`'s buffer surface.
+
+    Lists stand in for the ``uint64_t`` buffers: a list is its own
+    view and its own argument, and holds ints of any width, so the
+    engines built on this surface have no word-width limit.
+    *namespace* seeds the kernel's globals.
+    """
+
+    def __init__(self, source: str, filename: str,
+                 namespace: Optional[Dict[str, object]] = None):
+        self._namespace: Dict[str, object] = dict(namespace or {})
+        exec(compile(source, filename, "exec"), self._namespace)
+
+    def fn(self, name: str):
+        return self._namespace[name]
+
+    @staticmethod
+    def u64_buffer(init) -> list:
+        return [0] * init if isinstance(init, int) else list(init)
+
+    @staticmethod
+    def u64_view(buf: list) -> list:
+        return buf
+
+    @staticmethod
+    def u64_arg(values: Sequence[int]) -> Sequence[int]:
+        return values
+
+    #: *values* as a list, which a list's slice takes (its lanes
+    #: refuse a negative value when it is stored)
+    u64_words = list
+
+    #: masking with -1 keeps every bit: a list holds any int
+    u64_mask = -1
+
+    u64_lanes = _ListLanes
 
 
 def compile_and_load(source: str, cdef: str, tag: str = "mod",

@@ -1,47 +1,37 @@
-"""Compiled RTL simulation: whole-module source emission.
+"""Compiled RTL simulation: the RTL kernel printed as Python.
 
 The interpreted :class:`~repro.rtl.simulate.RtlSimulator` pays one
-Python closure call per expression node per cycle.  This backend emits
-the entire module -- combinational assigns in topological order,
-register next-state functions, memory write ports and the multi-cycle
-loop itself -- as one Python function compiled with ``compile()`` /
-``exec``, so a ``step(n)`` executes straight-line bytecode with local
-variables instead of closure trees over a dict environment.
+Python closure call per expression node per cycle.  This engine runs
+the RTL level's one kernel (:mod:`repro.rtl.emit`: ``nat_run(V, MEM,
+cycles)`` -- combinational assigns in topological order, register
+next-state functions, memory write ports and the multi-cycle loop)
+printed as Python by :class:`PythonPrinter` and loaded with
+``compile()`` / ``exec``, so a ``step(n)`` executes straight-line
+bytecode over ``int`` locals instead of closure trees over a dict
+environment.  Python ints have no word, so every width runs, where the
+native print holds 64 bits.
 
-The statements come from the RTL level's one code-generation walk
-(:mod:`repro.rtl.emit`: naming, temp hoisting, evaluation order);
-:class:`PythonPrinter` spells them as Python over ``int`` locals and is
-the reference printer the native (C) printer follows.
-
-Compiled programs are cached in a process-wide
-:class:`~repro.compile_cache.CompileCache` keyed by the emitted source
-digest.
+:class:`CompiledRtlSimulator` is the native engine's host
+(:class:`~repro.rtl.native.NativeRtlSimulator`) over a
+:class:`~repro.native.PythonKernel`, with lists for buffers.  Kernels
+are cached in :data:`~repro.rtl.emit.RTL_COMPILE_CACHE` keyed by the
+emitted source digest.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from ..compile_cache import CompileCache
-from .emit import walk_module
+from ..native import PythonKernel
+from .emit import (RTL_COMPILE_CACHE, KernelProgram, emit_rtl,
+                   load_program)
 from .ir import RtlModule
-from .simulate import RtlSimulator
+from .native import NativeRtlSimulator
 
-#: process-wide cache of compiled RTL programs
-RTL_COMPILE_CACHE = CompileCache()
-
-
-@dataclass
-class RtlCompiledProgram:
-    """A compiled whole-module step/settle function."""
-
-    source: str
-    #: ``fn(env, mems, cycles)``: run *cycles* clock edges then settle,
-    #: reading/writing net values in *env* and memory lists in *mems*
-    fn: Callable
-    structural_key: str
+__all__ = ["CompiledRtlSimulator", "PythonPrinter", "RTL_COMPILE_CACHE",
+           "compile_rtl"]
 
 
 class PythonPrinter:
@@ -112,8 +102,13 @@ class PythonPrinter:
     def reduce(self, op: str, a: str, full: str) -> str:
         return self._REDUCE[op].format(a=a, full=full)
 
-    def mem_read(self, mem: str, addr: str, depth: int) -> str:
-        return f"{mem}[{addr}] if 0 <= {addr} < {depth} else 0"
+    def word_at(self, base: int, addr: str) -> str:
+        """The memory word *addr* past *base* in the flat image."""
+        return f"MEM[{base} + {addr}]" if base else f"MEM[{addr}]"
+
+    def mem_read(self, mem: Tuple[int, int], addr: str, depth: int) -> str:
+        return (f"{self.word_at(mem[0], addr)} if 0 <= {addr} < {depth} "
+                "else 0")
 
     # -- statements ----------------------------------------------------
     def let(self, name: str, expr: str) -> str:
@@ -121,55 +116,51 @@ class PythonPrinter:
 
     assign = let
 
-    def port_write(self, mem: str, en: str, addr: str, data: str,
-                   depth: int, m: str) -> List[str]:
+    def port_write(self, mem: Tuple[int, int], en: str, addr: str,
+                   data: str, depth: int, m: str) -> List[str]:
         return [f"if {en} and 0 <= {addr} < {depth}:",
-                f"    {mem}[{addr}] = {data} & {m}"]
+                f"    {self.word_at(mem[0], addr)} = {data} & {m}"]
 
-
-def module_source(module: RtlModule) -> str:
-    """*module* as one Python function ``_run(env, mems, cycles)``."""
-    mem_of = {mem.name: f"mem{i}" for i, mem in enumerate(module.memories)}
-    walk = walk_module(module, PythonPrinter(), mem_of)
-    names = list(walk.name_of.items())
-    lines = ["def _run(env, mems, cycles):"]
-    for name, local in names[:walk.n_state]:
-        lines.append(f"    {local} = env[{name!r}]")
-    for name, local in mem_of.items():
-        lines.append(f"    {local} = mems[{name!r}]")
-    lines.append("    for _ in range(cycles):")
-    lines += ["        " + line for line in walk.cycle] or ["        pass"]
-    lines += ["    " + line for line in walk.settle]
-    for name, local in names[walk.n_inputs:]:
-        lines.append(f"    env[{name!r}] = {local}")
-    return "\n".join(lines) + "\n"
+    # -- the kernel ----------------------------------------------------
+    def nat_run(self, walk) -> str:
+        """In-ports and registers unpacked from ``V`` into locals,
+        registers and assigns stored back after the final settle."""
+        names = list(walk.name_of.values())
+        loads, stores = names[:walk.n_state], names[walk.n_inputs:]
+        lines = ["def nat_run(V, MEM, cycles):"]
+        if loads:
+            lines.append(f"    {''.join(f'{v}, ' for v in loads)}"
+                         f"= V[:{walk.n_state}]")
+        lines.append("    for c in range(cycles):")
+        lines += ["        " + stmt for stmt in walk.cycle] or \
+            ["        pass"]
+        lines += ["    " + stmt for stmt in walk.settle]
+        lines.append(f"    V[{walk.n_inputs}:] = "
+                     f"({''.join(f'{v}, ' for v in stores)})")
+        return "\n".join(lines) + "\n"
 
 
 def compile_rtl(module: RtlModule,
-                cache: Optional[CompileCache] = None) -> RtlCompiledProgram:
-    """Compile *module* into a single run function (cached)."""
+                cache: Optional[CompileCache] = None) -> KernelProgram:
+    """Compile *module* into a loaded Python kernel (cached)."""
     if cache is None:
         cache = RTL_COMPILE_CACHE
-    source = module_source(module)
-    key = hashlib.sha256(source.encode()).hexdigest()
-
-    def factory() -> RtlCompiledProgram:
-        code = compile(source, f"<rtl-compiled:{module.name}>", "exec")
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)
-        return RtlCompiledProgram(
-            source=source,
-            fn=namespace["_run"],  # type: ignore[arg-type]
-            structural_key=key,
-        )
-
-    return cache.get_or_compile(key, factory)
+    program = emit_rtl(module, PythonPrinter())
+    key = hashlib.sha256(program.source.encode()).hexdigest()
+    return load_program(
+        program, key,
+        lambda source: PythonKernel(source, f"<rtl-compiled:{module.name}>"),
+        cache)
 
 
-class CompiledRtlSimulator(RtlSimulator):
-    """:class:`RtlSimulator` stepping :func:`compile_rtl`'s function."""
+class CompiledRtlSimulator(NativeRtlSimulator):
+    """The RTL host (:class:`~repro.rtl.native.NativeRtlSimulator`,
+    whose docstring describes the surface) over the kernel printed as
+    Python."""
 
     backend = "compiled"
 
-    def _compile(self, module: RtlModule):
-        return compile_rtl(module).fn
+    @staticmethod
+    def _compile(module: RtlModule,
+                 cache: Optional[CompileCache]) -> KernelProgram:
+        return compile_rtl(module, cache=cache)

@@ -1,13 +1,16 @@
 """The one code-generation walk of the RTL level.
 
-The compiled and native engines generate Python and C from the same
-IR.  Everything those sources share lives here: net
-naming, the id-memoised temp hoisting (CSE) and temp naming, the
+The compiled and native engines run one kernel per module,
+``nat_run(V, MEM, cycles)``, printed as Python and as C from the same
+IR (:func:`emit_rtl`).  Everything those sources share lives here: net
+naming and the slot of every net in ``V``, the flat memory image
+``MEM``, the id-memoised temp hoisting (CSE) and temp naming, the
 evaluation and commit order, and the 64-bit width check.  An engine
 supplies only a *printer* -- literals, the signed view, one template
-per node kind and the statement forms -- and lays the walked
-statements out in its own prologue and epilogue.  The behavioural
-level's FSM walk (:mod:`repro.hls.emit`) reuses :class:`Emitter`.
+per node kind, the statement forms and the kernel's layout -- and one
+host (:class:`~repro.rtl.native.NativeRtlSimulator`) runs either
+print.  The behavioural level's FSM walk (:mod:`repro.hls.emit`)
+reuses :class:`Emitter`.
 
 Every unique expression node becomes one temp, so a shared subtree is
 computed once per cycle (the closure interpreter re-evaluates it at
@@ -25,8 +28,10 @@ is the reference):
   as without evaluating its operand;
 * ``signed(a, width)`` -- the signed view of a *width*-bit operand;
 * one template per node kind, over operand strings (see :data:`_WALK`);
+  ``mem_read`` takes a memory's ``(base, depth)`` in ``MEM``;
 * the statement forms ``let`` (a new temp), ``assign`` (an existing
-  local) and ``port_write`` (one RTL memory write port).
+  local) and ``port_write`` (one RTL memory write port);
+* ``nat_run(walk)`` -- the kernel's source around a :class:`ModuleWalk`.
 
 The behavioural level runs an RT-level front end inside an FSM's cycle
 (:mod:`repro.hls.emit`): it walks the front end's module under its own
@@ -36,16 +41,22 @@ two parts of the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from .expr import (Add, BitAnd, BitNot, BitOr, BitXor, Case, Cat, Cmp,
                    Const, Expr, Ext, MemRead, Mul, Mux, Reduce, Ref, Shl,
                    Shr, Slice, SMul, Sra, Sub, traverse)
 from .ir import RtlError, RtlModule
 
-__all__ = ["Emitter", "ModuleWalk", "check_widths", "walk_module"]
+__all__ = ["Emitter", "KernelProgram", "ModuleWalk", "RTL_COMPILE_CACHE",
+           "check_widths", "emit_rtl", "load_program", "memory_layout",
+           "walk_module"]
+
+#: the process-wide cache of loaded RTL kernels, one slot per backend
+RTL_COMPILE_CACHE = CompileCache()
 
 
 def check_widths(exprs: Iterable[Expr], context: str, word: str) -> None:
@@ -269,3 +280,73 @@ def walk_module(module: RtlModule, printer, mem_of: Dict[str, object],
     edge = len(body.lines)
     body.lines += stores + commits
     return ModuleWalk(name_of, n_inputs, n_state, settle, body.lines, edge)
+
+
+def memory_layout(memories):
+    """The flat ``MEM`` image: ``(mem_of, rows)``.
+
+    ``mem_of`` maps a memory's name to its ``(base, depth)`` and each
+    row is ``(name, base, depth, width)``.  Contents are not part of
+    the layout: a program is shared by every design with the same
+    source (see :func:`load_program`), so simulators load contents from
+    their own design.
+    """
+    mem_of: Dict[str, Tuple[int, int]] = {}
+    rows = []
+    base = 0
+    for mem in memories:
+        mem_of[mem.name] = (base, mem.depth)
+        rows.append((mem.name, base, mem.depth, mem.width))
+        base += mem.depth
+    return mem_of, rows
+
+
+@dataclass
+class KernelProgram:
+    """One design's kernel -- a module's ``nat_run(V, MEM, cycles)``
+    (:func:`emit_rtl`) or an FSM's ``nat_step_batch(ENVS, MEMS, STATES,
+    cycles, NP)`` (:func:`repro.hls.emit.emit_fsm`) -- and the tables
+    its host needs around it."""
+
+    source: str
+    #: every net or environment entry -> its slot (in one pattern's)
+    name_index: Dict[str, int]
+    n_slots: int
+    #: ``(name, base, depth, width)`` rows of the flat memory image
+    mem_layout: list
+    mem_words: int
+    #: the loaded kernel (:class:`repro.native.NativeModule` or
+    #: :class:`repro.native.PythonKernel`); None until loaded
+    module: object = None
+    structural_key: str = ""
+
+
+def emit_rtl(module: RtlModule, printer) -> KernelProgram:
+    """*module*'s kernel as *printer* prints it, not yet loaded: run
+    *cycles* clock edges, then settle."""
+    mem_of, layout = memory_layout(module.memories)
+    walk = walk_module(module, printer, mem_of)
+    name_index = {name: i for i, name in enumerate(walk.name_of)}
+    return KernelProgram(printer.nat_run(walk), name_index,
+                         len(name_index), layout,
+                         sum(depth for _, _, depth, _ in layout))
+
+
+def load_program(program: KernelProgram, key: str,
+                 load: Callable[[str], object], cache: CompileCache,
+                 backend: str = "compiled") -> KernelProgram:
+    """*program* with its kernel ``load(source)``, loaded once per *key*
+    in *cache*.
+
+    A kernel names no net or memory, so designs that differ only in
+    names (or memory contents) share one cached program; the loaded
+    code is shared, the slot and layout tables are the design's own.
+    """
+    shared = cache.get_or_compile(
+        key, lambda: replace(program, module=load(program.source),
+                             structural_key=key), backend=backend)
+    if shared.name_index == program.name_index and \
+            shared.mem_layout == program.mem_layout:
+        return shared
+    return replace(shared, name_index=program.name_index,
+                   mem_layout=program.mem_layout)

@@ -1,15 +1,13 @@
-"""Native C-source RTL simulation (host toolchain, uint64 scalars).
+"""Native C-source RTL simulation, and the host of both generated-code
+RTL engines.
 
-Mirrors :mod:`repro.rtl.compiled` -- the whole module becomes one
-generated function: settle, register updates, memory writes and the
-cycle loop -- but the emission target is plain C compiled to a shared
-object by the host toolchain (see :mod:`repro.native`), removing the
-Python interpreter from the per-cycle path entirely.  It holds one
-stimulus pattern, like the compiled engine.
-
-The statements come from the RTL level's one code-generation walk
-(:mod:`repro.rtl.emit`); :class:`CPrinter` spells them as C over
-``uint64_t`` locals (every node width is checked to fit one):
+The RTL level's one code-generation walk (:mod:`repro.rtl.emit`) emits
+the whole module as one kernel, ``nat_run(V, MEM, cycles)``: settle,
+register updates, memory writes and the cycle loop.  :class:`CPrinter`
+spells it as C over ``uint64_t`` locals (every node width is checked to
+fit one), compiled to a shared object by the host toolchain (see
+:mod:`repro.native`), removing the Python interpreter from the
+per-cycle path entirely:
 
 * temps are declared where the walk creates them;
 * signed interpretation via full-width two's complement:
@@ -21,31 +19,33 @@ The statements come from the RTL level's one code-generation walk
 * a logical shift by 64 or more folds to ``0`` and an arithmetic one
   clamps to 63 (C leaves both undefined).
 
-Programs are cached in
-:data:`~repro.rtl.compiled.RTL_COMPILE_CACHE` under the ``"native"``
-backend tag, keyed by the C source digest; the shared objects
-themselves persist in the on-disk cache of :mod:`repro.native`.
+:class:`NativeRtlSimulator` is the one RTL host: the interpreted
+simulator's surface over the kernel's buffers.  The compiled engine
+(:class:`~repro.rtl.compiled.CompiledRtlSimulator`) is this class over
+the same kernel printed as Python, with lists for buffers.  Each holds
+one stimulus pattern.
+
+Programs are cached in :data:`~repro.rtl.emit.RTL_COMPILE_CACHE` under
+the ``"native"`` backend tag, keyed by the C source digest; the shared
+objects themselves persist in the on-disk cache of
+:mod:`repro.native`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from ..engines import PortSampler, gather
-from ..native import NativeModule, compile_and_load
-from .compiled import RTL_COMPILE_CACHE
-from .emit import walk_module
+from ..native import compile_and_load
+from .emit import (RTL_COMPILE_CACHE, KernelProgram, emit_rtl,
+                   load_program)
 from .ir import RtlError, RtlModule
 
-__all__ = [
-    "CPrinter", "NativeRtlProgram", "NativeRtlSimulator",
-    "compile_rtl_native",
-]
+__all__ = ["CPrinter", "NativeRtlSimulator", "compile_rtl_native"]
 
 _CDEF = "void nat_run(uint64_t* V, uint64_t* MEM, long cycles);"
 
@@ -64,9 +64,7 @@ static inline uint64_t nat_parity(uint64_t x)
 class CPrinter:
     """C spelling of the code-generation walk (``uint64_t`` locals).
 
-    The templates follow :class:`repro.rtl.compiled.PythonPrinter`'s;
-    ``mem_read`` takes a memory's ``(base, depth)`` in the flat ``MEM``
-    array.
+    The templates follow :class:`repro.rtl.compiled.PythonPrinter`'s.
     """
 
     word = "word of the native backend"
@@ -150,75 +148,31 @@ class CPrinter:
         return [f"if (({en}) && (({addr}) < {words}ULL)) "
                 f"{{ MEM[{base}ULL + ({addr})] = ({data}) & {m}; }}"]
 
-
-def memory_layout(memories):
-    """The flat ``MEM`` image: ``(mem_of, rows)``.
-
-    ``mem_of`` maps a memory's name to its ``(base, depth)`` and each
-    row is ``(name, base, depth, width)``.  Contents are not part of
-    the layout: a program is shared by every design with the same C
-    source (see :func:`for_design`), so simulators load contents from
-    their own design.
-    """
-    mem_of: Dict[str, Tuple[int, int]] = {}
-    rows = []
-    base = 0
-    for mem in memories:
-        mem_of[mem.name] = (base, mem.depth)
-        rows.append((mem.name, base, mem.depth, mem.width))
-        base += mem.depth
-    return mem_of, rows
-
-
-def _generate_c_source(module: RtlModule):
-    """Emit the module as C; returns ``(source, name_index, mem_layout)``.
-
-    ``name_index`` maps every net (in-port, register, assign) to its
-    slot in the ``V`` state array; ``mem_layout`` is a list of
-    ``(name, base, depth, width)`` rows describing the flat ``MEM``
-    array.
-    """
-    mem_of, mem_layout = memory_layout(module.memories)
-    walk = walk_module(module, CPrinter(), mem_of)
-    name_index = {name: i for i, name in enumerate(walk.name_of)}
-
-    lines = [_PRELUDE,
-             "void nat_run(uint64_t* V, uint64_t* MEM, long cycles)", "{",
-             "    (void)MEM;"]
-    for name, local in walk.name_of.items():
-        idx = name_index[name]
-        init = f"V[{idx}]" if idx < walk.n_state else "0ULL"
-        lines.append(f"    uint64_t {local} = {init};")
-    lines.append("    for (long c = 0; c < cycles; c++) {")
-    lines += ["        " + stmt for stmt in walk.cycle]
-    lines += ["    }", "    {"]
-    lines += ["        " + stmt for stmt in walk.settle]
-    lines.append("    }")
-    for name, local in walk.name_of.items():
-        if name_index[name] >= walk.n_inputs:  # registers and assigns
-            lines.append(f"    V[{name_index[name]}] = {local};")
-    lines.append("}")
-    return "\n".join(lines) + "\n", name_index, mem_layout
-
-
-@dataclass
-class NativeRtlProgram:
-    """A compiled whole-module step/settle shared object."""
-
-    source: str
-    module: NativeModule
-    #: ``run(V, MEM, cycles)``: run *cycles* clock edges then settle
-    run: object
-    name_index: Dict[str, int]
-    n_slots: int
-    mem_layout: list
-    mem_words: int
-    structural_key: str
+    # -- the kernel ----------------------------------------------------
+    def nat_run(self, walk) -> str:
+        """Every net a local: in-ports and registers loaded from ``V``,
+        registers and assigns stored back after the final settle."""
+        lines = [_PRELUDE,
+                 "void nat_run(uint64_t* V, uint64_t* MEM, long cycles)", "{",
+                 "    (void)MEM;"]
+        for idx, local in enumerate(walk.name_of.values()):
+            init = f"V[{idx}]" if idx < walk.n_state else "0ULL"
+            lines.append(f"    uint64_t {local} = {init};")
+        lines.append("    for (long c = 0; c < cycles; c++) {")
+        lines += ["        " + stmt for stmt in walk.cycle]
+        lines += ["    }", "    {"]
+        lines += ["        " + stmt for stmt in walk.settle]
+        lines.append("    }")
+        for idx, local in enumerate(walk.name_of.values()):
+            if idx >= walk.n_inputs:  # registers and assigns
+                lines.append(f"    V[{idx}] = {local};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def compile_rtl_native(module: RtlModule,
                        cache: Optional[CompileCache] = None
-                       ) -> NativeRtlProgram:
+                       ) -> KernelProgram:
     """Compile *module* into a native shared object (cached).
 
     Keyed by the digest of the generated C source in the shared RTL
@@ -228,65 +182,38 @@ def compile_rtl_native(module: RtlModule,
     """
     if cache is None:
         cache = RTL_COMPILE_CACHE
-    source, name_index, mem_layout = _generate_c_source(module)
-    key = "c:" + hashlib.sha256(source.encode()).hexdigest()
-
-    def factory() -> NativeRtlProgram:
-        mod = compile_and_load(source, _CDEF, tag="rtl")
-        return NativeRtlProgram(
-            source=source,
-            module=mod,
-            run=mod.fn("nat_run"),
-            name_index=dict(name_index),
-            n_slots=len(name_index),
-            mem_layout=list(mem_layout),
-            mem_words=sum(depth for _, _, depth, _ in mem_layout),
-            structural_key=key,
-        )
-
-    return for_design(cache.get_or_compile(key, factory, backend="native"),
-                      name_index, mem_layout)
+    program = emit_rtl(module, CPrinter())
+    key = "c:" + hashlib.sha256(program.source.encode()).hexdigest()
+    return load_program(
+        program, key, lambda source: compile_and_load(source, _CDEF,
+                                                      tag="rtl"),
+        cache, backend="native")
 
 
-def for_design(program, name_index: Dict[str, int], mem_layout: list):
-    """*program* with the name maps of the design just generated.
-
-    The C source names no net or memory, so designs that differ only in
-    names (or memory contents) share one cached program; the loaded
-    code is shared, the slot and layout tables are the design's own.
-    """
-    if program.name_index == name_index and \
-            program.mem_layout == mem_layout:
-        return program
-    return replace(program, name_index=dict(name_index),
-                   mem_layout=list(mem_layout))
-
-
-class _NativeEnv:
-    """Dict-like view over one instance's slots of a native state array.
+class _KernelEnv(Mapping):
+    """Dict-like view over one instance's slots of a kernel's state
+    array.
 
     Fault-injection pokes (``env[name] ^= 1 << bit``) and probe reads
-    hit the shared-object state directly, mirroring the interpreted
-    backend's ``env`` dict.  *view* is a ``NativeModule.u64_view``;
-    the instance's slots start at *base* (pattern-major batches).
+    hit the kernel's state directly, mirroring the interpreted
+    backend's ``env`` dict.  *view* is the kernel module's
+    ``u64_view``; the instance's slots start at *base* (pattern-major
+    batches), and a poke is masked to the module's *word*.
     """
 
-    __slots__ = ("_v", "_base", "_index")
+    __slots__ = ("_v", "_base", "_index", "_word")
 
-    def __init__(self, view: memoryview, index: Dict[str, int],
-                 base: int = 0):
+    def __init__(self, view, index: Dict[str, int], base: int, word: int):
         self._v = view
         self._base = base
         self._index = index
+        self._word = word
 
     def __getitem__(self, name: str) -> int:
         return self._v[self._base + self._index[name]]
 
     def __setitem__(self, name: str, value: int) -> None:
-        self._v[self._base + self._index[name]] = value & mask(64)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
+        self._v[self._base + self._index[name]] = value & self._word
 
     def __iter__(self):
         return iter(self._index)
@@ -294,22 +221,15 @@ class _NativeEnv:
     def __len__(self) -> int:
         return len(self._index)
 
-    def keys(self):
-        return self._index.keys()
-
-    def get(self, name: str, default=None):
-        if name in self._index:
-            return self[name]
-        return default
-
 
 class NativeRtlSimulator:
     """Native-code cycle simulator for one :class:`RtlModule`.
 
     Public surface mirrors :class:`~repro.rtl.simulate.RtlSimulator`;
-    ``env`` is a dict-like view over the shared-object state array so
+    ``env`` is a dict-like view over the kernel's state array so
     per-net pokes (fault injection) work unchanged.  Python reads and
-    writes the state through memoryviews of the kernel's buffers.
+    writes the state through views of the kernel's buffers.
+    Subclasses change only the kernel build (:meth:`_compile`).
     """
 
     backend = "native"
@@ -318,27 +238,28 @@ class NativeRtlSimulator:
                  cache: Optional[CompileCache] = None, **kwargs):
         if kwargs:
             raise RtlError(
-                "unsupported options for the 'native' backend: "
+                f"unsupported options for the {self.backend!r} backend: "
                 f"{sorted(kwargs)}"
             )
         module.validate()
         self.module = module
         self.mem_monitor = None
         self.cycles = 0
-        self.program = compile_rtl_native(module, cache=cache)
-        self._run = self.program.run
-
+        self.program = self._compile(module, cache)
         mod = self.program.module
+        self._run = mod.fn("nat_run")
+        self._words = mod.u64_words
         self._v = mod.u64_buffer(self.program.n_slots)
         self._m = mod.u64_buffer(max(self.program.mem_words, 1))
         # raw FFI element access is ~4x slower (NativeModule.u64_view)
         self._vv = mod.u64_view(self._v)
         self._mv = mod.u64_view(self._m)
-        self.env = _NativeEnv(self._vv, self.program.name_index)
+        self.env = _KernelEnv(self._vv, self.program.name_index, 0,
+                              mod.u64_mask)
         self._in_names = set(module.input_names())
         self._init_registers()
         # memory contents come from *module*, like register inits (see
-        # memory_layout)
+        # repro.rtl.emit.memory_layout)
         self._bases = {name: base
                        for name, base, _, _ in self.program.mem_layout}
         for mem in module.memories:
@@ -347,6 +268,12 @@ class NativeRtlSimulator:
                            [v & mask(mem.width) for v in mem.contents])
         self.settle()
 
+    @staticmethod
+    def _compile(module: RtlModule,
+                 cache: Optional[CompileCache]) -> KernelProgram:
+        """The loaded kernel of *module*: C."""
+        return compile_rtl_native(module, cache=cache)
+
     def _init_registers(self) -> None:
         index = self.program.name_index
         for reg in self.module.registers:
@@ -354,7 +281,7 @@ class NativeRtlSimulator:
 
     def _fill(self, base: int, values: List[int]) -> None:
         """Overwrite ``MEM[base:base + len(values)]``."""
-        self._mv[base:base + len(values)] = array("Q", values)
+        self._mv[base:base + len(values)] = self._words(values)
 
     # ------------------------------------------------------------------
     def set_input(self, name: str, value: int) -> None:
@@ -382,7 +309,7 @@ class NativeRtlSimulator:
     def peek_memory(self, name: str) -> List[int]:
         for mem_name, base, depth, _ in self.program.mem_layout:
             if mem_name == name:
-                return self._mv[base:base + depth].tolist()
+                return list(self._mv[base:base + depth])
         raise RtlError(f"no memory named {name!r}")
 
     def load_memory(self, name: str, contents: Sequence[int]) -> None:

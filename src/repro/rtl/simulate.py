@@ -1,8 +1,11 @@
-"""Cycle-based RTL simulation.
+"""Cycle-based RTL simulation: the interpreted reference engine.
 
 Compiles every combinational assign and register next-expression into a
 Python closure once, then evaluates them per clock cycle in dependency
 order -- the "compiled simulation" style of commercial HDL simulators.
+The generated-code engines share one kernel and one host
+(:mod:`repro.rtl.native`); this engine shares no code with them, so it
+is the reference they are checked against.
 
 Memory macros are modelled behaviourally as plain arrays with a silent
 stale read for out-of-range addresses (matching the C++ golden model);
@@ -27,14 +30,14 @@ class RtlSimulator:
 
     ``backend`` selects the engine (see :mod:`repro.engines`):
     ``"interpreted"`` (default) evaluates per-expression Python
-    closures; ``"compiled"`` emits the whole module -- settle, register
-    updates, memory writes and the cycle loop -- as one generated
-    function (:class:`~repro.rtl.compiled.CompiledRtlSimulator`);
-    ``"native"`` emits the same generated structure as C, compiled by
-    the host toolchain (see
-    :class:`~repro.rtl.native.NativeRtlSimulator`), degrading to
-    ``"compiled"`` when no C compiler is present.  A memory monitor
-    needs per-access callbacks, so it forces the interpreted engine.
+    closures; ``"native"`` runs the whole module -- settle, register
+    updates, memory writes and the cycle loop -- as one generated C
+    kernel built by the host toolchain
+    (:class:`~repro.rtl.native.NativeRtlSimulator`), and ``"compiled"``
+    the same kernel printed as Python
+    (:class:`~repro.rtl.compiled.CompiledRtlSimulator`), which native
+    degrades to when no C compiler is present.  A memory monitor needs
+    per-access callbacks, so it forces the interpreted engine.
     """
 
     backend = "interpreted"
@@ -42,14 +45,12 @@ class RtlSimulator:
     def __new__(cls, module: RtlModule = None,
                 mem_monitor: Optional[MemMonitor] = None,
                 backend: str = "interpreted", **kwargs):
-        if cls is not RtlSimulator:
-            return object.__new__(cls)
         if mem_monitor is not None:
             lookup(backend, RtlError)
             return object.__new__(cls)
         impl = engine_class(backend, "rtl", RtlError)
-        if issubclass(impl, RtlSimulator):
-            return object.__new__(impl)
+        if impl is cls:
+            return object.__new__(cls)
         return impl(module, **kwargs)
 
     def __init__(self, module: RtlModule,
@@ -114,13 +115,8 @@ class RtlSimulator:
                     self._mem_reads.append(
                         (mem.name, mem.depth, rport.addr.compile(), enable_fn)
                     )
-        self._run = self._compile(module)
         self._in_names = set(module.input_names())
         self.settle()
-
-    def _compile(self, module: RtlModule):
-        """The generated cycle function; None evaluates the closures."""
-        return None
 
     # ------------------------------------------------------------------
     def set_input(self, name: str, value: int) -> None:
@@ -158,19 +154,12 @@ class RtlSimulator:
     # ------------------------------------------------------------------
     def settle(self) -> None:
         """Re-evaluate combinational logic for the current inputs/state."""
-        if self._run is not None:
-            self._run(self.env, self._memories, 0)
-            return
         env = self.env
         for name, fn in self._comb:
             env[name] = fn(env)
 
     def step(self, cycles: int = 1) -> None:
         """Advance by *cycles* clock edges (inputs held constant)."""
-        if self._run is not None:
-            self._run(self.env, self._memories, cycles)
-            self.cycles += cycles
-            return
         env = self.env
         for _ in range(cycles):
             for name, fn in self._comb:

@@ -11,8 +11,10 @@ silently forever.
 import pytest
 
 from repro.__main__ import main
+from repro.fi import CampaignConfig, CampaignError, run_fi_self_check
 from repro.fi.faults import Fault
 from repro.fi.report import FaultRecord, SelfCheckResult
+from repro.src_design.params import SMALL_PARAMS
 from repro.verify import SelfCheckReport
 
 
@@ -70,3 +72,26 @@ def test_fi_self_check_misclassification_exits_one(monkeypatch,
               "--n-faults", "8", "--budget", "smoke", "--seed", "3",
               "--out", str(tmp_path)])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("level", ["rtl", "beh"])
+def test_fi_self_check_off_gate_level_is_a_usage_error(level, monkeypatch,
+                                                       capsys):
+    """The self-check's faults are gate nets: asking for it at another
+    level is a one-line usage error before any campaign runs, and the
+    library entry point refuses such a config."""
+    import repro.fi as fi
+
+    def ran(config):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(fi, "run_campaign", ran)
+    with pytest.raises(SystemExit) as exc:
+        main(["fi", "--self-check", "--small", "--level", level,
+              "--n-faults", "4", "--budget", "smoke"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and level in err[0]
+    with pytest.raises(CampaignError, match="gate"):
+        run_fi_self_check(CampaignConfig(params=SMALL_PARAMS, level=level,
+                                         n_faults=4, budget="smoke"))

@@ -1,9 +1,8 @@
 """The compiled behavioural (HLS-FSM) backend.
 
-Pins the tentpole's contract: the generated steppers are bit-identical
-to the cycle interpreter (scalar, batch, fast single-cycle path and
-chunked path alike), share the interpreter's memory-port semantics
-module, key structurally in the compile cache, and the cache's LRU
+Pins its contract: the kernel printed as Python is bit-identical to
+the cycle interpreter (scalar and batch, one cycle or several per
+call), keys structurally in the compile cache, and the cache's LRU
 bound evicts coldest-first.
 """
 
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compile_cache import CompileCache
 from repro.hls import (HlsProgram, PortWrite, Scheduler,
-                       SchedulingConstraints, WaitCycle, memports)
+                       SchedulingConstraints, WaitCycle)
 from repro.hls.compiled import (CompiledFsm, CompiledFsmBatch,
                                 HLS_COMPILE_CACHE, compile_fsm, fsm_digest)
 from repro.hls.interpreter import FsmInterpreter
@@ -45,9 +44,8 @@ def _env_match(interp, comp):
 def test_scalar_equivalence(params, optimized):
     """Driven lockstep run: env, state and memories never diverge.
 
-    Mixes step(1) (the marshalling-free fast path) with step(2)
-    (the chunked locals path) so both generated bodies are exercised,
-    and pokes external memory writes mid-run.
+    Mixes step(1) with step(2) (one kernel call over two cycles), and
+    pokes external memory writes mid-run.
     """
     fsm = build_main_fsm(params, optimized)
     interp, comp = FsmInterpreter(fsm), CompiledFsm(fsm)
@@ -174,26 +172,16 @@ def test_batch_pattern_io_property(data):
             [v % (1 << width) for v in values], engine.__name__
 
 
-def test_memory_monitor_parity():
-    """Both backends report the same access stream to the monitor."""
+def test_memory_monitor_raises_on_generated_engines():
+    """A memory monitor needs per-access callbacks, which no kernel
+    makes: the compiled engine refuses one, as native does."""
     fsm = build_main_fsm(SMALL_PARAMS, True)
-    seen = {"interp": [], "comp": []}
-    interp = FsmInterpreter(
-        fsm, mem_monitor=lambda m, a, d, k: seen["interp"].append(
-            (m, a, d, k)))
-    comp = CompiledFsm(
-        fsm, mem_monitor=lambda m, a, d, k: seen["comp"].append(
-            (m, a, d, k)))
-    rng = random.Random(5)
-    for cyc in range(400):
-        for name, span in _in_ports(fsm):
-            value = rng.randrange(span)
-            interp.set_input(name, value)
-            comp.set_input(name, value)
-        interp.step()
-        comp.step()
-    assert seen["interp"], "workload never touched a memory"
-    assert seen["interp"] == seen["comp"]
+    for engine in (CompiledFsm, lambda f, mem_monitor: CompiledFsmBatch(
+            f, 2, mem_monitor=mem_monitor)):
+        with pytest.raises(ValueError, match="interpreted"):
+            engine(fsm, mem_monitor=lambda m, a, d, k: None)
+    # the interpreter takes one
+    FsmInterpreter(fsm, mem_monitor=lambda m, a, d, k: None).step()
 
 
 def test_drop_in_surface():
@@ -211,45 +199,17 @@ def test_drop_in_surface():
     assert all(v == 0 for v in comp.env.values())
 
 
-def test_memports_templates_match_helpers():
-    """The codegen templates and the interpreter helpers are two views
-    of one semantics module -- they must agree bit for bit."""
-    storage = memports.init_storage(4, 8, contents=[1, 2, 3, 4])
-    for addr in (-1, 0, 3, 4, 99):
-        expr = memports.READ_EXPR.format(storage="storage", addr="addr",
-                                         depth=4)
-        assert eval(expr, {"storage": storage, "addr": addr}) \
-            == memports.read_mem(storage, addr, 4)
-    for addr in (-1, 0, 3, 4):
-        guarded = eval(memports.WRITE_GUARD.format(addr="addr", depth=4),
-                       {"addr": addr})
-        before = list(storage)
-        memports.write_mem(storage, addr, 4, 0x1FF, 0xFF)
-        if guarded:
-            assert storage[addr] == 0xFF  # masked to width
-        else:
-            assert storage == before  # out-of-range write dropped
-    memports.reset_storage(storage, 4, 8, contents=[1, 2, 3, 4])
-    assert storage == [1, 2, 3, 4]
-
-
 def test_structural_cache_keying():
-    """Same structure -> one artifact; the monitor flag forks the key."""
+    """Same structure -> one artifact."""
     fsm = build_main_fsm(SMALL_PARAMS, True)
     cache = CompileCache()
     first = compile_fsm(fsm, cache=cache)
     again = compile_fsm(fsm, cache=cache)
     assert first is again
     assert cache.stats.hits == 1 and cache.stats.misses == 1
-    monitored = compile_fsm(fsm, monitored=True, cache=cache)
-    assert monitored is not first
-    assert cache.stats.misses == 2
     assert fsm_digest(fsm) == first.structural_key
-    assert fsm_digest(fsm, monitored=True) == monitored.structural_key
-    assert fsm_digest(fsm) != fsm_digest(fsm, monitored=True)
     assert first.structural_key.startswith("hls:")
-    assert cache.stats.source_bytes == len(first.source) \
-        + len(monitored.source)
+    assert cache.stats.source_bytes == len(first.source)
 
 
 def test_process_wide_cache_amortises():

@@ -570,15 +570,17 @@ def test_random_netlist_equivalence_under_loader(loader):
 
 @needs_cc
 def test_designs_sharing_a_native_program_stay_apart():
-    """The C source names no net or memory and holds no ROM contents,
-    so designs differing only in those share one compiled program; each
-    simulation still uses its own names (even swapped ones) and
-    contents."""
+    """A kernel, C or Python, names no net or memory and holds no ROM
+    contents, so designs differing only in those share one program per
+    engine; each simulation still uses its own names (even swapped
+    ones) and contents."""
     from repro.hls import (FsmInterpreter, HlsProgram, MemReadStmt,
                            PortWrite, Scheduler, SchedulingConstraints,
                            WaitCycle)
+    from repro.hls.compiled import CompiledFsm
     from repro.hls.native import NativeFsm
     from repro.rtl import Ref, RtlModule, RtlSimulator, Sub
+    from repro.rtl.compiled import CompiledRtlSimulator
     from repro.rtl.native import NativeRtlSimulator
 
     cache = CompileCache()
@@ -590,7 +592,9 @@ def test_designs_sharing_a_native_program_stay_apart():
         x, y = m.input(first, 2), m.input(second, 2)
         m.output("q", m.mem_read(m.memory("rom", 4, 8, contents), x))
         m.output("d", Sub(x, y))
-        rtl, ref = NativeRtlSimulator(m, cache=cache), RtlSimulator(m)
+        ref = RtlSimulator(m)
+        rtls = [engine(m, cache=cache)
+                for engine in (NativeRtlSimulator, CompiledRtlSimulator)]
 
         prog = HlsProgram("shared")
         prog.input(first, 2)
@@ -604,23 +608,27 @@ def test_designs_sharing_a_native_program_stay_apart():
                      PortWrite("d", Sub(Ref(first, 2), Ref(second, 2))),
                      WaitCycle()]
         fsm = Scheduler(prog, SchedulingConstraints()).run()
-        beh, beh_ref = NativeFsm(fsm, cache=cache), FsmInterpreter(fsm)
+        beh_ref = FsmInterpreter(fsm)
+        behs = [engine(fsm, cache=cache)
+                for engine in (NativeFsm, CompiledFsm)]
 
-        for sim in (rtl, ref, beh, beh_ref):
+        for sim in (*rtls, ref, *behs, beh_ref):
             sim.set_input("a", 3)
             sim.set_input("b", 1)
-        rtl.settle()
         ref.settle()
-        beh.step(4)
         beh_ref.step(4)
-        label = (first, contents)
-        assert [rtl.get(o) for o in ("q", "d")] == \
-            [ref.get(o) for o in ("q", "d")], label
-        assert rtl.peek_memory("rom") == contents, label
-        assert [beh.get_output(o) for o in ("q", "d")] == \
-            [beh_ref.get_output(o) for o in ("q", "d")], label
-        programs |= {rtl.program.module, beh._batch.compiled.module}
-    assert len(programs) == 2  # one RTL and one FSM program, shared
+        for rtl, beh in zip(rtls, behs):
+            rtl.settle()
+            beh.step(4)
+            label = (rtl.backend, first, contents)
+            assert [rtl.get(o) for o in ("q", "d")] == \
+                [ref.get(o) for o in ("q", "d")], label
+            assert rtl.peek_memory("rom") == contents, label
+            assert [beh.get_output(o) for o in ("q", "d")] == \
+                [beh_ref.get_output(o) for o in ("q", "d")], label
+            programs |= {rtl.program.module, beh._batch.compiled.module}
+    # one RTL and one FSM program per engine, shared
+    assert len(programs) == 4
 
 
 # --------------------------------------------------------- degradation

@@ -283,7 +283,7 @@ def test_rtl_compile_cache_hits():
     prog2 = compile_rtl(m, cache=cache)
     assert prog2 is prog1
     assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-    assert "def _run" in prog1.source
+    assert "def nat_run(V, MEM, cycles):" in prog1.source
 
 
 def test_rtl_default_cache_shared():
