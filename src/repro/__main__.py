@@ -103,9 +103,7 @@ def _params(args, default):
 
 
 def cmd_fig8(args) -> None:
-    from .flow import format_results, measure_figure8
-
-    from .flow import render_figure8
+    from .flow import measure_figure8, render_figure8
 
     params = _params(args, PAPER_PARAMS)
     print(render_figure8(measure_figure8(
@@ -113,8 +111,7 @@ def cmd_fig8(args) -> None:
 
 
 def cmd_fig9(args) -> None:
-    from .cosim import format_figure9, measure_figure9
-
+    from .cosim import measure_figure9
     from .flow import render_figure9
 
     params = _params(args, SMALL_PARAMS)

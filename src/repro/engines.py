@@ -13,6 +13,16 @@ dispatch in the package asks it instead of comparing engine names, so
 adding or removing an engine is an edit to this table.
 :class:`PortSampler` is the one port-sampling surface every gate and
 RTL engine offers (``port_sampler(names)``).
+
+Every clocked host -- gate, RTL and FSM, on every engine -- offers
+``replay(waveform, ports)``: apply each tick's writes as ``set_input``
+would, clock once, and sample *ports*, for every tick of *waveform*
+(one dict of input writes per tick).  It returns one sample per tick:
+what ``port_sampler(ports).read()`` returns after that tick on a gate
+or RTL host, the tuple of ``get_output`` values on an FSM host.  The
+interpreted hosts run :func:`replay_loop`, the reference; the
+generated-code hosts pass :func:`write_rows` to their kernel's
+``nat_replay`` entry, which runs the whole waveform in one call.
 """
 
 from __future__ import annotations
@@ -20,7 +30,8 @@ from __future__ import annotations
 import importlib
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .native import resolve_backend
 
@@ -158,3 +169,50 @@ def gather(keys: Sequence) -> Callable[[Any], tuple]:
     if not keys:
         return lambda seq: ()
     return operator.itemgetter(*keys)
+
+
+#: one port's fields in a kernel's state: ``(slot, shift, mask)`` -- the
+#: slot takes ``value >> shift & mask`` of a value written to the port
+Fields = Sequence[Tuple[int, int, int]]
+
+
+def replay_loop(sim, waveform: Sequence[Mapping[str, int]],
+                read: Callable[[], Any]) -> List[Any]:
+    """The reference ``replay``: per tick, one ``set_input`` per write,
+    one ``step``, then ``read()``."""
+    set_input, step = sim.set_input, sim.step
+    samples = []
+    for writes in waveform:
+        for name, value in writes.items():
+            set_input(name, value)
+        step()
+        samples.append(read())
+    return samples
+
+
+def write_rows(waveform: Sequence[Mapping[str, int]],
+               fields: Mapping[str, Fields],
+               set_input: Callable[[str, int], None]) -> List[int]:
+    """*waveform*'s writes as a kernel's flat ``(tick, slot, value)``
+    rows, in tick order, each only where a slot's value changes (the
+    first write to a slot always counts: a slot never written keeps its
+    state).  Values are masked per field, so negative values wrap as
+    ``set_input`` wraps them.  A name *fields* lacks goes to
+    *set_input*, which raises the host's error for it."""
+    rows: List[int] = []
+    last: Dict[int, int] = {}
+    previous = None
+    for tick, writes in enumerate(waveform):
+        if writes is previous:  # the same writes again change nothing
+            continue
+        previous = writes
+        for name, value in writes.items():
+            port = fields.get(name)
+            if port is None:
+                set_input(name, value)
+            for slot, shift, m in port:
+                v = value >> shift & m
+                if last.get(slot, -1) != v:
+                    last[slot] = v
+                    rows += (tick, slot, v)
+    return rows

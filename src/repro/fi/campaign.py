@@ -71,10 +71,8 @@ from ..rtl import RtlSimulator
 from ..src_design.behavioral import (BehavioralSimulation,
                                      build_behavioral_fsm)
 from ..src_design.params import SrcParams
-from ..src_design.schedule import clocked_stimulus, make_schedule
-from ..src_design.testbench import src_port_waveform
 from ..synth import synthesize
-from ..verify.runner import golden_outputs
+from ..verify.runner import case_timing, golden_outputs
 from ..verify.stimulus import StimulusCase, generate_cases
 from .faultload import (generate_beh_faultload, generate_gate_faultload,
                         generate_rtl_faultload)
@@ -182,13 +180,10 @@ def make_workload(params: SrcParams, seed: int, budget: str) -> Workload:
     """
     n_inputs = BUDGET_FRAMES[budget]
     case = generate_cases(params, seed, 1, n_inputs)[0]
-    golden = [tuple(f) for f in golden_outputs(params, case,
-                                               quantized=True)]
-    schedule = make_schedule(params, case.mode, case.n_inputs,
-                             quantized=True,
-                             mode_changes=case.mode_changes)
-    stimulus = clocked_stimulus(params, schedule, case.inputs)
-    return Workload(golden, src_port_waveform(stimulus), case=case)
+    timing = case_timing(params, case, quantized=True)
+    golden = [tuple(f) for f in golden_outputs(params, case, True,
+                                               timing.schedule)]
+    return Workload(golden, timing.waveform, case=case)
 
 
 def build_campaign_netlist(params: SrcParams) -> "object":
@@ -479,15 +474,34 @@ def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
 # rtl and behavioural levels: bit flips poked into the environment
 # ----------------------------------------------------------------------
 
+def _rtl_simulator(module, backend: str):
+    """The process's simulator of *module* on *backend*, in the state a
+    new one starts in: built on first use, later every input set back
+    to 0 and reset (registers and every memory to their initial
+    contents).  One per engine, for the module last asked for."""
+    sims = _WORKER.setdefault("rtl_sims", {})
+    held = sims.get(backend)
+    if held is None or held[0] is not module:
+        sim = RtlSimulator(module, backend=backend)
+        sims[backend] = (module, sim)
+        return sim
+    sim = held[1]
+    for name in module.input_names():
+        sim.set_input(name, 0)
+    sim.reset()
+    return sim
+
+
 def run_rtl_fault(module, workload: Workload, fault: Fault,
                   params: SrcParams,
                   backend: str = "interpreted") -> FaultRecord:
-    """Classify one RTL register SEU on any RTL engine.
+    """Classify one RTL register SEU on any RTL engine, on the process's
+    one simulator of *module* for *backend* (:func:`_rtl_simulator`).
 
     All logic evaluated on the injection cycle -- and the next-state
     functions -- see the upset value.
     """
-    sim = RtlSimulator(module, backend=backend)
+    sim = _rtl_simulator(module, backend)
 
     def poke() -> None:
         sim.env[fault.target] = sim.env[fault.target] ^ (1 << fault.bit)

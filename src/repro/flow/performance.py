@@ -220,7 +220,8 @@ def measure_beh_throughput(params: SrcParams, cycles: int,
     generated-code call, and :attr:`SimPerfResult.cycles_per_second`
     reports pattern-cycles per second.  Both batches hold their
     patterns pattern-major, compiled in lists and native in C
-    buffers.
+    buffers.  ``n_patterns=1`` drives the engine's scalar FSM host, the
+    one verify and one-fault FI runs drive.
     """
     fsm = build_main_fsm(params, optimized)
     in_ports = [(p.name, 1 << p.width)
@@ -228,13 +229,13 @@ def measure_beh_throughput(params: SrcParams, cycles: int,
     out_name = next(p.name for p in fsm.program.ports.values()
                     if p.direction == "out")
     backend = resolve(backend)
-    batched = ENGINES[backend].batches("beh")
-    if batched:
-        sim = engine_class(backend, "fsm_batch")(fsm, n_patterns)
-    elif n_patterns != 1:
-        raise ValueError("parallel patterns need a batch backend")
-    else:
+    batched = n_patterns != 1
+    if not batched:
         sim = engine_class(backend, "fsm")(fsm)
+    elif ENGINES[backend].batches("beh"):
+        sim = engine_class(backend, "fsm_batch")(fsm, n_patterns)
+    else:
+        raise ValueError("parallel patterns need a batch backend")
     rng = random.Random(seed)
     # Stimulus is pre-generated so the timed region measures the FSM
     # engine, not the random-number generator (whose cost would grow

@@ -3,10 +3,11 @@
 The interpreted :class:`~repro.gatesim.simulator.GateSimulator` pays one
 Python call per cell evaluation per cycle.  This engine runs the gate
 level's one kernel (:mod:`repro.gatesim.emit`: the whole clock edge in
-``nat_run``, the input transposition in ``nat_set_patterns``) printed
-as Python by :class:`PythonPrinter` and loaded with ``compile()`` /
-``exec`` -- the classic compiled-code simulation technique, with
-bit-parallel pattern packing on top:
+``nat_run``, the input transposition in ``nat_set_patterns``, a
+waveform replay in ``nat_replay``) printed as Python by
+:class:`PythonPrinter` and loaded with ``compile()`` / ``exec`` -- the
+classic compiled-code simulation technique, with bit-parallel pattern
+packing on top:
 
 * every net is held as **two bitplanes** ``(ones, unk)``; bit *p* of a
   plane belongs to stimulus pattern *p*.  ``ones`` marks bits known 1,
@@ -52,6 +53,27 @@ def _lane(planes: Sequence[Planes]) -> str:
 
 def _any(planes: Sequence[str]) -> str:
     return " | ".join(planes) or "0"
+
+
+#: the C printer's ``nat_replay`` (:mod:`repro.gatesim.native`) in Python
+_REPLAY_PY = """\
+def nat_replay(S1, SX, R1, RX, MEM, M, NP, W, NW, ticks, SRC, NB,
+               settle_after, OUT):
+    w = 0
+    for t in range(ticks):
+        while w < NW and W[3 * w] == t:
+            S1[W[3 * w + 1]] = M if W[3 * w + 2] else 0
+            SX[W[3 * w + 1]] = 0
+            w += 1
+        nat_run(S1, SX, R1, RX, MEM, M, 1, NP, settle_after)
+        o = t * NB
+        for k in range(NB):
+            i = SRC[k] >> 1
+            if SRC[k] & 1:
+                OUT[o + k] = R1[i] & 1 | (RX[i] & 1) << 1
+            else:
+                OUT[o + k] = S1[i] & 1 | (SX[i] & 1) << 1
+"""
 
 
 class PythonPrinter:
@@ -120,7 +142,7 @@ class PythonPrinter:
                   f"            RX[:] = ({unks})",
                   "            return"]
         lines += indent(edge, 8)
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + _REPLAY_PY
 
 
 def nat_set_patterns(S1, SX, slots, width, vals, NP) -> None:

@@ -3,7 +3,7 @@
 The compiled and native gate engines run one kernel, generated from the
 levelised netlist by this walk and spelled by a *printer*: Python
 (:class:`repro.gatesim.compiled.PythonPrinter`) or C
-(:class:`repro.gatesim.native.CPrinter`).  The kernel has two entry
+(:class:`repro.gatesim.native.CPrinter`).  The kernel has three entry
 points:
 
 * ``nat_run(S1, SX, R1, RX, MEM, M, cycles, NP, settle_after)`` runs
@@ -13,7 +13,13 @@ points:
   settles the cone once more, so R1/RX hold the post-edge values a read
   observes;
 * ``nat_set_patterns(S1, SX, slots, width, vals, NP)`` transposes one
-  value per pattern into the *width* input bitplanes at *slots*.
+  value per pattern into the *width* input bitplanes at *slots*;
+* ``nat_replay(S1, SX, R1, RX, MEM, M, NP, W, NW, ticks, SRC, NB,
+  settle_after, OUT)`` runs a port waveform: per tick, the write rows
+  ``W = (tick, slot, bit)`` due then (broadcast to every pattern), one
+  ``nat_run`` edge, and pattern 0's 4-valued code (``ones | unk << 1``)
+  of every sampled bit ``SRC[k]`` (a state slot, or an R1/RX net, which
+  needs *settle_after*) into the byte ``OUT[tick * NB + k]``.
 
 Every net is two bitplanes ``(ones, unknowns)``: bit *p* of a plane
 belongs to pattern *p*, and both lie inside the pattern mask ``M``.
@@ -48,7 +54,9 @@ memory-word check.  What it asks of a printer:
   location) and ``sep`` (what joins two statements on one line);
 * the blocks ``mem_read`` and ``port_write`` (one memory port over the
   per-pattern ``MEM`` words), and ``program``, which lays the settle
-  chunks, the edge statements and the results out as the kernel.
+  chunks, the edge statements and the results out as ``nat_run`` and
+  adds ``nat_replay`` (and, in C, ``nat_set_patterns``), which use no
+  part of the netlist.
 """
 
 from __future__ import annotations

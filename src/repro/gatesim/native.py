@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
-from ..engines import ENGINES, PortSampler, gather
+from ..engines import ENGINES, PortSampler, gather, write_rows
 from ..native import build_cflags, compile_and_load, start_build
 from ..synth.netlist import Netlist
 from .emit import (COMPILE_CACHE, GateProgram, Planes, emit_program,
@@ -54,7 +54,11 @@ _CDEF = ("void nat_run(uint64_t* S1, uint64_t* SX, uint64_t* R1, "
          "uint64_t* RX, uint64_t* MEM, uint64_t M, long cycles, "
          "int NP, int settle_after);\n"
          "void nat_set_patterns(uint64_t* S1, uint64_t* SX, "
-         "uint64_t* slots, int width, uint64_t* vals, int NP);")
+         "uint64_t* slots, int width, uint64_t* vals, int NP);\n"
+         "void nat_replay(uint64_t* S1, uint64_t* SX, uint64_t* R1, "
+         "uint64_t* RX, uint64_t* MEM, uint64_t M, int NP, uint64_t* W, "
+         "long NW, long ticks, uint64_t* SRC, int NB, int settle_after, "
+         "uint8_t* OUT);")
 
 #: transposes NP per-pattern values into ``width`` (<= 64) input
 #: bitplanes: bit i of vals[p] lands in bit p of plane S1[slots[i]]
@@ -66,6 +70,32 @@ void nat_set_patterns(uint64_t *S1, uint64_t *SX, uint64_t *slots,
     for (int p = 0; p < NP; p++) plane |= ((vals[p] >> i) & 1ULL) << p;
     S1[slots[i]] = plane;
     SX[slots[i]] = 0;
+  }
+}
+"""
+
+#: replays a waveform: per tick, the write rows W = (tick, slot, bit)
+#: due then, broadcast to every pattern; one clock edge; then pattern
+#: 0's 4-valued code of every sampled bit (SRC[k] = index << 1 | 1 for
+#: an R1/RX net, index << 1 for a state slot) into OUT[tick * NB + k]
+_REPLAY_C = """\
+void nat_replay(uint64_t *S1, uint64_t *SX, uint64_t *R1, uint64_t *RX,
+                uint64_t *MEM, uint64_t M, int NP, uint64_t *W, long NW,
+                long ticks, uint64_t *SRC, int NB, int settle_after,
+                uint8_t *OUT) {
+  long w = 0;
+  for (long t = 0; t < ticks; t++) {
+    for (; w < NW && W[3 * w] == (uint64_t)t; w++) {
+      S1[W[3 * w + 1]] = W[3 * w + 2] ? M : 0;
+      SX[W[3 * w + 1]] = 0;
+    }
+    nat_run(S1, SX, R1, RX, MEM, M, 1, NP, settle_after);
+    for (int k = 0; k < NB; k++) {
+      uint64_t i = SRC[k] >> 1;
+      uint64_t one = (SRC[k] & 1) ? R1[i] : S1[i];
+      uint64_t unk = (SRC[k] & 1) ? RX[i] : SX[i];
+      OUT[t * NB + k] = (uint8_t)((one & 1) | (unk & 1) << 1);
+    }
   }
 }
 """
@@ -167,7 +197,7 @@ class CPrinter:
         lines += indent(edge, 4)
         lines += ["  }",
                   f"  if (settle_after) settle({_SETTLE_ARGS});",
-                  "}", "", _SET_PATTERNS_C]
+                  "}", "", _SET_PATTERNS_C, _REPLAY_C]
         return "\n".join(lines)
 
 
@@ -361,9 +391,13 @@ class NativeGateSimulator:
 
     ``set_input_patterns`` hands the values to the kernel's
     ``nat_set_patterns`` in one call per 64 port bits, which transposes
-    them into bitplanes; every other Python-side access to the kernel's
-    state goes through views of its buffers.  Subclasses change only
-    the kernel build (:meth:`_compile`, :meth:`start_build`).
+    them into bitplanes, and :meth:`replay` runs a whole waveform in one
+    ``nat_replay`` call; every other Python-side access to the kernel's
+    state goes through views of its buffers.  The combinational cone
+    settles lazily: a read settles it first only when one of the bits
+    read is a net of the cone, not a state slot (an input or a flop Q).
+    Subclasses change only the kernel build (:meth:`_compile`,
+    :meth:`start_build`).
 
     *run_cycles* is how many cycles the caller will step, when it
     knows; it picks the build flags of the kernel.
@@ -398,6 +432,7 @@ class NativeGateSimulator:
         self._u64_arg = mod.u64_arg
         self._run = mod.fn("nat_run")
         self._set_patterns = mod.fn("nat_set_patterns")
+        self._replay = mod.fn("nat_replay")
 
         self._slot = {uid: i for i, uid in enumerate(prog.state_uids)}
         self._ridx = {uid: i for i, uid in enumerate(prog.result_uids)}
@@ -444,22 +479,28 @@ class NativeGateSimulator:
             self._s1_v[q_slot] = self._mask if init else 0
 
         # per input: (bit offset, slot table, bits) per 64-bit chunk,
-        # the arguments of one nat_set_patterns call each
+        # the arguments of one nat_set_patterns call each, and its bits'
+        # fields for nat_replay's write rows
         self._inputs: Dict[str, List[Tuple[int, object, int]]] = {}
+        self._fields: Dict[str, List[Tuple[int, int, int]]] = {}
         for name, nets in netlist.inputs.items():
             slots = [self._slot[n.uid] for n in nets]
+            self._fields[name] = [(j, i, 1) for i, j in enumerate(slots)]
             chunks = [slots[lo:lo + _WORD_BITS]
                       for lo in range(0, len(slots), _WORD_BITS)]
             self._inputs[name] = [
                 (k * _WORD_BITS, mod.u64_buffer(chunk), len(chunk))
                 for k, chunk in enumerate(chunks)]
 
-        # port lookup tables (outputs shadow inputs, like interpreted)
+        # port lookup tables (outputs shadow inputs, like interpreted),
+        # and the ports with a bit in the cone: reads of those settle
         self._ports: Dict[str, List[_Src]] = {}
         for name, nets in list(netlist.outputs.items()) + \
                 list(netlist.inputs.items()):
             self._ports.setdefault(
                 name, [self._src(n.uid) for n in nets])
+        self._cone_ports = {name for name, srcs in self._ports.items()
+                            if any(a is self._r1_v for a, _, _ in srcs)}
 
         self._dirty = True
         self._settle()
@@ -507,12 +548,18 @@ class NativeGateSimulator:
         """A memory poke changed storage: the next read re-settles."""
         self._dirty = True
 
-    def _port_srcs(self, name: str) -> List[_Src]:
+    def _port(self, name: str) -> List[_Src]:
         srcs = self._ports.get(name)
         if srcs is None:
             raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
         return srcs
+
+    def _port_srcs(self, name: str) -> List[_Src]:
+        """A port's plane sources, current for a read: the cone settles
+        first when a bit of the port is in it."""
+        if name in self._cone_ports:
+            self._ensure_settled()
+        return self._port(name)
 
     # ------------------------------------------------------------------
     # single-value API (GateSimulator-compatible; pattern 0)
@@ -563,15 +610,44 @@ class NativeGateSimulator:
         """Pattern 0 of every bit of *names*, one gather per read (see
         :class:`~repro.engines.PortSampler`)."""
         views = (self._s1_v, self._sx_v, self._r1_v, self._rx_v)
+        settle = (self._ensure_settled if self._cone_ports.intersection(names)
+                  else lambda: None)
 
         def planes() -> tuple:
-            self._ensure_settled()
+            settle()
             return views
 
         return plane_sampler(
             {name: [(a is self._s1_v, index)
-                    for a, _, index in self._port_srcs(name)]
+                    for a, _, index in self._port(name)]
              for name in names}, planes, self.n_patterns)
+
+    def replay(self, waveform: Sequence[Dict[str, int]],
+               ports: Sequence[str]) -> List[int]:
+        """Run *waveform* and sample *ports* after every tick, in one
+        ``nat_replay`` call (see :mod:`repro.engines`): per tick, what
+        ``port_sampler(ports).read()`` returns.  Writes broadcast to
+        every pattern, as :meth:`set_input` does; the cone settles after
+        an edge only when a sampled bit is in it."""
+        srcs = [index << 1 | (a is not self._s1_v)
+                for name in ports for a, _, index in self._port(name)]
+        rows = write_rows(waveform, self._fields, self.set_input)
+        ticks, nb = len(waveform), len(srcs)
+        settle_after = int(any(k & 1 for k in srcs))
+        mod = self.program.module
+        out = mod.u8_buffer(ticks * nb)
+        self._replay(self._s1, self._sx, self._r1, self._rx, self._mem,
+                     self._mask, self.n_patterns, self._u64_arg(rows),
+                     len(rows) // 3, ticks, self._u64_arg(srcs), nb,
+                     settle_after, out)
+        if ticks:
+            self.cycles += ticks
+            self._dirty = not settle_after
+        if not nb:
+            return [0] * ticks
+        data = mod.u8_bytes(out)
+        return [int.from_bytes(data[i:i + nb], "little")
+                for i in range(0, ticks * nb, nb)]
 
     # ------------------------------------------------------------------
     # pattern-parallel API

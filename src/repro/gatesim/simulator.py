@@ -15,7 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
-from ..engines import ENGINES, PortSampler, engine_class, gather
+from ..engines import (ENGINES, PortSampler, engine_class, gather,
+                       replay_loop)
 from ..synth.library import EVAL
 from ..synth.netlist import CellInstance, MemoryMacro, Net, Netlist
 from .memory import CheckingMemoryModel, MemoryModel
@@ -294,6 +295,12 @@ class GateSimulator:
         return PortSampler(
             lambda: int.from_bytes(bytes(take(values)), "little"),
             {name: len(nets) for name, nets in ports.items()})
+
+    def replay(self, waveform: Sequence[Dict[str, int]],
+               ports: Sequence[str]) -> List[int]:
+        """Run *waveform*, sampling *ports* after every tick: the
+        reference loop of :func:`repro.engines.replay_loop`."""
+        return replay_loop(self, waveform, self.port_sampler(ports).read)
 
     def set_input_patterns(self, name: str, values: Sequence[int]) -> None:
         """Drive the one pattern's value on *name*."""

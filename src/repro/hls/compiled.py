@@ -7,8 +7,9 @@ variable access.  This engine runs the behavioural level's one kernel
 NP)`` -- an ``if state == k`` chain whose branches carry the state's
 operations unrolled as straight-line statements, with constant-folded
 bindings: memory depths, width masks and pulse-port auto-clears are
-burned in as literals) printed as Python by :class:`_FsmPythonPrinter`
-and loaded with ``compile()``/``exec``.
+burned in as literals -- and the waveform replay ``nat_replay``)
+printed as Python by :class:`_FsmPythonPrinter` and loaded with
+``compile()``/``exec``.
 
 The kernel reads and writes every environment entry and memory word
 in place, at the pattern's offset of ``ENVS`` and ``MEMS``, so a call
@@ -73,7 +74,8 @@ class _FsmPythonPrinter(PythonPrinter):
                        after: List[str]) -> str:
         """Every pattern each cycle (the patterns are independent, so
         the loops may nest either way; this way round a one-cycle call
-        starts no loop per pattern)."""
+        starts no loop per pattern); then ``nat_replay`` over pattern
+        0."""
         lines = ["def nat_step_batch(ENVS, MEMS, STATES, cycles, NP):",
                  "    for c in range(cycles):",
                  "        for p in range(NP):",
@@ -88,7 +90,9 @@ class _FsmPythonPrinter(PythonPrinter):
                 ["                pass"]
         lines += ["            " + line for line in after]
         lines.append("            STATES[p] = state")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + self.nat_replay(
+            "ENVS, MEMS, STATES", "ENVS",
+            "nat_step_batch(ENVS, MEMS, STATES, 1, 1)")
 
 
 def fsm_digest(fsm: Fsm) -> str:

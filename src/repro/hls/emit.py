@@ -1,8 +1,10 @@
 """The one code-generation walk of the behavioural level.
 
 The compiled and native behavioural engines run one kernel per
-scheduled FSM, ``nat_step_batch(ENVS, MEMS, STATES, cycles, NP)``,
-printed as Python and as C (:func:`emit_fsm`).  This module owns what
+scheduled FSM, ``nat_step_batch(ENVS, MEMS, STATES, cycles, NP)`` and
+beside it ``nat_replay(ENVS, MEMS, STATES, W, NW, ticks, SRC, NB,
+OUT)``, the RTL level's waveform replay over pattern 0 (see
+:mod:`repro.rtl.emit`), printed as Python and as C (:func:`emit_fsm`).  This module owns what
 those sources share -- the environment's slots, the flat memory image,
 each state's evaluation and commit order, the 64-bit width check --
 and reuses the RTL level's :class:`~repro.rtl.emit.Emitter` for the
@@ -37,7 +39,8 @@ What the walk asks of a printer beyond :mod:`repro.rtl.emit`'s:
 ``zero`` (the literal a pulse port clears to), ``env_entry(slot)``
 (how the kernel names an environment entry), the statement forms
 ``mem_write`` (one end-of-cycle memory write) and ``next_state``, and
-``nat_step_batch`` (the kernel's source around the state bodies).  A
+``nat_step_batch`` (the kernel's source around the state bodies, then
+the RTL printer's ``nat_replay`` over it).  A
 value lands in an environment entry through ``assign``.
 """
 

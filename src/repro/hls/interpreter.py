@@ -20,9 +20,10 @@ from :meth:`FsmInterpreter.settle_front_end` and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes.bits import mask
+from ..engines import replay_loop
 from . import memports
 from .ir import HlsProgram
 from .schedule import Fsm
@@ -113,6 +114,14 @@ class FsmInterpreter:
         if port is None or port.direction != "out":
             raise KeyError(f"{name!r} is not an output port")
         return self.env[name]
+
+    def replay(self, waveform: Sequence[Dict[str, int]],
+               ports: Sequence[str]) -> List[tuple]:
+        """Run *waveform*, reading the output *ports* after every tick:
+        the reference loop of :func:`repro.engines.replay_loop`."""
+        get = self.get_output
+        return replay_loop(self, waveform,
+                           lambda: tuple(get(name) for name in ports))
 
     def write_memory(self, mem: str, address: int, value: int) -> None:
         """External write access (for memories owned by another block)."""

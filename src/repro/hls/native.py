@@ -3,8 +3,9 @@ generated-code FSM engines.
 
 The behavioural level's one code-generation walk (:mod:`repro.hls.emit`)
 emits a scheduled FSM as one pattern-major batch kernel,
-``nat_step_batch(ENVS, MEMS, STATES, cycles, NP)``.  :class:`_FsmCPrinter`
-adds the FSM statement forms to the RTL level's
+``nat_step_batch(ENVS, MEMS, STATES, cycles, NP)``, and beside it
+``nat_replay``, which runs a whole port waveform on pattern 0.
+:class:`_FsmCPrinter` adds the FSM statement forms to the RTL level's
 :class:`~repro.rtl.native.CPrinter` and spells the kernel as a C
 dispatch chain -- ``if (state == k)`` branches carrying each state's
 operations as straight-line ``uint64_t`` statements -- compiled to a
@@ -38,7 +39,7 @@ from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
 from ..native import compile_and_load
 from ..rtl.emit import KernelProgram, load_program
-from ..rtl.native import _PRELUDE, CPrinter, _KernelEnv
+from ..rtl.native import _PRELUDE, CPrinter, _KernelEnv, kernel_replay
 from .emit import HLS_COMPILE_CACHE, emit_fsm
 from .ir import HlsProgram
 from .schedule import Fsm
@@ -46,7 +47,10 @@ from .schedule import Fsm
 __all__ = ["NativeFsm", "NativeFsmBatch", "compile_fsm_native"]
 
 _CDEF = ("void nat_step_batch(uint64_t* ENVS, uint64_t* MEMS, "
-         "uint64_t* STATES, long cycles, int NP);")
+         "uint64_t* STATES, long cycles, int NP);\n"
+         "void nat_replay(uint64_t* ENVS, uint64_t* MEMS, uint64_t* STATES, "
+         "uint64_t* W, long NW, long ticks, uint64_t* SRC, int NB, "
+         "uint64_t* OUT);")
 
 
 class _FsmCPrinter(CPrinter):
@@ -76,7 +80,8 @@ class _FsmCPrinter(CPrinter):
                        bodies: List[Tuple[int, List[str]]],
                        after: List[str]) -> str:
         """Per pattern, every environment entry a local loaded from
-        and stored back to its slots."""
+        and stored back to its slots; then ``nat_replay`` over pattern
+        0."""
         n_names = len(entries)
         lines = [_PRELUDE,
                  "void nat_step_batch(uint64_t* ENVS, uint64_t* MEMS, "
@@ -100,7 +105,9 @@ class _FsmCPrinter(CPrinter):
         lines += [f"        E[{idx}] = {local};"
                   for idx, local in enumerate(entries)]
         lines += ["        STATES[p] = state;", "    }", "}"]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + self.nat_replay(
+            "uint64_t* ENVS, uint64_t* MEMS, uint64_t* STATES", "ENVS",
+            "nat_step_batch(ENVS, MEMS, STATES, 1, 1)")
 
 
 def compile_fsm_native(fsm: Fsm,
@@ -307,6 +314,10 @@ class NativeFsm:
         self._inputs = {name: (index[name], m)
                         for name, (_, m) in self._batch._inputs.items()}
         self._outputs = {name: index[name] for name in self._batch._outputs}
+        #: each input's one field for nat_replay's write rows
+        self._fields = {name: [(slot, 0, m)]
+                        for name, (slot, m) in self._inputs.items()}
+        self._replay = self._batch.compiled.module.fn("nat_replay")
 
     @property
     def state(self) -> int:
@@ -327,6 +338,24 @@ class NativeFsm:
         if slot is None:
             raise KeyError(f"{name!r} is not an output port")
         return self._v[slot]
+
+    def replay(self, waveform: Sequence[Dict[str, int]],
+               ports: Sequence[str]) -> List[tuple]:
+        """Run *waveform* and read the output *ports* after every tick,
+        in one ``nat_replay`` call (see :mod:`repro.engines`): per
+        tick, the tuple of their ``get_output`` values."""
+        srcs = []
+        for name in ports:
+            slot = self._outputs.get(name)
+            if slot is None:
+                raise KeyError(f"{name!r} is not an output port")
+            srcs.append(slot)
+        b = self._batch
+        samples = kernel_replay(
+            b.compiled.module, self._replay, (b._envs, b._mems, b._states),
+            waveform, self._fields, self.set_input, srcs)
+        b.cycles += len(waveform)
+        return samples
 
     def write_memory(self, mem: str, address: int, value: int) -> None:
         self._batch.write_memory(0, mem, address, value)

@@ -478,6 +478,7 @@ _CTYPES_MAP = {
     "uint64_t": ctypes.c_uint64,
     "int64_t*": ctypes.POINTER(ctypes.c_int64),
     "uint64_t*": ctypes.POINTER(ctypes.c_uint64),
+    "uint8_t*": ctypes.POINTER(ctypes.c_uint8),
     "long*": ctypes.POINTER(ctypes.c_long),
 }
 
@@ -516,7 +517,8 @@ class NativeModule:
     ``fn(name)`` returns the exported function; ``u64_buffer``
     allocates an indexable machine array the functions accept as a
     pointer argument, ``u64_view`` aliases one as a memoryview, and
-    ``u64_arg`` passes a Python int sequence as a pointer argument.
+    ``u64_arg`` passes a Python int sequence as a pointer argument;
+    ``u8_buffer`` / ``u8_bytes`` are a byte array and its contents.
     Works identically over cffi ABI mode and ctypes so the simulators
     never branch on the loader.
     """
@@ -579,6 +581,18 @@ class NativeModule:
         if self._ffi is not None:
             return self._ffi.from_buffer("uint64_t[]", words)
         return (ctypes.c_uint64 * len(words)).from_buffer(words)
+
+    def u8_buffer(self, n: int) -> object:
+        """A zeroed ``uint8_t`` array of *n* entries (at least one)."""
+        if self._ffi is not None:
+            return self._ffi.new("uint8_t[]", max(1, n))
+        return (ctypes.c_uint8 * max(1, n))()
+
+    def u8_bytes(self, buf) -> bytes:
+        """The contents of a :meth:`u8_buffer`."""
+        if self._ffi is not None:
+            return self._ffi.buffer(buf)[:]
+        return bytes(buf)
 
     #: ``u64_words(values)``: *values* as what a view's slice takes,
     #: raising :class:`OverflowError` outside ``[0, 2**64)``
@@ -654,6 +668,10 @@ class PythonKernel:
     u64_mask = -1
 
     u64_lanes = _ListLanes
+
+    #: a bytearray is its own byte buffer
+    u8_buffer = bytearray
+    u8_bytes = bytes
 
 
 def compile_and_load(source: str, cdef: str, tag: str = "mod",

@@ -4,11 +4,11 @@ The interpreted :class:`~repro.rtl.simulate.RtlSimulator` pays one
 Python closure call per expression node per cycle.  This engine runs
 the RTL level's one kernel (:mod:`repro.rtl.emit`: ``nat_run(V, MEM,
 cycles)`` -- combinational assigns in topological order, register
-next-state functions, memory write ports and the multi-cycle loop)
-printed as Python by :class:`PythonPrinter` and loaded with
-``compile()`` / ``exec``, so a ``step(n)`` executes straight-line
-bytecode over ``int`` locals instead of closure trees over a dict
-environment.  Python ints have no word, so every width runs, where the
+next-state functions, memory write ports and the multi-cycle loop --
+and the waveform replay ``nat_replay``) printed as Python by
+:class:`PythonPrinter` and loaded with ``compile()`` / ``exec``, so a
+``step(n)`` executes straight-line bytecode over ``int`` locals instead
+of closure trees over a dict environment.  Python ints have no word, so every width runs, where the
 native print holds 64 bits.
 
 :class:`CompiledRtlSimulator` is the native engine's host
@@ -122,9 +122,25 @@ class PythonPrinter:
                 f"    {self.word_at(mem[0], addr)} = {data} & {m}"]
 
     # -- the kernel ----------------------------------------------------
+    @staticmethod
+    def nat_replay(state: str, env: str, step: str) -> str:
+        """The C printer's ``nat_replay`` (:mod:`repro.rtl.native`) in
+        Python."""
+        return f"""\
+def nat_replay({state}, W, NW, ticks, SRC, NB, OUT):
+    w = 0
+    for t in range(ticks):
+        while w < NW and W[3 * w] == t:
+            {env}[W[3 * w + 1]] = W[3 * w + 2]
+            w += 1
+        {step}
+        OUT[t * NB:(t + 1) * NB] = [{env}[k] for k in SRC]
+"""
+
     def nat_run(self, walk) -> str:
         """In-ports and registers unpacked from ``V`` into locals,
-        registers and assigns stored back after the final settle."""
+        registers and assigns stored back after the final settle; then
+        ``nat_replay`` over it."""
         names = list(walk.name_of.values())
         loads, stores = names[:walk.n_state], names[walk.n_inputs:]
         lines = ["def nat_run(V, MEM, cycles):"]
@@ -137,7 +153,8 @@ class PythonPrinter:
         lines += ["    " + stmt for stmt in walk.settle]
         lines.append(f"    V[{walk.n_inputs}:] = "
                      f"({''.join(f'{v}, ' for v in stores)})")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + self.nat_replay(
+            "V, MEM", "V", "nat_run(V, MEM, 1)")
 
 
 def compile_rtl(module: RtlModule,

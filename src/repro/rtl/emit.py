@@ -1,8 +1,11 @@
 """The one code-generation walk of the RTL level.
 
 The compiled and native engines run one kernel per module,
-``nat_run(V, MEM, cycles)``, printed as Python and as C from the same
-IR (:func:`emit_rtl`).  Everything those sources share lives here: net
+``nat_run(V, MEM, cycles)`` and beside it ``nat_replay(V, MEM, W, NW,
+ticks, SRC, NB, OUT)`` -- per tick, the write rows ``W = (tick, slot,
+value)`` due then, one ``nat_run`` cycle, and the slots ``SRC`` into
+``OUT[tick * NB:]`` -- printed as Python and as C from the same IR
+(:func:`emit_rtl`).  Everything those sources share lives here: net
 naming and the slot of every net in ``V``, the flat memory image
 ``MEM``, the id-memoised temp hoisting (CSE) and temp naming, the
 evaluation and commit order, and the 64-bit width check.  An engine
@@ -31,7 +34,9 @@ is the reference):
   ``mem_read`` takes a memory's ``(base, depth)`` in ``MEM``;
 * the statement forms ``let`` (a new temp), ``assign`` (an existing
   local) and ``port_write`` (one RTL memory write port);
-* ``nat_run(walk)`` -- the kernel's source around a :class:`ModuleWalk`.
+* ``nat_run(walk)`` -- the kernel's source around a :class:`ModuleWalk`,
+  followed by ``nat_replay(state, env, step)``'s entry, which the FSM
+  printers reuse over their own arrays and step.
 
 The behavioural level runs an RT-level front end inside an FSM's cycle
 (:mod:`repro.hls.emit`): it walks the front end's module under its own

@@ -3,7 +3,8 @@ RTL engines.
 
 The RTL level's one code-generation walk (:mod:`repro.rtl.emit`) emits
 the whole module as one kernel, ``nat_run(V, MEM, cycles)``: settle,
-register updates, memory writes and the cycle loop.  :class:`CPrinter`
+register updates, memory writes and the cycle loop, and beside it
+``nat_replay``, which runs a whole port waveform.  :class:`CPrinter`
 spells it as C over ``uint64_t`` locals (every node width is checked to
 fit one), compiled to a shared object by the host toolchain (see
 :mod:`repro.native`), removing the Python interpreter from the
@@ -39,15 +40,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
-from ..engines import PortSampler, gather
+from ..engines import PortSampler, gather, write_rows
 from ..native import compile_and_load
 from .emit import (RTL_COMPILE_CACHE, KernelProgram, emit_rtl,
                    load_program)
 from .ir import RtlError, RtlModule
 
-__all__ = ["CPrinter", "NativeRtlSimulator", "compile_rtl_native"]
+__all__ = ["CPrinter", "NativeRtlSimulator", "compile_rtl_native",
+           "kernel_replay"]
 
-_CDEF = "void nat_run(uint64_t* V, uint64_t* MEM, long cycles);"
+_CDEF = ("void nat_run(uint64_t* V, uint64_t* MEM, long cycles);\n"
+         "void nat_replay(uint64_t* V, uint64_t* MEM, uint64_t* W, long NW, "
+         "long ticks, uint64_t* SRC, int NB, uint64_t* OUT);")
 
 _PRELUDE = """\
 #include <stdint.h>
@@ -149,9 +153,31 @@ class CPrinter:
                 f"{{ MEM[{base}ULL + ({addr})] = ({data}) & {m}; }}"]
 
     # -- the kernel ----------------------------------------------------
+    @staticmethod
+    def nat_replay(state: str, env: str, step: str) -> str:
+        """``nat_replay(<state>, W, NW, ticks, SRC, NB, OUT)``: per tick,
+        the write rows ``W = (tick, slot, value)`` due then into *env*,
+        one *step*, then the sampled slots ``SRC[k]`` of *env* into
+        ``OUT[tick * NB + k]``; *state* declares the step's arrays."""
+        return f"""\
+void nat_replay({state}, uint64_t* W, long NW, long ticks,
+                uint64_t* SRC, int NB, uint64_t* OUT)
+{{
+    long w = 0;
+    for (long t = 0; t < ticks; t++) {{
+        for (; w < NW && W[3 * w] == (uint64_t)t; w++)
+            {env}[W[3 * w + 1]] = W[3 * w + 2];
+        {step};
+        for (int k = 0; k < NB; k++)
+            OUT[t * NB + k] = {env}[SRC[k]];
+    }}
+}}
+"""
+
     def nat_run(self, walk) -> str:
         """Every net a local: in-ports and registers loaded from ``V``,
-        registers and assigns stored back after the final settle."""
+        registers and assigns stored back after the final settle; then
+        ``nat_replay`` over it."""
         lines = [_PRELUDE,
                  "void nat_run(uint64_t* V, uint64_t* MEM, long cycles)", "{",
                  "    (void)MEM;"]
@@ -167,7 +193,8 @@ class CPrinter:
             if idx >= walk.n_inputs:  # registers and assigns
                 lines.append(f"    V[{idx}] = {local};")
         lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + self.nat_replay(
+            "uint64_t* V, uint64_t* MEM", "V", "nat_run(V, MEM, 1)")
 
 
 def compile_rtl_native(module: RtlModule,
@@ -188,6 +215,23 @@ def compile_rtl_native(module: RtlModule,
         program, key, lambda source: compile_and_load(source, _CDEF,
                                                       tag="rtl"),
         cache, backend="native")
+
+
+def kernel_replay(module, entry, state: tuple, waveform, fields,
+                  set_input, srcs: Sequence[int]) -> List[tuple]:
+    """Run *waveform* through the ``nat_replay`` *entry* of a loaded
+    kernel *module*, over its *state* arrays: per tick, the tuple of
+    the slots *srcs*.  *fields* and *set_input* make the write rows
+    (:func:`repro.engines.write_rows`)."""
+    rows = write_rows(waveform, fields, set_input)
+    ticks, nb = len(waveform), len(srcs)
+    out = module.u64_buffer(ticks * nb)
+    entry(*state, module.u64_arg(rows), len(rows) // 3, ticks,
+          module.u64_arg(srcs), nb, out)
+    if not nb:
+        return [()] * ticks
+    values = module.u64_view(out)
+    return [tuple(values[i:i + nb]) for i in range(0, ticks * nb, nb)]
 
 
 class _KernelEnv(Mapping):
@@ -248,6 +292,7 @@ class NativeRtlSimulator:
         self.program = self._compile(module, cache)
         mod = self.program.module
         self._run = mod.fn("nat_run")
+        self._replay = mod.fn("nat_replay")
         self._words = mod.u64_words
         self._v = mod.u64_buffer(self.program.n_slots)
         self._m = mod.u64_buffer(max(self.program.mem_words, 1))
@@ -257,6 +302,10 @@ class NativeRtlSimulator:
         self.env = _KernelEnv(self._vv, self.program.name_index, 0,
                               mod.u64_mask)
         self._in_names = set(module.input_names())
+        #: each input's one field for nat_replay's write rows
+        self._fields = {name: [(self.program.name_index[name], 0,
+                                mask(module.net_width(name)))]
+                        for name in self._in_names}
         self._init_registers()
         # memory contents come from *module*, like register inits (see
         # repro.rtl.emit.memory_layout)
@@ -306,6 +355,19 @@ class NativeRtlSimulator:
         view = self._vv
         return PortSampler(lambda: take(view), widths)
 
+    def replay(self, waveform: Sequence[Dict[str, int]],
+               ports: Sequence[str]) -> List[tuple]:
+        """Run *waveform* and sample *ports* after every tick, in one
+        ``nat_replay`` call (see :mod:`repro.engines`): per tick, the
+        tuple ``port_sampler(ports).read()`` returns."""
+        module, index = self.module, self.program.name_index
+        samples = kernel_replay(
+            self.program.module, self._replay, (self._v, self._m), waveform,
+            self._fields, self.set_input,
+            [index[module.outputs.get(name, name)] for name in ports])
+        self.cycles += len(waveform)
+        return samples
+
     def peek_memory(self, name: str) -> List[int]:
         for mem_name, base, depth, _ in self.program.mem_layout:
             if mem_name == name:
@@ -335,10 +397,11 @@ class NativeRtlSimulator:
         self.cycles += cycles
 
     def reset(self) -> None:
-        """Restore registers (and RAM contents) to their initial state."""
+        """Restore registers and every memory to their initial state."""
         self._init_registers()
         for mem in self.module.memories:
-            if mem.contents is None:
-                self._fill(self._bases[mem.name], [0] * mem.depth)
+            self._fill(self._bases[mem.name],
+                       [0] * mem.depth if mem.contents is None else
+                       [v & mask(mem.width) for v in mem.contents])
         self.cycles = 0
         self.settle()

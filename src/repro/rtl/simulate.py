@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes.bits import mask
-from ..engines import PortSampler, engine_class, gather, lookup
+from ..engines import (PortSampler, engine_class, gather, lookup,
+                       replay_loop)
 from .ir import RtlError, RtlModule
 
 #: monitor signature: (memory name, address, depth, "read"/"write")
@@ -138,6 +139,12 @@ class RtlSimulator:
         env = self.env
         return PortSampler(lambda: take(env), widths)
 
+    def replay(self, waveform: Sequence[Dict[str, int]],
+               ports: Sequence[str]) -> List[tuple]:
+        """Run *waveform*, sampling *ports* after every tick: the
+        reference loop of :func:`repro.engines.replay_loop`."""
+        return replay_loop(self, waveform, self.port_sampler(ports).read)
+
     def peek_memory(self, name: str) -> List[int]:
         return list(self._memories[name])
 
@@ -188,11 +195,12 @@ class RtlSimulator:
             env[name] = fn(env)
 
     def reset(self) -> None:
-        """Restore registers (and RAM contents) to their initial state."""
+        """Restore registers and every memory to their initial state."""
         for reg in self.module.registers:
             self.env[reg.name] = reg.init & mask(reg.width)
         for mem in self.module.memories:
-            if mem.contents is None:
-                self._memories[mem.name][:] = [0] * mem.depth
+            self._memories[mem.name][:] = (
+                [0] * mem.depth if mem.contents is None else
+                [v & mask(mem.width) for v in mem.contents])
         self.cycles = 0
         self.settle()

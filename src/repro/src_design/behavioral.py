@@ -29,7 +29,7 @@ FSM that the behavioural engines run (:func:`build_behavioral_fsm`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..datatypes.integers import max_signed, min_signed
 from ..hls.binding import RegisterBinding, bind_registers
@@ -437,3 +437,8 @@ class BehavioralSimulation:
 
     def get(self, name: str) -> int:
         return self.interp.get_output(name)
+
+    def replay(self, waveform: Sequence[Dict[str, int]],
+               ports: Sequence[str]) -> List[tuple]:
+        """The engine's ``replay`` (see :mod:`repro.engines`)."""
+        return self.interp.replay(waveform, ports)

@@ -7,8 +7,8 @@ design":
   frames (uniform buckets across the signed range plus the three
   corner values min/zero/max per channel);
 * :class:`ToggleCoverage` -- per-port-bit 0->1/1->0 activity of the
-  clocked DUTs, folded from one packed read of all port bits per cycle
-  (the engines' ``port_sampler``).
+  clocked DUTs, folded from one packed sample of all port bits per
+  cycle (the engines' ``port_sampler``, or the samples of a ``replay``).
 
 Both aggregate across all cases of a run and serialise to plain dicts
 so :func:`repro.flow.artifacts.write_verify_artifacts` can emit them as
@@ -116,7 +116,9 @@ def _count(planes: List[int], position: int) -> int:
 
 class _Handle:
     """Per-run toggle counts of one DUT's port bits, folded from the
-    packed samples of its engine's ``port_sampler``.
+    packed samples of its engine's ``port_sampler``: one read now
+    (:meth:`sample`), or the samples of consecutive cycles a ``replay``
+    of ``widths``' ports returned (:meth:`extend`).
 
     Bit *k* of the sampled ports (in order, LSB first) sits at
     position ``k * stride`` of one integer of known-1 bits and one of
@@ -167,12 +169,17 @@ class _GateHandle(_Handle):
         self.sample()
 
     def sample(self) -> None:
-        codes = self._read()
-        if codes == self._last:
-            return
-        self._last = codes
-        unk = (codes >> 1) & self._low
-        self._fold(codes & self._low & ~unk, unk)
+        self.extend((self._read(),))
+
+    def extend(self, samples) -> None:
+        low, last = self._low, self._last
+        for codes in samples:
+            if codes == last:
+                continue
+            last = codes
+            unk = (codes >> 1) & low
+            self._fold(codes & low & ~unk, unk)
+        self._last = last
 
 
 class _RtlHandle(_Handle):
@@ -186,18 +193,24 @@ class _RtlHandle(_Handle):
         self.sample()
 
     def sample(self) -> None:
-        values = self._read()
-        if values == self._last:
-            return
-        self._last = values
-        self._fold(sum(map(lshift, values, self._shifts)), 0)
+        self.extend((self._read(),))
+
+    def extend(self, samples) -> None:
+        shifts, last = self._shifts, self._last
+        for values in samples:
+            if values == last:
+                continue
+            last = values
+            self._fold(sum(map(lshift, values, shifts)), 0)
+        self._last = last
 
 
 class ToggleCoverage:
     """Aggregated per-port-bit toggle activity across a whole run.
 
-    Implements the ``begin(spec, sim)`` / ``handle.sample()`` /
-    ``end(handle)`` protocol the runner drives once per clock cycle.
+    Implements the ``begin(spec, sim)`` / ``handle.sample()`` or
+    ``handle.extend(samples)`` / ``end(handle)`` protocol: a handle
+    folds one sample per clock cycle.
     Unsupported DUTs (the behavioural FSM interpreter has no port-level
     bit view) simply return no handle and are skipped.
     """

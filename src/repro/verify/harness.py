@@ -26,7 +26,7 @@ from ..synth import synthesize
 from .coverage import InputCoverage, ToggleCoverage
 from .mutate import Mutation, iter_mutations
 from .runner import (DEFAULT_LEVELS, CaseReport, LevelBuilds, LevelSpec,
-                     diff_against_reference, golden_outputs,
+                     case_timing, diff_against_reference, golden_outputs,
                      parse_level_specs, run_case_level, run_differential)
 from .shrink import ShrinkResult, shrink_case
 from .stimulus import StimulusCase, generate_cases
@@ -145,9 +145,11 @@ def _shrink_failure(config: VerifyConfig, report: CaseReport,
 
     def predicate(inputs, mode_changes):
         candidate = report.case.with_inputs(inputs, mode_changes)
-        reference = golden_outputs(params, candidate,
-                                   quantized=spec.is_clocked)
-        run = run_case_level(params, spec, candidate, builds)
+        timing = case_timing(params, candidate, spec.is_clocked)
+        reference = golden_outputs(params, candidate, spec.is_clocked,
+                                   timing.schedule)
+        run = run_case_level(params, spec, candidate, builds,
+                             timing=timing)
         diff = diff_against_reference(reference, "golden", run)
         return None if diff.equal else diff
 

@@ -17,13 +17,24 @@ agrees bit-exactly.  A divergence is localised to the first differing
 output frame, the differing signal (``out_l`` / ``out_r`` / stream
 length) and -- for clocked levels -- the clock cycle on which the DUT
 produced that frame.
+
+Each case's schedules are built once (:func:`case_timing`) and shared
+by the golden model and every level.  A clocked level runs as one
+``replay`` of the case's port waveform on a fresh DUT (see
+:mod:`repro.engines`): on the generated-code engines that is one kernel
+call, with no Python per cycle.  The returned samples are decoded as
+the per-cycle testbench (:func:`~repro.src_design.testbench.run_clocked`
+with :class:`~repro.src_design.testbench.RtlDutDriver`) reads its DUT,
+with the same outputs, ticks, stop point and errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..datatypes.integers import wrap_signed
 from ..engines import expand
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
@@ -32,9 +43,9 @@ from ..rtl import RtlSimulator
 from ..src_design.algorithmic import AlgorithmicSrc
 from ..src_design.behavioral import BehavioralSimulation
 from ..src_design.params import SrcParams
-from ..src_design.schedule import make_schedule
-from ..src_design.testbench import (BehavioralDutDriver, RtlDutDriver,
-                                    run_clocked, run_tlm)
+from ..src_design.schedule import (SampleEvent, clocked_stimulus,
+                                   count_outputs, make_schedule)
+from ..src_design.testbench import run_tlm, src_port_waveform
 from ..synth import synthesize
 from .stimulus import StimulusCase
 
@@ -62,6 +73,9 @@ BACKEND_LEVELS = frozenset((
 
 #: the default level set of ``python -m repro verify``
 DEFAULT_LEVELS = "alg,tlm,beh,rtl,gate"
+
+#: the SRC's output ports, in the order the testbench reads them
+OUT_PORTS = ("out_valid", "out_l", "out_r")
 
 
 @dataclass(frozen=True)
@@ -200,69 +214,176 @@ class LevelDiff:
                 f"{self.divergence.format()})")
 
 
+class CaseTiming(NamedTuple):
+    """One case's event schedule in one domain -- exact, or clock
+    quantised with the testbench's port waveform -- built once per case
+    for the golden model and every level of the domain."""
+
+    schedule: List[SampleEvent]
+    #: the port writes of every clock tick (quantised schedules only)
+    waveform: Optional[List[Dict[str, int]]] = None
+
+
+def case_timing(params: SrcParams, case: StimulusCase,
+                quantized: bool) -> CaseTiming:
+    """*case*'s schedule in the exact or the clock-quantised domain,
+    and for the latter its port waveform."""
+    schedule = make_schedule(params, case.mode, case.n_inputs,
+                             quantized=quantized,
+                             mode_changes=case.mode_changes)
+    if not quantized:
+        return CaseTiming(schedule)
+    return CaseTiming(schedule, src_port_waveform(
+        clocked_stimulus(params, schedule, case.inputs)))
+
+
 def make_dut(params: SrcParams, spec: LevelSpec, builds: LevelBuilds):
-    """Construct a fresh clocked DUT driver for *spec*."""
+    """Construct a fresh clocked DUT for *spec*: a host that replays
+    port waveforms (see :mod:`repro.engines`)."""
     level = spec.level
     if level in (Level.BEH_UNOPT, Level.BEH_OPT):
-        sim = BehavioralSimulation(params,
-                                   optimized=(level is Level.BEH_OPT),
-                                   backend=spec.backend)
-        return BehavioralDutDriver(sim, params), sim
+        return BehavioralSimulation(params,
+                                    optimized=(level is Level.BEH_OPT),
+                                    backend=spec.backend)
     if level in (Level.RTL_UNOPT, Level.RTL_OPT, Level.VHDL_REF):
-        sim = RtlSimulator(builds.module(level), backend=spec.backend)
-        return RtlDutDriver(sim, params), sim
+        return RtlSimulator(builds.module(level), backend=spec.backend)
     if level in (Level.GATE_BEH, Level.GATE_RTL):
-        sim = GateSimulator(builds.netlist(level), backend=spec.backend)
-        return RtlDutDriver(sim, params), sim
+        return GateSimulator(builds.netlist(level), backend=spec.backend)
     raise ValueError(f"{level} is not a clocked level")
 
 
+def _gate_port(shift: int, width: int):
+    """``(any_set, value)`` of the port whose *width* code bytes start
+    at bit *shift* of a gate replay sample."""
+    full = (1 << 8 * width) - 1
+    unknown = int.from_bytes(b"\2" * width, "little")
+
+    def any_set(codes: int) -> int:
+        return codes >> shift & full
+
+    def value(codes: int) -> Optional[int]:
+        codes = codes >> shift & full
+        if codes & unknown:
+            return None
+        return sum(bit << i
+                   for i, bit in enumerate(codes.to_bytes(width, "little")))
+
+    return any_set, value
+
+
+def _out_ports(sim, ports: Sequence[str]):
+    """``(any_set, value)`` of every :data:`OUT_PORTS` port in *sim*'s
+    replay samples of *ports*: ``any_set`` is falsy when every bit of
+    the port is 0, ``value`` is None when a bit is unknown."""
+    if not hasattr(sim, "netlist"):  # RTL and FSM: tuples of values
+        return [(itemgetter(ports.index(name)),) * 2 for name in OUT_PORTS]
+    # gate: one 4-valued code per port bit and byte
+    netlist = sim.netlist
+    where, bit = {}, 0
+    for name in ports:
+        width = len(netlist.outputs.get(name) or netlist.inputs[name])
+        where[name] = (8 * bit, width)
+        bit += width
+    return [_gate_port(*where[name]) for name in OUT_PORTS]
+
+
+def _raise_getter_error(params: SrcParams, spec: LevelSpec,
+                        builds: LevelBuilds, waveform, port: str) -> None:
+    """Raise what the DUT's getter raises for *port* after the last tick
+    of *waveform*, where a replay sampled an unknown bit: a fresh DUT
+    replays it, so the per-cycle driver's error surfaces as it would."""
+    sim = make_dut(params, spec, builds)
+    sim.replay(waveform, ())
+    sim.get(port)
+    raise RuntimeError(f"a replay read {port!r} unknown, get does not")
+
+
+def _replay_clocked(params: SrcParams, spec: LevelSpec,
+                    builds: LevelBuilds, timing: CaseTiming, coverage
+                    ) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """One clocked level over a case: its outputs and the tick of each.
+
+    A fresh DUT replays the case's waveform in one call.  The samples
+    decode as the per-cycle driver reads the DUT (``out_valid``, then on
+    a valid tick ``out_l`` and ``out_r``), up to the tick of the last
+    expected frame, where the per-cycle run stops; coverage folds those
+    ticks, and only when the run raised nothing.
+    """
+    expected = count_outputs(timing.schedule)
+    sim = make_dut(params, spec, builds)
+    handle = coverage.begin(spec, sim) if coverage is not None else None
+    ports = list(handle.widths if handle is not None else OUT_PORTS)
+    samples = sim.replay(timing.waveform, ports)
+    readers = _out_ports(sim, ports)
+    valid = readers[0][0]
+    dw = params.data_width
+    outputs: List[Tuple[int, ...]] = []
+    ticks: List[int] = []
+    stop = len(samples)
+    for tick, sample in enumerate(samples):
+        if len(outputs) >= expected:
+            stop = tick
+            break
+        if not valid(sample):
+            continue
+        values = []
+        for name, (_, value) in zip(OUT_PORTS, readers):
+            v = value(sample)
+            if v is None:
+                _raise_getter_error(params, spec, builds,
+                                    timing.waveform[:tick + 1], name)
+            values.append(v)
+        outputs.append((wrap_signed(values[1], dw),
+                        wrap_signed(values[2], dw)))
+        ticks.append(tick)
+    if len(outputs) != expected:  # run_clocked's check
+        raise RuntimeError(
+            f"clocked run produced {len(outputs)} outputs, "
+            f"expected {expected}")
+    if handle is not None:
+        handle.extend(samples[:stop])
+        coverage.end(handle)
+    return outputs, ticks
+
+
 def run_case_level(params: SrcParams, spec: LevelSpec, case: StimulusCase,
-                   builds: LevelBuilds, coverage=None) -> LevelRun:
-    """Execute one level over one case, recording per-output cycles."""
+                   builds: LevelBuilds, coverage=None,
+                   timing: Optional[CaseTiming] = None) -> LevelRun:
+    """Execute one level over one case, recording per-output cycles.
+
+    *timing* is the case's :func:`case_timing` in the level's domain,
+    when the caller has it.
+    """
     run = LevelRun(spec)
     level = spec.level
     try:
-        if not spec.is_clocked:
-            schedule = make_schedule(params, case.mode, case.n_inputs,
-                                     mode_changes=case.mode_changes)
-            if level is Level.ALGORITHMIC:
-                src = AlgorithmicSrc(params, mode=case.mode)
-                run.outputs = src.process_schedule(schedule, case.inputs)
-            else:
-                run.outputs = run_tlm(
-                    params, schedule, case.inputs,
-                    refined=(level is Level.TLM_REFINED))
-            return run
-        schedule = make_schedule(params, case.mode, case.n_inputs,
-                                 quantized=True,
-                                 mode_changes=case.mode_changes)
-        driver, sim = make_dut(params, spec, builds)
-        ticks: List[int] = []
-        handle = coverage.begin(spec, sim) if coverage is not None else None
-
-        def on_cycle(tick, result):
-            if result is not None:
-                ticks.append(tick)
-            if handle is not None:
-                handle.sample()
-
-        run.outputs = run_clocked(params, driver, schedule, case.inputs,
-                                  on_cycle=on_cycle)
-        run.ticks = ticks
-        if handle is not None:
-            coverage.end(handle)
+        if timing is None:
+            timing = case_timing(params, case, spec.is_clocked)
+        if spec.is_clocked:
+            run.outputs, run.ticks = _replay_clocked(params, spec, builds,
+                                                     timing, coverage)
+        elif level is Level.ALGORITHMIC:
+            src = AlgorithmicSrc(params, mode=case.mode)
+            run.outputs = src.process_schedule(timing.schedule,
+                                               case.inputs)
+        else:
+            run.outputs = run_tlm(params, timing.schedule, case.inputs,
+                                  refined=(level is Level.TLM_REFINED))
     except Exception as exc:  # crash = caught divergence, never a pass
         run.error = f"{type(exc).__name__}: {exc}"
     return run
 
 
 def golden_outputs(params: SrcParams, case: StimulusCase,
-                   quantized: bool) -> List[Tuple[int, ...]]:
-    """The golden algorithmic model over the case's schedule domain."""
-    schedule = make_schedule(params, case.mode, case.n_inputs,
-                             quantized=quantized,
-                             mode_changes=case.mode_changes)
+                   quantized: bool,
+                   schedule: Optional[List[SampleEvent]] = None
+                   ) -> List[Tuple[int, ...]]:
+    """The golden algorithmic model over the case's schedule domain;
+    *schedule* is the case's schedule there, when the caller has it."""
+    if schedule is None:
+        schedule = make_schedule(params, case.mode, case.n_inputs,
+                                 quantized=quantized,
+                                 mode_changes=case.mode_changes)
     src = AlgorithmicSrc(params, mode=case.mode)
     return src.process_schedule(schedule, case.inputs)
 
@@ -324,27 +445,27 @@ def run_differential(params: SrcParams, specs: Sequence[LevelSpec],
                      coverage=None) -> CaseReport:
     """Run every level of *specs* over *case* and diff against golden."""
     report = CaseReport(case)
-    ref_exact: Optional[List[Tuple[int, ...]]] = None
-    ref_quant: Optional[List[Tuple[int, ...]]] = None
+    # per domain (clocked or not): the case's timing and golden outputs
+    timings: Dict[bool, CaseTiming] = {}
+    references: Dict[bool, List[Tuple[int, ...]]] = {}
     with span("verify.case", kind=case.kind, seed=case.seed,
               n_inputs=case.n_inputs):
         for spec in specs:
             if spec.level is Level.ALGORITHMIC and not spec.is_clocked:
                 # the golden model itself: nothing to diff against
                 continue
-            if spec.is_clocked:
-                if ref_quant is None:
-                    ref_quant = golden_outputs(params, case,
-                                               quantized=True)
-                reference, ref_name = ref_quant, "golden(quantised)"
-            else:
-                if ref_exact is None:
-                    ref_exact = golden_outputs(params, case,
-                                               quantized=False)
-                reference, ref_name = ref_exact, "golden(exact)"
+            clocked = spec.is_clocked
+            if clocked not in timings:
+                timing = timings[clocked] = case_timing(params, case,
+                                                        clocked)
+                references[clocked] = golden_outputs(
+                    params, case, clocked, timing.schedule)
+            ref_name = "golden(quantised)" if clocked else "golden(exact)"
             with span("verify.level", level=spec.key):
                 run = run_case_level(params, spec, case, builds,
-                                     coverage=coverage)
+                                     coverage=coverage,
+                                     timing=timings[clocked])
             report.diffs.append(
-                diff_against_reference(reference, ref_name, run))
+                diff_against_reference(references[clocked], ref_name,
+                                       run))
     return report

@@ -16,12 +16,15 @@ from repro.fi import (BUDGET_FRAMES, CampaignConfig, CampaignError,
 from repro.fi import campaign
 from repro.fi.campaign import make_workload, run_gate_batch
 from repro.engines import ENGINES, batch_engines
-from repro.fi.faultload import generate_gate_faultload
+from repro.fi.faultload import (generate_gate_faultload,
+                                generate_rtl_faultload)
+from repro.flow.refinement import Level, build_module
 from repro.gatesim import COMPILE_CACHE
 from repro.native import build_cflags, toolchain_available
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import (disable_tracing, enable_tracing, event_mark,
                              events_since, format_stage_table)
+from repro.rtl import Const, RtlModule, RtlSimulator
 from repro.src_design.params import SMALL_PARAMS
 from tests.test_gatesim_compiled import WIDE, batch_case
 
@@ -217,6 +220,51 @@ def test_batches_on_one_reset_program_equal_fresh_overlays(
                                     SMALL_PARAMS, backend=backend)]
     assert got == want
     assert cleared == [True] * len(batches)
+
+
+@pytest.mark.parametrize("backend", tuple(ENGINES))
+def test_rtl_faults_on_one_reused_simulator_equal_fresh_ones(backend):
+    """RTL faults classified back to back on the process's one
+    simulator of the module, reset in between, give the records of a
+    fresh simulator per fault -- after upsets that change the output
+    stream and ones the design masks."""
+    module = build_module(SMALL_PARAMS, Level.RTL_OPT)
+    workload = make_workload(SMALL_PARAMS, 7, "smoke")
+    faults = generate_rtl_faultload(module, 24, 7, workload.cycle_budget)
+
+    def classify(fault):
+        return campaign.run_rtl_fault(module, workload, fault, SMALL_PARAMS,
+                                      backend=backend).as_dict()
+
+    campaign._WORKER.pop("rtl_sims", None)
+    reused = [classify(fault) for fault in faults]
+    assert campaign._rtl_simulator(module, backend) is \
+        campaign._rtl_simulator(module, backend)
+    fresh = []
+    for fault in faults:
+        campaign._WORKER.pop("rtl_sims", None)
+        fresh.append(classify(fault))
+    assert reused == fresh
+    assert {"sdc", "masked"} <= {r["outcome"] for r in reused}
+
+
+@pytest.mark.parametrize("backend", tuple(ENGINES))
+def test_rtl_reset_restores_every_memory(backend):
+    """``reset`` returns a ROM to its contents and a RAM to zeros."""
+    m = RtlModule("mems")
+    a = m.input("a", 2)
+    rom = m.memory("rom", 4, 4, contents=[3, 5, 7, 9])
+    ram = m.memory("ram", 4, 4)
+    m.mem_write(ram, Const(1, 1), a, m.mem_read(rom, a))
+    m.output("y", m.mem_read(ram, a))
+    sim = RtlSimulator(m, backend=backend)
+    sim.set_input("a", 2)
+    sim.step()
+    sim.load_memory("rom", [0, 0, 0, 0])
+    assert sim.peek_memory("ram") == [0, 0, 7, 0]
+    sim.reset()
+    assert sim.peek_memory("rom") == [3, 5, 7, 9]
+    assert sim.peek_memory("ram") == [0, 0, 0, 0]
 
 
 def test_self_check_classifies_known_faults(smoke_report):

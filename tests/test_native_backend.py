@@ -7,7 +7,7 @@ artifact recovery, LRU eviction, processes sharing the cache at one
 moment, run-length compile flags and their build counters, the
 single-warning degradation to the compiled backend
 on toolchain-less hosts, the Prometheus schema of the native cache
-counters, and pattern I/O through both FFI loaders (cffi and ctypes),
+counters, and pattern I/O and waveform replay through both FFI loaders (cffi and ctypes),
 whichever of them the host would pick by itself.
 """
 
@@ -566,6 +566,45 @@ def test_random_netlist_equivalence_under_loader(loader):
     for sim in (interp, gate, rtl_ref, rtl):
         sim.reset()
     assert gate.values == interp.values
+
+
+@needs_cc
+def test_replay_under_loader(loader):
+    """Every level's ``nat_replay`` through this loader's buffers -- the
+    gate level's byte samples, the RTL and FSM word samples, tables of
+    no rows and no sampled slot -- against the interpreters' loop."""
+    from repro.engines import replay_loop
+    from repro.gatesim import GateSimulator
+    from repro.gatesim.native import NativeGateSimulator
+    from repro.hls import FsmInterpreter
+    from repro.hls.native import NativeFsm
+    from repro.rtl import RtlSimulator
+    from repro.rtl.native import NativeRtlSimulator
+    from repro.synth import map_to_gates, optimize
+    from tests.test_gatesim_compiled import _rand_module
+    from tests.test_hls_compiled import _echo_fsm
+
+    module = _rand_module(4)
+    nl = optimize(map_to_gates(module))
+    fsm = _echo_fsm(64)
+    gate = NativeGateSimulator(nl, cache=CompileCache())
+    rtl = NativeRtlSimulator(module, cache=CompileCache())
+    beh = NativeFsm(fsm, cache=CompileCache())
+    assert {gate.program.module.loader, rtl.program.module.loader,
+            beh._batch.compiled.module.loader} == {loader}
+    rng = random.Random(4)
+    wave = [{name: rng.randrange(-9, 99) for name in module.input_names()
+             if rng.random() < 0.6} for _ in range(20)]
+    ports = module.input_names() + module.output_names()
+    for dut, ref in ((gate, GateSimulator(nl)), (rtl, RtlSimulator(module))):
+        assert dut.replay(wave, ports) == \
+            replay_loop(ref, wave, ref.port_sampler(ports).read)
+        assert dut.replay([], ports) == []
+    assert gate.replay([{}], ()) == [0] and rtl.replay([{}], ()) == [()]
+    wave = [{"a": rng.randrange(-(1 << 64), 1 << 64)} for _ in range(20)]
+    ref = FsmInterpreter(fsm)
+    assert beh.replay(wave, ("y",)) == \
+        replay_loop(ref, wave, lambda: (ref.get_output("y"),))
 
 
 @needs_cc

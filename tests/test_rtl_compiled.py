@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engines import ENGINES
 from repro.rtl import (Add, BitAnd, BitNot, BitOr, BitXor, Case, Cat, Cmp,
-                       Const, Ext, Mux, Mul, Reduce, Ref, RtlError,
+                       Const, Ext, Mux, Mul, Reduce, RtlError,
                        RtlModule, RtlSimulator, Shl, Shr, Slice, SMul, Sra,
                        Sub, RTL_COMPILE_CACHE, compile_rtl)
 from repro.rtl.compiled import CompileCache

@@ -20,6 +20,30 @@ from repro.verify import (InputCoverage, LevelRun, LevelSpec, StimulusCase,
 from repro.verify.stimulus import STIMULUS_KINDS
 
 
+# --------------------------------------------------------- schedules
+def test_one_schedule_per_domain_and_case(monkeypatch):
+    """The golden model and every level of a domain share the case's
+    one schedule there: two per case (exact and clock-quantised),
+    however many levels and engines run."""
+    from repro.verify import LevelBuilds, run_differential
+    from repro.verify import runner
+
+    calls = []
+    make_schedule = runner.make_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("quantized", False))
+        return make_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "make_schedule", counted)
+    case = generate_cases(SMALL_PARAMS, 0, 1, 6)[0]
+    specs = parse_level_specs("alg,tlm,beh,rtl", "both")
+    report = run_differential(SMALL_PARAMS, specs, case,
+                              LevelBuilds(SMALL_PARAMS))
+    assert report.passed, report.format()
+    assert sorted(calls) == [False, True]
+
+
 # ------------------------------------------------------------ stimulus
 def test_stimulus_deterministic_per_seed():
     a = generate_cases(SMALL_PARAMS, 42, 6, 16)

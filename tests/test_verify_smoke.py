@@ -60,10 +60,12 @@ def test_self_check_runs_every_engine_of_a_group():
 def test_self_check_crashing_harness_is_not_a_catch(monkeypatch):
     from repro.gatesim.compiled import CompiledGateSimulator
 
-    def broken_step(self, cycles=1):
+    def broken(self, *args):
         raise RuntimeError("harness bug")
 
-    monkeypatch.setattr(CompiledGateSimulator, "step", broken_step)
+    # verify drives a clocked DUT through replay, FI through step
+    monkeypatch.setattr(CompiledGateSimulator, "step", broken)
+    monkeypatch.setattr(CompiledGateSimulator, "replay", broken)
     report = run_self_check(VerifyConfig(backend="compiled", seed=0,
                                          budget="smoke"))
     assert not report.caught
