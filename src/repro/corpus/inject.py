@@ -72,8 +72,7 @@ def run_design_campaign(netlist, waveform: Sequence[Dict[str, int]],
     workload = design_workload(waveform, golden, valid_port, frame_ports,
                                cycle_budget, detect_ports)
     program = shared_program(netlist, faults, backend,
-                             min(COMPILED_BATCH, len(faults)) + 1,
-                             len(workload.waveform))
+                             min(COMPILED_BATCH, len(faults)) + 1)
     records = []
     for lo in range(0, len(faults), COMPILED_BATCH):
         records.extend(run_gate_batch(netlist, workload,

@@ -37,16 +37,15 @@ Campaigns scale across a ``multiprocessing`` worker pool
 ``(fault, workload)``, so any job count produces identical records,
 and per-task compile-cache deltas are shipped back to the parent so
 cache statistics stay correct under ``--jobs``.  A native gate
-campaign starts its program's ``cc`` as a child process, runs the
-cross-engine probe while it compiles, then loads the program before
-the batches -- so before any pool worker forks, and every worker finds
-it in its inherited compile cache.
+campaign loads its one saboteur program -- a table on the shared gate
+kernel -- before the batches, so before any pool worker forks, and
+every worker finds it in its inherited compile cache.
 
 The probe re-runs the campaign's leading faults on the interpreted
 engine, the one reference independent of the generated-code engines
-(compiled and native print one code-generation walk per level, and the
-equivalence suites hold the printers equal), and every probe record
-must equal the campaign's field for field.
+(compiled and native run one code-generation walk per level, and the
+equivalence suites hold them equal), and every probe record must
+equal the campaign's field for field.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from ..datatypes.integers import wrap_signed
 from ..engines import ENGINES, batch_engines, engine_class, resolve
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
+from ..native import NativeToolchainError
 from ..obs.metrics import REGISTRY
 from ..obs.trace import (TracedTask, absorb_events, current_context,
                          record_span, span)
@@ -343,22 +343,21 @@ class SaboteurProgram:
     The overlay carries a saboteur for every structural fault of
     *faults*.  A saboteur whose control is 0 is transparent and a lane
     asserts only its own fault's control, so every batch drawn from
-    *faults* runs on this one program: one build, not one per batch
+    *faults* runs on this one program: one walk, not one per batch
     (see :func:`shared_program` for the engines where that pays).
 
     The simulator holds *lanes* patterns and is built on first use;
     before every later batch it is reset to the state a new one starts
     in -- every input, the controls included, back to 0, then flops and
     memories.  A forked pool worker inherits its parent's program and
-    builds its own simulator.
+    simulator.
     """
 
     def __init__(self, netlist, faults: Sequence[Fault], backend: str,
-                 lanes: int, run_cycles: int):
+                 lanes: int):
         self.overlay = build_overlay(netlist, faults)
         self.backend = backend
         self.lanes = lanes
-        self.run_cycles = run_cycles
         self._sim = None
 
     def simulator(self):
@@ -367,26 +366,36 @@ class SaboteurProgram:
         if sim is None:
             sim = self._sim = GateSimulator(
                 self.overlay.netlist, backend=self.backend,
-                n_patterns=self.lanes, run_cycles=self.run_cycles)
+                n_patterns=self.lanes)
             return sim
         for name in self.overlay.netlist.inputs:
             sim.set_input(name, 0)
         sim.reset()
         return sim
 
+    def load(self) -> None:
+        """Build the process's simulator now, so the program is in the
+        compile cache before any pool worker forks.  A failed kernel
+        build is left to the batches: each raises it again and falls
+        back as a batch that failed on its own build does
+        (:func:`_fi_task`)."""
+        try:
+            self.simulator()
+        except NativeToolchainError:
+            pass
+
 
 def shared_program(netlist, faults: Sequence[Fault], backend: str,
-                   lanes: int, run_cycles: int
-                   ) -> Optional[SaboteurProgram]:
+                   lanes: int) -> Optional[SaboteurProgram]:
     """The :class:`SaboteurProgram` every batch of *faults* shares, on
-    an engine that builds its kernel out of process (``start_build``:
-    native's ``cc``); None on one that builds in-process (compiled),
-    where a batch's own overlay costs less to build than the union's
+    an engine whose gate host says so (``union_program``: native, where
+    a program is a table walk); None on compiled, where a batch's own
+    overlay costs less to print and ``compile()`` than the union's
     bigger kernel adds to every step of every batch (EXPERIMENTS
     PERF10)."""
-    if getattr(engine_class(backend, "gate"), "start_build", None) is None:
+    if not engine_class(backend, "gate").union_program:
         return None
-    return SaboteurProgram(netlist, faults, backend, lanes, run_cycles)
+    return SaboteurProgram(netlist, faults, backend, lanes)
 
 
 def _run_gate(netlist, workload: Workload,
@@ -404,7 +413,7 @@ def _run_gate(netlist, workload: Workload,
     if program is None:
         program = SaboteurProgram(
             netlist, [f for f in lanes if f is not None], backend,
-            len(lanes), len(workload.waveform))
+            len(lanes))
     n = program.lanes
     if len(lanes) > n:
         raise CampaignError(f"{len(lanes)} lanes on a {n}-lane program")
@@ -739,10 +748,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     probe's records agree field for field, and measuring both engines'
     injection throughput.
 
-    At gate level on an engine that builds out of process (native),
-    every batch runs on one :class:`SaboteurProgram`: its build starts
-    first and the probe runs while it compiles; the campaign loads it
-    before the batches, and so before any pool worker forks.
+    At gate level on native every batch runs on one
+    :class:`SaboteurProgram`, which the campaign loads first, and so
+    before any pool worker forks.
 
     An interrupt (Ctrl-C) does not lose the run: the pool is torn down
     cleanly and the report carries every fault classified so far,
@@ -771,30 +779,20 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     tasks = [faults[i:i + width] for i in range(0, len(faults), width)]
 
     t0 = time.perf_counter()
-    program = build = None
+    program = None
     if batches and config.level == "gate":
         program = shared_program(dut, faults, backend,
-                                 min(width, len(faults)) + 1,
-                                 len(workload.waveform))
+                                 min(width, len(faults)) + 1)
     if program is not None:
-        # cc starts now, in a child process, and compiles while the
-        # probe runs
-        build = engine_class(backend, "gate").start_build(
-            program.overlay.netlist, program.run_cycles)
-    # the batches' own wall time: the program's set-up, its build (in
-    # CPU seconds, as it overlaps the probe), its load and the batch run
+        program.load()
+    # the batches' own wall time: the program's set-up and load (the
+    # table walk, and the kernel's build when its cache is empty) and
+    # the batch run
     main_wall = time.perf_counter() - t0
     _WORKER["program"] = program
     interrupted = False
     try:
         probe_records, probe_wall = _run_probe(config, faults, workload)
-        if build is not None:
-            main_wall += build.reap()
-            # before the batches, so before any worker forks: every
-            # simulator of the program finds it in the compile cache
-            t0 = time.perf_counter()
-            build.load()
-            main_wall += time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
             results = parallel_map(
@@ -807,10 +805,6 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
         main_wall += time.perf_counter() - t0
     finally:
         _WORKER.pop("program", None)
-        if build is not None:
-            # stops a cc still running (the probe raised) and forgets
-            # a failed build no batch of this process took up
-            build.cancel()
     if config.jobs > 1 and len(tasks) > 1:
         # pool runs hit worker-local caches; in-process runs already
         # counted against the parent's, so absorbing would double-count
@@ -850,9 +844,8 @@ def _run_probe(config: CampaignConfig, faults: Sequence[Fault],
                workload: Workload) -> Tuple[List[FaultRecord], float]:
     """The cross-engine probe: the campaign's leading faults, one
     simulation each, on the interpreted engine -- the one reference
-    independent of the generated-code engines, which print one
-    code-generation walk whose printers the equivalence suites hold
-    equal.  Returns the records and their wall seconds, for the
+    independent of the generated-code engines, which run one
+    code-generation walk that the equivalence suites hold equal.  Returns the records and their wall seconds, for the
     campaign to compare with its own records."""
     probe = faults[:config.probe_faults]
     single = _runners(config.level)[1]

@@ -1,6 +1,6 @@
 """Gate-level simulation: 4-valued selective-trace simulator, the
-compiled and native parallel-pattern engines over one generated kernel,
-memory models."""
+compiled and native parallel-pattern engines over one op table per
+netlist, memory models."""
 
 from ..compile_cache import CacheStats, CompileCache
 from .compiled import CompiledGateSimulator, compile_netlist

@@ -1,86 +1,99 @@
-"""The one code-generation walk of the gate level.
+"""The one code-generation walk of the gate level: a netlist into an
+op table.
 
-The compiled and native gate engines run one kernel, generated from the
-levelised netlist by this walk and spelled by a *printer*: Python
-(:class:`repro.gatesim.compiled.PythonPrinter`) or C
-(:class:`repro.gatesim.native.CPrinter`).  The kernel has three entry
-points:
+Both generated-code gate engines run one program, an ``int32`` op table
+(:attr:`GateProgram.table`) walked from the levelised netlist by
+:func:`emit_program`.  The native engine's one fixed C kernel
+(:mod:`repro.gatesim.native`), built once for every netlist, walks the
+table; the compiled engine prints it as a straight-line Python kernel
+(:class:`repro.gatesim.compiled.PythonPrinter`).  Both kernels have
+three entry points:
 
-* ``nat_run(S1, SX, R1, RX, MEM, M, cycles, NP, settle_after)`` runs
-  *cycles* clock edges of all *NP* patterns -- settle the combinational
-  cone, sample every flop input (the SDFF scan mux included), perform
-  the memory writes, commit the flops -- and with *settle_after*
-  settles the cone once more, so R1/RX hold the post-edge values a read
-  observes;
-* ``nat_set_patterns(S1, SX, slots, width, vals, NP)`` transposes one
+* ``nat_run(T, V1, VX, MEM, M, cycles, NP, settle_after)`` runs
+  *cycles* clock edges of all *NP* patterns of table *T* -- settle the
+  combinational cone, sample every flop input (the SDFF scan mux
+  included), perform the memory writes, commit the flops -- and with
+  *settle_after* settles the cone once more, so the values hold what a
+  read observes;
+* ``nat_set_patterns(V1, VX, slots, width, vals, NP)`` transposes one
   value per pattern into the *width* input bitplanes at *slots*;
-* ``nat_replay(S1, SX, R1, RX, MEM, M, NP, W, NW, ticks, SRC, NB,
+* ``nat_replay(T, V1, VX, MEM, M, NP, W, NW, ticks, SRC, NB,
   settle_after, OUT)`` runs a port waveform: per tick, the write rows
   ``W = (tick, slot, bit)`` due then (broadcast to every pattern), one
   ``nat_run`` edge, and pattern 0's 4-valued code (``ones | unk << 1``)
-  of every sampled bit ``SRC[k]`` (a state slot, or an R1/RX net, which
-  needs *settle_after*) into the byte ``OUT[tick * NB + k]``.
+  of every sampled value ``SRC[k]`` into the byte ``OUT[tick * NB +
+  k]`` (a sampled net of the cone needs *settle_after*).
 
 Every net is two bitplanes ``(ones, unknowns)``: bit *p* of a plane
 belongs to pattern *p*, and both lie inside the pattern mask ``M``.
-The kernel's storage, laid out by the walk (:class:`GateProgram`):
+The kernel's storage, laid out by the walk:
 
-* ``S1``/``SX`` -- the state planes: the constants, the input bits, the
-  flop Qs and the memory-port nets nothing drives (:func:`state_layout`);
-* ``R1``/``RX`` -- the result planes: every net a unit of the cone
-  produces, in unit order;
+* ``V1``/``VX`` -- the value planes, one array each, indexed alike: the
+  state slots (the constants, the input bits, the flop Qs and the
+  memory-port nets nothing drives, :func:`state_layout`), then the
+  results (every net a unit of the cone produces, in unit order), then
+  one next-state slot per flop;
 * ``MEM`` -- one flat pattern-major image of every memory: word *addr*
   of a memory at offset *off* for pattern *p* is
   ``MEM[p * mem_words + off + addr]``.
 
-The walk owns what the two kernels share: the unit order, the net and
-temp names (``a{uid}``/``x{uid}``, ``t{unit}_``, ``nd_{k}``/``nx_{k}``
-per flop), the cells' ``CODEGEN`` templates, the storage layout, the
-memory rules (an X address bit turns a read all-X and drops a write; an
-out-of-range read returns 0 and an out-of-range write is dropped; X
-data or an X enable writes 0), the order of the clock edge (samples,
-then write ports in declaration order, then commits) and the 64-bit
-memory-word check.  What it asks of a printer:
+The table is a header -- ``T[0]`` the words per pattern of ``MEM``,
+``T[1]`` where the edge's ops start, ``T[2]`` the table's length --
+then the settle's ops from ``T[HEADER]``, then the edge's.  An op is
+``opcode, count`` and *count* rows; every operand is a value index:
 
-* ``word`` -- None, or the container a memory wider than 64 bits does
-  not fit (named by the error); ``chunk_lines`` -- None, or the settle
-  statements per generated function before the walk opens the next
-  one (a net crossing functions is loaded from R1/RX again);
-* ``results_in_locals`` -- whether results stay locals until the
-  settle ends (Python) or are stored to R1/RX as produced (C);
-* the statement forms, each over ``target = expr`` strings (the form
-  the cells' ``CODEGEN`` templates emit): ``let`` (one new local),
-  ``lets`` (several in one statement), ``assign`` (an existing
-  location) and ``sep`` (what joins two statements on one line);
-* the blocks ``mem_read`` and ``port_write`` (one memory port over the
-  per-pattern ``MEM`` words), and ``program``, which lays the settle
-  chunks, the edge statements and the results out as ``nat_run`` and
-  adds ``nat_replay`` (and, in C, ``nat_set_patterns``), which use no
-  part of the netlist.
+* a cell template (opcodes ``0 .. len(CELL_OPS) - 1``, the ``CODEGEN``
+  templates in their order): the output, then one operand per cell
+  input;
+* :data:`OP_READ`, a memory read port: ``depth, offset, n_addr,
+  n_data``, the address bits, then the data bits;
+* :data:`OP_SDFF`, a scan flop's sample: ``next, D, SI, SE``;
+* :data:`OP_WRITE`, a memory write port: ``depth, offset, n_addr,
+  n_data, enable``, the address bits, then the data bits.
+
+The settle holds each level's units grouped by opcode (units of one
+level never read each other), so a run of one cell type is one
+dispatch.  The edge samples the flops into their next-state slots (a
+DFF's sample is a ``BUF``), performs the write ports in declaration
+order, then commits every next-state slot to its Q (``BUF`` rows).
+The memory rules: an X address bit turns a read all-X and drops a
+write; an out-of-range read returns 0 and an out-of-range write is
+dropped; X data or an X enable writes 0.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from array import array
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
-from ..synth.library import CODEGEN
+from ..synth.library import CODEGEN, DEFAULT_LIBRARY
 from ..synth.netlist import CellInstance, Netlist
 from .levelize import levelize
 from .simulator import GateSimError
 
-__all__ = ["COMPILE_CACHE", "GateProgram", "emit_program", "indent",
-           "state_layout", "structural_hash"]
-
-#: a net's two plane operands, (ones, unknowns)
-Planes = Tuple[str, str]
+__all__ = ["CELL_OPS", "COMPILE_CACHE", "GateProgram", "HEADER", "OP_READ",
+           "OP_SDFF", "OP_WRITE", "emit_program", "state_layout",
+           "structural_hash", "table_ops"]
 
 #: one memory's span of a pattern's image: (name, offset, depth, width,
 #: writable, initial contents)
 MemSpan = Tuple[str, int, int, int, bool, Tuple[int, ...]]
+
+#: the cell ops: one opcode per ``CODEGEN`` template, in its order
+CELL_OPS: List[Tuple[str, str]] = list(CODEGEN)
+#: operands per cell op row: the output, then the cell's inputs
+CELL_ROW = [1 + len(DEFAULT_LIBRARY[cell].inputs) for cell, _ in CELL_OPS]
+#: the ops past the cell templates
+OP_READ, OP_SDFF, OP_WRITE = range(len(CELL_OPS), len(CELL_OPS) + 3)
+N_OPS = OP_WRITE + 1
+_BUF = CELL_OPS.index(("BUF", "Y"))
+#: header words before the settle's first op
+HEADER = 3
 
 
 def structural_hash(netlist: Netlist) -> str:
@@ -173,49 +186,84 @@ def state_layout(netlist: Netlist, units) -> Tuple[List[int], List[int]]:
 
 @dataclass
 class GateProgram:
-    """A gate kernel's source and the layout tables of its storage;
-    :attr:`module` is the loaded kernel once an engine has built it."""
+    """A gate program: its op table and the layout of its storage.
 
-    source: str
-    #: net uids of the S1/SX slots, in slot order
+    :attr:`module` is the loaded kernel once an engine has loaded it,
+    and :attr:`source` the kernel's text when the program has one of
+    its own (the compiled engine's Python; the native kernel is shared).
+    """
+
+    #: the op table (see the module docstring)
+    table: array
+    #: net uids of the state slots, in slot order
     state_uids: List[int]
     #: state uids nothing drives: held permanently at X (interpreted
     #: leaves such nets LX in its value array)
     x_state_uids: List[int]
-    #: net uids of the R1/RX slots, in unit order
+    #: net uids of the results, in unit order (value index
+    #: ``len(state_uids) + i``)
     result_uids: List[int]
     #: one span per memory macro, within one pattern's image
     mem_layout: List[MemSpan]
     #: words per pattern across all memories
     mem_words: int
+    #: entries of each value array: state slots, results, next states
+    n_values: int
     #: the loaded kernel: ``fn(name)`` and the buffer surface of
     #: :class:`repro.native.NativeModule`
     module: object = None
     structural_key: str = ""
+    source: str = field(default="", repr=False)
 
 
-def indent(lines: Sequence[str], depth: int) -> List[str]:
-    """*lines* shifted right by *depth* spaces, joined into one block
-    (a printer's layout; no per-line copies of a large kernel)."""
-    if not lines:
-        return []
-    pad = " " * depth
-    return [pad + ("\n" + pad).join(lines)]
+def _row_words(op: int, table: Sequence[int], at: int, end: int) -> int:
+    """The words of the row of *op* at *at*; -1 when the row does not
+    fit before *end*."""
+    if op < len(CELL_OPS):
+        return CELL_ROW[op]
+    if op == OP_SDFF:
+        return 4
+    if at + 4 > end or table[at + 2] < 0 or table[at + 3] < 0:
+        return -1
+    return 4 + (op == OP_WRITE) + table[at + 2] + table[at + 3]
 
 
-def emit_program(netlist: Netlist, printer) -> GateProgram:
-    """Walk *netlist* into *printer*'s kernel (``module`` unset)."""
+def table_ops(table: Sequence[int], lo: int, hi: int
+              ) -> Iterator[Tuple[int, List[Sequence[int]]]]:
+    """The ops of ``table[lo:hi]``, each as ``(opcode, rows)``.
+
+    Raises :class:`GateSimError` where the ops do not tile the span
+    exactly: an opcode that is no kernel case, a negative count, or a
+    row that runs past *hi*.
+    """
+    at = lo
+    while at < hi:
+        if at + 2 > hi:
+            raise GateSimError(f"table word {at}: op header past {hi}")
+        op, count = table[at], table[at + 1]
+        if not 0 <= op < N_OPS:
+            raise GateSimError(f"table word {at}: opcode {op} is no "
+                               f"kernel case")
+        if count < 0:
+            raise GateSimError(f"table word {at + 1}: count {count}")
+        at += 2
+        rows = []
+        for _ in range(count):
+            words = _row_words(op, table, at, hi)
+            if words < 0 or at + words > hi:
+                raise GateSimError(f"table word {at}: a row of op {op} "
+                                   f"runs past {hi}")
+            rows.append(table[at:at + words])
+            at += words
+        yield op, rows
+
+
+def emit_program(netlist: Netlist) -> GateProgram:
+    """Walk *netlist* into its op table (``module`` unset)."""
     units = levelize(netlist, error=GateSimError)
     lib = netlist.library
-    p = printer
-    if p.word is not None:
-        for macro in netlist.memories:
-            if macro.width > 64:
-                raise GateSimError(
-                    f"memory {macro.name!r} width {macro.width} exceeds "
-                    f"the 64-bit {p.word}")
     state_uids, x_state_uids = state_layout(netlist, units)
-    slot = {uid: i for i, uid in enumerate(state_uids)}
+    index = {uid: i for i, uid in enumerate(state_uids)}
 
     mem_layout: List[MemSpan] = []
     off = 0
@@ -228,110 +276,77 @@ def emit_program(netlist: Netlist, printer) -> GateProgram:
     mem_words = off
     mem_off = {span[0]: span[1] for span in mem_layout}
 
-    def names(uid: int) -> Planes:
-        return f"a{uid}", f"x{uid}"
-
-    let, assign, sep = p.let, p.assign, p.sep
-    in_locals = p.results_in_locals
     result_uids: List[int] = []
-    ridx: Dict[int, int] = {}
 
-    def stored(uid: int) -> Planes:
-        """A net's S1/SX or R1/RX slot: where it lives between calls."""
-        s = slot.get(uid)
-        if s is not None:
-            return f"S1[{s}]", f"SX[{s}]"
-        return f"R1[{ridx[uid]}]", f"RX[{ridx[uid]}]"
-
-    # -- the settle: one chunk of statements per generated function ------
-    chunks: List[List[str]] = []
-    body: List[str] = []
-    declared: set = set()
-
-    def ref(uid: int) -> Planes:
-        """A net's plane locals, loaded on their first use in a chunk."""
-        a, x = f"a{uid}", f"x{uid}"
-        if uid not in declared:
-            declared.add(uid)
-            ones, unks = stored(uid)
-            body.append(let(f"{a} = {ones}") + sep + let(f"{x} = {unks}"))
-        return a, x
-
-    def produce(uid: int) -> List[str]:
-        """Give a net of the cone its R1/RX slot, in unit order; a
-        printer that keeps results in locals stores it there later."""
-        i = ridx[uid] = len(result_uids)
+    def produce(uid: int) -> int:
+        """Give a net of the cone its value index, in unit order."""
+        i = index[uid] = len(state_uids) + len(result_uids)
         result_uids.append(uid)
-        declared.add(uid)
-        if in_locals:
-            return []
-        return [assign(f"R1[{i}] = a{uid}") + sep
-                + assign(f"RX[{i}] = x{uid}")]
+        return i
 
-    for index, unit in enumerate(units):
-        if p.chunk_lines is not None and len(body) >= p.chunk_lines:
-            chunks.append(body)
-            body = []
-            declared.clear()
-        if isinstance(unit.key, CellInstance):
-            cell = unit.key
-            spec = lib[cell.cell_type]
-            ins = [ref(cell.pins[pin].uid) for pin in spec.inputs]
-            for pin in spec.outputs:
-                uid = cell.outputs[pin].uid
-                template = CODEGEN.get((cell.cell_type, pin))
-                if template is None:
-                    raise GateSimError(
-                        f"no codegen template for cell "
-                        f"{cell.cell_type!r} output {pin!r}")
-                # the templates emit SSA `name = expr` lines over
-                # & | ^ ~ ( ) and M -- valid in both targets
-                body += map(let, template(names(uid), ins, f"t{index}_"))
-                body += produce(uid)
-        else:
-            macro, port_index = unit.key
-            rp = macro.read_ports[port_index]
-            addr = [ref(n.uid) for n in rp.addr]
-            # the enable is ignored for data, like MemoryModel.read
-            body += p.mem_read([names(n.uid) for n in rp.data], addr,
-                               macro.depth, mem_off[macro.name], mem_words)
-            for n in rp.data:
-                body += produce(n.uid)
-    chunks.append(body)
+    def at(nets) -> List[int]:
+        return [index[n.uid] for n in nets]
+
+    table = array("i", [mem_words, 0, 0])
+
+    def emit(op: int, rows: Sequence[List[int]]) -> None:
+        if rows:
+            table.extend([op, len(rows)])
+            for row in rows:
+                table.extend(row)
+
+    # -- the settle: each level's units, one run per opcode -------------
+    for _, level in groupby(units, key=lambda unit: unit.level):
+        runs: Dict[int, List[List[int]]] = {}
+        for unit in level:
+            if isinstance(unit.key, CellInstance):
+                cell = unit.key
+                spec = lib[cell.cell_type]
+                ins = at(cell.pins[pin] for pin in spec.inputs)
+                for pin in spec.outputs:
+                    key = (cell.cell_type, pin)
+                    if key not in CODEGEN:
+                        raise GateSimError(
+                            f"no codegen template for cell "
+                            f"{cell.cell_type!r} output {pin!r}")
+                    op = CELL_OPS.index(key)
+                    if CELL_ROW[op] != 1 + len(ins):
+                        raise GateSimError(
+                            f"cell {cell.cell_type!r} has {len(ins)} "
+                            f"inputs; its template takes {CELL_ROW[op] - 1}")
+                    runs.setdefault(op, []).append(
+                        [produce(cell.outputs[pin].uid)] + ins)
+            else:
+                macro, port_index = unit.key
+                rp = macro.read_ports[port_index]
+                # the enable is ignored for data, like MemoryModel.read
+                addr = at(rp.addr)
+                data = [produce(n.uid) for n in rp.data]
+                runs.setdefault(OP_READ, []).append(
+                    [macro.depth, mem_off[macro.name], len(addr), len(data)]
+                    + addr + data)
+        for op in sorted(runs):
+            emit(op, runs[op])
+    table[1] = len(table)
 
     # -- the edge: samples, write ports, commits -------------------------
-    def plane(uid: int) -> Planes:
-        """A net's planes after the settle, read by the edge."""
-        if in_locals and uid in ridx:
-            return names(uid)
-        return stored(uid)
-
-    edge: List[str] = []
     flops = netlist.flops()
+    first_next = len(state_uids) + len(result_uids)
+    samples: Dict[int, List[List[int]]] = {_BUF: [], OP_SDFF: []}
     for k, flop in enumerate(flops):
-        d1, dx = plane(flop.pins["D"].uid)
         if flop.cell_type == "SDFF":
-            e1, ex = plane(flop.pins["SE"].uid)
-            s1, sx = plane(flop.pins["SI"].uid)
-            edge += [
-                p.lets(f"e1_{k} = {e1}", f"ex_{k} = {ex}"),
-                let(f"e0_{k} = M & ~(e1_{k} | ex_{k})"),
-                let(f"nd_{k} = (e1_{k} & {s1}) | (e0_{k} & {d1})"),
-                let(f"nx_{k} = (e1_{k} & {sx}) | (e0_{k} & {dx}) | ex_{k}")]
+            samples[OP_SDFF].append([first_next + k] + at(
+                flop.pins[pin] for pin in ("D", "SI", "SE")))
         else:
-            edge += [let(f"nd_{k} = {d1}"), let(f"nx_{k} = {dx}")]
-    for macro in netlist.memories:
-        for wp in macro.write_ports:
-            edge += p.port_write(plane(wp.enable.uid),
-                                 [plane(n.uid) for n in wp.addr],
-                                 [plane(n.uid) for n in wp.data],
-                                 macro.depth, mem_off[macro.name],
-                                 mem_words)
-    for k, flop in enumerate(flops):
-        q = slot[flop.outputs["Q"].uid]
-        edge.append(assign(f"S1[{q}] = nd_{k}") + sep
-                    + assign(f"SX[{q}] = nx_{k}"))
-
-    source = p.program(chunks, edge, [names(uid) for uid in result_uids])
-    return GateProgram(source, state_uids, x_state_uids, result_uids,
-                       mem_layout, mem_words)
+            samples[_BUF].append([first_next + k, index[flop.pins["D"].uid]])
+    for op in sorted(samples):
+        emit(op, samples[op])
+    emit(OP_WRITE, [
+        [macro.depth, mem_off[macro.name], len(wp.addr), len(wp.data),
+         index[wp.enable.uid]] + at(wp.addr) + at(wp.data)
+        for macro in netlist.memories for wp in macro.write_ports])
+    emit(_BUF, [[index[flop.outputs["Q"].uid], first_next + k]
+                for k, flop in enumerate(flops)])
+    table[2] = len(table)
+    return GateProgram(table, state_uids, x_state_uids, result_uids,
+                       mem_layout, mem_words, first_next + len(flops))

@@ -1,19 +1,24 @@
-"""Native (C-source) parallel-pattern gate-level simulation, and the
-host of both generated-code gate engines.
+"""Native parallel-pattern gate-level simulation on one fixed C kernel,
+and the host of both generated-code gate engines.
 
-The gate level's one code-generation walk (:mod:`repro.gatesim.emit`)
-emits the whole clock edge as one kernel; :class:`CPrinter` spells it
-as C99 over ``uint64_t`` bitplanes -- every net as ``(ones, unk)``
-planes confined to the pattern mask ``M`` -- compiled with the host
-toolchain (:mod:`repro.native`) and driven through cffi/ctypes.  One
-``nat_run`` call settles the cone, samples flops (including the SDFF
-scan mux), performs memory writes and commits, for any number of
-cycles, so no Python bytecode runs per cycle.
+The gate level's walk (:mod:`repro.gatesim.emit`) turns a netlist into
+an ``int32`` op table.  This module's kernel (:data:`KERNEL_SOURCE`) is
+one C99 file over ``uint64_t`` bitplanes -- every net as ``(ones,
+unk)`` planes confined to the pattern mask ``M`` -- printed once from
+the cells' ``CODEGEN`` templates: one ``switch`` case per template, a
+memory-read op, the SDFF sample and the memory write.  Its ``nat_run``
+walks any netlist's table: it settles the cone, samples flops,
+performs memory writes and commits, for any number of cycles, so no
+Python bytecode runs per cycle.  It is built by the host toolchain
+(:mod:`repro.native`) once per ``.so`` cache, shared by every netlist
+and FI overlay, and driven through cffi/ctypes; a netlist costs its
+walk, not a ``cc`` run.  The C trusts the table, so
+:func:`check_table` bounds-checks every table before its first call.
 
 :class:`NativeGateSimulator` is the one gate host: the pattern-parallel
 public surface over the kernel's buffers.  The compiled engine
 (:class:`~repro.gatesim.compiled.CompiledGateSimulator`) is this class
-over the same kernel printed as Python, with lists for buffers.
+over the same table printed as Python, with lists for buffers.
 
 Memories are one flat pattern-major word image (every pattern owns its
 storage, so ``privatize_memory`` is a no-op view).  Semantics match
@@ -22,9 +27,9 @@ X address bits turn a read all-X and drop a write; out-of-range reads
 return 0 and writes are dropped; X data or X enable commits 0.
 Address-checking memories run on the interpreted engine only.
 
-Artifacts are cached in the shared ``COMPILE_CACHE`` under the
-structural digest, tagged ``backend="native"``, and the underlying
-``.so`` persists in the on-disk cache across processes.
+Programs are cached in the shared ``COMPILE_CACHE`` under the
+structural digest, tagged ``backend="native"``; the kernel's ``.so``
+persists in the on-disk cache across processes.
 """
 
 from __future__ import annotations
@@ -36,244 +41,247 @@ from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
 from ..engines import ENGINES, PortSampler, gather, write_rows
-from ..native import build_cflags, compile_and_load, start_build
+from ..native import compile_and_load
+from ..synth.library import CODEGEN
 from ..synth.netlist import Netlist
-from .emit import (COMPILE_CACHE, GateProgram, Planes, emit_program,
-                   indent, structural_hash)
+from .emit import (CELL_OPS, CELL_ROW, COMPILE_CACHE, HEADER, OP_READ,
+                   OP_SDFF, OP_WRITE, GateProgram, emit_program,
+                   structural_hash, table_ops)
 from .memory import PokeableMemory
 from .simulator import GateSimError, check_pattern
 
-__all__ = ["CPrinter", "KernelBuild", "NativeGateSimulator",
+__all__ = ["KERNEL_SOURCE", "NativeGateSimulator", "check_table",
            "compile_netlist_native"]
 
 #: bits of one ``uint64_t`` value word: the 64-bit slices in which
-#: ``set_input_patterns`` hands port values to the kernel
+#: ``set_input_patterns`` hands port values to the kernel, and the
+#: widest memory word and address the kernel holds
 _WORD_BITS = 64
 
-_CDEF = ("void nat_run(uint64_t* S1, uint64_t* SX, uint64_t* R1, "
-         "uint64_t* RX, uint64_t* MEM, uint64_t M, long cycles, "
-         "int NP, int settle_after);\n"
-         "void nat_set_patterns(uint64_t* S1, uint64_t* SX, "
+_CDEF = ("void nat_run(int32_t* T, uint64_t* V1, uint64_t* VX, "
+         "uint64_t* MEM, uint64_t M, long cycles, int NP, "
+         "int settle_after);\n"
+         "void nat_set_patterns(uint64_t* V1, uint64_t* VX, "
          "uint64_t* slots, int width, uint64_t* vals, int NP);\n"
-         "void nat_replay(uint64_t* S1, uint64_t* SX, uint64_t* R1, "
-         "uint64_t* RX, uint64_t* MEM, uint64_t M, int NP, uint64_t* W, "
-         "long NW, long ticks, uint64_t* SRC, int NB, int settle_after, "
+         "void nat_replay(int32_t* T, uint64_t* V1, uint64_t* VX, "
+         "uint64_t* MEM, uint64_t M, int NP, uint64_t* W, long NW, "
+         "long ticks, uint64_t* SRC, int NB, int settle_after, "
          "uint8_t* OUT);")
 
-#: transposes NP per-pattern values into ``width`` (<= 64) input
-#: bitplanes: bit i of vals[p] lands in bit p of plane S1[slots[i]]
-_SET_PATTERNS_C = """\
-void nat_set_patterns(uint64_t *S1, uint64_t *SX, uint64_t *slots,
-                      int width, uint64_t *vals, int NP) {
-  for (int i = 0; i < width; i++) {
-    uint64_t plane = 0;
-    for (int p = 0; p < NP; p++) plane |= ((vals[p] >> i) & 1ULL) << p;
-    S1[slots[i]] = plane;
-    SX[slots[i]] = 0;
+#: the kernel around its cell cases.  ``walk`` runs the ops of
+#: ``[op, end)``; its memory ports follow the walk's rules (an X
+#: address bit makes a read X and drops a write, an out-of-range read
+#: returns 0 and an out-of-range write is dropped, X data or an X
+#: enable writes 0), and each gathers every pattern's address (and a
+#: write its data) in one pass per bit, and a read scatters the words
+#: into its data planes in one pass per bit.  ``nat_set_patterns``,
+#: which takes no table, transposes NP per-pattern values into
+#: ``width`` (<= 64) input bitplanes: bit i of vals[p] lands in bit p
+#: of plane V1[slots[i]].
+_KERNEL_C = """\
+#include <stdint.h>
+
+typedef uint64_t u64;
+
+static void gather(u64 *lanes, const u64 *plane, int k, int NP) {
+  for (int p = 0; p < NP; p++) lanes[p] |= (*plane >> p & 1) << k;
+}
+
+static const int32_t *mem_read(const int32_t *r, u64 *V1, u64 *VX,
+                               const u64 *MEM, int NP, u64 words) {
+  u64 depth = (u64)r[0], off = (u64)r[1], addr[64] = {0}, w[64], xa = 0;
+  int na = r[2], nd = r[3];
+  const int32_t *ad = r + 4, *dt = ad + na;
+  for (int k = 0; k < na; k++) {
+    gather(addr, &V1[ad[k]], k, NP);
+    xa |= VX[ad[k]];
+  }
+  for (int p = 0; p < NP; p++)
+    w[p] = (xa >> p & 1) || addr[p] >= depth
+        ? 0 : MEM[(u64)p * words + off + addr[p]];
+  for (int k = 0; k < nd; k++) {
+    u64 plane = 0;
+    for (int p = 0; p < NP; p++) plane |= (w[p] >> k & 1) << p;
+    V1[dt[k]] = plane;
+    VX[dt[k]] = xa;
+  }
+  return dt + nd;
+}
+
+static const int32_t *mem_write(const int32_t *r, const u64 *V1,
+                                const u64 *VX, u64 *MEM, u64 M, int NP,
+                                u64 words) {
+  u64 depth = (u64)r[0], off = (u64)r[1];
+  int na = r[2], nd = r[3];
+  const int32_t *ad = r + 5, *dt = ad + na;
+  u64 wex = VX[r[4]], act = (V1[r[4]] | wex) & M;
+  if (act) {
+    u64 addr[64] = {0}, data[64] = {0}, xa = 0, zero = wex;
+    for (int k = 0; k < na; k++) {
+      gather(addr, &V1[ad[k]], k, NP);
+      xa |= VX[ad[k]];
+    }
+    for (int k = 0; k < nd; k++) {
+      gather(data, &V1[dt[k]], k, NP);
+      zero |= VX[dt[k]];
+    }
+    u64 live = act & ~xa;
+    for (int p = 0; p < NP; p++)
+      if ((live >> p & 1) && addr[p] < depth)
+        MEM[(u64)p * words + off + addr[p]] = zero >> p & 1 ? 0 : data[p];
+  }
+  return dt + nd;
+}
+
+static void walk(const int32_t *op, const int32_t *end, u64 *restrict V1,
+                 u64 *restrict VX, u64 *restrict MEM, u64 M, int NP,
+                 u64 words) {
+  while (op < end) {
+    int n = op[1];
+    const int32_t *r = op + 2;
+    switch (op[0]) {
+%(cells)s
+    case %(read)d: /* memory read port */
+      for (; n > 0; n--) r = mem_read(r, V1, VX, MEM, NP, words);
+      break;
+    case %(sdff)d: /* scan flop sample: SI when SE, else D */
+      for (; n > 0; n--, r += 4) {
+        u64 e1 = V1[r[3]], ex = VX[r[3]], e0 = M & ~(e1 | ex);
+        u64 n1 = (e1 & V1[r[2]]) | (e0 & V1[r[1]]);
+        u64 nx = (e1 & VX[r[2]]) | (e0 & VX[r[1]]) | ex;
+        V1[r[0]] = n1; VX[r[0]] = nx;
+      }
+      break;
+    case %(write)d: /* memory write port */
+      for (; n > 0; n--) r = mem_write(r, V1, VX, MEM, M, NP, words);
+      break;
+    }
+    op = r;
   }
 }
-"""
 
-#: replays a waveform: per tick, the write rows W = (tick, slot, bit)
-#: due then, broadcast to every pattern; one clock edge; then pattern
-#: 0's 4-valued code of every sampled bit (SRC[k] = index << 1 | 1 for
-#: an R1/RX net, index << 1 for a state slot) into OUT[tick * NB + k]
-_REPLAY_C = """\
-void nat_replay(uint64_t *S1, uint64_t *SX, uint64_t *R1, uint64_t *RX,
-                uint64_t *MEM, uint64_t M, int NP, uint64_t *W, long NW,
-                long ticks, uint64_t *SRC, int NB, int settle_after,
-                uint8_t *OUT) {
+void nat_run(const int32_t *T, u64 *V1, u64 *VX, u64 *MEM, u64 M,
+             long cycles, int NP, int settle_after) {
+  const int32_t *settle = T + %(header)d, *edge = T + T[1], *end = T + T[2];
+  u64 words = (u64)T[0];
+  for (long c = 0; c < cycles; c++) {
+    walk(settle, edge, V1, VX, MEM, M, NP, words);
+    walk(edge, end, V1, VX, MEM, M, NP, words);
+  }
+  if (settle_after) walk(settle, edge, V1, VX, MEM, M, NP, words);
+}
+
+void nat_set_patterns(u64 *V1, u64 *VX, u64 *slots, int width, u64 *vals,
+                      int NP) {
+  for (int i = 0; i < width; i++) {
+    u64 plane = 0;
+    for (int p = 0; p < NP; p++) plane |= ((vals[p] >> i) & 1ULL) << p;
+    V1[slots[i]] = plane;
+    VX[slots[i]] = 0;
+  }
+}
+
+void nat_replay(const int32_t *T, u64 *V1, u64 *VX, u64 *MEM, u64 M,
+                int NP, u64 *W, long NW, long ticks, u64 *SRC, int NB,
+                int settle_after, uint8_t *OUT) {
   long w = 0;
   for (long t = 0; t < ticks; t++) {
-    for (; w < NW && W[3 * w] == (uint64_t)t; w++) {
-      S1[W[3 * w + 1]] = W[3 * w + 2] ? M : 0;
-      SX[W[3 * w + 1]] = 0;
+    for (; w < NW && W[3 * w] == (u64)t; w++) {
+      V1[W[3 * w + 1]] = W[3 * w + 2] ? M : 0;
+      VX[W[3 * w + 1]] = 0;
     }
-    nat_run(S1, SX, R1, RX, MEM, M, 1, NP, settle_after);
-    for (int k = 0; k < NB; k++) {
-      uint64_t i = SRC[k] >> 1;
-      uint64_t one = (SRC[k] & 1) ? R1[i] : S1[i];
-      uint64_t unk = (SRC[k] & 1) ? RX[i] : SX[i];
-      OUT[t * NB + k] = (uint8_t)((one & 1) | (unk & 1) << 1);
-    }
+    nat_run(T, V1, VX, MEM, M, 1, NP, settle_after);
+    for (int k = 0; k < NB; k++)
+      OUT[t * NB + k] = (uint8_t)((V1[SRC[k]] & 1) | (VX[SRC[k]] & 1) << 1);
   }
 }
 """
 
-_SETTLE_ARGS = "S1, SX, R1, RX, MEM, M, NP"
+
+def _cell_case(op: int) -> List[str]:
+    """The ``switch`` case of cell op *op*: its template over each row."""
+    cell, pin = CELL_OPS[op]
+    ins = [(f"a{j}", f"x{j}") for j in range(CELL_ROW[op] - 1)]
+    loads = ", ".join(f"{a} = V1[r[{j + 1}]], {x} = VX[r[{j + 1}]]"
+                      for j, (a, x) in enumerate(ins))
+    body = [f"u64 {loads};"]
+    body += [f"u64 {line};"
+             for line in CODEGEN[(cell, pin)](("o1", "ox"), ins, "t_")]
+    body.append("V1[r[0]] = o1; VX[r[0]] = ox;")
+    return ([f"    case {op}: /* {cell}.{pin} */",
+             f"      for (; n > 0; n--, r += {CELL_ROW[op]}) {{"]
+            + [f"        {line}" for line in body] + ["      }", "      break;"])
 
 
-class CPrinter:
-    """C spelling of the gate walk: ``uint64_t`` plane locals, results
-    stored to R1/RX as produced, the settle split into functions of a
-    few hundred statements so the optimizer sees many small basic
-    blocks instead of one huge one (gcc/clang are superlinear there)."""
+#: the one gate kernel, for every netlist
+KERNEL_SOURCE = _KERNEL_C % {
+    "cells": "\n".join(line for op in range(len(CELL_OPS))
+                       for line in _cell_case(op)),
+    "read": OP_READ, "sdff": OP_SDFF, "write": OP_WRITE, "header": HEADER}
 
-    word = "storage word of the native backend"
-    #: 600 source lines per settle function, with its 4-line header
-    chunk_lines = 596
-    results_in_locals = False
-    sep = " "
 
-    def let(self, stmt: str) -> str:
-        return f"uint64_t {stmt};"
-
-    def lets(self, *stmts: str) -> str:
-        return f"uint64_t {', '.join(stmts)};"
-
-    def assign(self, stmt: str) -> str:
-        return f"{stmt};"
-
-    @staticmethod
-    def _gather(planes: Sequence[Planes], flag: str, word: str,
-                pad: str) -> List[str]:
-        """Per pattern ``bit``: *flag* set by any X plane, *word*
-        packed from the ones planes."""
-        lines = []
-        for i, (ones, unks) in enumerate(planes):
-            lines.append(f"{pad}if ({unks} & bit) {flag} = 1;")
-            lines.append(f"{pad}if ({ones} & bit) {word} |= {1 << i}ULL;")
-        return lines
-
-    def mem_read(self, data: Sequence[Planes], addr: Sequence[Planes],
-                 depth: int, off: int, words: int) -> List[str]:
-        lines = [f"{self.let(f'{a} = 0')}{self.sep}{self.let(f'{x} = 0')}"
-                 for a, x in data]
-        lines += ["for (int p = 0; p < NP; p++) {",
-                  "  uint64_t bit = 1ULL << p;",
-                  "  int axf = 0; uint64_t addr = 0;"]
-        lines += self._gather(addr, "axf", "addr", "  ")
-        lines.append("  if (axf) {")
-        lines += [f"    {x} |= bit;" for _, x in data]
-        lines.append(f"  }} else if (addr < {depth}ULL) {{")
-        lines.append(f"    uint64_t w = MEM[(uint64_t)p * {words}ULL + "
-                     f"{off}ULL + addr];")
-        lines += [f"    if (w & {1 << i}ULL) {a} |= bit;"
-                  for i, (a, _) in enumerate(data)]
-        return lines + ["  }", "}"]
-
-    def port_write(self, en: Planes, addr: Sequence[Planes],
-                   data: Sequence[Planes], depth: int, off: int,
-                   words: int) -> List[str]:
-        lines = ["{",
-                 "  " + self.lets(f"we1 = {en[0]}", f"wex = {en[1]}"),
-                 "  uint64_t act = (we1 | wex) & M;",
-                 "  if (act) for (int p = 0; p < NP; p++) {",
-                 "    uint64_t bit = 1ULL << p;",
-                 "    if (!(act & bit)) continue;",
-                 "    int axf = 0; uint64_t addr = 0;"]
-        lines += self._gather(addr, "axf", "addr", "    ")
-        lines.append(f"    if (axf || addr >= {depth}ULL) continue;")
-        lines.append("    int dxf = 0; uint64_t data = 0;")
-        lines += self._gather(data, "dxf", "data", "    ")
-        # X data or X enable commits 0, like the interpreted engine
-        lines.append("    if (dxf || (wex & bit)) data = 0;")
-        lines.append(f"    MEM[(uint64_t)p * {words}ULL + {off}ULL + "
-                     "addr] = data;")
-        return lines + ["  }", "}"]
-
-    def program(self, chunks: List[List[str]], edge: List[str],
-                results: List[Planes]) -> str:
-        lines = ["#include <stdint.h>", ""]
-        for k, body in enumerate(chunks):
-            lines += [
-                f"static void settle{k}(uint64_t *S1, uint64_t *SX,",
-                "    uint64_t *R1, uint64_t *RX, uint64_t *MEM, uint64_t M,",
-                "    int NP) {",
-                "  (void)R1; (void)RX; (void)MEM; (void)M; (void)NP;"]
-            lines += indent(body, 2) + ["}", ""]
-        lines += ["static void settle(uint64_t *S1, uint64_t *SX, "
-                  "uint64_t *R1,",
-                  "                   uint64_t *RX, uint64_t *MEM, "
-                  "uint64_t M, int NP) {"]
-        lines += [f"  settle{k}({_SETTLE_ARGS});"
-                  for k in range(len(chunks))]
-        lines += ["}", "",
-                  "void nat_run(uint64_t *S1, uint64_t *SX, uint64_t *R1,",
-                  "             uint64_t *RX, uint64_t *MEM, uint64_t M,",
-                  "             long cycles, int NP, int settle_after) {",
-                  "  for (long c = 0; c < cycles; c++) {",
-                  f"    settle({_SETTLE_ARGS});"]
-        lines += indent(edge, 4)
-        lines += ["  }",
-                  f"  if (settle_after) settle({_SETTLE_ARGS});",
-                  "}", "", _SET_PATTERNS_C, _REPLAY_C]
-        return "\n".join(lines)
+def check_table(program: GateProgram) -> None:
+    """Raise :class:`GateSimError` unless the C kernel may run
+    *program*'s table: the header matches the layout, the ops tile the
+    settle and the edge, every opcode is a kernel case, every operand
+    lies inside the value arrays, and every memory row lies inside one
+    pattern's image (so inside ``mem_words * n_patterns``) with at most
+    64 address and data bits.  The kernel trusts the table; this is the
+    check before its first call."""
+    for name, _, _, width, _, _ in program.mem_layout:
+        if width > _WORD_BITS:
+            raise GateSimError(
+                f"memory {name!r} width {width} exceeds the 64-bit "
+                f"storage word of the native backend")
+    table, n = program.table, program.n_values
+    if len(table) < HEADER or table[0] != program.mem_words or not \
+            HEADER <= table[1] <= table[2] == len(table):
+        raise GateSimError(f"table header {list(table[:HEADER])} does "
+                           f"not frame a {len(table)}-word table over "
+                           f"{program.mem_words} memory words")
+    for lo, hi in ((HEADER, table[1]), (table[1], table[2])):
+        for op, rows in table_ops(table, lo, hi):
+            for row in rows:
+                operands = row
+                if op in (OP_READ, OP_WRITE):
+                    depth, off, na, nd = row[:4]
+                    if not (0 <= off and 0 <= depth
+                            and off + depth <= program.mem_words
+                            and na <= _WORD_BITS and nd <= _WORD_BITS):
+                        raise GateSimError(
+                            f"memory row {list(row[:4])} exceeds "
+                            f"{program.mem_words} words of 64 bits")
+                    operands = row[4:]
+                if not all(0 <= i < n for i in operands):
+                    raise GateSimError(
+                        f"op {op} row {list(row)} indexes outside "
+                        f"{n} values")
 
 
 def compile_netlist_native(netlist: Netlist,
-                           cache: Optional[CompileCache] = None,
-                           run_cycles: Optional[int] = None,
-                           program: Optional[GateProgram] = None
+                           cache: Optional[CompileCache] = None
                            ) -> GateProgram:
-    """Compile *netlist* to a loaded C kernel, via both cache layers.
+    """*netlist*'s program on the C kernel, via both cache layers.
 
-    The in-process :data:`~repro.gatesim.emit.COMPILE_CACHE` keeps
-    the loaded module under the shared structural digest tagged
-    ``backend="native"``; the ``.so`` itself persists in the on-disk
-    cache (:func:`repro.native.build_shared_object`), so a fresh
-    process re-links in milliseconds instead of recompiling, and a
-    build :meth:`NativeGateSimulator.start_build` began is waited for,
-    not started again.  *program*, the netlist's kernel as
-    :func:`emit_program` printed it in C, spares emitting it again.
-
-    *run_cycles*, when the caller knows how long it will run, picks
-    the build flags (:func:`repro.native.build_cflags`).  The
-    in-process key stays the structural hash, so a later long run of
-    the same netlist in this process would reuse a short run's ``-O0``
-    program; no caller does that today (an FI campaign's saboteur
-    program runs its own workload only, once per batch).
+    The walk (:func:`~repro.gatesim.emit.emit_program`) makes the
+    table, :func:`check_table` checks it, and the in-process
+    :data:`~repro.gatesim.emit.COMPILE_CACHE` keeps the program under
+    the shared structural digest tagged ``backend="native"``.  The
+    kernel is the same for every netlist: its ``.so`` persists in the
+    on-disk cache (:func:`repro.native.build_shared_object`), so only
+    the first program of an empty cache runs ``cc``.
     """
     if cache is None:
         cache = COMPILE_CACHE
     key = structural_hash(netlist)
 
     def factory() -> GateProgram:
-        emitted = program or emit_program(netlist, CPrinter())
-        module = compile_and_load(emitted.source, _CDEF, tag="gate",
-                                  run_cycles=run_cycles)
-        return replace(emitted, module=module, structural_key=key)
+        program = emit_program(netlist)
+        check_table(program)
+        module = compile_and_load(KERNEL_SOURCE, _CDEF, tag="gate")
+        return replace(program, module=module, structural_key=key)
 
     return cache.get_or_compile(key, factory, backend="native")
-
-
-class KernelBuild:
-    """A gate kernel, emitted and compiling in a ``cc`` child process:
-    what :meth:`NativeGateSimulator.start_build` returns.
-
-    :meth:`reap` waits for the child (:meth:`repro.native.Build.reap`)
-    and :meth:`load` loads the kernel it built into
-    :data:`~repro.gatesim.emit.COMPILE_CACHE`, from the source emitted
-    here, so every simulator of the netlist made later -- in this
-    process or in a child it forks -- finds it there.  A failed build
-    loads nothing: the first such simulator raises its error, as a
-    build started there would.  :meth:`cancel` stops a child that still
-    runs.
-    """
-
-    def __init__(self, netlist: Netlist, run_cycles: Optional[int]):
-        self._netlist = netlist
-        self._run_cycles = run_cycles
-        self._program = emit_program(netlist, CPrinter())
-        self._build = start_build(self._program.source, tag="gate",
-                                  cflags=build_cflags(run_cycles))
-
-    def reap(self) -> float:
-        """Wait for the child and return its CPU seconds; a failure is
-        kept for :meth:`load`."""
-        self._build.reap()
-        return self._build.cpu_s
-
-    def load(self) -> None:
-        """Load the kernel (reaping the child first if need be)."""
-        self._build.reap()
-        if self._build.error is None:
-            compile_netlist_native(self._netlist,
-                                   run_cycles=self._run_cycles,
-                                   program=self._program)
-
-    def cancel(self) -> None:
-        self._build.cancel()
 
 
 # ----------------------------------------------------------------------
@@ -317,61 +325,42 @@ class _MemoryView(PokeableMemory):
 # ----------------------------------------------------------------------
 # port sampling
 # ----------------------------------------------------------------------
-#: a plane source for the sampler: (True, state_slot) or
-#: (False, result_index)
-_Where = Tuple[bool, int]
-
-
-def plane_sampler(ports: Dict[str, List[_Where]],
+def plane_sampler(ports: Dict[str, List[int]],
                   planes: Callable[[], tuple],
                   n_patterns: int) -> PortSampler:
     """A port sampler over two-bitplane storage.
 
-    *ports* gives each port bit's source; *planes()* settles the engine
-    and returns its ``(S1, SX, R1, RX)`` storage.  Each read gathers
-    every bit's ones and unknowns (one ``itemgetter`` call per array)
-    and packs pattern 0 as one 4-valued code per byte (``ones | unk <<
-    1``: the engines hold Z as X).
+    *ports* gives each port bit's value index; *planes()* settles the
+    engine and returns its ``(V1, VX)`` planes.  Each read gathers every
+    bit's ones and unknowns (one ``itemgetter`` call per plane) and
+    packs pattern 0 as one 4-valued code per byte (``ones | unk << 1``:
+    the engines hold Z as X).
     """
-    bits = [src for srcs in ports.values() for src in srcs]
-    state = [k for k, (in_state, _) in enumerate(bits) if in_state]
-    result = [k for k, (in_state, _) in enumerate(bits) if not in_state]
-    take_s = gather([bits[k][1] for k in state])
-    take_r = gather([bits[k][1] for k in result])
-    if state + result == sorted(state + result):
-        order = None  # already in port order
-    else:
-        where = {k: i for i, k in enumerate(state + result)}
-        order = gather([where[k] for k in range(len(bits))])
+    take = gather([i for bits in ports.values() for i in bits])
 
-    def pack(in_state, in_result) -> int:
-        words = take_s(in_state) + take_r(in_result)
-        if order is not None:
-            words = order(words)
+    def pack(plane) -> int:
+        words = take(plane)
         if n_patterns > 1:
             words = map((1).__and__, words)
         return int.from_bytes(bytes(words), "little")
 
     def read() -> int:
-        s1, sx, r1, rx = planes()
-        return pack(s1, r1) | pack(sx, rx) << 1
+        v1, vx = planes()
+        return pack(v1) | pack(vx) << 1
 
-    return PortSampler(read, {name: len(srcs)
-                              for name, srcs in ports.items()})
+    return PortSampler(read, {name: len(bits)
+                              for name, bits in ports.items()})
 
 
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
-#: a plane source: (ones view, unknowns view, index into both)
-_Src = Tuple[object, object, int]
-
 #: one value word
 _WORD = (1 << _WORD_BITS) - 1
 
 
 class NativeGateSimulator:
-    """Parallel-pattern gate-level simulator over a generated kernel.
+    """Parallel-pattern gate-level simulator over a gate program.
 
     Mirrors the public API of the interpreted
     :class:`~repro.gatesim.simulator.GateSimulator` (``set_input`` /
@@ -396,19 +385,18 @@ class NativeGateSimulator:
     state goes through views of its buffers.  The combinational cone
     settles lazily: a read settles it first only when one of the bits
     read is a net of the cone, not a state slot (an input or a flop Q).
-    Subclasses change only the kernel build (:meth:`_compile`,
-    :meth:`start_build`).
-
-    *run_cycles* is how many cycles the caller will step, when it
-    knows; it picks the build flags of the kernel.
+    Subclasses change only how the program loads (:meth:`_compile`).
     """
 
     backend = "native"
+    #: an FI campaign runs every batch on one saboteur program that
+    #: holds its whole faultload (:func:`repro.fi.campaign.shared_program`):
+    #: the table costs a walk, not a build, per program
+    union_program = True
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, n_patterns: int = 1,
-                 cache: Optional[CompileCache] = None,
-                 run_cycles: Optional[int] = None):
+                 cache: Optional[CompileCache] = None):
         if checking_memories:
             raise GateSimError(
                 f"checking memories are not supported by the "
@@ -426,32 +414,34 @@ class NativeGateSimulator:
         self.n_patterns = n_patterns
         self.cycles = 0
         self._mask = mask(n_patterns)
-        self.program = self._compile(netlist, cache, run_cycles)
+        self.program = self._compile(netlist, cache)
         prog = self.program
         mod = prog.module
         self._u64_arg = mod.u64_arg
         self._run = mod.fn("nat_run")
         self._set_patterns = mod.fn("nat_set_patterns")
         self._replay = mod.fn("nat_replay")
+        self._table = mod.i32_arg(prog.table)
 
-        self._slot = {uid: i for i, uid in enumerate(prog.state_uids)}
-        self._ridx = {uid: i for i, uid in enumerate(prog.result_uids)}
+        # every net's value index: its state slot, or n_state + its
+        # result index
+        self._n_state = len(prog.state_uids)
+        self._index = {uid: i for i, uid in enumerate(prog.state_uids)}
+        self._index.update((uid, self._n_state + i)
+                           for i, uid in enumerate(prog.result_uids))
 
         # the kernel's buffers, and the views Python reads and writes
         # them through (raw FFI element access is ~4x slower, see
         # NativeModule.u64_view)
-        self._s1 = mod.u64_buffer(len(prog.state_uids))
-        self._sx = mod.u64_buffer(len(prog.state_uids))
-        self._r1 = mod.u64_buffer(len(prog.result_uids))
-        self._rx = mod.u64_buffer(len(prog.result_uids))
+        self._v1 = mod.u64_buffer(prog.n_values)
+        self._vx = mod.u64_buffer(prog.n_values)
         self._mem = mod.u64_buffer(max(1, prog.mem_words * n_patterns))
-        self._s1_v, self._sx_v, self._r1_v, self._rx_v, self._mem_v = (
-            mod.u64_view(buf) for buf in
-            (self._s1, self._sx, self._r1, self._rx, self._mem))
+        self._v1_v, self._vx_v, self._mem_v = (
+            mod.u64_view(buf) for buf in (self._v1, self._vx, self._mem))
 
-        self._s1_v[self._slot[netlist.const1.uid]] = self._mask
+        self._v1_v[self._index[netlist.const1.uid]] = self._mask
         for uid in prog.x_state_uids:
-            self._sx_v[self._slot[uid]] = self._mask
+            self._vx_v[self._index[uid]] = self._mask
 
         # one pattern's initial memory image, copied into every
         # pattern's span by _load_memories, and the pattern-private views
@@ -473,10 +463,10 @@ class NativeGateSimulator:
         # flop init states
         self._flop_slots: List[Tuple[int, int]] = []
         for flop in netlist.flops():
-            q_slot = self._slot[flop.outputs["Q"].uid]
+            q_slot = self._index[flop.outputs["Q"].uid]
             init = flop.init & 1
             self._flop_slots.append((q_slot, init))
-            self._s1_v[q_slot] = self._mask if init else 0
+            self._v1_v[q_slot] = self._mask if init else 0
 
         # per input: (bit offset, slot table, bits) per 64-bit chunk,
         # the arguments of one nat_set_patterns call each, and its bits'
@@ -484,7 +474,7 @@ class NativeGateSimulator:
         self._inputs: Dict[str, List[Tuple[int, object, int]]] = {}
         self._fields: Dict[str, List[Tuple[int, int, int]]] = {}
         for name, nets in netlist.inputs.items():
-            slots = [self._slot[n.uid] for n in nets]
+            slots = [self._index[n.uid] for n in nets]
             self._fields[name] = [(j, i, 1) for i, j in enumerate(slots)]
             chunks = [slots[lo:lo + _WORD_BITS]
                       for lo in range(0, len(slots), _WORD_BITS)]
@@ -492,46 +482,30 @@ class NativeGateSimulator:
                 (k * _WORD_BITS, mod.u64_buffer(chunk), len(chunk))
                 for k, chunk in enumerate(chunks)]
 
-        # port lookup tables (outputs shadow inputs, like interpreted),
-        # and the ports with a bit in the cone: reads of those settle
-        self._ports: Dict[str, List[_Src]] = {}
+        # every port's value indices (outputs shadow inputs, like
+        # interpreted), and the ports with a bit in the cone: reads of
+        # those settle
+        self._ports: Dict[str, List[int]] = {}
         for name, nets in list(netlist.outputs.items()) + \
                 list(netlist.inputs.items()):
-            self._ports.setdefault(
-                name, [self._src(n.uid) for n in nets])
-        self._cone_ports = {name for name, srcs in self._ports.items()
-                            if any(a is self._r1_v for a, _, _ in srcs)}
+            self._ports.setdefault(name, [self._index[n.uid] for n in nets])
+        self._cone_ports = {name for name, bits in self._ports.items()
+                            if any(i >= self._n_state for i in bits)}
 
         self._dirty = True
         self._settle()
 
-    def _compile(self, netlist: Netlist, cache: Optional[CompileCache],
-                 run_cycles: Optional[int]) -> GateProgram:
-        """The loaded kernel of *netlist*: C, built for *run_cycles*."""
-        return compile_netlist_native(netlist, cache=cache,
-                                      run_cycles=run_cycles)
-
-    @staticmethod
-    def start_build(netlist: Netlist,
-                    run_cycles: Optional[int] = None) -> KernelBuild:
-        """Emit *netlist*'s kernel and start building it in a child
-        process (:func:`repro.native.start_build`), for simulators of
-        it made later (see :class:`KernelBuild`).  An engine with
-        nothing to build out of process sets this to None."""
-        return KernelBuild(netlist, run_cycles)
+    def _compile(self, netlist: Netlist,
+                 cache: Optional[CompileCache]) -> GateProgram:
+        """The loaded program of *netlist*: its table on the C kernel."""
+        return compile_netlist_native(netlist, cache=cache)
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _src(self, uid: int) -> _Src:
-        s = self._slot.get(uid)
-        if s is not None:
-            return (self._s1_v, self._sx_v, s)
-        return (self._r1_v, self._rx_v, self._ridx[uid])
-
     def _settle(self) -> None:
-        self._run(self._s1, self._sx, self._r1, self._rx, self._mem,
-                  self._mask, 0, self.n_patterns, 1)
+        self._run(self._table, self._v1, self._vx, self._mem, self._mask,
+                  0, self.n_patterns, 1)
         self._dirty = False
 
     def _load_memories(self) -> None:
@@ -548,14 +522,14 @@ class NativeGateSimulator:
         """A memory poke changed storage: the next read re-settles."""
         self._dirty = True
 
-    def _port(self, name: str) -> List[_Src]:
-        srcs = self._ports.get(name)
-        if srcs is None:
+    def _port(self, name: str) -> List[int]:
+        bits = self._ports.get(name)
+        if bits is None:
             raise GateSimError(f"no port named {name!r}")
-        return srcs
+        return bits
 
-    def _port_srcs(self, name: str) -> List[_Src]:
-        """A port's plane sources, current for a read: the cone settles
+    def _port_bits(self, name: str) -> List[int]:
+        """A port's value indices, current for a read: the cone settles
         first when a bit of the port is in it."""
         if name in self._cone_ports:
             self._ensure_settled()
@@ -571,11 +545,11 @@ class NativeGateSimulator:
             raise GateSimError(f"no input named {name!r}")
         value &= mask(len(nets))
         M = self._mask
-        s1, sx, slot = self._s1_v, self._sx_v, self._slot
+        v1, vx, index = self._v1_v, self._vx_v, self._index
         for i, net in enumerate(nets):
-            j = slot[net.uid]
-            s1[j] = M if (value >> i) & 1 else 0
-            sx[j] = 0
+            j = index[net.uid]
+            v1[j] = M if (value >> i) & 1 else 0
+            vx[j] = 0
         self._dirty = True
 
     def set_input_logic(self, name: str, values: Sequence[int]) -> None:
@@ -587,15 +561,15 @@ class NativeGateSimulator:
             raise GateSimError(
                 f"input {name!r} is {len(nets)} bits, got {len(values)}")
         M = self._mask
-        s1, sx = self._s1_v, self._sx_v
+        v1, vx = self._v1_v, self._vx_v
         for net, v in zip(nets, values):
-            j = self._slot[net.uid]
+            j = self._index[net.uid]
             if v == L.L1:
-                s1[j], sx[j] = M, 0
+                v1[j], vx[j] = M, 0
             elif v == L.L0:
-                s1[j], sx[j] = 0, 0
+                v1[j], vx[j] = 0, 0
             else:
-                s1[j], sx[j] = 0, M
+                v1[j], vx[j] = 0, M
         self._dirty = True
 
     def get(self, name: str) -> int:
@@ -609,7 +583,7 @@ class NativeGateSimulator:
     def port_sampler(self, names: Sequence[str]) -> PortSampler:
         """Pattern 0 of every bit of *names*, one gather per read (see
         :class:`~repro.engines.PortSampler`)."""
-        views = (self._s1_v, self._sx_v, self._r1_v, self._rx_v)
+        views = (self._v1_v, self._vx_v)
         settle = (self._ensure_settled if self._cone_ports.intersection(names)
                   else lambda: None)
 
@@ -617,10 +591,8 @@ class NativeGateSimulator:
             settle()
             return views
 
-        return plane_sampler(
-            {name: [(a is self._s1_v, index)
-                    for a, _, index in self._port(name)]
-             for name in names}, planes, self.n_patterns)
+        return plane_sampler({name: self._port(name) for name in names},
+                             planes, self.n_patterns)
 
     def replay(self, waveform: Sequence[Dict[str, int]],
                ports: Sequence[str]) -> List[int]:
@@ -629,14 +601,13 @@ class NativeGateSimulator:
         ``port_sampler(ports).read()`` returns.  Writes broadcast to
         every pattern, as :meth:`set_input` does; the cone settles after
         an edge only when a sampled bit is in it."""
-        srcs = [index << 1 | (a is not self._s1_v)
-                for name in ports for a, _, index in self._port(name)]
+        srcs = [i for name in ports for i in self._port(name)]
         rows = write_rows(waveform, self._fields, self.set_input)
         ticks, nb = len(waveform), len(srcs)
-        settle_after = int(any(k & 1 for k in srcs))
+        settle_after = int(any(i >= self._n_state for i in srcs))
         mod = self.program.module
         out = mod.u8_buffer(ticks * nb)
-        self._replay(self._s1, self._sx, self._r1, self._rx, self._mem,
+        self._replay(self._table, self._v1, self._vx, self._mem,
                      self._mask, self.n_patterns, self._u64_arg(rows),
                      len(rows) // 3, ticks, self._u64_arg(srcs), nb,
                      settle_after, out)
@@ -668,7 +639,7 @@ class NativeGateSimulator:
                 f"expected {self.n_patterns} pattern values, "
                 f"got {len(values)}")
         for lo, slots, width in chunks:
-            self._set_patterns(self._s1, self._sx, slots, width,
+            self._set_patterns(self._v1, self._vx, slots, width,
                                self._words(values, lo), self.n_patterns)
         self._dirty = True
 
@@ -684,10 +655,11 @@ class NativeGateSimulator:
 
     def get_patterns(self, name: str) -> List[int]:
         """Read a port as one integer per pattern (X/Z raise)."""
-        srcs = self._port_srcs(name)
+        bits = self._port_bits(name)
+        v1, vx = self._v1_v, self._vx_v
         out = [0] * self.n_patterns
-        for i, (a, x, index) in enumerate(srcs):
-            ones, unk = a[index], x[index]
+        for i, index in enumerate(bits):
+            ones, unk = v1[index], vx[index]
             if unk:
                 p = (unk & -unk).bit_length() - 1
                 raise GateSimError(
@@ -707,19 +679,21 @@ class NativeGateSimulator:
         plain integer ops, X included, without the per-pattern decode
         of :meth:`get_patterns` / :meth:`get_logic_pattern`.
         """
-        srcs = self._port_srcs(name)
-        return ([a[i] for a, _, i in srcs], [x[i] for _, x, i in srcs])
+        bits = self._port_bits(name)
+        v1, vx = self._v1_v, self._vx_v
+        return [v1[i] for i in bits], [vx[i] for i in bits]
 
     def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
         """Read a port of one pattern as logic values (X allowed)."""
         check_pattern(pattern, self.n_patterns)
-        srcs = self._port_srcs(name)
+        bits = self._port_bits(name)
+        v1, vx = self._v1_v, self._vx_v
         bit = 1 << pattern
         out = []
-        for a, x, index in srcs:
-            if x[index] & bit:
+        for index in bits:
+            if vx[index] & bit:
                 out.append(L.LX)
-            elif a[index] & bit:
+            elif v1[index] & bit:
                 out.append(L.L1)
             else:
                 out.append(L.L0)
@@ -747,8 +721,8 @@ class NativeGateSimulator:
         kernel."""
         if cycles < 1:
             return
-        self._run(self._s1, self._sx, self._r1, self._rx, self._mem,
-                  self._mask, cycles, self.n_patterns, 0)
+        self._run(self._table, self._v1, self._vx, self._mem, self._mask,
+                  cycles, self.n_patterns, 0)
         self.cycles += cycles
         # settle lazily: the next read (or next step) re-settles the
         # cone once
@@ -758,8 +732,8 @@ class NativeGateSimulator:
         """Restore flops and memories to their initial state."""
         M = self._mask
         for q_slot, init in self._flop_slots:
-            self._s1_v[q_slot] = M if init else 0
-            self._sx_v[q_slot] = 0
+            self._v1_v[q_slot] = M if init else 0
+            self._vx_v[q_slot] = 0
         self._load_memories()
         self.cycles = 0
         self._dirty = True
@@ -773,11 +747,9 @@ class NativeGateSimulator:
         """Pattern-0 net values indexed by uid (interpreted-compat)."""
         self._ensure_settled()
         out = [L.LX] * len(self.netlist.nets)
-        s1, sx, r1, rx = self._s1_v, self._sx_v, self._r1_v, self._rx_v
-        for uid, slot in self._slot.items():
-            out[uid] = L.LX if sx[slot] & 1 else s1[slot] & 1
-        for uid, index in self._ridx.items():
-            out[uid] = L.LX if rx[index] & 1 else r1[index] & 1
+        v1, vx = self._v1_v, self._vx_v
+        for uid, index in self._index.items():
+            out[uid] = L.LX if vx[index] & 1 else v1[index] & 1
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

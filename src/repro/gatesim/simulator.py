@@ -55,13 +55,12 @@ class GateSimulator:
     ``"interpreted"`` (this class, selective trace, the default),
     ``"compiled"`` -- a
     :class:`~repro.gatesim.compiled.CompiledGateSimulator`, same public
-    API, one generated whole-edge kernel plus parallel-pattern
-    evaluation -- or ``"native"``, the same kernel over C ``uint64_t``
-    bitplanes.  ``checking_memories`` (the address-checking model) is
+    API, the netlist's op table printed as one whole-edge kernel plus
+    parallel-pattern evaluation -- or ``"native"``, the same table
+    walked by one fixed C kernel over ``uint64_t`` bitplanes.  ``checking_memories`` (the address-checking model) is
     this engine's alone; the generated engines reject it.
     It holds one pattern and offers the pattern API at it, so a
-    one-lane FI run drives every gate engine alike; ``run_cycles`` is
-    unused (nothing is built).
+    one-lane FI run drives every gate engine alike.
     """
 
     backend = "interpreted"
@@ -77,8 +76,7 @@ class GateSimulator:
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, backend: str = "interpreted",
-                 n_patterns: int = 1, run_cycles: Optional[int] = None,
-                 **kwargs):
+                 n_patterns: int = 1, **kwargs):
         if n_patterns != 1:
             raise GateSimError("the interpreted backend simulates a "
                                f"single pattern, not {n_patterns}")

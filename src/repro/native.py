@@ -9,17 +9,14 @@ three emitters share:
 
 * **toolchain discovery** -- ``$CC`` first, then ``cc``/``gcc``/
   ``clang`` on ``$PATH``, cached per process;
-* **the build-flag policy** (:func:`build_cflags`) -- one decision,
-  from how long the program will run;
+* **the build-flag policy** (:func:`build_cflags`) -- one set of
+  flags for every build;
 * **an on-disk shared-object cache** keyed by a digest of (schema
   version, compiler, flags, source), so recompiles survive process
   restarts.  Corrupt or stale artifacts fall back to a recompile, the
   directory is LRU-bounded by mtime, and hit/miss/eviction/error and
   source-byte counters flow into the :mod:`repro.obs` metrics
   registry;
-* **builds as child processes** -- :func:`start_build` starts ``cc``
-  and returns at once, so a caller can run other work while it
-  compiles; :func:`build_shared_object` starts and waits;
 * **graceful degradation** -- :func:`resolve_backend` maps ``native``
   to ``compiled`` with a single :class:`NativeFallbackWarning` and a
   ``repro_native_fallback_total`` telemetry increment when no C
@@ -44,18 +41,16 @@ import re
 import shutil
 import subprocess
 import tempfile
-import time
 import warnings
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "NATIVE_SCHEMA_VERSION", "NativeFallbackWarning", "NativeModule",
-    "NativeToolchainError", "BREAK_EVEN_CYCLES", "PythonKernel",
-    "build_cflags",
+    "NativeToolchainError", "PythonKernel", "build_cflags",
     "build_shared_object", "compile_and_load", "find_compiler",
     "native_cache_dir", "resolve_backend", "toolchain_available",
-    "toolchain_info", "Build", "start_build",
+    "toolchain_info",
 ]
 
 #: bump to invalidate every on-disk artifact (ABI or codegen changes)
@@ -130,33 +125,11 @@ def _loader_kind() -> str:
         return "ctypes"
 
 
-#: run length (clock cycles) below which ``-O2`` never pays back its
-#: build, so :func:`build_cflags` picks ``-O0``.  Both sides of the
-#: trade scale with source size -- ``cc`` time, and the time one step
-#: saves -- so the threshold is a cycle count on its own.  Measured on
-#: a 2-CPU x86_64 host with gcc, on a ~260 KB FI overlay and the
-#: 253 KB Gate-RTL netlist: ``cc`` takes 0.6-1.0 s at ``-O0`` and
-#: 3.6-5.2 s at ``-O2``; one 64-pattern step takes 13-19 us at ``-O0``
-#: and 4.5-9.3 us at ``-O2``.  ``-O2`` therefore repays its extra
-#: 2.6-4.6 s of build after roughly 0.3-0.8 M cycles; the threshold
-#: sits at the low end, so a run that might repay ``-O2`` still gets
-#: it.  FI overlays run 607-36,355 cycles.
-BREAK_EVEN_CYCLES = 300_000
-
-
-def build_cflags(run_cycles: Optional[int] = None) -> List[str]:
-    """The compiler flags of one build: the one flag policy.
-
-    ``$REPRO_NATIVE_CFLAGS`` wins unconditionally.  Otherwise a caller
-    that knows its program runs fewer than :data:`BREAK_EVEN_CYCLES`
-    cycles gets ``-O0``, and every other build ``-O2``.
-    """
+def build_cflags() -> List[str]:
+    """The compiler flags of every build: ``$REPRO_NATIVE_CFLAGS`` when
+    set, else ``-O2``."""
     env = os.environ.get(ENV_CFLAGS, "").strip()
-    if env:
-        return env.split()
-    if run_cycles is not None and run_cycles < BREAK_EVEN_CYCLES:
-        return ["-O0"]
-    return ["-O2"]
+    return env.split() if env else ["-O2"]
 
 
 def toolchain_info() -> Dict[str, object]:
@@ -170,8 +143,7 @@ def toolchain_info() -> Dict[str, object]:
     if os.environ.get(ENV_CFLAGS, "").strip():
         cflags += f" (${ENV_CFLAGS}, every build)"
     else:
-        cflags += (f"; {' '.join(build_cflags(0))} for runs under "
-                   f"{BREAK_EVEN_CYCLES} cycles")
+        cflags += " (every build)"
     return {
         "available": toolchain_available(),
         "compiler": find_compiler(),
@@ -291,136 +263,37 @@ def _unlink_quietly(*paths: str) -> None:
             pass
 
 
-class Build:
-    """One ``.so`` build: a disk hit, done at once, or a ``cc`` child.
-
-    :func:`start_build` makes it; :meth:`wait` finishes it and returns
-    the artifact path.  :meth:`reap` waits for the child without
-    raising, so a caller can take the child's exit off its critical
-    path and leave a failure for the :meth:`wait` that needs the
-    artifact.  Reaping installs the artifact, adds the child's CPU
-    seconds to ``repro_native_build_seconds_total{cflags=...}`` and
-    records a ``native.cc`` span from start to reap under the span open
-    at that moment.  :meth:`cancel` stops a child that still runs.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.pid = os.getpid()
-        #: CPU seconds of the ``cc`` child and what it ran, once reaped
-        self.cpu_s = 0.0
-        self.error: Optional[NativeToolchainError] = None
-        self._proc: Optional[subprocess.Popen] = None
-        self._tmp_c = f"{path[:-3]}.{self.pid}.tmp.c"
-        self._tmp_so = f"{path}.{self.pid}.tmp"
-
-    def _launch(self, compiler: str, cflags: Sequence[str], tag: str,
-                source: str) -> None:
-        """Write *source* to a temporary file and start ``cc`` on it."""
-        self._compiler = compiler
-        self._span = dict(tag=tag, cflags=" ".join(cflags),
-                          source_bytes=len(source))
-        with open(self._tmp_c, "w") as fh:
-            fh.write(source)
-        # a file, not a pipe: a child that fills a pipe nobody reads
-        # yet would stall
-        self._log = tempfile.TemporaryFile("w+")
-        self._t0_wall = time.time()
-        try:
-            self._proc = subprocess.Popen(
-                [compiler, *cflags, "-shared", "-fPIC", "-o", self._tmp_so,
-                 self._tmp_c], stdin=subprocess.DEVNULL, stdout=self._log,
-                stderr=subprocess.STDOUT)
-        except OSError as exc:
-            self._log.close()
-            os.unlink(self._tmp_c)
-            raise NativeToolchainError(f"failed to run {compiler}: {exc}")
-
-    def reap(self) -> None:
-        """Wait for the child to exit and install its artifact; a
-        failure is kept for :meth:`wait` to raise.  An interrupt while
-        waiting cancels the build."""
-        proc = self._proc
-        if proc is None:
-            return
+def _run_cc(cmd: Sequence[str]) -> Tuple[int, float, str]:
+    """Run the compiler *cmd*; its exit code, CPU seconds and output.
+    An interrupt while it runs kills it."""
+    # a file, not a pipe: a child that fills a pipe nobody reads yet
+    # would stall
+    with tempfile.TemporaryFile("w+") as log:
+        proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=log,
+                                stderr=subprocess.STDOUT)
         try:
             _, status, usage = os.wait4(proc.pid, 0)
         except BaseException:
-            self.cancel()
+            proc.kill()
+            proc.wait()
             raise
-        self._proc = None
         proc.returncode = os.waitstatus_to_exitcode(status)
-        self.cpu_s = usage.ru_utime + usage.ru_stime
-        _count("repro_native_build_seconds_total",
-               "CPU seconds of the C compiler, by the flags it used",
-               by=self.cpu_s, cflags=self._span["cflags"])
-        from .obs.trace import record_span
-        record_span("native.cc", self._t0_wall, time.time(),
-                    cpu_s=round(self.cpu_s, 6), **self._span)
-        self._log.seek(0)
-        output = self._log.read()
-        self._log.close()
-        if proc.returncode != 0:
-            _unlink_quietly(self._tmp_c, self._tmp_so)
-            _count("repro_native_disk_cache_errors_total",
-                   "native toolchain compile/load failures")
-            self.error = NativeToolchainError(
-                f"{self._compiler} failed ({proc.returncode}):\n"
-                f"{output[:2000]}")
-            return
-        try:
-            os.replace(self._tmp_c, self.path[:-3] + ".c")
-            os.replace(self._tmp_so, self.path)
-        except OSError as exc:
-            _unlink_quietly(self._tmp_c, self._tmp_so)
-            self.error = NativeToolchainError(
-                f"could not install {self.path}: {exc}")
-            return
-        _evict_lru(os.path.dirname(self.path), _cache_max_entries())
-
-    def wait(self) -> str:
-        """The artifact path, once built; raises a failed build's
-        :class:`NativeToolchainError`."""
-        if _STARTED.get(self.path) is self:
-            del _STARTED[self.path]
-        self.reap()
-        if self.error is not None:
-            raise self.error
-        return self.path
-
-    def cancel(self) -> None:
-        """Kill and reap a child that still runs, remove its temporary
-        files, and forget the build: the next :func:`start_build` of
-        its source starts afresh or finds the artifact on disk."""
-        if _STARTED.get(self.path) is self:
-            del _STARTED[self.path]
-        proc = self._proc
-        if proc is None:
-            return
-        self._proc = None
-        proc.kill()
-        proc.wait()
-        self._log.close()
-        _unlink_quietly(self._tmp_c, self._tmp_so)
-        self.error = NativeToolchainError(f"build of {self.path} cancelled")
+        log.seek(0)
+        return (proc.returncode, usage.ru_utime + usage.ru_stime,
+                log.read())
 
 
-#: builds this process started and no :meth:`Build.wait` took up yet,
-#: by artifact path
-_STARTED: Dict[str, Build] = {}
+def build_shared_object(source: str, tag: str = "mod",
+                        cflags: Optional[Sequence[str]] = None) -> str:
+    """Compile *source* to a cached ``.so``; return its path.
 
-
-def start_build(source: str, tag: str = "mod",
-                cflags: Optional[Sequence[str]] = None) -> Build:
-    """Start compiling *source* to a cached ``.so``; see :class:`Build`.
-
-    *cflags* defaults to :func:`build_cflags` with no run length.  A
-    build of the same artifact that this process started and nothing
-    waited for yet is returned as is.  Cache hits are recognised by
-    digest-addressed filenames and only touch the mtime (the LRU
-    clock).  ``cc`` runs as a child process writing temporary files
-    that :meth:`Build.reap` renames into place (``os.replace``), so
-    concurrent processes can share the directory.
+    *cflags* defaults to :func:`build_cflags`.  Cache hits are
+    recognised by digest-addressed filenames and only touch the mtime
+    (the LRU clock).  Builds are atomic (temporary files renamed into
+    place with ``os.replace``), so concurrent processes can share the
+    directory.  ``cc`` runs inside a ``native.cc`` span that carries its
+    CPU seconds as ``cpu_s``, which also add to
+    ``repro_native_build_seconds_total{cflags=...}``.
     """
     compiler = find_compiler()
     if compiler is None:
@@ -431,9 +304,6 @@ def start_build(source: str, tag: str = "mod",
     directory = native_cache_dir()
     digest = source_digest(source, cflags)
     so_path = os.path.join(directory, f"{tag}-{digest}.so")
-    started = _STARTED.get(so_path)
-    if started is not None and started.pid == os.getpid():
-        return started
     if os.path.exists(so_path):
         _count("repro_native_disk_cache_hits_total",
                "native .so artifacts reused from the on-disk cache")
@@ -441,7 +311,7 @@ def start_build(source: str, tag: str = "mod",
             os.utime(so_path)
         except OSError:
             pass
-        return Build(so_path)
+        return so_path
     _count("repro_native_disk_cache_misses_total",
            "native .so artifacts compiled from source")
     flags = " ".join(cflags)
@@ -450,17 +320,40 @@ def start_build(source: str, tag: str = "mod",
            cflags=flags)
     _count("repro_native_source_bytes_total",
            "C source bytes fed to the native toolchain", by=len(source))
-    build = Build(so_path)
-    build._launch(compiler, cflags, tag, source)
-    _STARTED[so_path] = build
-    return build
-
-
-def build_shared_object(source: str, tag: str = "mod",
-                        cflags: Optional[Sequence[str]] = None) -> str:
-    """Compile *source* to a cached ``.so``; return its path: the
-    :func:`start_build` of it, waited for."""
-    return start_build(source, tag=tag, cflags=cflags).wait()
+    tmp_c = f"{so_path[:-3]}.{os.getpid()}.tmp.c"
+    tmp_so = f"{so_path}.{os.getpid()}.tmp"
+    with open(tmp_c, "w") as fh:
+        fh.write(source)
+    from .obs.trace import span
+    try:
+        with span("native.cc", tag=tag, cflags=flags,
+                  source_bytes=len(source)) as cc_span:
+            returncode, cpu_s, output = _run_cc(
+                [compiler, *cflags, "-shared", "-fPIC", "-o", tmp_so, tmp_c])
+            cc_span.note(cpu_s=round(cpu_s, 6))
+    except OSError as exc:
+        _unlink_quietly(tmp_c, tmp_so)
+        raise NativeToolchainError(f"failed to run {compiler}: {exc}")
+    except BaseException:
+        _unlink_quietly(tmp_c, tmp_so)
+        raise
+    _count("repro_native_build_seconds_total",
+           "CPU seconds of the C compiler, by the flags it used",
+           by=cpu_s, cflags=flags)
+    if returncode != 0:
+        _unlink_quietly(tmp_c, tmp_so)
+        _count("repro_native_disk_cache_errors_total",
+               "native toolchain compile/load failures")
+        raise NativeToolchainError(
+            f"{compiler} failed ({returncode}):\n{output[:2000]}")
+    try:
+        os.replace(tmp_c, so_path[:-3] + ".c")
+        os.replace(tmp_so, so_path)
+    except OSError as exc:
+        _unlink_quietly(tmp_c, tmp_so)
+        raise NativeToolchainError(f"could not install {so_path}: {exc}")
+    _evict_lru(directory, _cache_max_entries())
+    return so_path
 
 
 # ----------------------------------------------------------------------
@@ -478,6 +371,7 @@ _CTYPES_MAP = {
     "uint64_t": ctypes.c_uint64,
     "int64_t*": ctypes.POINTER(ctypes.c_int64),
     "uint64_t*": ctypes.POINTER(ctypes.c_uint64),
+    "int32_t*": ctypes.POINTER(ctypes.c_int32),
     "uint8_t*": ctypes.POINTER(ctypes.c_uint8),
     "long*": ctypes.POINTER(ctypes.c_long),
 }
@@ -582,6 +476,13 @@ class NativeModule:
             return self._ffi.from_buffer("uint64_t[]", words)
         return (ctypes.c_uint64 * len(words)).from_buffer(words)
 
+    def i32_arg(self, values: Sequence[int]) -> object:
+        """*values* as an ``int32_t*`` argument (a copy it keeps alive)."""
+        words = array("i", values)
+        if self._ffi is not None:
+            return self._ffi.from_buffer("int32_t[]", words)
+        return (ctypes.c_int32 * len(words)).from_buffer(words)
+
     def u8_buffer(self, n: int) -> object:
         """A zeroed ``uint8_t`` array of *n* entries (at least one)."""
         if self._ffi is not None:
@@ -660,6 +561,8 @@ class PythonKernel:
     def u64_arg(values: Sequence[int]) -> Sequence[int]:
         return values
 
+    i32_arg = u64_arg
+
     #: *values* as a list, which a list's slice takes (its lanes
     #: refuse a negative value when it is stored)
     u64_words = list
@@ -674,12 +577,9 @@ class PythonKernel:
     u8_bytes = bytes
 
 
-def compile_and_load(source: str, cdef: str, tag: str = "mod",
-                     run_cycles: Optional[int] = None) -> NativeModule:
+def compile_and_load(source: str, cdef: str,
+                     tag: str = "mod") -> NativeModule:
     """Build (or reuse) the ``.so`` for *source* and load it.
-
-    *run_cycles* is how long the caller will run the program, when it
-    knows; :func:`build_cflags` turns it into the build flags.
 
     A corrupt or stale on-disk artifact -- truncated file, ABI drift
     that slipped past the digest -- is deleted and rebuilt once rather
@@ -688,7 +588,7 @@ def compile_and_load(source: str, cdef: str, tag: str = "mod",
     it was loaded was evicted by a process sharing the cache: it is
     rebuilt, and neither counted nor held against the load.
     """
-    cflags = build_cflags(run_cycles)
+    cflags = build_cflags()
     last_error: Optional[Exception] = None
     failures = 0
     while failures < 2:

@@ -195,7 +195,7 @@ def test_interpreted_pattern_api_at_its_one_pattern():
     """The interpreted engine's pattern API at ``n_patterns=1`` is its
     scalar API: the same writes, reads (X included) and memory."""
     plain = GateSimulator(_ram_reader())
-    lane = GateSimulator(_ram_reader(), n_patterns=1, run_cycles=3)
+    lane = GateSimulator(_ram_reader(), n_patterns=1)
     for name, value in (("a", 1), ("we", 1), ("din", 6)):
         plain.set_input(name, value)
         lane.set_input_patterns(name, [value])

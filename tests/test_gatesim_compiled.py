@@ -302,18 +302,10 @@ def _assert_wide_read_is_current(sim):
 @pytest.mark.parametrize("seed", range(50))
 def test_random_netlist_equivalence(seed, backend):
     """Interpreted vs codegen on random netlists with X injection and,
-    mid-run, a bit flip in every memory cell with the inputs held.
-
-    The native engine runs twice, built for a long run and for this
-    short one -- the two programs the build-flag policy picks between
-    (:func:`repro.native.build_cflags`).
-    """
+    mid-run, a bit flip in every memory cell with the inputs held."""
     nl = optimize(map_to_gates(_rand_module(seed)))
     interp, comp = both_backends(nl, backend=backend)
     duts = [comp]
-    if backend == "native":
-        duts.append(GateSimulator(nl, backend=backend, run_cycles=12,
-                                  cache=CompileCache()))
     sims = [interp] + duts
     rng = random.Random(seed + 1000)
     widths = {name: len(nets) for name, nets in nl.inputs.items()}

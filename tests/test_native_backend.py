@@ -4,8 +4,9 @@ Covers the pieces the three-engine equivalence suites do not: compiler
 discovery and its ``$CC`` override, digest-addressed ``.so``
 persistence across processes, schema-version invalidation, corrupt
 artifact recovery, LRU eviction, processes sharing the cache at one
-moment, run-length compile flags and their build counters, the
-single-warning degradation to the compiled backend
+moment, the one build-flag policy and its build counters, the gate
+kernel built once for every netlist, the single-warning degradation to
+the compiled backend
 on toolchain-less hosts, the Prometheus schema of the native cache
 counters, and pattern I/O and waveform replay through both FFI loaders (cffi and ctypes),
 whichever of them the host would pick by itself.
@@ -24,7 +25,7 @@ import pytest
 import repro.native as native
 from repro.compile_cache import CompileCache
 from repro.hls.native import NativeFsmBatch
-from repro.native import (BREAK_EVEN_CYCLES, NATIVE_SCHEMA_VERSION,
+from repro.native import (NATIVE_SCHEMA_VERSION,
                           NativeFallbackWarning, build_cflags,
                           build_shared_object, compile_and_load,
                           find_compiler, resolve_backend, source_digest,
@@ -88,10 +89,9 @@ def test_toolchain_info_shape(monkeypatch):
                          "schema_version"}
     assert info["schema_version"] == NATIVE_SCHEMA_VERSION
     assert info["loader"] in ("cffi", "ctypes")
-    # provenance states the run-length policy builds follow
+    # provenance states the one policy every build follows
     monkeypatch.delenv("REPRO_NATIVE_CFLAGS", raising=False)
-    assert toolchain_info()["cflags"] == \
-        "-O2; -O0 for runs under 300000 cycles"
+    assert toolchain_info()["cflags"] == "-O2 (every build)"
     monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O3 -g")
     assert toolchain_info()["cflags"] == \
         "-O3 -g ($REPRO_NATIVE_CFLAGS, every build)"
@@ -278,33 +278,27 @@ def test_artifact_evicted_before_dlopen_is_rebuilt(cache_dir,
 
 
 @needs_cc
-def test_run_length_policy_picks_the_build_flags(cache_dir, monkeypatch):
-    """A build with no run length is -O2 at any source size; a run
-    shorter than the break-even builds at -O0; the env override beats
-    both; each build is counted under the flags it used."""
+def test_every_build_uses_the_one_flag_policy(cache_dir, monkeypatch):
+    """Every build is -O2 at any source size unless the env override
+    says otherwise; each build is counted under the flags it used."""
     monkeypatch.delenv("REPRO_NATIVE_CFLAGS")
     huge = SOURCE + "/*" + "x" * ((1 << 20) + 1) + "*/"
-    for k, (source, run_cycles, flag) in enumerate((
+    for k, (source, env, flags) in enumerate((
             (SOURCE, None, "-O2"), (huge, None, "-O2"),
-            (SOURCE, 0, "-O0"), (SOURCE, 885, "-O0"),
-            (huge, BREAK_EVEN_CYCLES - 1, "-O0"),
-            (SOURCE, BREAK_EVEN_CYCLES, "-O2"),
-            (SOURCE, 10 * BREAK_EVEN_CYCLES, "-O2"))):
-        assert build_cflags(run_cycles) == [flag]
-        builds0 = _counter_value("repro_native_builds_total", cflags=flag)
+            (SOURCE, "-O1 -g", "-O1 -g"), (SOURCE, " -O0 ", "-O0"))):
+        if env is not None:
+            monkeypatch.setenv("REPRO_NATIVE_CFLAGS", env)
+        assert build_cflags() == flags.split()
+        builds0 = _counter_value("repro_native_builds_total", cflags=flags)
         seconds0 = _counter_value("repro_native_build_seconds_total",
-                                  cflags=flag)
+                                  cflags=flags)
         # a distinct source per row, so every row builds
-        mod = compile_and_load(f"{source}/* row {k} */", CDEF, tag="t",
-                               run_cycles=run_cycles)
+        mod = compile_and_load(f"{source}/* row {k} */", CDEF, tag="t")
         assert mod.fn("triple")(2) == 6
         assert _counter_value("repro_native_builds_total",
-                              cflags=flag) == builds0 + 1
+                              cflags=flags) == builds0 + 1
         assert _counter_value("repro_native_build_seconds_total",
-                              cflags=flag) > seconds0
-    monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O1 -g")
-    for run_cycles in (None, 0, BREAK_EVEN_CYCLES):
-        assert build_cflags(run_cycles) == ["-O1", "-g"]
+                              cflags=flags) > seconds0
 
 
 @needs_cc
@@ -324,7 +318,7 @@ def test_u64_view_aliases_buffer(cache_dir, monkeypatch):
         assert view.tolist() == [5, 77, 6]
 
 
-# ---------------------------------------- builds started ahead of use
+# --------------------------------------- builds and the one gate kernel
 @pytest.fixture
 def cc_children(monkeypatch):
     """Every ``cc`` child this process starts, as its ``Popen``."""
@@ -340,23 +334,19 @@ def cc_children(monkeypatch):
 
 
 @needs_cc
-def test_started_build_is_taken_up_by_the_next_build(cache_dir,
-                                                     cc_children):
-    """A build started ahead is what the next build of its source waits
-    for: one child, one miss; after it, the artifact is a disk hit."""
-    misses0 = _counter_value("repro_native_disk_cache_misses_total")
-    hits0 = _counter_value("repro_native_disk_cache_hits_total")
-    build = native.start_build(SOURCE, tag="t")
+def test_an_interrupted_build_leaves_nothing_behind(cache_dir, cc_children,
+                                                    monkeypatch):
+    """An interrupt while ``cc`` runs kills and reaps it and leaves no
+    temporary file in the cache."""
+    def interrupted(pid, options):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(native.os, "wait4", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        build_shared_object(SOURCE, tag="t")
     (child,) = cc_children
-    assert child.returncode is None  # not reaped yet
-    path = build_shared_object(SOURCE, tag="t")
-    assert path == build.path and os.path.exists(path)
-    assert child.returncode == 0 and build.cpu_s > 0
-    assert len(cc_children) == 1
-    assert build_shared_object(SOURCE, tag="t") == path
-    assert _counter_value("repro_native_disk_cache_misses_total") \
-        == misses0 + 1
-    assert _counter_value("repro_native_disk_cache_hits_total") == hits0 + 1
+    assert child.returncode is not None and child.returncode < 0
+    assert os.listdir(cache_dir) == []
 
 
 def _native_campaign(**changes):
@@ -376,10 +366,10 @@ def _records(report):
 @needs_cc
 def test_failed_campaign_build_raises_in_the_first_batch(cache_dir,
                                                          monkeypatch):
-    """The saboteur program's build starts before the probes.  When its
-    ``cc`` fails, the first batch raises that failure, as a build
-    started there would, and the isolation fallback re-runs the batch's
-    faults on compiled: the compiled campaign's records."""
+    """When the kernel's ``cc`` fails, the campaign's load leaves the
+    failure to the batches: each native batch raises it, as a build of
+    its own would, and the isolation fallback re-runs the batch's faults
+    on compiled: the compiled campaign's records."""
     from repro.fi import campaign, run_campaign
     from repro.gatesim import COMPILE_CACHE
 
@@ -401,42 +391,20 @@ def test_failed_campaign_build_raises_in_the_first_batch(cache_dir,
 
     monkeypatch.setattr(campaign, "run_gate_batch", watched)
     report = run_campaign(_native_campaign())
-    # both batches failed; the first on the build started ahead, the
-    # second on one of its own
+    # both batches failed, each on a build of its own after the load's
     assert failed == ["native", "native"]
     assert _counter_value("repro_native_builds_total", cflags=flags) \
-        == builds0 + 2
+        == builds0 + 3
     assert _records(report) == want
-
-
-@needs_cc
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_probe_failure_stops_the_started_build(cache_dir, cc_children,
-                                               monkeypatch, error):
-    """An exception or an interrupt in the probes kills and reaps the
-    ``cc`` child and leaves no temporary file in the cache."""
-    from repro.fi import campaign, run_campaign
-    from repro.gatesim import COMPILE_CACHE
-
-    def stopped(*args, **kwargs):  # the interpreted probe's first fault
-        raise error("probe stopped")
-
-    COMPILE_CACHE.clear()
-    monkeypatch.setattr(campaign, "run_gate_fault_scalar", stopped)
-    with pytest.raises(error):
-        run_campaign(_native_campaign())
-    (child,) = cc_children
-    assert child.returncode is not None and child.returncode < 0
-    assert os.listdir(cache_dir) == []
 
 
 @needs_cc
 def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
                                                monkeypatch):
-    """A ``jobs=2`` campaign reaps its ``cc`` child and loads the
-    program before the pool forks, so its workers find it in their
-    compile cache: one ``gate[native]`` miss.  It classifies as the
-    in-process campaign does."""
+    """A ``jobs=2`` campaign builds the kernel (one ``cc`` child, done)
+    and loads the program before the pool forks, so its workers find it
+    in their compile cache: one ``gate[native]`` miss.  It classifies as
+    the in-process campaign does."""
     from repro.fi import campaign, run_campaign
     from repro.gatesim import COMPILE_CACHE
 
@@ -453,6 +421,33 @@ def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
     assert at_fork == [[0]]
     assert pooled.cache_stats["gate[native]"].misses == 1
     assert _records(pooled) == _records(run_campaign(_native_campaign()))
+
+
+@needs_cc
+def test_no_cc_per_netlist(cache_dir):
+    """Two gate FI campaigns (two saboteur programs) and the SMALL
+    Gate-RTL and Gate-BEH netlists, from one empty cache: every program
+    is a table on the one kernel, so one ``cc`` builds one ``gate-*.so``
+    for all four."""
+    from repro.flow.refinement import Level, build_module
+    from repro.fi import run_campaign
+    from repro.gatesim import COMPILE_CACHE, GateSimulator
+    from repro.src_design.params import SMALL_PARAMS
+    from repro.synth import synthesize
+
+    COMPILE_CACHE.clear()
+    builds0 = _counter_value("repro_native_builds_total", cflags="-O1")
+    for seed in (3, 4):
+        run_campaign(_native_campaign(seed=seed))
+    assert COMPILE_CACHE.stats_by_backend["native"].misses == 2
+    for level in (Level.GATE_RTL, Level.GATE_BEH):
+        sim = GateSimulator(synthesize(build_module(SMALL_PARAMS, level)),
+                            backend="native", n_patterns=64)
+        assert sim.backend == "native"
+    assert _counter_value("repro_native_builds_total", cflags="-O1") \
+        == builds0 + 1
+    (so,) = [name for name in os.listdir(cache_dir) if name.endswith(".so")]
+    assert so.startswith("gate-")
 
 
 @needs_cc
