@@ -41,11 +41,15 @@ campaign loads its one saboteur program -- a table on the shared gate
 kernel -- before the batches, so before any pool worker forks, and
 every worker finds it in its inherited compile cache.
 
-The probe re-runs the campaign's leading faults on the interpreted
-engine, the one reference independent of the generated-code engines
-(compiled and native run one code-generation walk per level, and the
-equivalence suites hold them equal), and every probe record must
-equal the campaign's field for field.
+The probe re-runs faults spread evenly across the campaign's
+faultload, the first and the last included (:func:`probe_indices`),
+on the interpreted engine, the one reference independent of the
+generated-code engines (compiled and native run one code-generation
+walk per level, and the equivalence suites hold them equal), and every
+probe record must equal the campaign's record of the same fault field
+for field.  The spread reaches later batches on the reset simulator,
+high lanes and the padded last batch, not only the first batch's low
+lanes.
 """
 
 from __future__ import annotations
@@ -109,8 +113,8 @@ class CampaignConfig:
     backend: str = "compiled"
     #: faults per batch (plus pattern 0 = fault-free)
     batch_size: int = 31
-    #: leading faults re-run on the interpreted engine for the
-    #: cross-engine probe and its throughput row
+    #: faults re-run on the interpreted engine, spread across the
+    #: faultload, for the cross-engine probe and its throughput row
     probe_faults: int = 16
 
     def validated(self) -> "CampaignConfig":
@@ -744,8 +748,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     Classifies every fault on the engine the configured one resolves
     to on this host (``batch_size`` faults per batch where it holds
     several patterns at the level, else one fault per run), and re-runs
-    a probe slice on the interpreted engine -- cross-checking that the
-    probe's records agree field for field, and measuring both engines'
+    a probe spread across the faultload (:func:`probe_indices`) on the
+    interpreted engine -- cross-checking that the probe's records agree
+    with the campaign's field for field, and measuring both engines'
     injection throughput.
 
     At gate level on native every batch runs on one
@@ -792,7 +797,9 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     _WORKER["program"] = program
     interrupted = False
     try:
-        probe_records, probe_wall = _run_probe(config, faults, workload)
+        probe_at = probe_indices(len(faults), config.probe_faults)
+        probe_records, probe_wall = _run_probe(
+            config, [faults[i] for i in probe_at], workload)
         t0 = time.perf_counter()
         try:
             results = parallel_map(
@@ -820,8 +827,8 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     throughput = [Throughput(backend, len(records) if interrupted
                              else len(faults), main_wall)]
     if not interrupted:
-        for main_record, other in zip(records, probe_records):
-            mine, theirs = main_record.as_dict(), other.as_dict()
+        for i, other in zip(probe_at, probe_records):
+            mine, theirs = records[i].as_dict(), other.as_dict()
             field = next((k for k in mine if mine[k] != theirs[k]), None)
             if field is not None:
                 raise CampaignError(
@@ -840,14 +847,24 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
         interrupted=interrupted)
 
 
-def _run_probe(config: CampaignConfig, faults: Sequence[Fault],
+def probe_indices(n: int, k: int) -> List[int]:
+    """The positions of a *k*-fault probe in an *n*-fault faultload:
+    evenly spread, the first and the last included (fault 0 alone when
+    *k* is 1, every fault when *k* >= *n*)."""
+    k = min(k, n)
+    if k <= 1:
+        return list(range(k))
+    return [i * (n - 1) // (k - 1) for i in range(k)]
+
+
+def _run_probe(config: CampaignConfig, probe: Sequence[Fault],
                workload: Workload) -> Tuple[List[FaultRecord], float]:
-    """The cross-engine probe: the campaign's leading faults, one
-    simulation each, on the interpreted engine -- the one reference
-    independent of the generated-code engines, which run one
-    code-generation walk that the equivalence suites hold equal.  Returns the records and their wall seconds, for the
-    campaign to compare with its own records."""
-    probe = faults[:config.probe_faults]
+    """The cross-engine probe: the faults *probe*, one simulation
+    each, on the interpreted engine -- the one reference independent
+    of the generated-code engines, which run one code-generation walk
+    that the equivalence suites hold equal.  Returns the records and
+    their wall seconds, for the campaign to compare with its own
+    records."""
     single = _runners(config.level)[1]
     dut = _WORKER["dut"]
     probe_wall0 = time.time()

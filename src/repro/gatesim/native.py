@@ -48,7 +48,7 @@ from .emit import (CELL_OPS, CELL_ROW, COMPILE_CACHE, HEADER, OP_READ,
                    OP_SDFF, OP_WRITE, GateProgram, emit_program,
                    structural_hash, table_ops)
 from .memory import PokeableMemory
-from .simulator import GateSimError, check_pattern
+from .simulator import GateSimError, check_pattern, logic_drive
 
 __all__ = ["KERNEL_SOURCE", "NativeGateSimulator", "check_table",
            "compile_netlist_native"]
@@ -553,13 +553,10 @@ class NativeGateSimulator:
         self._dirty = True
 
     def set_input_logic(self, name: str, values: Sequence[int]) -> None:
-        """Drive raw logic values (LSB first; X allowed) on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        if len(values) != len(nets):
-            raise GateSimError(
-                f"input {name!r} is {len(nets)} bits, got {len(values)}")
+        """Drive raw logic values (LSB first; X and Z allowed, Z stored
+        as X) on *name*; a code outside L0..LZ raises
+        :class:`GateSimError`."""
+        nets = logic_drive(self.netlist, name, values)
         M = self._mask
         v1, vx = self._v1_v, self._vx_v
         for net, v in zip(nets, values):

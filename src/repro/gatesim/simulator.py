@@ -1,16 +1,26 @@
 """Event-driven gate-level simulation with 4-valued logic.
 
 The simulator levelises the netlist once, then uses selective-trace
-evaluation: only cells whose inputs changed are re-evaluated, in level
-order -- the classic compiled event-driven algorithm of gate-level
-simulators.  Flops commit on an explicit :meth:`GateSimulator.step`
-(clock edge); memory macros are bound to behavioural models from
+evaluation: a net that changes pushes the position of every unit it
+feeds onto one pending min-heap, and a settle pops that heap until it
+is empty.  Only cells whose inputs changed are re-evaluated, each once
+and in level order (a fan-out unit always sits at a higher level) --
+the classic compiled event-driven algorithm of gate-level simulators --
+so a settle costs what changed, not the netlist's size.  A cell is a
+truth-table lookup: its input codes index a table drawn once per cell
+type from the library's ``EVAL`` functions, the one definition of cell
+semantics (Z passes through as they return it).  Flops commit on an
+explicit :meth:`GateSimulator.step` (clock edge), from edge rows built
+once; memory macros are bound to behavioural models from
 :mod:`repro.gatesim.memory` (checking or plain).
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
+import operator
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes import logic as L
@@ -32,20 +42,72 @@ def check_pattern(pattern: int, n_patterns: int) -> None:
         raise GateSimError(f"pattern {pattern} outside 0..{n_patterns - 1}")
 
 
+#: the logic codes a net holds: L0, L1, LX, LZ
+CODES = (L.L0, L.L1, L.LX, L.LZ)
+
+
+def logic_drive(netlist: Netlist, name: str,
+                values: Sequence[int]) -> List[Net]:
+    """The nets of input *name*, for a ``set_input_logic`` drive of
+    *values*: one code of :data:`CODES` per bit, else
+    :class:`GateSimError` before any net changes."""
+    nets = netlist.inputs.get(name)
+    if nets is None:
+        raise GateSimError(f"no input named {name!r}")
+    if len(values) != len(nets):
+        raise GateSimError(
+            f"input {name!r} is {len(nets)} bits, got {len(values)}"
+        )
+    for v in values:
+        if v not in CODES:
+            raise GateSimError(
+                f"input {name!r}: {v!r} is no logic code (L0..LZ)")
+    return nets
+
+
 #: valid values for the ``backend=`` argument of :class:`GateSimulator`
 BACKENDS = tuple(ENGINES)
 
 
+@functools.lru_cache(maxsize=None)
+def _truth_table(cell_type: str, n_inputs: int,
+                 outputs: Tuple[str, ...]) -> Dict[object, Tuple[int, ...]]:
+    """The output codes of *cell_type*'s *outputs* for every
+    combination of input codes, drawn from the library's ``EVAL``; one
+    table per ``EVAL`` cell, shared read-only by every simulator.
+
+    Keyed as ``operator.itemgetter`` over the input nets returns the
+    codes: by their tuple, or by the one code of a one-input cell."""
+    fns = [EVAL[(cell_type, pin)] for pin in outputs]
+    return {codes if n_inputs > 1 else codes[0]:
+            tuple(fn(*codes) for fn in fns)
+            for codes in itertools.product(CODES, repeat=n_inputs)}
+
+
+def _word(values: List[int], uids: Sequence[int]) -> Optional[int]:
+    """The unsigned word on the nets *uids* (LSB first), or None when
+    a bit is X or Z."""
+    word = 0
+    for i, uid in enumerate(uids):
+        v = values[uid]
+        if v == L.L1:
+            word |= 1 << i
+        elif v != L.L0:
+            return None
+    return word
+
+
 class _Unit:
-    """One evaluation unit: a combinational cell or a memory read port."""
+    """One evaluation unit: a combinational cell or a memory read port,
+    at position *pos* of the levelised unit list."""
 
-    __slots__ = ("level", "eval", "out_uids", "dirty")
+    __slots__ = ("pos", "eval", "out_uids", "dirty")
 
-    def __init__(self, level: int, eval_fn, out_uids: Sequence[int]):
-        self.level = level
+    def __init__(self, pos: int, eval_fn, out_uids: Sequence[int]):
+        self.pos = pos
         self.eval = eval_fn
-        self.out_uids = list(out_uids)
-        self.dirty = True
+        self.out_uids = tuple(out_uids)
+        self.dirty = False
 
 
 class GateSimulator:
@@ -117,11 +179,24 @@ class GateSimulator:
             model.on_change = functools.partial(
                 self._memory_changed, self._read_units.get(name, []))
 
-        # flops
-        lib = netlist.library
-        self._flops: List[CellInstance] = netlist.flops()
-        for flop in self._flops:
-            self.values[flop.outputs["Q"].uid] = flop.init & 1
+        # flops, and the rows an edge samples: (q, d) per DFF,
+        # (q, se, si, d) per SDFF, (model, en, addr, data) per write port
+        self._flop_inits: List[Tuple[int, int]] = []
+        self._dffs: List[Tuple[int, int]] = []
+        self._sdffs: List[Tuple[int, int, int, int]] = []
+        for flop in netlist.flops():
+            q = flop.outputs["Q"].uid
+            self._flop_inits.append((q, flop.init & 1))
+            self.values[q] = flop.init & 1
+            if flop.cell_type == "SDFF":
+                self._sdffs.append((q, flop.pins["SE"].uid,
+                                    flop.pins["SI"].uid, flop.pins["D"].uid))
+            else:
+                self._dffs.append((q, flop.pins["D"].uid))
+        self._write_rows = [
+            (self.memories[macro.name], wp.enable.uid,
+             [n.uid for n in wp.addr], [n.uid for n in wp.data])
+            for macro in netlist.memories for wp in macro.write_ports]
 
         # inputs default to 0 (testbenches override)
         for nets in netlist.inputs.values():
@@ -136,43 +211,35 @@ class GateSimulator:
     def _build_units(self) -> None:
         from .levelize import levelize
 
+        #: the units in levelised order; a unit's ``pos`` indexes it
         self._units: List[_Unit] = []
-        self._fanout: Dict[int, List[_Unit]] = {}
+        #: net uid -> the units it feeds (data deps only)
+        self._fanout: List[List[_Unit]] = [
+            [] for _ in range(len(self.netlist.nets))]
         #: memory name -> the units of its read ports
         self._read_units: Dict[str, List[_Unit]] = {}
-        for lu in levelize(self.netlist, error=GateSimError):
+        #: positions of the units to evaluate, a min-heap
+        self._pending: List[int] = []
+        for pos, lu in enumerate(levelize(self.netlist, error=GateSimError)):
             if isinstance(lu.key, CellInstance):
-                unit = _Unit(lu.level, self._make_cell_eval(lu.key),
-                             lu.outs)
+                unit = _Unit(pos, self._make_cell_eval(lu.key), lu.outs)
             else:
-                unit = _Unit(lu.level, self._make_mem_read_eval(*lu.key),
+                unit = _Unit(pos, self._make_mem_read_eval(*lu.key),
                              lu.outs)
                 self._read_units.setdefault(lu.key[0].name,
                                             []).append(unit)
             self._units.append(unit)
-            # fanout: net uid -> units to mark dirty (data deps only)
             for uid in lu.deps:
-                self._fanout.setdefault(uid, []).append(unit)
-        self._max_level = max((u.level for u in self._units), default=0)
+                self._fanout[uid].append(unit)
 
-        # level buckets for selective trace
-        self._buckets: List[List[_Unit]] = [
-            [] for _ in range(self._max_level + 1)
-        ]
-        for unit in self._units:
-            self._buckets[unit.level].append(unit)
-
-    def _make_cell_eval(self, cell: CellInstance) -> Callable[[], List[int]]:
+    def _make_cell_eval(self, cell: CellInstance) -> Callable[[], tuple]:
         spec = self.netlist.library[cell.cell_type]
-        fns = [EVAL[(cell.cell_type, pin)] for pin in spec.outputs]
-        in_uids = [cell.pins[pin].uid for pin in spec.inputs]
+        table = _truth_table(cell.cell_type, len(spec.inputs),
+                             spec.outputs)
+        take = operator.itemgetter(*(cell.pins[pin].uid
+                                     for pin in spec.inputs))
         values = self.values
-
-        def run() -> List[int]:
-            args = [values[uid] for uid in in_uids]
-            return [fn(*args) for fn in fns]
-
-        return run
+        return lambda: table[take(values)]
 
     def _make_mem_read_eval(self, macro: MemoryMacro,
                             index: int) -> Callable[[], List[int]]:
@@ -183,18 +250,9 @@ class GateSimulator:
         values = self.values
 
         def run() -> List[int]:
-            addr: Optional[int] = 0
-            for i, uid in enumerate(addr_uids):
-                v = values[uid]
-                if v == L.L1:
-                    addr |= 1 << i  # type: ignore[operator]
-                elif v != L.L0:
-                    addr = None
-                    break
-            enabled = True
-            if enable_uid is not None:
-                enabled = values[enable_uid] == L.L1
-            return model.read(addr, enabled=enabled, cycle=self.cycles)
+            enabled = enable_uid is None or values[enable_uid] == L.L1
+            return model.read(_word(values, addr_uids), enabled=enabled,
+                              cycle=self.cycles)
 
         return run
 
@@ -204,32 +262,40 @@ class GateSimulator:
     def _settle_all(self) -> None:
         for unit in self._units:
             unit.dirty = True
+        self._pending[:] = range(len(self._units))  # sorted: a heap
         self._settle()
 
-    def _mark_net_changed(self, uid: int) -> None:
-        for unit in self._fanout.get(uid, ()):
-            unit.dirty = True
+    def _schedule(self, units: Sequence[_Unit]) -> None:
+        """Push every unit of *units* not pending yet."""
+        for unit in units:
+            if not unit.dirty:
+                unit.dirty = True
+                heapq.heappush(self._pending, unit.pos)
 
     def _memory_changed(self, read_units: List[_Unit]) -> None:
         """A memory's storage changed: schedule its read ports and,
         outside a clock edge, settle."""
-        for unit in read_units:
-            unit.dirty = True
+        self._schedule(read_units)
         if not self._in_edge:
             self._settle()
 
     def _settle(self) -> None:
-        values = self.values
-        for bucket in self._buckets:
-            for unit in bucket:
-                if not unit.dirty:
-                    continue
-                unit.dirty = False
-                outs = unit.eval()
-                for uid, v in zip(unit.out_uids, outs):
-                    if values[uid] != v:
-                        values[uid] = v
-                        self._mark_net_changed(uid)
+        """Evaluate the pending units in position order until none is
+        left; a unit whose output changes pushes its fan-out, which
+        sits at a higher level, so every unit runs once per settle."""
+        pending = self._pending
+        values, units, fanout = self.values, self._units, self._fanout
+        pop, push = heapq.heappop, heapq.heappush
+        while pending:
+            unit = units[pop(pending)]
+            unit.dirty = False
+            for uid, v in zip(unit.out_uids, unit.eval()):
+                if values[uid] != v:
+                    values[uid] = v
+                    for fan in fanout[uid]:
+                        if not fan.dirty:
+                            fan.dirty = True
+                            push(pending, fan.pos)
 
     # ------------------------------------------------------------------
     # public API (mirrors RtlSimulator)
@@ -239,26 +305,22 @@ class GateSimulator:
         if nets is None:
             raise GateSimError(f"no input named {name!r}")
         value &= mask(len(nets))
+        values = self.values
         for i, net in enumerate(nets):
             v = (value >> i) & 1
-            if self.values[net.uid] != v:
-                self.values[net.uid] = v
-                self._mark_net_changed(net.uid)
+            if values[net.uid] != v:
+                values[net.uid] = v
+                self._schedule(self._fanout[net.uid])
         self._settle()
 
     def set_input_logic(self, name: str, values: Sequence[int]) -> None:
-        """Drive raw logic values (LSB first; X allowed) on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        if len(values) != len(nets):
-            raise GateSimError(
-                f"input {name!r} is {len(nets)} bits, got {len(values)}"
-            )
+        """Drive raw logic values (LSB first; X and Z allowed) on
+        *name*; a code outside L0..LZ raises :class:`GateSimError`."""
+        nets = logic_drive(self.netlist, name, values)
         for net, v in zip(nets, values):
             if self.values[net.uid] != v:
                 self.values[net.uid] = v
-                self._mark_net_changed(net.uid)
+                self._schedule(self._fanout[net.uid])
         self._settle()
 
     def get(self, name: str) -> int:
@@ -334,51 +396,22 @@ class GateSimulator:
 
     def step(self, cycles: int = 1) -> None:
         """Advance one or more clock edges."""
-        values = self.values
+        values, fanout = self.values, self._fanout
         for _ in range(cycles):
             self._settle()
-            # sample flop inputs
-            updates: List[Tuple[int, int]] = []
-            for flop in self._flops:
-                if flop.cell_type == "SDFF":
-                    se = values[flop.pins["SE"].uid]
-                    if se == L.L1:
-                        d = values[flop.pins["SI"].uid]
-                    elif se == L.L0:
-                        d = values[flop.pins["D"].uid]
-                    else:
-                        d = L.LX
-                else:
-                    d = values[flop.pins["D"].uid]
-                updates.append((flop.outputs["Q"].uid, d))
-            # sample memory writes
-            writes: List[Tuple[MemoryModel, Optional[int], Optional[int]]] = []
-            for macro in self.netlist.memories:
-                model = self.memories[macro.name]
-                for wp in macro.write_ports:
-                    en = values[wp.enable.uid]
-                    if en == L.L0:
-                        continue
-                    addr: Optional[int] = 0
-                    for i, net in enumerate(wp.addr):
-                        v = values[net.uid]
-                        if v == L.L1:
-                            addr |= 1 << i  # type: ignore[operator]
-                        elif v != L.L0:
-                            addr = None
-                            break
-                    data: Optional[int] = 0
-                    for i, net in enumerate(wp.data):
-                        v = values[net.uid]
-                        if v == L.L1:
-                            data |= 1 << i  # type: ignore[operator]
-                        elif v != L.L0:
-                            data = None
-                            break
-                    if en == L.L1:
-                        writes.append((model, addr, data))
-                    else:  # X enable: the write may or may not happen
-                        writes.append((model, addr, None))
+            # sample flop inputs and memory writes
+            updates = [(q, values[d]) for q, d in self._dffs]
+            for q, se, si, d in self._sdffs:
+                s = values[se]
+                updates.append((q, values[si] if s == L.L1 else
+                                values[d] if s == L.L0 else L.LX))
+            writes = []
+            for model, en, addr, data in self._write_rows:
+                e = values[en]
+                if e != L.L0:  # X enable: the write may or may not happen
+                    writes.append((model, _word(values, addr),
+                                   _word(values, data) if e == L.L1
+                                   else None))
             # commit: each write schedules its memory's read ports
             self._in_edge = True
             try:  # a checking model's reporter may raise
@@ -387,21 +420,17 @@ class GateSimulator:
                                 cycle=self.cycles)
             finally:
                 self._in_edge = False
-            for uid, v in updates:
-                if values[uid] != v:
-                    values[uid] = v
-                    self._mark_net_changed(uid)
+            for q, v in updates:
+                if values[q] != v:
+                    values[q] = v
+                    self._schedule(fanout[q])
             self.cycles += 1
             self._settle()
 
     def reset(self) -> None:
         """Restore flops and memories to their initial state."""
-        for flop in self._flops:
-            uid = flop.outputs["Q"].uid
-            v = flop.init & 1
-            if self.values[uid] != v:
-                self.values[uid] = v
-                self._mark_net_changed(uid)
+        for q, init in self._flop_inits:
+            self.values[q] = init
         for model in self.memories.values():
             model.reset()
         self.cycles = 0

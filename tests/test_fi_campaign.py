@@ -289,6 +289,60 @@ def test_probe_compares_whole_records(monkeypatch):
         run_campaign(dataclasses.replace(SMOKE, n_faults=4, probe_faults=2))
 
 
+def test_probe_indices_spread_over_the_faultload():
+    assert campaign.probe_indices(62, 16) == [
+        0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 61]
+    assert campaign.probe_indices(24, 4) == [0, 7, 15, 23]
+    assert campaign.probe_indices(24, 2) == [0, 23]
+    assert campaign.probe_indices(24, 1) == [0]
+    assert campaign.probe_indices(24, 0) == []
+    assert campaign.probe_indices(3, 16) == [0, 1, 2]
+    assert campaign.probe_indices(0, 16) == []
+
+
+def test_probe_catches_a_leftover_in_a_later_batchs_high_lanes(
+        monkeypatch):
+    """A reused native simulator that keeps lanes 17 and up as the last
+    batch left them -- inputs (fault controls included), flops and
+    memories -- corrupts only those lanes of later batches: lane 0's
+    golden check passes, and so does a probe of the leading faults,
+    which all sit in the first batch.  The probe spread across the
+    faultload compares records of the second batch's high lanes."""
+    if not toolchain_available():
+        pytest.skip("no C toolchain")
+    reuse = campaign.SaboteurProgram.simulator
+
+    def leftover(self):
+        sim = self._sim
+        if sim is None:
+            return reuse(self)
+        high = sim._mask & ~((1 << 17) - 1)
+        state = [(j, sim._v1_v[j] & high, sim._vx_v[j] & high)
+                 for j in range(sim._n_state)]
+        lo = 17 * sim.program.mem_words
+        memory = sim._mem_v[lo:].tolist()
+        reuse(self)
+        for j, ones, unknowns in state:
+            sim._v1_v[j] = sim._v1_v[j] & ~high | ones
+            sim._vx_v[j] = sim._vx_v[j] & ~high | unknowns
+        for i, word in enumerate(memory, lo):
+            sim._mem_v[i] = word
+        sim._dirty = True
+        return sim
+
+    monkeypatch.setattr(campaign.SaboteurProgram, "simulator", leftover)
+    config = CampaignConfig(params=SMALL_PARAMS, level="gate",
+                            backend="native", n_faults=62, jobs=1, seed=3,
+                            budget="smoke", probe_faults=16)
+    # faults 47..61 ride lanes 17..31 of the second batch
+    with pytest.raises(CampaignError,
+                       match=r"engines disagree on #(4[7-9]|5\d|6[01]) "):
+        run_campaign(config)
+    monkeypatch.setattr(campaign, "probe_indices",
+                        lambda n, k: list(range(min(n, k))))
+    run_campaign(config)
+
+
 ISOLATED = CampaignConfig(params=SMALL_PARAMS, level="gate", n_faults=6,
                           seed=3, budget="smoke", probe_faults=0,
                           batch_size=3)

@@ -1,17 +1,19 @@
 """Gate-level simulator: 4-valued semantics, memories, X handling."""
 
 import importlib
+import itertools
 import warnings
 
 import pytest
 
-from repro.datatypes import L0, L1, LX
+from repro.datatypes import L0, L1, LX, LZ
 from repro.engines import ENGINES
 from repro.gatesim import (AccessViolation, CheckingMemoryModel,
                            GateSimError, GateSimulator, MemoryModel)
 from repro.kernel import Reporter, Severity
-from repro.rtl import Const, Mux, Ref, RtlModule, Slice
+from repro.rtl import BitNot, Const, Mux, Ref, RtlModule, Slice
 from repro.synth import map_to_gates
+from repro.synth.library import DEFAULT_LIBRARY, EVAL
 from repro.synth.netlist import Netlist
 from tests.test_gatesim_compiled import WIDE, batch_case
 
@@ -86,18 +88,88 @@ def test_undriven_net_rejected_by_validate():
         GateSimulator(nl)
 
 
+def _counting(sim):
+    """Wrap every unit's eval on the interpreted *sim*: the returned
+    list collects the position of each unit evaluated."""
+    ran = []
+    for unit in sim._units:
+        def counted(pos=unit.pos, run=unit.eval):
+            ran.append(pos)
+            return run()
+        unit.eval = counted
+    return ran
+
+
+def _cone(sim, uids):
+    """The positions of the units in the fan-out cone of nets *uids*."""
+    cone, todo = set(), list(uids)
+    while todo:
+        for unit in sim._fanout[todo.pop()]:
+            if unit.pos not in cone:
+                cone.add(unit.pos)
+                todo.extend(unit.out_uids)
+    return cone
+
+
 def test_selective_trace_matches_full_eval():
-    """Toggling one input only re-evaluates its cone -- results identical."""
+    """Re-driving one input evaluates only units of its fan-out cone,
+    each once, with the net values of a full evaluation; an edge that
+    changes no input and no flop evaluates nothing."""
     m = RtlModule("m")
     a = m.input("a", 8)
     b = m.input("b", 8)
+    r = m.register("r", 8)
+    m.set_next(r, b)
     m.output("y", Slice(a + b, 7, 0))
-    sim = GateSimulator(map_to_gates(m))
+    m.output("z", BitNot(b))
+    m.output("q", r)
+    nl = map_to_gates(m)
+    sim = GateSimulator(nl)
     sim.set_input("a", 5)
     sim.set_input("b", 7)
-    assert sim.get("y") == 12
-    sim.set_input("a", 6)  # only a's cone re-evaluates
+    sim.step()
+    assert (sim.get("y"), sim.get("q")) == (12, 7)
+
+    ran = _counting(sim)
+    sim.set_input("a", 6)
     assert sim.get("y") == 13
+    a_cone = _cone(sim, [n.uid for n in nl.inputs["a"]])
+    b_only = _cone(sim, [n.uid for n in nl.inputs["b"]]) - a_cone
+    assert ran and len(ran) == len(set(ran))
+    assert set(ran) <= a_cone and b_only
+    full = GateSimulator(nl)
+    full.set_input("a", 6)
+    full.set_input("b", 7)
+    full.step()
+    assert sim.values == full.values
+
+    ran.clear()
+    sim.step()  # r already holds b, and no input moves
+    sim.step(3)
+    assert ran == []
+    assert (sim.get("y"), sim.get("z"), sim.get("q")) == (13, 0xF8, 7)
+
+
+@pytest.mark.parametrize("cell", sorted(
+    c.name for c in DEFAULT_LIBRARY.cells.values() if not c.sequential))
+def test_interpreted_cell_is_eval_with_z_kept(cell):
+    """Every combinational cell on the interpreted engine, every
+    4-valued input combination: exactly the library's ``EVAL``
+    outputs, a Z passed through included."""
+    spec = DEFAULT_LIBRARY.cells[cell]
+    nl = Netlist("n")
+    pins = {p: nl.add_input(p.lower(), 1)[0] for p in spec.inputs}
+    g = nl.add_cell(cell, pins)
+    for out in spec.outputs:
+        nl.set_output(out.lower(), [g.outputs[out]])
+    sim = GateSimulator(nl)
+    for codes in itertools.product((L0, L1, LX, LZ),
+                                   repeat=len(spec.inputs)):
+        for pin, v in zip(spec.inputs, codes):
+            sim.set_input_logic(pin.lower(), [v])
+        for out in spec.outputs:
+            assert sim.get_logic(out.lower()) == \
+                [EVAL[(cell, out)](*codes)], (cell, codes, out)
 
 
 # ---------------------------------------------------------------- memory
@@ -189,6 +261,20 @@ def test_memory_poke_is_seen_without_an_input_change(backend):
     assert sim.get("q") == 4
     sim.memory_model("ram").write(1, 9)
     assert sim.get("y") == 9
+
+
+@pytest.mark.parametrize("backend", list(ENGINES))
+@pytest.mark.parametrize("code", [-1, 4])
+def test_set_input_logic_rejects_a_code_outside_l0_lz(backend, code):
+    """A code outside L0..LZ raises on every engine before any bit of
+    the port changes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # native may fall back
+        sim = GateSimulator(_ram_reader(), backend=backend)
+    sim.set_input_logic("a", [L1, LX])
+    with pytest.raises(GateSimError, match="no logic code"):
+        sim.set_input_logic("a", [L0, code])
+    assert sim.get_logic("a") == [L1, LX]
 
 
 def test_interpreted_pattern_api_at_its_one_pattern():
