@@ -37,9 +37,10 @@ Campaigns scale across a ``multiprocessing`` worker pool
 ``(fault, workload)``, so any job count produces identical records,
 and per-task compile-cache deltas are shipped back to the parent so
 cache statistics stay correct under ``--jobs``.  A native gate
-campaign loads its one saboteur program -- a table on the shared gate
-kernel -- before the batches, so before any pool worker forks, and
-every worker finds it in its inherited compile cache.
+campaign starts its kernel's build first, so ``cc`` runs beside the
+campaign's own work and the probe, and loads its one saboteur program
+-- a table on that kernel -- before the batches, so before any pool
+worker forks, and every worker finds it in its inherited compile cache.
 
 The probe re-runs faults spread evenly across the campaign's
 faultload, the first and the last included (:func:`probe_indices`),
@@ -57,6 +58,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
+import warnings
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -67,7 +69,7 @@ from ..datatypes.integers import wrap_signed
 from ..engines import ENGINES, batch_engines, engine_class, resolve
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
-from ..native import NativeToolchainError
+from ..native import Build, NativeToolchainError
 from ..obs.metrics import REGISTRY
 from ..obs.trace import (TracedTask, absorb_events, current_context,
                          record_span, span)
@@ -379,10 +381,10 @@ class SaboteurProgram:
 
     def load(self) -> None:
         """Build the process's simulator now, so the program is in the
-        compile cache before any pool worker forks.  A failed kernel
-        build is left to the batches: each raises it again and falls
-        back as a batch that failed on its own build does
-        (:func:`_fi_task`)."""
+        compile cache before any pool worker forks (a campaign reaps its
+        kernel's build just before).  A failed kernel build is left to
+        the batches: each raises it again and falls back as a batch that
+        failed on its own build does (:func:`_fi_task`)."""
         try:
             self.simulator()
         except NativeToolchainError:
@@ -626,16 +628,28 @@ def _fi_task(faults: Sequence[Fault]):
         # a campaign's saboteur program, when it made one
         program = _WORKER.get("program")
         extra = {} if program is None else {"program": program}
-        with span("fi.batch", level=level, n_faults=len(faults)):
+        with span("fi.batch", level=level,
+                  n_faults=len(faults)) as batch_span:
             try:
                 records = batch(dut, workload, faults, params,
                                 backend=backend, **extra)
             except CampaignError:
                 raise
-            except Exception:
+            except Exception as exc:
                 # a whole-batch failure cannot be attributed to one
                 # fault: isolate by re-running each fault in its own
-                # single-pattern run
+                # single-pattern run, and say so
+                batch_span.note(fallback=type(exc).__name__)
+                REGISTRY.counter(
+                    "repro_fi_batch_fallbacks_total",
+                    help="FI batches re-run one fault per simulation on "
+                         "compiled after the batch raised",
+                    level=level, backend=backend).inc()
+                reason = f"{type(exc).__name__}: {exc}".splitlines()[0]
+                warnings.warn(
+                    f"a {level} batch of {len(faults)} faults failed on "
+                    f"{backend} ({reason}); re-running each fault alone "
+                    f"on compiled", RuntimeWarning)
                 records = [single(dut, workload, fault, params,
                                   backend="compiled")
                            for fault in faults]
@@ -754,8 +768,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     injection throughput.
 
     At gate level on native every batch runs on one
-    :class:`SaboteurProgram`, which the campaign loads first, and so
-    before any pool worker forks.
+    :class:`SaboteurProgram`.  Its kernel is the same for every
+    netlist, so the campaign starts the kernel's build first and its
+    ``cc`` runs beside the campaign's own work, the probe included; the
+    build is reaped just before the program loads, and so before any
+    pool worker forks.  An exception or interrupt before the load
+    cancels the build.
 
     An interrupt (Ctrl-C) does not lose the run: the pool is torn down
     cleanly and the report carries every fault classified so far,
@@ -764,13 +782,23 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     config = config.validated()
     with span("fi.campaign", level=config.level, backend=config.backend,
               n_faults=config.n_faults, jobs=config.jobs):
-        return _run_campaign(config)
+        # without a C toolchain native runs on its fallback: the rows
+        # and the probe comparison name the engine that ran
+        backend = resolve(config.backend, CampaignError)
+        host = engine_class(backend, "gate")
+        build = None
+        if config.level == "gate" and ENGINES[backend].batches("gate") \
+                and host.union_program:
+            build = host.start_kernel_build()
+        try:
+            return _run_campaign(config, backend, build)
+        finally:
+            if build is not None:
+                build.cancel()  # a no-op once the load reaped it
 
 
-def _run_campaign(config: CampaignConfig) -> CampaignReport:
-    # without a C toolchain native runs on its fallback: the rows
-    # and the probe comparison name the engine that ran
-    backend = resolve(config.backend, CampaignError)
+def _run_campaign(config: CampaignConfig, backend: str,
+                  build: Optional[Build]) -> CampaignReport:
     _init_worker(config.params, config.level, config.seed, config.budget,
                  backend)
     workload: Workload = _WORKER["workload"]  # type: ignore[assignment]
@@ -788,18 +816,28 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     if batches and config.level == "gate":
         program = shared_program(dut, faults, backend,
                                  min(width, len(faults)) + 1)
-    if program is not None:
-        program.load()
-    # the batches' own wall time: the program's set-up and load (the
-    # table walk, and the kernel's build when its cache is empty) and
+    # the batches' own cost: the program's set-up and load, its kernel's
+    # build by the cc child's CPU seconds (the build's wall, from start
+    # to reap, also covers the campaign's own work and the probe), and
     # the batch run
     main_wall = time.perf_counter() - t0
+    probe_at = probe_indices(len(faults), config.probe_faults)
+    probe_records, probe_wall = _run_probe(
+        config, [faults[i] for i in probe_at], workload)
+    if program is not None:
+        # the host that shares a program started its kernel's build
+        try:
+            build.wait()
+        except NativeToolchainError:
+            pass  # the load's own failure: left to the batches
+        else:
+            t0 = time.perf_counter()
+            program.load()
+            main_wall += time.perf_counter() - t0
+        main_wall += build.cpu_s
     _WORKER["program"] = program
     interrupted = False
     try:
-        probe_at = probe_indices(len(faults), config.probe_faults)
-        probe_records, probe_wall = _run_probe(
-            config, [faults[i] for i in probe_at], workload)
         t0 = time.perf_counter()
         try:
             results = parallel_map(

@@ -269,6 +269,11 @@ class CompiledGateSimulator(NativeGateSimulator):
     #: PERF10: 1.45x slower on the union)
     union_program = False
 
+    @staticmethod
+    def start_kernel_build() -> None:
+        """A kernel printed as Python is no ``.so``: nothing to build."""
+        return None
+
     def _compile(self, netlist: Netlist,
                  cache: Optional[CompileCache]) -> GateProgram:
         return compile_netlist(netlist, cache=cache)

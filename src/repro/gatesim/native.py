@@ -41,7 +41,7 @@ from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
 from ..engines import ENGINES, PortSampler, gather, write_rows
-from ..native import compile_and_load
+from ..native import Build, compile_and_load, start_build
 from ..synth.library import CODEGEN
 from ..synth.netlist import Netlist
 from .emit import (CELL_OPS, CELL_ROW, COMPILE_CACHE, HEADER, OP_READ,
@@ -393,6 +393,14 @@ class NativeGateSimulator:
     #: holds its whole faultload (:func:`repro.fi.campaign.shared_program`):
     #: the table costs a walk, not a build, per program
     union_program = True
+
+    @staticmethod
+    def start_kernel_build() -> Build:
+        """Start building the ``.so`` every program of this host loads
+        (:func:`repro.native.start_build`), before any program exists:
+        the one kernel, whatever the netlist.  Once it is waited for,
+        :func:`compile_netlist_native` finds it on disk."""
+        return start_build(KERNEL_SOURCE, tag="gate")
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, n_patterns: int = 1,

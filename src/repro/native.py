@@ -17,6 +17,10 @@ three emitters share:
   directory is LRU-bounded by mtime, and hit/miss/eviction/error and
   source-byte counters flow into the :mod:`repro.obs` metrics
   registry;
+* **builds in two halves** -- :func:`start_build` starts ``cc`` as a
+  child and returns at once, so a caller can run other work while it
+  compiles, and :meth:`Build.wait` reaps and installs it;
+  :func:`build_shared_object` is the two back to back;
 * **graceful degradation** -- :func:`resolve_backend` maps ``native``
   to ``compiled`` with a single :class:`NativeFallbackWarning` and a
   ``repro_native_fallback_total`` telemetry increment when no C
@@ -41,16 +45,17 @@ import re
 import shutil
 import subprocess
 import tempfile
+import time
 import warnings
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "NATIVE_SCHEMA_VERSION", "NativeFallbackWarning", "NativeModule",
-    "NativeToolchainError", "PythonKernel", "build_cflags",
+    "NATIVE_SCHEMA_VERSION", "Build", "NativeFallbackWarning",
+    "NativeModule", "NativeToolchainError", "PythonKernel", "build_cflags",
     "build_shared_object", "compile_and_load", "find_compiler",
-    "native_cache_dir", "resolve_backend", "toolchain_available",
-    "toolchain_info",
+    "native_cache_dir", "resolve_backend", "start_build",
+    "toolchain_available", "toolchain_info",
 ]
 
 #: bump to invalidate every on-disk artifact (ABI or codegen changes)
@@ -263,37 +268,119 @@ def _unlink_quietly(*paths: str) -> None:
             pass
 
 
-def _run_cc(cmd: Sequence[str]) -> Tuple[int, float, str]:
-    """Run the compiler *cmd*; its exit code, CPU seconds and output.
-    An interrupt while it runs kills it."""
-    # a file, not a pipe: a child that fills a pipe nobody reads yet
-    # would stall
-    with tempfile.TemporaryFile("w+") as log:
-        proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=log,
-                                stderr=subprocess.STDOUT)
+class Build:
+    """One ``.so`` build that :func:`start_build` started: a disk hit,
+    finished at once, or a ``cc`` child that runs until :meth:`wait`.
+
+    :meth:`wait` reaps the child (``os.wait4``, for its CPU seconds) and
+    installs the artifact; :meth:`cancel` kills and reaps a child that
+    still runs and removes its temporary files.  The caller holds the
+    handle: nothing else keeps a started build.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        #: the ``cc`` child's CPU seconds, once reaped (0 for a hit)
+        self.cpu_s = 0.0
+        self._proc: Optional[subprocess.Popen] = None
+        self._error: Optional[NativeToolchainError] = None
+
+    def _start(self, compiler: str, cflags: Sequence[str], tag: str,
+               source: str) -> None:
+        """Write *source* to a temporary file and start ``cc`` on it; a
+        ``cc`` that cannot run fails at :meth:`wait`."""
+        pid = os.getpid()
+        self._tmp = (f"{self.path[:-3]}.{pid}.tmp.c", f"{self.path}.{pid}.tmp")
+        self._compiler = compiler
+        self._attrs = dict(tag=tag, cflags=" ".join(cflags),
+                           source_bytes=len(source))
+        with open(self._tmp[0], "w") as fh:
+            fh.write(source)
+        # a file, not a pipe: a child that fills a pipe nobody reads yet
+        # would stall
+        self._log = tempfile.TemporaryFile("w+")
+        self._t0_wall = time.time()
         try:
-            _, status, usage = os.wait4(proc.pid, 0)
-        except BaseException:
-            proc.kill()
-            proc.wait()
-            raise
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        log.seek(0)
-        return (proc.returncode, usage.ru_utime + usage.ru_stime,
-                log.read())
+            self._proc = subprocess.Popen(
+                [compiler, *cflags, "-shared", "-fPIC", "-o", self._tmp[1],
+                 self._tmp[0]], stdin=subprocess.DEVNULL, stdout=self._log,
+                stderr=subprocess.STDOUT)
+        except OSError as exc:
+            self._discard()
+            self._error = NativeToolchainError(
+                f"failed to run {compiler}: {exc}")
+
+    def wait(self) -> str:
+        """The artifact's path, once the child is reaped and the artifact
+        installed; raises :class:`NativeToolchainError` for a failed
+        build.  The ``native.cc`` span, from start to reap, lands under
+        the span open here.  An interrupt while waiting cancels."""
+        proc = self._proc
+        if proc is not None:
+            try:
+                _, status, usage = os.wait4(proc.pid, 0)
+            except BaseException:
+                self.cancel()
+                raise
+            self._proc = None
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            self._install(proc.returncode, usage.ru_utime + usage.ru_stime)
+        if self._error is not None:
+            raise self._error
+        return self.path
+
+    def _install(self, returncode: int, cpu_s: float) -> None:
+        self.cpu_s = cpu_s
+        _count("repro_native_build_seconds_total",
+               "CPU seconds of the C compiler, by the flags it used",
+               by=cpu_s, cflags=self._attrs["cflags"])
+        from .obs.trace import record_span
+        record_span("native.cc", self._t0_wall, time.time(),
+                    cpu_s=round(cpu_s, 6), **self._attrs)
+        self._log.seek(0)
+        output = self._log.read()
+        self._log.close()
+        if returncode != 0:
+            _unlink_quietly(*self._tmp)
+            _count("repro_native_disk_cache_errors_total",
+                   "native toolchain compile/load failures")
+            self._error = NativeToolchainError(
+                f"{self._compiler} failed ({returncode}):\n{output[:2000]}")
+            return
+        try:
+            os.replace(self._tmp[0], self.path[:-3] + ".c")
+            os.replace(self._tmp[1], self.path)
+        except OSError as exc:
+            _unlink_quietly(*self._tmp)
+            self._error = NativeToolchainError(
+                f"could not install {self.path}: {exc}")
+            return
+        _evict_lru(os.path.dirname(self.path), _cache_max_entries())
+
+    def cancel(self) -> None:
+        """Kill and reap a child that still runs and remove its
+        temporary files; nothing once :meth:`wait` reaped it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        proc.kill()
+        proc.wait()
+        self._discard()
+
+    def _discard(self) -> None:
+        self._log.close()
+        _unlink_quietly(*self._tmp)
 
 
-def build_shared_object(source: str, tag: str = "mod",
-                        cflags: Optional[Sequence[str]] = None) -> str:
-    """Compile *source* to a cached ``.so``; return its path.
+def start_build(source: str, tag: str = "mod",
+                cflags: Optional[Sequence[str]] = None) -> Build:
+    """Start compiling *source* to a cached ``.so``; see :class:`Build`.
 
     *cflags* defaults to :func:`build_cflags`.  Cache hits are
     recognised by digest-addressed filenames and only touch the mtime
-    (the LRU clock).  Builds are atomic (temporary files renamed into
-    place with ``os.replace``), so concurrent processes can share the
-    directory.  ``cc`` runs inside a ``native.cc`` span that carries its
-    CPU seconds as ``cpu_s``, which also add to
-    ``repro_native_build_seconds_total{cflags=...}``.
+    (the LRU clock).  A miss starts ``cc`` as a child writing temporary
+    files, which :meth:`Build.wait` renames into place (``os.replace``),
+    so concurrent processes can share the directory.
     """
     compiler = find_compiler()
     if compiler is None:
@@ -301,59 +388,34 @@ def build_shared_object(source: str, tag: str = "mod",
             "no C compiler found (tried $CC, cc, gcc, clang)")
     if cflags is None:
         cflags = build_cflags()
-    directory = native_cache_dir()
-    digest = source_digest(source, cflags)
-    so_path = os.path.join(directory, f"{tag}-{digest}.so")
-    if os.path.exists(so_path):
+    build = Build(os.path.join(
+        native_cache_dir(), f"{tag}-{source_digest(source, cflags)}.so"))
+    if os.path.exists(build.path):
         _count("repro_native_disk_cache_hits_total",
                "native .so artifacts reused from the on-disk cache")
         try:
-            os.utime(so_path)
+            os.utime(build.path)
         except OSError:
             pass
-        return so_path
+        return build
     _count("repro_native_disk_cache_misses_total",
            "native .so artifacts compiled from source")
-    flags = " ".join(cflags)
     _count("repro_native_builds_total",
            "native .so artifacts compiled, by the flags they used",
-           cflags=flags)
+           cflags=" ".join(cflags))
     _count("repro_native_source_bytes_total",
            "C source bytes fed to the native toolchain", by=len(source))
-    tmp_c = f"{so_path[:-3]}.{os.getpid()}.tmp.c"
-    tmp_so = f"{so_path}.{os.getpid()}.tmp"
-    with open(tmp_c, "w") as fh:
-        fh.write(source)
-    from .obs.trace import span
-    try:
-        with span("native.cc", tag=tag, cflags=flags,
-                  source_bytes=len(source)) as cc_span:
-            returncode, cpu_s, output = _run_cc(
-                [compiler, *cflags, "-shared", "-fPIC", "-o", tmp_so, tmp_c])
-            cc_span.note(cpu_s=round(cpu_s, 6))
-    except OSError as exc:
-        _unlink_quietly(tmp_c, tmp_so)
-        raise NativeToolchainError(f"failed to run {compiler}: {exc}")
-    except BaseException:
-        _unlink_quietly(tmp_c, tmp_so)
-        raise
-    _count("repro_native_build_seconds_total",
-           "CPU seconds of the C compiler, by the flags it used",
-           by=cpu_s, cflags=flags)
-    if returncode != 0:
-        _unlink_quietly(tmp_c, tmp_so)
-        _count("repro_native_disk_cache_errors_total",
-               "native toolchain compile/load failures")
-        raise NativeToolchainError(
-            f"{compiler} failed ({returncode}):\n{output[:2000]}")
-    try:
-        os.replace(tmp_c, so_path[:-3] + ".c")
-        os.replace(tmp_so, so_path)
-    except OSError as exc:
-        _unlink_quietly(tmp_c, tmp_so)
-        raise NativeToolchainError(f"could not install {so_path}: {exc}")
-    _evict_lru(directory, _cache_max_entries())
-    return so_path
+    build._start(compiler, cflags, tag, source)
+    return build
+
+
+def build_shared_object(source: str, tag: str = "mod",
+                        cflags: Optional[Sequence[str]] = None) -> str:
+    """Compile *source* to a cached ``.so``; return its path: the
+    :func:`start_build` of it, waited for.  ``cc`` is recorded as a
+    ``native.cc`` span that carries its CPU seconds as ``cpu_s``, which
+    also add to ``repro_native_build_seconds_total{cflags=...}``."""
+    return start_build(source, tag=tag, cflags=cflags).wait()
 
 
 # ----------------------------------------------------------------------

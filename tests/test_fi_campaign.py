@@ -356,12 +356,29 @@ def _failing_batch(error):
 
 def test_failed_batch_is_isolated_fault_by_fault(monkeypatch):
     """A batch that raises is re-run one fault per simulation, with the
-    records the batch would have given."""
+    records the batch would have given; each such batch is counted,
+    noted on its ``fi.batch`` span and warned about."""
     want = [r.as_dict() for r in run_campaign(ISOLATED).records]
     monkeypatch.setattr(campaign, "run_gate_batch",
                         _failing_batch(RuntimeError))
-    got = [r.as_dict() for r in run_campaign(ISOLATED).records]
+    fallbacks = REGISTRY.counter("repro_fi_batch_fallbacks_total",
+                                 level="gate", backend="compiled")
+    before = fallbacks.value
+    enable_tracing()
+    try:
+        mark = event_mark()
+        with pytest.warns(RuntimeWarning) as warned:
+            got = [r.as_dict() for r in run_campaign(ISOLATED).records]
+        events = events_since(mark)
+    finally:
+        disable_tracing()
     assert got == want
+    assert [str(w.message) for w in warned] == [
+        "a gate batch of 3 faults failed on compiled (RuntimeError: the "
+        "whole batch failed); re-running each fault alone on compiled"] * 2
+    assert fallbacks.value == before + 2
+    assert [e["args"].get("fallback") for e in events
+            if e["name"] == "fi.batch"] == ["RuntimeError"] * 2
 
 
 def test_harness_error_in_a_batch_is_not_isolated(monkeypatch):
@@ -458,7 +475,8 @@ def test_traced_cold_native_campaign_spans_every_cc(cold_native):
     """A cold campaign's one ``cc`` is the kernel's: a ``native.cc``
     span under ``fi.campaign``, listed in the stage table, carrying the
     child's CPU seconds and counting them, in the counter and in the
-    native throughput row."""
+    native throughput row.  It starts before the faultload is drawn and
+    ends before the first batch."""
     seconds = REGISTRY.counter("repro_native_build_seconds_total",
                                cflags=cold_native)
     before = seconds.value
@@ -478,9 +496,13 @@ def test_traced_cold_native_campaign_spans_every_cc(cold_native):
     assert len(named["fi.batch"]) == 2
     (cc,) = named["native.cc"]
     (outer,) = named["fi.campaign"]
+    (faultload,) = named["fi.faultload"]
     assert cc["args"]["parent_id"] == outer["args"]["span_id"]
     assert outer["ts"] <= cc["ts"]
     assert cc["ts"] + cc["dur"] <= outer["ts"] + outer["dur"]
+    # the build starts first and is reaped before the batches run
+    assert cc["ts"] < faultload["ts"]
+    assert cc["ts"] + cc["dur"] <= min(b["ts"] for b in named["fi.batch"])
     assert cc["args"]["cflags"] == cold_native
     assert cc["args"]["tag"] == "gate"
     assert cc["args"]["source_bytes"] > 0

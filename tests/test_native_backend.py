@@ -390,12 +390,51 @@ def test_failed_campaign_build_raises_in_the_first_batch(cache_dir,
             raise
 
     monkeypatch.setattr(campaign, "run_gate_batch", watched)
-    report = run_campaign(_native_campaign())
+    fallbacks0 = _counter_value("repro_fi_batch_fallbacks_total",
+                                level="gate", backend="native")
+    with pytest.warns(RuntimeWarning, match="NativeToolchainError"):
+        report = run_campaign(_native_campaign())
     # both batches failed, each on a build of its own after the load's
     assert failed == ["native", "native"]
     assert _counter_value("repro_native_builds_total", cflags=flags) \
         == builds0 + 3
+    assert _counter_value("repro_fi_batch_fallbacks_total", level="gate",
+                          backend="native") == fallbacks0 + 2
     assert _records(report) == want
+
+
+@needs_cc
+@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+def test_a_campaign_stopped_before_its_load_cancels_the_build(
+        cache_dir, cc_children, monkeypatch, tmp_path_factory, error):
+    """An interrupt or an exception between the kernel build's start and
+    the program's load propagates; the ``cc`` child, still running, is
+    killed and reaped, and the cache holds no temporary file and no
+    half-installed ``.so``."""
+    from repro.fi import campaign, run_campaign
+
+    # a compiler that runs until it is killed, so the probe below raises
+    # while the child runs
+    slow_cc = tmp_path_factory.mktemp("slow-cc") / "cc"
+    slow_cc.write_text("#!/bin/sh\nexec sleep 60\n")
+    slow_cc.chmod(0o755)
+    monkeypatch.setenv("CC", str(slow_cc))
+    native._reset_toolchain_cache()
+
+    def stopped(*args):
+        (child,) = cc_children
+        assert child.poll() is None
+        raise error("stopped before the load")
+
+    monkeypatch.setattr(campaign, "_run_probe", stopped)
+    try:
+        with pytest.raises(error, match="stopped before the load"):
+            run_campaign(_native_campaign())
+    finally:
+        native._reset_toolchain_cache()
+    (child,) = cc_children
+    assert child.returncode is not None and child.returncode < 0
+    assert os.listdir(cache_dir) == []
 
 
 @needs_cc
