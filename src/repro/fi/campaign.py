@@ -610,14 +610,24 @@ def _runners(level: str):
             "beh": (run_beh_batch, run_beh_fault_scalar)}[level]
 
 
+def _fallback_counter(level: str, backend: str):
+    return REGISTRY.counter(
+        "repro_fi_batch_fallbacks_total",
+        help="FI batches re-run one fault per simulation on compiled "
+             "after the batch raised",
+        level=level, backend=backend)
+
+
 def _fi_task(faults: Sequence[Fault]):
     """Pool task: classify a slice of the faultload on the campaign's
-    engine; returns the records and the compile-cache deltas."""
+    engine; returns the records, the compile-cache deltas and the
+    number of batches that fell back to one fault per run."""
     level, backend = _WORKER["level"], _WORKER["backend"]
     dut, workload = _WORKER["dut"], _WORKER["workload"]
     params = _WORKER["params"]
     batch, single = _runners(level)
     before = counters_snapshot()
+    fallbacks = 0
     if not ENGINES[backend].batches(level):
         records = []
         for fault in faults:
@@ -640,11 +650,8 @@ def _fi_task(faults: Sequence[Fault]):
                 # fault: isolate by re-running each fault in its own
                 # single-pattern run, and say so
                 batch_span.note(fallback=type(exc).__name__)
-                REGISTRY.counter(
-                    "repro_fi_batch_fallbacks_total",
-                    help="FI batches re-run one fault per simulation on "
-                         "compiled after the batch raised",
-                    level=level, backend=backend).inc()
+                fallbacks = 1
+                _fallback_counter(level, backend).inc()
                 reason = f"{type(exc).__name__}: {exc}".splitlines()[0]
                 warnings.warn(
                     f"a {level} batch of {len(faults)} faults failed on "
@@ -653,7 +660,7 @@ def _fi_task(faults: Sequence[Fault]):
                 records = [single(dut, workload, fault, params,
                                   backend="compiled")
                            for fault in faults]
-    return records, counters_delta(before, counters_snapshot())
+    return records, counters_delta(before, counters_snapshot()), fallbacks
 
 
 class PoolInterrupted(KeyboardInterrupt):
@@ -851,10 +858,14 @@ def _run_campaign(config: CampaignConfig, backend: str,
     finally:
         _WORKER.pop("program", None)
     if config.jobs > 1 and len(tasks) > 1:
-        # pool runs hit worker-local caches; in-process runs already
-        # counted against the parent's, so absorbing would double-count
+        # pool runs hit worker-local caches and counters; in-process
+        # runs already counted in the parent, so absorbing would
+        # double-count
         absorb_deltas([r[1] for r in results])
-    records = [rec for batch, _ in results for rec in batch]
+        fallbacks = sum(r[2] for r in results)
+        if fallbacks:
+            _fallback_counter(config.level, backend).inc(fallbacks)
+    records = [rec for r in results for rec in r[0]]
     for outcome, count in tally(records).items():
         if count:
             REGISTRY.counter(

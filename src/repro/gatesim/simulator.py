@@ -1,18 +1,22 @@
 """Event-driven gate-level simulation with 4-valued logic.
 
-The simulator levelises the netlist once, then uses selective-trace
-evaluation: a net that changes pushes the position of every unit it
-feeds onto one pending min-heap, and a settle pops that heap until it
-is empty.  Only cells whose inputs changed are re-evaluated, each once
-and in level order (a fan-out unit always sits at a higher level) --
-the classic compiled event-driven algorithm of gate-level simulators --
-so a settle costs what changed, not the netlist's size.  A cell is a
-truth-table lookup: its input codes index a table drawn once per cell
-type from the library's ``EVAL`` functions, the one definition of cell
-semantics (Z passes through as they return it).  Flops commit on an
-explicit :meth:`GateSimulator.step` (clock edge), from edge rows built
-once; memory macros are bound to behavioural models from
-:mod:`repro.gatesim.memory` (checking or plain).
+The simulator levelises the netlist once into positions: one unit per
+cell output pin and per memory read port, in level order, then one
+position per flop.  It uses selective-trace evaluation: a net that
+changes pushes every position it feeds onto one pending min-heap, and
+a settle pops the heap while its minimum is a unit.  Only units whose
+inputs changed are re-evaluated, each once and in level order (a
+fan-out unit always sits at a higher level) -- the classic compiled
+event-driven algorithm of gate-level simulators -- so a settle costs
+what changed, not the netlist's size.  A cell output is a truth-table
+lookup: its input codes index a table drawn once per cell type and pin
+from the library's ``EVAL`` functions, the one definition of cell
+semantics (Z passes through as they return it).  The clock edge is
+event-driven too: a flop's position is pushed when its D, SE or SI
+net changes, and :meth:`GateSimulator.step` samples only the flops
+pending after its settle, and the write ports, then commits; memory
+macros are bound to behavioural models from :mod:`repro.gatesim.memory`
+(checking or plain).
 """
 
 from __future__ import annotations
@@ -70,17 +74,16 @@ BACKENDS = tuple(ENGINES)
 
 
 @functools.lru_cache(maxsize=None)
-def _truth_table(cell_type: str, n_inputs: int,
-                 outputs: Tuple[str, ...]) -> Dict[object, Tuple[int, ...]]:
-    """The output codes of *cell_type*'s *outputs* for every
+def _pin_table(cell_type: str, pin: str,
+               n_inputs: int) -> Dict[object, int]:
+    """The output code of *cell_type*'s output *pin* for every
     combination of input codes, drawn from the library's ``EVAL``; one
-    table per ``EVAL`` cell, shared read-only by every simulator.
+    table per ``EVAL`` entry, shared read-only by every simulator.
 
     Keyed as ``operator.itemgetter`` over the input nets returns the
     codes: by their tuple, or by the one code of a one-input cell."""
-    fns = [EVAL[(cell_type, pin)] for pin in outputs]
-    return {codes if n_inputs > 1 else codes[0]:
-            tuple(fn(*codes) for fn in fns)
+    fn = EVAL[(cell_type, pin)]
+    return {codes if n_inputs > 1 else codes[0]: fn(*codes)
             for codes in itertools.product(CODES, repeat=n_inputs)}
 
 
@@ -95,19 +98,6 @@ def _word(values: List[int], uids: Sequence[int]) -> Optional[int]:
         elif v != L.L0:
             return None
     return word
-
-
-class _Unit:
-    """One evaluation unit: a combinational cell or a memory read port,
-    at position *pos* of the levelised unit list."""
-
-    __slots__ = ("pos", "eval", "out_uids", "dirty")
-
-    def __init__(self, pos: int, eval_fn, out_uids: Sequence[int]):
-        self.pos = pos
-        self.eval = eval_fn
-        self.out_uids = tuple(out_uids)
-        self.dirty = False
 
 
 class GateSimulator:
@@ -178,21 +168,7 @@ class GateSimulator:
         for name, model in self.memories.items():
             model.on_change = functools.partial(
                 self._memory_changed, self._read_units.get(name, []))
-
-        # flops, and the rows an edge samples: (q, d) per DFF,
-        # (q, se, si, d) per SDFF, (model, en, addr, data) per write port
-        self._flop_inits: List[Tuple[int, int]] = []
-        self._dffs: List[Tuple[int, int]] = []
-        self._sdffs: List[Tuple[int, int, int, int]] = []
-        for flop in netlist.flops():
-            q = flop.outputs["Q"].uid
-            self._flop_inits.append((q, flop.init & 1))
-            self.values[q] = flop.init & 1
-            if flop.cell_type == "SDFF":
-                self._sdffs.append((q, flop.pins["SE"].uid,
-                                    flop.pins["SI"].uid, flop.pins["D"].uid))
-            else:
-                self._dffs.append((q, flop.pins["D"].uid))
+        #: the rows an edge samples per write port: (model, en, addr, data)
         self._write_rows = [
             (self.memories[macro.name], wp.enable.uid,
              [n.uid for n in wp.addr], [n.uid for n in wp.data])
@@ -209,37 +185,71 @@ class GateSimulator:
     # construction helpers
     # ------------------------------------------------------------------
     def _build_units(self) -> None:
+        """Lay out the positions: one unit per cell output pin and per
+        memory read port, in levelised order, then one per flop."""
         from .levelize import levelize
 
-        #: the units in levelised order; a unit's ``pos`` indexes it
-        self._units: List[_Unit] = []
-        #: net uid -> the units it feeds (data deps only)
-        self._fanout: List[List[_Unit]] = [
-            [] for _ in range(len(self.netlist.nets))]
-        #: memory name -> the units of its read ports
-        self._read_units: Dict[str, List[_Unit]] = {}
-        #: positions of the units to evaluate, a min-heap
-        self._pending: List[int] = []
-        for pos, lu in enumerate(levelize(self.netlist, error=GateSimError)):
-            if isinstance(lu.key, CellInstance):
-                unit = _Unit(pos, self._make_cell_eval(lu.key), lu.outs)
-            else:
-                unit = _Unit(pos, self._make_mem_read_eval(*lu.key),
-                             lu.outs)
-                self._read_units.setdefault(lu.key[0].name,
-                                            []).append(unit)
-            self._units.append(unit)
-            for uid in lu.deps:
-                self._fanout[uid].append(unit)
+        netlist = self.netlist
+        #: per unit position: a cell output's truth table, or None for
+        #: a memory read port
+        self._tables: List[Optional[Dict[object, int]]] = []
+        #: per unit position: the ``itemgetter`` of a cell's input
+        #: codes, or the read of a memory port
+        self._takes: List[Callable] = []
+        #: per unit position: a cell output's net uid, or the tuple of
+        #: a memory read port's data net uids
+        self._outs: List[object] = []
+        #: net uid -> the positions it feeds (data deps only)
+        self._fanout: List[List[int]] = [[] for _ in netlist.nets]
+        #: memory name -> the positions of its read ports
+        self._read_units: Dict[str, List[int]] = {}
 
-    def _make_cell_eval(self, cell: CellInstance) -> Callable[[], tuple]:
-        spec = self.netlist.library[cell.cell_type]
-        table = _truth_table(cell.cell_type, len(spec.inputs),
-                             spec.outputs)
-        take = operator.itemgetter(*(cell.pins[pin].uid
-                                     for pin in spec.inputs))
-        values = self.values
-        return lambda: table[take(values)]
+        def add(deps, table, take, out) -> None:
+            for uid in deps:
+                self._fanout[uid].append(len(self._outs))
+            self._tables.append(table)
+            self._takes.append(take)
+            self._outs.append(out)
+
+        for lu in levelize(netlist, error=GateSimError):
+            if isinstance(lu.key, CellInstance):
+                cell = lu.key
+                spec = netlist.library[cell.cell_type]
+                take = operator.itemgetter(*(cell.pins[pin].uid
+                                             for pin in spec.inputs))
+                for pin in spec.outputs:
+                    add(lu.deps, _pin_table(cell.cell_type, pin,
+                                            len(spec.inputs)),
+                        take, cell.outputs[pin].uid)
+            else:
+                self._read_units.setdefault(lu.key[0].name, []).append(
+                    len(self._outs))
+                add(lu.deps, None, self._make_mem_read_eval(*lu.key),
+                    tuple(lu.outs))
+
+        #: the first flop position; a settle stops below it
+        self._first_flop = len(self._outs)
+        #: per flop, from the first flop position on: (q, se, si, d),
+        #: se and si None for a DFF
+        self._flops: List[Tuple[int, Optional[int], Optional[int], int]] = []
+        #: (q, initial value) per flop
+        self._flop_inits: List[Tuple[int, int]] = []
+        for flop in netlist.flops():
+            q = flop.outputs["Q"].uid
+            self._flop_inits.append((q, flop.init & 1))
+            self.values[q] = flop.init & 1
+            for net in flop.pins.values():  # D, and SE and SI
+                self._fanout[net.uid].append(
+                    self._first_flop + len(self._flops))
+            if flop.cell_type == "SDFF":
+                self._flops.append((q, flop.pins["SE"].uid,
+                                    flop.pins["SI"].uid, flop.pins["D"].uid))
+            else:
+                self._flops.append((q, None, None, flop.pins["D"].uid))
+        #: per position, 1 while it is pending
+        self._dirty = bytearray(self._first_flop + len(self._flops))
+        #: the pending positions, a min-heap
+        self._pending: List[int] = []
 
     def _make_mem_read_eval(self, macro: MemoryMacro,
                             index: int) -> Callable[[], List[int]]:
@@ -260,19 +270,21 @@ class GateSimulator:
     # evaluation
     # ------------------------------------------------------------------
     def _settle_all(self) -> None:
-        for unit in self._units:
-            unit.dirty = True
-        self._pending[:] = range(len(self._units))  # sorted: a heap
+        """Mark every unit and every flop, and settle."""
+        n = len(self._dirty)
+        self._dirty[:] = b"\x01" * n
+        self._pending[:] = range(n)  # sorted: a heap
         self._settle()
 
-    def _schedule(self, units: Sequence[_Unit]) -> None:
-        """Push every unit of *units* not pending yet."""
-        for unit in units:
-            if not unit.dirty:
-                unit.dirty = True
-                heapq.heappush(self._pending, unit.pos)
+    def _schedule(self, positions: Sequence[int]) -> None:
+        """Push every position of *positions* not pending yet."""
+        dirty, pending = self._dirty, self._pending
+        for pos in positions:
+            if not dirty[pos]:
+                dirty[pos] = 1
+                heapq.heappush(pending, pos)
 
-    def _memory_changed(self, read_units: List[_Unit]) -> None:
+    def _memory_changed(self, read_units: List[int]) -> None:
         """A memory's storage changed: schedule its read ports and,
         outside a clock edge, settle."""
         self._schedule(read_units)
@@ -280,22 +292,42 @@ class GateSimulator:
             self._settle()
 
     def _settle(self) -> None:
-        """Evaluate the pending units in position order until none is
-        left; a unit whose output changes pushes its fan-out, which
-        sits at a higher level, so every unit runs once per settle."""
-        pending = self._pending
-        values, units, fanout = self.values, self._units, self._fanout
+        """Evaluate the pending units in position order until only
+        flops are left pending; a unit whose output changes pushes its
+        fan-out, which sits at a higher position, so every unit runs
+        once per settle."""
+        pending, dirty = self._pending, self._dirty
+        values, fanout = self.values, self._fanout
+        tables, takes, outs = self._tables, self._takes, self._outs
+        first_flop = self._first_flop
         pop, push = heapq.heappop, heapq.heappush
-        while pending:
-            unit = units[pop(pending)]
-            unit.dirty = False
-            for uid, v in zip(unit.out_uids, unit.eval()):
-                if values[uid] != v:
-                    values[uid] = v
-                    for fan in fanout[uid]:
-                        if not fan.dirty:
-                            fan.dirty = True
-                            push(pending, fan.pos)
+        while pending and pending[0] < first_flop:
+            pos = pop(pending)
+            dirty[pos] = 0
+            table = tables[pos]
+            if table is None:
+                fans = self._read_port(pos)
+            else:
+                uid = outs[pos]
+                v = table[takes[pos](values)]
+                if values[uid] == v:
+                    continue
+                values[uid] = v
+                fans = fanout[uid]
+            for fan in fans:
+                if not dirty[fan]:
+                    dirty[fan] = 1
+                    push(pending, fan)
+
+    def _read_port(self, pos: int) -> List[int]:
+        """Run the memory read port at *pos*: store the data bits that
+        change and return the positions they feed."""
+        values, fans = self.values, []
+        for uid, v in zip(self._outs[pos], self._takes[pos]()):
+            if values[uid] != v:
+                values[uid] = v
+                fans += self._fanout[uid]
+        return fans
 
     # ------------------------------------------------------------------
     # public API (mirrors RtlSimulator)
@@ -395,16 +427,27 @@ class GateSimulator:
         return model
 
     def step(self, cycles: int = 1) -> None:
-        """Advance one or more clock edges."""
+        """Advance one or more clock edges.  An edge samples only the
+        flops pending after its settle -- those whose D, SE or SI moved
+        since they last sampled -- and every write port."""
         values, fanout = self.values, self._fanout
+        pending, dirty = self._pending, self._dirty
+        flops, first_flop = self._flops, self._first_flop
         for _ in range(cycles):
             self._settle()
-            # sample flop inputs and memory writes
-            updates = [(q, values[d]) for q, d in self._dffs]
-            for q, se, si, d in self._sdffs:
-                s = values[se]
-                updates.append((q, values[si] if s == L.L1 else
-                                values[d] if s == L.L0 else L.LX))
+            # only flop positions are left pending: sample those
+            due = pending[:]
+            pending.clear()
+            updates = []
+            for pos in due:
+                dirty[pos] = 0
+                q, se, si, d = flops[pos - first_flop]
+                if se is None:
+                    updates.append((q, values[d]))
+                else:
+                    s = values[se]
+                    updates.append((q, values[si] if s == L.L1 else
+                                    values[d] if s == L.L0 else L.LX))
             writes = []
             for model, en, addr, data in self._write_rows:
                 e = values[en]
@@ -418,6 +461,9 @@ class GateSimulator:
                 for model, addr, data in writes:
                     model.write(addr, data if data is not None else 0,
                                 cycle=self.cycles)
+            except BaseException:
+                self._schedule(due)  # no edge: its flops stay due
+                raise
             finally:
                 self._in_edge = False
             for q, v in updates:

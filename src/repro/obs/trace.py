@@ -320,12 +320,27 @@ def stage_summary(events: Optional[Iterable[Dict[str, Any]]] = None,
 
 def format_stage_table(events: Optional[Iterable[Dict[str, Any]]] = None,
                        ) -> str:
-    """A per-stage wall-time table for ``write_*_artifacts`` reports."""
+    """A per-stage wall-time table for ``write_*_artifacts`` reports.
+
+    Beside a stage's wall it prints the summed ``cpu_s`` of its spans
+    that carry one: a ``native.cc`` span runs from the build's start to
+    its reap, so its wall can cover other work, while its ``cpu_s`` is
+    the compiler's own time."""
+    events = list(_EVENTS if events is None else events)
     rows = stage_summary(events)
     if not rows:
         return "stage wall time: no spans recorded (tracing disabled?)\n"
+    cpu: Dict[str, float] = {}
+    for event in events:
+        if event.get("ph") == "X" and "cpu_s" in event.get("args", {}):
+            cpu[event["name"]] = (cpu.get(event["name"], 0.0)
+                                  + event["args"]["cpu_s"])
     width = max(len(name) for name, _, _ in rows)
-    lines = [f"{'stage'.ljust(width)}  {'count':>6}  {'total_s':>9}"]
+    lines = [f"{'stage'.ljust(width)}  {'count':>6}  {'total_s':>9}  "
+             f"{'cpu_s':>9}"]
     for name, count, total in rows:
-        lines.append(f"{name.ljust(width)}  {count:>6}  {total:>9.3f}")
+        line = f"{name.ljust(width)}  {count:>6}  {total:>9.3f}"
+        if name in cpu:
+            line += f"  {cpu[name]:>9.3f}"
+        lines.append(line)
     return "\n".join(lines) + "\n"

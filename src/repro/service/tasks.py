@@ -316,7 +316,7 @@ def _run_fi_task(payload: Dict[str, object]) -> Dict[str, object]:
     C._init_worker(config.params, config.level, config.seed,
                    config.budget, config.backend)
     faults, _ = C.campaign_faultload(config)
-    records, _ = C._fi_task(faults[payload["lo"]:payload["hi"]])
+    records = C._fi_task(faults[payload["lo"]:payload["hi"]])[0]
     return {"records": [r.as_dict() for r in records]}
 
 

@@ -379,6 +379,12 @@ def test_failed_batch_is_isolated_fault_by_fault(monkeypatch):
     assert fallbacks.value == before + 2
     assert [e["args"].get("fallback") for e in events
             if e["name"] == "fi.batch"] == ["RuntimeError"] * 2
+    # in a pool each worker counts its own fallback: the parent folds
+    # them in (the workers' warnings stay in the workers)
+    pooled = dataclasses.replace(ISOLATED, jobs=2)
+    got = [r.as_dict() for r in run_campaign(pooled).records]
+    assert got == want
+    assert fallbacks.value == before + 4
 
 
 def test_harness_error_in_a_batch_is_not_isolated(monkeypatch):
@@ -421,7 +427,7 @@ def test_batch_width_follows_the_engine_table():
 @pytest.fixture
 def cold_native(tmp_path, monkeypatch):
     """An empty ``.so`` cache and in-process compile cache; the flags
-    every build uses (``-O2`` unless ``$REPRO_NATIVE_CFLAGS`` overrides,
+    every build uses (``-O1`` unless ``$REPRO_NATIVE_CFLAGS`` overrides,
     as the sanitizer CI job does)."""
     if not toolchain_available():
         pytest.skip("no C toolchain")
@@ -429,7 +435,7 @@ def cold_native(tmp_path, monkeypatch):
     COMPILE_CACHE.clear()
     flags = " ".join(build_cflags())
     assert flags == " ".join(
-        os.environ.get("REPRO_NATIVE_CFLAGS", "-O2").split())
+        os.environ.get("REPRO_NATIVE_CFLAGS", "-O1").split())
     return flags
 
 

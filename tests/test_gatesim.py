@@ -10,7 +10,7 @@ from repro.datatypes import L0, L1, LX, LZ
 from repro.engines import ENGINES
 from repro.gatesim import (AccessViolation, CheckingMemoryModel,
                            GateSimError, GateSimulator, MemoryModel)
-from repro.kernel import Reporter, Severity
+from repro.kernel import ReportError, Reporter, Severity
 from repro.rtl import BitNot, Const, Mux, Ref, RtlModule, Slice
 from repro.synth import map_to_gates
 from repro.synth.library import DEFAULT_LIBRARY, EVAL
@@ -89,32 +89,45 @@ def test_undriven_net_rejected_by_validate():
 
 
 def _counting(sim):
-    """Wrap every unit's eval on the interpreted *sim*: the returned
-    list collects the position of each unit evaluated."""
+    """Wrap the input read of every unit on the interpreted *sim*: the
+    returned list collects the position of each unit evaluated."""
     ran = []
-    for unit in sim._units:
-        def counted(pos=unit.pos, run=unit.eval):
+    for pos, take in enumerate(sim._takes):
+        def counted(*values, pos=pos, take=take):
             ran.append(pos)
-            return run()
-        unit.eval = counted
+            return take(*values)
+        sim._takes[pos] = counted
     return ran
 
 
+class _Sampled(list):
+    """A simulator's flop rows, counting each row an edge samples."""
+
+    samples = 0
+
+    def __getitem__(self, index):
+        self.samples += 1
+        return super().__getitem__(index)
+
+
 def _cone(sim, uids):
-    """The positions of the units in the fan-out cone of nets *uids*."""
+    """The positions of the units in the fan-out cone of nets *uids*;
+    flops end a cone."""
     cone, todo = set(), list(uids)
     while todo:
-        for unit in sim._fanout[todo.pop()]:
-            if unit.pos not in cone:
-                cone.add(unit.pos)
-                todo.extend(unit.out_uids)
+        for pos in sim._fanout[todo.pop()]:
+            if pos < sim._first_flop and pos not in cone:
+                cone.add(pos)
+                out = sim._outs[pos]
+                todo.extend(out if isinstance(out, tuple) else [out])
     return cone
 
 
 def test_selective_trace_matches_full_eval():
     """Re-driving one input evaluates only units of its fan-out cone,
     each once, with the net values of a full evaluation; an edge that
-    changes no input and no flop evaluates nothing."""
+    changes no input and no flop evaluates nothing, and an edge that
+    moves no flop input samples no flop."""
     m = RtlModule("m")
     a = m.input("a", 8)
     b = m.input("b", 8)
@@ -131,6 +144,7 @@ def test_selective_trace_matches_full_eval():
     assert (sim.get("y"), sim.get("q")) == (12, 7)
 
     ran = _counting(sim)
+    sim._flops = flops = _Sampled(sim._flops)
     sim.set_input("a", 6)
     assert sim.get("y") == 13
     a_cone = _cone(sim, [n.uid for n in nl.inputs["a"]])
@@ -147,7 +161,12 @@ def test_selective_trace_matches_full_eval():
     sim.step()  # r already holds b, and no input moves
     sim.step(3)
     assert ran == []
+    assert flops.samples == 0
     assert (sim.get("y"), sim.get("z"), sim.get("q")) == (13, 0xF8, 7)
+    sim.set_input("b", 9)  # 7 ^ 9: moves the D of r's bits 1 to 3 only
+    sim.step()
+    assert flops.samples == 3
+    assert (sim.get("y"), sim.get("q")) == (15, 9)
 
 
 @pytest.mark.parametrize("cell", sorted(
@@ -170,6 +189,30 @@ def test_interpreted_cell_is_eval_with_z_kept(cell):
         for out in spec.outputs:
             assert sim.get_logic(out.lower()) == \
                 [EVAL[(cell, out)](*codes)], (cell, codes, out)
+
+
+def test_an_edge_whose_write_raises_keeps_its_flops_due():
+    """A checking model that raises on an invalid write stops the edge
+    before any flop commits, and the next edge samples those flops
+    though their inputs did not move again."""
+    m = RtlModule("m")
+    a = m.input("a", 3)
+    x = m.input("x", 1)
+    ram = m.memory("ram", 4, 1)
+    m.mem_write(ram, Const(1, 1), a, x)
+    r = m.register("r", 1)
+    m.set_next(r, x)
+    m.output("q", r)
+    sim = GateSimulator(map_to_gates(m), checking_memories=True,
+                        reporter=Reporter(raise_at=Severity.ERROR))
+    sim.set_input("a", 5)  # past the depth: the write raises
+    sim.set_input("x", 1)
+    with pytest.raises(ReportError, match="invalid write address 5"):
+        sim.step()
+    assert (sim.get("q"), sim.cycles) == (0, 0)
+    sim.set_input("a", 1)  # moves no input of r
+    sim.step()
+    assert (sim.get("q"), sim.cycles) == (1, 1)
 
 
 # ---------------------------------------------------------------- memory

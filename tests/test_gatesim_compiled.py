@@ -157,6 +157,41 @@ def test_cell_exhaustive_4valued(cell, backend):
             assert ref == comp.get_logic(out.lower()), (cell, vals, out)
 
 
+def _gray(n):
+    """Every combination of *n* logic codes, each one code away from
+    the one before (a reflected Gray code)."""
+    if n == 0:
+        return [()]
+    rows = _gray(n - 1)
+    return [(code,) + row for i, code in enumerate(LOGIC)
+            for row in (rows if i % 2 == 0 else rows[::-1])]
+
+
+@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+@pytest.mark.parametrize("cell", sorted(
+    c.name for c in DEFAULT_LIBRARY.cells.values() if c.sequential))
+def test_flop_exhaustive_4valued(cell, backend):
+    """Every sequential cell, every 4-valued input combination, one
+    edge after each, each combination one input away from the one
+    before: the interpreted engine samples only the flops whose inputs
+    moved, so an edge after a move of SE alone or SI alone must
+    resample too."""
+    spec = DEFAULT_LIBRARY.cells[cell]
+    nl = Netlist("n")
+    pins = {p: nl.add_input(p.lower(), 1)[0] for p in spec.inputs}
+    g = nl.add_cell(cell, pins)
+    nl.set_output("q", [g.outputs["Q"]])
+    interp, comp = both_backends(nl, backend=backend)
+    for codes in _gray(len(spec.inputs)):
+        for pin, v in zip(spec.inputs, codes):
+            interp.set_input_logic(pin.lower(), [v])
+            comp.set_input_logic(pin.lower(), [v])
+        interp.step()
+        comp.step()
+        ref = [LX if v == LZ else v for v in interp.get_logic("q")]
+        assert ref == comp.get_logic("q"), (cell, codes)
+
+
 # -------------------------------------------------------- SRC netlists
 @pytest.mark.parametrize("backend", BATCH_CASES)
 @pytest.mark.parametrize("which", ["rtl", "beh"])

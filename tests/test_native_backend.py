@@ -91,7 +91,7 @@ def test_toolchain_info_shape(monkeypatch):
     assert info["loader"] in ("cffi", "ctypes")
     # provenance states the one policy every build follows
     monkeypatch.delenv("REPRO_NATIVE_CFLAGS", raising=False)
-    assert toolchain_info()["cflags"] == "-O2 (every build)"
+    assert toolchain_info()["cflags"] == "-O1 (every build)"
     monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-O3 -g")
     assert toolchain_info()["cflags"] == \
         "-O3 -g ($REPRO_NATIVE_CFLAGS, every build)"
@@ -279,12 +279,12 @@ def test_artifact_evicted_before_dlopen_is_rebuilt(cache_dir,
 
 @needs_cc
 def test_every_build_uses_the_one_flag_policy(cache_dir, monkeypatch):
-    """Every build is -O2 at any source size unless the env override
+    """Every build is -O1 at any source size unless the env override
     says otherwise; each build is counted under the flags it used."""
     monkeypatch.delenv("REPRO_NATIVE_CFLAGS")
     huge = SOURCE + "/*" + "x" * ((1 << 20) + 1) + "*/"
     for k, (source, env, flags) in enumerate((
-            (SOURCE, None, "-O2"), (huge, None, "-O2"),
+            (SOURCE, None, "-O1"), (huge, None, "-O1"),
             (SOURCE, "-O1 -g", "-O1 -g"), (SOURCE, " -O0 ", "-O0"))):
         if env is not None:
             monkeypatch.setenv("REPRO_NATIVE_CFLAGS", env)

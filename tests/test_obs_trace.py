@@ -11,9 +11,9 @@ import pytest
 from repro.obs.trace import (TracedTask, absorb_events, adopt_context,
                              current_context, disable_tracing,
                              enable_tracing, event_mark, events_since,
-                             record_span, span, stage_summary,
-                             trace_events, tracing_enabled,
-                             write_chrome_trace)
+                             format_stage_table, record_span, span,
+                             stage_summary, trace_events,
+                             tracing_enabled, write_chrome_trace)
 from tests.schema_lock import check_chrome_trace
 
 
@@ -145,3 +145,18 @@ def test_stage_summary_orders_by_total(tracing):
     assert summary[0][0] == "slow"
     by_name = {name: (count, total) for name, count, total in summary}
     assert by_name["fast"][0] == 2
+
+
+def test_stage_table_shows_span_cpu_beside_wall(tracing):
+    """A stage whose spans carry ``cpu_s`` shows their sum beside its
+    wall (a build's span can run far longer than its compiler); a stage
+    without shows its wall alone, and the summary rows stay walls."""
+    record_span("native.cc", 0.0, 1.2, cpu_s=0.15)
+    record_span("native.cc", 2.0, 2.5, cpu_s=0.1)
+    record_span("fi.batch", 3.0, 3.25)
+    table = [line.split() for line in format_stage_table().splitlines()]
+    assert table == [["stage", "count", "total_s", "cpu_s"],
+                     ["native.cc", "2", "1.700", "0.250"],
+                     ["fi.batch", "1", "0.250"]]
+    assert [row[:2] for row in stage_summary()] == [("native.cc", 2),
+                                                    ("fi.batch", 1)]
