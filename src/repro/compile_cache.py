@@ -10,8 +10,8 @@ Keys are tagged with the *owning backend* ("compiled", "native"):
 two engines consuming the same structural digest would otherwise
 collide in one slot and hand each other the wrong program object.  The
 tag is part of the stored key, and hit/miss/eviction counters are kept
-both in total and per backend so flows can report which engine
-amortised its codegen.
+per backend (the totals are their sums) so flows can report which
+engine amortised its codegen.
 
 The store is bounded: entries are kept in least-recently-used order and
 the oldest one is evicted once ``max_entries`` is exceeded.  Long
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, TypeVar
 
 T = TypeVar("T")
 
@@ -45,15 +45,6 @@ class CacheStats:
     evictions: int = 0
     #: total generated-source size of the resident entries, in bytes
     source_bytes: int = 0
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        """Fold counters of another snapshot in (resident-store sizes do
-        not add across processes; the larger store wins)."""
-        return CacheStats(self.hits + other.hits,
-                          self.misses + other.misses,
-                          max(self.entries, other.entries),
-                          self.evictions + other.evictions,
-                          max(self.source_bytes, other.source_bytes))
 
     def format(self) -> str:
         return (f"compile cache: {self.entries} entries "
@@ -78,10 +69,6 @@ class CompileCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._store: "OrderedDict[str, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._source_bytes = 0
         #: per-backend mutable counters: [hits, misses, evictions,
         #: entries, source_bytes]
         self._backends: Dict[str, list] = {}
@@ -102,61 +89,36 @@ class CompileCache:
         counters = self._counters(backend)
         program = self._store.get(tagged)
         if program is not None:
-            self.hits += 1
             counters[0] += 1
             self._store.move_to_end(tagged)
             return program  # type: ignore[return-value]
-        self.misses += 1
         counters[1] += 1
         program = factory()
         self._store[tagged] = program
-        size = self._size_of(program)
-        self._source_bytes += size
         counters[3] += 1
-        counters[4] += size
+        counters[4] += self._size_of(program)
         while len(self._store) > self.max_entries:
             evicted_key, evicted = self._store.popitem(last=False)
-            evicted_size = self._size_of(evicted)
-            self._source_bytes -= evicted_size
-            self.evictions += 1
             victim = self._counters(evicted_key.split(_TAG_SEP, 1)[0])
             victim[2] += 1
             victim[3] -= 1
-            victim[4] -= evicted_size
+            victim[4] -= self._size_of(evicted)
         return program
 
-    def absorb(self, hits: int, misses: int, evictions: int = 0,
-               by_backend: Optional[Mapping[str, Tuple[int, int, int]]]
-               = None) -> None:
-        """Fold counters observed elsewhere into this cache.
+    def absorb(self, backend: str, hits: int = 0, misses: int = 0,
+               evictions: int = 0) -> None:
+        """Fold *backend*'s counts observed in another process in.
 
-        Worker processes of a fault-injection campaign or a parallel
-        verification run each hold their own process-local cache; their
-        per-task counter deltas are shipped back and absorbed here so
-        the parent's reported stats cover the whole run.  *by_backend*
-        optionally carries per-backend ``(hits, misses, evictions)``
-        deltas; without it the totals are attributed to ``"compiled"``.
-        """
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
-        if by_backend is None:
-            if hits or misses or evictions:
-                by_backend = {"compiled": (hits, misses, evictions)}
-            else:
-                by_backend = {}
-        for backend, (h, m, e) in by_backend.items():
-            counters = self._counters(backend)
-            counters[0] += h
-            counters[1] += m
-            counters[2] += e
+        A pool worker's counts come back in its metrics delta, and
+        merging that delta routes them here (``repro.obs.metrics``), so
+        the parent's reported stats cover the whole run."""
+        counters = self._counters(backend)
+        counters[0] += hits
+        counters[1] += misses
+        counters[2] += evictions
 
     def clear(self) -> None:
         self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._source_bytes = 0
         self._backends = {}
 
     def __len__(self) -> int:
@@ -164,8 +126,12 @@ class CompileCache:
 
     @property
     def stats(self) -> CacheStats:
-        return CacheStats(self.hits, self.misses, len(self._store),
-                          self.evictions, self._source_bytes)
+        """Every backend's counters summed."""
+        per_backend = self._backends.values()
+        return CacheStats(sum(c[0] for c in per_backend),
+                          sum(c[1] for c in per_backend), len(self._store),
+                          sum(c[2] for c in per_backend),
+                          sum(c[4] for c in per_backend))
 
     @property
     def stats_by_backend(self) -> Dict[str, CacheStats]:
@@ -178,15 +144,9 @@ class CompileCache:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process aggregation over the process's cache roster.
-#
-# The parallel verification harness and the FI campaign runner used to
-# carry their own copies of this snapshot/delta/absorb logic; it lives
-# here now so every consumer (CLI pools, the campaign service, the
-# artifact writers, the metrics registry) shares one implementation.
-# The three cache instances live in modules on opposite sides of the
-# rtl <-> synth import cycle, so they are imported lazily inside
-# :func:`iter_caches` rather than at module level.
+# The process's cache roster.  The three cache instances live in modules
+# on opposite sides of the rtl <-> synth import cycle, so they are
+# imported lazily inside :func:`iter_caches` rather than at module level.
 # ---------------------------------------------------------------------------
 
 def iter_caches():
@@ -196,51 +156,6 @@ def iter_caches():
     from .rtl.emit import RTL_COMPILE_CACHE
     return (("gate", COMPILE_CACHE), ("rtl", RTL_COMPILE_CACHE),
             ("hls", HLS_COMPILE_CACHE))
-
-
-def counters_snapshot():
-    """Point-in-time per-backend ``(hits, misses, evictions)`` counters
-    of every cache, in :func:`iter_caches` order.
-
-    Worker protocol: snapshot before and after a task, ship
-    ``counters_delta(before, after)`` back with the result, and let the
-    parent fold the deltas in with :func:`absorb_deltas` so its
-    reported statistics cover the whole run.
-    """
-    return tuple(
-        {backend: (s.hits, s.misses, s.evictions)
-         for backend, s in cache.stats_by_backend.items()}
-        for _, cache in iter_caches())
-
-
-def counters_delta(before, after):
-    """Per-cache, per-backend counter movement between two snapshots."""
-    delta = []
-    for cache_before, cache_after in zip(before, after):
-        moved = {}
-        for backend, (hits, misses, evictions) in cache_after.items():
-            h0, m0, e0 = cache_before.get(backend, (0, 0, 0))
-            if (hits, misses, evictions) != (h0, m0, e0):
-                moved[backend] = (hits - h0, misses - m0, evictions - e0)
-        delta.append(moved)
-    return tuple(delta)
-
-
-def absorb_deltas(deltas) -> None:
-    """Fold worker counter deltas into this process's caches."""
-    for i, (_, cache) in enumerate(iter_caches()):
-        merged: Dict[str, list] = {}
-        for delta in deltas:
-            for backend, (hits, misses, evictions) in delta[i].items():
-                counters = merged.setdefault(backend, [0, 0, 0])
-                counters[0] += hits
-                counters[1] += misses
-                counters[2] += evictions
-        if merged:
-            totals = [sum(c[j] for c in merged.values()) for j in range(3)]
-            cache.absorb(totals[0], totals[1], totals[2],
-                         by_backend={b: tuple(c)
-                                     for b, c in merged.items()})
 
 
 def aggregate_stats() -> Dict[str, CacheStats]:

@@ -34,13 +34,17 @@ against ``[fault]``.
 
 Campaigns scale across a ``multiprocessing`` worker pool
 (:func:`parallel_map`); classification is a pure function of
-``(fault, workload)``, so any job count produces identical records,
-and per-task compile-cache deltas are shipped back to the parent so
-cache statistics stay correct under ``--jobs``.  A native gate
-campaign starts its kernel's build first, so ``cc`` runs beside the
-campaign's own work and the probe, and loads its one saboteur program
--- a table on that kernel -- before the batches, so before any pool
-worker forks, and every worker finds it in its inherited compile cache.
+``(fault, workload)``, so any job count produces identical records.
+Every pool task runs under :class:`~repro.obs.trace.TracedTask`, so a
+worker's spans and its metrics delta -- compile-cache and native
+disk-cache counts, batch fallbacks -- come back with its result and
+the parent's counters cover the whole run under ``--jobs``.  A
+campaign builds its engine's kernel before any pool worker forks, and
+every worker finds it in its inherited compile cache: at RTL the
+simulator every fault reuses, at the behavioural level one FSM batch,
+and at gate level on native its one saboteur program -- a table on the
+gate kernel, whose build the campaign starts first, so ``cc`` runs
+beside the campaign's own work and the probe.
 
 The probe re-runs faults spread evenly across the campaign's
 faultload, the first and the last included (:func:`probe_indices`),
@@ -63,15 +67,14 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from ..compile_cache import (absorb_deltas, aggregate_stats,
-                             counters_delta, counters_snapshot)
+from ..compile_cache import aggregate_stats
 from ..datatypes.integers import wrap_signed
 from ..engines import ENGINES, batch_engines, engine_class, resolve
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
 from ..native import Build, NativeToolchainError
 from ..obs.metrics import REGISTRY
-from ..obs.trace import (TracedTask, absorb_events, current_context,
+from ..obs.trace import (TracedTask, absorb_telemetry, current_context,
                          record_span, span)
 from ..rtl import RtlSimulator
 from ..src_design.behavioral import (BehavioralSimulation,
@@ -610,24 +613,13 @@ def _runners(level: str):
             "beh": (run_beh_batch, run_beh_fault_scalar)}[level]
 
 
-def _fallback_counter(level: str, backend: str):
-    return REGISTRY.counter(
-        "repro_fi_batch_fallbacks_total",
-        help="FI batches re-run one fault per simulation on compiled "
-             "after the batch raised",
-        level=level, backend=backend)
-
-
-def _fi_task(faults: Sequence[Fault]):
+def _fi_task(faults: Sequence[Fault]) -> List[FaultRecord]:
     """Pool task: classify a slice of the faultload on the campaign's
-    engine; returns the records, the compile-cache deltas and the
-    number of batches that fell back to one fault per run."""
+    engine; returns its records."""
     level, backend = _WORKER["level"], _WORKER["backend"]
     dut, workload = _WORKER["dut"], _WORKER["workload"]
     params = _WORKER["params"]
     batch, single = _runners(level)
-    before = counters_snapshot()
-    fallbacks = 0
     if not ENGINES[backend].batches(level):
         records = []
         for fault in faults:
@@ -650,8 +642,11 @@ def _fi_task(faults: Sequence[Fault]):
                 # fault: isolate by re-running each fault in its own
                 # single-pattern run, and say so
                 batch_span.note(fallback=type(exc).__name__)
-                fallbacks = 1
-                _fallback_counter(level, backend).inc()
+                REGISTRY.counter(
+                    "repro_fi_batch_fallbacks_total",
+                    help="FI batches re-run one fault per simulation on "
+                         "compiled after the batch raised",
+                    level=level, backend=backend).inc()
                 reason = f"{type(exc).__name__}: {exc}".splitlines()[0]
                 warnings.warn(
                     f"a {level} batch of {len(faults)} faults failed on "
@@ -660,7 +655,7 @@ def _fi_task(faults: Sequence[Fault]):
                 records = [single(dut, workload, fault, params,
                                   backend="compiled")
                            for fault in faults]
-    return records, counters_delta(before, counters_snapshot()), fallbacks
+    return records
 
 
 class PoolInterrupted(KeyboardInterrupt):
@@ -692,10 +687,11 @@ def parallel_map(fn, tasks: Sequence, jobs: int,
     no worker process outlives the call; an interrupt re-raises as
     :class:`PoolInterrupted` with the results completed so far.
 
-    When tracing is enabled the task function is transparently wrapped
-    so workers adopt the parent's trace context and ship their new
-    spans back with each result; the parent absorbs them as results
-    stream in, so partial (interrupted) runs keep their spans too.
+    In a pool every task runs under :class:`TracedTask`: a worker
+    adopts the parent's trace context, when it has one, and ships its
+    spans and metrics delta back with each result; the parent absorbs
+    them as results stream in, so partial (interrupted) runs keep their
+    telemetry too.
     """
     if jobs <= 1 or len(tasks) <= 1:
         if initializer is not None:
@@ -707,18 +703,15 @@ def parallel_map(fn, tasks: Sequence, jobs: int,
         except KeyboardInterrupt:
             raise PoolInterrupted(results) from None
         return results
-    trace_ctx = current_context()
-    task_fn = fn if trace_ctx is None else TracedTask(fn, trace_ctx)
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
     pool = ctx.Pool(min(jobs, len(tasks)), initializer, initargs)
     results = []
     try:
-        for result in pool.imap(task_fn, tasks):
-            if trace_ctx is not None:
-                result, events = result
-                absorb_events(events)
+        for result, telemetry in pool.imap(
+                TracedTask(fn, current_context()), tasks):
+            absorb_telemetry(telemetry)
             results.append(result)
         pool.close()
         pool.join()
@@ -780,7 +773,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     ``cc`` runs beside the campaign's own work, the probe included; the
     build is reaped just before the program loads, and so before any
     pool worker forks.  An exception or interrupt before the load
-    cancels the build.
+    cancels the build.  At RTL and the behavioural level the campaign
+    builds its kernel -- the simulator every fault reuses, one FSM
+    batch -- before its probe, so before any pool worker forks too.
 
     An interrupt (Ctrl-C) does not lose the run: the pool is torn down
     cleanly and the report carries every fault classified so far,
@@ -820,9 +815,21 @@ def _run_campaign(config: CampaignConfig, backend: str,
 
     t0 = time.perf_counter()
     program = None
-    if batches and config.level == "gate":
-        program = shared_program(dut, faults, backend,
-                                 min(width, len(faults)) + 1)
+    # the kernel is built here, before any pool worker forks, so every
+    # worker finds it in its compile cache; a failed build is left to
+    # the tasks, which raise it again
+    if config.level == "gate":
+        if batches:
+            program = shared_program(dut, faults, backend,
+                                     min(width, len(faults)) + 1)
+    else:
+        try:
+            if config.level == "rtl":
+                _rtl_simulator(dut, backend)  # the one every fault reuses
+            else:
+                engine_class(backend, "fsm_batch")(dut, 1)
+        except NativeToolchainError:
+            pass
     # the batches' own cost: the program's set-up and load, its kernel's
     # build by the cc child's CPU seconds (the build's wall, from start
     # to reap, also covers the campaign's own work and the probe), and
@@ -857,15 +864,7 @@ def _run_campaign(config: CampaignConfig, backend: str,
         main_wall += time.perf_counter() - t0
     finally:
         _WORKER.pop("program", None)
-    if config.jobs > 1 and len(tasks) > 1:
-        # pool runs hit worker-local caches and counters; in-process
-        # runs already counted in the parent, so absorbing would
-        # double-count
-        absorb_deltas([r[1] for r in results])
-        fallbacks = sum(r[2] for r in results)
-        if fallbacks:
-            _fallback_counter(config.level, backend).inc(fallbacks)
-    records = [rec for r in results for rec in r[0]]
+    records = [rec for r in results for rec in r]
     for outcome, count in tally(records).items():
         if count:
             REGISTRY.counter(

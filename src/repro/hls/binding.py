@@ -30,10 +30,6 @@ class RegisterBinding:
     def register_count(self) -> int:
         return len(self.registers)
 
-    @property
-    def total_bits(self) -> int:
-        return sum(self.registers.values())
-
 
 def compute_liveness(fsm: Fsm) -> Tuple[List[Set[str]], List[Set[str]]]:
     """Per-state (live_in, live_out) sets of program variables."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Iterable, List, Optional
 
 from .event import Event
-from .process import MethodProcess, Process, ThreadProcess
+from .process import MethodProcess, ThreadProcess
 
 
 class Module:
@@ -99,11 +99,6 @@ class Module:
             proc.add_static_sensitivity(_as_event(item))
         self._processes.append(proc)
         return proc
-
-    def make_sensitive(self, proc: Process, *items) -> None:
-        """Extend a process's static sensitivity list."""
-        for item in items:
-            proc.add_static_sensitivity(_as_event(item))
 
     def _proc_name(self, fn) -> str:
         return f"{self.full_name}.{getattr(fn, '__name__', 'proc')}"

@@ -31,12 +31,6 @@ class ProcessProfile:
     activations: int = 0
     wall_seconds: float = 0.0
 
-    @property
-    def mean_us(self) -> float:
-        if not self.activations:
-            return 0.0
-        return self.wall_seconds / self.activations * 1e6
-
 
 @dataclass
 class ProfileReport:

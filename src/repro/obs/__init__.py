@@ -12,20 +12,23 @@ Two halves:
     ``with span("synthesize", design=digest):`` context managers; spans
     are buffered per process and exported as Chrome trace-event JSON
     (loadable in ``chrome://tracing`` or https://ui.perfetto.dev).
-    Trace/span ids propagate through ``parallel_map`` pools and service
-    task payloads so worker spans nest under the parent campaign.
+    Trace/span ids propagate through ``TracedTask``, the one wrapper of
+    every worker task (``parallel_map`` pools and service shards), so
+    worker spans nest under the parent campaign.
     When tracing is disabled (the default) every hook degrades to a
     single module-flag check returning a shared no-op span.
 
 ``repro.obs.metrics``
     A process-safe metrics registry (counters, gauges, fixed-bucket
     histograms) with snapshot/diff/merge semantics for cross-process
-    aggregation and a Prometheus text-exposition renderer.
+    aggregation and a Prometheus text-exposition renderer.  A worker
+    task's registry delta comes back beside its spans, through the same
+    ``TracedTask``, and ``absorb_telemetry`` folds both in.
 """
 
 from .trace import (  # noqa: F401
     TracedTask,
-    absorb_events,
+    absorb_telemetry,
     adopt_context,
     current_context,
     disable_tracing,

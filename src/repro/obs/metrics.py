@@ -5,16 +5,19 @@ the pipeline: per-backend CompileCache hit/miss/eviction counts, FI
 outcome tallies, kernel scheduler delta/activation counts, service
 worker crash/hang/retire/respawn counts, queue depth and job latency.
 
-Cross-process model: worker processes mutate their own (forked or
-fresh) registry, take ``snapshot()`` before/after a task, and ship
-``diff(before, after)`` back with the result; the parent folds it in
-with ``merge()``.  The same snapshot/diff/merge triple backs the
-campaign service's ``"_metrics"`` result key and keeps hot paths free
-of any cross-process synchronisation.
+Cross-process model: a worker process mutates its own (forked or
+fresh) registry; ``repro.obs.trace.TracedTask`` takes ``snapshot()``
+before and after each task and ships ``diff(before, after)`` back with
+the task's result and spans, and the parent folds it in with
+``merge()``.  That one delta is how every pool and service shard
+reports its counts, the compile caches' included, and it keeps hot
+paths free of any cross-process synchronisation.
 
 External totals (the compile caches, the kernel) are *pulled* at
 snapshot/render time through registered collector callbacks instead of
-being double-counted on their own hot paths.
+being double-counted on their own hot paths; a merged delta of such a
+family goes to its source (``_MERGE_SINKS``), which the next collector
+run mirrors.
 """
 
 from __future__ import annotations
@@ -329,19 +332,17 @@ class MetricsRegistry:
         registry: counters and histograms add, gauges overwrite.
 
         Collector-mirrored families are routed to their underlying
-        source (or dropped when they ship over a dedicated channel,
-        like the compile caches) so the next collector run does not
-        overwrite or double-count the merged values.
+        source (``_MERGE_SINKS``) so the next collector run mirrors the
+        merged values instead of overwriting them.
         """
         if not delta:
             return
         meta = delta.get("meta", {})
         for key, value in delta.get("counters", {}).items():
             name, labels = _split_key(key)
-            if name in _MERGE_SINKS:
-                sink = _MERGE_SINKS[name]
-                if sink is not None:
-                    sink(value)
+            sink = _MERGE_SINKS.get(name)
+            if sink is not None:
+                sink(labels, value)
                 continue
             self._meta.setdefault(name, tuple(meta.get(name, ("counter", ""))))
             self.counter(name, **labels).inc(value)
@@ -374,24 +375,32 @@ class MetricsRegistry:
         return render_prometheus(self.families())
 
 
-def _sink_kernel_deltas(value: float) -> None:
-    KERNEL_STATS[0] += int(value)
+_Sink = Callable[[Dict[str, str], float], None]
 
 
-def _sink_kernel_activations(value: float) -> None:
-    KERNEL_STATS[1] += int(value)
+def _kernel_sink(i: int) -> _Sink:
+    def sink(labels: Dict[str, str], value: float) -> None:
+        KERNEL_STATS[i] += int(value)
+    return sink
 
 
-#: where merged counters from *mirrored* families land.  ``None``
-#: means "drop": the compile-cache families travel over the dedicated
-#: cache-delta channel (``repro.compile_cache.counters_delta``) and
-#: would double-count if also merged here.
-_MERGE_SINKS: Dict[str, Optional[Callable[[float], None]]] = {
-    "repro_kernel_delta_cycles_total": _sink_kernel_deltas,
-    "repro_kernel_activations_total": _sink_kernel_activations,
-    "repro_compile_cache_hits_total": None,
-    "repro_compile_cache_misses_total": None,
-    "repro_compile_cache_evictions_total": None,
+def _compile_cache_sink(count: str) -> _Sink:
+    def sink(labels: Dict[str, str], value: float) -> None:
+        from ..compile_cache import iter_caches
+
+        dict(iter_caches())[labels["cache"]].absorb(
+            labels["backend"], **{count: int(value)})
+    return sink
+
+
+#: where merged counters of *mirrored* families land: the source their
+#: collector reads, given the sample's labels and value
+_MERGE_SINKS: Dict[str, _Sink] = {
+    "repro_kernel_delta_cycles_total": _kernel_sink(0),
+    "repro_kernel_activations_total": _kernel_sink(1),
+    "repro_compile_cache_hits_total": _compile_cache_sink("hits"),
+    "repro_compile_cache_misses_total": _compile_cache_sink("misses"),
+    "repro_compile_cache_evictions_total": _compile_cache_sink("evictions"),
 }
 
 #: the process-wide default registry

@@ -14,13 +14,12 @@ Design constraints, in priority order:
   adopted) in the child detects the pid change and resets the buffer,
   so parent events are never shipped back twice.
 
-* **Cross-process propagation without new call signatures.**
-  ``current_context()`` captures the trace id and the innermost open
-  span; ``TracedTask`` wraps a picklable task function so pool workers
-  adopt the context and return ``(result, new_events)`` pairs that the
-  parent unwraps with ``absorb_events``.  The campaign service ships
-  the same context inside task payloads and returns events under a
-  reserved ``"_spans"`` result key.
+* **One way back from a worker.**  ``current_context()`` captures the
+  trace id and the innermost open span; ``TracedTask`` wraps the
+  picklable task function of every worker process -- the one-shot
+  pools' and the campaign service's shards' -- so a worker adopts the
+  context and returns ``(result, (spans, metrics delta))``, and the
+  parent folds both in with ``absorb_telemetry``.
 
 Timestamps are wall-clock microseconds (``time.time()``), so events
 from forked or spawned workers land on a common axis; durations use
@@ -37,10 +36,12 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .metrics import REGISTRY, MetricsRegistry
+
 __all__ = [
     "span", "record_span", "tracing_enabled", "enable_tracing",
     "disable_tracing", "current_context", "adopt_context", "event_mark",
-    "events_since", "absorb_events", "trace_events", "TracedTask",
+    "events_since", "absorb_telemetry", "trace_events", "TracedTask",
     "write_chrome_trace", "stage_summary", "format_stage_table",
 ]
 
@@ -233,40 +234,51 @@ def events_since(mark: int) -> List[Dict[str, Any]]:
     return _EVENTS[mark:]
 
 
-def absorb_events(events: Iterable[Dict[str, Any]]) -> None:
-    """Fold events shipped back from a worker into this buffer."""
-    if not events:
-        return
-    _reset_if_forked()
-    _EVENTS.extend(events)
-
-
 def trace_events() -> List[Dict[str, Any]]:
     """A snapshot of the buffered events (absorbed workers included)."""
     return list(_EVENTS)
 
 
-class TracedTask:
-    """Picklable wrapper propagating a trace context through a pool.
+#: what a worker task ships back beside its result: the spans it
+#: recorded and the metrics registry's delta over it
+Telemetry = Tuple[List[Dict[str, Any]], Dict[str, Any]]
 
-    ``parallel_map`` swaps the task function for ``TracedTask(fn, ctx)``
-    when tracing is enabled; each call adopts the context in the worker
-    and returns ``(result, new_events)`` so the parent can absorb the
-    worker's spans.  The parent unwraps transparently -- callers of
-    ``parallel_map`` are unchanged.
+
+class TracedTask:
+    """The picklable wrapper of every task a worker process runs.
+
+    A call adopts the parent's trace context *ctx* (when the parent
+    traces), runs ``fn(task)`` and returns ``(result, telemetry)``:
+    the spans the task recorded and the metrics registry's delta over
+    it (``REGISTRY.diff``), so counts made in the worker -- compile
+    caches, native builds, FI fallbacks -- reach the parent too, which
+    folds them in with :func:`absorb_telemetry`.
     """
 
     __slots__ = ("fn", "ctx")
 
-    def __init__(self, fn, ctx: Dict[str, str]):
+    def __init__(self, fn, ctx: Optional[Dict[str, str]]):
         self.fn = fn
         self.ctx = ctx
 
-    def __call__(self, task) -> Tuple[Any, List[Dict[str, Any]]]:
+    def __call__(self, task) -> Tuple[Any, Telemetry]:
         adopt_context(self.ctx)
         mark = event_mark()
+        before = REGISTRY.snapshot()
         result = self.fn(task)
-        return result, events_since(mark)
+        delta = MetricsRegistry.diff(before, REGISTRY.snapshot())
+        return result, (events_since(mark), delta)
+
+
+def absorb_telemetry(telemetry: Telemetry) -> None:
+    """Fold a worker's :class:`TracedTask` telemetry into this process:
+    its metrics delta into ``REGISTRY`` and, while tracing, its spans
+    into the buffer."""
+    spans, delta = telemetry
+    REGISTRY.merge(delta)
+    if _ENABLED and spans:
+        _reset_if_forked()
+        _EVENTS.extend(spans)
 
 
 def write_chrome_trace(path: str) -> str:

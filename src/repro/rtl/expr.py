@@ -74,9 +74,6 @@ class Expr:
     def uge(self, other) -> "Expr":
         return Cmp("ule", as_expr(other), self)
 
-    def ugt(self, other) -> "Expr":
-        return Cmp("ult", as_expr(other), self)
-
     def slt(self, other) -> "Expr":
         return Cmp("slt", self, as_expr(other))
 

@@ -60,20 +60,6 @@ class ServiceClient:
     def metrics(self) -> Dict[str, object]:
         return self._request("GET", "/metrics.json")
 
-    def metrics_text(self) -> str:
-        """The Prometheus text exposition served under ``/metrics``."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            body = response.read().decode()
-            if response.status >= 400:
-                raise ServiceError(response.status, body.strip())
-            return body
-        finally:
-            conn.close()
-
     def submit(self, spec: Dict[str, object]) -> Dict[str, object]:
         return self._request("POST", "/jobs", spec)
 

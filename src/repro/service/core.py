@@ -26,13 +26,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..compile_cache import absorb_deltas, aggregate_stats
+from ..compile_cache import aggregate_stats
 from ..obs.metrics import LatencyHistogram, REGISTRY, render_prometheus
-from ..obs.trace import absorb_events, record_span, tracing_enabled
+from ..obs.trace import record_span, tracing_enabled
 from .cache import RESULT_SCHEMA_VERSION, ResultCache
 from .jobs import Job, JobError, JobSpec, new_job_id
 from .shards import ShardPool, TaskRef
-from .tasks import RESERVED_RESULT_KEYS, aggregate_job, plan_job
+from .tasks import aggregate_job, plan_job
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,6 @@ class CampaignService:
             if job is None or job.terminal:
                 continue  # result of a cancelled/expired job
             if event == "done":
-                if isinstance(outcome, dict):
-                    self._absorb_telemetry(outcome)
                 self._results[job.id][ref.index] = outcome
                 job.tasks_done += 1
                 job.units_done += ref.units
@@ -276,24 +274,6 @@ class CampaignService:
                               backoff_s=round(delay, 3))
                 heapq.heappush(self._deferred,
                                (now + delay, next(self._seq), ref))
-
-    def _absorb_telemetry(self, outcome: Dict[str, object]) -> None:
-        """Fold a worker's piggy-backed telemetry into this process.
-
-        Shards attach spans, compile-cache deltas and a metrics delta
-        to their result dicts under reserved keys (see
-        :data:`repro.service.tasks.RESERVED_RESULT_KEYS`); they are
-        popped here so job results stay telemetry-free.
-        """
-        spans = outcome.pop("_spans", None)
-        if spans:
-            absorb_events(spans)
-        cache_delta = outcome.pop("_cache", None)
-        if cache_delta:
-            absorb_deltas([cache_delta])
-        metrics_delta = outcome.pop("_metrics", None)
-        if metrics_delta:
-            REGISTRY.merge(metrics_delta)
 
     def _complete(self, job: Job, now: float) -> None:
         plan = self._plans[job.id]

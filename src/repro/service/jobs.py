@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -273,7 +272,3 @@ class JobQueue:
 
 def new_job_id(counter: int) -> str:
     return f"j{counter:06d}"
-
-
-def now_s() -> float:
-    return time.time()

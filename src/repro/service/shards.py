@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.trace import current_context
+from ..obs.trace import TracedTask, absorb_telemetry, current_context
 
 
 def _mp_context():
@@ -45,49 +45,24 @@ def _mp_context():
 
 
 def _shard_main(shard_id: int, task_q, result_q) -> None:
-    """Worker loop: one task at a time, results (or errors) shipped
-    back; ``None`` is the shutdown sentinel."""
+    """Worker loop: one task at a time, each run under
+    :class:`~repro.obs.trace.TracedTask` so its result comes back with
+    its spans and metrics delta (or its error is shipped back); ``None``
+    is the shutdown sentinel."""
     import signal
 
     # the parent owns Ctrl-C handling and tears shards down explicitly
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from ..compile_cache import counters_delta, counters_snapshot
-    from ..obs.metrics import REGISTRY, MetricsRegistry
-    from ..obs.trace import adopt_context, event_mark, events_since
     from .tasks import execute_task
 
     while True:
         item = task_q.get()
         if item is None:
             return
-        task_id, payload = item
-        trace_ctx = payload.pop("_trace", None) \
-            if isinstance(payload, dict) else None
+        task_id, payload, trace_ctx = item
         try:
-            mark = None
-            if trace_ctx is not None:
-                adopt_context(trace_ctx)
-                mark = event_mark()
-            cache_before = counters_snapshot()
-            metrics_before = REGISTRY.snapshot()
-            result = execute_task(payload)
-            # piggy-back this task's telemetry on the result dict under
-            # reserved keys (only when non-empty, and only on dicts --
-            # the parent pops them before aggregation)
-            if isinstance(result, dict):
-                if mark is not None:
-                    spans = events_since(mark)
-                    if spans:
-                        result["_spans"] = spans
-                delta = counters_delta(cache_before,
-                                       counters_snapshot())
-                if any(delta):
-                    result["_cache"] = delta
-                metrics_delta = MetricsRegistry.diff(
-                    metrics_before, REGISTRY.snapshot())
-                if metrics_delta:
-                    result["_metrics"] = metrics_delta
-            result_q.put(("ok", task_id, result))
+            outcome = TracedTask(execute_task, trace_ctx)(payload)
+            result_q.put(("ok", task_id, outcome))
         except BaseException as exc:  # ship the failure, keep serving
             result_q.put(("err", task_id,
                           f"{type(exc).__name__}: {exc}"))
@@ -229,11 +204,7 @@ class ShardPool:
             raise RuntimeError(f"shard {shard_id} is not free")
         shard.current = task
         shard.busy_since = time.time() if now is None else now
-        payload = task.payload
-        trace_ctx = current_context()
-        if trace_ctx is not None and isinstance(payload, dict):
-            payload = dict(payload, _trace=trace_ctx)
-        shard.task_q.put((task.id, payload))
+        shard.task_q.put((task.id, task.payload, current_context()))
 
     # -- health + results ----------------------------------------------
 
@@ -274,7 +245,8 @@ class ShardPool:
         Events: ``("done", task, result)``, ``("error", task, msg)``,
         ``("crash", task, None)``, ``("hang", task, None)``,
         ``("shard_respawned", shard_id, None)``,
-        ``("shard_dead", shard_id, None)``.
+        ``("shard_dead", shard_id, None)``.  A finished task's spans and
+        metrics delta are folded into this process as it is drained.
         """
         now = time.time() if now is None else now
         events: List[Tuple] = []
@@ -288,6 +260,9 @@ class ShardPool:
                         shard.result_q.get_nowait()
                 except Exception:
                     break
+                if status == "ok":
+                    outcome, telemetry = outcome
+                    absorb_telemetry(telemetry)
                 if shard.current is None or shard.current.id != task_id:
                     continue  # stale message from a reassigned task
                 task = self._finish(shard, now)

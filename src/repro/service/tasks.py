@@ -41,13 +41,6 @@ from ..obs.trace import span
 from .cache import ResultKey, canonical_json, digest_of
 from .jobs import JobError, JobSpec
 
-#: result-dict keys reserved for worker telemetry piggy-backed on task
-#: results: spans, compile-cache counter deltas and a metrics-registry
-#: delta.  Attached by ``_shard_main`` only when non-empty; popped by
-#: ``CampaignService._collect`` before aggregation.
-RESERVED_RESULT_KEYS = ("_spans", "_cache", "_metrics")
-
-
 def resolve_params(name: str):
     from ..src_design.params import PAPER_PARAMS, SMALL_PARAMS
 
@@ -316,7 +309,7 @@ def _run_fi_task(payload: Dict[str, object]) -> Dict[str, object]:
     C._init_worker(config.params, config.level, config.seed,
                    config.budget, config.backend)
     faults, _ = C.campaign_faultload(config)
-    records = C._fi_task(faults[payload["lo"]:payload["hi"]])[0]
+    records = C._fi_task(faults[payload["lo"]:payload["hi"]])
     return {"records": [r.as_dict() for r in records]}
 
 

@@ -99,10 +99,6 @@ class BehavioralOptions:
         """The optimised behavioural model (Section 4.4)."""
         return cls()
 
-    @property
-    def display_name(self) -> str:
-        return "opt" if self == self.optimized() else "custom"
-
 
 def _coerce_options(optimized) -> "BehavioralOptions":
     if isinstance(optimized, BehavioralOptions):

@@ -241,9 +241,6 @@ class Library:
     def area_of(self, name: str) -> float:
         return self.cells[name].area
 
-    def delay_of(self, name: str) -> float:
-        return self.cells[name].delay_ns
-
     def evaluate(self, cell_name: str, output: str, *values: int) -> int:
         """Evaluate a combinational cell output over 4-valued inputs."""
         return EVAL[(cell_name, output)](*values)

@@ -257,10 +257,6 @@ class Netlist:
         return [c for c in self.cells
                 if self.library[c.cell_type].sequential]
 
-    def combinational_cells(self) -> List[CellInstance]:
-        return [c for c in self.cells
-                if not self.library[c.cell_type].sequential]
-
     def cell_histogram(self) -> Dict[str, int]:
         hist: Dict[str, int] = {}
         for cell in self.cells:

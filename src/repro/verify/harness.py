@@ -11,6 +11,10 @@ the kernel, the RTL/gate simulators or the synthesis flow must keep
 ``python -m repro verify --seed 0 --budget small`` clean, and the
 ``--self-check`` mode proves the gate still has teeth by injecting a
 netlist mutation that *must* be caught and shrunk.
+
+Cases run through one loop for every job count (``parallel_map``): a
+pooled case's spans and counts come back with its report through
+:class:`~repro.obs.trace.TracedTask`, like every worker task's.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .coverage import InputCoverage, ToggleCoverage
 from .mutate import Mutation, iter_mutations
 from .runner import (DEFAULT_LEVELS, CaseReport, LevelBuilds, LevelSpec,
                      case_timing, diff_against_reference, golden_outputs,
-                     parse_level_specs, run_case_level, run_differential)
+                     make_dut, parse_level_specs, run_case_level,
+                     run_differential)
 from .shrink import ShrinkResult, shrink_case
 from .stimulus import StimulusCase, generate_cases
 
@@ -157,7 +162,7 @@ def _shrink_failure(config: VerifyConfig, report: CaseReport,
                        max_runs=budget.shrink_runs)
 
 
-#: per-process verification state for the parallel case loop
+#: per-process verification state of the case loop
 _WORKER: Dict[str, object] = {}
 
 
@@ -177,35 +182,36 @@ def _init_verify_worker(params: SrcParams, levels: str,
 
 
 def _verify_case_task(case: StimulusCase):
-    """Pool task: one case through the differential runner.
+    """One case through the differential runner, in-process or on a
+    pool worker.
 
-    Returns the case report, the worker's raw toggle counts and its
-    compile-cache deltas -- everything the parent needs to keep
-    coverage and cache statistics identical to a sequential run.
+    Returns the case report and the case's raw toggle counts --
+    everything the parent needs to keep coverage identical for every
+    job count.
     """
-    from ..compile_cache import counters_delta, counters_snapshot
-
-    before = counters_snapshot()
     coverage = ToggleCoverage()
     case_report = run_differential(
         _WORKER["params"], _WORKER["specs"], case, _WORKER["builds"],
         coverage=coverage)
-    after = counters_snapshot()
-    return (case_report, coverage.counts, counters_delta(before, after))
+    return case_report, coverage.counts
 
 
 def run_verify(config: VerifyConfig) -> VerifyReport:
     """Run the full differential harness per *config*.
 
-    With ``jobs > 1`` the (independent, seeded) cases fan out across
-    the fault-injection subsystem's worker pool; case order, coverage
-    and compile-cache statistics are preserved, and any failure is
-    shrunk in the parent, so reports are identical for every job count.
+    The (independent, seeded) cases run through the fault-injection
+    subsystem's :func:`~repro.fi.campaign.parallel_map`, in-process or,
+    with ``jobs > 1``, across its worker pool, for which the parent
+    first builds every clocked level's DUT once, so forked workers
+    inherit the netlists and kernels.  Case order and coverage are
+    kept, the pool's counts come back with its results, and any failure
+    is shrunk in the parent, so reports are identical for every job
+    count.
     """
+    from ..fi.campaign import parallel_map
+
     budget = config.budget_obj()
-    specs = config.specs()
     params = config.params
-    builds = LevelBuilds(params)
     report = VerifyReport(config)
     report.input_coverage = InputCoverage(params.data_width)
     report.toggle_coverage = ToggleCoverage()
@@ -213,28 +219,20 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
               backend=config.backend, jobs=config.jobs):
         cases = generate_cases(params, config.seed, budget.n_cases,
                                budget.n_inputs)
-        if config.jobs > 1 and len(cases) > 1:
-            from ..compile_cache import absorb_deltas
-            from ..fi.campaign import parallel_map
-
-            results = parallel_map(
-                _verify_case_task, cases, config.jobs,
-                initializer=_init_verify_worker,
-                initargs=(params, config.levels, config.backend))
-            absorb_deltas([r[2] for r in results])
-            for case, (case_report, toggles, _) in zip(cases, results):
-                report.input_coverage.record_case(case.inputs)
-                report.toggle_coverage.absorb(toggles)
-                report.case_reports.append(case_report)
-                if not case_report.passed:
-                    shrink = _shrink_failure(config, case_report, builds,
-                                             budget)
-                    report.failures.append(Failure(case_report, shrink))
-            return report
-        for case in cases:
+        _WORKER.clear()  # every run builds afresh, as in a new process
+        initargs = (params, config.levels, config.backend)
+        _init_verify_worker(*initargs)
+        builds = _WORKER["builds"]
+        if config.jobs > 1:  # in-process, the first case builds them
+            for spec in _WORKER["specs"]:
+                if spec.is_clocked:
+                    make_dut(params, spec, builds)
+        results = parallel_map(_verify_case_task, cases, config.jobs,
+                               initializer=_init_verify_worker,
+                               initargs=initargs)
+        for case, (case_report, toggles) in zip(cases, results):
             report.input_coverage.record_case(case.inputs)
-            case_report = run_differential(params, specs, case, builds,
-                                           coverage=report.toggle_coverage)
+            report.toggle_coverage.absorb(toggles)
             report.case_reports.append(case_report)
             if not case_report.passed:
                 shrink = _shrink_failure(config, case_report, builds,

@@ -8,8 +8,11 @@ improvement claim) is the opt-in ``fuzz``-marked test at the bottom --
 CI runs the same slice through the CLI instead.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.compile_cache import aggregate_stats, iter_caches
 from repro.corpus import (CORPUS_BUDGETS, CORPUS_LEVELS, CorpusConfig,
                           CorpusError, ENGINES, run_corpus)
 
@@ -44,6 +47,19 @@ def test_smoke_rows_are_complete(smoke_report):
             assert harden["n_flops"] > row["synth"]["n_flops"]
             assert harden["area_total"] > row["synth"]["area_total"]
             assert len(harden["targets"]) <= budget.harden_top
+
+
+def test_pooled_run_counts_its_workers_compiles(smoke_report):
+    """A ``jobs=2`` run's workers compile every engine; their counts
+    come back with their rows, so the parent's compile-cache stats show
+    per-backend misses.  The rows equal the in-process run's."""
+    for _, cache in iter_caches():
+        cache.clear()
+    report = run_corpus(dataclasses.replace(SMOKE, jobs=2))
+    assert report.rows == smoke_report.rows
+    stats = aggregate_stats()
+    for label, _ in iter_caches():
+        assert stats[f"{label}[compiled]"].misses > 0, label
 
 
 def test_smoke_summary_consistent_with_rows(smoke_report):

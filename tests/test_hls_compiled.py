@@ -247,12 +247,17 @@ def test_cache_lru_eviction():
 
 
 def test_cache_stats_fold():
+    """Counts absorbed from another process land on their backend, and
+    the totals are the per-backend sums."""
     cache = CompileCache()
     cache.get_or_compile("k", lambda: _FakeProgram("abc"))
-    cache.absorb(4, 2, evictions=1)
-    stats = cache.stats + cache.stats
-    assert stats.hits == 8 and stats.misses == 6
-    assert stats.entries == 1  # store sizes do not add across processes
-    assert stats.evictions == 2
+    cache.absorb("native", hits=4, misses=2, evictions=1)
+    native = cache.stats_by_backend["native"]
+    assert (native.hits, native.misses, native.evictions) == (4, 2, 1)
+    assert native.entries == 0  # no store moves across processes
+    stats = cache.stats
+    assert stats.hits == 4 and stats.misses == 3
+    assert stats.entries == 1
+    assert stats.evictions == 1
     assert stats.source_bytes == 3
     assert "compile cache" in stats.format()

@@ -437,16 +437,26 @@ def test_a_campaign_stopped_before_its_load_cancels_the_build(
     assert os.listdir(cache_dir) == []
 
 
-@needs_cc
-def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
-                                               monkeypatch):
-    """A ``jobs=2`` campaign builds the kernel (one ``cc`` child, done)
-    and loads the program before the pool forks, so its workers find it
-    in their compile cache: one ``gate[native]`` miss.  It classifies as
-    the in-process campaign does."""
-    from repro.fi import campaign, run_campaign
-    from repro.gatesim import COMPILE_CACHE
+def _clear_compile_caches():
+    from repro.compile_cache import iter_caches
 
+    for _, cache in iter_caches():
+        cache.clear()
+
+
+@needs_cc
+@pytest.mark.parametrize("level", ["gate", "rtl", "beh"])
+def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
+                                               monkeypatch, level):
+    """A ``jobs=2`` campaign builds its level's kernel (one ``cc`` child,
+    done) before the pool forks -- the gate program, the RTL simulator
+    every fault reuses, one FSM batch -- so its workers find it in their
+    compile cache: one native miss, and the parent's disk-cache miss
+    counter moves by the one ``.so`` installed.  It classifies as the
+    in-process campaign does."""
+    from repro.fi import campaign, run_campaign
+
+    label = "hls" if level == "beh" else level
     pool = campaign.parallel_map
     at_fork = []
 
@@ -454,12 +464,48 @@ def test_pooled_campaign_forks_after_its_build(cache_dir, cc_children,
         at_fork.append([child.returncode for child in cc_children])
         return pool(fn, tasks, jobs, **kwargs)
 
-    COMPILE_CACHE.clear()
+    _clear_compile_caches()
+    campaign._WORKER.clear()  # no simulator held from an earlier campaign
     monkeypatch.setattr(campaign, "parallel_map", checked)
-    pooled = run_campaign(_native_campaign(jobs=2))
+    misses0 = _counter_value("repro_native_disk_cache_misses_total")
+    pooled = run_campaign(_native_campaign(level=level, jobs=2))
     assert at_fork == [[0]]
-    assert pooled.cache_stats["gate[native]"].misses == 1
-    assert _records(pooled) == _records(run_campaign(_native_campaign()))
+    assert pooled.cache_stats[f"{label}[native]"].misses == 1
+    (so,) = [name for name in os.listdir(cache_dir) if name.endswith(".so")]
+    assert so.startswith(f"{label}-")
+    assert _counter_value("repro_native_disk_cache_misses_total") \
+        == misses0 + 1
+    assert _records(pooled) == \
+        _records(run_campaign(_native_campaign(level=level)))
+
+
+@needs_cc
+def test_pooled_verify_builds_each_kernel_once(cache_dir, cc_children):
+    """A ``jobs=2`` native ``run_verify`` builds every clocked level's
+    DUT before the pool forks: one ``cc`` per kernel, all in the parent,
+    whose disk-cache miss counter moves by the three ``.so`` files
+    installed.  Its report and toggle coverage equal the in-process
+    run's."""
+    from repro.src_design.params import SMALL_PARAMS
+    from repro.verify.harness import VerifyConfig, run_verify
+
+    _clear_compile_caches()
+    misses0 = _counter_value("repro_native_disk_cache_misses_total")
+    pooled = run_verify(VerifyConfig(
+        params=SMALL_PARAMS, levels="beh,rtl,gate", backend="native",
+        seed=0, budget="smoke", jobs=2))
+    assert [child.returncode for child in cc_children] == [0, 0, 0]
+    assert sorted(name.split("-")[0] for name in os.listdir(cache_dir)
+                  if name.endswith(".so")) == ["gate", "hls", "rtl"]
+    assert _counter_value("repro_native_disk_cache_misses_total") \
+        == misses0 + 3
+    assert pooled.passed
+    alone = run_verify(VerifyConfig(
+        params=SMALL_PARAMS, levels="beh,rtl,gate", backend="native",
+        seed=0, budget="smoke", jobs=1))
+    assert pooled.format() == alone.format()
+    assert pooled.toggle_coverage.as_dict() == \
+        alone.toggle_coverage.as_dict()
 
 
 @needs_cc
@@ -495,11 +541,9 @@ def test_native_campaign_probes_on_interpreted_only(cache_dir, level):
     """A native campaign at every level cross-checks on the interpreted
     engine alone: its throughput rows are the two engines that ran, and
     it builds no compiled engine."""
-    from repro.compile_cache import iter_caches
     from repro.fi import run_campaign
 
-    for _, cache in iter_caches():
-        cache.clear()
+    _clear_compile_caches()
     report = run_campaign(_native_campaign(level=level))
     assert {row.backend for row in report.throughput} == \
         {"native", "interpreted"}

@@ -140,16 +140,29 @@ def test_merge_routes_kernel_counters_to_stats():
         parent.snapshot()["counters"]
 
 
-def test_merge_drops_compile_cache_counters():
-    """Compile-cache counters travel over the dedicated cache-delta
-    channel; merging them here too would double-count."""
+def test_merge_routes_compile_cache_counters_to_caches(monkeypatch):
+    """Compile-cache counters are collector-mirrored too: a merged delta
+    must land in the labelled cache's per-backend counters (where the
+    collector reads from), not in a registry counter."""
+    from repro import compile_cache
+    from repro.compile_cache import CompileCache
+
+    rtl = CompileCache()
+    monkeypatch.setattr(compile_cache, "iter_caches",
+                        lambda: (("rtl", rtl),))
     worker = MetricsRegistry()
     before = worker.snapshot()
-    worker.counter("repro_compile_cache_hits_total", cache="rtl",
-                   backend="compiled").inc(9)
+    labels = {"cache": "rtl", "backend": "native"}
+    worker.counter("repro_compile_cache_hits_total", **labels).inc(9)
+    worker.counter("repro_compile_cache_misses_total", **labels).inc(2)
+    worker.counter("repro_compile_cache_evictions_total", **labels).inc(1)
     delta = MetricsRegistry.diff(before, worker.snapshot())
+
     parent = MetricsRegistry()
     parent.merge(delta)
+    stats = rtl.stats_by_backend["native"]
+    assert (stats.hits, stats.misses, stats.evictions) == (9, 2, 1)
+    assert list(rtl.stats_by_backend) == ["native"]
     assert parent.snapshot()["counters"] == {}
 
 

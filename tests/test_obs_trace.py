@@ -4,11 +4,13 @@ and Chrome trace-event export."""
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
-from repro.obs.trace import (TracedTask, absorb_events, adopt_context,
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import (TracedTask, absorb_telemetry, adopt_context,
                              current_context, disable_tracing,
                              enable_tracing, event_mark, events_since,
                              format_stage_table, record_span, span,
@@ -82,20 +84,52 @@ def test_record_span_retroactive(tracing):
 
 
 def test_traced_task_ships_events(tracing):
-    """The pool wrapper returns (result, events) and the parent
-    absorbs them under the inherited context."""
+    """The worker wrapper returns (result, (events, metrics delta)) and
+    the parent absorbs both: the events under the inherited context,
+    the counts into its registry."""
     ctx = current_context()
+    counter = REGISTRY.counter("repro_test_traced_task_total")
 
     def work(x):
         with span("child.work"):
+            counter.inc(3)
             return x * 2
 
     task = TracedTask(work, ctx)
-    result, events = task(21)
+    result, (events, delta) = task(21)
     assert result == 42
     assert [e["name"] for e in events] == ["child.work"]
-    absorb_events(events)
+    assert delta["counters"] == {"repro_test_traced_task_total": 3}
+    before = counter.value
+    absorb_telemetry((events, delta))
     assert any(e["name"] == "child.work" for e in trace_events())
+    assert counter.value == before + 3
+
+
+def test_shard_task_spans_come_back_beside_its_result(tracing):
+    """A service shard runs its task under the trace context queued
+    beside the payload; draining the pool folds the task's spans in,
+    nested under the dispatching span, and the result carries none."""
+    from repro.service.shards import ShardPool, TaskRef
+
+    pool = ShardPool(n_shards=1)
+    pool.start()
+    try:
+        with span("dispatch"):
+            parent = current_context()["parent"]
+            pool.dispatch(0, TaskRef(id=1, job_id="j1", index=0,
+                                     payload={"op": "sleep", "seconds": 0}))
+        done = []
+        deadline = time.time() + 30
+        while not done and time.time() < deadline:
+            done = [e for e in pool.poll() if e[0] == "done"]
+            time.sleep(0.01)
+    finally:
+        pool.stop()
+    assert [result for _, _, result in done] == [{"slept": 0}]
+    (task,) = [e for e in trace_events() if e["name"] == "service.task"]
+    assert task["args"]["parent_id"] == parent
+    assert task["pid"] != os.getpid()
 
 
 def test_event_mark_and_since(tracing):
