@@ -27,7 +27,8 @@ into Python-int bitplanes; native = the same codegen emitted as C and
 compiled by the host toolchain, falling back to compiled when no C
 compiler is found; at the behavioural level each scheduled FSM is
 flattened into straight-line code).  A ``--backend`` that names no
-engine or group, or has no value, is a usage error for every command.
+engine or group, or has no value, is a usage error for every command;
+for ``fi`` and ``corpus`` so is one that names no batch engine.
 
 ``verify`` runs the differential verification harness: seeded stimulus
 fuzzing of all levels against the golden model with counterexample
@@ -205,12 +206,19 @@ def _option(args, name, default):
     return default
 
 
-def _backend_error(args):
-    """The usage error of a ``--backend`` that names no engine or
-    group, or has no value; None when every ``--backend`` is valid."""
-    from .engines import ENGINES, GROUPS
+#: commands whose ``--backend`` is a batch engine: campaigns classify
+#: faults on several patterns at once
+BATCH_COMMANDS = ("fi", "corpus")
 
-    choices = (*ENGINES, *GROUPS)
+
+def _backend_error(command: str, args):
+    """The usage error of a ``--backend`` that *command* cannot run on
+    -- no engine or group, no batch engine for :data:`BATCH_COMMANDS`
+    -- or that has no value; None when every ``--backend`` is valid."""
+    from .engines import ENGINES, GROUPS, batch_engines
+
+    choices = (batch_engines() if command in BATCH_COMMANDS
+               else (*ENGINES, *GROUPS))
     for i, arg in enumerate(args):
         if arg == "--backend":
             value = args[i + 1] if i + 1 < len(args) else None
@@ -438,7 +446,7 @@ def main(argv=None) -> int:
     if not names or names[0] not in set(COMMANDS) | {"all"}:
         print(__doc__)
         return 1
-    error = _backend_error(args)
+    error = _backend_error(names[0], args)
     if error:
         print(error, file=sys.stderr)
         return 1

@@ -23,6 +23,24 @@ or RTL host, the tuple of ``get_output`` values on an FSM host.  The
 interpreted hosts run :func:`replay_loop`, the reference; the
 generated-code hosts pass :func:`write_rows` to their kernel's
 ``nat_replay`` entry, which runs the whole waveform in one call.
+
+A ``nat_replay`` entry steps only the ticks whose start state moved.
+After a tick's write rows it compares the state its step reads (gate:
+the state slots of both value planes and the memory image; RTL: the
+in-ports, registers and memory image; FSM: pattern 0's environment,
+memory image and control state) with the state the last stepped tick
+started from, in one compare-and-save pass over a snapshot buffer the
+host allocates once.  Where the two are equal it skips the step: the
+step is a pure function of that state, so the state, and every value
+the step computes from it, already hold what it would leave.  The first
+tick of a call always steps, since a host may poke memory or leave
+values unsettled between calls.  Every tick is still sampled and
+counted in ``cycles``; the entry returns the number of ticks it
+stepped, and the host adds one call's stepped and skipped ticks to
+``repro_replay_ticks_total{level,outcome}`` (:func:`count_replay`).
+
+:func:`restart` puts a host back in the state a new one starts in, so
+a run can replay many waveforms on one host.
 """
 
 from __future__ import annotations
@@ -30,8 +48,8 @@ from __future__ import annotations
 import importlib
 import operator
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from .native import resolve_backend
 
@@ -216,3 +234,26 @@ def write_rows(waveform: Sequence[Mapping[str, int]],
                     last[slot] = v
                     rows += (tick, slot, v)
     return rows
+
+
+def count_replay(level: str, ticks: int, stepped: int) -> None:
+    """Add one ``nat_replay`` call's *stepped* and skipped ticks, of
+    *ticks*, to ``repro_replay_ticks_total`` at *level* (``"gate"``,
+    ``"rtl"`` or ``"beh"``)."""
+    from .obs.metrics import REGISTRY
+
+    for outcome, n in (("stepped", stepped), ("skipped", ticks - stepped)):
+        REGISTRY.counter(
+            "repro_replay_ticks_total",
+            help="waveform replay ticks a kernel stepped, or skipped "
+                 "because their start state had not moved",
+            level=level, outcome=outcome).inc(n)
+
+
+def restart(sim, inputs: Iterable[str]) -> None:
+    """Put *sim* back in the state a new host starts in: every input of
+    *inputs* to 0, then ``reset()`` (flops or registers, control state
+    and every memory to their initial contents)."""
+    for name in inputs:
+        sim.set_input(name, 0)
+    sim.reset()

@@ -69,7 +69,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from ..compile_cache import aggregate_stats
 from ..datatypes.integers import wrap_signed
-from ..engines import ENGINES, batch_engines, engine_class, resolve
+from ..engines import ENGINES, batch_engines, engine_class, resolve, restart
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
 from ..native import Build, NativeToolchainError
@@ -356,9 +356,9 @@ class SaboteurProgram:
     (see :func:`shared_program` for the engines where that pays).
 
     The simulator holds *lanes* patterns and is built on first use;
-    before every later batch it is reset to the state a new one starts
-    in -- every input, the controls included, back to 0, then flops and
-    memories.  A forked pool worker inherits its parent's program and
+    before every later batch it is restarted to the state a new one
+    starts in (:func:`repro.engines.restart`: every input, the controls
+    included, back to 0, then flops and memories).  A forked pool worker inherits its parent's program and
     simulator.
     """
 
@@ -377,9 +377,7 @@ class SaboteurProgram:
                 self.overlay.netlist, backend=self.backend,
                 n_patterns=self.lanes)
             return sim
-        for name in self.overlay.netlist.inputs:
-            sim.set_input(name, 0)
-        sim.reset()
+        restart(sim, self.overlay.netlist.inputs)
         return sim
 
     def load(self) -> None:
@@ -494,20 +492,17 @@ def run_gate_fault_scalar(netlist, workload: Workload, fault: Fault,
 
 def _rtl_simulator(module, backend: str):
     """The process's simulator of *module* on *backend*, in the state a
-    new one starts in: built on first use, later every input set back
-    to 0 and reset (registers and every memory to their initial
-    contents).  One per engine, for the module last asked for."""
+    new one starts in: built on first use, later restarted
+    (:func:`repro.engines.restart`).  One per engine, for the module
+    last asked for."""
     sims = _WORKER.setdefault("rtl_sims", {})
     held = sims.get(backend)
     if held is None or held[0] is not module:
         sim = RtlSimulator(module, backend=backend)
         sims[backend] = (module, sim)
         return sim
-    sim = held[1]
-    for name in module.input_names():
-        sim.set_input(name, 0)
-    sim.reset()
-    return sim
+    restart(held[1], module.input_names())
+    return held[1]
 
 
 def run_rtl_fault(module, workload: Workload, fault: Fault,

@@ -72,19 +72,24 @@ def _any(planes: Sequence[str]) -> str:
 
 #: the C kernel's ``nat_replay`` (:mod:`repro.gatesim.native`) in Python
 _REPLAY_PY = """\
-def nat_replay(T, V1, VX, MEM, M, NP, W, NW, ticks, SRC, NB, settle_after,
-               OUT):
-    w = 0
+def nat_replay(T, V1, VX, MEM, M, NP, NS, S, W, NW, ticks, SRC, NB,
+               settle_after, OUT):
+    w = stepped = 0
     for t in range(ticks):
         while w < NW and W[3 * w] == t:
             V1[W[3 * w + 1]] = M if W[3 * w + 2] else 0
             VX[W[3 * w + 1]] = 0
             w += 1
-        nat_run(T, V1, VX, MEM, M, 1, NP, settle_after)
+        state = V1[:NS] + VX[:NS] + MEM
+        if t == 0 or state != S:
+            S[:] = state
+            nat_run(T, V1, VX, MEM, M, 1, NP, settle_after)
+            stepped += 1
         o = t * NB
         for k in range(NB):
             i = SRC[k]
             OUT[o + k] = V1[i] & 1 | (VX[i] & 1) << 1
+    return stepped
 """
 
 

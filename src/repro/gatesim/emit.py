@@ -17,12 +17,17 @@ three entry points:
   read observes;
 * ``nat_set_patterns(V1, VX, slots, width, vals, NP)`` transposes one
   value per pattern into the *width* input bitplanes at *slots*;
-* ``nat_replay(T, V1, VX, MEM, M, NP, W, NW, ticks, SRC, NB,
+* ``nat_replay(T, V1, VX, MEM, M, NP, NS, S, W, NW, ticks, SRC, NB,
   settle_after, OUT)`` runs a port waveform: per tick, the write rows
   ``W = (tick, slot, bit)`` due then (broadcast to every pattern), one
   ``nat_run`` edge, and pattern 0's 4-valued code (``ones | unk << 1``)
   of every sampled value ``SRC[k]`` into the byte ``OUT[tick * NB +
-  k]`` (a sampled net of the cone needs *settle_after*).
+  k]`` (a sampled net of the cone needs *settle_after*).  The edge runs
+  only where the tick's start state moved: one pass compares the *NS*
+  state slots of both planes and the ``MEM`` image with the snapshot
+  ``S`` of the last stepped tick's start state and saves them there,
+  and an equal state skips the edge, which is a pure function of it.
+  The first tick of a call always steps.  It returns the ticks stepped.
 
 Every net is two bitplanes ``(ones, unknowns)``: bit *p* of a plane
 belongs to pattern *p*, and both lie inside the pattern mask ``M``.

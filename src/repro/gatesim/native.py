@@ -40,7 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
-from ..engines import ENGINES, PortSampler, gather, write_rows
+from ..engines import (ENGINES, PortSampler, count_replay, gather,
+                       write_rows)
 from ..native import Build, compile_and_load, start_build
 from ..synth.library import CODEGEN
 from ..synth.netlist import Netlist
@@ -63,10 +64,10 @@ _CDEF = ("void nat_run(int32_t* T, uint64_t* V1, uint64_t* VX, "
          "int settle_after);\n"
          "void nat_set_patterns(uint64_t* V1, uint64_t* VX, "
          "uint64_t* slots, int width, uint64_t* vals, int NP);\n"
-         "void nat_replay(int32_t* T, uint64_t* V1, uint64_t* VX, "
-         "uint64_t* MEM, uint64_t M, int NP, uint64_t* W, long NW, "
-         "long ticks, uint64_t* SRC, int NB, int settle_after, "
-         "uint8_t* OUT);")
+         "long nat_replay(int32_t* T, uint64_t* V1, uint64_t* VX, "
+         "uint64_t* MEM, uint64_t M, int NP, long NS, uint64_t* S, "
+         "uint64_t* W, long NW, long ticks, uint64_t* SRC, int NB, "
+         "int settle_after, uint8_t* OUT);")
 
 #: the kernel around its cell cases.  ``walk`` runs the ops of
 #: ``[op, end)``; its memory ports follow the walk's rules (an X
@@ -77,7 +78,9 @@ _CDEF = ("void nat_run(int32_t* T, uint64_t* V1, uint64_t* VX, "
 #: into its data planes in one pass per bit.  ``nat_set_patterns``,
 #: which takes no table, transposes NP per-pattern values into
 #: ``width`` (<= 64) input bitplanes: bit i of vals[p] lands in bit p
-#: of plane V1[slots[i]].
+#: of plane V1[slots[i]].  ``nat_replay`` keeps the start state of the
+#: tick it last stepped in ``S``: the NS state slots of V1, then of VX,
+#: then the NP patterns' memory image.
 _KERNEL_C = """\
 #include <stdint.h>
 
@@ -181,19 +184,34 @@ void nat_set_patterns(u64 *V1, u64 *VX, u64 *slots, int width, u64 *vals,
   }
 }
 
-void nat_replay(const int32_t *T, u64 *V1, u64 *VX, u64 *MEM, u64 M,
-                int NP, u64 *W, long NW, long ticks, u64 *SRC, int NB,
-                int settle_after, uint8_t *OUT) {
-  long w = 0;
+long nat_replay(const int32_t *T, u64 *V1, u64 *VX, u64 *MEM, u64 M,
+                int NP, long NS, u64 *S, u64 *W, long NW, long ticks,
+                u64 *SRC, int NB, int settle_after, uint8_t *OUT) {
+  long w = 0, stepped = 0, words = (long)T[0] * NP;
+  u64 *SX = S + NS, *SM = SX + NS;
   for (long t = 0; t < ticks; t++) {
     for (; w < NW && W[3 * w] == (u64)t; w++) {
       V1[W[3 * w + 1]] = W[3 * w + 2] ? M : 0;
       VX[W[3 * w + 1]] = 0;
     }
-    nat_run(T, V1, VX, MEM, M, 1, NP, settle_after);
+    u64 moved = t == 0;
+    for (long i = 0; i < NS; i++) {
+      moved |= (S[i] ^ V1[i]) | (SX[i] ^ VX[i]);
+      S[i] = V1[i];
+      SX[i] = VX[i];
+    }
+    for (long i = 0; i < words; i++) {
+      moved |= SM[i] ^ MEM[i];
+      SM[i] = MEM[i];
+    }
+    if (moved) {
+      nat_run(T, V1, VX, MEM, M, 1, NP, settle_after);
+      stepped++;
+    }
     for (int k = 0; k < NB; k++)
       OUT[t * NB + k] = (uint8_t)((V1[SRC[k]] & 1) | (VX[SRC[k]] & 1) << 1);
   }
+  return stepped;
 }
 """
 
@@ -467,6 +485,10 @@ class NativeGateSimulator:
         self._image_buf = mod.u64_buffer(image)
         self._image = mod.u64_view(self._image_buf)
         self._load_memories()
+        #: nat_replay's snapshot of a tick's start state: both planes'
+        #: state slots and the memory image
+        self._snapshot = mod.u64_buffer(
+            2 * self._n_state + prog.mem_words * n_patterns)
 
         # flop init states
         self._flop_slots: List[Tuple[int, int]] = []
@@ -605,20 +627,23 @@ class NativeGateSimulator:
         ``nat_replay`` call (see :mod:`repro.engines`): per tick, what
         ``port_sampler(ports).read()`` returns.  Writes broadcast to
         every pattern, as :meth:`set_input` does; the cone settles after
-        an edge only when a sampled bit is in it."""
+        an edge only when a sampled bit is in it, and a tick whose start
+        state did not move is not stepped."""
         srcs = [i for name in ports for i in self._port(name)]
         rows = write_rows(waveform, self._fields, self.set_input)
         ticks, nb = len(waveform), len(srcs)
         settle_after = int(any(i >= self._n_state for i in srcs))
         mod = self.program.module
         out = mod.u8_buffer(ticks * nb)
-        self._replay(self._table, self._v1, self._vx, self._mem,
-                     self._mask, self.n_patterns, self._u64_arg(rows),
-                     len(rows) // 3, ticks, self._u64_arg(srcs), nb,
-                     settle_after, out)
+        stepped = self._replay(
+            self._table, self._v1, self._vx, self._mem, self._mask,
+            self.n_patterns, self._n_state, self._snapshot,
+            self._u64_arg(rows), len(rows) // 3, ticks,
+            self._u64_arg(srcs), nb, settle_after, out)
         if ticks:
             self.cycles += ticks
             self._dirty = not settle_after
+            count_replay("gate", ticks, stepped)
         if not nb:
             return [0] * ticks
         data = mod.u8_bytes(out)

@@ -92,7 +92,8 @@ class _FsmPythonPrinter(PythonPrinter):
         lines.append("            STATES[p] = state")
         return "\n".join(lines) + "\n\n" + self.nat_replay(
             "ENVS, MEMS, STATES", "ENVS",
-            "nat_step_batch(ENVS, MEMS, STATES, 1, 1)")
+            "nat_step_batch(ENVS, MEMS, STATES, 1, 1)",
+            (("ENVS", len(entries)), ("MEMS", mem_words), ("STATES", 1)))
 
 
 def fsm_digest(fsm: Fsm) -> str:

@@ -2,9 +2,11 @@
 
 The compiled and native behavioural engines run one kernel per
 scheduled FSM, ``nat_step_batch(ENVS, MEMS, STATES, cycles, NP)`` and
-beside it ``nat_replay(ENVS, MEMS, STATES, W, NW, ticks, SRC, NB,
+beside it ``nat_replay(ENVS, MEMS, STATES, S, W, NW, ticks, SRC, NB,
 OUT)``, the RTL level's waveform replay over pattern 0 (see
-:mod:`repro.rtl.emit`), printed as Python and as C (:func:`emit_fsm`).  This module owns what
+:mod:`repro.rtl.emit`), which steps only where pattern 0's environment,
+memory image and control state moved, printed as Python and as C
+(:func:`emit_fsm`).  This module owns what
 those sources share -- the environment's slots, the flat memory image,
 each state's evaluation and commit order, the 64-bit width check --
 and reuses the RTL level's :class:`~repro.rtl.emit.Emitter` for the
@@ -74,7 +76,7 @@ def emit_fsm(fsm: Fsm, printer) -> KernelProgram:
     source = printer.nat_step_batch(list(name_of.values()), mem_words,
                                     before, bodies, after)
     return KernelProgram(source, name_index, len(name_index), layout,
-                         mem_words)
+                         mem_words, len(name_index) + mem_words + 1)
 
 
 def front_end_cycle(printer, fsm: Fsm, name_of: Dict[str, str],

@@ -48,9 +48,9 @@ __all__ = ["NativeFsm", "NativeFsmBatch", "compile_fsm_native"]
 
 _CDEF = ("void nat_step_batch(uint64_t* ENVS, uint64_t* MEMS, "
          "uint64_t* STATES, long cycles, int NP);\n"
-         "void nat_replay(uint64_t* ENVS, uint64_t* MEMS, uint64_t* STATES, "
-         "uint64_t* W, long NW, long ticks, uint64_t* SRC, int NB, "
-         "uint64_t* OUT);")
+         "long nat_replay(uint64_t* ENVS, uint64_t* MEMS, uint64_t* STATES, "
+         "uint64_t* S, uint64_t* W, long NW, long ticks, uint64_t* SRC, "
+         "int NB, uint64_t* OUT);")
 
 
 class _FsmCPrinter(CPrinter):
@@ -81,7 +81,7 @@ class _FsmCPrinter(CPrinter):
                        after: List[str]) -> str:
         """Per pattern, every environment entry a local loaded from
         and stored back to its slots; then ``nat_replay`` over pattern
-        0."""
+        0, whose step reads its environment, memory and state."""
         n_names = len(entries)
         lines = [_PRELUDE,
                  "void nat_step_batch(uint64_t* ENVS, uint64_t* MEMS, "
@@ -107,7 +107,8 @@ class _FsmCPrinter(CPrinter):
         lines += ["        STATES[p] = state;", "    }", "}"]
         return "\n".join(lines) + "\n\n" + self.nat_replay(
             "uint64_t* ENVS, uint64_t* MEMS, uint64_t* STATES", "ENVS",
-            "nat_step_batch(ENVS, MEMS, STATES, 1, 1)")
+            "nat_step_batch(ENVS, MEMS, STATES, 1, 1)",
+            (("ENVS", n_names), ("MEMS", mem_words), ("STATES", 1)))
 
 
 def compile_fsm_native(fsm: Fsm,
@@ -318,6 +319,9 @@ class NativeFsm:
         self._fields = {name: [(slot, 0, m)]
                         for name, (slot, m) in self._inputs.items()}
         self._replay = self._batch.compiled.module.fn("nat_replay")
+        #: nat_replay's snapshot of a tick's start state
+        self._snapshot = self._batch.compiled.module.u64_buffer(
+            self._batch.compiled.state_words)
 
     @property
     def state(self) -> int:
@@ -352,7 +356,8 @@ class NativeFsm:
             srcs.append(slot)
         b = self._batch
         samples = kernel_replay(
-            b.compiled.module, self._replay, (b._envs, b._mems, b._states),
+            b.compiled.module, self._replay,
+            (b._envs, b._mems, b._states, self._snapshot), "beh",
             waveform, self._fields, self.set_input, srcs)
         b.cycles += len(waveform)
         return samples

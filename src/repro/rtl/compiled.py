@@ -21,7 +21,7 @@ emitted source digest.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..native import PythonKernel
@@ -123,24 +123,33 @@ class PythonPrinter:
 
     # -- the kernel ----------------------------------------------------
     @staticmethod
-    def nat_replay(state: str, env: str, step: str) -> str:
+    def nat_replay(state: str, env: str, step: str,
+                   reads: Sequence[Tuple[str, int]]) -> str:
         """The C printer's ``nat_replay`` (:mod:`repro.rtl.native`) in
         Python."""
+        spans = " + ".join(f"{array}[:{words}]"
+                           for array, words in reads if words) or "[]"
         return f"""\
-def nat_replay({state}, W, NW, ticks, SRC, NB, OUT):
-    w = 0
+def nat_replay({state}, S, W, NW, ticks, SRC, NB, OUT):
+    w = stepped = 0
     for t in range(ticks):
         while w < NW and W[3 * w] == t:
             {env}[W[3 * w + 1]] = W[3 * w + 2]
             w += 1
-        {step}
+        state = {spans}
+        if t == 0 or state != S:
+            S[:] = state
+            {step}
+            stepped += 1
         OUT[t * NB:(t + 1) * NB] = [{env}[k] for k in SRC]
+    return stepped
 """
 
-    def nat_run(self, walk) -> str:
+    def nat_run(self, walk, mem_words: int) -> str:
         """In-ports and registers unpacked from ``V`` into locals,
         registers and assigns stored back after the final settle; then
-        ``nat_replay`` over it."""
+        ``nat_replay`` over it, whose step reads the in-ports, the
+        registers and the *mem_words* of ``MEM``."""
         names = list(walk.name_of.values())
         loads, stores = names[:walk.n_state], names[walk.n_inputs:]
         lines = ["def nat_run(V, MEM, cycles):"]
@@ -154,7 +163,8 @@ def nat_replay({state}, W, NW, ticks, SRC, NB, OUT):
         lines.append(f"    V[{walk.n_inputs}:] = "
                      f"({''.join(f'{v}, ' for v in stores)})")
         return "\n".join(lines) + "\n\n" + self.nat_replay(
-            "V, MEM", "V", "nat_run(V, MEM, 1)")
+            "V, MEM", "V", "nat_run(V, MEM, 1)",
+            (("V", walk.n_state), ("MEM", mem_words)))
 
 
 def compile_rtl(module: RtlModule,

@@ -1,14 +1,21 @@
 """The one code-generation walk of the RTL level.
 
 The compiled and native engines run one kernel per module,
-``nat_run(V, MEM, cycles)`` and beside it ``nat_replay(V, MEM, W, NW,
-ticks, SRC, NB, OUT)`` -- per tick, the write rows ``W = (tick, slot,
-value)`` due then, one ``nat_run`` cycle, and the slots ``SRC`` into
-``OUT[tick * NB:]`` -- printed as Python and as C from the same IR
-(:func:`emit_rtl`).  Everything those sources share lives here: net
-naming and the slot of every net in ``V``, the flat memory image
-``MEM``, the id-memoised temp hoisting (CSE) and temp naming, the
-evaluation and commit order, and the 64-bit width check.  An engine
+``nat_run(V, MEM, cycles)`` and beside it ``nat_replay(V, MEM, S, W,
+NW, ticks, SRC, NB, OUT)`` -- per tick, the write rows ``W = (tick,
+slot, value)`` due then, one ``nat_run`` cycle, and the slots ``SRC``
+into ``OUT[tick * NB:]``; it returns the ticks it stepped -- printed as
+Python and as C from the same IR (:func:`emit_rtl`).  The cycle runs
+only where the tick's start state moved: one pass compares the
+in-ports, the registers (``V[:n_state]``) and ``MEM`` with the snapshot
+``S`` of the last stepped tick's start state (``state_words`` words)
+and saves them there, and an equal state skips the cycle, a pure
+function of it.  The first tick of a call always steps.
+
+Everything those sources share lives here: net naming and the slot of
+every net in ``V``, the flat memory image ``MEM``, the id-memoised temp
+hoisting (CSE) and temp naming, the evaluation and commit order, and
+the 64-bit width check.  An engine
 supplies only a *printer* -- literals, the signed view, one template
 per node kind, the statement forms and the kernel's layout -- and one
 host (:class:`~repro.rtl.native.NativeRtlSimulator`) runs either
@@ -34,9 +41,10 @@ is the reference):
   ``mem_read`` takes a memory's ``(base, depth)`` in ``MEM``;
 * the statement forms ``let`` (a new temp), ``assign`` (an existing
   local) and ``port_write`` (one RTL memory write port);
-* ``nat_run(walk)`` -- the kernel's source around a :class:`ModuleWalk`,
-  followed by ``nat_replay(state, env, step)``'s entry, which the FSM
-  printers reuse over their own arrays and step.
+* ``nat_run(walk, mem_words)`` -- the kernel's source around a
+  :class:`ModuleWalk`, followed by ``nat_replay(state, env, step,
+  reads)``'s entry, which the FSM printers reuse over their own arrays,
+  step and the ``(array, words)`` spans the step reads.
 
 The behavioural level runs an RT-level front end inside an FSM's cycle
 (:mod:`repro.hls.emit`): it walks the front end's module under its own
@@ -320,6 +328,8 @@ class KernelProgram:
     #: ``(name, base, depth, width)`` rows of the flat memory image
     mem_layout: list
     mem_words: int
+    #: words of the state ``nat_replay``'s step reads: its snapshot
+    state_words: int
     #: the loaded kernel (:class:`repro.native.NativeModule` or
     #: :class:`repro.native.PythonKernel`); None until loaded
     module: object = None
@@ -332,9 +342,10 @@ def emit_rtl(module: RtlModule, printer) -> KernelProgram:
     mem_of, layout = memory_layout(module.memories)
     walk = walk_module(module, printer, mem_of)
     name_index = {name: i for i, name in enumerate(walk.name_of)}
-    return KernelProgram(printer.nat_run(walk), name_index,
-                         len(name_index), layout,
-                         sum(depth for _, _, depth, _ in layout))
+    mem_words = sum(depth for _, _, depth, _ in layout)
+    return KernelProgram(printer.nat_run(walk, mem_words), name_index,
+                         len(name_index), layout, mem_words,
+                         walk.n_state + mem_words)
 
 
 def load_program(program: KernelProgram, key: str,

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes.bits import mask
-from ..engines import PortSampler, gather, write_rows
+from ..engines import PortSampler, count_replay, gather, write_rows
 from ..native import compile_and_load
 from .emit import (RTL_COMPILE_CACHE, KernelProgram, emit_rtl,
                    load_program)
@@ -50,8 +50,9 @@ __all__ = ["CPrinter", "NativeRtlSimulator", "compile_rtl_native",
            "kernel_replay"]
 
 _CDEF = ("void nat_run(uint64_t* V, uint64_t* MEM, long cycles);\n"
-         "void nat_replay(uint64_t* V, uint64_t* MEM, uint64_t* W, long NW, "
-         "long ticks, uint64_t* SRC, int NB, uint64_t* OUT);")
+         "long nat_replay(uint64_t* V, uint64_t* MEM, uint64_t* S, "
+         "uint64_t* W, long NW, long ticks, uint64_t* SRC, int NB, "
+         "uint64_t* OUT);")
 
 _PRELUDE = """\
 #include <stdint.h>
@@ -154,30 +155,47 @@ class CPrinter:
 
     # -- the kernel ----------------------------------------------------
     @staticmethod
-    def nat_replay(state: str, env: str, step: str) -> str:
-        """``nat_replay(<state>, W, NW, ticks, SRC, NB, OUT)``: per tick,
-        the write rows ``W = (tick, slot, value)`` due then into *env*,
-        one *step*, then the sampled slots ``SRC[k]`` of *env* into
-        ``OUT[tick * NB + k]``; *state* declares the step's arrays."""
+    def nat_replay(state: str, env: str, step: str,
+                   reads: Sequence[Tuple[str, int]]) -> str:
+        """``nat_replay(<state>, S, W, NW, ticks, SRC, NB, OUT)``: per
+        tick, the write rows ``W = (tick, slot, value)`` due then into
+        *env*, one *step* unless the words it *reads* (``(array,
+        words)`` spans, saved to ``S`` end to end) equal those the last
+        stepped tick started from, then the sampled slots ``SRC[k]`` of
+        *env* into ``OUT[tick * NB + k]``; returns the ticks stepped.
+        *state* declares the step's arrays."""
+        loops, at = [], 0
+        for array, words in reads:
+            if words:
+                loops.append(
+                    f"        for (long i = 0; i < {words}L; i++) {{ "
+                    f"moved |= S[{at}L + i] ^ {array}[i]; "
+                    f"S[{at}L + i] = {array}[i]; }}")
+                at += words
+        compare = "\n".join(loops)
         return f"""\
-void nat_replay({state}, uint64_t* W, long NW, long ticks,
-                uint64_t* SRC, int NB, uint64_t* OUT)
+long nat_replay({state}, uint64_t* S, uint64_t* W, long NW,
+                long ticks, uint64_t* SRC, int NB, uint64_t* OUT)
 {{
-    long w = 0;
+    long w = 0, stepped = 0;
     for (long t = 0; t < ticks; t++) {{
         for (; w < NW && W[3 * w] == (uint64_t)t; w++)
             {env}[W[3 * w + 1]] = W[3 * w + 2];
-        {step};
+        uint64_t moved = t == 0;
+{compare}
+        if (moved) {{ {step}; stepped++; }}
         for (int k = 0; k < NB; k++)
             OUT[t * NB + k] = {env}[SRC[k]];
     }}
+    return stepped;
 }}
 """
 
-    def nat_run(self, walk) -> str:
+    def nat_run(self, walk, mem_words: int) -> str:
         """Every net a local: in-ports and registers loaded from ``V``,
         registers and assigns stored back after the final settle; then
-        ``nat_replay`` over it."""
+        ``nat_replay`` over it, whose step reads the in-ports, the
+        registers and the *mem_words* of ``MEM``."""
         lines = [_PRELUDE,
                  "void nat_run(uint64_t* V, uint64_t* MEM, long cycles)", "{",
                  "    (void)MEM;"]
@@ -194,7 +212,8 @@ void nat_replay({state}, uint64_t* W, long NW, long ticks,
                 lines.append(f"    V[{idx}] = {local};")
         lines.append("}")
         return "\n".join(lines) + "\n\n" + self.nat_replay(
-            "uint64_t* V, uint64_t* MEM", "V", "nat_run(V, MEM, 1)")
+            "uint64_t* V, uint64_t* MEM", "V", "nat_run(V, MEM, 1)",
+            (("V", walk.n_state), ("MEM", mem_words)))
 
 
 def compile_rtl_native(module: RtlModule,
@@ -217,17 +236,20 @@ def compile_rtl_native(module: RtlModule,
         cache, backend="native")
 
 
-def kernel_replay(module, entry, state: tuple, waveform, fields,
-                  set_input, srcs: Sequence[int]) -> List[tuple]:
+def kernel_replay(module, entry, state: tuple, level: str, waveform,
+                  fields, set_input, srcs: Sequence[int]) -> List[tuple]:
     """Run *waveform* through the ``nat_replay`` *entry* of a loaded
-    kernel *module*, over its *state* arrays: per tick, the tuple of
-    the slots *srcs*.  *fields* and *set_input* make the write rows
-    (:func:`repro.engines.write_rows`)."""
+    kernel *module*, over its *state* arrays and snapshot buffer: per
+    tick, the tuple of the slots *srcs*.  *fields* and *set_input* make
+    the write rows (:func:`repro.engines.write_rows`); the call's ticks
+    count at *level* (:func:`repro.engines.count_replay`)."""
     rows = write_rows(waveform, fields, set_input)
     ticks, nb = len(waveform), len(srcs)
     out = module.u64_buffer(ticks * nb)
-    entry(*state, module.u64_arg(rows), len(rows) // 3, ticks,
-          module.u64_arg(srcs), nb, out)
+    stepped = entry(*state, module.u64_arg(rows), len(rows) // 3, ticks,
+                    module.u64_arg(srcs), nb, out)
+    if ticks:
+        count_replay(level, ticks, stepped)
     if not nb:
         return [()] * ticks
     values = module.u64_view(out)
@@ -296,6 +318,8 @@ class NativeRtlSimulator:
         self._words = mod.u64_words
         self._v = mod.u64_buffer(self.program.n_slots)
         self._m = mod.u64_buffer(max(self.program.mem_words, 1))
+        #: nat_replay's snapshot of a tick's start state
+        self._snapshot = mod.u64_buffer(self.program.state_words)
         # raw FFI element access is ~4x slower (NativeModule.u64_view)
         self._vv = mod.u64_view(self._v)
         self._mv = mod.u64_view(self._m)
@@ -362,7 +386,8 @@ class NativeRtlSimulator:
         tuple ``port_sampler(ports).read()`` returns."""
         module, index = self.module, self.program.name_index
         samples = kernel_replay(
-            self.program.module, self._replay, (self._v, self._m), waveform,
+            self.program.module, self._replay,
+            (self._v, self._m, self._snapshot), "rtl", waveform,
             self._fields, self.set_input,
             [index[module.outputs.get(name, name)] for name in ports])
         self.cycles += len(waveform)

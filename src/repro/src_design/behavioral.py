@@ -434,6 +434,15 @@ class BehavioralSimulation:
     def get(self, name: str) -> int:
         return self.interp.get_output(name)
 
+    def input_names(self) -> List[str]:
+        """The input ports, in declaration order."""
+        return list(self.interp.fsm.input_masks())
+
+    def reset(self) -> None:
+        """Back to the state a new simulation starts in: the entry
+        state, the power-on environment and every memory."""
+        self.interp.reset()
+
     def replay(self, waveform: Sequence[Dict[str, int]],
                ports: Sequence[str]) -> List[tuple]:
         """The engine's ``replay`` (see :mod:`repro.engines`)."""

@@ -31,8 +31,7 @@ from .coverage import InputCoverage, ToggleCoverage
 from .mutate import Mutation, iter_mutations
 from .runner import (DEFAULT_LEVELS, CaseReport, LevelBuilds, LevelSpec,
                      case_timing, diff_against_reference, golden_outputs,
-                     make_dut, parse_level_specs, run_case_level,
-                     run_differential)
+                     parse_level_specs, run_case_level, run_differential)
 from .shrink import ShrinkResult, shrink_case
 from .stimulus import StimulusCase, generate_cases
 
@@ -203,7 +202,7 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     subsystem's :func:`~repro.fi.campaign.parallel_map`, in-process or,
     with ``jobs > 1``, across its worker pool, for which the parent
     first builds every clocked level's DUT once, so forked workers
-    inherit the netlists and kernels.  Case order and coverage are
+    inherit the DUTs with their netlists and kernels.  Case order and coverage are
     kept, the pool's counts come back with its results, and any failure
     is shrunk in the parent, so reports are identical for every job
     count.
@@ -226,7 +225,7 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         if config.jobs > 1:  # in-process, the first case builds them
             for spec in _WORKER["specs"]:
                 if spec.is_clocked:
-                    make_dut(params, spec, builds)
+                    builds.dut(spec)
         results = parallel_map(_verify_case_task, cases, config.jobs,
                                initializer=_init_verify_worker,
                                initargs=initargs)

@@ -20,9 +20,11 @@ produced that frame.
 
 Each case's schedules are built once (:func:`case_timing`) and shared
 by the golden model and every level.  A clocked level runs as one
-``replay`` of the case's port waveform on a fresh DUT (see
-:mod:`repro.engines`): on the generated-code engines that is one kernel
-call, with no Python per cycle.  The returned samples are decoded as
+``replay`` of the case's port waveform on the run's DUT of that level
+(:meth:`LevelBuilds.dut`), put back in the state a new one starts in
+(see :mod:`repro.engines`): on the generated-code engines that is one
+kernel call, with no Python per cycle and no step on a tick whose start
+state did not move.  The returned samples are decoded as
 the per-cycle testbench (:func:`~repro.src_design.testbench.run_clocked`
 with :class:`~repro.src_design.testbench.RtlDutDriver`) reads its DUT,
 with the same outputs, ticks, stop point and errors.
@@ -35,7 +37,7 @@ from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..datatypes.integers import wrap_signed
-from ..engines import expand
+from ..engines import expand, restart
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
 from ..obs.trace import span
@@ -70,6 +72,10 @@ BACKEND_LEVELS = frozenset((
     Level.RTL_UNOPT, Level.RTL_OPT, Level.VHDL_REF,
     Level.GATE_BEH, Level.GATE_RTL,
 ))
+
+#: the clocked levels a DUT runs as an RTL module, and as a netlist
+RTL_LEVELS = (Level.RTL_UNOPT, Level.RTL_OPT, Level.VHDL_REF)
+GATE_LEVELS = (Level.GATE_BEH, Level.GATE_RTL)
 
 #: the default level set of ``python -m repro verify``
 DEFAULT_LEVELS = "alg,tlm,beh,rtl,gate"
@@ -134,13 +140,14 @@ def parse_level_specs(text: str, backend: str = "interpreted"
 
 
 class LevelBuilds:
-    """Per-session cache of RTL modules and synthesised netlists.
+    """Per-session cache of RTL modules, synthesised netlists and DUTs.
 
     Building a module is cheap, synthesis is not; both are pure
     functions of ``params`` so one instance is shared across all cases
-    of a verification run.  ``netlist_overrides`` substitutes a custom
-    (e.g. deliberately mutated) netlist for a gate level -- the
-    self-check mode uses this to prove the harness catches real bugs.
+    of a verification run, and so is one DUT per clocked level spec
+    (:meth:`dut`).  ``netlist_overrides`` substitutes a custom (e.g.
+    deliberately mutated) netlist for a gate level -- the self-check
+    mode uses this to prove the harness catches real bugs.
     """
 
     def __init__(self, params: SrcParams,
@@ -149,6 +156,8 @@ class LevelBuilds:
         self.netlist_overrides = dict(netlist_overrides or {})
         self._modules: Dict[Level, object] = {}
         self._netlists: Dict[Level, object] = {}
+        #: spec -> (its DUT, the DUT's input ports)
+        self._duts: Dict[LevelSpec, Tuple[object, List[str]]] = {}
 
     def module(self, level: Level):
         if level not in self._modules:
@@ -161,6 +170,22 @@ class LevelBuilds:
         if level not in self._netlists:
             self._netlists[level] = synthesize(self.module(level))
         return self._netlists[level]
+
+    def dut(self, spec: LevelSpec):
+        """The DUT of clocked *spec*, in the state a new one starts in:
+        built by :func:`make_dut` on first use, restarted
+        (:func:`repro.engines.restart`) on every later one."""
+        held = self._duts.get(spec)
+        if held is None:
+            sim = make_dut(self.params, spec, self)
+            level = spec.level
+            inputs = (list(self.netlist(level).inputs) if level in GATE_LEVELS
+                      else self.module(level).input_names()
+                      if level in RTL_LEVELS else sim.input_names())
+            self._duts[spec] = (sim, inputs)
+            return sim
+        restart(*held)
+        return held[0]
 
 
 @dataclass
@@ -245,9 +270,9 @@ def make_dut(params: SrcParams, spec: LevelSpec, builds: LevelBuilds):
         return BehavioralSimulation(params,
                                     optimized=(level is Level.BEH_OPT),
                                     backend=spec.backend)
-    if level in (Level.RTL_UNOPT, Level.RTL_OPT, Level.VHDL_REF):
+    if level in RTL_LEVELS:
         return RtlSimulator(builds.module(level), backend=spec.backend)
-    if level in (Level.GATE_BEH, Level.GATE_RTL):
+    if level in GATE_LEVELS:
         return GateSimulator(builds.netlist(level), backend=spec.backend)
     raise ValueError(f"{level} is not a clocked level")
 
@@ -303,14 +328,15 @@ def _replay_clocked(params: SrcParams, spec: LevelSpec,
                     ) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """One clocked level over a case: its outputs and the tick of each.
 
-    A fresh DUT replays the case's waveform in one call.  The samples
-    decode as the per-cycle driver reads the DUT (``out_valid``, then on
-    a valid tick ``out_l`` and ``out_r``), up to the tick of the last
-    expected frame, where the per-cycle run stops; coverage folds those
-    ticks, and only when the run raised nothing.
+    The run's DUT of the level, restarted, replays the case's waveform
+    in one call.  The samples decode as the per-cycle driver reads the
+    DUT (``out_valid``, then on a valid tick ``out_l`` and ``out_r``),
+    up to the tick of the last expected frame, where the per-cycle run
+    stops; coverage folds those ticks, and only when the run raised
+    nothing.
     """
     expected = count_outputs(timing.schedule)
-    sim = make_dut(params, spec, builds)
+    sim = builds.dut(spec)
     handle = coverage.begin(spec, sim) if coverage is not None else None
     ports = list(handle.widths if handle is not None else OUT_PORTS)
     samples = sim.replay(timing.waveform, ports)
